@@ -31,6 +31,7 @@ from .errors import (
     UnresolvedComb,
     ValidationError,
 )
+from .numerics import simpson_nodes, simpson_sums
 
 # amplitude_scale = 1 puts the peak |zeta|/|Omega| here
 WEAK_AMPLITUDE_RATIO = 1.0e-3
@@ -397,6 +398,25 @@ def build_comb_ensemble(spacing: float, tooth_width: float, n_lines: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class StepSample:
+    """The control on one step's Simpson points s + dt * (0, 1/8, ..., 1).
+
+    One envelope evaluation per step: entries 0, 4 and 8 are the
+    Runge-Kutta stage times s, s + dt/2 and s + dt, and df_half, df_full
+    are the Simpson integrals of f over the half and the whole step.
+    """
+
+    rabi: np.ndarray            # (9,) Omega
+    f: np.ndarray               # (9,) |Omega|^2 / Delta^2
+    df_half: float
+    df_full: float
+
+    def stage(self, k: int):
+        """(Omega, f) at stage time s + k dt/2, k = 0, 1, 2."""
+        return self.rabi[4 * k], float(self.f[4 * k])
+
+
+@dataclass(frozen=True)
 class ControlProfile:
     """Classical control field of one stage.
 
@@ -432,6 +452,9 @@ class ControlProfile:
                     f"|Delta| = {abs(self.one_photon_detuning)} below "
                     f"{self.detuning_factor} x probe bandwidth "
                     f"{self.probe_bandwidth}")
+        # |Omega| on the switch window per sample count; the envelope is
+        # immutable, so the peaks are sampled once per profile
+        object.__setattr__(self, "_window_samples", {})
 
     @property
     def kz(self) -> float:
@@ -440,21 +463,44 @@ class ControlProfile:
     def rabi(self, tau):
         return np.asarray(self.rabi_envelope(tau))
 
+    def _f_of(self, rabi):
+        return np.abs(rabi) ** 2 / self.one_photon_detuning ** 2
+
     def f(self, tau):
         """Dimensionless control parameter |Omega|^2 / Delta^2."""
-        return np.abs(self.rabi(tau)) ** 2 / self.one_photon_detuning ** 2
+        return self._f_of(self.rabi(tau))
+
+    def at(self, s: float):
+        """(Omega, f) at one time, from a single envelope evaluation."""
+        rabi = self.rabi(s)
+        return rabi, float(self._f_of(rabi))
 
     def stark_shift(self, tau):
         """Delta_nu^s(tau) = Delta_nu f_nu(tau)."""
         return self.one_photon_detuning * self.f(tau)
 
+    def sample_step(self, s: float, dt: float) -> "StepSample":
+        """The control on the Simpson points of the step [s, s + dt]."""
+        rabi = self.rabi(simpson_nodes(s, dt))
+        f = self._f_of(rabi)
+        df_half, df_full = simpson_sums(f, dt)
+        return StepSample(rabi=rabi, f=f, df_half=float(df_half),
+                          df_full=float(df_full))
+
+    def _window_abs_rabi(self, n_samples: int) -> np.ndarray:
+        samples = self._window_samples.get(n_samples)
+        if samples is None:
+            tau = np.linspace(self.switch_on, self.switch_off, n_samples)
+            samples = np.abs(self.rabi(tau))
+            samples.setflags(write=False)
+            self._window_samples[n_samples] = samples
+        return samples
+
     def peak_f(self, n_samples: int = 2048) -> float:
-        tau = np.linspace(self.switch_on, self.switch_off, n_samples)
-        return float(np.max(self.f(tau)))
+        return float(np.max(self._f_of(self._window_abs_rabi(n_samples))))
 
     def peak_rabi(self, n_samples: int = 2048) -> float:
-        tau = np.linspace(self.switch_on, self.switch_off, n_samples)
-        return float(np.max(np.abs(self.rabi(tau))))
+        return float(np.max(self._window_abs_rabi(n_samples)))
 
     @classmethod
     def flat_top(cls, rabi: float, detuning: float, switch_on: float,

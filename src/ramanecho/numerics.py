@@ -45,18 +45,44 @@ def trapezoid_energy(y: np.ndarray, dx: float) -> float:
     return float(np.trapezoid(np.abs(np.asarray(y)) ** 2, dx=dx))
 
 
+def simpson_nodes(t0: float, dt: float) -> np.ndarray:
+    """The nine Simpson points t0 + dt * (0, 1/8, ..., 1) of one step.
+
+    Entries 0, 4 and 8 are t0, t0 + dt/2 and t0 + dt exactly as the
+    steppers compute their stage times.
+    """
+    return t0 + dt * np.array(
+        [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0])
+
+
+def simpson_sums(v: np.ndarray, dt: float):
+    """Integrals over [t0, t0+dt/2] and [t0, t0+dt] of a function sampled
+    at simpson_nodes(t0, dt)."""
+    # composite Simpson, two panels of width dt/4 per half: h/3 = dt/24
+    half = (dt / 24.0) * (v[0] + 4.0 * v[1] + 2.0 * v[2] + 4.0 * v[3] + v[4])
+    full = half + (dt / 24.0) * (v[4] + 4.0 * v[5] + 2.0 * v[6] + 4.0 * v[7] + v[8])
+    return half, full
+
+
 def simpson_increments(fn, t0: float, dt: float):
     """Integrals of fn over [t0, t0+dt/2] and [t0, t0+dt] by Simpson panels.
 
     fn must accept numpy arrays.  Accuracy O(dt^5) per call, enough for the
     per-step phase bookkeeping of the exponential integrators.
     """
-    t = t0 + dt * np.array([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0])
-    v = fn(t)
-    # composite Simpson, two panels of width dt/4 per half: h/3 = dt/24
-    half = (dt / 24.0) * (v[0] + 4.0 * v[1] + 2.0 * v[2] + 4.0 * v[3] + v[4])
-    full = half + (dt / 24.0) * (v[4] + 4.0 * v[5] + 2.0 * v[6] + 4.0 * v[7] + v[8])
-    return half, full
+    return simpson_sums(fn(simpson_nodes(t0, dt)), dt)
+
+
+def weighted_node_sum(weights: np.ndarray, x: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j weights[j] * x[j, :] over the node axis, in fixed node order.
+
+    A numpy reduction over axis 0 adds the weighted rows one after
+    another, so the result is bit-identical from run to run and does not
+    depend on the BLAS library or its thread count, as a matrix product
+    would.  out, when given, receives the weighted rows.
+    """
+    return np.add.reduce(np.multiply(weights[:, None], x, out=out), axis=0)
 
 
 def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10,

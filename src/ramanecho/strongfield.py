@@ -21,19 +21,23 @@ boundary carries the physical control-induced chirp exp(+i psi), and the
 stepper rotates the full per-node bracket d21 - Delta c_j f out exactly
 (Simpson-integrated control phases), so the fast common phase cancels
 between the field and the rotation and the Runge-Kutta stages only see
-the slow node-spread rates.  The field is re-solved across the slab at
-every Runge-Kutta stage by an integrating-factor quadrature, keeping the
-coupled step 4th order.  Storage integrates the field from the input
-face Z = 0; retrieval from a zero boundary at Z = L, emitting backward.
-All node/Z updates are whole-array operations with a fixed reduction
-order, so repeated runs are bit-identical.
+the slow node-spread rates.  The field is solved across the slab by an
+integrating-factor quadrature at the k2, k3 and k4 stages of every
+Runge-Kutta step and recorded at the step end, keeping the coupled step
+4th order; k1 reuses the row recorded from the same atoms at the same
+clock.  The control is sampled once per step, on the Simpson points that
+also supply the stage values.  Storage integrates the field from the
+input face Z = 0; retrieval from a zero boundary at Z = L, emitting
+backward.  All node/Z updates are whole-array operations and the
+ensemble sums run in fixed node order off BLAS, so repeated runs are
+bit-identical whatever the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -45,6 +49,7 @@ from .core import (
     Grid,
     MediumSpec,
     ProbeSpec,
+    StepSample,
     SUPPORT_FLOOR,
     WEAK_AMPLITUDE_RATIO,
 )
@@ -57,7 +62,7 @@ from .errors import (
     ResonantSingularity,
     ValidationError,
 )
-from .numerics import cumulative_integral, simpson_increments
+from .numerics import cumulative_integral, weighted_node_sum
 from .records import EchoRecord, envelope_from_scaled
 
 # Bloch-sphere slack |r12|^2 <= r11 (1 - r11) + BLOCH_EPS guaranteed on the
@@ -87,34 +92,6 @@ def _c_factors(ensemble: EnsembleSpec, one_photon_detuning: float
     return 1.0 / denom
 
 
-@dataclass(frozen=True)
-class KernelAccumulator:
-    """Ensemble kernels B11, B12 at every Z with explicit partials.
-
-    partials_mn[j] is node j's weighted contribution w_j c_j r_mn_j(Z);
-    the reductions run in fixed node order (numpy pairwise over axis 0),
-    so repeated evaluation is bit-identical and cannot pick up an
-    order-dependent rounding spread.
-    """
-
-    partials_11: np.ndarray     # (n_node, n_z) real
-    partials_12: np.ndarray     # (n_node, n_z) complex
-
-    @classmethod
-    def build(cls, ensemble: EnsembleSpec, c_factors: np.ndarray,
-              r12: np.ndarray, r11: np.ndarray) -> "KernelAccumulator":
-        wc = (ensemble.weights * c_factors)[:, None]
-        return cls(partials_11=wc * r11, partials_12=wc * r12)
-
-    @property
-    def b11(self) -> np.ndarray:
-        return np.add.reduce(self.partials_11, axis=0)
-
-    @property
-    def b12(self) -> np.ndarray:
-        return np.add.reduce(self.partials_12, axis=0)
-
-
 @dataclass
 class SimulationState:
     """Evolving strong-field state on one stage grid.
@@ -123,7 +100,11 @@ class SimulationState:
     coherence and ground population per (node, Z).  accumulated_psi is
     the running control Stark phase Delta * int f and zeta_scale the
     largest field magnitude seen so far (the reference for control-off
-    field checks).
+    field checks).  row_current says that zeta_t[step_index] was solved
+    from the current atoms at the current clock, by a run driver at row 0
+    or by advance_strong at the step end; the next advance_strong reuses
+    it as its k1 row.  Code that changes the atoms in place between steps
+    must clear it.
     """
 
     zeta_t: np.ndarray          # (n_tau, n_z) complex
@@ -138,6 +119,14 @@ class SimulationState:
     f_integral: float = 0.0
     accumulated_psi: float = 0.0
     zeta_scale: float = 0.0
+    row_current: bool = False
+    # weighted rows of the ensemble kernels, overwritten at every solve
+    _rows11: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows12: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rows11 = np.empty(self.r11.shape)
+        self._rows12 = np.empty(self.r12.shape, dtype=complex)
 
     @classmethod
     def fresh(cls, grid: Grid, ensemble: EnsembleSpec,
@@ -210,62 +199,80 @@ def _solve_field_ode(a: np.ndarray, source: np.ndarray, dz: float,
     return phi * (boundary_value + inner)
 
 
+def ensemble_kernels(state: SimulationState, ensemble: EnsembleSpec,
+                     r12: np.ndarray, r11: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble kernels B11 = sum_j w_j c_j r11_j and B12 = sum_j w_j c_j
+    r12_j at every Z, as field_row uses them.
+
+    The weighted rows go to the state's buffers and are summed in fixed
+    node order off BLAS, so repeated evaluation is bit-identical.
+    """
+    wc = ensemble.weights * state.c_factors
+    return (weighted_node_sum(wc, r11, out=state._rows11),
+            weighted_node_sum(wc, r12, out=state._rows12))
+
+
 def field_row(state: SimulationState, ensemble: EnsembleSpec,
               medium: MediumSpec, control: ControlProfile, s: float,
-              psi: float, r12: np.ndarray, r11: np.ndarray) -> np.ndarray:
+              psi: float, r12: np.ndarray, r11: np.ndarray,
+              sampled=None) -> np.ndarray:
     """Scaled field across the slab at time s given the atomic arrays.
 
     Storage integrates from the input face Z = 0; retrieval from a zero
     boundary at the far face toward the exit at Z = 0 (the slab is
-    flipped, solved forward, and flipped back).
+    flipped, solved forward, and flipped back).  sampled is the
+    (Omega(s), f(s)) pair when the caller has already sampled the
+    control at s; otherwise control is evaluated here.
     """
-    kernels = KernelAccumulator.build(ensemble, state.c_factors, r12, r11)
+    rabi_s, f_s = control.at(s) if sampled is None else sampled
+    b11, b12 = ensemble_kernels(state, ensemble, r12, r11)
     sgn = state.stage_sign
     beta = medium.coupling_beta
-    a = (0.5j * beta * sgn / control.one_photon_detuning) * kernels.b11
-    source = (0.5j * beta * float(control.f(s))) * kernels.b12
-    if sgn > 0:
-        row = _solve_field_ode(a, source, state.dz,
-                               complex(state.boundary(s, psi)))
+    a = (0.5j * beta * sgn / control.one_photon_detuning) * b11
+    source = (0.5j * beta * f_s) * b12
+    if isinstance(state.boundary, ProbeBoundary):
+        incoming = complex(state.boundary(s, psi, rabi_s))
     else:
-        rev = _solve_field_ode(-a[::-1], -source[::-1], state.dz,
-                               complex(state.boundary(s, psi)))
+        incoming = complex(state.boundary(s, psi))
+    if sgn > 0:
+        row = _solve_field_ode(a, source, state.dz, incoming)
+    else:
+        rev = _solve_field_ode(-a[::-1], -source[::-1], state.dz, incoming)
         row = rev[::-1]
     if not np.all(np.isfinite(row)):
         raise NonFiniteField(f"field row non-finite at tau={s}")
     return row
 
 
-def _stark_rates(state: SimulationState, control: ControlProfile, s: float,
-                 row: np.ndarray, delta: float) -> np.ndarray:
-    """Probe light shift Delta c_j |zeta|^2 / |Omega|^2 per (node, Z).
+def _stark_ratio(state: SimulationState, s: float, row: np.ndarray,
+                 om2: float, peak2: float) -> np.ndarray | None:
+    """|zeta|^2 / |Omega|^2 per Z, or None with the control off.
 
-    The ratio equals the regular form |g A|^2 / (Delta + d31); with the
-    control off a live field makes it singular, which is the
-    ControlVanishes regime error.
+    Times Delta c_j it is the probe light shift, which equals the regular
+    form |g A|^2 / (Delta + d31); with the control off a live field makes
+    it singular, which is the ControlVanishes regime error.
     """
-    om2 = float(np.abs(control.rabi(s)) ** 2)
-    peak2 = control.peak_rabi() ** 2
-    row_mag = float(np.max(np.abs(row)))
     if om2 <= CONTROL_FLOOR * peak2:
+        row_mag = float(np.max(np.abs(row)))
         if row_mag > FIELD_FLOOR * max(state.zeta_scale, 1e-300):
             raise ControlVanishes(
                 f"|Omega(tau={s:.6g})| = 0 with |zeta| = {row_mag:.3g}; "
                 "the probe Stark ratio is singular")
-        return np.zeros((len(state.c_factors), row.shape[0]))
-    return (delta * state.c_factors)[:, None] * \
-        (np.abs(row) ** 2 / om2)[None, :]
+        return None
+    return np.abs(row) ** 2 / om2
 
 
 def _lawson_step(state: SimulationState, ensemble: EnsembleSpec,
-                 control: ControlProfile, dt: float,
-                 row_fn: Callable) -> None:
+                 control: ControlProfile, dt: float, sample: StepSample,
+                 row1: np.ndarray, row_at: Callable) -> None:
     """One RK4 step in the frame co-rotating with d21 - Delta c_j f.
 
-    The per-node bracket phase is Simpson-integrated and applied as an
-    exact rotation; row_fn(u, psi, r12, r11) supplies the field row the
-    slopes see at stage time u.  The drive and the probe Stark rate are
-    the only terms the Runge-Kutta stages step.
+    The per-node bracket phase is Simpson-integrated from the step's
+    control sample and applied as an exact rotation; row1 is the field
+    row at the step start and row_at(k, r12, r11) supplies the row the
+    slopes see at stage time s + k dt/2 (k = 1, 2).  The drive and the
+    probe Stark rate are the only terms the Runge-Kutta stages step.
     """
     s = state.clock
     delta = control.one_photon_detuning
@@ -273,38 +280,49 @@ def _lawson_step(state: SimulationState, ensemble: EnsembleSpec,
     c = state.c_factors[:, None]
     d21 = ensemble.delta21s[:, None]
 
-    df_half, df_full = simpson_increments(control.f, s, dt)
-    rot_half = np.exp(-1j * (d21 * (0.5 * dt) - delta * c * float(df_half)))
-    rot_full = np.exp(-1j * (d21 * dt - delta * c * float(df_full)))
-    psi0 = state.accumulated_psi
-    psi_half = psi0 + delta * float(df_half)
-    psi_full = psi0 + delta * float(df_full)
+    rot_half = np.exp(-1j * (d21 * (0.5 * dt) - delta * c * sample.df_half))
+    rot_full = np.exp(-1j * (d21 * dt - delta * c * sample.df_full))
+    # per-node constants of the slopes; the rotations are unimodular, so
+    # undoing one is a multiplication by its conjugate
+    drive = (1j * sgn) * c
+    drive_half = drive * np.conj(rot_half)
+    drive_full = drive * np.conj(rot_full)
+    stark = -1j * delta * c
+    coupling = -2.0 * sgn * c
+    peak2 = control.peak_rabi() ** 2
 
-    def slope(rot, p_st, n_st, u, psi):
-        r12_st = rot * p_st
-        row = row_fn(u, psi, r12_st, n_st)
-        stark = _stark_rates(state, control, u, row, delta)
-        kp = (1j * sgn) * c * row[None, :] * (2.0 * n_st - 1.0) / rot \
-            - 1j * stark * p_st
-        kn = -2.0 * sgn * c * (np.conj(row)[None, :] * r12_st).imag
+    def slope(k, drive_k, p_st, n_st, r12_st, row):
+        om2 = float(np.abs(sample.rabi[4 * k]) ** 2)
+        ratio = _stark_ratio(state, s + 0.5 * k * dt, row, om2, peak2)
+        kp = drive_k * (row[None, :] * (2.0 * n_st - 1.0))
+        if ratio is not None:
+            kp += stark * (ratio[None, :] * p_st)
+        kn = coupling * (np.conj(row)[None, :] * r12_st).imag
         return kp, kn
 
     p, n = state.r12, state.r11
-    one = np.ones_like(rot_half)
-    k1p, k1n = slope(one, p, n, s, psi0)
-    k2p, k2n = slope(rot_half, p + 0.5 * dt * k1p, n + 0.5 * dt * k1n,
-                     s + 0.5 * dt, psi_half)
-    k3p, k3n = slope(rot_half, p + 0.5 * dt * k2p, n + 0.5 * dt * k2n,
-                     s + 0.5 * dt, psi_half)
-    k4p, k4n = slope(rot_full, p + dt * k3p, n + dt * k3n, s + dt, psi_full)
+    k1p, k1n = slope(0, drive, p, n, p, row1)
+    p_st, n_st = p + 0.5 * dt * k1p, n + 0.5 * dt * k1n
+    r12_st = rot_half * p_st
+    k2p, k2n = slope(1, drive_half, p_st, n_st, r12_st,
+                     row_at(1, r12_st, n_st))
+    p_st, n_st = p + 0.5 * dt * k2p, n + 0.5 * dt * k2n
+    r12_st = rot_half * p_st
+    k3p, k3n = slope(1, drive_half, p_st, n_st, r12_st,
+                     row_at(1, r12_st, n_st))
+    p_st, n_st = p + dt * k3p, n + dt * k3n
+    r12_st = rot_full * p_st
+    k4p, k4n = slope(2, drive_full, p_st, n_st, r12_st,
+                     row_at(2, r12_st, n_st))
 
     state.r12 = rot_full * (p + (dt / 6.0) * (k1p + 2.0 * k2p
                                               + 2.0 * k3p + k4p))
     state.r11 = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
     state.clock = s + dt
     state.step_index += 1
-    state.f_integral += float(df_full)
-    state.accumulated_psi = psi_full
+    state.f_integral += sample.df_full
+    state.accumulated_psi += delta * sample.df_full
+    state.row_current = False
     state.assert_physical()
 
 
@@ -329,7 +347,8 @@ def advance_atoms(state: SimulationState, ensemble: EnsembleSpec,
     index drives all four Runge-Kutta stages."""
     row = state.zeta_t[state.step_index]
     _lawson_step(state, ensemble, control, dt,
-                 row_fn=lambda u, psi, r12, r11: row)
+                 control.sample_step(state.clock, dt), row,
+                 row_at=lambda k, r12, r11: row)
     state.zeta_scale = max(state.zeta_scale, float(np.max(np.abs(row))))
     return state
 
@@ -337,42 +356,67 @@ def advance_atoms(state: SimulationState, ensemble: EnsembleSpec,
 def advance_strong(state: SimulationState, ensemble: EnsembleSpec,
                    medium: MediumSpec, control: ControlProfile, dt: float
                    ) -> SimulationState:
-    """One coupled step: the field is re-solved from the provisional
-    atoms at every Runge-Kutta stage, then recorded at the new clock."""
+    """One coupled step: the field is solved from the provisional atoms
+    at the k2, k3 and k4 stages, then recorded at the new clock.
 
-    def row_fn(u, psi, r12, r11):
-        return field_row(state, ensemble, medium, control, u, psi, r12, r11)
+    k1 reuses the recorded row when state.row_current says it was solved
+    from the current atoms; otherwise k1 solves its row as well.
+    """
+    s = state.clock
+    sample = control.sample_step(s, dt)
+    times = (s, s + 0.5 * dt, s + dt)
+    psi0, delta = state.accumulated_psi, control.one_photon_detuning
+    psis = (psi0, psi0 + delta * sample.df_half,
+            psi0 + delta * sample.df_full)
 
-    _lawson_step(state, ensemble, control, dt, row_fn)
+    def row_at(k, r12, r11):
+        return field_row(state, ensemble, medium, control, times[k],
+                         psis[k], r12, r11, sample.stage(k))
+
+    row1 = (state.zeta_t[state.step_index] if state.row_current
+            else row_at(0, state.r12, state.r11))
+    _lawson_step(state, ensemble, control, dt, sample, row1, row_at)
     if state.step_index < state.zeta_t.shape[0]:
-        row = field_row(state, ensemble, medium, control, state.clock,
-                        state.accumulated_psi, state.r12, state.r11)
+        row = row_at(2, state.r12, state.r11)
         state.zeta_t[state.step_index] = row
+        state.row_current = True
         state.zeta_scale = max(state.zeta_scale,
                                float(np.max(np.abs(row))))
     return state
 
 
-def probe_boundary(probe: ProbeSpec, control: ControlProfile) -> Callable:
+@dataclass(frozen=True)
+class ProbeBoundary:
     """Scaled input field at the entry face.
 
     The physical envelope is dressed by conj(Omega) and carries the
     control Stark chirp exp(+i psi), which keeps the probe centered on
-    the shifted line while the control is on.
+    the shifted line while the control is on.  Called as boundary(s, psi)
+    it samples the control; the stepper passes the Omega(s) it already
+    sampled as rabi.
     """
-    scale = WEAK_AMPLITUDE_RATIO * probe.amplitude_scale
 
-    def boundary(s, psi):
-        return (scale * np.conj(control.rabi(s)) * probe.envelope(s)
+    probe: ProbeSpec
+    control: ControlProfile
+
+    def __call__(self, s, psi, rabi=None):
+        if rabi is None:
+            rabi = self.control.rabi(s)
+        scale = WEAK_AMPLITUDE_RATIO * self.probe.amplitude_scale
+        return (scale * np.conj(rabi) * self.probe.envelope(s)
                 * np.exp(1j * psi))
 
-    return boundary
+
+def probe_boundary(probe: ProbeSpec, control: ControlProfile
+                   ) -> ProbeBoundary:
+    """Scaled input field at the entry face (see ProbeBoundary)."""
+    return ProbeBoundary(probe, control)
 
 
 def excitation_profile(state: SimulationState, ensemble: EnsembleSpec
                        ) -> np.ndarray:
     """Ensemble excitation sum_j w_j (1 - r11_j) at every Z."""
-    return ensemble.weights @ (1.0 - state.r11)
+    return weighted_node_sum(ensemble.weights, 1.0 - state.r11)
 
 
 def _flux_weights(control: ControlProfile, medium: MediumSpec,
@@ -447,6 +491,7 @@ def run_storage(probe: ProbeSpec, control: ControlProfile,
     state.zeta_scale = peak_zeta
     state.zeta_t[0] = field_row(state, ensemble, medium, control, 0.0, 0.0,
                                 state.r12, state.r11)
+    state.row_current = True
 
     for _ in range(grid.n_tau - 1):
         advance_strong(state, ensemble, medium, control, grid.dt)
@@ -554,6 +599,7 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
         excitation_profile(state, ensemble2), state.dz)[-1])
     state.zeta_t[0] = field_row(state, ensemble2, medium, control2, 0.0,
                                 0.0, state.r12, state.r11)
+    state.row_current = True
 
     for _ in range(grid2.n_tau - 1):
         advance_strong(state, ensemble2, medium, control2, grid2.dt)

@@ -12,13 +12,17 @@ equation is a pure quadrature in Z (input face Z=0 for storage; zero
 boundary at Z=L with backward emission toward Z=0 for retrieval).  The
 atom equation is integrated with a 4th-order exponential scheme: each
 node's deterministic detuning phase is rotated out analytically, so only
-the smooth driven motion is stepped by Runge-Kutta.
+the smooth driven motion is stepped by Runge-Kutta.  The field is solved
+at the k2, k3 and k4 stages and recorded at the step end; k1 reuses the
+row recorded from the same coherences at the same clock.  The control is
+sampled once per step, and the ensemble sum B~12 runs in fixed node
+order off BLAS, so the output does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,8 +41,8 @@ from .errors import (
     NonFiniteField,
     WeakFieldViolation,
 )
-from .numerics import cumulative_integral, simpson_increments, \
-    trapezoid_energy
+from .numerics import cumulative_integral, trapezoid_energy, \
+    weighted_node_sum
 from .records import EchoRecord, envelope_from_scaled
 
 # validity margins for the linearization
@@ -53,7 +57,11 @@ class WeakState:
     zeta_t rows are filled as the clock advances; r12_t is the current
     coherence; accumulated_psi tracks the factored-out Stark phase and
     f_integral the running integral of f (both diagnostics for mapping
-    back to untransformed variables).
+    back to untransformed variables).  row_current says that
+    zeta_t[step_index] was solved from the current coherences at the
+    current clock, by a run driver at row 0 or by advance_weak at the step
+    end; the next advance_weak reuses it as its k1 row.  Code that changes
+    r12_t in place between steps must clear it.
     """
 
     zeta_t: np.ndarray          # (n_tau, n_z) complex
@@ -66,6 +74,12 @@ class WeakState:
     z: np.ndarray
     boundary: Callable          # incoming tilde field at the injection face
     f_integral: float = 0.0
+    row_current: bool = False
+    # weighted rows of B~12, overwritten at every solve
+    _rows12: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rows12 = np.empty(self.r12_t.shape, dtype=complex)
 
     @classmethod
     def fresh(cls, grid: Grid, ensemble: EnsembleSpec, drive_sign: int,
@@ -89,26 +103,32 @@ class WeakState:
 
 def field_row(state: WeakState, ensemble: EnsembleSpec, medium: MediumSpec,
               control: ControlProfile, s: float,
-              r12: np.ndarray) -> np.ndarray:
+              r12: np.ndarray, sampled=None) -> np.ndarray:
     """Tilde field across the slab at time s, given the coherences.
 
     Storage integrates the source from the input face; retrieval from the
-    far face (zero incoming echo), emitting toward Z = 0.
+    far face (zero incoming echo), emitting toward Z = 0.  sampled is the
+    (Omega(s), f(s)) pair when the caller has already sampled the control
+    at s; otherwise control is evaluated here.
     """
-    f_s = float(control.f(s))
-    b12 = ensemble.weights @ r12
+    rabi_s, f_s = control.at(s) if sampled is None else sampled
+    b12 = weighted_node_sum(ensemble.weights, r12, out=state._rows12)
     gain = 0.5 * medium.coupling_beta * f_s
+    if isinstance(state.boundary, TildeInput):
+        incoming = state.boundary(s, rabi_s)
+    else:
+        incoming = state.boundary(s)
     if state.direction > 0:
-        row = state.boundary(s) - gain * cumulative_integral(b12, state.dz)
+        row = incoming - gain * cumulative_integral(b12, state.dz)
     else:
         tail = cumulative_integral(b12[::-1], state.dz)[::-1]
-        row = state.boundary(s) + gain * tail
+        row = incoming + gain * tail
     if not np.all(np.isfinite(row)):
         raise NonFiniteField(f"field row non-finite at tau={s}")
     return row
 
 
-def _validity_checks(state, ensemble, control, s, row,
+def _validity_checks(ensemble, control, s, rabi_s, row,
                      bandwidth: float | None):
     if bandwidth is None:
         return
@@ -118,7 +138,7 @@ def _validity_checks(state, ensemble, control, s, row,
         raise WeakFieldViolation(
             f"max |delta31| = {ensemble.max_abs_delta31} exceeds "
             f"{DETUNING_VALIDITY_FACTOR} |Delta| = {worst}")
-    om2 = float(np.abs(control.rabi(s)) ** 2)
+    om2 = float(np.abs(rabi_s) ** 2)
     if om2 > 1e-9 * control.peak_rabi() ** 2:
         stark = abs(d) * float(np.max(np.abs(row) ** 2)) / om2
         if stark > STARK_VALIDITY_FACTOR * bandwidth:
@@ -134,68 +154,80 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     """One exponential-RK4 step of the linear system, in place.
 
     The per-node detuning phase d21 + d31 f(tau) is integrated to high
-    order by Simpson panels and applied as an exact rotation; the field is
-    re-solved at every Runge-Kutta stage.  bandwidth, when given, arms the
-    linear-regime validity checks.
+    order by Simpson panels and applied as an exact rotation.  The field
+    is solved at the k2, k3 and k4 stages and recorded at the new clock;
+    k1 reuses the recorded row when state.row_current says it was solved
+    from the current coherences, else it is solved too.  bandwidth, when
+    given, arms the linear-regime validity checks.
     """
     s = state.clock
+    sample = control.sample_step(s, dt)
+    times = (s, s + 0.5 * dt, s + dt)
     d21 = ensemble.delta21s[:, None]
     d31 = ensemble.delta31s[:, None]
-    df_half, df_full = simpson_increments(control.f, s, dt)
-    phi_half = d21 * (0.5 * dt) + d31 * df_half
-    phi_full = d21 * dt + d31 * df_full
+    phi_half = d21 * (0.5 * dt) + d31 * sample.df_half
+    phi_full = d21 * dt + d31 * sample.df_full
     rot_half = np.exp(-1j * phi_half)
     rot_full = np.exp(-1j * phi_full)
-
+    # the rotations are unimodular: undoing one multiplies by its conjugate
     drive = float(state.drive_sign)
+    drive_half = drive * np.conj(rot_half)
+    drive_full = drive * np.conj(rot_full)
     p = state.r12_t
 
-    row1 = field_row(state, ensemble, medium, control, s, p)
-    _validity_checks(state, ensemble, control, s, row1, bandwidth)
-    k1 = drive * row1[None, :] * np.ones_like(p)
+    def row_at(k, r12):
+        return field_row(state, ensemble, medium, control, times[k], r12,
+                         sample.stage(k))
 
-    r_a = rot_half * (p + 0.5 * dt * k1)
-    row2 = field_row(state, ensemble, medium, control, s + 0.5 * dt, r_a)
-    k2 = drive * row2[None, :] / rot_half
-
-    r_b = rot_half * (p + 0.5 * dt * k2)
-    row3 = field_row(state, ensemble, medium, control, s + 0.5 * dt, r_b)
-    k3 = drive * row3[None, :] / rot_half
-
-    r_c = rot_full * (p + dt * k3)
-    row4 = field_row(state, ensemble, medium, control, s + dt, r_c)
-    k4 = drive * row4[None, :] / rot_full
+    row1 = (state.zeta_t[state.step_index] if state.row_current
+            else row_at(0, p))
+    _validity_checks(ensemble, control, s, sample.rabi[0], row1, bandwidth)
+    k1 = drive * row1[None, :]
+    k2 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k1))[None, :]
+    k3 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k2))[None, :]
+    k4 = drive_full * row_at(2, rot_full * (p + dt * k3))[None, :]
 
     p_new = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     state.r12_t = rot_full * p_new
     state.clock = s + dt
     state.step_index += 1
-    state.f_integral += float(df_full)
-    state.accumulated_psi += control.one_photon_detuning * float(df_full)
+    state.f_integral += sample.df_full
+    state.accumulated_psi += control.one_photon_detuning * sample.df_full
+    state.row_current = False
     if state.step_index < state.zeta_t.shape[0]:
-        state.zeta_t[state.step_index] = field_row(
-            state, ensemble, medium, control, state.clock, state.r12_t)
+        state.zeta_t[state.step_index] = row_at(2, state.r12_t)
+        state.row_current = True
     return state
 
 
-def tilde_input(probe: ProbeSpec, control: ControlProfile) -> Callable:
+@dataclass(frozen=True)
+class TildeInput:
     """Scaled input field at the entry face in tilde variables.
 
     The physical probe envelope is dressed by conj(Omega); the Stark chirp
     that centers it on the shifted line is exactly the factored-out psi,
-    so the tilde boundary is smooth.
+    so the tilde boundary is smooth.  Called as boundary(s) it samples the
+    control; the stepper passes the Omega(s) it already sampled as rabi.
     """
-    scale = WEAK_AMPLITUDE_RATIO * probe.amplitude_scale
 
-    def boundary(s):
-        return 1j * scale * np.conj(control.rabi(s)) * probe.envelope(s)
+    probe: ProbeSpec
+    control: ControlProfile
 
-    return boundary
+    def __call__(self, s, rabi=None):
+        if rabi is None:
+            rabi = self.control.rabi(s)
+        scale = WEAK_AMPLITUDE_RATIO * self.probe.amplitude_scale
+        return 1j * scale * np.conj(rabi) * self.probe.envelope(s)
+
+
+def tilde_input(probe: ProbeSpec, control: ControlProfile) -> TildeInput:
+    """Scaled input field at the entry face (see TildeInput)."""
+    return TildeInput(probe, control)
 
 
 def _excitation_profile(state: WeakState, ensemble: EnsembleSpec
                         ) -> np.ndarray:
-    return ensemble.weights @ (np.abs(state.r12_t) ** 2)
+    return weighted_node_sum(ensemble.weights, np.abs(state.r12_t) ** 2)
 
 
 @dataclass
@@ -231,6 +263,7 @@ def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
                             boundary=tilde_input(probe, control))
     state.zeta_t[0] = field_row(state, ensemble, medium, control, 0.0,
                                 state.r12_t)
+    state.row_current = True
     bandwidth = probe.spectral_width if check_validity else None
     flux_weight = np.zeros(grid.n_tau)
     f_tau = np.asarray(control.f(tau), dtype=float)
@@ -301,6 +334,7 @@ def recall_weak(stored: WeakState, protocol: ProtocolConfig,
                             boundary=None, r12_initial=r12)
     state.zeta_t[0] = field_row(state, ensemble2, medium, control2, 0.0,
                                 state.r12_t)
+    state.row_current = True
     bandwidth = None
     if check_validity and tau_input is not None:
         span = float(tau_input[-1] - tau_input[0])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramanecho
 from ramanecho.cli import main, parse_alpha0l_list, parse_gamma_range
 from ramanecho.efficiency import EfficiencyModel, epsilon
 from ramanecho.errors import ArgumentError, ParseError, ValidationError
@@ -316,6 +317,32 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert parse_scenario(proc.stdout) == default_scenario()
+
+
+def test_simulate_output_does_not_depend_on_blas_threads(tmp_path):
+    # the weak solver's ensemble sums stay off BLAS, whose reductions
+    # change their last bits with the thread count
+    src_dir = os.path.dirname(os.path.dirname(ramanecho.__file__))
+    scenario = os.path.abspath(bundled("reafc_weak"))
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramanecho", "simulate", scenario,
+             "--out", "out"],
+            cwd=cwd, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        artifacts = {}
+        for name in sorted(os.listdir(cwd / "out")):
+            with open(cwd / "out" / name, "rb") as fh:
+                artifacts[name] = fh.read()
+        runs.append((proc.stdout, artifacts))
+    assert runs[0][1]
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramanecho import strongfield
 from ramanecho.conditions import (
     ConditionEntry,
     ConditionReport,
@@ -31,12 +32,14 @@ from ramanecho.errors import (
 )
 from ramanecho.records import measure_efficiency
 from ramanecho.strongfield import (
-    KernelAccumulator,
     SimulationState,
     advance_atoms,
     advance_field,
+    advance_strong,
+    ensemble_kernels,
     field_row,
     handover_wavevector_mismatch,
+    probe_boundary,
     run_retrieval,
     run_storage,
 )
@@ -84,6 +87,7 @@ def const_control(rabi, detuning, t_end):
 # ---------------------------------------------------------------------------
 
 def test_kernel_reduction_matches_compensated_sum():
+    # the reduction field_row performs, on the state's own buffers
     rng = np.random.default_rng(7)
     n_node, n_z = 64, 17
     w = rng.random(n_node)
@@ -97,7 +101,10 @@ def test_kernel_reduction_matches_compensated_sum():
     r12 = rng.standard_normal((n_node, n_z)) \
         + 1j * rng.standard_normal((n_node, n_z))
     r11 = rng.random((n_node, n_z))
-    kern = KernelAccumulator.build(ens, c, r12, r11)
+    grid = Grid(n_tau=2, n_z=n_z, t_end=1.0, length=1.0)
+    state = SimulationState.fresh(grid, ens, 50.0, stage="storage",
+                                  r12_initial=r12, r11_initial=r11)
+    b11, b12 = ensemble_kernels(state, ens, state.r12, state.r11)
 
     wc = ens.weights * c
     want11 = np.array([math.fsum(wc * r11[:, k]) for k in range(n_z)])
@@ -107,8 +114,8 @@ def test_kernel_reduction_matches_compensated_sum():
             [math.fsum(wc * r12[:, k].imag) for k in range(n_z)])
     scale11 = np.max(np.abs(want11))
     scale12 = np.max(np.abs(want12))
-    assert np.max(np.abs(kern.b11 - want11)) < REDUCTION_TOL * scale11
-    assert np.max(np.abs(kern.b12 - want12)) < REDUCTION_TOL * scale12
+    assert np.max(np.abs(b11 - want11)) < REDUCTION_TOL * scale11
+    assert np.max(np.abs(b12 - want12)) < REDUCTION_TOL * scale12
 
 
 def _field_test_pieces(n_z=65, beta=4.0, detuning=50.0):
@@ -359,6 +366,59 @@ def _cheap_setup(amplitude_scale=1e-3, alpha_eff_l=10.0):
                                     length_L=1.0)
     grid = Grid(n_tau=289, n_z=17, t_end=16.0, length=1.0)
     return ens, ctl, probe, med, grid
+
+
+def test_first_step_solves_its_row_unless_the_package_recorded_it():
+    # probe centred on tau = 0, so the input boundary there is O(1): a
+    # step that took an unsolved zeta_t[0] for its k1 row would drift
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=5, rule="uniform")
+    ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=-2.0,
+                                  switch_off=10.0, rise_time=0.5)
+    probe = ProbeSpec.gaussian(center=0.0, duration=0.8)
+    med = MediumSpec(coupling_beta=2.0, length_L=1.0)
+    grid = Grid(n_tau=65, n_z=9, t_end=2.0, length=1.0)
+    assert abs(probe_boundary(probe, ctl)(0.0, 0.0)) > 0.01
+
+    def history(record_row0):
+        state = SimulationState.fresh(
+            grid, ens, ctl.one_photon_detuning, stage="storage",
+            boundary=probe_boundary(probe, ctl))
+        if record_row0:
+            state.zeta_t[0] = field_row(state, ens, med, ctl, 0.0, 0.0,
+                                        state.r12, state.r11)
+        for _ in range(grid.n_tau - 1):
+            advance_strong(state, ens, med, ctl, grid.dt)
+        return state
+
+    bare, recorded = history(False), history(True)
+    assert np.array_equal(bare.r12, recorded.r12)
+    assert np.array_equal(bare.r11, recorded.r11)
+    assert np.array_equal(bare.zeta_t[1:], recorded.zeta_t[1:])
+
+
+def test_storage_counts_field_solves_and_peak_samples(monkeypatch):
+    # work, not time: row 0 plus four solves per step (k1 reuses the
+    # recorded row), and at most one more peak lookup per extra step
+    calls = {"field_row": 0, "peak_rabi": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(strongfield, "field_row",
+                        counted("field_row", strongfield.field_row))
+    monkeypatch.setattr(ControlProfile, "peak_rabi",
+                        counted("peak_rabi", ControlProfile.peak_rabi))
+    ens, ctl, probe, med, coarse = _cheap_setup()
+    peaks = []
+    for grid in (coarse, coarse.refined()):
+        calls.update(field_row=0, peak_rabi=0)
+        run_storage(probe, ctl, ens, med, grid)
+        assert calls["field_row"] == 1 + 4 * (grid.n_tau - 1)
+        peaks.append(calls["peak_rabi"])
+    assert peaks[1] - peaks[0] <= coarse.refined().n_tau - coarse.n_tau
 
 
 def test_zero_probe_stores_nothing():

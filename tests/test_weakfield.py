@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramanecho.conditions import ProtocolConfig
+from ramanecho import weakfield
 from ramanecho.core import (
     ControlProfile,
     Grid,
@@ -24,6 +25,7 @@ from ramanecho.weakfield import (
     advance_weak,
     analytic_transmission,
     fid_kernel,
+    field_row,
     recall_weak,
     run_weak_storage,
     tilde_input,
@@ -113,9 +115,11 @@ def test_single_node_small_slab_is_plain_quadrature():
     assert np.max(np.abs(got - want)) < SMALL_SLAB_TOL * scale
 
 
-def _node_history(probe, ctl, ens, med, grid):
+def _node_history(probe, ctl, ens, med, grid, record_row0=False):
     state = WeakState.fresh(grid, ens, drive_sign=+1, direction=+1,
                             boundary=tilde_input(probe, ctl))
+    if record_row0:
+        state.zeta_t[0] = field_row(state, ens, med, ctl, 0.0, state.r12_t)
     hist = [state.r12_t[0, 0]]
     for _ in range(grid.n_tau - 1):
         advance_weak(state, ens, med, ctl, grid.dt)
@@ -123,9 +127,46 @@ def _node_history(probe, ctl, ens, med, grid):
     return np.array(hist)
 
 
+def test_first_step_solves_its_row_unless_the_package_recorded_it():
+    # probe centred on tau = 0, so the input boundary there is O(1): a
+    # step that took an unsolved zeta_t[0] for its k1 row would drift
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=1)
+    ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=-2.0,
+                                  switch_off=10.0, rise_time=0.5)
+    probe = ProbeSpec.gaussian(center=0.0, duration=0.8)
+    med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
+    grid = Grid(n_tau=65, n_z=5, t_end=2.0, length=1.0)
+    assert abs(tilde_input(probe, ctl)(0.0)) > 0.01
+    bare = _node_history(probe, ctl, ens, med, grid)
+    recorded = _node_history(probe, ctl, ens, med, grid, record_row0=True)
+    assert np.array_equal(bare, recorded)
+
+
 # ---------------------------------------------------------------------------
 # storage stage
 # ---------------------------------------------------------------------------
+
+def test_storage_counts_field_solves_and_peak_samples(monkeypatch):
+    # work, not time: row 0 plus four solves per step (k1 reuses the
+    # recorded row), and at most one peak lookup per step
+    calls = {"field_row": 0, "peak_rabi": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(weakfield, "field_row",
+                        counted("field_row", weakfield.field_row))
+    monkeypatch.setattr(ControlProfile, "peak_rabi",
+                        counted("peak_rabi", ControlProfile.peak_rabi))
+    ens, ctl, probe, med, grid = make_gaussian_setup(n_tau=289, n_z=17,
+                                                     n_nodes=17)
+    run_weak_storage(probe, ctl, ens, med, grid)
+    assert calls["field_row"] == 1 + 4 * (grid.n_tau - 1)
+    assert calls["peak_rabi"] <= grid.n_tau - 1
+
 
 def test_storage_is_linear_in_amplitude():
     ens, ctl, probe, med, grid = make_gaussian_setup(n_tau=289, n_z=33,
