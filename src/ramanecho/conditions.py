@@ -42,9 +42,8 @@ DEFAULT_TOLERANCES = {
 class PhaseMatching:
     """Wavevector bookkeeping for the probe/echo pair.
 
-    Only z-projections are dynamical (1-d reduction); alpha_phase is the
-    global coherence phase carried through recall.  light_speed sets the
-    unit system.
+    Only z-projections are dynamical (1-d reduction).  light_speed sets
+    the unit system.
     """
 
     K1z: float
@@ -53,7 +52,6 @@ class PhaseMatching:
     omega2: float
     n1: float = 1.0
     n2: float = 1.0
-    alpha_phase: float = 0.0
     light_speed: float = 1.0
 
     def __post_init__(self):
@@ -64,13 +62,13 @@ class PhaseMatching:
 
     @classmethod
     def backward_matched(cls, omega1: float, omega2: float, n1: float = 1.0,
-                         n2: float = 1.0, alpha_phase: float = 0.0,
-                         light_speed: float = 1.0) -> "PhaseMatching":
+                         n2: float = 1.0, light_speed: float = 1.0
+                         ) -> "PhaseMatching":
         """Forward probe, backward echo, both on their free dispersion."""
         k1 = n1 * omega1 / light_speed
         k2 = k1 - (n1 * omega1 + n2 * omega2) / light_speed
         return cls(K1z=k1, K2z=k2, omega1=omega1, omega2=omega2, n1=n1,
-                   n2=n2, alpha_phase=alpha_phase, light_speed=light_speed)
+                   n2=n2, light_speed=light_speed)
 
     def residual_strong(self) -> float:
         """Normalized defect of c(K1 - K2) = n1 w1 + n2 w2."""
@@ -313,7 +311,7 @@ def solve_strong_stage2(stage1: StageSetup, anchor: float = 0.0
     k2 = m1.K1z - (m1.n1 * m1.omega1 + m1.n2 * omega2) / c
     matching2 = PhaseMatching(
         K1z=m1.K1z, K2z=k2, omega1=m1.omega1, omega2=omega2, n1=m1.n1,
-        n2=m1.n2, alpha_phase=m1.alpha_phase, light_speed=c)
+        n2=m1.n2, light_speed=c)
 
     # shared clock: stage 2 local time = anchor + (shared time), so the
     # mirrored envelope lands at local tau = anchor - (stage-1 local tau)

@@ -429,7 +429,6 @@ class ControlProfile:
     rabi_envelope: Callable
     one_photon_detuning: float
     carrier: float = 0.0
-    wavevector: tuple[float, float, float] = (0.0, 0.0, 0.0)
     switch_on: float = 0.0
     switch_off: float = 1.0
     probe_bandwidth: float | None = None
@@ -440,11 +439,6 @@ class ControlProfile:
             raise ValidationError("one_photon_detuning must be non-zero")
         if self.switch_off <= self.switch_on:
             raise ValidationError("switch_off must exceed switch_on")
-        kv = self.wavevector
-        if np.isscalar(kv):
-            kv = (0.0, 0.0, float(kv))
-        object.__setattr__(self, "wavevector",
-                           (float(kv[0]), float(kv[1]), float(kv[2])))
         if self.probe_bandwidth is not None:
             if abs(self.one_photon_detuning) < \
                     self.detuning_factor * self.probe_bandwidth:
@@ -455,10 +449,6 @@ class ControlProfile:
         # |Omega| on the switch window per sample count; the envelope is
         # immutable, so the peaks are sampled once per profile
         object.__setattr__(self, "_window_samples", {})
-
-    @property
-    def kz(self) -> float:
-        return self.wavevector[2]
 
     def rabi(self, tau):
         return np.asarray(self.rabi_envelope(tau))
@@ -535,7 +525,6 @@ class ControlProfile:
             one_photon_detuning=(self.one_photon_detuning
                                  if detuning is None else detuning),
             carrier=kw.pop("carrier", self.carrier),
-            wavevector=kw.pop("wavevector", self.wavevector),
             switch_on=anchor - self.switch_off,
             switch_off=anchor - self.switch_on,
             probe_bandwidth=kw.pop("probe_bandwidth", self.probe_bandwidth),
@@ -630,26 +619,18 @@ class ProbeSpec:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform (tau, Z) grid for one stage.
-
-    moving_frame records which frame the stage uses: "probe"
-    (tau1 = t - Z/v1, integration along +Z) or "echo"
-    (tau2 = t + Z/v2 - tau_e, integration along -Z).
-    """
+    """Uniform (tau, Z) grid for one stage."""
 
     n_tau: int
     n_z: int
     t_end: float
     length: float
-    moving_frame: str = "probe"
 
     def __post_init__(self):
         if self.n_tau < 2 or self.n_z < 2:
             raise ValidationError("n_tau and n_z must be >= 2")
         if self.t_end <= 0 or self.length <= 0:
             raise ValidationError("t_end and length must be > 0")
-        if self.moving_frame not in ("probe", "echo"):
-            raise ValidationError(f"unknown frame {self.moving_frame!r}")
 
     @property
     def dt(self) -> float:
@@ -686,8 +667,7 @@ class Grid:
     def refined(self, factor: int = 2) -> "Grid":
         return Grid(n_tau=(self.n_tau - 1) * factor + 1,
                     n_z=(self.n_z - 1) * factor + 1,
-                    t_end=self.t_end, length=self.length,
-                    moving_frame=self.moving_frame)
+                    t_end=self.t_end, length=self.length)
 
 
 # ---------------------------------------------------------------------------

@@ -64,15 +64,6 @@ def simpson_sums(v: np.ndarray, dt: float):
     return half, full
 
 
-def simpson_increments(fn, t0: float, dt: float):
-    """Integrals of fn over [t0, t0+dt/2] and [t0, t0+dt] by Simpson panels.
-
-    fn must accept numpy arrays.  Accuracy O(dt^5) per call, enough for the
-    per-step phase bookkeeping of the exponential integrators.
-    """
-    return simpson_sums(fn(simpson_nodes(t0, dt)), dt)
-
-
 def weighted_node_sum(weights: np.ndarray, x: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
     """sum_j weights[j] * x[j, :] over the node axis, in fixed node order.

@@ -114,8 +114,6 @@ class EchoRecord:
     input_envelope: np.ndarray
     tau_echo: np.ndarray
     echo_envelope: np.ndarray
-    alpha0L: float = math.nan
-    gamma_param: float = math.nan
     t1: float = math.nan
     t2: float = math.nan
     transmitted_fraction: float = math.nan
@@ -137,29 +135,25 @@ class EchoRecord:
         return measure_efficiency(self)[0]
 
     @property
-    def fidelity(self) -> float:
-        return measure_efficiency(self)[1]
-
-    @property
     def echo_peak_time(self) -> float:
         """Energy centroid of the echo on the stage-2 clock."""
         return centroid(self.tau_echo, self.echo_envelope)
 
-    def summary_line(self) -> str:
-        eps, fid = measure_efficiency(self)
+    def summary_line(self, efficiency: float, fidelity: float) -> str:
+        """One-line summary; efficiency and fidelity are the pair
+        measure_efficiency returned for this record."""
         parts = [f"protocol={self.protocol}"]
-        for name, val in (("alpha0L", self.alpha0L),
-                          ("gamma", self.gamma_param),
-                          ("t1", self.t1), ("t2", self.t2),
-                          ("efficiency", eps), ("fidelity", fid),
+        for name, val in (("t1", self.t1), ("t2", self.t2),
+                          ("efficiency", efficiency), ("fidelity", fidelity),
                           ("echo_peak_time", self.echo_peak_time)):
             if isinstance(val, float) and math.isnan(val):
                 continue
             parts.append(f"{name}={fmt_float(val)}")
         return " ".join(parts)
 
-    def write_summary(self, path: str) -> None:
-        lines = [self.summary_line()]
+    def write_summary(self, path: str, efficiency: float,
+                      fidelity: float) -> None:
+        lines = [self.summary_line(efficiency, fidelity)]
         if not math.isnan(self.transmitted_fraction):
             lines.append(
                 f"transmitted_fraction={fmt_float(self.transmitted_fraction)}")
@@ -200,40 +194,3 @@ def write_envelope_csv(path: str, tau, z_value: float, envelope) -> None:
     rows = ((t, z_value, v.real, v.imag) for t, v in zip(tau, env))
     write_csv_atomic(path, header=("tau", "z", "re_zeta", "im_zeta"),
                      rows=rows)
-
-
-def write_field_csv(path: str, tau, z, zeta) -> None:
-    """Full (tau, Z) field map, columns (tau, z, re_zeta, im_zeta)."""
-    tau = np.asarray(tau, dtype=float)
-    z = np.asarray(z, dtype=float)
-    zeta = np.asarray(zeta, dtype=complex)
-
-    def rows():
-        for i, t in enumerate(tau):
-            for j, zz in enumerate(z):
-                v = zeta[i, j]
-                yield (t, zz, v.real, v.imag)
-
-    write_csv_atomic(path, header=("tau", "z", "re_zeta", "im_zeta"),
-                     rows=rows())
-
-
-def write_atoms_csv(path: str, tau_value: float, delta31, z, r12, r11
-                    ) -> None:
-    """Atomic snapshot at one time, columns
-    (tau, node_delta31, z, re_r12, im_r12, r11)."""
-    delta31 = np.asarray(delta31, dtype=float)
-    z = np.asarray(z, dtype=float)
-    r12 = np.asarray(r12, dtype=complex)
-    r11 = np.asarray(r11, dtype=float)
-
-    def rows():
-        for j, dj in enumerate(delta31):
-            for m, zz in enumerate(z):
-                v = r12[j, m]
-                yield (tau_value, dj, zz, v.real, v.imag, r11[j, m])
-
-    write_csv_atomic(
-        path,
-        header=("tau", "node_delta31", "z", "re_r12", "im_r12", "r11"),
-        rows=rows())

@@ -58,7 +58,7 @@ class RunResult:
     def summary_lines(self) -> list[str]:
         rec = self.record
         return [
-            rec.summary_line(),
+            rec.summary_line(self.efficiency, self.fidelity),
             f"transmitted_fraction = {self.transmitted_fraction:.6e}",
             f"storage_audit = {self.storage_audit:.6e}",
             f"conditions {'pass' if self.report.overall else 'fail'}",
@@ -113,6 +113,7 @@ def write_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
     }
     record.write_input_csv(paths["input"])
     record.write_echo_csv(paths["echo"])
-    record.write_summary(paths["summary"])
+    record.write_summary(paths["summary"], result.efficiency,
+                         result.fidelity)
     write_text_atomic(paths["conditions"], result.report.as_text() + "\n")
     return paths

@@ -54,7 +54,6 @@ from .core import (
     WEAK_AMPLITUDE_RATIO,
 )
 from .errors import (
-    ConditionsUnmet,
     ControlVanishes,
     IncompleteAbsorptionWarning,
     NonFiniteField,
@@ -63,6 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import cumulative_integral, weighted_node_sum
+from . import stages
 from .records import EchoRecord, envelope_from_scaled
 
 # Bloch-sphere slack |r12|^2 <= r11 (1 - r11) + BLOCH_EPS guaranteed on the
@@ -116,7 +116,6 @@ class SimulationState:
     z: np.ndarray
     c_factors: np.ndarray       # (n_node,)
     boundary: Callable          # (tau, psi) -> incoming scaled field
-    f_integral: float = 0.0
     accumulated_psi: float = 0.0
     zeta_scale: float = 0.0
     row_current: bool = False
@@ -160,17 +159,23 @@ class SimulationState:
     def dz(self) -> float:
         return float(self.z[1] - self.z[0])
 
+    def excitation(self, ensemble: EnsembleSpec) -> np.ndarray:
+        """Ensemble excitation sum_j w_j (1 - r11_j) at every Z."""
+        return weighted_node_sum(ensemble.weights, 1.0 - self.r11)
+
     def assert_physical(self) -> None:
         """Restore the Bloch-ball bounds and raise if they truly broke.
 
         The lossless equations keep each node's Bloch vector
         (Re r12, Im r12, r11 - 1/2) on the sphere of radius 1/2 exactly,
-        so an outward excursion is integrator truncation; Runge-Kutta
-        steps at the validated rate bound can overshoot by a few parts
-        in 1e7 near population turning points.  Such excursions are
-        projected radially back onto the ball, which keeps 0 <= r11 <= 1
-        and |r12|^2 <= r11 (1 - r11) + BLOCH_EPS invariant at any
-        validated step size.  An excursion beyond BLOCH_EMERGENCY is not
+        so an outward excursion is integrator truncation.  The drift is
+        systematic, not confined to population turning points: on the
+        saturating storage stage (721 x 641 grid, 33 nodes) about 62% of
+        all cells end each step outside the sphere, by up to 1.0e-6, and
+        the projection acts on 11.3 million cells per round trip.  Every
+        excursion is projected radially back onto the ball, which keeps
+        0 <= r11 <= 1 and |r12|^2 <= r11 (1 - r11) + BLOCH_EPS invariant
+        at any validated step size.  An excursion beyond BLOCH_EMERGENCY is not
         truncation-sized and raises instead of being hidden."""
         s_z = self.r11 - 0.5
         norm = np.sqrt(np.abs(self.r12) ** 2 + s_z ** 2)
@@ -320,7 +325,6 @@ def _lawson_step(state: SimulationState, ensemble: EnsembleSpec,
     state.r11 = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
     state.clock = s + dt
     state.step_index += 1
-    state.f_integral += sample.df_full
     state.accumulated_psi += delta * sample.df_full
     state.row_current = False
     state.assert_physical()
@@ -407,28 +411,6 @@ class ProbeBoundary:
                 * np.exp(1j * psi))
 
 
-def probe_boundary(probe: ProbeSpec, control: ControlProfile
-                   ) -> ProbeBoundary:
-    """Scaled input field at the entry face (see ProbeBoundary)."""
-    return ProbeBoundary(probe, control)
-
-
-def excitation_profile(state: SimulationState, ensemble: EnsembleSpec
-                       ) -> np.ndarray:
-    """Ensemble excitation sum_j w_j (1 - r11_j) at every Z."""
-    return weighted_node_sum(ensemble.weights, 1.0 - state.r11)
-
-
-def _flux_weights(control: ControlProfile, medium: MediumSpec,
-                  tau: np.ndarray) -> np.ndarray:
-    """Photon-flux weight 2 / (beta f) where the control is on, else 0."""
-    f_tau = np.asarray(control.f(tau), dtype=float)
-    out = np.zeros_like(f_tau)
-    on = f_tau > 1e-12 * max(control.peak_f(), 1e-300)
-    out[on] = 2.0 / (medium.coupling_beta * f_tau[on])
-    return out
-
-
 def _validate_grid(grid: Grid, ensemble: EnsembleSpec,
                    control: ControlProfile, medium: MediumSpec,
                    drive_bound: float, bandwidth: float) -> None:
@@ -447,28 +429,13 @@ def _validate_grid(grid: Grid, ensemble: EnsembleSpec,
     grid.validate(max_phase_rate=rate, max_coupling=coupling)
 
 
-@dataclass
-class StrongStorageOutcome:
-    state: SimulationState
-    tau: np.ndarray
-    input_envelope: np.ndarray      # dressed physical envelope at Z = 0
-    transmitted_fraction: float
-    input_photons: float
-    transmitted_photons: float
-    stored_excitation: float
-    audit_residual: float
-
-
 def run_storage(probe: ProbeSpec, control: ControlProfile,
                 ensemble: EnsembleSpec, medium: MediumSpec,
-                grid: Grid) -> StrongStorageOutcome:
+                grid: Grid) -> stages.StorageOutcome:
     """Drive the nonlinear storage stage and account for every photon.
 
-    The photon flux 2 |zeta|^2 / (beta f) obeys an exact continuity law
-    against the ensemble excitation, so input = transmitted + stored is
-    a discretization audit, not a physics assumption.  A transmitted
-    fraction above 5% triggers IncompleteAbsorptionWarning because the
-    recall analysis presumes complete absorption.
+    A transmitted fraction above 5% triggers IncompleteAbsorptionWarning
+    because the recall analysis presumes complete absorption.
     """
     tau = grid.tau()
     peak_zeta = WEAK_AMPLITUDE_RATIO * probe.amplitude_scale \
@@ -487,47 +454,30 @@ def run_storage(probe: ProbeSpec, control: ControlProfile,
 
     state = SimulationState.fresh(
         grid, ensemble, control.one_photon_detuning, stage="storage",
-        boundary=probe_boundary(probe, control))
+        boundary=ProbeBoundary(probe, control))
     state.zeta_scale = peak_zeta
-    state.zeta_t[0] = field_row(state, ensemble, medium, control, 0.0, 0.0,
-                                state.r12, state.r11)
-    state.row_current = True
-
-    for _ in range(grid.n_tau - 1):
-        advance_strong(state, ensemble, medium, control, grid.dt)
-
-    flux = _flux_weights(control, medium, tau)
-    input_photons = float(np.trapezoid(
-        flux * np.abs(state.zeta_t[:, 0]) ** 2, tau))
-    transmitted_photons = float(np.trapezoid(
-        flux * np.abs(state.zeta_t[:, -1]) ** 2, tau))
-    # 4th-order quadrature: the stored profile decays like exp(-alpha z)
-    # and plain trapezoid error would dominate the audit at depth >~ 10
-    stored = float(cumulative_integral(
-        excitation_profile(state, ensemble), grid.dz)[-1])
-    scale = max(input_photons, 1e-300)
-    audit = abs(input_photons - transmitted_photons - stored) / scale
-    transmitted = transmitted_photons / scale
-    if transmitted > ABSORPTION_WARNING_FRACTION:
-        warnings.warn(
-            f"transmitted fraction {transmitted:.3g} exceeds "
-            f"{ABSORPTION_WARNING_FRACTION}: the probe is not completely "
-            "absorbed", IncompleteAbsorptionWarning)
+    stages.march(
+        state, field_row(state, ensemble, medium, control, 0.0, 0.0,
+                         state.r12, state.r11), grid.n_tau,
+        lambda: advance_strong(state, ensemble, medium, control, grid.dt))
 
     # Stark-dressed record (accumulated Stark phase removed): the raw
     # chirp runs at Delta f rad per unit, far beyond Nyquist on any grid
     # the solver needs, and the solver cancels it analytically anyway
     input_envelope = (WEAK_AMPLITUDE_RATIO * probe.amplitude_scale
                       * control.one_photon_detuning * probe.sample(tau))
-    return StrongStorageOutcome(
-        state=state, tau=tau, input_envelope=input_envelope,
-        transmitted_fraction=transmitted, input_photons=input_photons,
-        transmitted_photons=transmitted_photons, stored_excitation=stored,
-        audit_residual=audit)
+    out = stages.audit_storage(state, ensemble, tau, control, medium,
+                               input_envelope)
+    if out.transmitted_fraction > ABSORPTION_WARNING_FRACTION:
+        warnings.warn(
+            f"transmitted fraction {out.transmitted_fraction:.3g} exceeds "
+            f"{ABSORPTION_WARNING_FRACTION}: the probe is not completely "
+            "absorbed", IncompleteAbsorptionWarning)
+    return out
 
 
 def handover_wavevector_mismatch(protocol: ProtocolConfig) -> float:
-    """Residual grating wavevector q left by the mode-matching operation.
+    """Residual grating wave number q left by the mode-matching operation.
 
     q = (n1 w1 + n2 w2) / c - (K1z - K2z); the stored coherence maps into
     the retrieval frame as r12 exp(i q Z).  Without phase-matching data
@@ -545,94 +495,43 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
                   protocol: ProtocolConfig, ensemble: EnsembleSpec,
                   medium: MediumSpec, grid2: Grid,
                   tau_input=None, input_envelope=None,
-                  storage_ensemble_inverted: bool = True,
                   gap_time: float = 0.0,
                   conditions=None,
-                  probe_spectral_width: float | None = None,
                   transmitted_fraction: float = math.nan) -> EchoRecord:
     """Retrieve the echo from a stored strong-field state.
 
-    ensemble is the stage-1 node table; RECRIB recall inverts it per the
-    protocol flags while comb recall keeps it.  The handover applies the
-    mode-matching map r12 -> r12 exp(i q Z) and the dark-interval phase
-    exp(-i d21 gap_time) analytically (detunings as seen before any
-    inversion); populations are frozen between stages.  conditions, when
-    supplied, is the ConditionReport consulted in strict mode.
+    ensemble is the stage-1 node table; stages.hand_over applies the
+    strict gate, the dark-interval phase and the RECRIB inversion.  After
+    it, the mode-matching map r12 -> r12 exp(i q Z) carries the grating
+    into the retrieval frame.  conditions, when supplied, is the
+    ConditionReport consulted in strict mode.
     """
-    if protocol.strict and conditions is not None and not conditions.overall:
-        raise ConditionsUnmet(
-            "strict mode: conditions failed: "
-            + ", ".join(conditions.failing_ids()), report=conditions)
-    if stored.z.shape != (grid2.n_z,) or \
-            not np.allclose(stored.z, grid2.z()):
-        raise ValidationError(
-            "retrieval grid does not match the stored state's Z axis")
-
-    r12 = np.array(stored.r12, dtype=complex)
-    if gap_time > 0.0:
-        r12 *= np.exp(-1j * ensemble.delta21s * gap_time)[:, None]
+    r12, ensemble2 = stages.hand_over(stored.r12, stored.z, protocol,
+                                      ensemble, grid2, gap_time, conditions)
     q = handover_wavevector_mismatch(protocol)
     if q != 0.0:
         r12 *= np.exp(1j * q * stored.z)[None, :]
-    if protocol.protocol == "recrib" and storage_ensemble_inverted:
-        ensemble2 = ensemble.inverted(
-            invert_31=protocol.invert_delta31,
-            invert_21=protocol.invert_delta21)
-    else:
-        ensemble2 = ensemble
-
-    if probe_spectral_width is None:
-        if tau_input is not None:
-            span = float(tau_input[-1] - tau_input[0])
-            probe_spectral_width = max(1.0 / max(span, 1e-300), 1e-12)
-        else:
-            probe_spectral_width = 1.0 / grid2.t_end
     drive_bound = max(stored.zeta_scale, 1e-300)
     _validate_grid(grid2, ensemble2, control2, medium,
-                   drive_bound=drive_bound, bandwidth=probe_spectral_width)
+                   drive_bound=drive_bound,
+                   bandwidth=stages.recall_bandwidth(tau_input, grid2))
 
     state = SimulationState.fresh(
         grid2, ensemble2, control2.one_photon_detuning, stage="retrieval",
         boundary=None, r12_initial=r12, r11_initial=stored.r11)
     state.zeta_scale = drive_bound
-    stored_initial = float(cumulative_integral(
-        excitation_profile(state, ensemble2), state.dz)[-1])
-    state.zeta_t[0] = field_row(state, ensemble2, medium, control2, 0.0,
-                                0.0, state.r12, state.r11)
-    state.row_current = True
-
-    for _ in range(grid2.n_tau - 1):
-        advance_strong(state, ensemble2, medium, control2, grid2.dt)
+    extras = stages.recall(
+        state, ensemble2, grid2, control2, medium,
+        field_row(state, ensemble2, medium, control2, 0.0, 0.0, state.r12,
+                  state.r11),
+        lambda: advance_strong(state, ensemble2, medium, control2, grid2.dt))
 
     tau2 = grid2.tau()
-    flux = _flux_weights(control2, medium, tau2)
-    emitted = float(np.trapezoid(flux * np.abs(state.zeta_t[:, 0]) ** 2,
-                                 tau2))
-    stored_final = float(cumulative_integral(
-        excitation_profile(state, ensemble2), state.dz)[-1])
-    released = stored_initial - stored_final
-    audit = abs(emitted - released) / max(stored_initial, 1e-300)
-
     # dress the echo the same way the input record is dressed: remove the
     # stage-2 accumulated Stark phase so the envelope is slow on the grid
     psi2 = control2.one_photon_detuning * cumulative_integral(
         np.asarray(control2.f(tau2), dtype=float), grid2.dt)
     echo = envelope_from_scaled(state.zeta_t[:, 0], control2, tau2) \
         * np.exp(-1j * psi2)
-    t2_pred = math.nan if protocol.t2 is None else protocol.t2
-    return EchoRecord(
-        protocol=protocol.protocol,
-        tau_input=(None if tau_input is None
-                   else np.asarray(tau_input, dtype=float)),
-        input_envelope=(None if input_envelope is None
-                        else np.asarray(input_envelope, dtype=complex)),
-        tau_echo=tau2,
-        echo_envelope=echo,
-        t1=protocol.t1,
-        t2=t2_pred,
-        transmitted_fraction=transmitted_fraction,
-        conditions=conditions,
-        extras={"state": state, "audit_residual": audit,
-                "emitted_photons": emitted,
-                "released_excitation": released},
-    )
+    return stages.echo_record(protocol, tau_input, input_envelope, tau2,
+                              echo, transmitted_fraction, conditions, extras)

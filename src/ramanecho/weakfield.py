@@ -36,13 +36,10 @@ from .core import (
     ProbeSpec,
     WEAK_AMPLITUDE_RATIO,
 )
-from .errors import (
-    ConditionsUnmet,
-    NonFiniteField,
-    WeakFieldViolation,
-)
+from .errors import NonFiniteField, WeakFieldViolation
 from .numerics import cumulative_integral, trapezoid_energy, \
     weighted_node_sum
+from . import stages
 from .records import EchoRecord, envelope_from_scaled
 
 # validity margins for the linearization
@@ -55,13 +52,12 @@ class WeakState:
     """Evolving linear-regime state on one stage grid.
 
     zeta_t rows are filled as the clock advances; r12_t is the current
-    coherence; accumulated_psi tracks the factored-out Stark phase and
-    f_integral the running integral of f (both diagnostics for mapping
-    back to untransformed variables).  row_current says that
-    zeta_t[step_index] was solved from the current coherences at the
-    current clock, by a run driver at row 0 or by advance_weak at the step
-    end; the next advance_weak reuses it as its k1 row.  Code that changes
-    r12_t in place between steps must clear it.
+    coherence; accumulated_psi tracks the factored-out Stark phase (a
+    diagnostic for mapping back to untransformed variables).  row_current
+    says that zeta_t[step_index] was solved from the current coherences at
+    the current clock, by a run driver at row 0 or by advance_weak at the
+    step end; the next advance_weak reuses it as its k1 row.  Code that
+    changes r12_t in place between steps must clear it.
     """
 
     zeta_t: np.ndarray          # (n_tau, n_z) complex
@@ -73,7 +69,6 @@ class WeakState:
     direction: int              # +1 integrate 0->L, -1 backward emission
     z: np.ndarray
     boundary: Callable          # incoming tilde field at the injection face
-    f_integral: float = 0.0
     row_current: bool = False
     # weighted rows of B~12, overwritten at every solve
     _rows12: np.ndarray = field(init=False, repr=False, compare=False)
@@ -99,6 +94,10 @@ class WeakState:
     @property
     def dz(self) -> float:
         return float(self.z[1] - self.z[0])
+
+    def excitation(self, ensemble: EnsembleSpec) -> np.ndarray:
+        """Ensemble excitation sum_j w_j |R~12_j|^2 at every Z."""
+        return weighted_node_sum(ensemble.weights, np.abs(self.r12_t) ** 2)
 
 
 def field_row(state: WeakState, ensemble: EnsembleSpec, medium: MediumSpec,
@@ -191,7 +190,6 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     state.r12_t = rot_full * p_new
     state.clock = s + dt
     state.step_index += 1
-    state.f_integral += sample.df_full
     state.accumulated_psi += control.one_photon_detuning * sample.df_full
     state.row_current = False
     if state.step_index < state.zeta_t.shape[0]:
@@ -220,32 +218,21 @@ class TildeInput:
         return 1j * scale * np.conj(rabi) * self.probe.envelope(s)
 
 
-def tilde_input(probe: ProbeSpec, control: ControlProfile) -> TildeInput:
-    """Scaled input field at the entry face (see TildeInput)."""
-    return TildeInput(probe, control)
-
-
-def _excitation_profile(state: WeakState, ensemble: EnsembleSpec
-                        ) -> np.ndarray:
-    return weighted_node_sum(ensemble.weights, np.abs(state.r12_t) ** 2)
-
-
-@dataclass
-class WeakStorageOutcome:
-    state: WeakState
-    tau: np.ndarray
-    input_envelope: np.ndarray      # dressed envelope at Z=0
-    transmitted_fraction: float
-    input_photons: float
-    transmitted_photons: float
-    stored_excitation: float
-    audit_residual: float
+def _validate_grid(grid: Grid, ensemble: EnsembleSpec,
+                   control: ControlProfile, medium: MediumSpec,
+                   bandwidth: float) -> None:
+    # the driven motion beats at each node's Raman detuning against the
+    # field, whose own rate is the signal bandwidth
+    f_peak = control.peak_f()
+    rate = float(np.max(np.abs(ensemble.raman_detunings(f_peak)))) \
+        + bandwidth
+    grid.validate(max_phase_rate=rate,
+                  max_coupling=0.5 * medium.coupling_beta * f_peak)
 
 
 def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
                      ensemble: EnsembleSpec, medium: MediumSpec,
-                     grid: Grid, check_validity: bool = True
-                     ) -> WeakStorageOutcome:
+                     grid: Grid) -> stages.StorageOutcome:
     """Drive the full storage stage and account for every photon.
 
     Returns the frozen state at the stage end together with the energy
@@ -253,112 +240,51 @@ def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
     lossless linear system.
     """
     tau = grid.tau()
-    f_peak = control.peak_f()
-    max_rate = float(np.max(np.abs(ensemble.raman_detunings(f_peak)))) \
-        + probe.spectral_width
-    grid.validate(max_phase_rate=max_rate,
-                  max_coupling=0.5 * medium.coupling_beta * f_peak)
-
+    _validate_grid(grid, ensemble, control, medium, probe.spectral_width)
     state = WeakState.fresh(grid, ensemble, drive_sign=+1, direction=+1,
-                            boundary=tilde_input(probe, control))
-    state.zeta_t[0] = field_row(state, ensemble, medium, control, 0.0,
-                                state.r12_t)
-    state.row_current = True
-    bandwidth = probe.spectral_width if check_validity else None
-    flux_weight = np.zeros(grid.n_tau)
-    f_tau = np.asarray(control.f(tau), dtype=float)
-    on = f_tau > 1e-12 * max(f_peak, 1e-300)
-    flux_weight[on] = 2.0 / (medium.coupling_beta * f_tau[on])
-
-    for _ in range(grid.n_tau - 1):
-        advance_weak(state, ensemble, medium, control, grid.dt,
-                     bandwidth=bandwidth)
-
-    z_in = state.zeta_t[:, 0]
-    z_out = state.zeta_t[:, -1]
-    input_photons = float(np.trapezoid(
-        flux_weight * np.abs(z_in) ** 2, tau))
-    transmitted_photons = float(np.trapezoid(
-        flux_weight * np.abs(z_out) ** 2, tau))
-    # 4th-order quadrature: the stored profile decays like exp(-alpha z)
-    # and plain trapezoid error would dominate the audit at depth >~ 10
-    stored = float(cumulative_integral(
-        _excitation_profile(state, ensemble), grid.dz)[-1])
-    scale = max(input_photons, 1e-300)
-    audit = abs(input_photons - transmitted_photons - stored) / scale
-    transmitted = transmitted_photons / scale
-
-    return WeakStorageOutcome(
-        state=state, tau=tau,
-        input_envelope=envelope_from_scaled(z_in, control, tau),
-        transmitted_fraction=transmitted,
-        input_photons=input_photons,
-        transmitted_photons=transmitted_photons,
-        stored_excitation=stored,
-        audit_residual=audit)
+                            boundary=TildeInput(probe, control))
+    stages.march(
+        state, field_row(state, ensemble, medium, control, 0.0, state.r12_t),
+        grid.n_tau,
+        lambda: advance_weak(state, ensemble, medium, control, grid.dt,
+                             bandwidth=probe.spectral_width))
+    return stages.audit_storage(
+        state, ensemble, tau, control, medium,
+        envelope_from_scaled(state.zeta_t[:, 0], control, tau))
 
 
 def recall_weak(stored: WeakState, protocol: ProtocolConfig,
                 control2: ControlProfile, ensemble: EnsembleSpec,
                 medium: MediumSpec, grid2: Grid,
                 tau_input, input_envelope,
-                storage_ensemble_inverted: bool = True,
                 gap_time: float = 0.0,
                 conditions=None,
-                check_validity: bool = True,
                 transmitted_fraction: float = math.nan) -> EchoRecord:
     """Retrieve the echo from a stored linear-regime state.
 
-    ensemble is the stage-1 node table; RECRIB recall inverts it per the
-    protocol flags while comb recall keeps it.  gap_time applies the free
-    dark-interval phase exp(-i d21 t) analytically (detunings as seen
-    before any inversion).  conditions, when supplied, is the
-    ConditionReport consulted in strict mode.
+    ensemble is the stage-1 node table; stages.hand_over applies the
+    strict gate, the dark-interval phase and the RECRIB inversion.  The
+    tilde variables factor out the linear Z-phase, so no mode-matching
+    map follows.  conditions, when supplied, is the ConditionReport
+    consulted in strict mode.
     """
-    if protocol.strict and conditions is not None and not conditions.overall:
-        raise ConditionsUnmet(
-            "strict mode: conditions failed: "
-            + ", ".join(conditions.failing_ids()), report=conditions)
-
-    r12 = np.array(stored.r12_t, dtype=complex)
-    if gap_time > 0.0:
-        r12 *= np.exp(-1j * ensemble.delta21s * gap_time)[:, None]
-    if protocol.protocol == "recrib" and storage_ensemble_inverted:
-        ensemble2 = ensemble.inverted(
-            invert_31=protocol.invert_delta31,
-            invert_21=protocol.invert_delta21)
-    else:
-        ensemble2 = ensemble
+    r12, ensemble2 = stages.hand_over(stored.r12_t, stored.z, protocol,
+                                      ensemble, grid2, gap_time, conditions)
+    bandwidth = stages.recall_bandwidth(tau_input, grid2)
+    _validate_grid(grid2, ensemble2, control2, medium, bandwidth)
 
     state = WeakState.fresh(grid2, ensemble2, drive_sign=-1, direction=-1,
                             boundary=None, r12_initial=r12)
-    state.zeta_t[0] = field_row(state, ensemble2, medium, control2, 0.0,
-                                state.r12_t)
-    state.row_current = True
-    bandwidth = None
-    if check_validity and tau_input is not None:
-        span = float(tau_input[-1] - tau_input[0])
-        bandwidth = max(1.0 / max(span, 1e-300), 1e-12)
-
-    for _ in range(grid2.n_tau - 1):
-        advance_weak(state, ensemble2, medium, control2, grid2.dt,
-                     bandwidth=bandwidth)
+    extras = stages.recall(
+        state, ensemble2, grid2, control2, medium,
+        field_row(state, ensemble2, medium, control2, 0.0, state.r12_t),
+        lambda: advance_weak(state, ensemble2, medium, control2, grid2.dt,
+                             bandwidth=bandwidth))
 
     tau2 = grid2.tau()
     echo = envelope_from_scaled(state.zeta_t[:, 0], control2, tau2)
-    t2_pred = math.nan if protocol.t2 is None else protocol.t2
-    return EchoRecord(
-        protocol=protocol.protocol,
-        tau_input=np.asarray(tau_input, dtype=float),
-        input_envelope=np.asarray(input_envelope, dtype=complex),
-        tau_echo=tau2,
-        echo_envelope=echo,
-        t1=protocol.t1,
-        t2=t2_pred,
-        transmitted_fraction=transmitted_fraction,
-        conditions=conditions,
-        extras={"state": state},
-    )
+    return stages.echo_record(protocol, tau_input, input_envelope, tau2,
+                              echo, transmitted_fraction, conditions, extras)
 
 
 # ---------------------------------------------------------------------------

@@ -132,12 +132,10 @@ def test_measure_efficiency_rejects_gain():
 
 def test_summary_line_fields():
     record = make_record(echo_scale=0.5)
-    record.alpha0L = 50.0
-    record.gamma_param = 0.05
     record.t1 = 4.0
     record.t2 = 4.0
-    line = record.summary_line()
-    for key in ("protocol=recrib", "alpha0L=50", "gamma=0.05",
+    line = record.summary_line(*measure_efficiency(record))
+    for key in ("protocol=recrib", "t1=4", "t2=4",
                 "efficiency=", "fidelity=", "echo_peak_time="):
         assert key in line
 

@@ -242,6 +242,24 @@ def test_simulate_empty_file_exits_1(tmp_path, capsys):
     assert "missing required section" in captured.err
 
 
+@pytest.mark.parametrize("gap_time", ["nan", "-3.0"])
+def test_simulate_rejects_bad_gap_time(tmp_path, capsys, gap_time):
+    with open(bundled("recrib_ideal")) as fh:
+        text = fh.read()
+    assert "gap_time = 0.0" in text
+    path = str(tmp_path / "gap.ini")
+    with open(path, "w") as fh:
+        fh.write(text.replace("gap_time = 0.0", f"gap_time = {gap_time}"))
+    out_dir = tmp_path / "out"
+    code = main(["simulate", path, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1
+    assert "gap_time" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
 def test_check_exit_codes_and_blocked_line(capsys):
     assert main(["check", bundled("reafc_weak")]) == 0
     capsys.readouterr()

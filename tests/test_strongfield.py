@@ -32,6 +32,7 @@ from ramanecho.errors import (
 )
 from ramanecho.records import measure_efficiency
 from ramanecho.strongfield import (
+    ProbeBoundary,
     SimulationState,
     advance_atoms,
     advance_field,
@@ -39,7 +40,6 @@ from ramanecho.strongfield import (
     ensemble_kernels,
     field_row,
     handover_wavevector_mismatch,
-    probe_boundary,
     run_retrieval,
     run_storage,
 )
@@ -63,7 +63,7 @@ ECHO_EFFICIENCY_FLOOR = 0.98    # deep met-conditions recall, weak amplitude
 ECHO_FIDELITY_FLOOR = 0.99
 SATURATED_FIDELITY_FLOOR = 0.95     # met-conditions recall, saturating drive
 CONDITION_IV_GAP = 0.05         # minimum epsilon cost of Delta2 = +Delta1
-MISMATCH_CAP = 0.1              # leftover grating wavevector must suppress
+MISMATCH_CAP = 0.1              # leftover grating wave number must suppress
 REFINE_SLACK = 1e-9
 
 DEEP_DELTA = 200.0              # weak-amplitude scenario, alpha_eff L = 20
@@ -377,12 +377,12 @@ def test_first_step_solves_its_row_unless_the_package_recorded_it():
     probe = ProbeSpec.gaussian(center=0.0, duration=0.8)
     med = MediumSpec(coupling_beta=2.0, length_L=1.0)
     grid = Grid(n_tau=65, n_z=9, t_end=2.0, length=1.0)
-    assert abs(probe_boundary(probe, ctl)(0.0, 0.0)) > 0.01
+    assert abs(ProbeBoundary(probe, ctl)(0.0, 0.0)) > 0.01
 
     def history(record_row0):
         state = SimulationState.fresh(
             grid, ens, ctl.one_photon_detuning, stage="storage",
-            boundary=probe_boundary(probe, ctl))
+            boundary=ProbeBoundary(probe, ctl))
         if record_row0:
             state.zeta_t[0] = field_row(state, ens, med, ctl, 0.0, 0.0,
                                         state.r12, state.r11)

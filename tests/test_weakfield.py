@@ -16,11 +16,12 @@ from ramanecho.core import (
     build_comb_ensemble,
     build_gaussian_ensemble,
 )
-from ramanecho.errors import WeakFieldViolation
+from ramanecho.errors import StepTooCoarse, ValidationError, WeakFieldViolation
 from ramanecho.numerics import cumulative_integral
 from ramanecho.records import envelope_from_scaled, measure_efficiency
 from ramanecho.weakfield import (
     SusceptibilityKernel,
+    TildeInput,
     WeakState,
     advance_weak,
     analytic_transmission,
@@ -28,7 +29,6 @@ from ramanecho.weakfield import (
     field_row,
     recall_weak,
     run_weak_storage,
-    tilde_input,
 )
 
 FID_TOL = 1e-4                  # impulse-response kernel vs Gaussian decay
@@ -108,7 +108,7 @@ def test_single_node_small_slab_is_plain_quadrature():
     probe = ProbeSpec.gaussian(center=4.0, duration=0.8)
     med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
     grid = Grid(n_tau=1025, n_z=5, t_end=8.0, length=1.0)
-    boundary = tilde_input(probe, ctl)(grid.tau())
+    boundary = TildeInput(probe, ctl)(grid.tau())
     want = cumulative_integral(boundary, grid.dt)
     got = _node_history(probe, ctl, ens, med, grid)
     scale = np.max(np.abs(want))
@@ -117,7 +117,7 @@ def test_single_node_small_slab_is_plain_quadrature():
 
 def _node_history(probe, ctl, ens, med, grid, record_row0=False):
     state = WeakState.fresh(grid, ens, drive_sign=+1, direction=+1,
-                            boundary=tilde_input(probe, ctl))
+                            boundary=TildeInput(probe, ctl))
     if record_row0:
         state.zeta_t[0] = field_row(state, ens, med, ctl, 0.0, state.r12_t)
     hist = [state.r12_t[0, 0]]
@@ -136,7 +136,7 @@ def test_first_step_solves_its_row_unless_the_package_recorded_it():
     probe = ProbeSpec.gaussian(center=0.0, duration=0.8)
     med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
     grid = Grid(n_tau=65, n_z=5, t_end=2.0, length=1.0)
-    assert abs(tilde_input(probe, ctl)(0.0)) > 0.01
+    assert abs(TildeInput(probe, ctl)(0.0)) > 0.01
     bare = _node_history(probe, ctl, ens, med, grid)
     recorded = _node_history(probe, ctl, ens, med, grid, record_row0=True)
     assert np.array_equal(bare, recorded)
@@ -253,8 +253,27 @@ def test_recrib_recall_is_time_reversal():
     assert fid > ECHO_FIDELITY_FLOOR
     # deep medium: almost nothing leaks through
     assert out.transmitted_fraction < 1e-4
+    assert record.extras["audit_residual"] < AUDIT_TOL
     # echo emerges at t2 = f1 t1 / f2 = t1 on the recall clock
     assert abs(record.echo_peak_time - 12.0) < 2.0 * (24.0 / 384)
+
+
+def test_recall_validates_its_grid():
+    # the recall prices its own grid: too few tau points for the node
+    # spread, or a Z axis other than the stored state's, is refused
+    ens, ctl1, _, med, grid = make_gaussian_setup(n_tau=289, n_z=17,
+                                                  n_nodes=17)
+    stored = WeakState.fresh(grid, ens, drive_sign=+1, direction=+1)
+    protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0)
+    ctl2 = ctl1.time_reversed(anchor=24.0, detuning=-60.0)
+    tau = grid.tau()
+    env = np.zeros_like(tau, dtype=complex)
+    coarse = Grid(n_tau=33, n_z=grid.n_z, t_end=grid.t_end, length=1.0)
+    with pytest.raises(StepTooCoarse, match="n_tau"):
+        recall_weak(stored, protocol, ctl2, ens, med, coarse, tau, env)
+    other_z = Grid(n_tau=grid.n_tau, n_z=33, t_end=grid.t_end, length=1.0)
+    with pytest.raises(ValidationError, match="Z axis"):
+        recall_weak(stored, protocol, ctl2, ens, med, other_z, tau, env)
 
 
 def test_recall_energy_scales_quadratically():
