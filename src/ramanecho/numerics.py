@@ -8,6 +8,12 @@ import tempfile
 import numpy as np
 
 
+# one-sided cubic weights of the first and the last interval, on the
+# four samples at each end of the axis
+_END_TAPS = np.array([0, 1, 2, 3, -4, -3, -2, -1])
+_END_WEIGHTS = np.array([[9.0, 19.0, -5.0, 1.0], [1.0, -5.0, 19.0, 9.0]])
+
+
 def cumulative_integral(y: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral of uniformly sampled y with I[0] = 0.
 
@@ -17,26 +23,26 @@ def cumulative_integral(y: np.ndarray, dx: float) -> np.ndarray:
     """
     y = np.asarray(y)
     n = y.shape[-1]
-    out = np.zeros_like(y, dtype=np.result_type(y.dtype, np.float64))
+    out = np.empty_like(y, dtype=np.promote_types(y.dtype, np.float64))
+    out[..., :1] = 0.0
     if n < 2:
         return out
+    inc = out[..., 1:]
     if n < 4:
-        inc = 0.5 * dx * (y[..., 1:] + y[..., :-1])
-        out[..., 1:] = np.cumsum(inc, axis=-1)
+        np.add(y[..., 1:], y[..., :-1], out=inc)
+        inc *= 0.5 * dx
+        np.cumsum(inc, axis=-1, out=inc)
         return out
-    inc = np.empty_like(out[..., :-1])
     # interior intervals [i, i+1], i = 1 .. n-3: cubic through i-1 .. i+2
-    inc[..., 1:-1] = (dx / 24.0) * (
-        -y[..., :-3] + 13.0 * y[..., 1:-2] + 13.0 * y[..., 2:-1] - y[..., 3:]
-    )
-    # one-sided cubic at the two boundary intervals
-    inc[..., 0] = (dx / 24.0) * (
-        9.0 * y[..., 0] + 19.0 * y[..., 1] - 5.0 * y[..., 2] + y[..., 3]
-    )
-    inc[..., -1] = (dx / 24.0) * (
-        y[..., -4] - 5.0 * y[..., -3] + 19.0 * y[..., -2] + 9.0 * y[..., -1]
-    )
-    out[..., 1:] = np.cumsum(inc, axis=-1)
+    mid = inc[..., 1:-1]
+    np.multiply(y[..., 1:-2], 13.0, out=mid)
+    mid -= y[..., :-3]
+    mid += 13.0 * y[..., 2:-1]
+    mid -= y[..., 3:]
+    ends = y[..., _END_TAPS].reshape(y.shape[:-1] + (2, 4))
+    inc[..., ::n - 2] = np.add.reduce(ends * _END_WEIGHTS, axis=-1)
+    inc *= dx / 24.0
+    np.cumsum(inc, axis=-1, out=inc)
     return out
 
 

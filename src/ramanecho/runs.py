@@ -1,9 +1,10 @@
 """Scenario orchestration: check conditions, run both stages, write files.
 
-The reversal-condition report produced at load time rides along into the
-recall drivers, so strict scenarios refuse to run the reading stage when
-a condition fails and report-only scenarios attach the report to the
-echo record for inspection.
+The reversal-condition report produced at load time is checked before
+the storage stage, so strict scenarios with a failed condition are
+refused before anything is stepped; it also rides along into the recall
+drivers, and report-only scenarios attach it to the echo record for
+inspection.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .conditions import (
     check_strong_conditions,
     check_weak_conditions,
 )
+from . import stages
 from .numerics import write_text_atomic
 from .records import EchoRecord, measure_efficiency
 from .scenario import (
@@ -69,8 +71,9 @@ def run_scenario(scenario: Scenario,
                  report: ConditionReport | None = None) -> RunResult:
     """Storage plus recall for one scenario file.
 
-    Raises ConditionsUnmet before the reading stage when the scenario is
-    strict and `report` (computed here when not supplied) has a failure.
+    Raises ConditionsUnmet before the storage stage when the scenario is
+    strict and `report` (computed here when not supplied) has a failure,
+    and ValidationError there for a negative or non-finite gap_time.
     """
     if report is None:
         report = scenario_report(scenario)
@@ -80,6 +83,7 @@ def run_scenario(scenario: Scenario,
     ctl1, ctl2 = build_controls(scenario)
     grid1, grid2 = build_grids(scenario)
     proto = build_protocol(scenario, ctl1, ctl2)
+    stages.gate_recall(proto, scenario.protocol.gap_time, report)
     if scenario.run.regime == "strong":
         out = run_storage(probe, ctl1, ens, med, grid1)
         record = run_retrieval(

@@ -175,9 +175,12 @@ def _get_float(sec, section, key, default):
     if raw is None or raw.strip() == "":
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         _fail(section, key, raw, "a number")
+    if not math.isfinite(value):
+        _fail(section, key, raw, "a finite number")
+    return value
 
 
 def _get_int(sec, section, key, default):

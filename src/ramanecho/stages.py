@@ -3,9 +3,11 @@
 Both regimes store a probe in the slab and recall it as a backward echo,
 and they differ only in their equations.  What the drivers do alike
 lives here once: stepping a stage from its recorded first row, the
-photon-flux audits of storage and retrieval, the handover of the stored
-coherences to the recall stage (strict gate, Z-axis check, dark-interval
-phase, RECRIB node inversion), the recall bandwidth and the echo record.
+photon-flux audits of storage and retrieval, the recall gate (gap_time
+check and strict gate, which a scenario run applies before storage), the
+handover of the stored coherences to the recall stage (the gate again,
+Z-axis check, dark-interval phase, RECRIB node inversion), the recall
+bandwidth and the echo record.
 
 Either regime's state serves: both carry the field rows zeta_t, the Z
 axis z and its step dz, the row_current flag and an excitation(ensemble)
@@ -87,16 +89,15 @@ def audit_storage(state, ensemble, tau: np.ndarray, control, medium,
         / scale)
 
 
-def hand_over(r12: np.ndarray, z: np.ndarray, protocol: ProtocolConfig,
-              ensemble, grid2, gap_time: float, conditions):
-    """Stored coherences and node table at the start of recall.
+def gate_recall(protocol: ProtocolConfig, gap_time: float,
+                conditions) -> None:
+    """Refuse a recall that may not run, before anything is stepped.
 
-    Strict mode refuses to recall when the ConditionReport conditions has
-    a failure.  The dark interval adds the free phase exp(-i d21
-    gap_time) with the detunings as seen before any inversion, while the
-    populations stay frozen.  RECRIB recall inverts the nodes per the
-    protocol flags; comb recall keeps them.  Returns a copy of r12 and
-    the stage-2 node table.
+    A negative or non-finite gap_time raises ValidationError; then strict
+    mode raises ConditionsUnmet when the ConditionReport conditions has a
+    failure.  Both need only the scenario and its report, so a scenario
+    run calls this before its storage stage, and hand_over calls it again
+    for callers that recall a state they stored themselves.
     """
     if not (math.isfinite(gap_time) and gap_time >= 0.0):
         raise ValidationError(
@@ -105,6 +106,19 @@ def hand_over(r12: np.ndarray, z: np.ndarray, protocol: ProtocolConfig,
         raise ConditionsUnmet(
             "strict mode: conditions failed: "
             + ", ".join(conditions.failing_ids()), report=conditions)
+
+
+def hand_over(r12: np.ndarray, z: np.ndarray, protocol: ProtocolConfig,
+              ensemble, grid2, gap_time: float, conditions):
+    """Stored coherences and node table at the start of recall.
+
+    gate_recall applies the gap_time check and the strict gate first.
+    The dark interval adds the free phase exp(-i d21 gap_time) with the
+    detunings as seen before any inversion, while the populations stay
+    frozen.  RECRIB recall inverts the nodes per the protocol flags; comb
+    recall keeps them.  Returns a copy of r12 and the stage-2 node table.
+    """
+    gate_recall(protocol, gap_time, conditions)
     if z.shape != (grid2.n_z,) or not np.allclose(z, grid2.z()):
         raise ValidationError(
             "retrieval grid does not match the stored state's Z axis")

@@ -183,11 +183,13 @@ class SimulationState:
         if not math.isfinite(worst) or worst > BLOCH_EMERGENCY:
             raise PhysicalityViolation(
                 f"Bloch vector left the unit ball by {worst:.3g}")
+        # masked in place: only cells outside the sphere change, each by
+        # the shrink 0.5 / norm, which overwrites norm there
         over = norm > 0.5
-        if np.any(over):
-            shrink = 0.5 / norm[over]
-            self.r12[over] *= shrink
-            self.r11[over] = 0.5 + s_z[over] * shrink
+        shrink = np.divide(0.5, norm, out=norm, where=over)
+        np.multiply(self.r12, shrink, out=self.r12, where=over)
+        np.multiply(s_z, shrink, out=s_z, where=over)
+        np.add(s_z, 0.5, out=self.r11, where=over)
         np.clip(self.r11, 0.0, 1.0, out=self.r11)
 
 

@@ -15,14 +15,22 @@ node's deterministic detuning phase is rotated out analytically, so only
 the smooth driven motion is stepped by Runge-Kutta.  The field is solved
 at the k2, k3 and k4 stages and recorded at the step end; k1 reuses the
 row recorded from the same coherences at the same clock.  The control is
-sampled once per step, and the ensemble sum B~12 runs in fixed node
-order off BLAS, so the output does not depend on the BLAS thread count.
+sampled once per step.
+
+Because the equations are linear and every node is driven by the same
+field row, each Runge-Kutta slope is rank one: a per-node factor times
+one row across Z.  field_row therefore takes the node-summed kernel
+B~12, and a step needs only two weighted node sums over the (node x Z)
+coherences; the stage kernels, the recorded row's kernel and the new
+coherences follow from rows and node-weight scalars (see advance_weak).
+Every node sum runs in fixed node order off BLAS, so the output does not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,11 +78,6 @@ class WeakState:
     z: np.ndarray
     boundary: Callable          # incoming tilde field at the injection face
     row_current: bool = False
-    # weighted rows of B~12, overwritten at every solve
-    _rows12: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._rows12 = np.empty(self.r12_t.shape, dtype=complex)
 
     @classmethod
     def fresh(cls, grid: Grid, ensemble: EnsembleSpec, drive_sign: int,
@@ -100,18 +103,17 @@ class WeakState:
         return weighted_node_sum(ensemble.weights, np.abs(self.r12_t) ** 2)
 
 
-def field_row(state: WeakState, ensemble: EnsembleSpec, medium: MediumSpec,
-              control: ControlProfile, s: float,
-              r12: np.ndarray, sampled=None) -> np.ndarray:
-    """Tilde field across the slab at time s, given the coherences.
+def field_row(state: WeakState, medium: MediumSpec, control: ControlProfile,
+              s: float, b12: np.ndarray, sampled=None) -> np.ndarray:
+    """Tilde field across the slab at time s, given the kernel B~12.
 
+    b12 is the node-summed coherence sum_j w_j R~12_j at every Z.
     Storage integrates the source from the input face; retrieval from the
     far face (zero incoming echo), emitting toward Z = 0.  sampled is the
     (Omega(s), f(s)) pair when the caller has already sampled the control
     at s; otherwise control is evaluated here.
     """
     rabi_s, f_s = control.at(s) if sampled is None else sampled
-    b12 = weighted_node_sum(ensemble.weights, r12, out=state._rows12)
     gain = 0.5 * medium.coupling_beta * f_s
     if isinstance(state.boundary, TildeInput):
         incoming = state.boundary(s, rabi_s)
@@ -153,47 +155,73 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     """One exponential-RK4 step of the linear system, in place.
 
     The per-node detuning phase d21 + d31 f(tau) is integrated to high
-    order by Simpson panels and applied as an exact rotation.  The field
-    is solved at the k2, k3 and k4 stages and recorded at the new clock;
-    k1 reuses the recorded row when state.row_current says it was solved
-    from the current coherences, else it is solved too.  bandwidth, when
-    given, arms the linear-regime validity checks.
+    order by Simpson panels and applied as exact rotations rh and rf over
+    the half and the full step.  Every node is driven by the same field
+    row, so each Runge-Kutta slope is rank one, a node factor times one
+    row across Z: k1 = d row1, k2 = dh row2, k3 = dh row3, k4 = df row4,
+    with d the drive sign, dh = d conj(rh) and df = d conj(rf).  The
+    field sees the stage coherences only through their weighted node sum,
+    so with P_h = sum_j w_j rh_j p_j and P_f = sum_j w_j rf_j p_j, the
+    only sums over (node x Z) arrays, the stage kernels are rows:
+
+        B(k2) = P_h + (dt/2) d (sum w rh) row1
+        B(k3) = P_h + (dt/2) (sum w rh dh) row2
+        B(k4) = P_f + dt (sum w rf dh) row3
+
+    The new coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 + k4)) are
+    built once, and the kernel of the row recorded at the new clock
+    follows from the same linearity.  k1 reuses the recorded row when
+    state.row_current says it was solved from the current coherences,
+    else it is solved too.  bandwidth, when given, arms the linear-regime
+    validity checks.
     """
     s = state.clock
     sample = control.sample_step(s, dt)
     times = (s, s + 0.5 * dt, s + dt)
-    d21 = ensemble.delta21s[:, None]
-    d31 = ensemble.delta31s[:, None]
-    phi_half = d21 * (0.5 * dt) + d31 * sample.df_half
-    phi_full = d21 * dt + d31 * sample.df_full
-    rot_half = np.exp(-1j * phi_half)
-    rot_full = np.exp(-1j * phi_full)
+    d21 = ensemble.delta21s
+    d31 = ensemble.delta31s
+    rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * sample.df_half))
+    rot_full = np.exp(-1j * (d21 * dt + d31 * sample.df_full))
     # the rotations are unimodular: undoing one multiplies by its conjugate
     drive = float(state.drive_sign)
     drive_half = drive * np.conj(rot_half)
     drive_full = drive * np.conj(rot_full)
+    w = ensemble.weights
+    w_half = w * rot_half
+    w_full = w * rot_full
     p = state.r12_t
+    p_half = weighted_node_sum(w_half, p)
+    p_full = weighted_node_sum(w_full, p)
+    sum_half, sum_half_dh, sum_full, sum_full_dh, sum_full_df = \
+        np.add.reduce([w_half, w_half * drive_half, w_full,
+                       w_full * drive_half, w_full * drive_full], axis=1)
 
-    def row_at(k, r12):
-        return field_row(state, ensemble, medium, control, times[k], r12,
+    def row_at(k, b12):
+        return field_row(state, medium, control, times[k], b12,
                          sample.stage(k))
 
     row1 = (state.zeta_t[state.step_index] if state.row_current
-            else row_at(0, p))
+            else row_at(0, weighted_node_sum(w, p)))
     _validity_checks(ensemble, control, s, sample.rabi[0], row1, bandwidth)
-    k1 = drive * row1[None, :]
-    k2 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k1))[None, :]
-    k3 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k2))[None, :]
-    k4 = drive_full * row_at(2, rot_full * (p + dt * k3))[None, :]
+    row2 = row_at(1, p_half + (0.5 * dt * drive * sum_half) * row1)
+    row3 = row_at(1, p_half + (0.5 * dt * sum_half_dh) * row2)
+    row4 = row_at(2, p_full + (dt * sum_full_dh) * row3)
 
-    p_new = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    state.r12_t = rot_full * p_new
+    row23 = row2 + row3
+    p_new = p + ((dt / 6.0) * drive) * row1
+    p_new += drive_half[:, None] * ((dt / 3.0) * row23)
+    p_new += drive_full[:, None] * ((dt / 6.0) * row4)
+    p_new *= rot_full[:, None]
+    state.r12_t = p_new
     state.clock = s + dt
     state.step_index += 1
     state.accumulated_psi += control.one_photon_detuning * sample.df_full
     state.row_current = False
     if state.step_index < state.zeta_t.shape[0]:
-        state.zeta_t[state.step_index] = row_at(2, state.r12_t)
+        b12 = (p_full + ((dt / 6.0) * drive * sum_full) * row1
+               + ((dt / 3.0) * sum_full_dh) * row23
+               + ((dt / 6.0) * sum_full_df) * row4)
+        state.zeta_t[state.step_index] = row_at(2, b12)
         state.row_current = True
     return state
 
@@ -244,7 +272,8 @@ def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
     state = WeakState.fresh(grid, ensemble, drive_sign=+1, direction=+1,
                             boundary=TildeInput(probe, control))
     stages.march(
-        state, field_row(state, ensemble, medium, control, 0.0, state.r12_t),
+        state, field_row(state, medium, control, 0.0,
+                         weighted_node_sum(ensemble.weights, state.r12_t)),
         grid.n_tau,
         lambda: advance_weak(state, ensemble, medium, control, grid.dt,
                              bandwidth=probe.spectral_width))
@@ -277,7 +306,8 @@ def recall_weak(stored: WeakState, protocol: ProtocolConfig,
                             boundary=None, r12_initial=r12)
     extras = stages.recall(
         state, ensemble2, grid2, control2, medium,
-        field_row(state, ensemble2, medium, control2, 0.0, state.r12_t),
+        field_row(state, medium, control2, 0.0,
+                  weighted_node_sum(ensemble2.weights, state.r12_t)),
         lambda: advance_weak(state, ensemble2, medium, control2, grid2.dt,
                              bandwidth=bandwidth))
 

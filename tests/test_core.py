@@ -30,6 +30,7 @@ from ramanecho.errors import (
     UnresolvedComb,
     ValidationError,
 )
+from ramanecho.numerics import cumulative_integral
 
 WEIGHT_SUM_TOL = 1e-10
 MOMENT_TOL = 1e-6
@@ -350,3 +351,66 @@ def test_excited_coherences_scale_inversely_with_detuning(
                                                   2 * delta, 2 * d31)
     assert abs(r13_2 * 2 - r13) <= 1e-12 * max(abs(r13), 1.0)
     assert abs(r32_2 * 2 - r32) <= 1e-12 * max(abs(r32), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# numerical helpers
+# ---------------------------------------------------------------------------
+
+CUMINT_REFERENCE_TOL = 1e-14    # in-place fill vs the plain formula
+CUBIC_TOL = 1e-12               # the 4-point rule is exact on cubics
+
+
+def _cumulative_integral_reference(y, dx):
+    # the plain formula: every increment built out of place, the two end
+    # intervals from scalar arithmetic
+    y = np.asarray(y)
+    n = y.shape[-1]
+    out = np.zeros_like(y, dtype=np.result_type(y.dtype, np.float64))
+    if n < 2:
+        return out
+    if n < 4:
+        inc = 0.5 * dx * (y[..., 1:] + y[..., :-1])
+        out[..., 1:] = np.cumsum(inc, axis=-1)
+        return out
+    inc = np.empty_like(out[..., :-1])
+    inc[..., 1:-1] = (dx / 24.0) * (
+        -y[..., :-3] + 13.0 * y[..., 1:-2] + 13.0 * y[..., 2:-1] - y[..., 3:]
+    )
+    inc[..., 0] = (dx / 24.0) * (
+        9.0 * y[..., 0] + 19.0 * y[..., 1] - 5.0 * y[..., 2] + y[..., 3]
+    )
+    inc[..., -1] = (dx / 24.0) * (
+        y[..., -4] - 5.0 * y[..., -3] + 19.0 * y[..., -2] + 9.0 * y[..., -1]
+    )
+    out[..., 1:] = np.cumsum(inc, axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 641])
+@pytest.mark.parametrize("kind", ["real", "complex", "complex-2d"])
+def test_cumulative_integral_matches_reference_formula(n, kind):
+    rng = np.random.default_rng(n)
+    shape = (3, n) if kind.endswith("2d") else (n,)
+    y = rng.standard_normal(shape)
+    if kind.startswith("complex"):
+        y = y + 1j * rng.standard_normal(shape)
+    got = cumulative_integral(y, 0.37)
+    want = _cumulative_integral_reference(y, 0.37)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.all(got[..., 0] == 0.0)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= CUMINT_REFERENCE_TOL * scale
+
+
+@pytest.mark.parametrize("n", [4, 5, 17, 641])
+def test_cumulative_integral_is_exact_on_cubics(n):
+    x = np.linspace(-1.0, 2.0, n)
+    y = 2.0 - x + 3.0 * x ** 2 - 0.5 * x ** 3
+    antiderivative = 2.0 * x - x ** 2 / 2.0 + x ** 3 - x ** 4 / 8.0
+    want = antiderivative - antiderivative[0]
+    got = cumulative_integral(y, x[1] - x[0])
+    assert np.max(np.abs(got - want)) <= CUBIC_TOL * np.max(np.abs(want))
+    got_c = cumulative_integral((1.0 - 2.0j) * y, x[1] - x[0])
+    assert np.max(np.abs(got_c - (1.0 - 2.0j) * want)) \
+        <= CUBIC_TOL * np.max(np.abs(want)) * abs(1.0 - 2.0j)

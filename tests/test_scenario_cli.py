@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramanecho
+from ramanecho import runs
 from ramanecho.cli import main, parse_alpha0l_list, parse_gamma_range
 from ramanecho.efficiency import EfficiencyModel, epsilon
 from ramanecho.errors import ArgumentError, ParseError, ValidationError
@@ -242,8 +243,29 @@ def test_simulate_empty_file_exits_1(tmp_path, capsys):
     assert "missing required section" in captured.err
 
 
+def _forbid_storage(monkeypatch):
+    def storage(*args, **kwargs):
+        raise AssertionError("the storage stage ran")
+    monkeypatch.setattr(runs, "run_storage", storage)
+    monkeypatch.setattr(runs, "run_weak_storage", storage)
+
+
+def test_strict_refusal_comes_before_storage(tmp_path, capsys, monkeypatch):
+    _forbid_storage(monkeypatch)
+    out_dir = tmp_path / "out"
+    code = main(["simulate", bundled("recrib_broken_iv"),
+                 "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "conditions unmet" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("gap_time", ["nan", "-3.0"])
-def test_simulate_rejects_bad_gap_time(tmp_path, capsys, gap_time):
+def test_simulate_rejects_bad_gap_time(tmp_path, capsys, monkeypatch,
+                                       gap_time):
+    _forbid_storage(monkeypatch)
     with open(bundled("recrib_ideal")) as fh:
         text = fh.read()
     assert "gap_time = 0.0" in text
@@ -257,6 +279,34 @@ def test_simulate_rejects_bad_gap_time(tmp_path, capsys, gap_time):
     assert captured.err.count("\n") == 1
     assert "gap_time" in captured.err
     assert "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", [
+    ("medium", "alpha_eff_l"), ("probe", "duration"), ("grid", "t_end"),
+    ("control1", "rabi"), ("protocol", "gap_time")])
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_non_finite_scenario_number_exits_1(tmp_path, capsys, command,
+                                            section, key, value):
+    scenario = load_scenario(bundled("recrib_ideal"))
+    text = dump_scenario(scenario)
+    block = text.index(f"[{section}]")
+    line = text.index(f"\n{key} = ", block) + 1
+    end = text.index("\n", line)
+    path = str(tmp_path / "bad.ini")
+    with open(path, "w") as fh:
+        fh.write(text[:line] + f"{key} = {value}" + text[end:])
+    out_dir = tmp_path / "out"
+    argv = [command, path] + (["--out", str(out_dir)]
+                              if command == "simulate" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1
+    assert f"[{section}] {key}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert not out_dir.exists()
 
 

@@ -312,6 +312,29 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
     assert np.all(state.r11 <= 1.0)
     excess = np.max(np.abs(state.r12) ** 2 - state.r11 * (1.0 - state.r11))
     assert excess <= INVARIANT_SLACK
+    # bit for bit the radial projection of the excursions alone, written
+    # with boolean gathers and scatters
+    rng = np.random.default_rng(11)
+    mixed = SimulationState.fresh(Grid(n_tau=5, n_z=257, t_end=1.0,
+                                       length=1.0), ens, 50.0,
+                                  stage="storage")
+    theta = rng.uniform(0.0, math.pi, mixed.r11.shape)
+    radius = 0.5 + rng.uniform(-1e-6, 1e-6, mixed.r11.shape)
+    mixed.r12[:] = radius * np.sin(theta) * np.exp(
+        1j * rng.uniform(0.0, 2.0 * math.pi, theta.shape))
+    mixed.r11[:] = 0.5 + radius * np.cos(theta)
+    r12, r11 = mixed.r12.copy(), mixed.r11.copy()
+    s_z = r11 - 0.5
+    norm = np.sqrt(np.abs(r12) ** 2 + s_z ** 2)
+    over = norm > 0.5
+    assert 0 < np.count_nonzero(over) < over.size
+    shrink = 0.5 / norm[over]
+    r12[over] *= shrink
+    r11[over] = 0.5 + s_z[over] * shrink
+    np.clip(r11, 0.0, 1.0, out=r11)
+    mixed.assert_physical()
+    assert np.array_equal(mixed.r12, r12)
+    assert np.array_equal(mixed.r11, r11)
 
 
 def test_projection_absorbs_truncation_overshoot():

@@ -17,7 +17,7 @@ from ramanecho.core import (
     build_gaussian_ensemble,
 )
 from ramanecho.errors import StepTooCoarse, ValidationError, WeakFieldViolation
-from ramanecho.numerics import cumulative_integral
+from ramanecho.numerics import cumulative_integral, weighted_node_sum
 from ramanecho.records import envelope_from_scaled, measure_efficiency
 from ramanecho.weakfield import (
     SusceptibilityKernel,
@@ -35,6 +35,7 @@ FID_TOL = 1e-4                  # impulse-response kernel vs Gaussian decay
 ROTATION_TOL = 1e-9             # free evolution must be an exact rotation
 SMALL_SLAB_TOL = 1e-7           # single node, no feedback: plain quadrature
 LINEARITY_TOL = 1e-10
+STEP_ORACLE_TOL = 1e-12         # rank-one step vs dense stage arrays
 AUDIT_TOL = 1e-3                # photon flux vs stored excitation balance
 ECHO_EFFICIENCY_FLOOR = 0.99    # deep symmetric RECRIB recall
 ECHO_FIDELITY_FLOOR = 0.995
@@ -119,7 +120,9 @@ def _node_history(probe, ctl, ens, med, grid, record_row0=False):
     state = WeakState.fresh(grid, ens, drive_sign=+1, direction=+1,
                             boundary=TildeInput(probe, ctl))
     if record_row0:
-        state.zeta_t[0] = field_row(state, ens, med, ctl, 0.0, state.r12_t)
+        state.zeta_t[0] = field_row(state, med, ctl, 0.0,
+                                    weighted_node_sum(ens.weights,
+                                                      state.r12_t))
     hist = [state.r12_t[0, 0]]
     for _ in range(grid.n_tau - 1):
         advance_weak(state, ens, med, ctl, grid.dt)
@@ -140,6 +143,85 @@ def test_first_step_solves_its_row_unless_the_package_recorded_it():
     bare = _node_history(probe, ctl, ens, med, grid)
     recorded = _node_history(probe, ctl, ens, med, grid, record_row0=True)
     assert np.array_equal(bare, recorded)
+
+
+def _dense_advance_weak(state, ensemble, medium, control, dt):
+    # the step evaluated on full (node x Z) stage arrays, each summed over
+    # the nodes for its field row; the oracle of the rank-one evaluation
+    s = state.clock
+    sample = control.sample_step(s, dt)
+    times = (s, s + 0.5 * dt, s + dt)
+    d21 = ensemble.delta21s[:, None]
+    d31 = ensemble.delta31s[:, None]
+    rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * sample.df_half))
+    rot_full = np.exp(-1j * (d21 * dt + d31 * sample.df_full))
+    drive = float(state.drive_sign)
+    drive_half = drive * np.conj(rot_half)
+    drive_full = drive * np.conj(rot_full)
+    p = state.r12_t
+
+    def row_at(k, r12):
+        return field_row(state, medium, control, times[k],
+                         weighted_node_sum(ensemble.weights, r12),
+                         sample.stage(k))
+
+    row1 = (state.zeta_t[state.step_index] if state.row_current
+            else row_at(0, p))
+    k1 = drive * row1[None, :]
+    k2 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k1))[None, :]
+    k3 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k2))[None, :]
+    k4 = drive_full * row_at(2, rot_full * (p + dt * k3))[None, :]
+    state.r12_t = rot_full * (p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3
+                                                 + k4))
+    state.clock = s + dt
+    state.step_index += 1
+    state.zeta_t[state.step_index] = row_at(2, state.r12_t)
+    state.row_current = True
+
+
+def _mid_ramp_state(drive_sign, row_current):
+    # d21 and d31 spreads, random coherences, clock on the control's
+    # rising edge so the Stark increments are not linear in time
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=9, rule="uniform",
+                                  width_21=0.3, n_nodes_21=3)
+    ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=0.0,
+                                  switch_off=8.0, rise_time=1.0)
+    probe = ProbeSpec.gaussian(center=0.6, duration=0.5)
+    med = MediumSpec(coupling_beta=30.0, length_L=1.0)
+    grid = Grid(n_tau=65, n_z=17, t_end=8.0, length=1.0)
+    rng = np.random.default_rng(7)
+    r12 = 0.1 * (rng.standard_normal((ens.n_nodes, grid.n_z))
+                 + 1j * rng.standard_normal((ens.n_nodes, grid.n_z)))
+    state = WeakState.fresh(
+        grid, ens, drive_sign=drive_sign, direction=drive_sign,
+        boundary=TildeInput(probe, ctl) if drive_sign > 0 else None,
+        r12_initial=r12)
+    state.step_index = 3
+    state.clock = 3 * grid.dt
+    if row_current:
+        state.zeta_t[3] = field_row(state, med, ctl, state.clock,
+                                    weighted_node_sum(ens.weights, r12))
+        state.row_current = True
+    return state, ens, med, ctl, grid
+
+
+@pytest.mark.parametrize("row_current", [True, False])
+@pytest.mark.parametrize("drive_sign", [+1, -1], ids=["storage", "recall"])
+def test_rank_one_step_matches_dense_step(drive_sign, row_current):
+    rank_one, ens, med, ctl, grid = _mid_ramp_state(drive_sign, row_current)
+    dense = _mid_ramp_state(drive_sign, row_current)[0]
+    sample = ctl.sample_step(rank_one.clock, grid.dt)
+    assert abs(2.0 * sample.df_half - sample.df_full) > 1e-3 * sample.df_full
+    assert np.ptp(ens.delta21s) > 0.0 and np.ptp(ens.delta31s) > 0.0
+    advance_weak(rank_one, ens, med, ctl, grid.dt)
+    _dense_advance_weak(dense, ens, med, ctl, grid.dt)
+    assert rank_one.step_index == dense.step_index == 4
+    assert rank_one.row_current and rank_one.clock == dense.clock
+    for got, want in ((rank_one.r12_t, dense.r12_t),
+                      (rank_one.zeta_t[4], dense.zeta_t[4])):
+        scale = np.max(np.abs(want))
+        assert scale > 0.0
+        assert np.max(np.abs(got - want)) <= STEP_ORACLE_TOL * scale
 
 
 # ---------------------------------------------------------------------------
