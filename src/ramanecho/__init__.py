@@ -18,7 +18,6 @@ from .conditions import (
 )
 from .core import (
     ControlProfile,
-    DetuningNode,
     EnsembleSpec,
     Grid,
     MediumSpec,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ControlProfile",
-    "DetuningNode",
     "EchoRecord",
     "EfficiencyModel",
     "EnsembleSpec",

@@ -4,8 +4,9 @@ Subcommands: simulate (run a scenario file end to end), sweep (recovery
 efficiency traces to CSV), check (reversal-condition report only),
 echo-time (comb rephasing time), dump-defaults (reference scenario).
 
-Exit codes: 0 success, 1 error (malformed input or integrator failure),
-2 strict scenario refused on unmet conditions, 3 condition check failed.
+Exit codes: 0 success, 1 error (malformed input, integrator failure, or
+an internal error, reported on one line), 2 strict scenario refused on
+unmet conditions, 3 condition check failed.
 All file writes are whole-file atomic and every output is deterministic:
 the same inputs produce byte-identical files.
 """
@@ -20,12 +21,7 @@ import numpy as np
 
 from .conditions import echo_time_afc
 from .efficiency import REAFC, RECRIB, sweep_gamma, write_sweep_csv
-from .errors import (
-    ArgumentError,
-    ConditionsUnmet,
-    ParseError,
-    SimulationError,
-)
+from .errors import ArgumentError, ConditionsUnmet, SimulationError
 from .numerics import fmt_float, write_text_atomic
 from .runs import run_scenario, scenario_report, write_outputs
 from .scenario import default_scenario, dump_scenario, load_scenario
@@ -73,14 +69,13 @@ def cmd_simulate(args) -> int:
     if args.strict:
         scenario = replace(scenario,
                            protocol=replace(scenario.protocol, strict=True))
-    report = scenario_report(scenario)
-    result = run_scenario(scenario, report=report)
+    result = run_scenario(scenario)
     out_dir = args.out if args.out is not None else scenario.run.out_dir
     paths = write_outputs(result, out_dir)
     for line in result.summary_lines():
         print(line)
-    if not report.overall:
-        print(report.as_text())
+    if not result.report.overall:
+        print(result.report.as_text())
     for path in paths.values():
         print(f"wrote {path}")
     return 0
@@ -193,14 +188,15 @@ def main(argv=None) -> int:
     except ConditionsUnmet as exc:
         print(f"conditions unmet: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # noqa: BLE001 - no input may print a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -27,7 +27,7 @@ from .errors import NonCausalEcho, ValidationError
 ALGEBRAIC_TOL = 1e-9
 ENVELOPE_TOL = 1e-6
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "i": ALGEBRAIC_TOL,
     "ii": ENVELOPE_TOL,
     "iii": ALGEBRAIC_TOL,
@@ -193,15 +193,15 @@ class StageSetup:
                 self.control.switch_off - self.clock_offset)
 
 
-def _entry(cid, residual, tolerances) -> ConditionEntry:
-    tol = tolerances[cid]
+def _entry(cid, residual) -> ConditionEntry:
+    tol = TOLERANCES[cid]
     return ConditionEntry(id=cid, residual=float(residual), tolerance=tol,
                           satisfied=bool(residual <= tol))
 
 
-def _blocked(cid, tolerances) -> ConditionEntry:
+def _blocked(cid) -> ConditionEntry:
     return ConditionEntry(id=cid, residual=math.nan,
-                          tolerance=tolerances[cid], satisfied=False,
+                          tolerance=TOLERANCES[cid], satisfied=False,
                           blocked=True)
 
 
@@ -232,16 +232,26 @@ def _paired_ensembles(stage1: StageSetup, stage2: StageSetup):
     return e1, e2
 
 
+def _inversion_residual(stage1: StageSetup, stage2: StageSetup) -> float:
+    """Node-wise rephasing defect of the total Raman detunings at the
+    stages' peak control levels, relative to the stage-1 Raman width."""
+    e1, e2 = _paired_ensembles(stage1, stage2)
+    fp1 = stage1.control.peak_f()
+    total1 = e1.raman_detunings(fp1)
+    total2 = e2.raman_detunings(stage2.control.peak_f())
+    width = e1.raman_width(fp1)
+    scale = width if width > 0 else max(np.max(np.abs(total1)), 1.0)
+    return float(np.max(np.abs(total2 + total1))) / scale
+
+
 def check_strong_conditions(stage1: StageSetup, stage2: StageSetup,
-                            tau_grid=None, tolerances=None
-                            ) -> ConditionReport:
+                            tau_grid=None) -> ConditionReport:
     """Residuals of the four strong-field recall conditions.
 
     Never raises on physics grounds; every defect is reported.  Condition
     iii is only evaluated when ii and iv pass, because its node-pairing
     form presumes them; otherwise it is reported blocked.
     """
-    tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     if tau_grid is None:
         tau_grid = _shared_grid(stage1, stage2)
     tau_grid = np.asarray(tau_grid, dtype=float)
@@ -269,21 +279,14 @@ def check_strong_conditions(stage1: StageSetup, stage2: StageSetup,
         float(np.max(np.abs(e2.delta31s / d2 - e1.delta31s / d1))),
     )
 
-    ent_i = _entry("i", res_i, tolerances)
-    ent_ii = _entry("ii", res_ii, tolerances)
-    ent_iv = _entry("iv", res_iv, tolerances)
+    ent_i = _entry("i", res_i)
+    ent_ii = _entry("ii", res_ii)
+    ent_iv = _entry("iv", res_iv)
 
     if ent_ii.satisfied and ent_iv.satisfied:
-        fp1 = stage1.control.peak_f()
-        fp2 = stage2.control.peak_f()
-        total1 = e1.raman_detunings(fp1)
-        total2 = e2.raman_detunings(fp2)
-        width = e1.raman_width(fp1)
-        scale = width if width > 0 else max(np.max(np.abs(total1)), 1.0)
-        res_iii = float(np.max(np.abs(total2 + total1))) / scale
-        ent_iii = _entry("iii", res_iii, tolerances)
+        ent_iii = _entry("iii", _inversion_residual(stage1, stage2))
     else:
-        ent_iii = _blocked("iii", tolerances)
+        ent_iii = _blocked("iii")
 
     return ConditionReport(entries=(ent_i, ent_ii, ent_iii, ent_iv))
 
@@ -330,14 +333,13 @@ def solve_strong_stage2(stage1: StageSetup, anchor: float = 0.0
 def check_weak_conditions(stage1: StageSetup, stage2: StageSetup,
                           protocol: str = "recrib", k: int = 0,
                           t1: float = 0.0, t2: float = 0.0,
-                          tau_grid=None, tolerances=None) -> ConditionReport:
+                          tau_grid=None) -> ConditionReport:
     """Residuals of the linear-regime recall conditions.
 
     For comb rephasing (k >= 1) supply the storage and retrieval times t1
     and t2; the comb spacing is read from the stage-1 ensemble.  k = 0
     checks node-wise inversion instead.
     """
-    tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     if k < 0:
         raise ValidationError("k must be >= 0")
     if protocol not in ("recrib", "reafc"):
@@ -356,14 +358,7 @@ def check_weak_conditions(stage1: StageSetup, stage2: StageSetup,
     res_ii = float(np.max(np.abs(bf1 - bf2r))) / max(bf1.max(), 1e-300)
 
     if k == 0:
-        e1, e2 = _paired_ensembles(stage1, stage2)
-        fp1 = stage1.control.peak_f()
-        fp2 = stage2.control.peak_f()
-        total1 = e1.raman_detunings(fp1)
-        total2 = e2.raman_detunings(fp2)
-        width = e1.raman_width(fp1)
-        scale = width if width > 0 else max(np.max(np.abs(total1)), 1.0)
-        res_iii = float(np.max(np.abs(total2 + total1))) / scale
+        res_iii = _inversion_residual(stage1, stage2)
     else:
         spacing = stage1.ensemble.comb_spacing
         if spacing <= 0:
@@ -376,9 +371,9 @@ def check_weak_conditions(stage1: StageSetup, stage2: StageSetup,
                    * spacing / (2.0 * math.pi))
 
     return ConditionReport(entries=(
-        _entry("i'", res_i, tolerances),
-        _entry("ii'", res_ii, tolerances),
-        _entry("iii'", res_iii, tolerances),
+        _entry("i'", res_i),
+        _entry("ii'", res_ii),
+        _entry("iii'", res_iii),
     ))
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +38,9 @@ WEAK_AMPLITUDE_RATIO = 1.0e-3
 
 # numerical support threshold for "compact support" checks
 SUPPORT_FLOOR = 1.0e-8
+
+# far-off-resonance bound |Delta| >= DETUNING_FACTOR x probe bandwidth
+DETUNING_FACTOR = 10.0
 
 
 class CombEnvelopeWarning(UserWarning):
@@ -148,6 +151,8 @@ class MediumSpec:
                        length_L: float = 1.0, **kw) -> "MediumSpec":
         """Medium whose line-center energy transmission is exp(-alpha_eff_L)
         for a Gaussian 31 line of the given width."""
+        if length_L <= 0:
+            raise ValidationError("length_L must be > 0")
         beta = alpha_eff_L * line_width_31 / (math.sqrt(math.pi / 2.0) * length_L)
         return cls(coupling_beta=beta, length_L=length_L, **kw)
 
@@ -156,97 +161,62 @@ class MediumSpec:
 # detuning ensemble
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DetuningNode:
-    """One quadrature node of the joint distribution G(d21) G(d31)."""
-
-    delta21: float
-    delta31: float
-    weight: float
-    comb_index: int = 0
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValidationError("node weight must be >= 0")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleSpec:
     """Quadrature representation of the doubly inhomogeneous ensemble.
 
-    natural_width_31 is the irreversible part of the 31 line (std dev);
-    controlled_width_31 the reversible (RECRIB) broadening.  The node list
-    represents whichever combination a scenario simulates.
+    Node i sits at detunings (delta21s[i], delta31s[i]) of the joint
+    distribution G(d21) G(d31) with quadrature weight weights[i]; a comb
+    node also carries the index of its tooth.  The arrays are copied on
+    construction and read-only afterwards; comb_indices defaults to 0.
     """
 
     shape: str                      # "gaussian" | "comb"
-    nodes: tuple[DetuningNode, ...]
-    natural_width_31: float = 1.0
-    controlled_width_31: float = 0.0
+    weights: np.ndarray
+    delta21s: np.ndarray
+    delta31s: np.ndarray
+    comb_indices: np.ndarray | None = None
     comb_spacing: float = 0.0
-    tooth_width: float = 0.0
-    n_lines: int = 0
-    width_21: float = 0.0
 
     def __post_init__(self):
         if self.shape not in ("gaussian", "comb"):
             raise ValidationError(f"unknown ensemble shape {self.shape!r}")
-        if self.natural_width_31 <= 0:
-            raise NonPositiveWidth("natural_width_31 must be > 0")
-        if self.controlled_width_31 < 0 or self.width_21 < 0:
-            raise NonPositiveWidth("widths must be >= 0")
-        if self.shape == "comb" and self.tooth_width >= self.comb_spacing:
-            raise UnresolvedComb("tooth width must be below the comb spacing")
-        nodes = tuple(self.nodes)
-        object.__setattr__(self, "nodes", nodes)
-        w = np.array([n.weight for n in nodes], dtype=float)
-        total = w.sum()
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(f"node weights sum to {total!r}, expected 1")
-        for name, arr in (
-            ("_weights", w),
-            ("_delta21", np.array([n.delta21 for n in nodes], dtype=float)),
-            ("_delta31", np.array([n.delta31 for n in nodes], dtype=float)),
-            ("_comb_index", np.array([n.comb_index for n in nodes], dtype=int)),
-        ):
+        n = np.shape(self.weights)
+        if self.comb_indices is None:
+            object.__setattr__(self, "comb_indices", np.zeros(n, dtype=int))
+        for name, dtype in (("weights", float), ("delta21s", float),
+                            ("delta31s", float), ("comb_indices", int)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if arr.ndim != 1 or arr.shape != n:
+                raise ValidationError(
+                    "node arrays must be one-dimensional and of one length")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def delta21s(self) -> np.ndarray:
-        return self._delta21
-
-    @property
-    def delta31s(self) -> np.ndarray:
-        return self._delta31
-
-    @property
-    def comb_indices(self) -> np.ndarray:
-        return self._comb_index
+        if np.any(self.weights < 0):
+            raise ValidationError("node weight must be >= 0")
+        total = self.weights.sum()
+        if abs(total - 1.0) > 1e-10:
+            raise ValidationError(f"node weights sum to {total!r}, expected 1")
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.weights)
 
     @property
     def max_abs_delta31(self) -> float:
-        return float(np.max(np.abs(self._delta31))) if len(self.nodes) else 0.0
+        return float(np.max(np.abs(self.delta31s))) if self.n_nodes else 0.0
 
     def raman_detunings(self, f_value: float) -> np.ndarray:
         """Per-node Raman detuning d21 + d31 * f at a given control level."""
-        return self._delta21 + self._delta31 * f_value
+        return self.delta21s + self.delta31s * f_value
 
     def line_width_31(self) -> float:
         """Total width of the simulated 31 line (quadrature 2nd moment)."""
-        return float(np.sqrt(np.sum(self._weights * self._delta31 ** 2)))
+        return float(np.sqrt(np.sum(self.weights * self.delta31s ** 2)))
 
     def raman_width(self, f_value: float) -> float:
         dr = self.raman_detunings(f_value)
-        return float(np.sqrt(np.sum(self._weights * dr ** 2)))
+        return float(np.sqrt(np.sum(self.weights * dr ** 2)))
 
     def inverted(self, invert_31: bool = True, invert_21: bool = True
                  ) -> "EnsembleSpec":
@@ -254,21 +224,12 @@ class EnsembleSpec:
 
         Leaving one component un-inverted models the irreversible residual.
         """
-        nodes = tuple(
-            DetuningNode(
-                delta21=-n.delta21 if invert_21 else n.delta21,
-                delta31=-n.delta31 if invert_31 else n.delta31,
-                weight=n.weight,
-                comb_index=-n.comb_index if invert_31 else n.comb_index,
-            )
-            for n in self.nodes
-        )
-        return EnsembleSpec(
-            shape=self.shape, nodes=nodes,
-            natural_width_31=self.natural_width_31,
-            controlled_width_31=self.controlled_width_31,
-            comb_spacing=self.comb_spacing, tooth_width=self.tooth_width,
-            n_lines=self.n_lines, width_21=self.width_21)
+        return replace(
+            self,
+            delta21s=-self.delta21s if invert_21 else self.delta21s,
+            delta31s=-self.delta31s if invert_31 else self.delta31s,
+            comb_indices=(-self.comb_indices if invert_31
+                          else self.comb_indices))
 
 
 def _gauss_hermite_nodes(width: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,9 +248,7 @@ def _uniform_nodes(width: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_gaussian_ensemble(width: float, n_nodes: int,
                             rule: str = "gausshermite",
-                            width_21: float = 0.0, n_nodes_21: int = 1,
-                            natural_width: float | None = None,
-                            controlled_width: float | None = None,
+                            width_21: float = 0.0, n_nodes_21: int = 1
                             ) -> EnsembleSpec:
     """Gaussian 31 line as a normalized quadrature ensemble.
 
@@ -320,22 +279,17 @@ def build_gaussian_ensemble(width: float, n_nodes: int,
     else:
         d21, w21 = np.array([0.0]), np.array([1.0])
 
-    nodes = [
-        DetuningNode(delta21=float(a), delta31=float(b),
-                     weight=float(wa * wb))
-        for b, wb in zip(d31, w31)
-        for a, wa in zip(d21, w21)
-    ]
-    nodes.sort(key=lambda nd: (nd.delta31, nd.delta21))
-    # remove the one-part-in-1e16 rounding of the weight sum
-    total = sum(nd.weight for nd in nodes)
-    nodes = tuple(
-        DetuningNode(nd.delta21, nd.delta31, nd.weight / total) for nd in nodes)
-    return EnsembleSpec(
-        shape="gaussian", nodes=nodes,
-        natural_width_31=width if natural_width is None else natural_width,
-        controlled_width_31=0.0 if controlled_width is None else controlled_width,
-        width_21=width_21)
+    # tensor product, d21 fastest, then sorted by (d31, d21)
+    delta31 = np.repeat(d31, len(d21))
+    delta21 = np.tile(d21, len(d31))
+    weights = np.repeat(w31, len(d21)) * np.tile(w21, len(d31))
+    order = np.lexsort((delta21, delta31))
+    weights = weights[order]
+    # remove the one-part-in-1e16 rounding of the weight sum; summed in
+    # node order (np.sum would pair terms), like the comb weights below
+    return EnsembleSpec(shape="gaussian",
+                        weights=weights / sum(weights.tolist()),
+                        delta21s=delta21[order], delta31s=delta31[order])
 
 
 def build_comb_ensemble(spacing: float, tooth_width: float, n_lines: int,
@@ -369,28 +323,24 @@ def build_comb_ensemble(spacing: float, tooth_width: float, n_lines: int,
     else:
         local_d, local_w = _gauss_hermite_nodes(tooth_width, nodes_per_tooth)
 
-    nodes = []
-    for n in range(-half, half + 1):
-        center = n * spacing
-        for d, w in zip(local_d, local_w):
-            # envelope applies at the node's actual detuning, so the tooth
-            # weights converge to the tooth * envelope overlap integral
-            if math.isinf(envelope_width):
-                env = 1.0
-            else:
-                env = math.exp(-(center + d) ** 2
-                               / (2.0 * envelope_width ** 2))
-            nodes.append(DetuningNode(
-                delta21=0.0, delta31=float(center + d),
-                weight=float(env * w), comb_index=n))
-    total = sum(nd.weight for nd in nodes)
-    nodes = tuple(
-        DetuningNode(nd.delta21, nd.delta31, nd.weight / total, nd.comb_index)
-        for nd in sorted(nodes, key=lambda nd: (nd.delta31, nd.delta21)))
-    return EnsembleSpec(
-        shape="comb", nodes=nodes,
-        natural_width_31=tooth_width, controlled_width_31=0.0,
-        comb_spacing=spacing, tooth_width=tooth_width, n_lines=n_lines)
+    teeth = np.arange(-half, half + 1)
+    comb_index = np.repeat(teeth, len(local_d))
+    delta31 = np.repeat(teeth * spacing, len(local_d)) + np.tile(local_d,
+                                                                  n_lines)
+    weights = np.tile(local_w, n_lines)
+    if math.isfinite(envelope_width):
+        # envelope applies at the node's actual detuning, so the tooth
+        # weights converge to the tooth * envelope overlap integral
+        scale = 2.0 * envelope_width ** 2
+        weights = np.array([math.exp(-d ** 2 / scale) for d in delta31]) \
+            * weights
+    # normalized in tooth order, then sorted by (d31, d21)
+    weights = weights / sum(weights.tolist())
+    order = np.argsort(delta31, kind="stable")
+    return EnsembleSpec(shape="comb", weights=weights[order],
+                        delta21s=np.zeros(len(order)),
+                        delta31s=delta31[order],
+                        comb_indices=comb_index[order], comb_spacing=spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +372,8 @@ class ControlProfile:
 
     f_nu(tau) and the Stark shift are always derived from rabi_envelope and
     one_photon_detuning; nothing redundant is stored.  When probe_bandwidth
-    is supplied the far-off-resonance bound |Delta| >= factor * d_omega is
-    enforced at construction.
+    is supplied the far-off-resonance bound |Delta| >= DETUNING_FACTOR *
+    d_omega is enforced at construction.
     """
 
     rabi_envelope: Callable
@@ -432,7 +382,6 @@ class ControlProfile:
     switch_on: float = 0.0
     switch_off: float = 1.0
     probe_bandwidth: float | None = None
-    detuning_factor: float = 10.0
 
     def __post_init__(self):
         if self.one_photon_detuning == 0:
@@ -441,10 +390,10 @@ class ControlProfile:
             raise ValidationError("switch_off must exceed switch_on")
         if self.probe_bandwidth is not None:
             if abs(self.one_photon_detuning) < \
-                    self.detuning_factor * self.probe_bandwidth:
+                    DETUNING_FACTOR * self.probe_bandwidth:
                 raise DetuningTooSmall(
                     f"|Delta| = {abs(self.one_photon_detuning)} below "
-                    f"{self.detuning_factor} x probe bandwidth "
+                    f"{DETUNING_FACTOR} x probe bandwidth "
                     f"{self.probe_bandwidth}")
         # |Omega| on the switch window per sample count; the envelope is
         # immutable, so the peaks are sampled once per profile
@@ -528,7 +477,6 @@ class ControlProfile:
             switch_on=anchor - self.switch_off,
             switch_off=anchor - self.switch_on,
             probe_bandwidth=kw.pop("probe_bandwidth", self.probe_bandwidth),
-            detuning_factor=kw.pop("detuning_factor", self.detuning_factor),
         )
 
 
@@ -548,12 +496,12 @@ class ProbeSpec:
         dt, dw = self.duration, self.spectral_width
         if dt is None and dw is None:
             raise ValidationError("give duration or spectral_width")
+        if any(v is not None and v <= 0 for v in (dt, dw)):
+            raise ValidationError("duration and spectral_width must be > 0")
         if dt is None:
             dt = 1.0 / dw
         if dw is None:
             dw = 1.0 / dt
-        if dt <= 0 or dw <= 0:
-            raise ValidationError("duration and spectral_width must be > 0")
         if abs(dt * dw - 1.0) > 1e-9:
             raise ValidationError(
                 f"duration * spectral_width = {dt * dw!r}, convention is 1")
@@ -655,14 +603,16 @@ class Grid:
         stages (node spread and state-dependent shifts), not the raw
         carrier-scale rates.
         """
-        if self.dt * max_phase_rate > 0.5:
-            raise StepTooCoarse(
-                f"dt * phase rate = {self.dt * max_phase_rate:.3g} > 0.5; "
-                f"need n_tau >= {int(self.t_end * max_phase_rate / 0.5) + 2}")
-        if self.dz * max_coupling > 0.5:
-            raise StepTooCoarse(
-                f"dz * coupling = {self.dz * max_coupling:.3g} > 0.5; "
-                f"need n_z >= {int(self.length * max_coupling / 0.5) + 2}")
+        for step, rate, span, what, count in (
+                (self.dt, max_phase_rate, self.t_end, "dt * phase rate",
+                 "n_tau"),
+                (self.dz, max_coupling, self.length, "dz * coupling", "n_z")):
+            if step * rate > 0.5:
+                need = span * rate / 0.5
+                hint = (f"need {count} >= {int(need) + 2}"
+                        if math.isfinite(need) else f"no finite {count} will do")
+                raise StepTooCoarse(
+                    f"{what} = {step * rate:.3g} > 0.5; {hint}")
 
     def refined(self, factor: int = 2) -> "Grid":
         return Grid(n_tau=(self.n_tau - 1) * factor + 1,

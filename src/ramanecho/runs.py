@@ -1,10 +1,10 @@
 """Scenario orchestration: check conditions, run both stages, write files.
 
-The reversal-condition report produced at load time is checked before
-the storage stage, so strict scenarios with a failed condition are
-refused before anything is stepped; it also rides along into the recall
-drivers, and report-only scenarios attach it to the echo record for
-inspection.
+The scenario's objects are built once and serve both the reversal-
+condition report and the run.  The report is checked before the storage
+stage, so strict scenarios with a failed condition are refused before
+anything is stepped; it also rides along into the recall drivers, and
+report-only scenarios attach it to the echo record for inspection.
 """
 
 from __future__ import annotations
@@ -14,37 +14,37 @@ from dataclasses import dataclass
 
 from .conditions import (
     ConditionReport,
+    ProtocolConfig,
     check_strong_conditions,
     check_weak_conditions,
 )
 from . import stages
 from .numerics import write_text_atomic
 from .records import EchoRecord, measure_efficiency
-from .scenario import (
-    Scenario,
-    build_controls,
-    build_ensemble,
-    build_grids,
-    build_medium,
-    build_probe,
-    build_protocol,
-    stage_setups,
-)
+from .scenario import Scenario, build_grids, build_protocol, stage_setups
 from .strongfield import run_retrieval, run_storage
 from .weakfield import recall_weak, run_weak_storage
 
 
-def scenario_report(scenario: Scenario) -> ConditionReport:
-    """Run the regime's reversal-condition checker on the two stages."""
-    stage1, stage2 = stage_setups(scenario)
+def _check(scenario: Scenario, stage1, stage2,
+           proto: ProtocolConfig | None = None) -> ConditionReport:
+    """Run the regime's reversal-condition checker on the two stages; the
+    weak checker reads t1 and t2 off the protocol (built when not given)."""
     if scenario.run.regime == "strong":
         return check_strong_conditions(stage1, stage2)
-    ctl1, ctl2 = build_controls(scenario)
-    proto = build_protocol(scenario, ctl1, ctl2)
+    if proto is None:
+        proto = build_protocol(scenario, stage1.control, stage2.control,
+                               stage1.matching)
     k = scenario.protocol.k if scenario.protocol.name == "reafc" else 0
     return check_weak_conditions(stage1, stage2,
                                  protocol=scenario.protocol.name,
                                  k=k, t1=proto.t1, t2=proto.t2)
+
+
+def scenario_report(scenario: Scenario) -> ConditionReport:
+    """Run the regime's reversal-condition checker on the two stages."""
+    stage1, stage2, _ = stage_setups(scenario)
+    return _check(scenario, stage1, stage2)
 
 
 @dataclass
@@ -67,22 +67,20 @@ class RunResult:
         ]
 
 
-def run_scenario(scenario: Scenario,
-                 report: ConditionReport | None = None) -> RunResult:
+def run_scenario(scenario: Scenario) -> RunResult:
     """Storage plus recall for one scenario file.
 
+    Builds the scenario's objects once and checks its conditions on them.
     Raises ConditionsUnmet before the storage stage when the scenario is
-    strict and `report` (computed here when not supplied) has a failure,
-    and ValidationError there for a negative or non-finite gap_time.
+    strict and the report has a failure, and ValidationError there for a
+    negative or non-finite gap_time.
     """
-    if report is None:
-        report = scenario_report(scenario)
-    ens = build_ensemble(scenario)
-    med = build_medium(scenario, ens)
-    probe = build_probe(scenario)
-    ctl1, ctl2 = build_controls(scenario)
+    stage1, stage2, med = stage_setups(scenario)
+    ens, probe, ctl1, ctl2 = (stage1.ensemble, stage1.probe, stage1.control,
+                              stage2.control)
+    proto = build_protocol(scenario, ctl1, ctl2, stage1.matching)
+    report = _check(scenario, stage1, stage2, proto)
     grid1, grid2 = build_grids(scenario)
-    proto = build_protocol(scenario, ctl1, ctl2)
     stages.gate_recall(proto, scenario.protocol.gap_time, report)
     if scenario.run.regime == "strong":
         out = run_storage(probe, ctl1, ens, med, grid1)

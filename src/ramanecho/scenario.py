@@ -3,8 +3,10 @@
 A scenario is an INI document with named sections mirroring the core
 types.  Every physics input is explicit and reviewable; there is no
 randomness anywhere, so a scenario fully determines its outputs.  The
-parser is strict: unknown sections or keys, malformed numbers, and
-missing required sections all raise ParseError naming the location.
+section dataclasses below are the only schema: the parser and the dumper
+walk their fields, so a new key is a new field.  The parser is strict:
+unknown sections or keys, malformed numbers, and missing required
+sections all raise ParseError naming the location.
 
 Optional keys may be left blank ("key =") to request the documented
 derived default; dump_scenario writes every key back out, so a dumped
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .conditions import PhaseMatching, ProtocolConfig, StageSetup
 from .core import (
@@ -154,65 +156,65 @@ def default_scenario() -> Scenario:
 # parsing
 # ---------------------------------------------------------------------------
 
-_SECTIONS = ("run", "ensemble", "medium", "probe", "control1", "control2",
-             "protocol", "grid", "matching")
+# a section per Scenario field, a key per section field, typed by its
+# annotation; the string keys listed here take one of the given values
+CHOICES = {
+    ("run", "regime"): REGIMES,
+    ("ensemble", "shape"): ("gaussian", "comb"),
+    ("ensemble", "rule"): ("gausshermite", "uniform"),
+    ("control1", "mode"): CONTROL2_MODES,
+    ("control2", "mode"): CONTROL2_MODES,
+    ("protocol", "name"): ("recrib", "reafc"),
+}
 
 
 def _fail(section: str, key: str, value: str, want: str):
     raise ParseError(f"[{section}] {key} = {value!r}: expected {want}")
 
 
-def _get_str(sec, section, key, default, choices=None):
-    raw = sec.get(key, None)
-    value = default if raw is None or raw == "" else raw.strip()
-    if choices is not None and value not in choices:
-        _fail(section, key, value, "one of " + "/".join(choices))
-    return value
-
-
-def _get_float(sec, section, key, default):
-    raw = sec.get(key, None)
-    if raw is None or raw.strip() == "":
-        return default
+def _value(section: str, key, raw: str):
+    """A non-blank INI value converted to the type of the field `key`."""
+    kind = key.type.removesuffix(" | None")
+    if kind == "str":
+        choices = CHOICES.get((section, key.name))
+        if choices is not None and raw not in choices:
+            _fail(section, key.name, raw, "one of " + "/".join(choices))
+        return raw
+    if kind == "bool":
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        except KeyError:
+            _fail(section, key.name, raw, "a boolean")
+    if kind == "int":
+        try:
+            return int(raw)
+        except ValueError:
+            _fail(section, key.name, raw, "an integer")
     try:
         value = float(raw)
     except ValueError:
-        _fail(section, key, raw, "a number")
+        _fail(section, key.name, raw, "a number")
     if not math.isfinite(value):
-        _fail(section, key, raw, "a finite number")
+        _fail(section, key.name, raw, "a finite number")
     return value
 
 
-def _get_int(sec, section, key, default):
-    raw = sec.get(key, None)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        _fail(section, key, raw, "an integer")
-
-
-def _get_bool(sec, section, key, default):
-    raw = sec.get(key, None)
-    if raw is None or raw.strip() == "":
-        return default
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    try:
-        return states[raw.strip().lower()]
-    except KeyError:
-        _fail(section, key, raw, "a boolean")
-
-
-def _check_keys(parser, section, allowed):
+def _given(parser, section: str, keys) -> dict:
+    """The section's non-blank values by key; blank or absent keys keep
+    the documented default."""
     if not parser.has_section(section):
         return {}
     sec = parser[section]
-    unknown = sorted(set(sec) - set(allowed))
+    unknown = sorted(set(sec) - {key.name for key in keys})
     if unknown:
         raise ParseError(
             f"[{section}] unknown key(s): {', '.join(unknown)}")
-    return sec
+    given = {}
+    for key in keys:
+        raw = sec.get(key.name, "").strip()
+        if raw:
+            given[key.name] = _value(section, key, raw)
+    return given
 
 
 def parse_scenario(text: str, origin: str = "<string>") -> Scenario:
@@ -223,119 +225,30 @@ def parse_scenario(text: str, origin: str = "<string>") -> Scenario:
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
 
-    unknown = sorted(set(parser.sections()) - set(_SECTIONS))
+    sections = fields(Scenario)
+    unknown = sorted(set(parser.sections())
+                     - {section.name for section in sections})
     if unknown:
         raise ParseError(f"unknown section(s): {', '.join(unknown)}")
     if not parser.has_section("run"):
         raise ParseError(f"{origin}: missing required section [run]")
 
-    sec = _check_keys(parser, "run", ("regime", "label", "out_dir"))
-    d = RunSection()
-    run = RunSection(
-        regime=_get_str(sec, "run", "regime", d.regime, REGIMES),
-        label=_get_str(sec, "run", "label", d.label),
-        out_dir=_get_str(sec, "run", "out_dir", d.out_dir))
-
-    sec = _check_keys(parser, "ensemble", (
-        "shape", "width", "n_nodes", "rule", "width_21", "n_nodes_21",
-        "spacing", "tooth_width", "n_lines", "nodes_per_tooth"))
-    d = EnsembleSection()
-    ensemble = EnsembleSection(
-        shape=_get_str(sec, "ensemble", "shape", d.shape,
-                       ("gaussian", "comb")),
-        width=_get_float(sec, "ensemble", "width", d.width),
-        n_nodes=_get_int(sec, "ensemble", "n_nodes", d.n_nodes),
-        rule=_get_str(sec, "ensemble", "rule", d.rule,
-                      ("gausshermite", "uniform")),
-        width_21=_get_float(sec, "ensemble", "width_21", d.width_21),
-        n_nodes_21=_get_int(sec, "ensemble", "n_nodes_21", d.n_nodes_21),
-        spacing=_get_float(sec, "ensemble", "spacing", d.spacing),
-        tooth_width=_get_float(sec, "ensemble", "tooth_width",
-                               d.tooth_width),
-        n_lines=_get_int(sec, "ensemble", "n_lines", d.n_lines),
-        nodes_per_tooth=_get_int(sec, "ensemble", "nodes_per_tooth",
-                                 d.nodes_per_tooth))
-
-    sec = _check_keys(parser, "medium", ("alpha_eff_l", "beta", "length"))
-    d = MediumSection()
-    medium = MediumSection(
-        alpha_eff_l=_get_float(sec, "medium", "alpha_eff_l", None),
-        beta=_get_float(sec, "medium", "beta", None),
-        length=_get_float(sec, "medium", "length", d.length))
-    if medium.alpha_eff_l is None and medium.beta is None:
-        medium = replace(medium, alpha_eff_l=d.alpha_eff_l)
-    if medium.alpha_eff_l is not None and medium.beta is not None:
-        raise ParseError("[medium] give alpha_eff_l or beta, not both")
-
-    sec = _check_keys(parser, "probe",
-                      ("center", "duration", "amplitude_scale"))
-    d = ProbeSection()
-    probe = ProbeSection(
-        center=_get_float(sec, "probe", "center", d.center),
-        duration=_get_float(sec, "probe", "duration", d.duration),
-        amplitude_scale=_get_float(sec, "probe", "amplitude_scale",
-                                   d.amplitude_scale))
-
-    control_keys = ("mode", "rabi", "detuning", "switch_on", "switch_off",
-                    "rise_time", "anchor")
-
-    def control(section, default):
-        sec = _check_keys(parser, section, control_keys)
-        return ControlSection(
-            mode=_get_str(sec, section, "mode", default.mode,
-                          CONTROL2_MODES),
-            rabi=_get_float(sec, section, "rabi", default.rabi),
-            detuning=_get_float(sec, section, "detuning", default.detuning),
-            switch_on=_get_float(sec, section, "switch_on",
-                                 default.switch_on),
-            switch_off=_get_float(sec, section, "switch_off",
-                                  default.switch_off),
-            rise_time=_get_float(sec, section, "rise_time",
-                                 default.rise_time),
-            anchor=_get_float(sec, section, "anchor", default.anchor))
-
-    control1 = control("control1", ControlSection(mode="flat_top"))
-    if control1.mode != "flat_top":
-        raise ParseError("[control1] mode must be flat_top")
-    if control1.detuning is None:
-        raise ParseError("[control1] detuning is required")
-    control2 = control("control2", ControlSection(mode="mirror",
-                                                  detuning=None))
-
-    sec = _check_keys(parser, "protocol", (
-        "name", "t1", "t2", "comb_spacing", "k", "strict", "gap_time"))
-    d = ProtocolSection()
-    protocol = ProtocolSection(
-        name=_get_str(sec, "protocol", "name", d.name, ("recrib", "reafc")),
-        t1=_get_float(sec, "protocol", "t1", d.t1),
-        t2=_get_float(sec, "protocol", "t2", d.t2),
-        comb_spacing=_get_float(sec, "protocol", "comb_spacing",
-                                d.comb_spacing),
-        k=_get_int(sec, "protocol", "k", d.k),
-        strict=_get_bool(sec, "protocol", "strict", d.strict),
-        gap_time=_get_float(sec, "protocol", "gap_time", d.gap_time))
-
-    sec = _check_keys(parser, "grid",
-                      ("n_tau", "n_z", "t_end", "n_tau2", "t_end2"))
-    d = GridSection()
-    grid = GridSection(
-        n_tau=_get_int(sec, "grid", "n_tau", d.n_tau),
-        n_z=_get_int(sec, "grid", "n_z", d.n_z),
-        t_end=_get_float(sec, "grid", "t_end", d.t_end),
-        n_tau2=_get_int(sec, "grid", "n_tau2", d.n_tau2),
-        t_end2=_get_float(sec, "grid", "t_end2", d.t_end2))
-
-    sec = _check_keys(parser, "matching", ("omega1", "omega2", "k1z", "k2z"))
-    d = MatchingSection()
-    matching = MatchingSection(
-        omega1=_get_float(sec, "matching", "omega1", d.omega1),
-        omega2=_get_float(sec, "matching", "omega2", d.omega2),
-        k1z=_get_float(sec, "matching", "k1z", d.k1z),
-        k2z=_get_float(sec, "matching", "k2z", d.k2z))
-
-    return Scenario(run=run, ensemble=ensemble, medium=medium, probe=probe,
-                    control1=control1, control2=control2, protocol=protocol,
-                    grid=grid, matching=matching)
+    parsed = {}
+    for section in sections:
+        given = _given(parser, section.name, fields(section.default))
+        if section.name == "medium":
+            if "alpha_eff_l" in given and "beta" in given:
+                raise ParseError(
+                    "[medium] give alpha_eff_l or beta, not both")
+            if "beta" in given:
+                given["alpha_eff_l"] = None
+        parsed[section.name] = replace(section.default, **given)
+        if section.name == "control1":
+            if parsed["control1"].mode != "flat_top":
+                raise ParseError("[control1] mode must be flat_top")
+            if parsed["control1"].detuning is None:
+                raise ParseError("[control1] detuning is required")
+    return Scenario(**parsed)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -365,57 +278,12 @@ def _cell(value) -> str:
 
 def dump_scenario(scenario: Scenario) -> str:
     """Canonical text form; parse_scenario(dump_scenario(s)) == s."""
-    sc = scenario
-    blocks = (
-        ("run", (("regime", sc.run.regime), ("label", sc.run.label),
-                 ("out_dir", sc.run.out_dir))),
-        ("ensemble", (
-            ("shape", sc.ensemble.shape), ("width", sc.ensemble.width),
-            ("n_nodes", sc.ensemble.n_nodes), ("rule", sc.ensemble.rule),
-            ("width_21", sc.ensemble.width_21),
-            ("n_nodes_21", sc.ensemble.n_nodes_21),
-            ("spacing", sc.ensemble.spacing),
-            ("tooth_width", sc.ensemble.tooth_width),
-            ("n_lines", sc.ensemble.n_lines),
-            ("nodes_per_tooth", sc.ensemble.nodes_per_tooth))),
-        ("medium", (("alpha_eff_l", sc.medium.alpha_eff_l),
-                    ("beta", sc.medium.beta),
-                    ("length", sc.medium.length))),
-        ("probe", (("center", sc.probe.center),
-                   ("duration", sc.probe.duration),
-                   ("amplitude_scale", sc.probe.amplitude_scale))),
-        ("control1", (
-            ("mode", sc.control1.mode), ("rabi", sc.control1.rabi),
-            ("detuning", sc.control1.detuning),
-            ("switch_on", sc.control1.switch_on),
-            ("switch_off", sc.control1.switch_off),
-            ("rise_time", sc.control1.rise_time),
-            ("anchor", sc.control1.anchor))),
-        ("control2", (
-            ("mode", sc.control2.mode), ("rabi", sc.control2.rabi),
-            ("detuning", sc.control2.detuning),
-            ("switch_on", sc.control2.switch_on),
-            ("switch_off", sc.control2.switch_off),
-            ("rise_time", sc.control2.rise_time),
-            ("anchor", sc.control2.anchor))),
-        ("protocol", (
-            ("name", sc.protocol.name), ("t1", sc.protocol.t1),
-            ("t2", sc.protocol.t2),
-            ("comb_spacing", sc.protocol.comb_spacing),
-            ("k", sc.protocol.k), ("strict", sc.protocol.strict),
-            ("gap_time", sc.protocol.gap_time))),
-        ("grid", (("n_tau", sc.grid.n_tau), ("n_z", sc.grid.n_z),
-                  ("t_end", sc.grid.t_end), ("n_tau2", sc.grid.n_tau2),
-                  ("t_end2", sc.grid.t_end2))),
-        ("matching", (("omega1", sc.matching.omega1),
-                      ("omega2", sc.matching.omega2),
-                      ("k1z", sc.matching.k1z), ("k2z", sc.matching.k2z))),
-    )
     lines = []
-    for section, pairs in blocks:
-        lines.append(f"[{section}]")
-        for key, value in pairs:
-            lines.append(f"{key} = {_cell(value)}")
+    for section in fields(Scenario):
+        values = getattr(scenario, section.name)
+        lines.append(f"[{section.name}]")
+        for key in fields(values):
+            lines.append(f"{key.name} = {_cell(getattr(values, key.name))}")
         lines.append("")
     return "\n".join(lines)
 
@@ -489,6 +357,9 @@ def build_grids(sc: Scenario) -> tuple[Grid, Grid]:
 
 def build_matching(sc: Scenario, ctl1: ControlProfile) -> PhaseMatching:
     m = sc.matching
+    if m.omega1 == 0:
+        # the phase-matching residuals are relative to the probe carrier
+        raise ValidationError("[matching] omega1 must be non-zero")
     omega2 = m.omega2
     if omega2 is None:
         omega2 = m.omega1 + 2.0 * ctl1.one_photon_detuning * ctl1.peak_f()
@@ -499,14 +370,18 @@ def build_matching(sc: Scenario, ctl1: ControlProfile) -> PhaseMatching:
 
 
 def build_protocol(sc: Scenario, ctl1: ControlProfile,
-                   ctl2: ControlProfile) -> ProtocolConfig:
+                   ctl2: ControlProfile,
+                   matching: PhaseMatching | None = None) -> ProtocolConfig:
+    """Recall protocol of the scenario; matching (built from ctl1 when
+    not given) is the stages' PhaseMatching."""
     p = sc.protocol
     t1 = p.t1 if p.t1 is not None else ctl1.switch_off - sc.probe.center
     if t1 < 0:
         raise ValidationError(
             "probe center lies after control1 switch-off; t1 < 0")
     proto = ProtocolConfig(protocol=p.name, t1=t1, t2=p.t2,
-                           matching=build_matching(sc, ctl1),
+                           matching=(build_matching(sc, ctl1)
+                                     if matching is None else matching),
                            comb_spacing=p.comb_spacing, k=p.k,
                            strict=p.strict)
     if proto.t2 is None:
@@ -515,12 +390,16 @@ def build_protocol(sc: Scenario, ctl1: ControlProfile,
     return proto
 
 
-def stage_setups(sc: Scenario) -> tuple[StageSetup, StageSetup]:
-    """Condition-checker view of the two stages.
+def stage_setups(sc: Scenario
+                 ) -> tuple[StageSetup, StageSetup, MediumSpec]:
+    """The scenario's objects, each built once: the condition-checker view
+    of the two stages and the medium they share.
 
-    The shared reversal clock puts its origin at the stage-2 reading
-    onset, i.e. stage-1 times are shifted by the mirror anchor (mirror
-    mode) or by control1 switch-off (explicit stage-2 control).
+    Stage 1 carries the ensemble, probe, stage-1 control and matching a
+    run uses; stage 2 the stage-2 control and, for RECRIB, the inverted
+    ensemble.  The shared reversal clock puts its origin at the stage-2
+    reading onset, i.e. stage-1 times are shifted by the mirror anchor
+    (mirror mode) or by control1 switch-off (explicit stage-2 control).
     """
     ens = build_ensemble(sc)
     med = build_medium(sc, ens)
@@ -541,4 +420,4 @@ def stage_setups(sc: Scenario) -> tuple[StageSetup, StageSetup]:
     stage2 = StageSetup(control=ctl2, ensemble=ens2, probe=None,
                         matching=matching, beta=med.coupling_beta,
                         clock_offset=0.0)
-    return stage1, stage2
+    return stage1, stage2, med

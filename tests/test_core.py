@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ramanecho.core import (
     ControlProfile,
-    DetuningNode,
     EnsembleSpec,
     Grid,
     MediumSpec,
@@ -65,7 +64,9 @@ def tooth_envelope_overlap(center, tooth_width, envelope_width, n=200_000):
 
 def test_single_node_is_degenerate_delta():
     ens = build_gaussian_ensemble(width=1.0, n_nodes=1)
-    assert ens.nodes == (DetuningNode(0.0, 0.0, 1.0),)
+    assert (ens.delta21s.tolist(), ens.delta31s.tolist(),
+            ens.weights.tolist(), ens.comb_indices.tolist()) \
+        == ([0.0], [0.0], [1.0], [0])
 
 
 def test_gauss_hermite_moments():
@@ -164,14 +165,14 @@ def test_comb_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 def test_weight_normalization_enforced():
-    nodes = (DetuningNode(0.0, -1.0, 0.6), DetuningNode(0.0, 1.0, 0.6))
     with pytest.raises(ValidationError):
-        EnsembleSpec(shape="gaussian", nodes=nodes)
+        EnsembleSpec(shape="gaussian", weights=[0.6, 0.6],
+                     delta21s=[0.0, 0.0], delta31s=[-1.0, 1.0])
 
 
 def test_raman_detunings_compose_both_lines():
-    nodes = (DetuningNode(0.2, -1.0, 0.5), DetuningNode(-0.2, 1.0, 0.5))
-    ens = EnsembleSpec(shape="gaussian", nodes=nodes)
+    ens = EnsembleSpec(shape="gaussian", weights=[0.5, 0.5],
+                       delta21s=[0.2, -0.2], delta31s=[-1.0, 1.0])
     dr = ens.raman_detunings(f_value=0.25)
     assert np.allclose(dr, [0.2 - 0.25, -0.2 + 0.25], atol=1e-15)
 
@@ -184,6 +185,87 @@ def test_inverted_flips_signs_and_comb_indices():
     assert abs(flipped.weights.sum() - 1.0) <= WEIGHT_SUM_TOL
     again = flipped.inverted()
     assert np.allclose(np.sort(again.delta31s), np.sort(ens.delta31s))
+
+
+def _node_by_node_gaussian(width, n_nodes, rule, width_21, n_nodes_21):
+    """Reference builder: the same quadrature node by node in Python loops
+    (nodes as (delta31, delta21, weight, comb_index) tuples)."""
+    if n_nodes == 1:
+        d31, w31 = np.array([0.0]), np.array([1.0])
+    elif rule == "gausshermite":
+        x, w = np.polynomial.hermite.hermgauss(n_nodes)
+        d31, w31 = x * math.sqrt(2.0) * width, w / math.sqrt(math.pi)
+    else:
+        d31 = np.linspace(-5.0 * width, 5.0 * width, n_nodes)
+        w31 = np.exp(-d31 ** 2 / (2.0 * width ** 2))
+        w31 = w31 / w31.sum()
+    if width_21 > 0 and n_nodes_21 > 1:
+        x, w = np.polynomial.hermite.hermgauss(n_nodes_21)
+        d21, w21 = x * math.sqrt(2.0) * width_21, w / math.sqrt(math.pi)
+    else:
+        d21, w21 = np.array([0.0]), np.array([1.0])
+    nodes = sorted(((float(b), float(a), float(wa * wb), 0)
+                    for b, wb in zip(d31, w31) for a, wa in zip(d21, w21)),
+                   key=lambda nd: nd[:2])
+    total = sum(node[2] for node in nodes)
+    return [(b, a, w / total, n) for b, a, w, n in nodes]
+
+
+def _node_by_node_comb(spacing, tooth_width, n_lines, nodes_per_tooth,
+                       envelope_width):
+    if nodes_per_tooth == 1:
+        local_d, local_w = np.array([0.0]), np.array([1.0])
+    else:
+        x, w = np.polynomial.hermite.hermgauss(nodes_per_tooth)
+        local_d = x * math.sqrt(2.0) * tooth_width
+        local_w = w / math.sqrt(math.pi)
+    half = (n_lines - 1) // 2
+    nodes = []
+    for n in range(-half, half + 1):
+        center = n * spacing
+        for d, w in zip(local_d, local_w):
+            env = 1.0 if math.isinf(envelope_width) else math.exp(
+                -(center + d) ** 2 / (2.0 * envelope_width ** 2))
+            nodes.append((float(center + d), 0.0, float(env * w), n))
+    total = sum(node[2] for node in nodes)
+    return [(b, a, w / total, n)
+            for b, a, w, n in sorted(nodes, key=lambda nd: nd[:2])]
+
+
+def _node_table(ens):
+    return list(zip(ens.delta31s.tolist(), ens.delta21s.tolist(),
+                    ens.weights.tolist(), ens.comb_indices.tolist()))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(width=1.0, n_nodes=1, rule="uniform", width_21=0.0, n_nodes_21=1),
+    dict(width=1.0, n_nodes=65, rule="uniform", width_21=0.0, n_nodes_21=1),
+    dict(width=0.7, n_nodes=8, rule="gausshermite", width_21=0.3,
+         n_nodes_21=4),
+    dict(width=1.0, n_nodes=9, rule="uniform", width_21=0.3, n_nodes_21=3)])
+def test_gaussian_builder_matches_node_by_node_reference(kw):
+    # same products, same sort, same summation order: bit for bit
+    ens = build_gaussian_ensemble(**kw)
+    assert _node_table(ens) == _node_by_node_gaussian(**kw)
+    flipped = [(-b, -a, w, -n) for b, a, w, n in _node_table(ens)]
+    assert _node_table(ens.inverted()) == flipped
+
+
+# the last case's outer Gauss-Hermite nodes reach into the neighbouring
+# teeth, so sorting reorders the nodes and the summation order shows
+@pytest.mark.parametrize(
+    "n_lines,tooth_width,nodes_per_tooth,envelope_width", [
+    (5, 0.05, 1, math.inf), (21, 0.05, 5, math.inf), (5, 0.05, 3, 2.0),
+    (21, 0.05, 7, 4.0), (9, 0.24, 16, math.inf)])
+def test_comb_builder_matches_node_by_node_reference(
+        n_lines, tooth_width, nodes_per_tooth, envelope_width):
+    kw = dict(spacing=1.0, tooth_width=tooth_width, n_lines=n_lines,
+              nodes_per_tooth=nodes_per_tooth, envelope_width=envelope_width)
+    ens = build_comb_ensemble(**kw)
+    assert _node_table(ens) == _node_by_node_comb(**kw)
+    assert ens.comb_spacing == 1.0
+    kept21 = [(-b, a, w, -n) for b, a, w, n in _node_table(ens)]
+    assert _node_table(ens.inverted(invert_21=False)) == kept21
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramanecho
-from ramanecho import runs
+from ramanecho import core, runs
 from ramanecho.cli import main, parse_alpha0l_list, parse_gamma_range
 from ramanecho.efficiency import EfficiencyModel, epsilon
 from ramanecho.errors import ArgumentError, ParseError, ValidationError
@@ -49,6 +49,34 @@ def test_dump_parse_round_trip_is_identity():
     text = dump_scenario(scenario)
     assert parse_scenario(text) == scenario
     assert dump_scenario(parse_scenario(text)) == text
+
+
+# the default scenario's canonical text, pinned literally: a round trip
+# alone passes for any format consistent with itself; blank values keep
+# the space after "="
+DEFAULT_DUMP = "\n".join((
+    "[run]", "regime = weak", "label = recrib_ideal",
+    "out_dir = runs/recrib_ideal", "",
+    "[ensemble]", "shape = gaussian", "width = 1.0", "n_nodes = 65",
+    "rule = uniform", "width_21 = 0.0", "n_nodes_21 = 1", "spacing = 1.0",
+    "tooth_width = 0.05", "n_lines = 21", "nodes_per_tooth = 5", "",
+    "[medium]", "alpha_eff_l = 20.0", "beta = ", "length = 1.0", "",
+    "[probe]", "center = 12.0", "duration = 2.0", "amplitude_scale = 1.0",
+    "",
+    "[control1]", "mode = flat_top", "rabi = 60.0", "detuning = 60.0",
+    "switch_on = 0.0", "switch_off = 24.0", "rise_time = ", "anchor = ", "",
+    "[control2]", "mode = mirror", "rabi = 60.0", "detuning = ",
+    "switch_on = 0.0", "switch_off = 24.0", "rise_time = ", "anchor = ", "",
+    "[protocol]", "name = recrib", "t1 = ", "t2 = ", "comb_spacing = 0.0",
+    "k = 1", "strict = false", "gap_time = 0.0", "",
+    "[grid]", "n_tau = 385", "n_z = 65", "t_end = 24.0", "n_tau2 = ",
+    "t_end2 = ", "",
+    "[matching]", "omega1 = 100000.0", "omega2 = ", "k1z = ", "k2z = ",
+    ""))
+
+
+def test_default_dump_is_the_pinned_text():
+    assert dump_scenario(default_scenario()) == DEFAULT_DUMP
 
 
 def test_sparse_file_fills_documented_defaults():
@@ -90,6 +118,13 @@ def test_medium_rejects_both_depth_and_coupling():
     text = "[run]\n[medium]\nalpha_eff_l = 20.0\nbeta = 42.0\n"
     with pytest.raises(ParseError, match=r"not both"):
         parse_scenario(text)
+
+
+def test_beta_alone_replaces_the_default_depth():
+    medium = parse_scenario("[run]\n[medium]\nbeta = 42.0\n").medium
+    assert (medium.alpha_eff_l, medium.beta) == (None, 42.0)
+    medium = parse_scenario("[run]\n[medium]\nbeta =\n").medium
+    assert (medium.alpha_eff_l, medium.beta) == (20.0, None)
 
 
 def test_missing_file_is_a_parse_error(tmp_path):
@@ -310,6 +345,75 @@ def test_non_finite_scenario_number_exits_1(tmp_path, capsys, command,
     assert not out_dir.exists()
 
 
+def _scenario_keys():
+    """(section, key, type) of every scenario key, from the schema."""
+    return [(section.name, key.name, key.type.removesuffix(" | None"))
+            for section in fields(Scenario)
+            for key in fields(section.default)]
+
+
+def _write_with_value(tmp_path, name, section, key, value):
+    """The bundled scenario `name`, dumped in full, with one key set."""
+    text = dump_scenario(load_scenario(bundled(name)))
+    block = text.index(f"[{section}]")
+    line = text.index(f"\n{key} = ", block) + 1
+    end = text.index("\n", line)
+    path = str(tmp_path / "edited.ini")
+    with open(path, "w") as fh:
+        fh.write(text[:line] + f"{key} = {value}" + text[end:])
+    return path
+
+
+# huge integers are left out: a huge n_lines loops building nodes and a
+# huge n_tau allocates
+BAD_VALUES = {
+    "float": ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300"),
+    "int": ("0", "-1", "2"),
+}
+
+
+@pytest.mark.parametrize("section,key,kind", [
+    case for case in _scenario_keys() if case[2] in BAD_VALUES])
+@pytest.mark.parametrize("name", ["recrib_ideal", "reafc_weak"])
+def test_check_survives_bad_values_of_every_key(tmp_path, capsys, name,
+                                               section, key, kind):
+    for value in BAD_VALUES[kind]:
+        path = _write_with_value(tmp_path, name, section, key, value)
+        code = main(["check", path])
+        err = capsys.readouterr().err
+        where = f"[{section}] {key} = {value}: {err!r}"
+        assert code in (0, 1, 3), where
+        assert err.count("\n") <= 1, where
+        assert "Traceback" not in err, where
+
+
+# the first five are refused where the value enters, with a message of
+# their own; the rest overflow a float and may be internal errors
+@pytest.mark.parametrize("section,key,value,own_message", [
+    ("medium", "length", "0", True), ("probe", "duration", "0", True),
+    ("matching", "omega1", "0", True), ("control1", "rabi", "1e300", True),
+    ("control1", "rabi", "-1e300", True),
+    ("ensemble", "width", "1e300", False),
+    ("probe", "duration", "1e300", False),
+    ("control1", "detuning", "1e300", False),
+    ("control1", "detuning", "-1e300", False),
+    ("control2", "detuning", "1e300", False),
+    ("control2", "detuning", "-1e300", False)])
+def test_simulate_refuses_extreme_values_on_one_line(tmp_path, capsys,
+                                                     section, key, value,
+                                                     own_message):
+    path = _write_with_value(tmp_path, "recrib_ideal", section, key, value)
+    out_dir = tmp_path / "out"
+    code = main(["simulate", path, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1
+    if own_message:
+        assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
 def test_check_exit_codes_and_blocked_line(capsys):
     assert main(["check", bundled("reafc_weak")]) == 0
     capsys.readouterr()
@@ -428,6 +532,23 @@ def test_run_scenario_writes_summary_with_conditions(tmp_path):
     assert "overall pass" in summary
 
 
+@pytest.mark.parametrize("name", ["recrib_ideal", "recrib_strong"])
+def test_simulate_builds_each_control_once(tmp_path, capsys, monkeypatch,
+                                           name):
+    built = []
+    post_init = core.ControlProfile.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(core.ControlProfile, "__post_init__", counting)
+    assert main(["simulate", bundled(name),
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(built) == 2
+
+
 def test_reafc_scenario_echo_arrives_on_the_comb_clock():
     scenario = load_scenario(bundled("reafc_weak"))
     result = run_scenario(scenario)
@@ -435,3 +556,40 @@ def test_reafc_scenario_echo_arrives_on_the_comb_clock():
     assert abs(result.record.echo_peak_time - math.pi) <= dt2
     assert result.efficiency > 0.5
     assert result.fidelity > 0.9
+
+
+# ---------------------------------------------------------------------------
+# scripts
+# ---------------------------------------------------------------------------
+
+SCRIPT_DIR = os.path.join(os.path.dirname(__file__), "..", "scripts")
+
+
+def _run_script(name, cwd, *args):
+    src_dir = os.path.dirname(os.path.dirname(ramanecho.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPT_DIR, name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_recrib_demo_script_runs_the_bundled_scenarios(tmp_path):
+    proc = _run_script("recrib_demo.py", tmp_path, "--out-root", "runs")
+    assert proc.returncode == 0, proc.stderr
+    assert "=== recrib_broken_iv ===\nrefused: " in proc.stdout
+    for name in ("recrib_ideal", "recrib_strong", "reafc_weak"):
+        assert f"=== {name} ===\nprotocol=" in proc.stdout
+        assert sorted(os.listdir(tmp_path / "runs" / name)) == [
+            "conditions.txt", "echo.csv", "input.csv", "summary.txt"]
+    assert not (tmp_path / "runs" / "recrib_broken_iv").exists()
+
+
+def test_fig2_sweep_script_writes_six_traces(tmp_path):
+    proc = _run_script("fig2_sweep.py", tmp_path, "--out", "sweep.csv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "wrote sweep.csv"
+    with open(tmp_path / "sweep.csv") as fh:
+        rows = [line for line in fh
+                if line.strip() and not line.startswith(("#", "protocol"))]
+    assert len(rows) == 6 * 1001

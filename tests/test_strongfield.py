@@ -15,7 +15,6 @@ from ramanecho.conditions import (
 )
 from ramanecho.core import (
     ControlProfile,
-    DetuningNode,
     EnsembleSpec,
     Grid,
     MediumSpec,
@@ -72,8 +71,8 @@ SAT_DEPTH = 500.0
 
 
 def single_node(delta21=0.0, delta31=0.0):
-    return EnsembleSpec(shape="gaussian", nodes=(
-        DetuningNode(delta21=delta21, delta31=delta31, weight=1.0),))
+    return EnsembleSpec(shape="gaussian", weights=[1.0], delta21s=[delta21],
+                        delta31s=[delta31])
 
 
 def const_control(rabi, detuning, t_end):
@@ -94,9 +93,8 @@ def test_kernel_reduction_matches_compensated_sum():
     w /= w.sum()
     d21 = rng.normal(size=n_node)
     d31 = rng.uniform(-5.0, 5.0, size=n_node)
-    ens = EnsembleSpec(shape="gaussian", nodes=tuple(
-        DetuningNode(delta21=float(a), delta31=float(b), weight=float(ww))
-        for a, b, ww in zip(d21, d31, w)))
+    ens = EnsembleSpec(shape="gaussian", weights=w, delta21s=d21,
+                       delta31s=d31)
     c = 1.0 / (1.0 + ens.delta31s / 50.0)
     r12 = rng.standard_normal((n_node, n_z)) \
         + 1j * rng.standard_normal((n_node, n_z))
@@ -195,11 +193,9 @@ def test_short_slab_row_is_linear_in_depth():
 def test_row_matches_refined_z_reference():
     # smooth multi-node profile: the 4th-order quadrature at n_z = 65 must
     # agree with a 4x refined reference on the shared points
-    nodes = tuple(
-        DetuningNode(delta21=0.0, delta31=d, weight=w)
-        for d, w in zip((-4.0, -2.0, 0.0, 2.0, 4.0),
-                        (0.1, 0.2, 0.4, 0.2, 0.1)))
-    ens = EnsembleSpec(shape="gaussian", nodes=nodes)
+    ens = EnsembleSpec(shape="gaussian", weights=[0.1, 0.2, 0.4, 0.2, 0.1],
+                       delta21s=np.zeros(5),
+                       delta31s=[-4.0, -2.0, 0.0, 2.0, 4.0])
     ctl = const_control(rabi=40.0, detuning=40.0, t_end=1.0)
     med = MediumSpec(coupling_beta=8.0, length_L=1.0)
 
@@ -297,10 +293,8 @@ def test_resonant_drive_matches_rabi_oracle():
 @given(amp=st.floats(0.2, 2.0), delta=st.sampled_from([40.0, -40.0]),
        d21=st.floats(-2.0, 2.0), d31=st.floats(0.0, 3.0))
 def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
-    ens = EnsembleSpec(shape="gaussian", nodes=(
-        DetuningNode(delta21=d21, delta31=-d31, weight=0.25),
-        DetuningNode(delta21=0.0, delta31=0.0, weight=0.5),
-        DetuningNode(delta21=-d21, delta31=d31, weight=0.25)))
+    ens = EnsembleSpec(shape="gaussian", weights=[0.25, 0.5, 0.25],
+                       delta21s=[d21, 0.0, -d21], delta31s=[-d31, 0.0, d31])
     ctl = const_control(rabi=40.0, detuning=delta, t_end=0.8)
     grid = Grid(n_tau=41, n_z=5, t_end=0.8, length=1.0)
     state = SimulationState.fresh(grid, ens, delta, stage="storage")
