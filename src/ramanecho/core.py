@@ -458,11 +458,15 @@ class ControlProfile:
                    switch_on=switch_on, switch_off=switch_off, **kw)
 
     def time_reversed(self, anchor: float, detuning: float | None = None,
-                      **kw) -> "ControlProfile":
+                      carrier: float | None = None,
+                      probe_bandwidth: float | None = None
+                      ) -> "ControlProfile":
         """Mirror image Omega'(tau) = Omega(anchor - tau).
 
         Used to build the stage-2 control satisfying the envelope-reversal
         condition; the anchor maps stage-1 switch-off to the new origin.
+        detuning, carrier and probe_bandwidth keep this profile's values
+        when not given.
         """
         base = self.rabi_envelope
 
@@ -473,10 +477,11 @@ class ControlProfile:
             rabi_envelope=env,
             one_photon_detuning=(self.one_photon_detuning
                                  if detuning is None else detuning),
-            carrier=kw.pop("carrier", self.carrier),
+            carrier=self.carrier if carrier is None else carrier,
             switch_on=anchor - self.switch_off,
             switch_off=anchor - self.switch_on,
-            probe_bandwidth=kw.pop("probe_bandwidth", self.probe_bandwidth),
+            probe_bandwidth=(self.probe_bandwidth if probe_bandwidth is None
+                             else probe_bandwidth),
         )
 
 
@@ -565,6 +570,13 @@ class ProbeSpec:
 # grids
 # ---------------------------------------------------------------------------
 
+def _count_hint(count: str, need: float) -> str:
+    """The smallest point count that meets a step guard, if any does."""
+    if math.isfinite(need):
+        return f"need {count} >= {int(need) + 2}"
+    return f"no finite {count} will do"
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform (tau, Z) grid for one stage."""
@@ -603,16 +615,14 @@ class Grid:
         stages (node spread and state-dependent shifts), not the raw
         carrier-scale rates.
         """
-        for step, rate, span, what, count in (
-                (self.dt, max_phase_rate, self.t_end, "dt * phase rate",
-                 "n_tau"),
-                (self.dz, max_coupling, self.length, "dz * coupling", "n_z")):
-            if step * rate > 0.5:
-                need = span * rate / 0.5
-                hint = (f"need {count} >= {int(need) + 2}"
-                        if math.isfinite(need) else f"no finite {count} will do")
-                raise StepTooCoarse(
-                    f"{what} = {step * rate:.3g} > 0.5; {hint}")
+        if self.dt * max_phase_rate > 0.5:
+            raise StepTooCoarse(
+                f"dt * phase rate = {self.dt * max_phase_rate:.3g} > 0.5; "
+                + _count_hint("n_tau", self.t_end * max_phase_rate / 0.5))
+        if self.dz * max_coupling > 0.5:
+            raise StepTooCoarse(
+                f"dz * coupling = {self.dz * max_coupling:.3g} > 0.5; "
+                + _count_hint("n_z", self.length * max_coupling / 0.5))
 
     def refined(self, factor: int = 2) -> "Grid":
         return Grid(n_tau=(self.n_tau - 1) * factor + 1,

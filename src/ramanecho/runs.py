@@ -33,8 +33,7 @@ def _check(scenario: Scenario, stage1, stage2,
     if scenario.run.regime == "strong":
         return check_strong_conditions(stage1, stage2)
     if proto is None:
-        proto = build_protocol(scenario, stage1.control, stage2.control,
-                               stage1.matching)
+        proto = build_protocol(scenario, stage1, stage2)
     k = scenario.protocol.k if scenario.protocol.name == "reafc" else 0
     return check_weak_conditions(stage1, stage2,
                                  protocol=scenario.protocol.name,
@@ -78,7 +77,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     stage1, stage2, med = stage_setups(scenario)
     ens, probe, ctl1, ctl2 = (stage1.ensemble, stage1.probe, stage1.control,
                               stage2.control)
-    proto = build_protocol(scenario, ctl1, ctl2, stage1.matching)
+    proto = build_protocol(scenario, stage1, stage2)
     report = _check(scenario, stage1, stage2, proto)
     grid1, grid2 = build_grids(scenario)
     stages.gate_recall(proto, scenario.protocol.gap_time, report)

@@ -243,11 +243,8 @@ def parse_scenario(text: str, origin: str = "<string>") -> Scenario:
             if "beta" in given:
                 given["alpha_eff_l"] = None
         parsed[section.name] = replace(section.default, **given)
-        if section.name == "control1":
-            if parsed["control1"].mode != "flat_top":
-                raise ParseError("[control1] mode must be flat_top")
-            if parsed["control1"].detuning is None:
-                raise ParseError("[control1] detuning is required")
+        if section.name == "control1" and parsed["control1"].mode != "flat_top":
+            raise ParseError("[control1] mode must be flat_top")
     return Scenario(**parsed)
 
 
@@ -369,19 +366,17 @@ def build_matching(sc: Scenario, ctl1: ControlProfile) -> PhaseMatching:
     return PhaseMatching(K1z=k1z, K2z=k2z, omega1=m.omega1, omega2=omega2)
 
 
-def build_protocol(sc: Scenario, ctl1: ControlProfile,
-                   ctl2: ControlProfile,
-                   matching: PhaseMatching | None = None) -> ProtocolConfig:
-    """Recall protocol of the scenario; matching (built from ctl1 when
-    not given) is the stages' PhaseMatching."""
+def build_protocol(sc: Scenario, stage1: StageSetup,
+                   stage2: StageSetup) -> ProtocolConfig:
+    """Recall protocol of the scenario on the stages of stage_setups."""
+    ctl1, ctl2 = stage1.control, stage2.control
     p = sc.protocol
     t1 = p.t1 if p.t1 is not None else ctl1.switch_off - sc.probe.center
     if t1 < 0:
         raise ValidationError(
             "probe center lies after control1 switch-off; t1 < 0")
     proto = ProtocolConfig(protocol=p.name, t1=t1, t2=p.t2,
-                           matching=(build_matching(sc, ctl1)
-                                     if matching is None else matching),
+                           matching=stage1.matching,
                            comb_spacing=p.comb_spacing, k=p.k,
                            strict=p.strict)
     if proto.t2 is None:

@@ -335,6 +335,18 @@ def test_time_reversed_envelope():
     assert rev.one_photon_detuning == -30.0
 
 
+def test_time_reversed_keeps_or_replaces_carrier_and_refuses_stale_keywords():
+    ctl = ControlProfile.flat_top(rabi=2.0, detuning=30.0, switch_on=1.0,
+                                  switch_off=7.0, rise_time=2.0, carrier=0.5)
+    assert ctl.time_reversed(anchor=7.0).carrier == 0.5
+    assert ctl.time_reversed(anchor=7.0, carrier=-0.25).carrier == -0.25
+    with pytest.raises(TypeError):
+        ctl.time_reversed(anchor=7.0, detuning_factor=10.0)
+    with pytest.raises(TypeError):
+        ControlProfile.flat_top(rabi=2.0, detuning=30.0, switch_on=1.0,
+                                switch_off=7.0, detuning_factor=10.0)
+
+
 def test_raised_cosine_edges():
     env = raised_cosine_envelope(on=0.0, off=10.0, rise=2.0)
     tau = np.array([-0.1, 0.0, 1.0, 5.0, 9.0, 10.0, 10.1])

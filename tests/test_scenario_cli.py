@@ -25,6 +25,7 @@ from ramanecho.scenario import (
     dump_scenario,
     load_scenario,
     parse_scenario,
+    stage_setups,
     write_scenario,
 )
 
@@ -157,8 +158,8 @@ def test_round_trip_survives_arbitrary_numbers(center, duration, rabi,
 
 def test_blank_times_derive_from_controls_and_comb():
     scenario = load_scenario(bundled("reafc_weak"))
-    ctl1, ctl2 = build_controls(scenario)
-    proto = build_protocol(scenario, ctl1, ctl2)
+    stage1, stage2, _ = stage_setups(scenario)
+    proto = build_protocol(scenario, stage1, stage2)
     assert abs(proto.t1 - math.pi) < TIMING_TOL
     assert abs(proto.t2 - math.pi) < TIMING_TOL
 
