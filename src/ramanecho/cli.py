@@ -14,6 +14,7 @@ the same inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -27,17 +28,20 @@ from .runs import run_scenario, scenario_report, write_outputs
 from .scenario import default_scenario, dump_scenario, load_scenario
 
 
+def finite_float(text: str) -> float:
+    """A finite float, for argparse's `type=`; refuses nan and inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def parse_alpha0l_list(text: str) -> list[float]:
-    values = []
-    for part in text.split(","):
-        try:
-            values.append(float(part))
-        except ValueError:
-            raise ArgumentError(
-                f"--alpha0L expects comma-separated numbers, got {text!r}")
-    if not values:
-        raise ArgumentError("--alpha0L list is empty")
-    return values
+    try:
+        return [finite_float(part) for part in text.split(",")]
+    except ValueError:
+        raise ArgumentError(
+            f"--alpha0L expects comma-separated finite numbers, got {text!r}")
 
 
 def parse_gamma_range(text: str) -> np.ndarray:
@@ -46,10 +50,10 @@ def parse_gamma_range(text: str) -> np.ndarray:
         raise ArgumentError(
             f"--gamma expects start:stop:step, got {text!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (finite_float(p) for p in parts)
     except ValueError:
         raise ArgumentError(
-            f"--gamma expects numeric start:stop:step, got {text!r}")
+            f"--gamma expects finite start:stop:step, got {text!r}")
     if step <= 0:
         raise ArgumentError("--gamma step must be positive")
     if stop < start:
@@ -85,11 +89,9 @@ def cmd_sweep(args) -> int:
     protocols = [RECRIB, REAFC] if args.protocol == "both" else [args.protocol]
     depths = parse_alpha0l_list(args.alpha0L)
     gamma_grid = parse_gamma_range(args.gamma)
-    traces = {}
-    for protocol in protocols:
-        for alpha0l in depths:
-            traces[(protocol, alpha0l)] = sweep_gamma(
-                protocol, alpha0l, gamma_grid, total_time=args.total_time)
+    traces = {(protocol, alpha0l): sweep_gamma(protocol, alpha0l, gamma_grid,
+                                               total_time=args.total_time)
+              for protocol in protocols for alpha0l in depths}
     write_sweep_csv(args.out, traces, total_time=args.total_time)
     print(f"wrote {args.out} ({len(traces)} traces, "
           f"{gamma_grid.size} points each)")
@@ -149,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated resonant depths")
     p.add_argument("--gamma", default="0:1:0.001",
                    help="broadening ratio grid start:stop:step")
-    p.add_argument("--total-time", type=float, default=None,
+    p.add_argument("--total-time", type=finite_float, default=None,
                    help="storage plus retrieval time (default per protocol)")
     p.add_argument("--out", default="sweep.csv", help="output CSV path")
     p.set_defaults(func=cmd_sweep)

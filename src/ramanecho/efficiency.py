@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RatioOutOfRange, ValidationError
-from .errors import NoInteriorMaximum
-from .numerics import fmt_float, golden_section_max, write_csv_atomic
+from .errors import NoInteriorMaximum, RatioOutOfRange, ValidationError
+from .numerics import fmt_float, golden_section_max, write_text_atomic
 
 RECRIB = "recrib"
 REAFC = "reafc"
@@ -62,27 +61,34 @@ class EfficiencyModel:
     def __post_init__(self):
         object.__setattr__(self, "protocol",
                            _normalize_protocol(self.protocol))
-        if self.alpha0L < 0:
-            raise ValidationError("alpha0L must be >= 0")
-        if self.gamma_param < 0:
-            raise ValidationError("gamma_param must be >= 0")
         if self.total_time is None:
             object.__setattr__(self, "total_time",
                                DEFAULT_TOTAL_TIME[self.protocol])
-        elif self.total_time < 0:
-            raise ValidationError("total_time must be >= 0")
+        for name in ("alpha0L", "gamma_param", "total_time"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0")
 
     @property
-    def effective_depth(self) -> float:
+    def depth_per_gamma(self) -> float:
         factor = COMB_PEAK_FACTOR if self.protocol == REAFC else 1.0
-        return self.alpha0L * factor * self.gamma_param
+        return self.alpha0L * factor
+
+
+def _curve(model: EfficiencyModel):
+    """Efficiency as a function of gamma at the model's protocol, depth
+    and total time: the one closed form, evaluated on plain floats."""
+    total_time, depth_per_gamma = model.total_time, model.depth_per_gamma
+
+    def eps(gamma: float) -> float:
+        dephasing = math.exp(-(gamma * total_time) ** 2)
+        absorption = (1.0 - math.exp(-depth_per_gamma * gamma)) ** 2
+        return dephasing * absorption
+    return eps
 
 
 def epsilon(model: EfficiencyModel) -> float:
     """Recall efficiency: dephasing envelope times absorption completeness."""
-    dephasing = math.exp(-(model.gamma_param * model.total_time) ** 2)
-    absorption = (1.0 - math.exp(-model.effective_depth)) ** 2
-    return dephasing * absorption
+    return _curve(model)(model.gamma_param)
 
 
 def alpha_eff(protocol: str, alpha0: float, ratio: float) -> float:
@@ -104,17 +110,14 @@ def sweep_gamma(protocol: str, alpha0L: float, gamma_grid,
 
     Returns an (n, 2) array of (gamma, efficiency) rows.
     """
-    p = _normalize_protocol(protocol)
+    curve = _curve(EfficiencyModel(protocol, alpha0L, 0.0, total_time))
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("gamma_grid must be a non-empty 1-d array")
-    if np.any(np.diff(grid) <= 0):
-        raise ValidationError("gamma_grid must be strictly increasing")
-    if grid[0] < 0 or grid[-1] > 1.0:
-        raise ValidationError("gamma_grid must lie within [0, 1]")
-    eps = np.array([
-        epsilon(EfficiencyModel(p, alpha0L, g, total_time)) for g in grid])
-    return np.column_stack([grid, eps])
+    # written so that a nan anywhere fails it too
+    if not (np.all(np.diff(grid) > 0) and 0.0 <= grid[0] and grid[-1] <= 1.0):
+        raise ValidationError("gamma_grid must increase strictly in [0, 1]")
+    return np.column_stack([grid, [curve(g) for g in grid.tolist()]])
 
 
 def optimal_gamma(protocol: str, alpha0L: float,
@@ -122,36 +125,28 @@ def optimal_gamma(protocol: str, alpha0L: float,
                   tol: float = 1e-10) -> tuple[float, float]:
     """Interior maximizer of efficiency over gamma in (0, 1].
 
-    Coarse scan to bracket, then golden-section refinement; the efficiency
-    at the returned point is converged well below 1e-8.  A maximum pinned
-    to the gamma = 1 boundary raises the NoInteriorMaximum warning and is
-    returned anyway.  Unimodality is checked via the discrete second
-    difference at the scan peak.
+    With a the depth per unit gamma, d(log eps)/d(gamma) vanishes where
+    gamma T^2 (e^{a gamma} - 1) = a; the left side increases strictly
+    from 0, so eps has one stationary point, a maximum.  The peak of a
+    4001-point scan therefore brackets it between its neighbours, and
+    golden section refines it to an efficiency converged well below
+    1e-8.  A maximum on the gamma = 1 boundary (so always for T = 0)
+    raises the NoInteriorMaximum warning and is returned anyway.
     """
-    if alpha0L <= 0:
+    if not alpha0L > 0:
         raise ValidationError("alpha0L must be > 0")
-    p = _normalize_protocol(protocol)
-
-    def f(g):
-        return epsilon(EfficiencyModel(p, alpha0L, g, total_time))
-
+    model = EfficiencyModel(protocol, alpha0L, 0.0, total_time)
+    f = _curve(model)
     grid = np.linspace(0.0, 1.0, 4001)
-    vals = np.array([f(g) for g in grid])
+    vals = np.array([f(g) for g in grid.tolist()])
     k = int(np.argmax(vals))
     if k == len(grid) - 1:
         warnings.warn(
-            f"efficiency maximum for {p} at alpha0L={alpha0L} sits on the "
-            "gamma = 1 boundary", NoInteriorMaximum)
+            f"efficiency maximum for {model.protocol} at alpha0L={alpha0L} "
+            "sits on the gamma = 1 boundary", NoInteriorMaximum)
         return 1.0, float(vals[-1])
-    if 0 < k < len(grid) - 1:
-        second = vals[k + 1] - 2.0 * vals[k] + vals[k - 1]
-        if second > 0:
-            warnings.warn(
-                "efficiency not locally concave at the scan peak; result "
-                "may not be the global maximum", NoInteriorMaximum)
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    g_star, eps_star = golden_section_max(f, lo, hi, tol=tol)
+    g_star, eps_star = golden_section_max(f, grid[max(k - 1, 0)],
+                                          grid[k + 1], tol=tol)
     return float(g_star), float(eps_star)
 
 
@@ -161,15 +156,14 @@ def write_sweep_csv(path: str, traces: dict, total_time: float | None = None
 
     Appends a comment row per trace with its optimal point.
     """
-    rows = []
+    lines = ["protocol,alpha0L,gamma,epsilon"]
     comments = []
     for (protocol, alpha0L), table in traces.items():
-        p = _normalize_protocol(protocol)
-        for g, e in np.asarray(table):
-            rows.append((p, fmt_float(alpha0L), fmt_float(g), fmt_float(e)))
+        p, alpha_cell = _normalize_protocol(protocol), fmt_float(alpha0L)
+        lines.extend(f"{p},{alpha_cell},{g:.17g},{e:.17g}" for g, e in
+                     np.asarray(table, dtype=float).tolist())
         g_star, eps_star = optimal_gamma(p, alpha0L, total_time)
         comments.append(
-            f"optimal {p} alpha0L={fmt_float(alpha0L)} "
+            f"# optimal {p} alpha0L={alpha_cell} "
             f"gamma={fmt_float(g_star)} epsilon={fmt_float(eps_star)}")
-    write_csv_atomic(path, header=("protocol", "alpha0L", "gamma", "epsilon"),
-                     rows=rows, comments=comments)
+    write_text_atomic(path, "\n".join(lines + comments) + "\n")

@@ -126,18 +126,3 @@ def write_text_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_csv_atomic(path: str, header: list[str], rows, comments=()) -> None:
-    """CSV with '.' decimals, comma delimiter, one header row, atomic write.
-
-    rows yield sequences of floats/strings; comments are appended verbatim
-    as '#'-prefixed lines.
-    """
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else fmt_float(cell) for cell in row))
-    for comment in comments:
-        lines.append("# " + comment)
-    write_text_atomic(path, "\n".join(lines) + "\n")

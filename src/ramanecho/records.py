@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PhysicalityViolation, ZeroInputEnergy
-from .numerics import fmt_float, trapezoid_energy, write_csv_atomic, \
-    write_text_atomic
+from .numerics import fmt_float, trapezoid_energy, write_text_atomic
 
 # |Omega|^2 below this fraction of its peak is treated as control-off when
 # undressing zeta into the physical envelope
@@ -191,6 +190,7 @@ def write_envelope_csv(path: str, tau, z_value: float, envelope) -> None:
     """Single-face field snapshot, columns (tau, z, re_zeta, im_zeta)."""
     tau = np.asarray(tau, dtype=float)
     env = np.asarray(envelope, dtype=complex)
-    rows = ((t, z_value, v.real, v.imag) for t, v in zip(tau, env))
-    write_csv_atomic(path, header=("tau", "z", "re_zeta", "im_zeta"),
-                     rows=rows)
+    lines = ["tau,z,re_zeta,im_zeta"] + [
+        ",".join(map(fmt_float, (t, z_value, v.real, v.imag)))
+        for t, v in zip(tau, env)]
+    write_text_atomic(path, "\n".join(lines) + "\n")

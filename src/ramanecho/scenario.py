@@ -396,6 +396,13 @@ def stage_setups(sc: Scenario
     reading onset, i.e. stage-1 times are shifted by the mirror anchor
     (mirror mode) or by control1 switch-off (explicit stage-2 control).
     """
+    # the model squares these: refuse here, by key, what would overflow
+    for section, key in (("ensemble", "width"), ("probe", "duration"),
+                         ("control1", "detuning"), ("control2", "detuning")):
+        value = getattr(getattr(sc, section), key)
+        if value is not None and not math.isfinite(value * value):
+            raise ValidationError(f"[{section}] {key} = {value!r} overflows "
+                                  "a float when squared")
     ens = build_ensemble(sc)
     med = build_medium(sc, ens)
     probe = build_probe(sc)

@@ -82,6 +82,12 @@ def test_model_validation():
         EfficiencyModel("recrib", 1.0, -0.1)
     with pytest.raises(ValidationError):
         EfficiencyModel("crib", 1.0, 0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("alpha0L", "gamma_param", "total_time"):
+            values = {"alpha0L": 50.0, "gamma_param": 0.05,
+                      "total_time": 8.0, field: bad}
+            with pytest.raises(ValidationError, match=field):
+                EfficiencyModel("recrib", **values)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +135,30 @@ def test_sweep_grid_validation():
         sweep_gamma("recrib", 50.0, [0.2, 0.1])
     with pytest.raises(ValidationError):
         sweep_gamma("recrib", 50.0, [0.5, 1.2])
+    for bad_grid in ([0.1, math.nan, 0.3], [math.nan], [0.1, math.inf]):
+        with pytest.raises(ValidationError):
+            sweep_gamma("recrib", 50.0, bad_grid)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweep_and_optimum_refuse_non_finite_inputs(bad):
+    for kwargs in ({"alpha0L": bad}, {"alpha0L": 50.0, "total_time": bad}):
+        with pytest.raises(ValidationError):
+            sweep_gamma("reafc", gamma_grid=[0.1, 0.2], **kwargs)
+        with pytest.raises(ValidationError):
+            optimal_gamma("reafc", **kwargs)
+
+
+@pytest.mark.parametrize("total_time", [None, 3.7])
+@pytest.mark.parametrize("protocol", ["recrib", "reafc"])
+def test_sweep_rows_equal_scalar_epsilon_exactly(protocol, total_time):
+    grid = np.concatenate([np.linspace(0.0, 1.0, 1001)[:-1],
+                           np.geomspace(0.9995, 1.0, 7)])
+    table = sweep_gamma(protocol, 137.5, grid, total_time=total_time)
+    assert table[:, 0].tolist() == grid.tolist()
+    assert table[:, 1].tolist() == [
+        epsilon(EfficiencyModel(protocol, 137.5, g, total_time))
+        for g in grid]
 
 
 def test_sweep_matches_scalar_evaluation():
@@ -147,6 +177,25 @@ def test_optimal_points_match_frozen_oracle():
         g_star, eps_star = optimal_gamma(protocol, alpha0L)
         assert eps_star == pytest.approx(eps_ref, abs=OPT_EPS_TOL)
         assert g_star == pytest.approx(g_ref, abs=OPT_GAMMA_TOL)
+
+
+# the optimum comment lines of the default `ramanecho sweep`, as recorded
+# in SWEEP_OPTIMA of perfbench/workloads.py: (gamma*, epsilon*)
+SWEEP_OPTIMA = {
+    ("recrib", 50.0): (0.054576391005673755, 0.72203567970400384),
+    ("recrib", 200.0): (0.024318516562079437, 0.94804569127075644),
+    ("recrib", 1000.0): (0.0076256040980142541, 0.99531358706241757),
+    ("reafc", 50.0): (0.035861230536962094, 0.9293817392029976),
+    ("reafc", 200.0): (0.013638680279658956, 0.99055448240104227),
+    ("reafc", 1000.0): (0.0038717546356832368, 0.99928650072715552),
+}
+
+
+def test_default_optima_match_the_recorded_sweep():
+    for (protocol, alpha0L), (g_ref, eps_ref) in SWEEP_OPTIMA.items():
+        g_star, eps_star = optimal_gamma(protocol, alpha0L)
+        assert g_star == pytest.approx(g_ref, rel=1e-12, abs=0)
+        assert eps_star == pytest.approx(eps_ref, rel=1e-12, abs=0)
 
 
 def test_peak_efficiency_grows_with_depth():

@@ -389,7 +389,8 @@ def test_check_survives_bad_values_of_every_key(tmp_path, capsys, name,
 
 
 # the first five are refused where the value enters, with a message of
-# their own; the rest overflow a float and may be internal errors
+# their own; the parser refuses the rest, whose squares overflow a float
+# (test_overflowing_scenario_number_names_its_key pins their message)
 @pytest.mark.parametrize("section,key,value,own_message", [
     ("medium", "length", "0", True), ("probe", "duration", "0", True),
     ("matching", "omega1", "0", True), ("control1", "rabi", "1e300", True),
@@ -412,6 +413,28 @@ def test_simulate_refuses_extreme_values_on_one_line(tmp_path, capsys,
     if own_message:
         assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
+# a number whose square overflows a float is refused by the parser,
+# naming its key, instead of overflowing later as an OverflowError
+@pytest.mark.parametrize("section,key,value", [
+    ("ensemble", "width", "1e300"), ("probe", "duration", "1e300"),
+    ("control1", "detuning", "1e300"), ("control1", "detuning", "-1e300"),
+    ("control2", "detuning", "1e300"), ("control2", "detuning", "-1e300")])
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_overflowing_scenario_number_names_its_key(tmp_path, capsys, command,
+                                                   section, key, value):
+    path = _write_with_value(tmp_path, "recrib_ideal", section, key, value)
+    out_dir = tmp_path / "out"
+    argv = [command, path] + (["--out", str(out_dir)]
+                              if command == "simulate" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: [{section}] {key} = ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not out_dir.exists()
 
 
@@ -454,6 +477,37 @@ def test_sweep_six_traces_deterministic(tmp_path, capsys):
     data_rows = [line for line in first.decode().splitlines()
                  if line and not line.startswith(("#", "protocol"))]
     assert len(data_rows) == 6 * 101
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--alpha0L", "nan"), ("--alpha0L", "inf"), ("--alpha0L", "50,nan"),
+    ("--total-time", "nan"), ("--total-time", "inf"),
+    ("--gamma", "0:1:nan"), ("--gamma", "0:inf:0.1")])
+def test_sweep_refuses_non_finite_arguments(tmp_path, capsys, option, value):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", option, value, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert option in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_default_sweep_builds_two_models_per_trace(tmp_path, capsys,
+                                                   monkeypatch):
+    built = []
+    post_init = EfficiencyModel.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(EfficiencyModel, "__post_init__", counted)
+    assert main(["sweep", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert "6 traces" in capsys.readouterr().out
+    assert len(built) <= 2 * 6
 
 
 def test_bad_arguments_exit_1(capsys):
