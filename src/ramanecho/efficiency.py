@@ -160,8 +160,8 @@ def write_sweep_csv(path: str, traces: dict, total_time: float | None = None
     comments = []
     for (protocol, alpha0L), table in traces.items():
         p, alpha_cell = _normalize_protocol(protocol), fmt_float(alpha0L)
-        lines.extend(f"{p},{alpha_cell},{g:.17g},{e:.17g}" for g, e in
-                     np.asarray(table, dtype=float).tolist())
+        lines.extend(f"{p},{alpha_cell},{fmt_float(g)},{fmt_float(e)}"
+                     for g, e in np.asarray(table, dtype=float).tolist())
         g_star, eps_star = optimal_gamma(p, alpha0L, total_time)
         comments.append(
             f"# optimal {p} alpha0L={alpha_cell} "

@@ -293,6 +293,14 @@ def write_scenario(scenario: Scenario, path: str) -> None:
 # builders: scenario sections to core objects
 # ---------------------------------------------------------------------------
 
+def _squarable(section: str, key: str, value: float) -> float:
+    """value, refused by key when the model's square of it overflows."""
+    if not math.isfinite(value * value):
+        raise ValidationError(f"[{section}] {key} = {value!r} overflows "
+                              "a float when squared")
+    return value
+
+
 def build_ensemble(sc: Scenario) -> EnsembleSpec:
     e = sc.ensemble
     if e.shape == "comb":
@@ -300,7 +308,9 @@ def build_ensemble(sc: Scenario) -> EnsembleSpec:
                                    tooth_width=e.tooth_width,
                                    n_lines=e.n_lines,
                                    nodes_per_tooth=e.nodes_per_tooth)
-    return build_gaussian_ensemble(width=e.width, n_nodes=e.n_nodes,
+    return build_gaussian_ensemble(width=_squarable("ensemble", "width",
+                                                    e.width),
+                                   n_nodes=e.n_nodes,
                                    rule=e.rule, width_21=e.width_21,
                                    n_nodes_21=e.n_nodes_21)
 
@@ -316,17 +326,23 @@ def build_medium(sc: Scenario, ensemble: EnsembleSpec) -> MediumSpec:
 
 def build_probe(sc: Scenario) -> ProbeSpec:
     p = sc.probe
-    return ProbeSpec.gaussian(center=p.center, duration=p.duration,
+    return ProbeSpec.gaussian(center=p.center,
+                              duration=_squarable("probe", "duration",
+                                                  p.duration),
                               amplitude_scale=p.amplitude_scale)
 
 
 def build_controls(sc: Scenario) -> tuple[ControlProfile, ControlProfile]:
     c1 = sc.control1
-    ctl1 = ControlProfile.flat_top(rabi=c1.rabi, detuning=c1.detuning,
+    ctl1 = ControlProfile.flat_top(rabi=c1.rabi,
+                                   detuning=_squarable("control1", "detuning",
+                                                       c1.detuning),
                                    switch_on=c1.switch_on,
                                    switch_off=c1.switch_off,
                                    rise_time=c1.rise_time)
     c2 = sc.control2
+    if c2.detuning is not None:
+        _squarable("control2", "detuning", c2.detuning)
     if c2.mode == "mirror":
         anchor = c1.switch_off if c2.anchor is None else c2.anchor
         detuning = -c1.detuning if c2.detuning is None else c2.detuning
@@ -396,13 +412,6 @@ def stage_setups(sc: Scenario
     reading onset, i.e. stage-1 times are shifted by the mirror anchor
     (mirror mode) or by control1 switch-off (explicit stage-2 control).
     """
-    # the model squares these: refuse here, by key, what would overflow
-    for section, key in (("ensemble", "width"), ("probe", "duration"),
-                         ("control1", "detuning"), ("control2", "detuning")):
-        value = getattr(getattr(sc, section), key)
-        if value is not None and not math.isfinite(value * value):
-            raise ValidationError(f"[{section}] {key} = {value!r} overflows "
-                                  "a float when squared")
     ens = build_ensemble(sc)
     med = build_medium(sc, ens)
     probe = build_probe(sc)

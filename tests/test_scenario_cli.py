@@ -388,10 +388,10 @@ def test_check_survives_bad_values_of_every_key(tmp_path, capsys, name,
         assert "Traceback" not in err, where
 
 
-# the first five are refused where the value enters, with a message of
-# their own; the parser refuses the rest, whose squares overflow a float
-# (test_overflowing_scenario_number_names_its_key pins their message)
-@pytest.mark.parametrize("section,key,value,own_message", [
+# every value is refused with an error line of its own; bare_message is
+# False where the scenario builders refuse a number whose square would
+# overflow a float, and the line then names its key and value
+@pytest.mark.parametrize("section,key,value,bare_message", [
     ("medium", "length", "0", True), ("probe", "duration", "0", True),
     ("matching", "omega1", "0", True), ("control1", "rabi", "1e300", True),
     ("control1", "rabi", "-1e300", True),
@@ -403,39 +403,46 @@ def test_check_survives_bad_values_of_every_key(tmp_path, capsys, name,
     ("control2", "detuning", "-1e300", False)])
 def test_simulate_refuses_extreme_values_on_one_line(tmp_path, capsys,
                                                      section, key, value,
-                                                     own_message):
+                                                     bare_message):
     path = _write_with_value(tmp_path, "recrib_ideal", section, key, value)
     out_dir = tmp_path / "out"
     code = main(["simulate", path, "--out", str(out_dir)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.count("\n") == 1
-    if own_message:
-        assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ")
+    if not bare_message:
+        assert captured.err.startswith(f"error: [{section}] {key} = ")
     assert "Traceback" not in captured.err
     assert not out_dir.exists()
 
 
-# a number whose square overflows a float is refused by the parser,
-# naming its key, instead of overflowing later as an OverflowError
+# check refuses the same overflowing numbers in the same words, since the
+# builders it shares with simulate are where they are read
 @pytest.mark.parametrize("section,key,value", [
     ("ensemble", "width", "1e300"), ("probe", "duration", "1e300"),
     ("control1", "detuning", "1e300"), ("control1", "detuning", "-1e300"),
     ("control2", "detuning", "1e300"), ("control2", "detuning", "-1e300")])
-@pytest.mark.parametrize("command", ["simulate", "check"])
-def test_overflowing_scenario_number_names_its_key(tmp_path, capsys, command,
+def test_overflowing_scenario_number_names_its_key(tmp_path, capsys,
                                                    section, key, value):
     path = _write_with_value(tmp_path, "recrib_ideal", section, key, value)
-    out_dir = tmp_path / "out"
-    argv = [command, path] + (["--out", str(out_dir)]
-                              if command == "simulate" else [])
-    code = main(argv)
+    code = main(["check", path])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith(f"error: [{section}] {key} = ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
-    assert not out_dir.exists()
+
+
+def test_comb_ensemble_ignores_an_overflowing_gaussian_width(tmp_path,
+                                                             capsys):
+    """A comb never reads [ensemble] width, so no value of it is refused."""
+    assert main(["check", bundled("reafc_weak")]) == 0
+    expected = capsys.readouterr()
+    path = _write_with_value(tmp_path, "reafc_weak", "ensemble", "width",
+                             "1e300")
+    assert main(["check", path]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_check_exit_codes_and_blocked_line(capsys):
