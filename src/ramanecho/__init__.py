@@ -24,7 +24,6 @@ from .core import (
     ProbeSpec,
     build_comb_ensemble,
     build_gaussian_ensemble,
-    reconstruct_excited_coherences,
 )
 from .efficiency import (
     EfficiencyModel,
@@ -83,7 +82,6 @@ __all__ = [
     "optimal_gamma",
     "parse_scenario",
     "recall_weak",
-    "reconstruct_excited_coherences",
     "run_retrieval",
     "run_scenario",
     "run_storage",

@@ -27,6 +27,9 @@ from .numerics import fmt_float, write_text_atomic
 from .runs import run_scenario, scenario_report, write_outputs
 from .scenario import default_scenario, dump_scenario, load_scenario
 
+# the most points a --gamma grid may have: a step of 1e-6 across [0, 1]
+MAX_GAMMA_POINTS = 1_000_001
+
 
 def finite_float(text: str) -> float:
     """A finite float, for argparse's `type=`; refuses nan and inf."""
@@ -58,6 +61,12 @@ def parse_gamma_range(text: str) -> np.ndarray:
         raise ArgumentError("--gamma step must be positive")
     if stop < start:
         raise ArgumentError("--gamma stop must be at least start")
+    # a float, so that a subnormal step (count inf) is refused as well
+    count = (stop - start) / step + 1.0
+    if not count <= MAX_GAMMA_POINTS:
+        raise ArgumentError(
+            f"--gamma {text!r} gives {count:.3g} points, more than "
+            f"{MAX_GAMMA_POINTS}")
     n = int((stop - start) / step + 0.5) + 1
     values = start + step * np.arange(n)
     # the rounded count can overshoot stop by one float ulp chain

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ControlProfile, EnsembleSpec, ProbeSpec
+from .core import ControlProfile, EnsembleSpec, ProbeSpec, require_finite
 from .errors import NonCausalEcho, ValidationError
 
 ALGEBRAIC_TOL = 1e-9
@@ -55,6 +55,8 @@ class PhaseMatching:
     light_speed: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "K1z", "K2z", "omega1", "omega2", "n1", "n2",
+                       "light_speed")
         if self.light_speed <= 0:
             raise ValidationError("light_speed must be > 0")
         if self.n1 < 1.0 or self.n2 < 1.0:
@@ -146,6 +148,7 @@ class ProtocolConfig:
     invert_delta31: bool = True
 
     def __post_init__(self):
+        require_finite(self, "t1", "t2", "comb_spacing")
         if self.protocol not in ("recrib", "reafc"):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "reafc":
@@ -181,6 +184,9 @@ class StageSetup:
     matching: PhaseMatching | None = None
     beta: float = 1.0
     clock_offset: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self, "beta", "clock_offset")
 
     def shared_rabi(self, tau_shared):
         return self.control.rabi(np.asarray(tau_shared) + self.clock_offset)

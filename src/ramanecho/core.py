@@ -25,7 +25,6 @@ from .errors import (
     DetuningTooSmall,
     EvenLineCount,
     NonPositiveWidth,
-    ResonantSingularity,
     StepTooCoarse,
     TooFewNodes,
     UnresolvedComb,
@@ -45,6 +44,15 @@ DETUNING_FACTOR = 10.0
 
 class CombEnvelopeWarning(UserWarning):
     """Comb envelope wider than the comb itself: edge teeth are truncated."""
+
+
+def require_finite(obj, *names: str) -> None:
+    """Refuse a nan or infinite value in any of the named fields; None
+    (an optional field left out) passes."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,71 +98,32 @@ def raised_cosine_envelope(on: float, off: float, rise: float) -> Callable:
 
 @dataclass(frozen=True)
 class MediumSpec:
-    """Propagation medium: composite coupling, geometry, and optical depth.
+    """Propagation medium: composite coupling and slab length.
 
-    coupling_beta has units frequency/length; alpha0 is the on-resonance
-    energy absorption coefficient ``beta * sqrt(pi/2) / natural_width_31``.
-    Per-field refractive index and group velocity are (probe, echo) pairs;
-    a scalar is broadcast to both fields.
+    coupling_beta has units frequency/length; a Gaussian 31 line of std
+    width w has the on-resonance energy absorption coefficient
+    alpha0 = beta * sqrt(pi/2) / w.
     """
 
     coupling_beta: float
     length_L: float
-    refractive_index_n: tuple[float, float] = (1.0, 1.0)
-    group_velocity_v: tuple[float, float] = (1.0, 1.0)
-    alpha0: float | None = None
 
     def __post_init__(self):
+        require_finite(self, "coupling_beta", "length_L")
         if self.coupling_beta <= 0:
             raise ValidationError("coupling_beta must be > 0")
         if self.length_L <= 0:
             raise ValidationError("length_L must be > 0")
-        for name in ("refractive_index_n", "group_velocity_v"):
-            val = getattr(self, name)
-            if np.isscalar(val):
-                val = (float(val), float(val))
-                object.__setattr__(self, name, val)
-            else:
-                object.__setattr__(self, name, (float(val[0]), float(val[1])))
-        n1, n2 = self.refractive_index_n
-        if n1 < 1.0 or n2 < 1.0:
-            raise ValidationError("refractive indexes must be >= 1")
-        v1, v2 = self.group_velocity_v
-        if v1 <= 0 or v2 <= 0:
-            raise ValidationError("group velocities must be > 0")
-        if self.alpha0 is not None and self.alpha0 < 0:
-            raise ValidationError("alpha0 must be >= 0")
-
-    def derived_alpha0(self, natural_width_31: float) -> float:
-        """alpha0 from beta and the natural 31 linewidth (std dev)."""
-        if natural_width_31 <= 0:
-            raise NonPositiveWidth("natural width must be > 0")
-        return self.coupling_beta * math.sqrt(math.pi / 2.0) / natural_width_31
-
-    def resolve_alpha0(self, natural_width_31: float) -> float:
-        """Stored alpha0 when supplied (validated), else derived.
-
-        When both alpha0 and the width are given they must agree to 1e-12
-        relative.
-        """
-        derived = self.derived_alpha0(natural_width_31)
-        if self.alpha0 is None:
-            return derived
-        if abs(self.alpha0 - derived) > 1e-12 * max(abs(derived), 1.0):
-            raise ValidationError(
-                f"alpha0 {self.alpha0!r} inconsistent with beta and width "
-                f"(derived {derived!r})")
-        return self.alpha0
 
     @classmethod
     def from_alpha_eff(cls, alpha_eff_L: float, line_width_31: float,
-                       length_L: float = 1.0, **kw) -> "MediumSpec":
+                       length_L: float = 1.0) -> "MediumSpec":
         """Medium whose line-center energy transmission is exp(-alpha_eff_L)
         for a Gaussian 31 line of the given width."""
         if length_L <= 0:
             raise ValidationError("length_L must be > 0")
         beta = alpha_eff_L * line_width_31 / (math.sqrt(math.pi / 2.0) * length_L)
-        return cls(coupling_beta=beta, length_L=length_L, **kw)
+        return cls(coupling_beta=beta, length_L=length_L)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +148,7 @@ class EnsembleSpec:
     comb_spacing: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "comb_spacing")
         if self.shape not in ("gaussian", "comb"):
             raise ValidationError(f"unknown ensemble shape {self.shape!r}")
         n = np.shape(self.weights)
@@ -190,6 +160,8 @@ class EnsembleSpec:
             if arr.ndim != 1 or arr.shape != n:
                 raise ValidationError(
                     "node arrays must be one-dimensional and of one length")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.any(self.weights < 0):
@@ -384,6 +356,8 @@ class ControlProfile:
     probe_bandwidth: float | None = None
 
     def __post_init__(self):
+        require_finite(self, "one_photon_detuning", "carrier", "switch_on",
+                       "switch_off", "probe_bandwidth")
         if self.one_photon_detuning == 0:
             raise ValidationError("one_photon_detuning must be non-zero")
         if self.switch_off <= self.switch_on:
@@ -413,10 +387,6 @@ class ControlProfile:
         """(Omega, f) at one time, from a single envelope evaluation."""
         rabi = self.rabi(s)
         return rabi, float(self._f_of(rabi))
-
-    def stark_shift(self, tau):
-        """Delta_nu^s(tau) = Delta_nu f_nu(tau)."""
-        return self.one_photon_detuning * self.f(tau)
 
     def sample_step(self, s: float, dt: float) -> "StepSample":
         """The control on the Simpson points of the step [s, s + dt]."""
@@ -496,6 +466,8 @@ class ProbeSpec:
     amplitude_scale: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "carrier", "duration", "spectral_width",
+                       "amplitude_scale")
         if self.amplitude_scale < 0:
             raise ValidationError("amplitude_scale must be >= 0")
         dt, dw = self.duration, self.spectral_width
@@ -524,47 +496,6 @@ class ProbeSpec:
     def sample(self, tau):
         return np.asarray(self.envelope(tau), dtype=complex)
 
-    def measured_spectral_width(self, window: tuple[float, float],
-                                n_samples: int = 4096) -> float:
-        """Gaussian-equivalent RMS bandwidth of the sampled envelope.
-
-        sqrt(2) x the rms width of |A(omega)|^2, so a Gaussian of duration
-        dt measures exactly 1/dt.
-        """
-        t0, t1 = window
-        tau = np.linspace(t0, t1, n_samples, endpoint=False)
-        a = self.sample(tau)
-        spec = np.abs(np.fft.fft(a)) ** 2
-        omega = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=tau[1] - tau[0])
-        total = spec.sum()
-        if total == 0:
-            raise ValidationError("probe envelope is identically zero")
-        mean = (omega * spec).sum() / total
-        var = (((omega - mean) ** 2) * spec).sum() / total
-        return float(math.sqrt(2.0 * var))
-
-    def validate_spectral_width(self, window: tuple[float, float],
-                                tolerance: float = 0.05) -> float:
-        measured = self.measured_spectral_width(window)
-        if abs(measured - self.spectral_width) > tolerance * self.spectral_width:
-            raise ValidationError(
-                f"declared spectral width {self.spectral_width} differs from "
-                f"measured {measured} by more than {tolerance:.0%}")
-        return measured
-
-    def validate_support(self, window: tuple[float, float],
-                         n_samples: int = 4096) -> None:
-        """Require compact numerical support inside the stage window."""
-        t0, t1 = window
-        tau = np.linspace(t0, t1, n_samples)
-        a = np.abs(self.sample(tau))
-        peak = a.max()
-        if peak == 0:
-            return
-        if a[0] > SUPPORT_FLOOR * peak or a[-1] > SUPPORT_FLOOR * peak:
-            raise ValidationError(
-                "probe envelope does not vanish inside the stage window")
-
 
 # ---------------------------------------------------------------------------
 # grids
@@ -587,6 +518,7 @@ class Grid:
     length: float
 
     def __post_init__(self):
+        require_finite(self, "t_end", "length")
         if self.n_tau < 2 or self.n_z < 2:
             raise ValidationError("n_tau and n_z must be >= 2")
         if self.t_end <= 0 or self.length <= 0:
@@ -628,30 +560,3 @@ class Grid:
         return Grid(n_tau=(self.n_tau - 1) * factor + 1,
                     n_z=(self.n_z - 1) * factor + 1,
                     t_end=self.t_end, length=self.length)
-
-
-# ---------------------------------------------------------------------------
-# adiabatic-elimination diagnostic
-# ---------------------------------------------------------------------------
-
-def reconstruct_excited_coherences(field_amplitude, rabi, r12, r11,
-                                   one_photon_detuning: float,
-                                   delta31):
-    """Excited-state coherences slaved to the slow variables.
-
-    field_amplitude is the unscaled g*A (not zeta), so the expression is
-    regular when the control vanishes.  Returns (R13, R32); both are
-    diagnostics and never fed back into the integrators.
-    """
-    denom = one_photon_detuning + np.asarray(delta31, dtype=float)
-    if np.any(np.abs(denom) < 1e-6 * abs(one_photon_detuning)):
-        raise ResonantSingularity(
-            "Delta_nu + delta31 vanished: node crosses the one-photon "
-            "resonance")
-    ga = np.asarray(field_amplitude, dtype=complex)
-    om = np.asarray(rabi, dtype=complex)
-    r12 = np.asarray(r12, dtype=complex)
-    r11 = np.asarray(r11, dtype=float)
-    r13 = (ga * r11 + om * r12) / denom
-    r32 = (np.conj(ga) * r12 + np.conj(om) * (1.0 - r11)) / denom
-    return r13, r32

@@ -130,10 +130,6 @@ class EchoRecord:
                                 self.tau_echo[1] - self.tau_echo[0])
 
     @property
-    def efficiency(self) -> float:
-        return measure_efficiency(self)[0]
-
-    @property
     def echo_peak_time(self) -> float:
         """Energy centroid of the echo on the stage-2 clock."""
         return centroid(self.tau_echo, self.echo_envelope)

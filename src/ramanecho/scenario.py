@@ -30,7 +30,6 @@ from .core import (
     build_gaussian_ensemble,
 )
 from .errors import ParseError, ValidationError
-from .numerics import write_text_atomic
 
 REGIMES = ("weak", "strong")
 CONTROL2_MODES = ("mirror", "flat_top")
@@ -285,10 +284,6 @@ def dump_scenario(scenario: Scenario) -> str:
     return "\n".join(lines)
 
 
-def write_scenario(scenario: Scenario, path: str) -> None:
-    write_text_atomic(path, dump_scenario(scenario))
-
-
 # ---------------------------------------------------------------------------
 # builders: scenario sections to core objects
 # ---------------------------------------------------------------------------
@@ -334,7 +329,8 @@ def build_probe(sc: Scenario) -> ProbeSpec:
 
 def build_controls(sc: Scenario) -> tuple[ControlProfile, ControlProfile]:
     c1 = sc.control1
-    ctl1 = ControlProfile.flat_top(rabi=c1.rabi,
+    ctl1 = ControlProfile.flat_top(rabi=_squarable("control1", "rabi",
+                                                   c1.rabi),
                                    detuning=_squarable("control1", "detuning",
                                                        c1.detuning),
                                    switch_on=c1.switch_on,
@@ -350,7 +346,9 @@ def build_controls(sc: Scenario) -> tuple[ControlProfile, ControlProfile]:
     else:
         if c2.detuning is None:
             raise ValidationError("[control2] flat_top needs a detuning")
-        ctl2 = ControlProfile.flat_top(rabi=c2.rabi, detuning=c2.detuning,
+        ctl2 = ControlProfile.flat_top(rabi=_squarable("control2", "rabi",
+                                                       c2.rabi),
+                                       detuning=c2.detuning,
                                        switch_on=c2.switch_on,
                                        switch_off=c2.switch_off,
                                        rise_time=c2.rise_time)

@@ -115,7 +115,7 @@ class SimulationState:
     step_index: int
     z: np.ndarray
     c_factors: np.ndarray       # (n_node,)
-    boundary: Callable          # (tau, psi) -> incoming scaled field
+    boundary: Callable          # (tau, psi, Omega(tau)) -> incoming field
     accumulated_psi: float = 0.0
     zeta_scale: float = 0.0
     row_current: bool = False
@@ -144,7 +144,7 @@ class SimulationState:
             raise ValidationError(
                 f"initial atomic arrays must have shape {shape}")
         if boundary is None:
-            boundary = lambda s, psi: 0.0 + 0.0j
+            boundary = lambda s, psi, rabi: 0.0 + 0.0j
         return cls(
             zeta_t=np.zeros((grid.n_tau, grid.n_z), dtype=complex),
             r12=r12, r11=r11, stage=stage, clock=0.0, step_index=0,
@@ -230,7 +230,8 @@ def field_row(state: SimulationState, ensemble: EnsembleSpec,
     boundary at the far face toward the exit at Z = 0 (the slab is
     flipped, solved forward, and flipped back).  sampled is the
     (Omega(s), f(s)) pair when the caller has already sampled the
-    control at s; otherwise control is evaluated here.
+    control at s; otherwise control is evaluated here.  The boundary
+    gets the same Omega(s).
     """
     rabi_s, f_s = control.at(s) if sampled is None else sampled
     b11, b12 = ensemble_kernels(state, ensemble, r12, r11)
@@ -238,10 +239,7 @@ def field_row(state: SimulationState, ensemble: EnsembleSpec,
     beta = medium.coupling_beta
     a = (0.5j * beta * sgn / control.one_photon_detuning) * b11
     source = (0.5j * beta * f_s) * b12
-    if isinstance(state.boundary, ProbeBoundary):
-        incoming = complex(state.boundary(s, psi, rabi_s))
-    else:
-        incoming = complex(state.boundary(s, psi))
+    incoming = complex(state.boundary(s, psi, rabi_s))
     if sgn > 0:
         row = _solve_field_ode(a, source, state.dz, incoming)
     else:
@@ -332,21 +330,6 @@ def _lawson_step(state: SimulationState, ensemble: EnsembleSpec,
     state.assert_physical()
 
 
-def advance_field(state: SimulationState, ensemble: EnsembleSpec,
-                  medium: MediumSpec, control: ControlProfile) -> np.ndarray:
-    """Re-solve the field at the current clock from the current atoms.
-
-    Records the row at the current step index and returns it.  Together
-    with advance_atoms this is the plain operator-split step; the run
-    drivers use the fully coupled advance_strong instead.
-    """
-    row = field_row(state, ensemble, medium, control, state.clock,
-                    state.accumulated_psi, state.r12, state.r11)
-    state.zeta_t[state.step_index] = row
-    state.zeta_scale = max(state.zeta_scale, float(np.max(np.abs(row))))
-    return row
-
-
 def advance_atoms(state: SimulationState, ensemble: EnsembleSpec,
                   control: ControlProfile, dt: float) -> SimulationState:
     """One frozen-field atomic step: the row recorded at the current step
@@ -395,19 +378,15 @@ def advance_strong(state: SimulationState, ensemble: EnsembleSpec,
 class ProbeBoundary:
     """Scaled input field at the entry face.
 
-    The physical envelope is dressed by conj(Omega) and carries the
-    control Stark chirp exp(+i psi), which keeps the probe centered on
-    the shifted line while the control is on.  Called as boundary(s, psi)
-    it samples the control; the stepper passes the Omega(s) it already
-    sampled as rabi.
+    The physical envelope is dressed by conj(rabi), the control Omega(s)
+    that field_row sampled, and carries the control Stark chirp
+    exp(+i psi), which keeps the probe centered on the shifted line while
+    the control is on.
     """
 
     probe: ProbeSpec
-    control: ControlProfile
 
-    def __call__(self, s, psi, rabi=None):
-        if rabi is None:
-            rabi = self.control.rabi(s)
+    def __call__(self, s, psi, rabi):
         scale = WEAK_AMPLITUDE_RATIO * self.probe.amplitude_scale
         return (scale * np.conj(rabi) * self.probe.envelope(s)
                 * np.exp(1j * psi))
@@ -456,7 +435,7 @@ def run_storage(probe: ProbeSpec, control: ControlProfile,
 
     state = SimulationState.fresh(
         grid, ensemble, control.one_photon_detuning, stage="storage",
-        boundary=ProbeBoundary(probe, control))
+        boundary=ProbeBoundary(probe))
     state.zeta_scale = peak_zeta
     stages.march(
         state, field_row(state, ensemble, medium, control, 0.0, 0.0,

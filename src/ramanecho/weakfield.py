@@ -60,39 +60,39 @@ class WeakState:
     """Evolving linear-regime state on one stage grid.
 
     zeta_t rows are filled as the clock advances; r12_t is the current
-    coherence; accumulated_psi tracks the factored-out Stark phase (a
-    diagnostic for mapping back to untransformed variables).  row_current
-    says that zeta_t[step_index] was solved from the current coherences at
-    the current clock, by a run driver at row 0 or by advance_weak at the
-    step end; the next advance_weak reuses it as its k1 row.  Code that
-    changes r12_t in place between steps must clear it.
+    coherence.  drive_sign is +1 for storage, which integrates the field
+    from the input face Z = 0, and -1 for retrieval, which emits backward
+    from a zero boundary at Z = L.  boundary(s, Omega(s)) is the incoming
+    tilde field at the injection face; the default is the zero recall
+    boundary.  row_current says that zeta_t[step_index] was solved from
+    the current coherences at the current clock, by a run driver at row 0
+    or by advance_weak at the step end; the next advance_weak reuses it as
+    its k1 row.  Code that changes r12_t in place between steps must clear
+    it.
     """
 
     zeta_t: np.ndarray          # (n_tau, n_z) complex
     r12_t: np.ndarray           # (n_node, n_z) complex
-    accumulated_psi: float
     clock: float
     step_index: int
     drive_sign: int             # +1 storage, -1 retrieval
-    direction: int              # +1 integrate 0->L, -1 backward emission
     z: np.ndarray
-    boundary: Callable          # incoming tilde field at the injection face
+    boundary: Callable          # (tau, Omega(tau)) -> incoming tilde field
     row_current: bool = False
 
     @classmethod
     def fresh(cls, grid: Grid, ensemble: EnsembleSpec, drive_sign: int,
-              direction: int, boundary: Callable | None = None,
+              boundary: Callable | None = None,
               r12_initial: np.ndarray | None = None) -> "WeakState":
         r12 = (np.zeros((ensemble.n_nodes, grid.n_z), dtype=complex)
                if r12_initial is None else np.array(r12_initial,
                                                     dtype=complex))
         if boundary is None:
-            boundary = lambda s: 0.0 + 0.0j
+            boundary = lambda s, rabi: 0.0 + 0.0j
         return cls(
             zeta_t=np.zeros((grid.n_tau, grid.n_z), dtype=complex),
-            r12_t=r12, accumulated_psi=0.0, clock=0.0, step_index=0,
-            drive_sign=drive_sign, direction=direction, z=grid.z(),
-            boundary=boundary)
+            r12_t=r12, clock=0.0, step_index=0, drive_sign=drive_sign,
+            z=grid.z(), boundary=boundary)
 
     @property
     def dz(self) -> float:
@@ -111,15 +111,13 @@ def field_row(state: WeakState, medium: MediumSpec, control: ControlProfile,
     Storage integrates the source from the input face; retrieval from the
     far face (zero incoming echo), emitting toward Z = 0.  sampled is the
     (Omega(s), f(s)) pair when the caller has already sampled the control
-    at s; otherwise control is evaluated here.
+    at s; otherwise control is evaluated here.  The boundary gets the same
+    Omega(s).
     """
     rabi_s, f_s = control.at(s) if sampled is None else sampled
     gain = 0.5 * medium.coupling_beta * f_s
-    if isinstance(state.boundary, TildeInput):
-        incoming = state.boundary(s, rabi_s)
-    else:
-        incoming = state.boundary(s)
-    if state.direction > 0:
+    incoming = state.boundary(s, rabi_s)
+    if state.drive_sign > 0:
         row = incoming - gain * cumulative_integral(b12, state.dz)
     else:
         tail = cumulative_integral(b12[::-1], state.dz)[::-1]
@@ -215,7 +213,6 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     state.r12_t = p_new
     state.clock = s + dt
     state.step_index += 1
-    state.accumulated_psi += control.one_photon_detuning * sample.df_full
     state.row_current = False
     if state.step_index < state.zeta_t.shape[0]:
         b12 = (p_full + ((dt / 6.0) * drive * sum_full) * row1
@@ -230,18 +227,15 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
 class TildeInput:
     """Scaled input field at the entry face in tilde variables.
 
-    The physical probe envelope is dressed by conj(Omega); the Stark chirp
-    that centers it on the shifted line is exactly the factored-out psi,
-    so the tilde boundary is smooth.  Called as boundary(s) it samples the
-    control; the stepper passes the Omega(s) it already sampled as rabi.
+    The physical probe envelope is dressed by conj(rabi), the control
+    Omega(s) that field_row sampled; the Stark chirp that centers it on
+    the shifted line is exactly the factored-out psi, so the tilde
+    boundary is smooth.
     """
 
     probe: ProbeSpec
-    control: ControlProfile
 
-    def __call__(self, s, rabi=None):
-        if rabi is None:
-            rabi = self.control.rabi(s)
+    def __call__(self, s, rabi):
         scale = WEAK_AMPLITUDE_RATIO * self.probe.amplitude_scale
         return 1j * scale * np.conj(rabi) * self.probe.envelope(s)
 
@@ -269,8 +263,8 @@ def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
     """
     tau = grid.tau()
     _validate_grid(grid, ensemble, control, medium, probe.spectral_width)
-    state = WeakState.fresh(grid, ensemble, drive_sign=+1, direction=+1,
-                            boundary=TildeInput(probe, control))
+    state = WeakState.fresh(grid, ensemble, drive_sign=+1,
+                            boundary=TildeInput(probe))
     stages.march(
         state, field_row(state, medium, control, 0.0,
                          weighted_node_sum(ensemble.weights, state.r12_t)),
@@ -302,8 +296,8 @@ def recall_weak(stored: WeakState, protocol: ProtocolConfig,
     bandwidth = stages.recall_bandwidth(tau_input, grid2)
     _validate_grid(grid2, ensemble2, control2, medium, bandwidth)
 
-    state = WeakState.fresh(grid2, ensemble2, drive_sign=-1, direction=-1,
-                            boundary=None, r12_initial=r12)
+    state = WeakState.fresh(grid2, ensemble2, drive_sign=-1,
+                            r12_initial=r12)
     extras = stages.recall(
         state, ensemble2, grid2, control2, medium,
         field_row(state, medium, control2, 0.0,
@@ -376,20 +370,12 @@ class SusceptibilityKernel:
             w * eta / ((dr - self.center) ** 2 + eta ** 2)))
         return self.beta * self.f_value * re_d
 
-    def check_passivity(self, omega_grid) -> None:
-        vals = self.D(omega_grid)
-        worst = float(np.min(self.beta * self.f_value * vals.real / 2.0))
-        if worst < -1e-12:
-            raise ValueError(f"active medium: min Re[beta f D/2] = {worst}")
-
 
 @dataclass
 class TransmissionResult:
     tau: np.ndarray
     output: np.ndarray
     ratio: float
-    eta_numeric: float
-    kernel: SusceptibilityKernel
 
 
 def _probe_window(probe: ProbeSpec, half_widths: float = 12.0
@@ -450,8 +436,7 @@ def analytic_transmission(probe: ProbeSpec, kernel: SusceptibilityKernel,
     e_in = trapezoid_energy(a_in, dt)
     e_out = trapezoid_energy(out, dt)
     ratio = e_out / e_in if e_in > 0 else 0.0
-    return TransmissionResult(tau=tau, output=out, ratio=float(ratio),
-                              eta_numeric=float(eta), kernel=kernel)
+    return TransmissionResult(tau=tau, output=out, ratio=float(ratio))
 
 
 def fid_kernel(ensemble: EnsembleSpec, f_value: float, tau) -> np.ndarray:

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 import ramanecho
 from ramanecho import core, runs
-from ramanecho.cli import main, parse_alpha0l_list, parse_gamma_range
+from ramanecho.cli import (
+    MAX_GAMMA_POINTS,
+    main,
+    parse_alpha0l_list,
+    parse_gamma_range,
+)
 from ramanecho.efficiency import EfficiencyModel, epsilon
 from ramanecho.errors import ArgumentError, ParseError, ValidationError
 from ramanecho.numerics import fmt_float
@@ -26,7 +31,6 @@ from ramanecho.scenario import (
     load_scenario,
     parse_scenario,
     stage_setups,
-    write_scenario,
 )
 
 TIMING_TOL = 1e-9
@@ -262,9 +266,9 @@ def test_simulate_strict_broken_detuning_exits_2_naming_iv(tmp_path, capsys):
 def test_strict_flag_overrides_a_lenient_scenario(tmp_path, capsys):
     base = load_scenario(bundled("recrib_broken_iv"))
     lenient = replace(base, protocol=replace(base.protocol, strict=False))
-    path = str(tmp_path / "lenient.ini")
-    write_scenario(lenient, path)
-    code = main(["simulate", path, "--strict",
+    path = tmp_path / "lenient.ini"
+    path.write_text(dump_scenario(lenient))
+    code = main(["simulate", str(path), "--strict",
                  "--out", str(tmp_path / "out")])
     capsys.readouterr()
     assert code == 2
@@ -422,7 +426,8 @@ def test_simulate_refuses_extreme_values_on_one_line(tmp_path, capsys,
 @pytest.mark.parametrize("section,key,value", [
     ("ensemble", "width", "1e300"), ("probe", "duration", "1e300"),
     ("control1", "detuning", "1e300"), ("control1", "detuning", "-1e300"),
-    ("control2", "detuning", "1e300"), ("control2", "detuning", "-1e300")])
+    ("control2", "detuning", "1e300"), ("control2", "detuning", "-1e300"),
+    ("control1", "rabi", "1e300"), ("control1", "rabi", "-1e300")])
 def test_overflowing_scenario_number_names_its_key(tmp_path, capsys,
                                                    section, key, value):
     path = _write_with_value(tmp_path, "recrib_ideal", section, key, value)
@@ -432,6 +437,41 @@ def test_overflowing_scenario_number_names_its_key(tmp_path, capsys,
     assert captured.err.startswith(f"error: [{section}] {key} = ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode,code", [("mirror", 0), ("flat_top", 1)])
+def test_control2_rabi_is_refused_only_where_it_is_read(tmp_path, capsys,
+                                                       mode, code):
+    """A mirror control2 is the image of control1 and never reads its own
+    rabi; a flat_top control2 does, and an overflowing one is refused."""
+    base = load_scenario(bundled("recrib_ideal"))
+    control2 = replace(base.control1, mode=mode, rabi=1e300, detuning=-60.0)
+    path = tmp_path / "edited.ini"
+    path.write_text(dump_scenario(replace(base, control2=control2)))
+    assert main(["check", str(path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: [control2] rabi = 1e+300")
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+def test_check_with_an_overflowing_rabi_prints_one_line(tmp_path):
+    """Outside pytest no warning is captured: the refusal is all that
+    reaches stderr."""
+    path = _write_with_value(tmp_path, "recrib_ideal", "control1", "rabi",
+                             "1e300")
+    src_dir = os.path.dirname(os.path.dirname(ramanecho.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramanecho", "check", path],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: [control1] rabi = 1e+300")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_comb_ensemble_ignores_an_overflowing_gaussian_width(tmp_path,
@@ -500,6 +540,25 @@ def test_sweep_refuses_non_finite_arguments(tmp_path, capsys, option, value):
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["1e-300", "1e-320"])
+def test_sweep_refuses_a_gamma_grid_too_large_to_build(tmp_path, capsys,
+                                                       step):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--gamma", f"0:1:{step}", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: --gamma ")
+    assert str(MAX_GAMMA_POINTS) in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_largest_gamma_grid_is_accepted():
+    grid = parse_gamma_range("0:1:1e-6")
+    assert grid.size == MAX_GAMMA_POINTS
+    assert grid[0] == 0.0 and grid[-1] == 1.0
 
 
 def test_default_sweep_builds_two_models_per_trace(tmp_path, capsys,

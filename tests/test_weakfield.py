@@ -79,7 +79,7 @@ def test_fid_through_integrator_matches_kernel():
                                   switch_off=6.0, rise_time=0.5)
     med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
     grid = Grid(n_tau=161, n_z=5, t_end=4.0, length=1.0)
-    state = WeakState.fresh(grid, ens, drive_sign=+1, direction=+1)
+    state = WeakState.fresh(grid, ens, drive_sign=+1)
     state.r12_t[:] = 1.0
     vals = [np.sum(ens.weights * state.r12_t[:, 0])]
     for _ in range(grid.n_tau - 1):
@@ -109,7 +109,7 @@ def test_single_node_small_slab_is_plain_quadrature():
     probe = ProbeSpec.gaussian(center=4.0, duration=0.8)
     med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
     grid = Grid(n_tau=1025, n_z=5, t_end=8.0, length=1.0)
-    boundary = TildeInput(probe, ctl)(grid.tau())
+    boundary = TildeInput(probe)(grid.tau(), ctl.rabi(grid.tau()))
     want = cumulative_integral(boundary, grid.dt)
     got = _node_history(probe, ctl, ens, med, grid)
     scale = np.max(np.abs(want))
@@ -117,8 +117,8 @@ def test_single_node_small_slab_is_plain_quadrature():
 
 
 def _node_history(probe, ctl, ens, med, grid, record_row0=False):
-    state = WeakState.fresh(grid, ens, drive_sign=+1, direction=+1,
-                            boundary=TildeInput(probe, ctl))
+    state = WeakState.fresh(grid, ens, drive_sign=+1,
+                            boundary=TildeInput(probe))
     if record_row0:
         state.zeta_t[0] = field_row(state, med, ctl, 0.0,
                                     weighted_node_sum(ens.weights,
@@ -139,7 +139,7 @@ def test_first_step_solves_its_row_unless_the_package_recorded_it():
     probe = ProbeSpec.gaussian(center=0.0, duration=0.8)
     med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
     grid = Grid(n_tau=65, n_z=5, t_end=2.0, length=1.0)
-    assert abs(TildeInput(probe, ctl)(0.0)) > 0.01
+    assert abs(TildeInput(probe)(0.0, ctl.rabi(0.0))) > 0.01
     bare = _node_history(probe, ctl, ens, med, grid)
     recorded = _node_history(probe, ctl, ens, med, grid, record_row0=True)
     assert np.array_equal(bare, recorded)
@@ -193,8 +193,8 @@ def _mid_ramp_state(drive_sign, row_current):
     r12 = 0.1 * (rng.standard_normal((ens.n_nodes, grid.n_z))
                  + 1j * rng.standard_normal((ens.n_nodes, grid.n_z)))
     state = WeakState.fresh(
-        grid, ens, drive_sign=drive_sign, direction=drive_sign,
-        boundary=TildeInput(probe, ctl) if drive_sign > 0 else None,
+        grid, ens, drive_sign=drive_sign,
+        boundary=TildeInput(probe) if drive_sign > 0 else None,
         r12_initial=r12)
     state.step_index = 3
     state.clock = 3 * grid.dt
@@ -345,7 +345,7 @@ def test_recall_validates_its_grid():
     # spread, or a Z axis other than the stored state's, is refused
     ens, ctl1, _, med, grid = make_gaussian_setup(n_tau=289, n_z=17,
                                                   n_nodes=17)
-    stored = WeakState.fresh(grid, ens, drive_sign=+1, direction=+1)
+    stored = WeakState.fresh(grid, ens, drive_sign=+1)
     protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0)
     ctl2 = ctl1.time_reversed(anchor=24.0, detuning=-60.0)
     tau = grid.tau()
@@ -376,7 +376,8 @@ def test_recall_energy_scales_quadratically():
                        input_envelope=out.input_envelope)
     assert abs(half.echo_energy / full.echo_energy - 0.25) < 1e-9
     # the efficiency itself is amplitude independent
-    assert abs(half.efficiency - full.efficiency) < 1e-9
+    assert abs(measure_efficiency(half)[0]
+               - measure_efficiency(full)[0]) < 1e-9
 
 
 def test_reafc_echo_at_comb_period():
@@ -416,7 +417,6 @@ def test_kernel_passivity_and_alpha_eff():
     ens = build_gaussian_ensemble(width=1.0, n_nodes=48)
     kern = SusceptibilityKernel(ens, 0.25, 4.0, eta=0.3)
     omega = np.linspace(-10.0, 10.0, 801)
-    kern.check_passivity(omega)
     assert np.all(kern.D(omega).real >= 0.0)
     assert kern.alpha_eff > 0.0
 
