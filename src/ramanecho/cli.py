@@ -172,13 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("echo-time",
                        help="comb rephasing time for given stage params")
-    p.add_argument("--f1", type=float, default=1.0,
+    p.add_argument("--f1", type=finite_float, default=1.0,
                    help="stage-1 control intensity factor")
-    p.add_argument("--f2", type=float, default=1.0,
+    p.add_argument("--f2", type=finite_float, default=1.0,
                    help="stage-2 control intensity factor")
-    p.add_argument("--t1", type=float, required=True,
+    p.add_argument("--t1", type=finite_float, required=True,
                    help="storage dwell time")
-    p.add_argument("--delta-comb", type=float, required=True,
+    p.add_argument("--delta-comb", type=finite_float, required=True,
                    help="comb tooth spacing")
     p.add_argument("--k", type=int, default=1, help="rephasing order")
     p.set_defaults(func=cmd_echo_time)

@@ -27,6 +27,9 @@ from .errors import NonCausalEcho, ValidationError
 ALGEBRAIC_TOL = 1e-9
 ENVELOPE_TOL = 1e-6
 
+# shared-clock samples the envelope conditions are checked on
+SHARED_SAMPLES = 2048
+
 TOLERANCES = {
     "i": ALGEBRAIC_TOL,
     "ii": ENVELOPE_TOL,
@@ -211,15 +214,14 @@ def _blocked(cid) -> ConditionEntry:
                           blocked=True)
 
 
-def _shared_grid(stage1: StageSetup, stage2: StageSetup,
-                 n_samples: int = 2048) -> np.ndarray:
+def _shared_grid(stage1: StageSetup, stage2: StageSetup) -> np.ndarray:
     """Tau samples covering stage 1 and the reflection of stage 2."""
     a1, b1 = stage1.shared_window()
     a2, b2 = stage2.shared_window()
     lo = min(a1, -b2)
     hi = max(b1, -a2)
     pad = 0.05 * (hi - lo)
-    return np.linspace(lo - pad, hi + pad, n_samples)
+    return np.linspace(lo - pad, hi + pad, SHARED_SAMPLES)
 
 
 def _matching_of(stage1: StageSetup, stage2: StageSetup) -> PhaseMatching:
@@ -250,17 +252,15 @@ def _inversion_residual(stage1: StageSetup, stage2: StageSetup) -> float:
     return float(np.max(np.abs(total2 + total1))) / scale
 
 
-def check_strong_conditions(stage1: StageSetup, stage2: StageSetup,
-                            tau_grid=None) -> ConditionReport:
+def check_strong_conditions(stage1: StageSetup, stage2: StageSetup
+                            ) -> ConditionReport:
     """Residuals of the four strong-field recall conditions.
 
     Never raises on physics grounds; every defect is reported.  Condition
     iii is only evaluated when ii and iv pass, because its node-pairing
     form presumes them; otherwise it is reported blocked.
     """
-    if tau_grid is None:
-        tau_grid = _shared_grid(stage1, stage2)
-    tau_grid = np.asarray(tau_grid, dtype=float)
+    tau_grid = _shared_grid(stage1, stage2)
 
     matching = _matching_of(stage1, stage2)
     res_i = matching.residual_strong()
@@ -337,9 +337,8 @@ def solve_strong_stage2(stage1: StageSetup, anchor: float = 0.0
 
 
 def check_weak_conditions(stage1: StageSetup, stage2: StageSetup,
-                          protocol: str = "recrib", k: int = 0,
-                          t1: float = 0.0, t2: float = 0.0,
-                          tau_grid=None) -> ConditionReport:
+                          k: int = 0, t1: float = 0.0, t2: float = 0.0
+                          ) -> ConditionReport:
     """Residuals of the linear-regime recall conditions.
 
     For comb rephasing (k >= 1) supply the storage and retrieval times t1
@@ -348,11 +347,7 @@ def check_weak_conditions(stage1: StageSetup, stage2: StageSetup,
     """
     if k < 0:
         raise ValidationError("k must be >= 0")
-    if protocol not in ("recrib", "reafc"):
-        raise ValidationError(f"unknown protocol {protocol!r}")
-    if tau_grid is None:
-        tau_grid = _shared_grid(stage1, stage2)
-    tau_grid = np.asarray(tau_grid, dtype=float)
+    tau_grid = _shared_grid(stage1, stage2)
 
     matching = _matching_of(stage1, stage2)
     d1 = stage1.control.one_photon_detuning

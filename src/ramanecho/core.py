@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    DetuningTooSmall,
     EvenLineCount,
     NonPositiveWidth,
     StepTooCoarse,
@@ -35,11 +35,9 @@ from .numerics import simpson_nodes, simpson_sums
 # amplitude_scale = 1 puts the peak |zeta|/|Omega| here
 WEAK_AMPLITUDE_RATIO = 1.0e-3
 
-# numerical support threshold for "compact support" checks
-SUPPORT_FLOOR = 1.0e-8
-
-# far-off-resonance bound |Delta| >= DETUNING_FACTOR x probe bandwidth
-DETUNING_FACTOR = 10.0
+# samples of |Omega| across the switch window that peak_rabi and peak_f
+# take their maximum over
+PEAK_SAMPLES = 2048
 
 
 class CombEnvelopeWarning(UserWarning):
@@ -343,9 +341,7 @@ class ControlProfile:
     """Classical control field of one stage.
 
     f_nu(tau) and the Stark shift are always derived from rabi_envelope and
-    one_photon_detuning; nothing redundant is stored.  When probe_bandwidth
-    is supplied the far-off-resonance bound |Delta| >= DETUNING_FACTOR *
-    d_omega is enforced at construction.
+    one_photon_detuning; nothing redundant is stored.
     """
 
     rabi_envelope: Callable
@@ -353,25 +349,14 @@ class ControlProfile:
     carrier: float = 0.0
     switch_on: float = 0.0
     switch_off: float = 1.0
-    probe_bandwidth: float | None = None
 
     def __post_init__(self):
         require_finite(self, "one_photon_detuning", "carrier", "switch_on",
-                       "switch_off", "probe_bandwidth")
+                       "switch_off")
         if self.one_photon_detuning == 0:
             raise ValidationError("one_photon_detuning must be non-zero")
         if self.switch_off <= self.switch_on:
             raise ValidationError("switch_off must exceed switch_on")
-        if self.probe_bandwidth is not None:
-            if abs(self.one_photon_detuning) < \
-                    DETUNING_FACTOR * self.probe_bandwidth:
-                raise DetuningTooSmall(
-                    f"|Delta| = {abs(self.one_photon_detuning)} below "
-                    f"{DETUNING_FACTOR} x probe bandwidth "
-                    f"{self.probe_bandwidth}")
-        # |Omega| on the switch window per sample count; the envelope is
-        # immutable, so the peaks are sampled once per profile
-        object.__setattr__(self, "_window_samples", {})
 
     def rabi(self, tau):
         return np.asarray(self.rabi_envelope(tau))
@@ -396,20 +381,20 @@ class ControlProfile:
         return StepSample(rabi=rabi, f=f, df_half=float(df_half),
                           df_full=float(df_full))
 
-    def _window_abs_rabi(self, n_samples: int) -> np.ndarray:
-        samples = self._window_samples.get(n_samples)
-        if samples is None:
-            tau = np.linspace(self.switch_on, self.switch_off, n_samples)
-            samples = np.abs(self.rabi(tau))
-            samples.setflags(write=False)
-            self._window_samples[n_samples] = samples
+    @cached_property
+    def _window_abs_rabi(self) -> np.ndarray:
+        """|Omega| on PEAK_SAMPLES points of the switch window, read-only;
+        the envelope is immutable, so it is sampled once per profile."""
+        samples = np.abs(self.rabi(np.linspace(
+            self.switch_on, self.switch_off, PEAK_SAMPLES)))
+        samples.setflags(write=False)
         return samples
 
-    def peak_f(self, n_samples: int = 2048) -> float:
-        return float(np.max(self._f_of(self._window_abs_rabi(n_samples))))
+    def peak_f(self) -> float:
+        return float(np.max(self._f_of(self._window_abs_rabi)))
 
-    def peak_rabi(self, n_samples: int = 2048) -> float:
-        return float(np.max(self._window_abs_rabi(n_samples)))
+    def peak_rabi(self) -> float:
+        return float(np.max(self._window_abs_rabi))
 
     @classmethod
     def flat_top(cls, rabi: float, detuning: float, switch_on: float,
@@ -428,15 +413,12 @@ class ControlProfile:
                    switch_on=switch_on, switch_off=switch_off, **kw)
 
     def time_reversed(self, anchor: float, detuning: float | None = None,
-                      carrier: float | None = None,
-                      probe_bandwidth: float | None = None
-                      ) -> "ControlProfile":
+                      carrier: float | None = None) -> "ControlProfile":
         """Mirror image Omega'(tau) = Omega(anchor - tau).
 
         Used to build the stage-2 control satisfying the envelope-reversal
         condition; the anchor maps stage-1 switch-off to the new origin.
-        detuning, carrier and probe_bandwidth keep this profile's values
-        when not given.
+        detuning and carrier keep this profile's values when not given.
         """
         base = self.rabi_envelope
 
@@ -450,40 +432,29 @@ class ControlProfile:
             carrier=self.carrier if carrier is None else carrier,
             switch_on=anchor - self.switch_off,
             switch_off=anchor - self.switch_on,
-            probe_bandwidth=(self.probe_bandwidth if probe_bandwidth is None
-                             else probe_bandwidth),
         )
 
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Input probe envelope A1(tau, Z=0) and its bandwidth bookkeeping."""
+    """Input probe envelope A1(tau, Z=0) and its duration."""
 
     envelope: Callable
+    duration: float
     carrier: float = 0.0
-    duration: float | None = None
-    spectral_width: float | None = None
     amplitude_scale: float = 1.0
 
     def __post_init__(self):
-        require_finite(self, "carrier", "duration", "spectral_width",
-                       "amplitude_scale")
+        require_finite(self, "duration", "carrier", "amplitude_scale")
         if self.amplitude_scale < 0:
             raise ValidationError("amplitude_scale must be >= 0")
-        dt, dw = self.duration, self.spectral_width
-        if dt is None and dw is None:
-            raise ValidationError("give duration or spectral_width")
-        if any(v is not None and v <= 0 for v in (dt, dw)):
-            raise ValidationError("duration and spectral_width must be > 0")
-        if dt is None:
-            dt = 1.0 / dw
-        if dw is None:
-            dw = 1.0 / dt
-        if abs(dt * dw - 1.0) > 1e-9:
-            raise ValidationError(
-                f"duration * spectral_width = {dt * dw!r}, convention is 1")
-        object.__setattr__(self, "duration", float(dt))
-        object.__setattr__(self, "spectral_width", float(dw))
+        if self.duration <= 0:
+            raise ValidationError("duration must be > 0")
+
+    @property
+    def spectral_width(self) -> float:
+        """Bandwidth by the convention spectral_width * duration = 1."""
+        return 1.0 / self.duration
 
     @classmethod
     def gaussian(cls, center: float, duration: float,

@@ -121,8 +121,7 @@ def sweep_gamma(protocol: str, alpha0L: float, gamma_grid,
 
 
 def optimal_gamma(protocol: str, alpha0L: float,
-                  total_time: float | None = None,
-                  tol: float = 1e-10) -> tuple[float, float]:
+                  total_time: float | None = None) -> tuple[float, float]:
     """Interior maximizer of efficiency over gamma in (0, 1].
 
     With a the depth per unit gamma, d(log eps)/d(gamma) vanishes where
@@ -146,7 +145,7 @@ def optimal_gamma(protocol: str, alpha0L: float,
             "sits on the gamma = 1 boundary", NoInteriorMaximum)
         return 1.0, float(vals[-1])
     g_star, eps_star = golden_section_max(f, grid[max(k - 1, 0)],
-                                          grid[k + 1], tol=tol)
+                                          grid[k + 1])
     return float(g_star), float(eps_star)
 
 

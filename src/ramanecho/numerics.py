@@ -13,6 +13,10 @@ import numpy as np
 _END_TAPS = np.array([0, 1, 2, 3, -4, -3, -2, -1])
 _END_WEIGHTS = np.array([[9.0, 19.0, -5.0, 1.0], [1.0, -5.0, 19.0, 9.0]])
 
+# golden section stops at this argument interval, or after this many steps
+GOLDEN_TOL = 1e-10
+GOLDEN_MAX_ITER = 200
+
 
 def cumulative_integral(y: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral of uniformly sampled y with I[0] = 0.
@@ -82,19 +86,19 @@ def weighted_node_sum(weights: np.ndarray, x: np.ndarray,
     return np.add.reduce(np.multiply(weights[:, None], x, out=out), axis=0)
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10,
-                       max_iter: int = 200) -> tuple[float, float]:
+def golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:
     """Maximize a unimodal scalar function on [lo, hi].
 
-    Returns (argmax, max).  Deterministic; tol is on the argument interval.
+    Returns (argmax, max).  Deterministic; stops once the argument
+    interval is below GOLDEN_TOL or after GOLDEN_MAX_ITER steps.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a < tol:
+    for _ in range(GOLDEN_MAX_ITER):
+        if b - a < GOLDEN_TOL:
             break
         if fc > fd:
             b, d, fd = d, c, fc

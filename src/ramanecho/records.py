@@ -47,13 +47,13 @@ def centroid(tau, envelope) -> float:
     return float(np.trapezoid(tau * w, tau) / total)
 
 
-def overlap_fidelity(tau_input, input_envelope, tau_echo, echo_envelope,
-                     align: str = "centroid") -> float:
+def overlap_fidelity(tau_input, input_envelope, tau_echo, echo_envelope
+                     ) -> float:
     """Normalized overlap of the echo with the time-reversed input.
 
     |integral a2(t) conj(a1(-t)) dt|^2 / (E2 * E1), with both envelopes
-    shifted to their energy centroids first (align="centroid") so a pure
-    timing offset does not read as infidelity.  Global phases drop out.
+    shifted to their energy centroids first so a pure timing offset does
+    not read as infidelity.  Global phases drop out.
     Linear resampling bounds the absolute accuracy near (grid step)^2 / 6
     per squared envelope width, plenty for the ~0.99 floors in use.
     """
@@ -71,11 +71,8 @@ def overlap_fidelity(tau_input, input_envelope, tau_echo, echo_envelope,
     tb = -t1[::-1]
     b = a1[::-1]
 
-    if align == "centroid":
-        t2 = t2 - centroid(t2, a2)
-        tb = tb - centroid(tb, b)
-    elif align != "none":
-        raise ValueError(f"unknown alignment {align!r}")
+    t2 = t2 - centroid(t2, a2)
+    tb = tb - centroid(tb, b)
 
     # common grid at 4x the finer sampling keeps the linear-interpolation
     # bias of the overlap well below the 1e-4 level the floors care about
@@ -157,10 +154,10 @@ class EchoRecord:
         write_text_atomic(path, "\n".join(lines) + "\n")
 
     def write_input_csv(self, path: str) -> None:
-        write_envelope_csv(path, self.tau_input, 0.0, self.input_envelope)
+        write_envelope_csv(path, self.tau_input, self.input_envelope)
 
     def write_echo_csv(self, path: str) -> None:
-        write_envelope_csv(path, self.tau_echo, 0.0, self.echo_envelope)
+        write_envelope_csv(path, self.tau_echo, self.echo_envelope)
 
 
 def measure_efficiency(record: EchoRecord) -> tuple[float, float]:
@@ -182,11 +179,12 @@ def measure_efficiency(record: EchoRecord) -> tuple[float, float]:
 # CSV snapshots
 # ---------------------------------------------------------------------------
 
-def write_envelope_csv(path: str, tau, z_value: float, envelope) -> None:
-    """Single-face field snapshot, columns (tau, z, re_zeta, im_zeta)."""
+def write_envelope_csv(path: str, tau, envelope) -> None:
+    """Field snapshot at the face Z = 0, columns (tau, z, re_zeta,
+    im_zeta)."""
     tau = np.asarray(tau, dtype=float)
     env = np.asarray(envelope, dtype=complex)
     lines = ["tau,z,re_zeta,im_zeta"] + [
-        ",".join(map(fmt_float, (t, z_value, v.real, v.imag)))
+        ",".join(map(fmt_float, (t, 0.0, v.real, v.imag)))
         for t, v in zip(tau, env)]
     write_text_atomic(path, "\n".join(lines) + "\n")

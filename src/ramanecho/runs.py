@@ -35,9 +35,8 @@ def _check(scenario: Scenario, stage1, stage2,
     if proto is None:
         proto = build_protocol(scenario, stage1, stage2)
     k = scenario.protocol.k if scenario.protocol.name == "reafc" else 0
-    return check_weak_conditions(stage1, stage2,
-                                 protocol=scenario.protocol.name,
-                                 k=k, t1=proto.t1, t2=proto.t2)
+    return check_weak_conditions(stage1, stage2, k=k, t1=proto.t1,
+                                 t2=proto.t2)
 
 
 def scenario_report(scenario: Scenario) -> ConditionReport:
@@ -81,20 +80,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
     report = _check(scenario, stage1, stage2, proto)
     grid1, grid2 = build_grids(scenario)
     stages.gate_recall(proto, scenario.protocol.gap_time, report)
-    if scenario.run.regime == "strong":
-        out = run_storage(probe, ctl1, ens, med, grid1)
-        record = run_retrieval(
-            out.state, ctl2, proto, ens, med, grid2,
-            tau_input=out.tau, input_envelope=out.input_envelope,
-            gap_time=scenario.protocol.gap_time, conditions=report,
-            transmitted_fraction=out.transmitted_fraction)
-    else:
-        out = run_weak_storage(probe, ctl1, ens, med, grid1)
-        record = recall_weak(
-            out.state, proto, ctl2, ens, med, grid2,
-            tau_input=out.tau, input_envelope=out.input_envelope,
-            gap_time=scenario.protocol.gap_time, conditions=report,
-            transmitted_fraction=out.transmitted_fraction)
+    # looked up at call time, so that a test can replace a driver here
+    store, recall = ((run_storage, run_retrieval)
+                     if scenario.run.regime == "strong"
+                     else (run_weak_storage, recall_weak))
+    out = store(probe, ctl1, ens, med, grid1)
+    record = recall(
+        out.state, ctl2, proto, ens, med, grid2,
+        tau_input=out.tau, input_envelope=out.input_envelope,
+        gap_time=scenario.protocol.gap_time, conditions=report,
+        transmitted_fraction=out.transmitted_fraction)
     efficiency, fidelity = measure_efficiency(record)
     return RunResult(scenario=scenario, report=report, record=record,
                      efficiency=efficiency, fidelity=fidelity,

@@ -321,10 +321,11 @@ def build_medium(sc: Scenario, ensemble: EnsembleSpec) -> MediumSpec:
 
 def build_probe(sc: Scenario) -> ProbeSpec:
     p = sc.probe
-    return ProbeSpec.gaussian(center=p.center,
-                              duration=_squarable("probe", "duration",
-                                                  p.duration),
-                              amplitude_scale=p.amplitude_scale)
+    return ProbeSpec.gaussian(
+        center=_squarable("probe", "center", p.center),
+        duration=_squarable("probe", "duration", p.duration),
+        amplitude_scale=_squarable("probe", "amplitude_scale",
+                                   p.amplitude_scale))
 
 
 def build_controls(sc: Scenario) -> tuple[ControlProfile, ControlProfile]:

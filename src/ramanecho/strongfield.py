@@ -36,7 +36,6 @@ bit-identical whatever the BLAS thread count.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,20 +49,17 @@ from .core import (
     MediumSpec,
     ProbeSpec,
     StepSample,
-    SUPPORT_FLOOR,
     WEAK_AMPLITUDE_RATIO,
 )
 from .errors import (
     ControlVanishes,
-    IncompleteAbsorptionWarning,
     NonFiniteField,
     PhysicalityViolation,
     ResonantSingularity,
-    ValidationError,
 )
 from .numerics import cumulative_integral, weighted_node_sum
 from . import stages
-from .records import EchoRecord, envelope_from_scaled
+from .records import EchoRecord
 
 # Bloch-sphere slack |r12|^2 <= r11 (1 - r11) + BLOCH_EPS guaranteed on the
 # state after every step; excursions beyond BLOCH_EMERGENCY mean the step
@@ -75,10 +71,6 @@ BLOCH_EMERGENCY = 1.0e-3
 # probe Stark ratio; a live field there is a ControlVanishes error
 CONTROL_FLOOR = 1.0e-12
 FIELD_FLOOR = 1.0e-9
-
-# transmitted-energy fraction above which the complete-absorption premise
-# of the recall analysis is flagged
-ABSORPTION_WARNING_FRACTION = 0.05
 
 
 def _c_factors(ensemble: EnsembleSpec, one_photon_detuning: float
@@ -92,33 +84,21 @@ def _c_factors(ensemble: EnsembleSpec, one_photon_detuning: float
     return 1.0 / denom
 
 
-@dataclass
-class SimulationState:
+@dataclass(kw_only=True)
+class SimulationState(stages.StageState):
     """Evolving strong-field state on one stage grid.
 
-    zeta_t rows fill as the clock advances; r12/r11 are the current
-    coherence and ground population per (node, Z).  accumulated_psi is
-    the running control Stark phase Delta * int f and zeta_scale the
-    largest field magnitude seen so far (the reference for control-off
-    field checks).  row_current says that zeta_t[step_index] was solved
-    from the current atoms at the current clock, by a run driver at row 0
-    or by advance_strong at the step end; the next advance_strong reuses
-    it as its k1 row.  Code that changes the atoms in place between steps
-    must clear it.
+    Adds the ground population r11 per (node, Z) to the shared stage
+    state, whose boundary is called as (tau, psi, Omega(tau)).
+    accumulated_psi is the running control Stark phase Delta * int f and
+    zeta_scale the largest field magnitude seen so far (the reference for
+    control-off field checks).
     """
 
-    zeta_t: np.ndarray          # (n_tau, n_z) complex
-    r12: np.ndarray             # (n_node, n_z) complex
     r11: np.ndarray             # (n_node, n_z) real
-    stage: str                  # "storage" | "retrieval"
-    clock: float
-    step_index: int
-    z: np.ndarray
     c_factors: np.ndarray       # (n_node,)
-    boundary: Callable          # (tau, psi, Omega(tau)) -> incoming field
     accumulated_psi: float = 0.0
     zeta_scale: float = 0.0
-    row_current: bool = False
     # weighted rows of the ensemble kernels, overwritten at every solve
     _rows11: np.ndarray = field(init=False, repr=False, compare=False)
     _rows12: np.ndarray = field(init=False, repr=False, compare=False)
@@ -129,35 +109,14 @@ class SimulationState:
 
     @classmethod
     def fresh(cls, grid: Grid, ensemble: EnsembleSpec,
-              one_photon_detuning: float, stage: str,
+              one_photon_detuning: float, drive_sign: int,
               boundary: Callable | None = None,
               r12_initial: np.ndarray | None = None,
               r11_initial: np.ndarray | None = None) -> "SimulationState":
-        if stage not in ("storage", "retrieval"):
-            raise ValidationError(f"unknown stage {stage!r}")
-        shape = (ensemble.n_nodes, grid.n_z)
-        r12 = (np.zeros(shape, dtype=complex) if r12_initial is None
-               else np.array(r12_initial, dtype=complex))
-        r11 = (np.ones(shape, dtype=float) if r11_initial is None
-               else np.array(r11_initial, dtype=float))
-        if r12.shape != shape or r11.shape != shape:
-            raise ValidationError(
-                f"initial atomic arrays must have shape {shape}")
-        if boundary is None:
-            boundary = lambda s, psi, rabi: 0.0 + 0.0j
-        return cls(
-            zeta_t=np.zeros((grid.n_tau, grid.n_z), dtype=complex),
-            r12=r12, r11=r11, stage=stage, clock=0.0, step_index=0,
-            z=grid.z(), c_factors=_c_factors(ensemble, one_photon_detuning),
-            boundary=boundary)
-
-    @property
-    def stage_sign(self) -> int:
-        return +1 if self.stage == "storage" else -1
-
-    @property
-    def dz(self) -> float:
-        return float(self.z[1] - self.z[0])
+        return super().fresh(
+            grid, ensemble, drive_sign, boundary, r12_initial,
+            r11=stages.node_array(grid, ensemble, r11_initial, 1.0, float),
+            c_factors=_c_factors(ensemble, one_photon_detuning))
 
     def excitation(self, ensemble: EnsembleSpec) -> np.ndarray:
         """Ensemble excitation sum_j w_j (1 - r11_j) at every Z."""
@@ -235,7 +194,7 @@ def field_row(state: SimulationState, ensemble: EnsembleSpec,
     """
     rabi_s, f_s = control.at(s) if sampled is None else sampled
     b11, b12 = ensemble_kernels(state, ensemble, r12, r11)
-    sgn = state.stage_sign
+    sgn = state.drive_sign
     beta = medium.coupling_beta
     a = (0.5j * beta * sgn / control.one_photon_detuning) * b11
     source = (0.5j * beta * f_s) * b12
@@ -281,7 +240,7 @@ def _lawson_step(state: SimulationState, ensemble: EnsembleSpec,
     """
     s = state.clock
     delta = control.one_photon_detuning
-    sgn = float(state.stage_sign)
+    sgn = float(state.drive_sign)
     c = state.c_factors[:, None]
     d21 = ensemble.delta21s[:, None]
 
@@ -413,28 +372,16 @@ def _validate_grid(grid: Grid, ensemble: EnsembleSpec,
 def run_storage(probe: ProbeSpec, control: ControlProfile,
                 ensemble: EnsembleSpec, medium: MediumSpec,
                 grid: Grid) -> stages.StorageOutcome:
-    """Drive the nonlinear storage stage and account for every photon.
-
-    A transmitted fraction above 5% triggers IncompleteAbsorptionWarning
-    because the recall analysis presumes complete absorption.
-    """
+    """Drive the nonlinear storage stage and account for every photon."""
+    stages.check_storage(probe, control, grid)
     tau = grid.tau()
     peak_zeta = WEAK_AMPLITUDE_RATIO * probe.amplitude_scale \
         * control.peak_rabi()
     _validate_grid(grid, ensemble, control, medium,
                    drive_bound=peak_zeta, bandwidth=probe.spectral_width)
 
-    # the scaled field cannot represent probe light outside the control
-    # window, where conj(Omega) vanishes
-    env_all = np.abs(probe.sample(tau))
-    env_peak = float(env_all.max())
-    outside = (tau < control.switch_on) | (tau > control.switch_off)
-    if env_peak > 0 and np.any(env_all[outside] > SUPPORT_FLOOR * env_peak):
-        raise ValidationError(
-            "probe support extends outside the control window")
-
     state = SimulationState.fresh(
-        grid, ensemble, control.one_photon_detuning, stage="storage",
+        grid, ensemble, control.one_photon_detuning, drive_sign=+1,
         boundary=ProbeBoundary(probe))
     state.zeta_scale = peak_zeta
     stages.march(
@@ -447,14 +394,8 @@ def run_storage(probe: ProbeSpec, control: ControlProfile,
     # the solver needs, and the solver cancels it analytically anyway
     input_envelope = (WEAK_AMPLITUDE_RATIO * probe.amplitude_scale
                       * control.one_photon_detuning * probe.sample(tau))
-    out = stages.audit_storage(state, ensemble, tau, control, medium,
-                               input_envelope)
-    if out.transmitted_fraction > ABSORPTION_WARNING_FRACTION:
-        warnings.warn(
-            f"transmitted fraction {out.transmitted_fraction:.3g} exceeds "
-            f"{ABSORPTION_WARNING_FRACTION}: the probe is not completely "
-            "absorbed", IncompleteAbsorptionWarning)
-    return out
+    return stages.audit_storage(state, ensemble, tau, control, medium,
+                                input_envelope)
 
 
 def handover_wavevector_mismatch(protocol: ProtocolConfig) -> float:
@@ -475,7 +416,7 @@ def handover_wavevector_mismatch(protocol: ProtocolConfig) -> float:
 def run_retrieval(stored: SimulationState, control2: ControlProfile,
                   protocol: ProtocolConfig, ensemble: EnsembleSpec,
                   medium: MediumSpec, grid2: Grid,
-                  tau_input=None, input_envelope=None,
+                  tau_input: np.ndarray, input_envelope: np.ndarray,
                   gap_time: float = 0.0,
                   conditions=None,
                   transmitted_fraction: float = math.nan) -> EchoRecord:
@@ -487,32 +428,28 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
     into the retrieval frame.  conditions, when supplied, is the
     ConditionReport consulted in strict mode.
     """
-    r12, ensemble2 = stages.hand_over(stored.r12, stored.z, protocol,
-                                      ensemble, grid2, gap_time, conditions)
+    r12, ensemble2 = stages.hand_over(stored, protocol, ensemble, grid2,
+                                      gap_time, conditions)
     q = handover_wavevector_mismatch(protocol)
     if q != 0.0:
         r12 *= np.exp(1j * q * stored.z)[None, :]
     drive_bound = max(stored.zeta_scale, 1e-300)
     _validate_grid(grid2, ensemble2, control2, medium,
                    drive_bound=drive_bound,
-                   bandwidth=stages.recall_bandwidth(tau_input, grid2))
+                   bandwidth=stages.recall_bandwidth(tau_input))
 
     state = SimulationState.fresh(
-        grid2, ensemble2, control2.one_photon_detuning, stage="retrieval",
-        boundary=None, r12_initial=r12, r11_initial=stored.r11)
+        grid2, ensemble2, control2.one_photon_detuning, drive_sign=-1,
+        r12_initial=r12, r11_initial=stored.r11)
     state.zeta_scale = drive_bound
-    extras = stages.recall(
-        state, ensemble2, grid2, control2, medium,
-        field_row(state, ensemble2, medium, control2, 0.0, 0.0, state.r12,
-                  state.r11),
-        lambda: advance_strong(state, ensemble2, medium, control2, grid2.dt))
-
-    tau2 = grid2.tau()
     # dress the echo the same way the input record is dressed: remove the
     # stage-2 accumulated Stark phase so the envelope is slow on the grid
     psi2 = control2.one_photon_detuning * cumulative_integral(
-        np.asarray(control2.f(tau2), dtype=float), grid2.dt)
-    echo = envelope_from_scaled(state.zeta_t[:, 0], control2, tau2) \
-        * np.exp(-1j * psi2)
-    return stages.echo_record(protocol, tau_input, input_envelope, tau2,
-                              echo, transmitted_fraction, conditions, extras)
+        np.asarray(control2.f(grid2.tau()), dtype=float), grid2.dt)
+    return stages.recall(
+        state, ensemble2, grid2, control2, medium,
+        field_row(state, ensemble2, medium, control2, 0.0, 0.0, state.r12,
+                  state.r11),
+        lambda: advance_strong(state, ensemble2, medium, control2, grid2.dt),
+        protocol, tau_input, input_envelope, transmitted_fraction,
+        conditions, stark_phase=psi2)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -55,52 +54,18 @@ STARK_VALIDITY_FACTOR = 0.01   # Delta |zeta|^2/|Omega|^2 <= this * d_omega
 DETUNING_VALIDITY_FACTOR = 0.1  # max |d31| <= this * |Delta|
 
 
-@dataclass
-class WeakState:
+@dataclass(kw_only=True)
+class WeakState(stages.StageState):
     """Evolving linear-regime state on one stage grid.
 
-    zeta_t rows are filled as the clock advances; r12_t is the current
-    coherence.  drive_sign is +1 for storage, which integrates the field
-    from the input face Z = 0, and -1 for retrieval, which emits backward
-    from a zero boundary at Z = L.  boundary(s, Omega(s)) is the incoming
-    tilde field at the injection face; the default is the zero recall
-    boundary.  row_current says that zeta_t[step_index] was solved from
-    the current coherences at the current clock, by a run driver at row 0
-    or by advance_weak at the step end; the next advance_weak reuses it as
-    its k1 row.  Code that changes r12_t in place between steps must clear
-    it.
+    The shared stage state in tilde variables: r12 is the coherence R~12
+    and boundary(s, Omega(s)) the incoming tilde field at the injection
+    face.
     """
-
-    zeta_t: np.ndarray          # (n_tau, n_z) complex
-    r12_t: np.ndarray           # (n_node, n_z) complex
-    clock: float
-    step_index: int
-    drive_sign: int             # +1 storage, -1 retrieval
-    z: np.ndarray
-    boundary: Callable          # (tau, Omega(tau)) -> incoming tilde field
-    row_current: bool = False
-
-    @classmethod
-    def fresh(cls, grid: Grid, ensemble: EnsembleSpec, drive_sign: int,
-              boundary: Callable | None = None,
-              r12_initial: np.ndarray | None = None) -> "WeakState":
-        r12 = (np.zeros((ensemble.n_nodes, grid.n_z), dtype=complex)
-               if r12_initial is None else np.array(r12_initial,
-                                                    dtype=complex))
-        if boundary is None:
-            boundary = lambda s, rabi: 0.0 + 0.0j
-        return cls(
-            zeta_t=np.zeros((grid.n_tau, grid.n_z), dtype=complex),
-            r12_t=r12, clock=0.0, step_index=0, drive_sign=drive_sign,
-            z=grid.z(), boundary=boundary)
-
-    @property
-    def dz(self) -> float:
-        return float(self.z[1] - self.z[0])
 
     def excitation(self, ensemble: EnsembleSpec) -> np.ndarray:
         """Ensemble excitation sum_j w_j |R~12_j|^2 at every Z."""
-        return weighted_node_sum(ensemble.weights, np.abs(self.r12_t) ** 2)
+        return weighted_node_sum(ensemble.weights, np.abs(self.r12) ** 2)
 
 
 def field_row(state: WeakState, medium: MediumSpec, control: ControlProfile,
@@ -127,10 +92,7 @@ def field_row(state: WeakState, medium: MediumSpec, control: ControlProfile,
     return row
 
 
-def _validity_checks(ensemble, control, s, rabi_s, row,
-                     bandwidth: float | None):
-    if bandwidth is None:
-        return
+def _validity_checks(ensemble, control, s, rabi_s, row, bandwidth: float):
     d = control.one_photon_detuning
     worst = DETUNING_VALIDITY_FACTOR * abs(d)
     if ensemble.max_abs_delta31 > worst:
@@ -149,7 +111,7 @@ def _validity_checks(ensemble, control, s, rabi_s, row,
 
 def advance_weak(state: WeakState, ensemble: EnsembleSpec,
                  medium: MediumSpec, control: ControlProfile, dt: float,
-                 bandwidth: float | None = None) -> WeakState:
+                 bandwidth: float) -> WeakState:
     """One exponential-RK4 step of the linear system, in place.
 
     The per-node detuning phase d21 + d31 f(tau) is integrated to high
@@ -170,8 +132,8 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     built once, and the kernel of the row recorded at the new clock
     follows from the same linearity.  k1 reuses the recorded row when
     state.row_current says it was solved from the current coherences,
-    else it is solved too.  bandwidth, when given, arms the linear-regime
-    validity checks.
+    else it is solved too.  bandwidth is the signal bandwidth that the
+    linear-regime validity checks price the probe Stark shift against.
     """
     s = state.clock
     sample = control.sample_step(s, dt)
@@ -187,7 +149,7 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     w = ensemble.weights
     w_half = w * rot_half
     w_full = w * rot_full
-    p = state.r12_t
+    p = state.r12
     p_half = weighted_node_sum(w_half, p)
     p_full = weighted_node_sum(w_full, p)
     sum_half, sum_half_dh, sum_full, sum_full_dh, sum_full_df = \
@@ -210,7 +172,7 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     p_new += drive_half[:, None] * ((dt / 3.0) * row23)
     p_new += drive_full[:, None] * ((dt / 6.0) * row4)
     p_new *= rot_full[:, None]
-    state.r12_t = p_new
+    state.r12 = p_new
     state.clock = s + dt
     state.step_index += 1
     state.row_current = False
@@ -261,13 +223,14 @@ def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
     audit: input photons = transmitted photons + stored excitation for the
     lossless linear system.
     """
+    stages.check_storage(probe, control, grid)
     tau = grid.tau()
     _validate_grid(grid, ensemble, control, medium, probe.spectral_width)
     state = WeakState.fresh(grid, ensemble, drive_sign=+1,
                             boundary=TildeInput(probe))
     stages.march(
         state, field_row(state, medium, control, 0.0,
-                         weighted_node_sum(ensemble.weights, state.r12_t)),
+                         weighted_node_sum(ensemble.weights, state.r12)),
         grid.n_tau,
         lambda: advance_weak(state, ensemble, medium, control, grid.dt,
                              bandwidth=probe.spectral_width))
@@ -276,10 +239,10 @@ def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
         envelope_from_scaled(state.zeta_t[:, 0], control, tau))
 
 
-def recall_weak(stored: WeakState, protocol: ProtocolConfig,
-                control2: ControlProfile, ensemble: EnsembleSpec,
+def recall_weak(stored: WeakState, control2: ControlProfile,
+                protocol: ProtocolConfig, ensemble: EnsembleSpec,
                 medium: MediumSpec, grid2: Grid,
-                tau_input, input_envelope,
+                tau_input: np.ndarray, input_envelope: np.ndarray,
                 gap_time: float = 0.0,
                 conditions=None,
                 transmitted_fraction: float = math.nan) -> EchoRecord:
@@ -291,24 +254,21 @@ def recall_weak(stored: WeakState, protocol: ProtocolConfig,
     map follows.  conditions, when supplied, is the ConditionReport
     consulted in strict mode.
     """
-    r12, ensemble2 = stages.hand_over(stored.r12_t, stored.z, protocol,
-                                      ensemble, grid2, gap_time, conditions)
-    bandwidth = stages.recall_bandwidth(tau_input, grid2)
+    r12, ensemble2 = stages.hand_over(stored, protocol, ensemble, grid2,
+                                      gap_time, conditions)
+    bandwidth = stages.recall_bandwidth(tau_input)
     _validate_grid(grid2, ensemble2, control2, medium, bandwidth)
 
     state = WeakState.fresh(grid2, ensemble2, drive_sign=-1,
                             r12_initial=r12)
-    extras = stages.recall(
+    return stages.recall(
         state, ensemble2, grid2, control2, medium,
         field_row(state, medium, control2, 0.0,
-                  weighted_node_sum(ensemble2.weights, state.r12_t)),
+                  weighted_node_sum(ensemble2.weights, state.r12)),
         lambda: advance_weak(state, ensemble2, medium, control2, grid2.dt,
-                             bandwidth=bandwidth))
-
-    tau2 = grid2.tau()
-    echo = envelope_from_scaled(state.zeta_t[:, 0], control2, tau2)
-    return stages.echo_record(protocol, tau_input, input_envelope, tau2,
-                              echo, transmitted_fraction, conditions, extras)
+                             bandwidth=bandwidth),
+        protocol, tau_input, input_envelope, transmitted_fraction,
+        conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +338,15 @@ class TransmissionResult:
     ratio: float
 
 
-def _probe_window(probe: ProbeSpec, half_widths: float = 12.0
-                  ) -> tuple[float, float]:
-    dt = probe.duration
-    scan = np.linspace(-100.0 * dt, 100.0 * dt, 8192)
-    a = np.abs(probe.sample(scan))
-    peak = a.max()
-    if peak == 0:
-        return (-half_widths * dt, half_widths * dt)
-    c = float(np.sum(scan * a ** 2) / np.sum(a ** 2))
-    return (c - half_widths * dt, c + half_widths * dt)
+# the transform pads the window to this multiple of its length, and the
+# damping falls by this many e-folds across the padding
+PAD_FACTOR = 4
+DAMPING_CYCLES = 10.0
 
 
 def analytic_transmission(probe: ProbeSpec, kernel: SusceptibilityKernel,
-                          medium: MediumSpec, control: ControlProfile,
-                          window: tuple[float, float] | None = None,
-                          n_time: int | None = None, pad_factor: int = 4,
-                          damping_cycles: float = 10.0
-                          ) -> TransmissionResult:
+                          medium: MediumSpec, window: tuple[float, float],
+                          n_time: int | None = None) -> TransmissionResult:
     """Exact linear transmission through the slab in the frequency domain.
 
     The input envelope is damped by exp(-eta t), convolved with the
@@ -404,8 +355,6 @@ def analytic_transmission(probe: ProbeSpec, kernel: SusceptibilityKernel,
     is suppressed by exp(-eta (T_pad - T)) without biasing the result.
     Assumes f stationary over the window (evaluated from the kernel).
     """
-    if window is None:
-        window = _probe_window(probe)
     t0, t1 = window
     span = t1 - t0
     if n_time is None:
@@ -416,8 +365,8 @@ def analytic_transmission(probe: ProbeSpec, kernel: SusceptibilityKernel,
     tau = np.linspace(t0, t1, n_time, endpoint=False)
     a_in = probe.sample(tau)
 
-    n_pad = pad_factor * n_time
-    eta = damping_cycles / (span * (pad_factor - 1))
+    n_pad = PAD_FACTOR * n_time
+    eta = DAMPING_CYCLES / (span * (PAD_FACTOR - 1))
     damped = np.zeros(n_pad, dtype=complex)
     damped[:n_time] = a_in * np.exp(-eta * (tau - t0))
     spec = np.fft.fft(damped)

@@ -148,7 +148,7 @@ def _weak_recall_at(grid):
     protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0)
     ctl2 = ctl1.time_reversed(anchor=24.0, detuning=-60.0)
     out = run_weak_storage(probe, ctl1, ens, med, grid)
-    rec = recall_weak(out.state, protocol, ctl2, ens, med, grid,
+    rec = recall_weak(out.state, ctl2, protocol, ens, med, grid,
                       tau_input=out.tau, input_envelope=out.input_envelope,
                       transmitted_fraction=out.transmitted_fraction)
     return measure_efficiency(rec)
@@ -201,7 +201,7 @@ def test_criterion_04_linear_limit_equivalence():
                           transmitted_fraction=out_s.transmitted_fraction)
     eps_s, _ = measure_efficiency(rec_s)
     out_w = run_weak_storage(probe, ctl1, ens, med, grid)
-    rec_w = recall_weak(out_w.state, protocol, ctl2, ens, med, grid,
+    rec_w = recall_weak(out_w.state, ctl2, protocol, ens, med, grid,
                         tau_input=out_w.tau,
                         input_envelope=out_w.input_envelope,
                         transmitted_fraction=out_w.transmitted_fraction)
@@ -282,7 +282,7 @@ def _comb_recall(spacing, n_lines, t_end2, n_tau2):
                                    rise_time=0.05)
     grid2 = Grid(n_tau=n_tau2, n_z=49, t_end=t_end2, length=1.0)
     out = run_weak_storage(probe, ctl1, ens, med, grid1)
-    rec = recall_weak(out.state, protocol, ctl2, ens, med, grid2,
+    rec = recall_weak(out.state, ctl2, protocol, ens, med, grid2,
                       tau_input=out.tau, input_envelope=out.input_envelope,
                       transmitted_fraction=out.transmitted_fraction)
     return t1, t2, centroid(rec.tau_echo, rec.echo_envelope), grid2.dt
@@ -326,6 +326,9 @@ def test_criterion_07_fid_kernel_matches_gaussian_decay():
 # 8. transmission oracle at three depths
 # ---------------------------------------------------------------------------
 
+# shallow slabs transmit much of the probe on purpose here
+@pytest.mark.filterwarnings(
+    "ignore::ramanecho.errors.IncompleteAbsorptionWarning")
 def test_criterion_08_transmission_matches_frequency_domain():
     rels = []
     for alpha_eff_l in (1.0, 3.0, 10.0):
@@ -339,8 +342,8 @@ def test_criterion_08_transmission_matches_frequency_domain():
         grid = Grid(n_tau=513, n_z=65, t_end=24.0, length=1.0)
         out = run_weak_storage(probe, ctl, ens, med, grid)
         kern = SusceptibilityKernel(ens, 1.0, med.coupling_beta, eta=0.0)
-        res = analytic_transmission(probe, kern, med, ctl,
-                                    window=(0.0, 24.0), n_time=4096)
+        res = analytic_transmission(probe, kern, med, window=(0.0, 24.0),
+                                    n_time=4096)
         rels.append(abs(out.transmitted_fraction - res.ratio) / res.ratio)
     assert max(rels) < TRANSMISSION_REL_TOL
     report(8, "relative errors at depth 1/3/10: "
@@ -401,8 +404,7 @@ def test_criterion_10_condition_checkers_round_trip_and_cross_terms():
                            ensemble=stage1.ensemble.inverted(),
                            matching=stage1.matching, beta=1.0,
                            clock_offset=0.0)
-    weak_report = check_weak_conditions(stage1, half_beta,
-                                        protocol="recrib", k=0)
+    weak_report = check_weak_conditions(stage1, half_beta, k=0)
     strong_report = check_strong_conditions(stage1, half_beta)
     product_entry = weak_report.get("ii'")
     envelope_entry = strong_report.get("ii")

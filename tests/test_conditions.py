@@ -12,6 +12,7 @@ from ramanecho.conditions import (
     ConditionReport,
     PhaseMatching,
     StageSetup,
+    _shared_grid,
     check_strong_conditions,
     check_weak_conditions,
     echo_carrier_weak,
@@ -112,8 +113,8 @@ def test_unreversed_asymmetric_envelope_residual_matches_direct_scan():
     unreversed = replace(stage2, control=replace(
         control, one_photon_detuning=-40.0))
 
-    tau_grid = np.linspace(-5.5, 5.5, 4001)
-    report = check_strong_conditions(stage1, unreversed, tau_grid=tau_grid)
+    tau_grid = _shared_grid(stage1, unreversed)
+    report = check_strong_conditions(stage1, unreversed)
 
     om = np.abs(env(tau_grid))
     om_rev = np.abs(env(-tau_grid))
@@ -172,7 +173,7 @@ def test_solver_round_trip_property(rabi, detuning, switch_off, beta):
 def test_strong_solution_implies_weak_conditions():
     stage1 = make_stage1()
     stage2 = solve_strong_stage2(stage1)
-    report = check_weak_conditions(stage1, stage2, protocol="recrib", k=0)
+    report = check_weak_conditions(stage1, stage2, k=0)
     assert report.overall
     assert max(e.residual for e in report.entries) <= ROUND_TRIP_TOL
 
@@ -190,7 +191,7 @@ def test_product_condition_allows_unequal_beta_and_f():
     stage2 = StageSetup(control=control2,
                         ensemble=stage1.ensemble.inverted(),
                         matching=stage1.matching, beta=1.0, clock_offset=0.0)
-    report = check_weak_conditions(stage1, stage2, protocol="recrib", k=0)
+    report = check_weak_conditions(stage1, stage2, k=0)
     entry = report.get("ii'")
     assert entry.satisfied
     assert entry.residual <= ROUND_TRIP_TOL
@@ -233,8 +234,7 @@ def make_comb_stages(f1=1.0, f2=1.0, spacing=1.0):
 
 def test_comb_rephasing_timing_first_order():
     s1, s2 = make_comb_stages()
-    report = check_weak_conditions(s1, s2, protocol="reafc", k=1,
-                                   t1=math.pi, t2=math.pi)
+    report = check_weak_conditions(s1, s2, k=1, t1=math.pi, t2=math.pi)
     entry = report.get("iii'")
     assert entry.satisfied
     assert entry.residual <= 1e-12
@@ -242,11 +242,10 @@ def test_comb_rephasing_timing_first_order():
 
 def test_comb_rephasing_second_order_needs_double_period():
     s1, s2 = make_comb_stages()
-    good = check_weak_conditions(s1, s2, protocol="reafc", k=2,
-                                 t1=2.0 * math.pi, t2=2.0 * math.pi)
+    good = check_weak_conditions(s1, s2, k=2, t1=2.0 * math.pi,
+                                 t2=2.0 * math.pi)
     assert good.get("iii'").satisfied
-    bad = check_weak_conditions(s1, s2, protocol="reafc", k=2,
-                                t1=math.pi, t2=math.pi)
+    bad = check_weak_conditions(s1, s2, k=2, t1=math.pi, t2=math.pi)
     entry = bad.get("iii'")
     assert not entry.satisfied
     assert entry.residual == pytest.approx(1.0, abs=1e-12)
@@ -256,8 +255,7 @@ def test_comb_timing_requires_comb_ensemble():
     stage1 = make_stage1()
     stage2 = solve_strong_stage2(stage1)
     with pytest.raises(ValidationError):
-        check_weak_conditions(stage1, stage2, protocol="reafc", k=1,
-                              t1=1.0, t2=1.0)
+        check_weak_conditions(stage1, stage2, k=1, t1=1.0, t2=1.0)
 
 
 # ---------------------------------------------------------------------------

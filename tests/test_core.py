@@ -20,7 +20,6 @@ from ramanecho.core import (
     raised_cosine_envelope,
 )
 from ramanecho.errors import (
-    DetuningTooSmall,
     EvenLineCount,
     NonPositiveWidth,
     StepTooCoarse,
@@ -306,8 +305,6 @@ NON_FINITE_FIELDS = {
     "t_end": lambda v: Grid(n_tau=11, n_z=11, t_end=v, length=1.0),
     "length": lambda v: Grid(n_tau=11, n_z=11, t_end=1.0, length=v),
     "duration": lambda v: ProbeSpec.gaussian(center=0.0, duration=v),
-    "spectral_width": lambda v: ProbeSpec(
-        envelope=gaussian_envelope(0.0, 1.0), spectral_width=v),
     "amplitude_scale": lambda v: ProbeSpec.gaussian(
         center=0.0, duration=1.0, amplitude_scale=v),
     "carrier": lambda v: ProbeSpec.gaussian(center=0.0, duration=1.0,
@@ -316,7 +313,6 @@ NON_FINITE_FIELDS = {
         rabi=1.0, detuning=v, switch_on=0.0, switch_off=1.0),
     "switch_on": lambda v: _control(switch_on=v),
     "switch_off": lambda v: _control(switch_off=v),
-    "probe_bandwidth": lambda v: _control(probe_bandwidth=v),
     "weights": lambda v: _one_node(weights=[v]),
     "delta21s": lambda v: _one_node(delta21s=[v]),
     "delta31s": lambda v: _one_node(delta31s=[v]),
@@ -351,14 +347,6 @@ def test_flat_top_derived_quantities():
         0.4, rel=1e-12)
     assert ctl.f(np.array([-1.0]))[0] == 0.0
     assert ctl.peak_f() == pytest.approx(0.01, rel=1e-9)
-
-
-def test_detuning_guard_against_probe_bandwidth():
-    with pytest.raises(DetuningTooSmall):
-        ControlProfile.flat_top(rabi=1.0, detuning=5.0, switch_on=0.0,
-                                switch_off=1.0, probe_bandwidth=1.0)
-    ControlProfile.flat_top(rabi=1.0, detuning=10.0, switch_on=0.0,
-                            switch_off=1.0, probe_bandwidth=1.0)
 
 
 def test_zero_detuning_rejected():
@@ -408,8 +396,7 @@ def test_probe_duration_bandwidth_convention():
     p = ProbeSpec.gaussian(center=0.0, duration=2.0)
     assert p.spectral_width == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(ValidationError):
-        ProbeSpec(envelope=gaussian_envelope(0.0, 2.0), duration=2.0,
-                  spectral_width=1.0)
+        ProbeSpec(envelope=gaussian_envelope(0.0, 2.0), duration=0.0)
     with pytest.raises(ValidationError):
         ProbeSpec.gaussian(center=0.0, duration=1.0, amplitude_scale=-0.5)
 

@@ -144,11 +144,11 @@ def test_envelope_csv_round_trip(tmp_path):
     tau = np.linspace(0.0, 2.0, 21)
     env = (np.sin(tau) + 1j * np.cos(tau)).astype(complex)
     path = tmp_path / "env.csv"
-    write_envelope_csv(str(path), tau, 0.25, env)
+    write_envelope_csv(str(path), tau, env)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (21, 4)
     assert np.max(np.abs(data[:, 0] - tau)) < 1e-15
-    assert np.all(data[:, 1] == 0.25)
+    assert np.all(data[:, 1] == 0.0)
     assert np.max(np.abs(data[:, 2] + 1j * data[:, 3] - env)) < 1e-15
 
 
@@ -156,6 +156,6 @@ def test_envelope_csv_deterministic(tmp_path):
     tau = np.linspace(0.0, 2.0, 21)
     env = (np.sin(tau) + 1j * np.cos(tau)).astype(complex)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_envelope_csv(str(p1), tau, 0.0, env)
-    write_envelope_csv(str(p2), tau, 0.0, env)
+    write_envelope_csv(str(p1), tau, env)
+    write_envelope_csv(str(p2), tau, env)
     assert p1.read_bytes() == p2.read_bytes()

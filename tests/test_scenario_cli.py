@@ -404,7 +404,9 @@ def test_check_survives_bad_values_of_every_key(tmp_path, capsys, name,
     ("control1", "detuning", "1e300", False),
     ("control1", "detuning", "-1e300", False),
     ("control2", "detuning", "1e300", False),
-    ("control2", "detuning", "-1e300", False)])
+    ("control2", "detuning", "-1e300", False),
+    ("probe", "center", "-1e300", False),
+    ("probe", "amplitude_scale", "1e300", False)])
 def test_simulate_refuses_extreme_values_on_one_line(tmp_path, capsys,
                                                      section, key, value,
                                                      bare_message):
@@ -427,7 +429,8 @@ def test_simulate_refuses_extreme_values_on_one_line(tmp_path, capsys,
     ("ensemble", "width", "1e300"), ("probe", "duration", "1e300"),
     ("control1", "detuning", "1e300"), ("control1", "detuning", "-1e300"),
     ("control2", "detuning", "1e300"), ("control2", "detuning", "-1e300"),
-    ("control1", "rabi", "1e300"), ("control1", "rabi", "-1e300")])
+    ("control1", "rabi", "1e300"), ("control1", "rabi", "-1e300"),
+    ("probe", "center", "-1e300"), ("probe", "amplitude_scale", "1e300")])
 def test_overflowing_scenario_number_names_its_key(tmp_path, capsys,
                                                    section, key, value):
     path = _write_with_value(tmp_path, "recrib_ideal", section, key, value)
@@ -595,6 +598,21 @@ def test_echo_time_non_causal_exits_1(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "k >= 2" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option", ["--f1", "--f2", "--t1", "--delta-comb"])
+def test_echo_time_refuses_non_finite_numbers(capsys, option, value):
+    args = {"--f1": "1.0", "--f2": "1.0", "--t1": "1.0", "--delta-comb": "1.0"}
+    args[option] = value
+    code = main(["echo-time", *(part for item in args.items()
+                                for part in item)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert option in captured.err
 
 
 def test_dump_defaults_round_trips(tmp_path, capsys):

@@ -26,6 +26,8 @@ from ramanecho.core import (
 from ramanecho.errors import (
     ConditionsUnmet,
     ControlVanishes,
+    DetuningTooSmall,
+    IncompleteAbsorptionWarning,
     PhysicalityViolation,
     ValidationError,
 )
@@ -99,7 +101,7 @@ def test_kernel_reduction_matches_compensated_sum():
         + 1j * rng.standard_normal((n_node, n_z))
     r11 = rng.random((n_node, n_z))
     grid = Grid(n_tau=2, n_z=n_z, t_end=1.0, length=1.0)
-    state = SimulationState.fresh(grid, ens, 50.0, stage="storage",
+    state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1,
                                   r12_initial=r12, r11_initial=r11)
     b11, b12 = ensemble_kernels(state, ens, state.r12, state.r11)
 
@@ -125,9 +127,9 @@ def _field_test_pieces(n_z=65, beta=4.0, detuning=50.0):
 
 def test_field_row_no_coherence_no_input_is_zero():
     ens, ctl, med, grid = _field_test_pieces()
-    for stage in ("storage", "retrieval"):
+    for sgn in (+1, -1):
         state = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
-                                      stage=stage)
+                                      drive_sign=sgn)
         row = field_row(state, ens, med, ctl, 0.0, 0.0, state.r12, state.r11)
         assert np.all(row == 0)
 
@@ -138,14 +140,14 @@ def test_population_term_keeps_field_magnitude():
     ens, ctl, med, grid = _field_test_pieces(beta=12.0)
     zeta0 = 0.3 - 0.4j
     state = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
-                                  stage="storage",
+                                  drive_sign=+1,
                                   boundary=lambda s, psi, rabi: zeta0)
     row = field_row(state, ens, med, ctl, 0.0, 0.0, state.r12, state.r11)
     assert row[0] == zeta0
     assert np.max(np.abs(np.abs(row) - abs(zeta0))) < FIELD_CLOSED_FORM_TOL
 
     back = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
-                                 stage="retrieval",
+                                 drive_sign=-1,
                                  boundary=lambda s, psi, rabi: zeta0)
     row_b = field_row(back, ens, med, ctl, 0.0, 0.0, back.r12, back.r11)
     assert row_b[-1] == zeta0
@@ -158,9 +160,9 @@ def test_single_node_row_matches_closed_form():
     ens, ctl, med, grid = _field_test_pieces(beta=4.0, detuning=50.0)
     z = grid.z()
     r = 0.2 + 0.1j
-    for stage, sgn in (("storage", +1.0), ("retrieval", -1.0)):
+    for sgn in (+1, -1):
         state = SimulationState.fresh(
-            grid, ens, ctl.one_photon_detuning, stage=stage,
+            grid, ens, ctl.one_photon_detuning, drive_sign=sgn,
             r12_initial=np.full((1, grid.n_z), r),
             r11_initial=np.ones((1, grid.n_z)))
         a = 0.5j * med.coupling_beta * sgn / ctl.one_photon_detuning
@@ -179,7 +181,7 @@ def test_short_slab_row_is_linear_in_depth():
     ens, ctl, med, grid = _field_test_pieces(beta=0.4, detuning=50.0)
     r = 0.2 + 0.1j
     state = SimulationState.fresh(
-        grid, ens, ctl.one_photon_detuning, stage="storage",
+        grid, ens, ctl.one_photon_detuning, drive_sign=+1,
         r12_initial=np.full((1, grid.n_z), r),
         r11_initial=np.ones((1, grid.n_z)))
     row = field_row(state, ens, med, ctl, 0.0, 0.0, state.r12, state.r11)
@@ -208,16 +210,16 @@ def test_row_matches_refined_z_reference():
     for n_z in (65, 257):
         grid = Grid(n_tau=5, n_z=n_z, t_end=1.0, length=1.0)
         r12, r11 = atoms(grid.z())
-        for stage in ("storage", "retrieval"):
+        for sgn in (+1, -1):
             state = SimulationState.fresh(
-                grid, ens, ctl.one_photon_detuning, stage=stage,
+                grid, ens, ctl.one_photon_detuning, drive_sign=sgn,
                 boundary=lambda s, psi, rabi: 0.05 + 0.02j,
                 r12_initial=r12, r11_initial=r11)
-            rows[stage, n_z] = field_row(state, ens, med, ctl, 0.0, 0.0,
-                                         state.r12, state.r11)
-    for stage in ("storage", "retrieval"):
-        coarse = rows[stage, 65]
-        fine = rows[stage, 257][::4]
+            rows[sgn, n_z] = field_row(state, ens, med, ctl, 0.0, 0.0,
+                                       state.r12, state.r11)
+    for sgn in (+1, -1):
+        coarse = rows[sgn, 65]
+        fine = rows[sgn, 257][::4]
         scale = np.max(np.abs(fine))
         assert np.max(np.abs(coarse - fine)) < REFINED_FIELD_TOL * scale
 
@@ -233,7 +235,7 @@ def test_free_atom_is_unchanged():
     grid = Grid(n_tau=11, n_z=9, t_end=0.5, length=1.0)
     r12_0 = np.full((1, grid.n_z), 0.2 + 0.05j)
     r11_0 = np.full((1, grid.n_z), 0.7)
-    state = SimulationState.fresh(grid, ens, 50.0, stage="storage",
+    state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1,
                                   r12_initial=r12_0, r11_initial=r11_0)
     for _ in range(grid.n_tau - 1):
         advance_atoms(state, ens, ctl, grid.dt)
@@ -249,7 +251,7 @@ def test_static_detuning_is_exact_rotation():
     grid = Grid(n_tau=41, n_z=5, t_end=2.0, length=1.0)
     r12_0 = 0.3 + 0.4j
     state = SimulationState.fresh(
-        grid, ens, 50.0, stage="storage",
+        grid, ens, 50.0, drive_sign=+1,
         r12_initial=np.full((1, grid.n_z), r12_0),
         r11_initial=np.full((1, grid.n_z), 0.5))
     for _ in range(grid.n_tau - 1):
@@ -271,7 +273,7 @@ def test_resonant_drive_matches_rabi_oracle():
     ctl = const_control(rabi=rabi, detuning=delta, t_end=2.0)
     grid = Grid(n_tau=2001, n_z=3, t_end=2.0, length=1.0)
     zeta = 0.5
-    state = SimulationState.fresh(grid, ens, delta, stage="storage")
+    state = SimulationState.fresh(grid, ens, delta, drive_sign=+1)
     state.zeta_t[:] = zeta
     state.zeta_scale = zeta
     hist = np.empty(grid.n_tau)
@@ -295,7 +297,7 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
                        delta21s=[d21, 0.0, -d21], delta31s=[-d31, 0.0, d31])
     ctl = const_control(rabi=40.0, detuning=delta, t_end=0.8)
     grid = Grid(n_tau=41, n_z=5, t_end=0.8, length=1.0)
-    state = SimulationState.fresh(grid, ens, delta, stage="storage")
+    state = SimulationState.fresh(grid, ens, delta, drive_sign=+1)
     state.zeta_t[:] = amp * (0.6 + 0.8j)
     state.zeta_scale = amp
     for _ in range(grid.n_tau - 1):
@@ -309,7 +311,7 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
     rng = np.random.default_rng(11)
     mixed = SimulationState.fresh(Grid(n_tau=5, n_z=257, t_end=1.0,
                                        length=1.0), ens, 50.0,
-                                  stage="storage")
+                                  drive_sign=+1)
     theta = rng.uniform(0.0, math.pi, mixed.r11.shape)
     radius = 0.5 + rng.uniform(-1e-6, 1e-6, mixed.r11.shape)
     mixed.r12[:] = radius * np.sin(theta) * np.exp(
@@ -332,7 +334,7 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
 def test_projection_absorbs_truncation_overshoot():
     ens = single_node()
     grid = Grid(n_tau=5, n_z=7, t_end=1.0, length=1.0)
-    state = SimulationState.fresh(grid, ens, 50.0, stage="storage")
+    state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1)
     state.r11[:] = 1.0 + 5.0e-7
     state.assert_physical()
     assert np.all(state.r11 <= 1.0)
@@ -344,11 +346,11 @@ def test_projection_absorbs_truncation_overshoot():
 def test_unphysical_state_raises():
     ens = single_node()
     grid = Grid(n_tau=5, n_z=7, t_end=1.0, length=1.0)
-    state = SimulationState.fresh(grid, ens, 50.0, stage="storage")
+    state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1)
     state.r11[:] = 1.5
     with pytest.raises(PhysicalityViolation):
         state.assert_physical()
-    hot = SimulationState.fresh(grid, ens, 50.0, stage="storage")
+    hot = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1)
     hot.r12[:] = 1.0
     with pytest.raises(PhysicalityViolation):
         hot.assert_physical()
@@ -359,7 +361,7 @@ def test_live_field_with_control_off_raises():
     ctl = ControlProfile.flat_top(rabi=0.0, detuning=50.0, switch_on=-2.0,
                                   switch_off=4.0)
     grid = Grid(n_tau=5, n_z=7, t_end=1.0, length=1.0)
-    state = SimulationState.fresh(grid, ens, 50.0, stage="storage")
+    state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1)
     state.zeta_t[:] = 0.1
     state.zeta_scale = 0.1
     with pytest.raises(ControlVanishes):
@@ -396,7 +398,7 @@ def test_first_step_solves_its_row_unless_the_package_recorded_it():
 
     def history(record_row0):
         state = SimulationState.fresh(
-            grid, ens, ctl.one_photon_detuning, stage="storage",
+            grid, ens, ctl.one_photon_detuning, drive_sign=+1,
             boundary=ProbeBoundary(probe))
         if record_row0:
             state.zeta_t[0] = field_row(state, ens, med, ctl, 0.0, 0.0,
@@ -457,22 +459,48 @@ def test_probe_tail_outside_control_window_rejected():
         run_storage(probe, short_ctl, ens, med, grid)
 
 
+@pytest.mark.parametrize("store", [run_weak_storage, run_storage],
+                         ids=["weak", "strong"])
+def test_both_regimes_run_the_storage_checks(store):
+    ens, ctl, probe, med, grid = _cheap_setup()
+    # half of a probe centred on either end of the stage grid is never
+    # injected, so an efficiency measured against it would mislead
+    for center in (0.0, grid.t_end):
+        cut = ProbeSpec.gaussian(center=center, duration=2.0,
+                                 amplitude_scale=1e-3)
+        with pytest.raises(ValidationError,
+                           match="outside the control window"):
+            store(cut, ctl, ens, med, grid)
+    # bandwidth 1 / 0.1 = 10 needs |Delta| >= 100; the control gives 60
+    narrow = ProbeSpec.gaussian(center=8.0, duration=0.1,
+                                amplitude_scale=1e-3)
+    with pytest.raises(DetuningTooSmall):
+        store(narrow, ctl, ens, med, grid)
+    shallow = _cheap_setup(alpha_eff_l=1.0)[3]
+    with pytest.warns(IncompleteAbsorptionWarning):
+        out = store(probe, ctl, ens, shallow, grid)
+    assert out.transmitted_fraction > 0.05
+
+
 def test_strict_mode_gates_on_failing_report():
     ens, ctl, _, med, grid = _cheap_setup()
-    stored = SimulationState.fresh(grid, ens, 60.0, stage="storage")
+    stored = SimulationState.fresh(grid, ens, 60.0, drive_sign=+1)
     report = ConditionReport(entries=(
         ConditionEntry(id="iv", residual=2.0, tolerance=1e-9,
                        satisfied=False),))
     protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0, strict=True)
     ctl2 = ctl.time_reversed(anchor=16.0, detuning=-60.0)
+    tau_in = grid.tau()
     with pytest.raises(ConditionsUnmet, match="iv"):
         run_retrieval(stored, ctl2, protocol, ens, med, grid,
+                      tau_input=tau_in,
+                      input_envelope=gaussian_envelope(8.0, 2.0)(tau_in),
                       conditions=report)
 
 
 def test_retrieving_empty_state_yields_nothing():
     ens, ctl, _, med, grid = _cheap_setup()
-    stored = SimulationState.fresh(grid, ens, 60.0, stage="storage")
+    stored = SimulationState.fresh(grid, ens, 60.0, drive_sign=+1)
     protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0)
     ctl2 = ctl.time_reversed(anchor=16.0, detuning=-60.0)
     tau_in = grid.tau()
@@ -535,7 +563,7 @@ def deep_case():
                            input_envelope=out.input_envelope,
                            transmitted_fraction=out.transmitted_fraction)
     weak_out = run_weak_storage(probe, ctl1, ens, med, grid)
-    weak_record = recall_weak(weak_out.state, protocol, ctl2, ens, med, grid,
+    weak_record = recall_weak(weak_out.state, ctl2, protocol, ens, med, grid,
                               tau_input=weak_out.tau,
                               input_envelope=weak_out.input_envelope,
                               transmitted_fraction=weak_out.transmitted_fraction)
@@ -557,7 +585,7 @@ def test_deep_transmission_bounded_by_linear_oracle(deep_case):
     kern = SusceptibilityKernel(ensemble=ens, f_value=1.0,
                                 beta=med.coupling_beta)
     oracle = analytic_transmission(deep_case["probe"], kern, med,
-                                   deep_case["ctl1"], window=(0.0, 24.0))
+                                   window=(0.0, 24.0))
     assert out.transmitted_fraction <= \
         math.exp(-20.0) + 2.0 * oracle.ratio + 1e-8
     assert out.transmitted_fraction < 1e-5

@@ -80,11 +80,11 @@ def test_fid_through_integrator_matches_kernel():
     med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
     grid = Grid(n_tau=161, n_z=5, t_end=4.0, length=1.0)
     state = WeakState.fresh(grid, ens, drive_sign=+1)
-    state.r12_t[:] = 1.0
-    vals = [np.sum(ens.weights * state.r12_t[:, 0])]
+    state.r12[:] = 1.0
+    vals = [np.sum(ens.weights * state.r12[:, 0])]
     for _ in range(grid.n_tau - 1):
-        advance_weak(state, ens, med, ctl, grid.dt)
-        vals.append(np.sum(ens.weights * state.r12_t[:, 0]))
+        advance_weak(state, ens, med, ctl, grid.dt, bandwidth=1.0)
+        vals.append(np.sum(ens.weights * state.r12[:, 0]))
     got = np.array(vals)
     want = fid_kernel(ens, 1.0, grid.tau())
     assert np.max(np.abs(got - want)) < ROTATION_TOL
@@ -122,11 +122,11 @@ def _node_history(probe, ctl, ens, med, grid, record_row0=False):
     if record_row0:
         state.zeta_t[0] = field_row(state, med, ctl, 0.0,
                                     weighted_node_sum(ens.weights,
-                                                      state.r12_t))
-    hist = [state.r12_t[0, 0]]
+                                                      state.r12))
+    hist = [state.r12[0, 0]]
     for _ in range(grid.n_tau - 1):
-        advance_weak(state, ens, med, ctl, grid.dt)
-        hist.append(state.r12_t[0, 0])
+        advance_weak(state, ens, med, ctl, grid.dt, probe.spectral_width)
+        hist.append(state.r12[0, 0])
     return np.array(hist)
 
 
@@ -158,7 +158,7 @@ def _dense_advance_weak(state, ensemble, medium, control, dt):
     drive = float(state.drive_sign)
     drive_half = drive * np.conj(rot_half)
     drive_full = drive * np.conj(rot_full)
-    p = state.r12_t
+    p = state.r12
 
     def row_at(k, r12):
         return field_row(state, medium, control, times[k],
@@ -171,11 +171,11 @@ def _dense_advance_weak(state, ensemble, medium, control, dt):
     k2 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k1))[None, :]
     k3 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k2))[None, :]
     k4 = drive_full * row_at(2, rot_full * (p + dt * k3))[None, :]
-    state.r12_t = rot_full * (p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3
+    state.r12 = rot_full * (p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3
                                                  + k4))
     state.clock = s + dt
     state.step_index += 1
-    state.zeta_t[state.step_index] = row_at(2, state.r12_t)
+    state.zeta_t[state.step_index] = row_at(2, state.r12)
     state.row_current = True
 
 
@@ -213,11 +213,12 @@ def test_rank_one_step_matches_dense_step(drive_sign, row_current):
     sample = ctl.sample_step(rank_one.clock, grid.dt)
     assert abs(2.0 * sample.df_half - sample.df_full) > 1e-3 * sample.df_full
     assert np.ptp(ens.delta21s) > 0.0 and np.ptp(ens.delta31s) > 0.0
-    advance_weak(rank_one, ens, med, ctl, grid.dt)
+    # bandwidth 2.0 is the probe's, 1 / duration
+    advance_weak(rank_one, ens, med, ctl, grid.dt, bandwidth=2.0)
     _dense_advance_weak(dense, ens, med, ctl, grid.dt)
     assert rank_one.step_index == dense.step_index == 4
     assert rank_one.row_current and rank_one.clock == dense.clock
-    for got, want in ((rank_one.r12_t, dense.r12_t),
+    for got, want in ((rank_one.r12, dense.r12),
                       (rank_one.zeta_t[4], dense.zeta_t[4])):
         scale = np.max(np.abs(want))
         assert scale > 0.0
@@ -270,6 +271,9 @@ def test_storage_audit_balances():
     assert out.stored_excitation >= 0.0
 
 
+# shallow slabs transmit much of the probe on purpose here
+@pytest.mark.filterwarnings(
+    "ignore::ramanecho.errors.IncompleteAbsorptionWarning")
 @settings(max_examples=8, deadline=None)
 @given(alpha=st.floats(0.5, 6.0), duration=st.floats(1.2, 3.0))
 def test_storage_audit_balances_generic(alpha, duration):
@@ -321,7 +325,7 @@ def run_recrib_round_trip(grid=None, ens=None):
     out = run_weak_storage(probe, ctl1, base_ens, med, g)
     protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0)
     ctl2 = ctl1.time_reversed(anchor=24.0, detuning=-60.0)
-    record = recall_weak(out.state, protocol, ctl2, base_ens, med, g,
+    record = recall_weak(out.state, ctl2, protocol, base_ens, med, g,
                          tau_input=out.tau,
                          input_envelope=out.input_envelope,
                          transmitted_fraction=out.transmitted_fraction)
@@ -352,10 +356,10 @@ def test_recall_validates_its_grid():
     env = np.zeros_like(tau, dtype=complex)
     coarse = Grid(n_tau=33, n_z=grid.n_z, t_end=grid.t_end, length=1.0)
     with pytest.raises(StepTooCoarse, match="n_tau"):
-        recall_weak(stored, protocol, ctl2, ens, med, coarse, tau, env)
+        recall_weak(stored, ctl2, protocol, ens, med, coarse, tau, env)
     other_z = Grid(n_tau=grid.n_tau, n_z=33, t_end=grid.t_end, length=1.0)
     with pytest.raises(ValidationError, match="Z axis"):
-        recall_weak(stored, protocol, ctl2, ens, med, other_z, tau, env)
+        recall_weak(stored, ctl2, protocol, ens, med, other_z, tau, env)
 
 
 def test_recall_energy_scales_quadratically():
@@ -371,7 +375,7 @@ def test_recall_energy_scales_quadratically():
     out = run_weak_storage(probe, ctl1, ens, med, grid)
     protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0)
     ctl2 = ctl1.time_reversed(anchor=24.0, detuning=-60.0)
-    half = recall_weak(out.state, protocol, ctl2, ens, med, grid,
+    half = recall_weak(out.state, ctl2, protocol, ens, med, grid,
                        tau_input=out.tau,
                        input_envelope=out.input_envelope)
     assert abs(half.echo_energy / full.echo_energy - 0.25) < 1e-9
@@ -400,7 +404,7 @@ def test_reafc_echo_at_comb_period():
                                    switch_on=0.0, switch_off=t_end2,
                                    rise_time=0.05)
     grid2 = Grid(n_tau=385, n_z=49, t_end=t_end2, length=1.0)
-    record = recall_weak(out.state, protocol, ctl2, ens, med, grid2,
+    record = recall_weak(out.state, ctl2, protocol, ens, med, grid2,
                          tau_input=out.tau,
                          input_envelope=out.input_envelope)
     eps, fid = measure_efficiency(record)
@@ -426,12 +430,10 @@ def test_monochromatic_transmission_matches_pole_sum():
     # exp(-beta f L Re D(0)) directly
     ens = build_gaussian_ensemble(width=1.0, n_nodes=24)
     med = MediumSpec.from_alpha_eff(3.0, line_width_31=1.0, length_L=1.0)
-    ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0,
-                                  switch_on=-1e6, switch_off=1e6)
     kern = SusceptibilityKernel(ens, 1.0, med.coupling_beta, eta=0.5)
     probe = ProbeSpec.gaussian(center=0.0, duration=5000.0)
-    res = analytic_transmission(probe, kern, med, ctl,
-                                window=(-60000.0, 60000.0), n_time=2 ** 15)
+    res = analytic_transmission(probe, kern, med, window=(-60000.0, 60000.0),
+                                n_time=2 ** 15)
     expected = math.exp(-med.coupling_beta * med.length_L
                         * kern.D(0.0).real)
     assert abs(res.ratio - expected) / expected < MONOCHROMATIC_TOL
@@ -440,24 +442,25 @@ def test_monochromatic_transmission_matches_pole_sum():
 def test_zero_depth_transmission_is_identity():
     ens = build_gaussian_ensemble(width=1.0, n_nodes=24)
     med = MediumSpec(coupling_beta=2.0, length_L=1e-14)
-    ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0,
-                                  switch_on=-100.0, switch_off=100.0)
     kern = SusceptibilityKernel(ens, 1.0, med.coupling_beta, eta=0.2)
     probe = ProbeSpec.gaussian(center=0.0, duration=1.0)
-    res = analytic_transmission(probe, kern, med, ctl,
-                                window=(-12.0, 12.0), n_time=2048)
+    res = analytic_transmission(probe, kern, med, window=(-12.0, 12.0),
+                                n_time=2048)
     assert abs(res.ratio - 1.0) < IDENTITY_TOL
     want = probe.sample(res.tau)
     assert np.max(np.abs(res.output - want)) < IDENTITY_TOL
 
 
+# shallow slabs transmit much of the probe on purpose here
+@pytest.mark.filterwarnings(
+    "ignore::ramanecho.errors.IncompleteAbsorptionWarning")
 @pytest.mark.parametrize("alpha_eff_l", [1.0, 3.0, 10.0])
 def test_time_domain_matches_frequency_domain(alpha_eff_l):
     ens, ctl, probe, med, grid = make_gaussian_setup(
         alpha_eff_l=alpha_eff_l, n_tau=513)
     out = run_weak_storage(probe, ctl, ens, med, grid)
     kern = SusceptibilityKernel(ens, 1.0, med.coupling_beta, eta=0.0)
-    res = analytic_transmission(probe, kern, med, ctl, window=(0.0, 24.0),
+    res = analytic_transmission(probe, kern, med, window=(0.0, 24.0),
                                 n_time=4096)
     rel = abs(out.transmitted_fraction - res.ratio) / res.ratio
     assert rel < TIME_FREQ_TOL
@@ -473,7 +476,7 @@ def test_comb_transmission_matches_time_domain():
     grid = Grid(n_tau=513, n_z=49, t_end=6.0, length=1.0)
     out = run_weak_storage(probe, ctl, ens, med, grid)
     kern = SusceptibilityKernel(ens, 1.0, med.coupling_beta, eta=0.0)
-    res = analytic_transmission(probe, kern, med, ctl, window=(0.0, 6.0),
+    res = analytic_transmission(probe, kern, med, window=(0.0, 6.0),
                                 n_time=4096)
     rel = abs(out.transmitted_fraction - res.ratio) / max(res.ratio, 1e-12)
     assert rel < COMB_TIME_FREQ_TOL
