@@ -6,7 +6,7 @@ echo-time (comb rephasing time), dump-defaults (reference scenario).
 
 Exit codes: 0 success, 1 error (malformed input, integrator failure, or
 an internal error, reported on one line), 2 strict scenario refused on
-unmet conditions, 3 condition check failed.
+unmet conditions, 3 condition check failed.  A warning is one line too.
 All file writes are whole-file atomic and every output is deterministic:
 the same inputs produce byte-identical files.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -193,22 +194,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except ConditionsUnmet as exc:
-        print(f"conditions unmet: {exc}", file=sys.stderr)
-        return 2
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - no input may print a traceback
-        print(f"internal error: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 1
+    # warnings are recorded under the filters in force, and each printed
+    # as one line after the command
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except ConditionsUnmet as exc:
+            print(f"conditions unmet: {exc}", file=sys.stderr)
+            return 2
+        except SimulationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:  # noqa: BLE001 - no input prints a traceback
+            print(f"internal error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 1
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

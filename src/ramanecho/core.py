@@ -30,7 +30,6 @@ from .errors import (
     UnresolvedComb,
     ValidationError,
 )
-from .numerics import simpson_nodes, simpson_sums
 
 # amplitude_scale = 1 puts the peak |zeta|/|Omega| here
 WEAK_AMPLITUDE_RATIO = 1.0e-3
@@ -318,25 +317,6 @@ def build_comb_ensemble(spacing: float, tooth_width: float, n_lines: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StepSample:
-    """The control on one step's Simpson points s + dt * (0, 1/8, ..., 1).
-
-    One envelope evaluation per step: entries 0, 4 and 8 are the
-    Runge-Kutta stage times s, s + dt/2 and s + dt, and df_half, df_full
-    are the Simpson integrals of f over the half and the whole step.
-    """
-
-    rabi: np.ndarray            # (9,) Omega
-    f: np.ndarray               # (9,) |Omega|^2 / Delta^2
-    df_half: float
-    df_full: float
-
-    def stage(self, k: int):
-        """(Omega, f) at stage time s + k dt/2, k = 0, 1, 2."""
-        return self.rabi[4 * k], float(self.f[4 * k])
-
-
-@dataclass(frozen=True)
 class ControlProfile:
     """Classical control field of one stage.
 
@@ -368,18 +348,10 @@ class ControlProfile:
         """Dimensionless control parameter |Omega|^2 / Delta^2."""
         return self._f_of(self.rabi(tau))
 
-    def at(self, s: float):
-        """(Omega, f) at one time, from a single envelope evaluation."""
+    def at(self, s):
+        """(Omega, f) at the times s, from one envelope evaluation."""
         rabi = self.rabi(s)
-        return rabi, float(self._f_of(rabi))
-
-    def sample_step(self, s: float, dt: float) -> "StepSample":
-        """The control on the Simpson points of the step [s, s + dt]."""
-        rabi = self.rabi(simpson_nodes(s, dt))
-        f = self._f_of(rabi)
-        df_half, df_full = simpson_sums(f, dt)
-        return StepSample(rabi=rabi, f=f, df_half=float(df_half),
-                          df_full=float(df_full))
+        return rabi, self._f_of(rabi)
 
     @cached_property
     def _window_abs_rabi(self) -> np.ndarray:

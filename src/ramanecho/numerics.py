@@ -43,10 +43,18 @@ def cumulative_integral(y: np.ndarray, dx: float) -> np.ndarray:
     mid -= y[..., :-3]
     mid += 13.0 * y[..., 2:-1]
     mid -= y[..., 3:]
-    ends = y[..., _END_TAPS].reshape(y.shape[:-1] + (2, 4))
-    inc[..., ::n - 2] = np.add.reduce(ends * _END_WEIGHTS, axis=-1)
+    if y.ndim == 1 and y.dtype.kind == "c":
+        # a field row, four per step: scalar taps, paired as the complex
+        # reduction below pairs them, so both give the same bits
+        a0, a1, a2, a3 = y[:4].tolist()
+        b0, b1, b2, b3 = y[-4:].tolist()
+        inc[0] = (9.0 * a0 + 19.0 * a1) + (a3 - 5.0 * a2)
+        inc[-1] = (b0 - 5.0 * b1) + (19.0 * b2 + 9.0 * b3)
+    else:
+        ends = y[..., _END_TAPS].reshape(y.shape[:-1] + (2, 4))
+        inc[..., ::n - 2] = np.add.reduce(ends * _END_WEIGHTS, axis=-1)
     inc *= dx / 24.0
-    np.cumsum(inc, axis=-1, out=inc)
+    inc.cumsum(axis=-1, out=inc)
     return out
 
 
@@ -55,35 +63,15 @@ def trapezoid_energy(y: np.ndarray, dx: float) -> float:
     return float(np.trapezoid(np.abs(np.asarray(y)) ** 2, dx=dx))
 
 
-def simpson_nodes(t0: float, dt: float) -> np.ndarray:
-    """The nine Simpson points t0 + dt * (0, 1/8, ..., 1) of one step.
+def weighted_node_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] * x[j, :] over the node axis for real weights.
 
-    Entries 0, 4 and 8 are t0, t0 + dt/2 and t0 + dt exactly as the
-    steppers compute their stage times.
+    A complex x is summed as its interleaved real and imaginary parts, by
+    einsum's own loop: bit-identical from run to run, and not dependent on
+    the BLAS library or its thread count, as a matrix product would be.
     """
-    return t0 + dt * np.array(
-        [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0])
-
-
-def simpson_sums(v: np.ndarray, dt: float):
-    """Integrals over [t0, t0+dt/2] and [t0, t0+dt] of a function sampled
-    at simpson_nodes(t0, dt)."""
-    # composite Simpson, two panels of width dt/4 per half: h/3 = dt/24
-    half = (dt / 24.0) * (v[0] + 4.0 * v[1] + 2.0 * v[2] + 4.0 * v[3] + v[4])
-    full = half + (dt / 24.0) * (v[4] + 4.0 * v[5] + 2.0 * v[6] + 4.0 * v[7] + v[8])
-    return half, full
-
-
-def weighted_node_sum(weights: np.ndarray, x: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """sum_j weights[j] * x[j, :] over the node axis, in fixed node order.
-
-    A numpy reduction over axis 0 adds the weighted rows one after
-    another, so the result is bit-identical from run to run and does not
-    depend on the BLAS library or its thread count, as a matrix product
-    would.  out, when given, receives the weighted rows.
-    """
-    return np.add.reduce(np.multiply(weights[:, None], x, out=out), axis=0)
+    x = np.ascontiguousarray(x, np.promote_types(x.dtype, np.float64))
+    return np.einsum("j,jz->z", weights, x.view(np.float64)).view(x.dtype)
 
 
 def golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:

@@ -40,8 +40,11 @@ def _check(scenario: Scenario, stage1, stage2,
 
 
 def scenario_report(scenario: Scenario) -> ConditionReport:
-    """Run the regime's reversal-condition checker on the two stages."""
+    """Run the regime's reversal-condition checker on the two stages,
+    once the storage checks that a run makes first have passed."""
     stage1, stage2, _ = stage_setups(scenario)
+    stages.check_storage(stage1.probe, stage1.control,
+                         build_grids(scenario)[0])
     return _check(scenario, stage1, stage2)
 
 

@@ -2,7 +2,8 @@
 
 Both regimes store a probe in the slab and recall it as a backward echo,
 and they differ only in their equations.  What the drivers do alike
-lives here once: the stage state, the storage checks, stepping a stage
+lives here once: the stage state, the stage table of what the steps read
+that does not depend on the atoms, the storage checks, stepping a stage
 from its recorded first row, the photon-flux audits of storage and
 retrieval, the recall gate (gap_time check and strict gate, which a
 scenario run applies before storage), the handover of the stored
@@ -76,11 +77,13 @@ class StageState:
     for storage, which integrates the field from the input face Z = 0,
     and -1 for retrieval, which emits backward from a zero boundary at
     Z = L.  boundary is the incoming field at the injection face, called
-    with the Omega(s) that the regime's field_row sampled.  row_current
-    says that zeta_t[step_index] was solved from the current atoms at the
-    current clock, by a run driver at row 0 or by the regime's step at the
-    step end; the next step reuses it as its k1 row.  Code that changes
-    the atoms in place between steps must clear it.
+    with times s (arrays of them in the stage table), the strong regime's
+    Stark phase there and the control Omega(s).  row_current says that
+    zeta_t[step_index] was solved from the current atoms at the current
+    clock, by a run driver at row 0 or by the regime's step at the step
+    end; the next step reuses it as its k1 row.  Code that changes the
+    atoms in place between steps must clear it.  The first step builds
+    table, a StageTable for one control and dt.
     """
 
     zeta_t: np.ndarray          # (n_tau, n_z) complex
@@ -92,6 +95,7 @@ class StageState:
     clock: float = 0.0
     step_index: int = 0
     row_current: bool = False
+    table: StageTable | None = None
 
     @classmethod
     def fresh(cls, grid, ensemble, drive_sign: int,
@@ -105,6 +109,65 @@ class StageState:
                    z=z, dz=float(z[1] - z[0]), drive_sign=drive_sign,
                    boundary=zero_boundary if boundary is None else boundary,
                    **own)
+
+
+@dataclass(frozen=True)
+class StageTable:
+    """What the steps of one stage read that does not depend on the atoms.
+
+    Row i is step first + i: the control on its Simpson points s + dt (0,
+    1/8, ..., 1), of which 0, 4 and 8 are the stage times s, s + dt/2 and
+    s + dt, the Simpson integrals of f over its half and whole, and at the
+    stage times the Stark phase Delta int f (0 at the first step),
+    |Omega|^2 and the field row's boundary value.
+    """
+
+    first: int
+    times: np.ndarray           # (n_steps, 9)
+    rabi: np.ndarray            # (n_steps, 9)
+    f: np.ndarray               # (n_steps, 9)
+    df_half: np.ndarray         # (n_steps,)
+    df_full: np.ndarray         # (n_steps,)
+    psi: np.ndarray             # (n_steps, 3)
+    om2: np.ndarray             # (n_steps, 3)
+    incoming: np.ndarray        # (n_steps, 3)
+    peak2: float
+
+    @classmethod
+    def build(cls, state: StageState, control, dt: float,
+              boundary) -> StageTable:
+        """state.table, set for the state's steps left from its clock on;
+        boundary(s, psi, Omega) takes arrays."""
+        n_steps = state.zeta_t.shape[0] - 1 - state.step_index
+        # the step starts add dt in sequence, as the steps advance the clock
+        clock = np.cumsum(np.r_[state.clock, np.full(n_steps - 1, dt)])
+        times = clock[:, None] + dt * np.linspace(0.0, 1.0, 9)
+        rabi, f = control.at(times)
+        # composite Simpson, two panels of width dt/4 per half: h/3 = dt/24
+        v = f.T
+        half = (dt / 24.0) * (v[0] + 4.0 * v[1] + 2.0 * v[2] + 4.0 * v[3]
+                              + v[4])
+        full = half + (dt / 24.0) * (v[4] + 4.0 * v[5] + 2.0 * v[6]
+                                     + 4.0 * v[7] + v[8])
+        delta = control.one_photon_detuning
+        psi0 = np.cumsum(np.r_[0.0, delta * full[:-1]])
+        psi = np.stack([psi0, psi0 + delta * half, psi0 + delta * full], 1)
+        incoming = np.asarray(boundary(times[:, ::4], psi, rabi[:, ::4]),
+                              dtype=complex)
+        state.table = cls(state.step_index, times, rabi, f, half, full, psi,
+                          np.abs(rabi[:, ::4]) ** 2,
+                          np.broadcast_to(incoming, psi.shape),
+                          control.peak_rabi() ** 2)
+        return state.table
+
+    def row(self, step_index: int):
+        """Step step_index in Python numbers: stage times, Stark phases,
+        |Omega|^2, (f, boundary value) pairs, df_half and df_full."""
+        i = step_index - self.first
+        return (self.times[i, ::4].tolist(), self.psi[i].tolist(),
+                self.om2[i].tolist(),
+                tuple(zip(self.f[i, ::4].tolist(), self.incoming[i].tolist())),
+                float(self.df_half[i]), float(self.df_full[i]))
 
 
 def check_storage(probe, control, grid) -> None:
@@ -148,7 +211,8 @@ class StorageOutcome:
 
 def march(state, row0: np.ndarray, n_tau: int, step) -> None:
     """Record row 0, solved from the initial atoms, then take n_tau - 1
-    steps.  row_current lets the first step reuse row 0 as its k1 row."""
+    steps.  row_current lets the first step reuse row 0 as its k1 row,
+    and the first step builds the stage table that every step reads."""
     state.zeta_t[0] = row0
     state.row_current = True
     for _ in range(n_tau - 1):

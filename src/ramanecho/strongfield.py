@@ -25,18 +25,19 @@ the slow node-spread rates.  The field is solved across the slab by an
 integrating-factor quadrature at the k2, k3 and k4 stages of every
 Runge-Kutta step and recorded at the step end, keeping the coupled step
 4th order; k1 reuses the row recorded from the same atoms at the same
-clock.  The control is sampled once per step, on the Simpson points that
-also supply the stage values.  Storage integrates the field from the
-input face Z = 0; retrieval from a zero boundary at Z = L, emitting
-backward.  All node/Z updates are whole-array operations and the
-ensemble sums run in fixed node order off BLAS, so repeated runs are
-bit-identical whatever the BLAS thread count.
+clock.  The per-node constants are set once per stage in the state, and
+the control on every step's Simpson points (which also supply the stage
+values), the Stark phase and the boundary values in its StageTable.
+Storage integrates the field from the input face Z = 0; retrieval from
+a zero boundary at Z = L, emitting backward.  All node/Z updates are
+whole-array operations and the ensemble sums run off BLAS, so repeated
+runs are bit-identical whatever the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,7 +49,6 @@ from .core import (
     Grid,
     MediumSpec,
     ProbeSpec,
-    StepSample,
     WEAK_AMPLITUDE_RATIO,
 )
 from .errors import (
@@ -90,22 +90,17 @@ class SimulationState(stages.StageState):
 
     Adds the ground population r11 per (node, Z) to the shared stage
     state, whose boundary is called as (tau, psi, Omega(tau)).
-    accumulated_psi is the running control Stark phase Delta * int f and
-    zeta_scale the largest field magnitude seen so far (the reference for
-    control-off field checks).
+    kernel_weights are the w_j c_j of the ensemble kernels B_mn, and nodes
+    the slopes' per-node constants: d21, the bracket rate Delta c_j and
+    the drive, Stark and coupling factors.  zeta_scale is the largest
+    field magnitude seen so far (the reference for control-off field
+    checks).
     """
 
     r11: np.ndarray             # (n_node, n_z) real
-    c_factors: np.ndarray       # (n_node,)
-    accumulated_psi: float = 0.0
+    kernel_weights: np.ndarray  # (n_node,)
+    nodes: tuple                # (n_node, 1) columns
     zeta_scale: float = 0.0
-    # weighted rows of the ensemble kernels, overwritten at every solve
-    _rows11: np.ndarray = field(init=False, repr=False, compare=False)
-    _rows12: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._rows11 = np.empty(self.r11.shape)
-        self._rows12 = np.empty(self.r12.shape, dtype=complex)
 
     @classmethod
     def fresh(cls, grid: Grid, ensemble: EnsembleSpec,
@@ -113,10 +108,14 @@ class SimulationState(stages.StageState):
               boundary: Callable | None = None,
               r12_initial: np.ndarray | None = None,
               r11_initial: np.ndarray | None = None) -> "SimulationState":
+        c = _c_factors(ensemble, one_photon_detuning)
+        sgn, delta, col = float(drive_sign), one_photon_detuning, c[:, None]
         return super().fresh(
             grid, ensemble, drive_sign, boundary, r12_initial,
             r11=stages.node_array(grid, ensemble, r11_initial, 1.0, float),
-            c_factors=_c_factors(ensemble, one_photon_detuning))
+            kernel_weights=ensemble.weights * c,
+            nodes=(ensemble.delta21s[:, None], delta * col, (1j * sgn) * col,
+                   -1j * delta * col, -2.0 * sgn * col))
 
     def excitation(self, ensemble: EnsembleSpec) -> np.ndarray:
         """Ensemble excitation sum_j w_j (1 - r11_j) at every Z."""
@@ -165,46 +164,32 @@ def _solve_field_ode(a: np.ndarray, source: np.ndarray, dz: float,
     return phi * (boundary_value + inner)
 
 
-def ensemble_kernels(state: SimulationState, ensemble: EnsembleSpec,
-                     r12: np.ndarray, r11: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble kernels B11 = sum_j w_j c_j r11_j and B12 = sum_j w_j c_j
-    r12_j at every Z, as field_row uses them.
-
-    The weighted rows go to the state's buffers and are summed in fixed
-    node order off BLAS, so repeated evaluation is bit-identical.
-    """
-    wc = ensemble.weights * state.c_factors
-    return (weighted_node_sum(wc, r11, out=state._rows11),
-            weighted_node_sum(wc, r12, out=state._rows12))
-
-
-def field_row(state: SimulationState, ensemble: EnsembleSpec,
-              medium: MediumSpec, control: ControlProfile, s: float,
-              psi: float, r12: np.ndarray, r11: np.ndarray,
-              sampled=None) -> np.ndarray:
-    """Scaled field across the slab at time s given the atomic arrays.
+def field_row(state: SimulationState, medium: MediumSpec,
+              control: ControlProfile, s: float, psi: float,
+              r12: np.ndarray, r11: np.ndarray, sampled=None) -> np.ndarray:
+    """Scaled field across the slab at time s and Stark phase psi, from
+    the ensemble kernels B11 and B12 of the atomic arrays.
 
     Storage integrates from the input face Z = 0; retrieval from a zero
     boundary at the far face toward the exit at Z = 0 (the slab is
-    flipped, solved forward, and flipped back).  sampled is the
-    (Omega(s), f(s)) pair when the caller has already sampled the
-    control at s; otherwise control is evaluated here.  The boundary
-    gets the same Omega(s).
+    flipped, solved forward, and flipped back).  sampled is the pair
+    (f(s), boundary value) of a stage table; without it both are
+    evaluated at s here.
     """
-    rabi_s, f_s = control.at(s) if sampled is None else sampled
-    b11, b12 = ensemble_kernels(state, ensemble, r12, r11)
-    sgn = state.drive_sign
-    beta = medium.coupling_beta
-    a = (0.5j * beta * sgn / control.one_photon_detuning) * b11
-    source = (0.5j * beta * f_s) * b12
-    incoming = complex(state.boundary(s, psi, rabi_s))
+    if sampled is None:
+        rabi_s, f_s = control.at(s)
+        sampled = f_s, complex(state.boundary(s, psi, rabi_s))
+    f_s, incoming = sampled
+    w, sgn, beta = state.kernel_weights, state.drive_sign, medium.coupling_beta
+    a = (0.5j * beta * sgn / control.one_photon_detuning) \
+        * weighted_node_sum(w, r11)
+    source = (0.5j * beta * f_s) * weighted_node_sum(w, r12)
     if sgn > 0:
         row = _solve_field_ode(a, source, state.dz, incoming)
     else:
         rev = _solve_field_ode(-a[::-1], -source[::-1], state.dz, incoming)
         row = rev[::-1]
-    if not np.all(np.isfinite(row)):
+    if not np.isfinite(row).all():
         raise NonFiniteField(f"field row non-finite at tau={s}")
     return row
 
@@ -218,7 +203,7 @@ def _stark_ratio(state: SimulationState, s: float, row: np.ndarray,
     it singular, which is the ControlVanishes regime error.
     """
     if om2 <= CONTROL_FLOOR * peak2:
-        row_mag = float(np.max(np.abs(row)))
+        row_mag = float(np.abs(row).max())
         if row_mag > FIELD_FLOOR * max(state.zeta_scale, 1e-300):
             raise ControlVanishes(
                 f"|Omega(tau={s:.6g})| = 0 with |zeta| = {row_mag:.3g}; "
@@ -227,37 +212,27 @@ def _stark_ratio(state: SimulationState, s: float, row: np.ndarray,
     return np.abs(row) ** 2 / om2
 
 
-def _lawson_step(state: SimulationState, ensemble: EnsembleSpec,
-                 control: ControlProfile, dt: float, sample: StepSample,
-                 row1: np.ndarray, row_at: Callable) -> None:
+def _lawson_step(state: SimulationState, table: stages.StageTable,
+                 dt: float, row1: np.ndarray, row_at: Callable) -> None:
     """One RK4 step in the frame co-rotating with d21 - Delta c_j f.
 
-    The per-node bracket phase is Simpson-integrated from the step's
-    control sample and applied as an exact rotation; row1 is the field
-    row at the step start and row_at(k, r12, r11) supplies the row the
+    The per-node bracket phase is Simpson-integrated from the table's
+    control row and applied as an exact rotation; row1 is the field row
+    at the step start and row_at(k, r12, r11) supplies the row the
     slopes see at stage time s + k dt/2 (k = 1, 2).  The drive and the
     probe Stark rate are the only terms the Runge-Kutta stages step.
     """
-    s = state.clock
-    delta = control.one_photon_detuning
-    sgn = float(state.drive_sign)
-    c = state.c_factors[:, None]
-    d21 = ensemble.delta21s[:, None]
-
-    rot_half = np.exp(-1j * (d21 * (0.5 * dt) - delta * c * sample.df_half))
-    rot_full = np.exp(-1j * (d21 * dt - delta * c * sample.df_full))
-    # per-node constants of the slopes; the rotations are unimodular, so
-    # undoing one is a multiplication by its conjugate
-    drive = (1j * sgn) * c
+    times, _, om2, _, df_half, df_full = table.row(state.step_index)
+    d21, bracket, drive, stark, coupling = state.nodes
+    rot_half = np.exp(-1j * (d21 * (0.5 * dt) - bracket * df_half))
+    rot_full = np.exp(-1j * (d21 * dt - bracket * df_full))
+    # the rotations are unimodular, so undoing one is a multiplication by
+    # its conjugate
     drive_half = drive * np.conj(rot_half)
     drive_full = drive * np.conj(rot_full)
-    stark = -1j * delta * c
-    coupling = -2.0 * sgn * c
-    peak2 = control.peak_rabi() ** 2
 
     def slope(k, drive_k, p_st, n_st, r12_st, row):
-        om2 = float(np.abs(sample.rabi[4 * k]) ** 2)
-        ratio = _stark_ratio(state, s + 0.5 * k * dt, row, om2, peak2)
+        ratio = _stark_ratio(state, times[k], row, om2[k], table.peak2)
         kp = drive_k * (row[None, :] * (2.0 * n_st - 1.0))
         if ratio is not None:
             kp += stark * (ratio[None, :] * p_st)
@@ -282,54 +257,49 @@ def _lawson_step(state: SimulationState, ensemble: EnsembleSpec,
     state.r12 = rot_full * (p + (dt / 6.0) * (k1p + 2.0 * k2p
                                               + 2.0 * k3p + k4p))
     state.r11 = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
-    state.clock = s + dt
+    state.clock += dt
     state.step_index += 1
-    state.accumulated_psi += delta * sample.df_full
     state.row_current = False
     state.assert_physical()
 
 
-def advance_atoms(state: SimulationState, ensemble: EnsembleSpec,
-                  control: ControlProfile, dt: float) -> SimulationState:
+def advance_atoms(state: SimulationState, control: ControlProfile,
+                  dt: float) -> SimulationState:
     """One frozen-field atomic step: the row recorded at the current step
     index drives all four Runge-Kutta stages."""
+    table = state.table or stages.StageTable.build(
+        state, control, dt, state.boundary)
     row = state.zeta_t[state.step_index]
-    _lawson_step(state, ensemble, control, dt,
-                 control.sample_step(state.clock, dt), row,
-                 row_at=lambda k, r12, r11: row)
-    state.zeta_scale = max(state.zeta_scale, float(np.max(np.abs(row))))
+    _lawson_step(state, table, dt, row, row_at=lambda k, r12, r11: row)
+    state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
 
 
-def advance_strong(state: SimulationState, ensemble: EnsembleSpec,
-                   medium: MediumSpec, control: ControlProfile, dt: float
-                   ) -> SimulationState:
+def advance_strong(state: SimulationState, medium: MediumSpec,
+                   control: ControlProfile, dt: float) -> SimulationState:
     """One coupled step: the field is solved from the provisional atoms
     at the k2, k3 and k4 stages, then recorded at the new clock.
 
     k1 reuses the recorded row when state.row_current says it was solved
-    from the current atoms; otherwise k1 solves its row as well.
+    from the current atoms; otherwise k1 solves its row as well.  Every
+    row takes its time, Stark phase, f and boundary value from the stage
+    table.
     """
-    s = state.clock
-    sample = control.sample_step(s, dt)
-    times = (s, s + 0.5 * dt, s + dt)
-    psi0, delta = state.accumulated_psi, control.one_photon_detuning
-    psis = (psi0, psi0 + delta * sample.df_half,
-            psi0 + delta * sample.df_full)
+    table = state.table or stages.StageTable.build(
+        state, control, dt, state.boundary)
+    times, psis, _, sampled, _, _ = table.row(state.step_index)
 
     def row_at(k, r12, r11):
-        return field_row(state, ensemble, medium, control, times[k],
-                         psis[k], r12, r11, sample.stage(k))
+        return field_row(state, medium, control, times[k], psis[k], r12,
+                         r11, sampled[k])
 
     row1 = (state.zeta_t[state.step_index] if state.row_current
             else row_at(0, state.r12, state.r11))
-    _lawson_step(state, ensemble, control, dt, sample, row1, row_at)
-    if state.step_index < state.zeta_t.shape[0]:
-        row = row_at(2, state.r12, state.r11)
-        state.zeta_t[state.step_index] = row
-        state.row_current = True
-        state.zeta_scale = max(state.zeta_scale,
-                               float(np.max(np.abs(row))))
+    _lawson_step(state, table, dt, row1, row_at)
+    row = row_at(2, state.r12, state.r11)
+    state.zeta_t[state.step_index] = row
+    state.row_current = True
+    state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
 
 
@@ -338,7 +308,7 @@ class ProbeBoundary:
     """Scaled input field at the entry face.
 
     The physical envelope is dressed by conj(rabi), the control Omega(s)
-    that field_row sampled, and carries the control Stark chirp
+    at the row's time, and carries the control Stark chirp
     exp(+i psi), which keeps the probe centered on the shifted line while
     the control is on.
     """
@@ -385,9 +355,9 @@ def run_storage(probe: ProbeSpec, control: ControlProfile,
         boundary=ProbeBoundary(probe))
     state.zeta_scale = peak_zeta
     stages.march(
-        state, field_row(state, ensemble, medium, control, 0.0, 0.0,
-                         state.r12, state.r11), grid.n_tau,
-        lambda: advance_strong(state, ensemble, medium, control, grid.dt))
+        state, field_row(state, medium, control, 0.0, 0.0, state.r12,
+                         state.r11), grid.n_tau,
+        lambda: advance_strong(state, medium, control, grid.dt))
 
     # Stark-dressed record (accumulated Stark phase removed): the raw
     # chirp runs at Delta f rad per unit, far beyond Nyquist on any grid
@@ -448,8 +418,7 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
         np.asarray(control2.f(grid2.tau()), dtype=float), grid2.dt)
     return stages.recall(
         state, ensemble2, grid2, control2, medium,
-        field_row(state, ensemble2, medium, control2, 0.0, 0.0, state.r12,
-                  state.r11),
-        lambda: advance_strong(state, ensemble2, medium, control2, grid2.dt),
+        field_row(state, medium, control2, 0.0, 0.0, state.r12, state.r11),
+        lambda: advance_strong(state, medium, control2, grid2.dt),
         protocol, tau_input, input_envelope, transmitted_fraction,
         conditions, stark_phase=psi2)

@@ -14,8 +14,9 @@ atom equation is integrated with a 4th-order exponential scheme: each
 node's deterministic detuning phase is rotated out analytically, so only
 the smooth driven motion is stepped by Runge-Kutta.  The field is solved
 at the k2, k3 and k4 stages and recorded at the step end; k1 reuses the
-row recorded from the same coherences at the same clock.  The control is
-sampled once per step.
+row recorded from the same coherences at the same clock.  The control on
+every step's Simpson points and the boundary values are tabulated once
+per stage, in a StageTable that the first step builds.
 
 Because the equations are linear and every node is driven by the same
 field row, each Runge-Kutta slope is rank one: a per-node factor times
@@ -23,8 +24,8 @@ one row across Z.  field_row therefore takes the node-summed kernel
 B~12, and a step needs only two weighted node sums over the (node x Z)
 coherences; the stage kernels, the recorded row's kernel and the new
 coherences follow from rows and node-weight scalars (see advance_weak).
-Every node sum runs in fixed node order off BLAS, so the output does not
-depend on the BLAS thread count.
+Every node sum runs off BLAS, so the output does not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -75,38 +76,22 @@ def field_row(state: WeakState, medium: MediumSpec, control: ControlProfile,
     b12 is the node-summed coherence sum_j w_j R~12_j at every Z.
     Storage integrates the source from the input face; retrieval from the
     far face (zero incoming echo), emitting toward Z = 0.  sampled is the
-    (Omega(s), f(s)) pair when the caller has already sampled the control
-    at s; otherwise control is evaluated here.  The boundary gets the same
-    Omega(s).
+    pair (f(s), boundary value) of a stage table; without it both are
+    evaluated at s here.
     """
-    rabi_s, f_s = control.at(s) if sampled is None else sampled
+    if sampled is None:
+        rabi_s, f_s = control.at(s)
+        sampled = f_s, state.boundary(s, rabi_s)
+    f_s, incoming = sampled
     gain = 0.5 * medium.coupling_beta * f_s
-    incoming = state.boundary(s, rabi_s)
     if state.drive_sign > 0:
         row = incoming - gain * cumulative_integral(b12, state.dz)
     else:
         tail = cumulative_integral(b12[::-1], state.dz)[::-1]
         row = incoming + gain * tail
-    if not np.all(np.isfinite(row)):
+    if not np.isfinite(row).all():
         raise NonFiniteField(f"field row non-finite at tau={s}")
     return row
-
-
-def _validity_checks(ensemble, control, s, rabi_s, row, bandwidth: float):
-    d = control.one_photon_detuning
-    worst = DETUNING_VALIDITY_FACTOR * abs(d)
-    if ensemble.max_abs_delta31 > worst:
-        raise WeakFieldViolation(
-            f"max |delta31| = {ensemble.max_abs_delta31} exceeds "
-            f"{DETUNING_VALIDITY_FACTOR} |Delta| = {worst}")
-    om2 = float(np.abs(rabi_s) ** 2)
-    if om2 > 1e-9 * control.peak_rabi() ** 2:
-        stark = abs(d) * float(np.max(np.abs(row) ** 2)) / om2
-        if stark > STARK_VALIDITY_FACTOR * bandwidth:
-            raise WeakFieldViolation(
-                f"probe-induced Stark shift {stark:.3g} exceeds "
-                f"{STARK_VALIDITY_FACTOR} x bandwidth at tau={s:.4g}; "
-                "use the strong-field integrator")
 
 
 def advance_weak(state: WeakState, ensemble: EnsembleSpec,
@@ -132,16 +117,17 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     built once, and the kernel of the row recorded at the new clock
     follows from the same linearity.  k1 reuses the recorded row when
     state.row_current says it was solved from the current coherences,
-    else it is solved too.  bandwidth is the signal bandwidth that the
-    linear-regime validity checks price the probe Stark shift against.
+    else it is solved too.  Rows and rotations read the stage table.
+    bandwidth is the signal bandwidth that the linear-regime validity
+    checks price the probe Stark shift against.
     """
-    s = state.clock
-    sample = control.sample_step(s, dt)
-    times = (s, s + 0.5 * dt, s + dt)
+    table = state.table or stages.StageTable.build(
+        state, control, dt, lambda s, psi, rabi: state.boundary(s, rabi))
+    times, _, om2, sampled, df_half, df_full = table.row(state.step_index)
     d21 = ensemble.delta21s
     d31 = ensemble.delta31s
-    rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * sample.df_half))
-    rot_full = np.exp(-1j * (d21 * dt + d31 * sample.df_full))
+    rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * df_half))
+    rot_full = np.exp(-1j * (d21 * dt + d31 * df_full))
     # the rotations are unimodular: undoing one multiplies by its conjugate
     drive = float(state.drive_sign)
     drive_half = drive * np.conj(rot_half)
@@ -150,19 +136,27 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     w_half = w * rot_half
     w_full = w * rot_full
     p = state.r12
-    p_half = weighted_node_sum(w_half, p)
-    p_full = weighted_node_sum(w_full, p)
+    # complex weights, which weighted_node_sum does not take
+    p_half = np.add.reduce(w_half[:, None] * p, axis=0)
+    p_full = np.add.reduce(w_full[:, None] * p, axis=0)
     sum_half, sum_half_dh, sum_full, sum_full_dh, sum_full_df = \
         np.add.reduce([w_half, w_half * drive_half, w_full,
                        w_full * drive_half, w_full * drive_full], axis=1)
 
     def row_at(k, b12):
-        return field_row(state, medium, control, times[k], b12,
-                         sample.stage(k))
+        return field_row(state, medium, control, times[k], b12, sampled[k])
 
     row1 = (state.zeta_t[state.step_index] if state.row_current
             else row_at(0, weighted_node_sum(w, p)))
-    _validity_checks(ensemble, control, s, sample.rabi[0], row1, bandwidth)
+    if om2[0] > 1e-9 * table.peak2:
+        # the probe Stark shift, priced while the control is on
+        stark = abs(control.one_photon_detuning) \
+            * float((np.abs(row1) ** 2).max()) / om2[0]
+        if stark > STARK_VALIDITY_FACTOR * bandwidth:
+            raise WeakFieldViolation(
+                f"probe-induced Stark shift {stark:.3g} exceeds "
+                f"{STARK_VALIDITY_FACTOR} x bandwidth at tau={times[0]:.4g}"
+                "; use the strong-field integrator")
     row2 = row_at(1, p_half + (0.5 * dt * drive * sum_half) * row1)
     row3 = row_at(1, p_half + (0.5 * dt * sum_half_dh) * row2)
     row4 = row_at(2, p_full + (dt * sum_full_dh) * row3)
@@ -173,15 +167,13 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     p_new += drive_full[:, None] * ((dt / 6.0) * row4)
     p_new *= rot_full[:, None]
     state.r12 = p_new
-    state.clock = s + dt
+    state.clock += dt
     state.step_index += 1
-    state.row_current = False
-    if state.step_index < state.zeta_t.shape[0]:
-        b12 = (p_full + ((dt / 6.0) * drive * sum_full) * row1
-               + ((dt / 3.0) * sum_full_dh) * row23
-               + ((dt / 6.0) * sum_full_df) * row4)
-        state.zeta_t[state.step_index] = row_at(2, b12)
-        state.row_current = True
+    b12 = (p_full + ((dt / 6.0) * drive * sum_full) * row1
+           + ((dt / 3.0) * sum_full_dh) * row23
+           + ((dt / 6.0) * sum_full_df) * row4)
+    state.zeta_t[state.step_index] = row_at(2, b12)
+    state.row_current = True
     return state
 
 
@@ -190,7 +182,7 @@ class TildeInput:
     """Scaled input field at the entry face in tilde variables.
 
     The physical probe envelope is dressed by conj(rabi), the control
-    Omega(s) that field_row sampled; the Stark chirp that centers it on
+    Omega(s) at the row's time; the Stark chirp that centers it on
     the shifted line is exactly the factored-out psi, so the tilde
     boundary is smooth.
     """
@@ -205,6 +197,12 @@ class TildeInput:
 def _validate_grid(grid: Grid, ensemble: EnsembleSpec,
                    control: ControlProfile, medium: MediumSpec,
                    bandwidth: float) -> None:
+    # the linearization holds while max |d31| <= this factor x |Delta|
+    worst = DETUNING_VALIDITY_FACTOR * abs(control.one_photon_detuning)
+    if ensemble.max_abs_delta31 > worst:
+        raise WeakFieldViolation(
+            f"max |delta31| = {ensemble.max_abs_delta31} exceeds "
+            f"{DETUNING_VALIDITY_FACTOR} |Delta| = {worst}")
     # the driven motion beats at each node's Raman detuning against the
     # field, whose own rate is the signal bandwidth
     f_peak = control.peak_f()

@@ -27,7 +27,7 @@ from ramanecho.errors import (
     UnresolvedComb,
     ValidationError,
 )
-from ramanecho.numerics import cumulative_integral
+from ramanecho.numerics import cumulative_integral, weighted_node_sum
 
 WEIGHT_SUM_TOL = 1e-10
 MOMENT_TOL = 1e-6
@@ -435,6 +435,8 @@ def test_grid_refinement_preserves_extent():
 
 CUMINT_REFERENCE_TOL = 1e-14    # in-place fill vs the plain formula
 CUBIC_TOL = 1e-12               # the 4-point rule is exact on cubics
+ROW_BRANCH_TOL = 1e-15          # a complex row alone vs in a (3, n) stack
+NODE_SUM_TOL = 1e-15            # einsum node sum vs the row-by-row sum
 
 
 def _cumulative_integral_reference(y, dx):
@@ -463,7 +465,7 @@ def _cumulative_integral_reference(y, dx):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 641])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 49, 65, 641])
 @pytest.mark.parametrize("kind", ["real", "complex", "complex-2d"])
 def test_cumulative_integral_matches_reference_formula(n, kind):
     rng = np.random.default_rng(n)
@@ -479,7 +481,7 @@ def test_cumulative_integral_matches_reference_formula(n, kind):
     assert np.max(np.abs(got - want)) <= CUMINT_REFERENCE_TOL * scale
 
 
-@pytest.mark.parametrize("n", [4, 5, 17, 641])
+@pytest.mark.parametrize("n", [4, 5, 17, 49, 65, 641])
 def test_cumulative_integral_is_exact_on_cubics(n):
     x = np.linspace(-1.0, 2.0, n)
     y = 2.0 - x + 3.0 * x ** 2 - 0.5 * x ** 3
@@ -490,3 +492,43 @@ def test_cumulative_integral_is_exact_on_cubics(n):
     got_c = cumulative_integral((1.0 - 2.0j) * y, x[1] - x[0])
     assert np.max(np.abs(got_c - (1.0 - 2.0j) * want)) \
         <= CUBIC_TOL * np.max(np.abs(want)) * abs(1.0 - 2.0j)
+
+
+@pytest.mark.parametrize("n", [4, 5, 17, 49, 65, 641])
+def test_cumulative_integral_rows_alone_match_rows_stacked(n):
+    # a 1-D complex row takes its end taps in scalar arithmetic; the same
+    # row inside a (3, n) array takes them from the array reduction
+    rng = np.random.default_rng(100 + n)
+    y = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    stacked = cumulative_integral(y, 0.37)
+    for k in range(3):
+        alone = cumulative_integral(y[k], 0.37)
+        scale = np.max(np.abs(stacked[k]))
+        assert np.max(np.abs(alone - stacked[k])) <= ROW_BRANCH_TOL * scale
+
+
+# the node x Z shapes of the saturating case and the shipped scenarios,
+# and a single node
+NODE_SUM_SHAPES = [(33, 641), (65, 65), (105, 49), (17, 17), (1, 65)]
+
+
+@pytest.mark.parametrize("shape", NODE_SUM_SHAPES)
+@pytest.mark.parametrize("kind", ["real", "complex", "complex-strided"])
+def test_weighted_node_sum_matches_row_by_row_sum(shape, kind):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    w = rng.random(shape[0])
+    w /= w.sum()
+    n_z = 2 * shape[1] if kind.endswith("strided") else shape[1]
+    x = rng.standard_normal((shape[0], n_z))
+    if kind.startswith("complex"):
+        x = x + 1j * rng.standard_normal(x.shape)
+    if kind.endswith("strided"):
+        x = x[:, ::2]
+        assert not x.flags.c_contiguous
+    # the fixed-order reduction: weighted rows added one after another
+    want = np.add.reduce(w[:, None] * x, axis=0)
+    got = weighted_node_sum(w, x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= NODE_SUM_TOL * np.max(np.abs(want))
+    for _ in range(20):
+        assert np.array_equal(weighted_node_sum(w, x), got)

@@ -477,6 +477,43 @@ def test_check_with_an_overflowing_rabi_prints_one_line(tmp_path):
     assert proc.stdout == ""
 
 
+def test_check_refuses_what_simulate_refuses_before_storage(tmp_path,
+                                                           capsys):
+    """A probe centred on the stage start is cut at tau = 0: the storage
+    checks refuse it, in check as in simulate, before anything is
+    stepped."""
+    path = _write_with_value(tmp_path, "recrib_ideal", "probe", "center",
+                             "0.0")
+    out_dir = tmp_path / "out"
+    assert main(["simulate", path, "--out", str(out_dir)]) == 1
+    simulated = capsys.readouterr()
+    assert main(["check", path]) == 1
+    checked = capsys.readouterr()
+    assert checked.err.startswith(
+        "error: probe support extends outside the control window")
+    assert checked.err.count("\n") == 1
+    assert checked == simulated
+    assert checked.out == ""
+    assert not out_dir.exists()
+
+
+def test_incomplete_absorption_warning_prints_one_line(tmp_path):
+    """Outside pytest, a warning reaches stderr as one line and the run
+    still exits 0."""
+    path = _write_with_value(tmp_path, "recrib_ideal", "medium",
+                             "alpha_eff_l", "1.0")
+    src_dir = os.path.dirname(os.path.dirname(ramanecho.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramanecho", "simulate", path,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("warning: transmitted fraction")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_comb_ensemble_ignores_an_overflowing_gaussian_width(tmp_path,
                                                              capsys):
     """A comb never reads [ensemble] width, so no value of it is refused."""

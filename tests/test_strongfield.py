@@ -31,13 +31,13 @@ from ramanecho.errors import (
     PhysicalityViolation,
     ValidationError,
 )
+from ramanecho.numerics import weighted_node_sum
 from ramanecho.records import measure_efficiency
 from ramanecho.strongfield import (
     ProbeBoundary,
     SimulationState,
     advance_atoms,
     advance_strong,
-    ensemble_kernels,
     field_row,
     handover_wavevector_mismatch,
     run_retrieval,
@@ -87,7 +87,7 @@ def const_control(rabi, detuning, t_end):
 # ---------------------------------------------------------------------------
 
 def test_kernel_reduction_matches_compensated_sum():
-    # the reduction field_row performs, on the state's own buffers
+    # the ensemble kernels field_row sums
     rng = np.random.default_rng(7)
     n_node, n_z = 64, 17
     w = rng.random(n_node)
@@ -103,7 +103,8 @@ def test_kernel_reduction_matches_compensated_sum():
     grid = Grid(n_tau=2, n_z=n_z, t_end=1.0, length=1.0)
     state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1,
                                   r12_initial=r12, r11_initial=r11)
-    b11, b12 = ensemble_kernels(state, ens, state.r12, state.r11)
+    b11 = weighted_node_sum(state.kernel_weights, state.r11)
+    b12 = weighted_node_sum(state.kernel_weights, state.r12)
 
     wc = ens.weights * c
     want11 = np.array([math.fsum(wc * r11[:, k]) for k in range(n_z)])
@@ -130,7 +131,7 @@ def test_field_row_no_coherence_no_input_is_zero():
     for sgn in (+1, -1):
         state = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
                                       drive_sign=sgn)
-        row = field_row(state, ens, med, ctl, 0.0, 0.0, state.r12, state.r11)
+        row = field_row(state, med, ctl, 0.0, 0.0, state.r12, state.r11)
         assert np.all(row == 0)
 
 
@@ -142,14 +143,14 @@ def test_population_term_keeps_field_magnitude():
     state = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
                                   drive_sign=+1,
                                   boundary=lambda s, psi, rabi: zeta0)
-    row = field_row(state, ens, med, ctl, 0.0, 0.0, state.r12, state.r11)
+    row = field_row(state, med, ctl, 0.0, 0.0, state.r12, state.r11)
     assert row[0] == zeta0
     assert np.max(np.abs(np.abs(row) - abs(zeta0))) < FIELD_CLOSED_FORM_TOL
 
     back = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
                                  drive_sign=-1,
                                  boundary=lambda s, psi, rabi: zeta0)
-    row_b = field_row(back, ens, med, ctl, 0.0, 0.0, back.r12, back.r11)
+    row_b = field_row(back, med, ctl, 0.0, 0.0, back.r12, back.r11)
     assert row_b[-1] == zeta0
     assert np.max(np.abs(np.abs(row_b) - abs(zeta0))) < FIELD_CLOSED_FORM_TOL
 
@@ -171,7 +172,7 @@ def test_single_node_row_matches_closed_form():
             want = (s / a) * (np.exp(a * z) - 1.0)
         else:
             want = (s / a) * (np.exp(a * (z - grid.length)) - 1.0)
-        row = field_row(state, ens, med, ctl, 0.0, 0.0, state.r12, state.r11)
+        row = field_row(state, med, ctl, 0.0, 0.0, state.r12, state.r11)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(row - want)) < FIELD_CLOSED_FORM_TOL * scale
 
@@ -184,7 +185,7 @@ def test_short_slab_row_is_linear_in_depth():
         grid, ens, ctl.one_photon_detuning, drive_sign=+1,
         r12_initial=np.full((1, grid.n_z), r),
         r11_initial=np.ones((1, grid.n_z)))
-    row = field_row(state, ens, med, ctl, 0.0, 0.0, state.r12, state.r11)
+    row = field_row(state, med, ctl, 0.0, 0.0, state.r12, state.r11)
     linear = 0.5j * med.coupling_beta * r * grid.length
     a_l = 0.5 * med.coupling_beta / ctl.one_photon_detuning * grid.length
     assert abs(row[-1] - linear) < 0.6 * a_l * abs(linear)
@@ -215,7 +216,7 @@ def test_row_matches_refined_z_reference():
                 grid, ens, ctl.one_photon_detuning, drive_sign=sgn,
                 boundary=lambda s, psi, rabi: 0.05 + 0.02j,
                 r12_initial=r12, r11_initial=r11)
-            rows[sgn, n_z] = field_row(state, ens, med, ctl, 0.0, 0.0,
+            rows[sgn, n_z] = field_row(state, med, ctl, 0.0, 0.0,
                                        state.r12, state.r11)
     for sgn in (+1, -1):
         coarse = rows[sgn, 65]
@@ -238,7 +239,7 @@ def test_free_atom_is_unchanged():
     state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1,
                                   r12_initial=r12_0, r11_initial=r11_0)
     for _ in range(grid.n_tau - 1):
-        advance_atoms(state, ens, ctl, grid.dt)
+        advance_atoms(state, ctl, grid.dt)
     assert np.array_equal(state.r12, r12_0)
     assert np.array_equal(state.r11, r11_0)
 
@@ -255,7 +256,7 @@ def test_static_detuning_is_exact_rotation():
         r12_initial=np.full((1, grid.n_z), r12_0),
         r11_initial=np.full((1, grid.n_z), 0.5))
     for _ in range(grid.n_tau - 1):
-        advance_atoms(state, ens, ctl, grid.dt)
+        advance_atoms(state, ctl, grid.dt)
     want = np.exp(-1j * d21 * grid.t_end) * r12_0
     assert np.max(np.abs(state.r12 - want)) < ROTATION_TOL
     assert np.max(np.abs(state.r11 - 0.5)) < ROTATION_TOL
@@ -279,7 +280,7 @@ def test_resonant_drive_matches_rabi_oracle():
     hist = np.empty(grid.n_tau)
     hist[0] = state.r11[0, 0]
     for k in range(grid.n_tau - 1):
-        advance_atoms(state, ens, ctl, grid.dt)
+        advance_atoms(state, ctl, grid.dt)
         hist[k + 1] = state.r11[0, 0]
     tau = grid.tau()
     assert np.max(np.abs(hist - np.cos(zeta * tau) ** 2)) < RABI_TOL
@@ -301,7 +302,7 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
     state.zeta_t[:] = amp * (0.6 + 0.8j)
     state.zeta_scale = amp
     for _ in range(grid.n_tau - 1):
-        advance_atoms(state, ens, ctl, grid.dt)
+        advance_atoms(state, ctl, grid.dt)
     assert np.all(state.r11 >= 0.0)
     assert np.all(state.r11 <= 1.0)
     excess = np.max(np.abs(state.r12) ** 2 - state.r11 * (1.0 - state.r11))
@@ -365,7 +366,7 @@ def test_live_field_with_control_off_raises():
     state.zeta_t[:] = 0.1
     state.zeta_scale = 0.1
     with pytest.raises(ControlVanishes):
-        advance_atoms(state, ens, ctl, grid.dt)
+        advance_atoms(state, ctl, grid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +402,10 @@ def test_first_step_solves_its_row_unless_the_package_recorded_it():
             grid, ens, ctl.one_photon_detuning, drive_sign=+1,
             boundary=ProbeBoundary(probe))
         if record_row0:
-            state.zeta_t[0] = field_row(state, ens, med, ctl, 0.0, 0.0,
+            state.zeta_t[0] = field_row(state, med, ctl, 0.0, 0.0,
                                         state.r12, state.r11)
         for _ in range(grid.n_tau - 1):
-            advance_strong(state, ens, med, ctl, grid.dt)
+            advance_strong(state, med, ctl, grid.dt)
         return state
 
     bare, recorded = history(False), history(True)

@@ -19,6 +19,8 @@ from ramanecho.core import (
 from ramanecho.errors import StepTooCoarse, ValidationError, WeakFieldViolation
 from ramanecho.numerics import cumulative_integral, weighted_node_sum
 from ramanecho.records import envelope_from_scaled, measure_efficiency
+from ramanecho.strongfield import ProbeBoundary, SimulationState, \
+    advance_strong
 from ramanecho.weakfield import (
     SusceptibilityKernel,
     TildeInput,
@@ -145,16 +147,29 @@ def test_first_step_solves_its_row_unless_the_package_recorded_it():
     assert np.array_equal(bare, recorded)
 
 
+def _simpson_step(control, s, dt):
+    """The control on one step's Simpson points s + dt (0, 1/8, ..., 1),
+    sampled for that step alone: (Omega, f, int f over the first half,
+    int f over the whole step)."""
+    rabi = control.rabi(s + dt * np.linspace(0.0, 1.0, 9))
+    f = np.abs(rabi) ** 2 / control.one_photon_detuning ** 2
+    half = (dt / 24.0) * (f[0] + 4.0 * f[1] + 2.0 * f[2] + 4.0 * f[3] + f[4])
+    full = half + (dt / 24.0) * (f[4] + 4.0 * f[5] + 2.0 * f[6]
+                                 + 4.0 * f[7] + f[8])
+    return rabi, f, float(half), float(full)
+
+
 def _dense_advance_weak(state, ensemble, medium, control, dt):
     # the step evaluated on full (node x Z) stage arrays, each summed over
-    # the nodes for its field row; the oracle of the rank-one evaluation
+    # the nodes for its field row; the oracle of the rank-one evaluation,
+    # with the control and the boundary evaluated at each stage time
     s = state.clock
-    sample = control.sample_step(s, dt)
+    _, _, df_half, df_full = _simpson_step(control, s, dt)
     times = (s, s + 0.5 * dt, s + dt)
     d21 = ensemble.delta21s[:, None]
     d31 = ensemble.delta31s[:, None]
-    rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * sample.df_half))
-    rot_full = np.exp(-1j * (d21 * dt + d31 * sample.df_full))
+    rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * df_half))
+    rot_full = np.exp(-1j * (d21 * dt + d31 * df_full))
     drive = float(state.drive_sign)
     drive_half = drive * np.conj(rot_half)
     drive_full = drive * np.conj(rot_full)
@@ -162,8 +177,7 @@ def _dense_advance_weak(state, ensemble, medium, control, dt):
 
     def row_at(k, r12):
         return field_row(state, medium, control, times[k],
-                         weighted_node_sum(ensemble.weights, r12),
-                         sample.stage(k))
+                         weighted_node_sum(ensemble.weights, r12))
 
     row1 = (state.zeta_t[state.step_index] if state.row_current
             else row_at(0, p))
@@ -210,8 +224,8 @@ def _mid_ramp_state(drive_sign, row_current):
 def test_rank_one_step_matches_dense_step(drive_sign, row_current):
     rank_one, ens, med, ctl, grid = _mid_ramp_state(drive_sign, row_current)
     dense = _mid_ramp_state(drive_sign, row_current)[0]
-    sample = ctl.sample_step(rank_one.clock, grid.dt)
-    assert abs(2.0 * sample.df_half - sample.df_full) > 1e-3 * sample.df_full
+    _, _, df_half, df_full = _simpson_step(ctl, rank_one.clock, grid.dt)
+    assert abs(2.0 * df_half - df_full) > 1e-3 * df_full
     assert np.ptp(ens.delta21s) > 0.0 and np.ptp(ens.delta31s) > 0.0
     # bandwidth 2.0 is the probe's, 1 / duration
     advance_weak(rank_one, ens, med, ctl, grid.dt, bandwidth=2.0)
@@ -223,6 +237,76 @@ def test_rank_one_step_matches_dense_step(drive_sign, row_current):
         scale = np.max(np.abs(want))
         assert scale > 0.0
         assert np.max(np.abs(got - want)) <= STEP_ORACLE_TOL * scale
+
+
+def _stage_under_a_ramp(regime):
+    """One whole stage stepped under a ramped control with a Gaussian
+    probe: the state, the control, the probe, dt and the clock at the
+    start of every step."""
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=17, rule="uniform")
+    ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=0.0,
+                                  switch_off=4.0, rise_time=1.0)
+    probe = ProbeSpec.gaussian(center=1.5, duration=0.5)
+    med = MediumSpec(coupling_beta=2.0, length_L=1.0)
+    grid = Grid(n_tau=91, n_z=9, t_end=3.0, length=1.0)
+    if regime == "strong":
+        state = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
+                                      drive_sign=+1,
+                                      boundary=ProbeBoundary(probe))
+        step = lambda: advance_strong(state, med, ctl, grid.dt)
+    else:
+        state = WeakState.fresh(grid, ens, drive_sign=+1,
+                                boundary=TildeInput(probe))
+        step = lambda: advance_weak(state, ens, med, ctl, grid.dt,
+                                    probe.spectral_width)
+    clocks = []
+    for _ in range(grid.n_tau - 1):
+        clocks.append(state.clock)
+        step()
+    return state, ctl, probe, grid.dt, clocks
+
+
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_stage_table_holds_what_each_step_would_sample(regime):
+    state, ctl, probe, dt, clocks = _stage_under_a_ramp(regime)
+    table = state.table
+    n_steps, n_node = len(clocks), state.r12.shape[0]
+    # the step starts add dt in sequence, as the stepper moved its clock
+    assert table.first == 0
+    assert table.times[:, 0].tolist() == clocks
+    delta = ctl.one_photon_detuning
+    eps = np.finfo(float).eps
+    psi = 0.0
+    for i, s in enumerate(clocks):
+        rabi, f, half, full = _simpson_step(ctl, s, dt)
+        assert np.array_equal(table.rabi[i], rabi)
+        assert np.array_equal(table.f[i], f)
+        assert table.df_half[i] == half and table.df_full[i] == full
+        psis = [psi, psi + delta * half, psi + delta * full]
+        assert table.psi[i].tolist() == psis
+        psi += delta * full
+        times = (s, s + 0.5 * dt, s + dt)
+        assert table.times[i, ::4].tolist() == list(times)
+        for k, t in enumerate(times):
+            # the table squares on arrays, x * x; a number alone is
+            # squared by the C library's pow, which may be 1 ulp off
+            om2 = float(abs(rabi[4 * k])) ** 2
+            assert abs(table.om2[i, k] - om2) <= np.spacing(om2)
+            args = (t, psis[k], rabi[4 * k]) if regime == "strong" \
+                else (t, rabi[4 * k])
+            want = complex(state.boundary(*args))
+            # so the probe's Gaussian exponent may differ by 1 ulp, which
+            # exp scales by the exponent's size
+            exponent = 0.5 * ((t - 1.5) / probe.duration) ** 2
+            assert abs(table.incoming[i, k] - want) \
+                <= (exponent + 4.0) * eps * abs(want)
+    # every array has a row per step and at most 9 entries in it, so none
+    # grows with the node count
+    arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8
+    for value in arrays:
+        assert value.shape[0] == n_steps and value.size <= 9 * n_steps
+        assert value.size < n_steps * n_node
 
 
 # ---------------------------------------------------------------------------
