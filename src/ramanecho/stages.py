@@ -3,16 +3,19 @@
 Both regimes store a probe in the slab and recall it as a backward echo,
 and they differ only in their equations.  What the drivers do alike
 lives here once: the stage state, the stage table of what the steps read
-that does not depend on the atoms, the storage checks, stepping a stage
-from its recorded first row, the photon-flux audits of storage and
-retrieval, the recall gate (gap_time check and strict gate, which a
-scenario run applies before storage), the handover of the stored
-coherences to the recall stage (the gate again, Z-axis check,
-dark-interval phase, RECRIB node inversion) and the echo record.
+that does not depend on the atoms, the storage checks, stepping a stage,
+the photon-flux audits of storage and retrieval, the recall gate
+(gap_time check and strict gate, which a scenario run applies before
+storage), the handover of the stored coherences to the recall stage (the
+gate again, Z-axis check, dark-interval phase, RECRIB node inversion)
+and the echo record.
 
 Each regime's state is a StageState: weakfield.WeakState and
-strongfield.SimulationState add their own atomic variables and an
-excitation(ensemble) profile across the slab.
+strongfield.SimulationState add their own atomic variables, a
+first_row (their field row at the table's row-0 values) and an
+excitation(ensemble) profile across the slab.  A state is complete when made: fresh builds
+its table from clock 0 and records row 0, so every row of a stage comes
+from the one table.
 """
 
 from __future__ import annotations
@@ -63,27 +66,19 @@ def node_array(grid, ensemble, initial, fill: float, dtype) -> np.ndarray:
     return out
 
 
-def zero_boundary(*_) -> complex:
-    """The recall stage's incoming field: none."""
-    return 0.0 + 0.0j
-
-
 @dataclass(kw_only=True)
 class StageState:
     """Evolving state of one stage on its grid, in either regime.
 
-    zeta_t rows fill as the clock advances; r12 is the current coherence
-    per (node, Z), and z the Z axis with its step dz.  drive_sign is +1
-    for storage, which integrates the field from the input face Z = 0,
-    and -1 for retrieval, which emits backward from a zero boundary at
-    Z = L.  boundary is the incoming field at the injection face, called
-    with times s (arrays of them in the stage table), the strong regime's
-    Stark phase there and the control Omega(s).  row_current says that
-    zeta_t[step_index] was solved from the current atoms at the current
-    clock, by a run driver at row 0 or by the regime's step at the step
-    end; the next step reuses it as its k1 row.  Code that changes the
-    atoms in place between steps must clear it.  The first step builds
-    table, a StageTable for one control and dt.
+    zeta_t holds a field row per step; r12 is the current coherence per
+    (node, Z), and z the Z axis with its step dz.  drive_sign is +1 for
+    storage, which integrates the field from the input face Z = 0, and -1
+    for retrieval, which emits backward from a zero boundary at Z = L.
+    table is the stage's StageTable.  zeta_t[step_index] is always the
+    row solved from the current atoms: fresh records row 0, and each step
+    records the row at its end, which the next step reuses as its k1 row.
+    A subclass supplies first_row(ensemble, medium, control), its regime's
+    field row at the table's row-0 values.
     """
 
     zeta_t: np.ndarray          # (n_tau, n_z) complex
@@ -91,57 +86,55 @@ class StageState:
     z: np.ndarray
     dz: float
     drive_sign: int             # +1 storage, -1 retrieval
-    boundary: Callable
-    clock: float = 0.0
+    table: StageTable
     step_index: int = 0
-    row_current: bool = False
-    table: StageTable | None = None
 
     @classmethod
-    def fresh(cls, grid, ensemble, drive_sign: int,
+    def fresh(cls, grid, ensemble, control, medium, drive_sign: int,
               boundary: Callable | None = None,
               r12_initial: np.ndarray | None = None, **own):
-        """Blank field rows and r12_initial (default zero) at clock 0;
+        """The stage at clock 0 with r12_initial (default zero), its table
+        for control and boundary, and row 0 solved from the initial atoms;
         own holds the subclass's fields."""
         z = grid.z()
-        return cls(zeta_t=np.zeros((grid.n_tau, grid.n_z), dtype=complex),
-                   r12=node_array(grid, ensemble, r12_initial, 0.0, complex),
-                   z=z, dz=float(z[1] - z[0]), drive_sign=drive_sign,
-                   boundary=zero_boundary if boundary is None else boundary,
-                   **own)
+        state = cls(zeta_t=np.zeros((grid.n_tau, grid.n_z), dtype=complex),
+                    r12=node_array(grid, ensemble, r12_initial, 0.0, complex),
+                    z=z, dz=float(z[1] - z[0]), drive_sign=drive_sign,
+                    table=StageTable.build(control, grid, boundary), **own)
+        state.zeta_t[0] = state.first_row(ensemble, medium, control)
+        return state
 
 
 @dataclass(frozen=True)
 class StageTable:
     """What the steps of one stage read that does not depend on the atoms.
 
-    Row i is step first + i: the control on its Simpson points s + dt (0,
-    1/8, ..., 1), of which 0, 4 and 8 are the stage times s, s + dt/2 and
-    s + dt, the Simpson integrals of f over its half and whole, and at the
-    stage times the Stark phase Delta int f (0 at the first step),
-    |Omega|^2 and the field row's boundary value.
+    Row i is step i, at its stage times s, s + dt/2 and s + dt: the
+    control f, |Omega|^2 and the field row's boundary value there, and
+    the integrals of f over the step's half and whole, Simpson's rule on
+    the points s + dt (0, 1/8, ..., 1).
     """
 
-    first: int
-    times: np.ndarray           # (n_steps, 9)
-    rabi: np.ndarray            # (n_steps, 9)
-    f: np.ndarray               # (n_steps, 9)
-    df_half: np.ndarray         # (n_steps,)
-    df_full: np.ndarray         # (n_steps,)
-    psi: np.ndarray             # (n_steps, 3)
+    times: np.ndarray           # (n_steps, 3)
+    f: np.ndarray               # (n_steps, 3)
     om2: np.ndarray             # (n_steps, 3)
     incoming: np.ndarray        # (n_steps, 3)
+    df_half: np.ndarray         # (n_steps,)
+    df_full: np.ndarray         # (n_steps,)
     peak2: float
 
     @classmethod
-    def build(cls, state: StageState, control, dt: float,
-              boundary) -> StageTable:
-        """state.table, set for the state's steps left from its clock on;
-        boundary(s, psi, Omega) takes arrays."""
-        n_steps = state.zeta_t.shape[0] - 1 - state.step_index
-        # the step starts add dt in sequence, as the steps advance the clock
-        clock = np.cumsum(np.r_[state.clock, np.full(n_steps - 1, dt)])
-        times = clock[:, None] + dt * np.linspace(0.0, 1.0, 9)
+    def build(cls, control, grid, boundary: Callable | None) -> StageTable:
+        """The table of the grid's n_tau - 1 steps from clock 0.
+
+        boundary(s, psi, Omega) takes arrays of the stage times, the
+        Stark phase Delta int f there (0 at the first step) and the
+        control; None is the recall stage's: no incoming field.
+        """
+        n_steps, dt = grid.n_tau - 1, grid.dt
+        # the step starts add dt in sequence, as the steps advance
+        starts = np.cumsum(np.r_[0.0, np.full(n_steps - 1, dt)])
+        times = starts[:, None] + dt * np.linspace(0.0, 1.0, 9)
         rabi, f = control.at(times)
         # composite Simpson, two panels of width dt/4 per half: h/3 = dt/24
         v = f.T
@@ -152,21 +145,18 @@ class StageTable:
         delta = control.one_photon_detuning
         psi0 = np.cumsum(np.r_[0.0, delta * full[:-1]])
         psi = np.stack([psi0, psi0 + delta * half, psi0 + delta * full], 1)
-        incoming = np.asarray(boundary(times[:, ::4], psi, rabi[:, ::4]),
-                              dtype=complex)
-        state.table = cls(state.step_index, times, rabi, f, half, full, psi,
-                          np.abs(rabi[:, ::4]) ** 2,
-                          np.broadcast_to(incoming, psi.shape),
-                          control.peak_rabi() ** 2)
-        return state.table
+        times, rabi = times[:, ::4], rabi[:, ::4]
+        incoming = 0j if boundary is None else boundary(times, psi, rabi)
+        return cls(times, f[:, ::4], np.abs(rabi) ** 2,
+                   np.broadcast_to(np.asarray(incoming, dtype=complex),
+                                   psi.shape),
+                   half, full, control.peak_rabi() ** 2)
 
-    def row(self, step_index: int):
-        """Step step_index in Python numbers: stage times, Stark phases,
-        |Omega|^2, (f, boundary value) pairs, df_half and df_full."""
-        i = step_index - self.first
-        return (self.times[i, ::4].tolist(), self.psi[i].tolist(),
-                self.om2[i].tolist(),
-                tuple(zip(self.f[i, ::4].tolist(), self.incoming[i].tolist())),
+    def row(self, i: int):
+        """Step i in Python numbers: stage times, |Omega|^2, (f, boundary
+        value) pairs, df_half and df_full."""
+        return (self.times[i].tolist(), self.om2[i].tolist(),
+                tuple(zip(self.f[i].tolist(), self.incoming[i].tolist())),
                 float(self.df_half[i]), float(self.df_full[i]))
 
 
@@ -209,12 +199,8 @@ class StorageOutcome:
     audit_residual: float
 
 
-def march(state, row0: np.ndarray, n_tau: int, step) -> None:
-    """Record row 0, solved from the initial atoms, then take n_tau - 1
-    steps.  row_current lets the first step reuse row 0 as its k1 row,
-    and the first step builds the stage table that every step reads."""
-    state.zeta_t[0] = row0
-    state.row_current = True
+def march(n_tau: int, step) -> None:
+    """Take the n_tau - 1 steps of a stage from its fresh state."""
     for _ in range(n_tau - 1):
         step()
 
@@ -319,8 +305,7 @@ def recall_bandwidth(tau_input: np.ndarray) -> float:
     return max(1.0 / max(span, 1e-300), 1e-12)
 
 
-def recall(state: StageState, ensemble, grid2, control2, medium,
-           row0: np.ndarray, step, protocol: ProtocolConfig,
+def recall(state: StageState, ensemble, grid2, control2, medium, step, protocol: ProtocolConfig,
            tau_input: np.ndarray, input_envelope: np.ndarray,
            transmitted_fraction: float, conditions,
            stark_phase: np.ndarray | None = None) -> EchoRecord:
@@ -335,7 +320,7 @@ def recall(state: StageState, ensemble, grid2, control2, medium,
     phase.
     """
     held = _held_excitation(state, ensemble)
-    march(state, row0, grid2.n_tau, step)
+    march(grid2.n_tau, step)
     tau2 = grid2.tau()
     flux = flux_weights(control2, medium, tau2)
     emitted = float(np.trapezoid(

@@ -25,9 +25,10 @@ the slow node-spread rates.  The field is solved across the slab by an
 integrating-factor quadrature at the k2, k3 and k4 stages of every
 Runge-Kutta step and recorded at the step end, keeping the coupled step
 4th order; k1 reuses the row recorded from the same atoms at the same
-clock.  The per-node constants are set once per stage in the state, and
-the control on every step's Simpson points (which also supply the stage
-values), the Stark phase and the boundary values in its StageTable.
+clock, which for the first step is the row the fresh state solved.  The
+per-node constants are set once per stage in the state, and the control
+at the stage times, its Simpson integrals and the boundary values in its
+StageTable, which the fresh state builds.
 Storage integrates the field from the input face Z = 0; retrieval from
 a zero boundary at Z = L, emitting backward.  All node/Z updates are
 whole-array operations and the ensemble sums run off BLAS, so repeated
@@ -89,12 +90,11 @@ class SimulationState(stages.StageState):
     """Evolving strong-field state on one stage grid.
 
     Adds the ground population r11 per (node, Z) to the shared stage
-    state, whose boundary is called as (tau, psi, Omega(tau)).
-    kernel_weights are the w_j c_j of the ensemble kernels B_mn, and nodes
-    the slopes' per-node constants: d21, the bracket rate Delta c_j and
-    the drive, Stark and coupling factors.  zeta_scale is the largest
-    field magnitude seen so far (the reference for control-off field
-    checks).
+    state.  kernel_weights are the w_j c_j of the ensemble kernels B_mn,
+    and nodes the slopes' per-node constants: d21, the bracket rate
+    Delta c_j and the drive, Stark and coupling factors.  zeta_scale is
+    the largest field magnitude seen so far (the reference for
+    control-off field checks).
     """
 
     r11: np.ndarray             # (n_node, n_z) real
@@ -104,18 +104,29 @@ class SimulationState(stages.StageState):
 
     @classmethod
     def fresh(cls, grid: Grid, ensemble: EnsembleSpec,
-              one_photon_detuning: float, drive_sign: int,
+              control: ControlProfile, medium: MediumSpec, drive_sign: int,
               boundary: Callable | None = None,
               r12_initial: np.ndarray | None = None,
               r11_initial: np.ndarray | None = None) -> "SimulationState":
-        c = _c_factors(ensemble, one_photon_detuning)
-        sgn, delta, col = float(drive_sign), one_photon_detuning, c[:, None]
+        """The stage at clock 0 (stages.StageState.fresh), with r11_initial
+        (default 1) and the per-node constants of the control's Delta."""
+        delta = control.one_photon_detuning
+        c = _c_factors(ensemble, delta)
+        sgn, col = float(drive_sign), c[:, None]
         return super().fresh(
-            grid, ensemble, drive_sign, boundary, r12_initial,
+            grid, ensemble, control, medium, drive_sign, boundary,
+            r12_initial,
             r11=stages.node_array(grid, ensemble, r11_initial, 1.0, float),
             kernel_weights=ensemble.weights * c,
             nodes=(ensemble.delta21s[:, None], delta * col, (1j * sgn) * col,
                    -1j * delta * col, -2.0 * sgn * col))
+
+    def first_row(self, ensemble: EnsembleSpec, medium: MediumSpec,
+                  control: ControlProfile) -> np.ndarray:
+        """Row 0 from the current atoms at the table's first stage time."""
+        times, _, sampled, _, _ = self.table.row(0)
+        return field_row(self, medium, control, times[0], self.r12,
+                         self.r11, sampled[0])
 
     def excitation(self, ensemble: EnsembleSpec) -> np.ndarray:
         """Ensemble excitation sum_j w_j (1 - r11_j) at every Z."""
@@ -165,20 +176,16 @@ def _solve_field_ode(a: np.ndarray, source: np.ndarray, dz: float,
 
 
 def field_row(state: SimulationState, medium: MediumSpec,
-              control: ControlProfile, s: float, psi: float,
-              r12: np.ndarray, r11: np.ndarray, sampled=None) -> np.ndarray:
-    """Scaled field across the slab at time s and Stark phase psi, from
-    the ensemble kernels B11 and B12 of the atomic arrays.
+              control: ControlProfile, s: float, r12: np.ndarray,
+              r11: np.ndarray, sampled: tuple) -> np.ndarray:
+    """Scaled field across the slab at time s, from the ensemble kernels
+    B11 and B12 of the atomic arrays.
 
     Storage integrates from the input face Z = 0; retrieval from a zero
     boundary at the far face toward the exit at Z = 0 (the slab is
     flipped, solved forward, and flipped back).  sampled is the pair
-    (f(s), boundary value) of a stage table; without it both are
-    evaluated at s here.
+    (f(s), boundary value) of a stage table row.
     """
-    if sampled is None:
-        rabi_s, f_s = control.at(s)
-        sampled = f_s, complex(state.boundary(s, psi, rabi_s))
     f_s, incoming = sampled
     w, sgn, beta = state.kernel_weights, state.drive_sign, medium.coupling_beta
     a = (0.5j * beta * sgn / control.one_photon_detuning) \
@@ -212,8 +219,8 @@ def _stark_ratio(state: SimulationState, s: float, row: np.ndarray,
     return np.abs(row) ** 2 / om2
 
 
-def _lawson_step(state: SimulationState, table: stages.StageTable,
-                 dt: float, row1: np.ndarray, row_at: Callable) -> None:
+def _lawson_step(state: SimulationState, dt: float, row1: np.ndarray,
+                 row_at: Callable) -> None:
     """One RK4 step in the frame co-rotating with d21 - Delta c_j f.
 
     The per-node bracket phase is Simpson-integrated from the table's
@@ -222,7 +229,8 @@ def _lawson_step(state: SimulationState, table: stages.StageTable,
     slopes see at stage time s + k dt/2 (k = 1, 2).  The drive and the
     probe Stark rate are the only terms the Runge-Kutta stages step.
     """
-    times, _, om2, _, df_half, df_full = table.row(state.step_index)
+    table = state.table
+    times, om2, _, df_half, df_full = table.row(state.step_index)
     d21, bracket, drive, stark, coupling = state.nodes
     rot_half = np.exp(-1j * (d21 * (0.5 * dt) - bracket * df_half))
     rot_full = np.exp(-1j * (d21 * dt - bracket * df_full))
@@ -257,20 +265,15 @@ def _lawson_step(state: SimulationState, table: stages.StageTable,
     state.r12 = rot_full * (p + (dt / 6.0) * (k1p + 2.0 * k2p
                                               + 2.0 * k3p + k4p))
     state.r11 = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
-    state.clock += dt
     state.step_index += 1
-    state.row_current = False
     state.assert_physical()
 
 
-def advance_atoms(state: SimulationState, control: ControlProfile,
-                  dt: float) -> SimulationState:
+def advance_atoms(state: SimulationState, dt: float) -> SimulationState:
     """One frozen-field atomic step: the row recorded at the current step
     index drives all four Runge-Kutta stages."""
-    table = state.table or stages.StageTable.build(
-        state, control, dt, state.boundary)
     row = state.zeta_t[state.step_index]
-    _lawson_step(state, table, dt, row, row_at=lambda k, r12, r11: row)
+    _lawson_step(state, dt, row, row_at=lambda k, r12, r11: row)
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
 
@@ -280,25 +283,18 @@ def advance_strong(state: SimulationState, medium: MediumSpec,
     """One coupled step: the field is solved from the provisional atoms
     at the k2, k3 and k4 stages, then recorded at the new clock.
 
-    k1 reuses the recorded row when state.row_current says it was solved
-    from the current atoms; otherwise k1 solves its row as well.  Every
-    row takes its time, Stark phase, f and boundary value from the stage
-    table.
+    k1 reuses the recorded row, which was solved from the current atoms.
+    Every row takes its time, f and boundary value from the stage table.
     """
-    table = state.table or stages.StageTable.build(
-        state, control, dt, state.boundary)
-    times, psis, _, sampled, _, _ = table.row(state.step_index)
+    times, _, sampled, _, _ = state.table.row(state.step_index)
 
     def row_at(k, r12, r11):
-        return field_row(state, medium, control, times[k], psis[k], r12,
-                         r11, sampled[k])
+        return field_row(state, medium, control, times[k], r12, r11,
+                         sampled[k])
 
-    row1 = (state.zeta_t[state.step_index] if state.row_current
-            else row_at(0, state.r12, state.r11))
-    _lawson_step(state, table, dt, row1, row_at)
+    _lawson_step(state, dt, state.zeta_t[state.step_index], row_at)
     row = row_at(2, state.r12, state.r11)
     state.zeta_t[state.step_index] = row
-    state.row_current = True
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
 
@@ -350,14 +346,12 @@ def run_storage(probe: ProbeSpec, control: ControlProfile,
     _validate_grid(grid, ensemble, control, medium,
                    drive_bound=peak_zeta, bandwidth=probe.spectral_width)
 
-    state = SimulationState.fresh(
-        grid, ensemble, control.one_photon_detuning, drive_sign=+1,
-        boundary=ProbeBoundary(probe))
+    state = SimulationState.fresh(grid, ensemble, control, medium,
+                                  drive_sign=+1,
+                                  boundary=ProbeBoundary(probe))
     state.zeta_scale = peak_zeta
-    stages.march(
-        state, field_row(state, medium, control, 0.0, 0.0, state.r12,
-                         state.r11), grid.n_tau,
-        lambda: advance_strong(state, medium, control, grid.dt))
+    stages.march(grid.n_tau,
+                 lambda: advance_strong(state, medium, control, grid.dt))
 
     # Stark-dressed record (accumulated Stark phase removed): the raw
     # chirp runs at Delta f rad per unit, far beyond Nyquist on any grid
@@ -409,7 +403,7 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
                    bandwidth=stages.recall_bandwidth(tau_input))
 
     state = SimulationState.fresh(
-        grid2, ensemble2, control2.one_photon_detuning, drive_sign=-1,
+        grid2, ensemble2, control2, medium, drive_sign=-1,
         r12_initial=r12, r11_initial=stored.r11)
     state.zeta_scale = drive_bound
     # dress the echo the same way the input record is dressed: remove the
@@ -418,7 +412,6 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
         np.asarray(control2.f(grid2.tau()), dtype=float), grid2.dt)
     return stages.recall(
         state, ensemble2, grid2, control2, medium,
-        field_row(state, medium, control2, 0.0, 0.0, state.r12, state.r11),
         lambda: advance_strong(state, medium, control2, grid2.dt),
         protocol, tau_input, input_envelope, transmitted_fraction,
         conditions, stark_phase=psi2)

@@ -14,9 +14,10 @@ atom equation is integrated with a 4th-order exponential scheme: each
 node's deterministic detuning phase is rotated out analytically, so only
 the smooth driven motion is stepped by Runge-Kutta.  The field is solved
 at the k2, k3 and k4 stages and recorded at the step end; k1 reuses the
-row recorded from the same coherences at the same clock.  The control on
-every step's Simpson points and the boundary values are tabulated once
-per stage, in a StageTable that the first step builds.
+row recorded from the same coherences at the same clock, which for the
+first step is the row the fresh state solved.  The control at the stage
+times, its Simpson integrals and the boundary values are tabulated once
+per stage, in a StageTable that the fresh state builds.
 
 Because the equations are linear and every node is driven by the same
 field row, each Runge-Kutta slope is rank one: a per-node factor times
@@ -43,8 +44,9 @@ from .core import (
     MediumSpec,
     ProbeSpec,
     WEAK_AMPLITUDE_RATIO,
+    require_finite,
 )
-from .errors import NonFiniteField, WeakFieldViolation
+from .errors import NonFiniteField, ValidationError, WeakFieldViolation
 from .numerics import cumulative_integral, trapezoid_energy, \
     weighted_node_sum
 from . import stages
@@ -59,29 +61,32 @@ DETUNING_VALIDITY_FACTOR = 0.1  # max |d31| <= this * |Delta|
 class WeakState(stages.StageState):
     """Evolving linear-regime state on one stage grid.
 
-    The shared stage state in tilde variables: r12 is the coherence R~12
-    and boundary(s, Omega(s)) the incoming tilde field at the injection
-    face.
+    The shared stage state in tilde variables: r12 is the coherence R~12.
     """
+
+    def first_row(self, ensemble: EnsembleSpec, medium: MediumSpec,
+                  control: ControlProfile) -> np.ndarray:
+        """Row 0 from the current coherences at the table's first stage
+        time."""
+        times, _, sampled, _, _ = self.table.row(0)
+        return field_row(self, medium, times[0],
+                         weighted_node_sum(ensemble.weights, self.r12),
+                         sampled[0])
 
     def excitation(self, ensemble: EnsembleSpec) -> np.ndarray:
         """Ensemble excitation sum_j w_j |R~12_j|^2 at every Z."""
         return weighted_node_sum(ensemble.weights, np.abs(self.r12) ** 2)
 
 
-def field_row(state: WeakState, medium: MediumSpec, control: ControlProfile,
-              s: float, b12: np.ndarray, sampled=None) -> np.ndarray:
+def field_row(state: WeakState, medium: MediumSpec, s: float,
+              b12: np.ndarray, sampled: tuple) -> np.ndarray:
     """Tilde field across the slab at time s, given the kernel B~12.
 
     b12 is the node-summed coherence sum_j w_j R~12_j at every Z.
     Storage integrates the source from the input face; retrieval from the
     far face (zero incoming echo), emitting toward Z = 0.  sampled is the
-    pair (f(s), boundary value) of a stage table; without it both are
-    evaluated at s here.
+    pair (f(s), boundary value) of a stage table row.
     """
-    if sampled is None:
-        rabi_s, f_s = control.at(s)
-        sampled = f_s, state.boundary(s, rabi_s)
     f_s, incoming = sampled
     gain = 0.5 * medium.coupling_beta * f_s
     if state.drive_sign > 0:
@@ -115,15 +120,14 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
 
     The new coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 + k4)) are
     built once, and the kernel of the row recorded at the new clock
-    follows from the same linearity.  k1 reuses the recorded row when
-    state.row_current says it was solved from the current coherences,
-    else it is solved too.  Rows and rotations read the stage table.
+    follows from the same linearity.  k1 reuses the recorded row, which
+    was solved from the current coherences.  Rows and rotations read the
+    stage table.
     bandwidth is the signal bandwidth that the linear-regime validity
     checks price the probe Stark shift against.
     """
-    table = state.table or stages.StageTable.build(
-        state, control, dt, lambda s, psi, rabi: state.boundary(s, rabi))
-    times, _, om2, sampled, df_half, df_full = table.row(state.step_index)
+    table = state.table
+    times, om2, sampled, df_half, df_full = table.row(state.step_index)
     d21 = ensemble.delta21s
     d31 = ensemble.delta31s
     rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * df_half))
@@ -144,10 +148,9 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
                        w_full * drive_half, w_full * drive_full], axis=1)
 
     def row_at(k, b12):
-        return field_row(state, medium, control, times[k], b12, sampled[k])
+        return field_row(state, medium, times[k], b12, sampled[k])
 
-    row1 = (state.zeta_t[state.step_index] if state.row_current
-            else row_at(0, weighted_node_sum(w, p)))
+    row1 = state.zeta_t[state.step_index]
     if om2[0] > 1e-9 * table.peak2:
         # the probe Stark shift, priced while the control is on
         stark = abs(control.one_photon_detuning) \
@@ -167,13 +170,11 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     p_new += drive_full[:, None] * ((dt / 6.0) * row4)
     p_new *= rot_full[:, None]
     state.r12 = p_new
-    state.clock += dt
     state.step_index += 1
     b12 = (p_full + ((dt / 6.0) * drive * sum_full) * row1
            + ((dt / 3.0) * sum_full_dh) * row23
            + ((dt / 6.0) * sum_full_df) * row4)
     state.zeta_t[state.step_index] = row_at(2, b12)
-    state.row_current = True
     return state
 
 
@@ -182,14 +183,14 @@ class TildeInput:
     """Scaled input field at the entry face in tilde variables.
 
     The physical probe envelope is dressed by conj(rabi), the control
-    Omega(s) at the row's time; the Stark chirp that centers it on
-    the shifted line is exactly the factored-out psi, so the tilde
-    boundary is smooth.
+    Omega(s) at the row's time; the Stark chirp exp(+i psi) that centers
+    it on the shifted line is exactly what the tilde variables factor
+    out, so psi goes unused and the tilde boundary is smooth.
     """
 
     probe: ProbeSpec
 
-    def __call__(self, s, rabi):
+    def __call__(self, s, psi, rabi):
         scale = WEAK_AMPLITUDE_RATIO * self.probe.amplitude_scale
         return 1j * scale * np.conj(rabi) * self.probe.envelope(s)
 
@@ -224,14 +225,11 @@ def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
     stages.check_storage(probe, control, grid)
     tau = grid.tau()
     _validate_grid(grid, ensemble, control, medium, probe.spectral_width)
-    state = WeakState.fresh(grid, ensemble, drive_sign=+1,
+    state = WeakState.fresh(grid, ensemble, control, medium, drive_sign=+1,
                             boundary=TildeInput(probe))
-    stages.march(
-        state, field_row(state, medium, control, 0.0,
-                         weighted_node_sum(ensemble.weights, state.r12)),
-        grid.n_tau,
-        lambda: advance_weak(state, ensemble, medium, control, grid.dt,
-                             bandwidth=probe.spectral_width))
+    stages.march(grid.n_tau,
+                 lambda: advance_weak(state, ensemble, medium, control,
+                                      grid.dt, probe.spectral_width))
     return stages.audit_storage(
         state, ensemble, tau, control, medium,
         envelope_from_scaled(state.zeta_t[:, 0], control, tau))
@@ -257,12 +255,10 @@ def recall_weak(stored: WeakState, control2: ControlProfile,
     bandwidth = stages.recall_bandwidth(tau_input)
     _validate_grid(grid2, ensemble2, control2, medium, bandwidth)
 
-    state = WeakState.fresh(grid2, ensemble2, drive_sign=-1,
-                            r12_initial=r12)
+    state = WeakState.fresh(grid2, ensemble2, control2, medium,
+                            drive_sign=-1, r12_initial=r12)
     return stages.recall(
         state, ensemble2, grid2, control2, medium,
-        field_row(state, medium, control2, 0.0,
-                  weighted_node_sum(ensemble2.weights, state.r12)),
         lambda: advance_weak(state, ensemble2, medium, control2, grid2.dt,
                              bandwidth=bandwidth),
         protocol, tau_input, input_envelope, transmitted_fraction,
@@ -291,10 +287,11 @@ class SusceptibilityKernel:
     eta: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "f_value", "beta", "eta")
         if self.f_value <= 0 or self.beta <= 0:
-            raise ValueError("f_value and beta must be > 0")
+            raise ValidationError("f_value and beta must be > 0")
         if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+            raise ValidationError("eta must be >= 0")
 
     def raman_detunings(self) -> np.ndarray:
         return self.ensemble.raman_detunings(self.f_value)

@@ -37,7 +37,6 @@ from ramanecho.strongfield import (
     ProbeBoundary,
     SimulationState,
     advance_atoms,
-    advance_strong,
     field_row,
     handover_wavevector_mismatch,
     run_retrieval,
@@ -82,6 +81,19 @@ def const_control(rabi, detuning, t_end):
                                    switch_on=-t_end, switch_off=2.0 * t_end)
 
 
+# a medium for states whose tests read only the atoms: of all they do,
+# only the row 0 that a fresh state solves reads it
+ATOMS_ONLY_MEDIUM = MediumSpec(coupling_beta=1.0, length_L=1.0)
+
+
+def flat_stage(grid, ens, delta, **initial):
+    """A fresh storage state under a flat control of detuning delta (f =
+    1), for tests that read only its atoms."""
+    ctl = const_control(rabi=delta, detuning=delta, t_end=grid.t_end)
+    return SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
+                                 drive_sign=+1, **initial)
+
+
 # ---------------------------------------------------------------------------
 # ensemble kernels and field rows
 # ---------------------------------------------------------------------------
@@ -101,8 +113,7 @@ def test_kernel_reduction_matches_compensated_sum():
         + 1j * rng.standard_normal((n_node, n_z))
     r11 = rng.random((n_node, n_z))
     grid = Grid(n_tau=2, n_z=n_z, t_end=1.0, length=1.0)
-    state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1,
-                                  r12_initial=r12, r11_initial=r11)
+    state = flat_stage(grid, ens, 50.0, r12_initial=r12, r11_initial=r11)
     b11 = weighted_node_sum(state.kernel_weights, state.r11)
     b12 = weighted_node_sum(state.kernel_weights, state.r12)
 
@@ -129,9 +140,8 @@ def _field_test_pieces(n_z=65, beta=4.0, detuning=50.0):
 def test_field_row_no_coherence_no_input_is_zero():
     ens, ctl, med, grid = _field_test_pieces()
     for sgn in (+1, -1):
-        state = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
-                                      drive_sign=sgn)
-        row = field_row(state, med, ctl, 0.0, 0.0, state.r12, state.r11)
+        state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=sgn)
+        row = state.zeta_t[0]
         assert np.all(row == 0)
 
 
@@ -140,17 +150,15 @@ def test_population_term_keeps_field_magnitude():
     # phase: |zeta| must be flat across the slab in either direction
     ens, ctl, med, grid = _field_test_pieces(beta=12.0)
     zeta0 = 0.3 - 0.4j
-    state = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
-                                  drive_sign=+1,
+    state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1,
                                   boundary=lambda s, psi, rabi: zeta0)
-    row = field_row(state, med, ctl, 0.0, 0.0, state.r12, state.r11)
+    row = state.zeta_t[0]
     assert row[0] == zeta0
     assert np.max(np.abs(np.abs(row) - abs(zeta0))) < FIELD_CLOSED_FORM_TOL
 
-    back = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
-                                 drive_sign=-1,
+    back = SimulationState.fresh(grid, ens, ctl, med, drive_sign=-1,
                                  boundary=lambda s, psi, rabi: zeta0)
-    row_b = field_row(back, med, ctl, 0.0, 0.0, back.r12, back.r11)
+    row_b = back.zeta_t[0]
     assert row_b[-1] == zeta0
     assert np.max(np.abs(np.abs(row_b) - abs(zeta0))) < FIELD_CLOSED_FORM_TOL
 
@@ -163,7 +171,7 @@ def test_single_node_row_matches_closed_form():
     r = 0.2 + 0.1j
     for sgn in (+1, -1):
         state = SimulationState.fresh(
-            grid, ens, ctl.one_photon_detuning, drive_sign=sgn,
+            grid, ens, ctl, med, drive_sign=sgn,
             r12_initial=np.full((1, grid.n_z), r),
             r11_initial=np.ones((1, grid.n_z)))
         a = 0.5j * med.coupling_beta * sgn / ctl.one_photon_detuning
@@ -172,7 +180,7 @@ def test_single_node_row_matches_closed_form():
             want = (s / a) * (np.exp(a * z) - 1.0)
         else:
             want = (s / a) * (np.exp(a * (z - grid.length)) - 1.0)
-        row = field_row(state, med, ctl, 0.0, 0.0, state.r12, state.r11)
+        row = state.zeta_t[0]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(row - want)) < FIELD_CLOSED_FORM_TOL * scale
 
@@ -182,10 +190,10 @@ def test_short_slab_row_is_linear_in_depth():
     ens, ctl, med, grid = _field_test_pieces(beta=0.4, detuning=50.0)
     r = 0.2 + 0.1j
     state = SimulationState.fresh(
-        grid, ens, ctl.one_photon_detuning, drive_sign=+1,
+        grid, ens, ctl, med, drive_sign=+1,
         r12_initial=np.full((1, grid.n_z), r),
         r11_initial=np.ones((1, grid.n_z)))
-    row = field_row(state, med, ctl, 0.0, 0.0, state.r12, state.r11)
+    row = state.zeta_t[0]
     linear = 0.5j * med.coupling_beta * r * grid.length
     a_l = 0.5 * med.coupling_beta / ctl.one_photon_detuning * grid.length
     assert abs(row[-1] - linear) < 0.6 * a_l * abs(linear)
@@ -213,11 +221,10 @@ def test_row_matches_refined_z_reference():
         r12, r11 = atoms(grid.z())
         for sgn in (+1, -1):
             state = SimulationState.fresh(
-                grid, ens, ctl.one_photon_detuning, drive_sign=sgn,
+                grid, ens, ctl, med, drive_sign=sgn,
                 boundary=lambda s, psi, rabi: 0.05 + 0.02j,
                 r12_initial=r12, r11_initial=r11)
-            rows[sgn, n_z] = field_row(state, med, ctl, 0.0, 0.0,
-                                       state.r12, state.r11)
+            rows[sgn, n_z] = state.zeta_t[0]
     for sgn in (+1, -1):
         coarse = rows[sgn, 65]
         fine = rows[sgn, 257][::4]
@@ -228,7 +235,6 @@ def test_row_matches_refined_z_reference():
 # ---------------------------------------------------------------------------
 # atomic stepper: exact limits and the two-level oracle
 # ---------------------------------------------------------------------------
-
 def test_free_atom_is_unchanged():
     ens = single_node()
     ctl = ControlProfile.flat_top(rabi=0.0, detuning=50.0, switch_on=-2.0,
@@ -236,10 +242,11 @@ def test_free_atom_is_unchanged():
     grid = Grid(n_tau=11, n_z=9, t_end=0.5, length=1.0)
     r12_0 = np.full((1, grid.n_z), 0.2 + 0.05j)
     r11_0 = np.full((1, grid.n_z), 0.7)
-    state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1,
-                                  r12_initial=r12_0, r11_initial=r11_0)
+    state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
+                                  drive_sign=+1, r12_initial=r12_0,
+                                  r11_initial=r11_0)
     for _ in range(grid.n_tau - 1):
-        advance_atoms(state, ctl, grid.dt)
+        advance_atoms(state, grid.dt)
     assert np.array_equal(state.r12, r12_0)
     assert np.array_equal(state.r11, r11_0)
 
@@ -252,11 +259,11 @@ def test_static_detuning_is_exact_rotation():
     grid = Grid(n_tau=41, n_z=5, t_end=2.0, length=1.0)
     r12_0 = 0.3 + 0.4j
     state = SimulationState.fresh(
-        grid, ens, 50.0, drive_sign=+1,
+        grid, ens, ctl, ATOMS_ONLY_MEDIUM, drive_sign=+1,
         r12_initial=np.full((1, grid.n_z), r12_0),
         r11_initial=np.full((1, grid.n_z), 0.5))
     for _ in range(grid.n_tau - 1):
-        advance_atoms(state, ctl, grid.dt)
+        advance_atoms(state, grid.dt)
     want = np.exp(-1j * d21 * grid.t_end) * r12_0
     assert np.max(np.abs(state.r12 - want)) < ROTATION_TOL
     assert np.max(np.abs(state.r11 - 0.5)) < ROTATION_TOL
@@ -274,13 +281,14 @@ def test_resonant_drive_matches_rabi_oracle():
     ctl = const_control(rabi=rabi, detuning=delta, t_end=2.0)
     grid = Grid(n_tau=2001, n_z=3, t_end=2.0, length=1.0)
     zeta = 0.5
-    state = SimulationState.fresh(grid, ens, delta, drive_sign=+1)
+    state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
+                                  drive_sign=+1)
     state.zeta_t[:] = zeta
     state.zeta_scale = zeta
     hist = np.empty(grid.n_tau)
     hist[0] = state.r11[0, 0]
     for k in range(grid.n_tau - 1):
-        advance_atoms(state, ctl, grid.dt)
+        advance_atoms(state, grid.dt)
         hist[k + 1] = state.r11[0, 0]
     tau = grid.tau()
     assert np.max(np.abs(hist - np.cos(zeta * tau) ** 2)) < RABI_TOL
@@ -298,11 +306,12 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
                        delta21s=[d21, 0.0, -d21], delta31s=[-d31, 0.0, d31])
     ctl = const_control(rabi=40.0, detuning=delta, t_end=0.8)
     grid = Grid(n_tau=41, n_z=5, t_end=0.8, length=1.0)
-    state = SimulationState.fresh(grid, ens, delta, drive_sign=+1)
+    state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
+                                  drive_sign=+1)
     state.zeta_t[:] = amp * (0.6 + 0.8j)
     state.zeta_scale = amp
     for _ in range(grid.n_tau - 1):
-        advance_atoms(state, ctl, grid.dt)
+        advance_atoms(state, grid.dt)
     assert np.all(state.r11 >= 0.0)
     assert np.all(state.r11 <= 1.0)
     excess = np.max(np.abs(state.r12) ** 2 - state.r11 * (1.0 - state.r11))
@@ -310,14 +319,14 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
     # bit for bit the radial projection of the excursions alone, written
     # with boolean gathers and scatters
     rng = np.random.default_rng(11)
-    mixed = SimulationState.fresh(Grid(n_tau=5, n_z=257, t_end=1.0,
-                                       length=1.0), ens, 50.0,
-                                  drive_sign=+1)
-    theta = rng.uniform(0.0, math.pi, mixed.r11.shape)
-    radius = 0.5 + rng.uniform(-1e-6, 1e-6, mixed.r11.shape)
-    mixed.r12[:] = radius * np.sin(theta) * np.exp(
-        1j * rng.uniform(0.0, 2.0 * math.pi, theta.shape))
-    mixed.r11[:] = 0.5 + radius * np.cos(theta)
+    shape = (ens.n_nodes, 257)
+    theta = rng.uniform(0.0, math.pi, shape)
+    radius = 0.5 + rng.uniform(-1e-6, 1e-6, shape)
+    mixed = flat_stage(
+        Grid(n_tau=5, n_z=shape[1], t_end=1.0, length=1.0), ens, 50.0,
+        r12_initial=radius * np.sin(theta) * np.exp(
+            1j * rng.uniform(0.0, 2.0 * math.pi, shape)),
+        r11_initial=0.5 + radius * np.cos(theta))
     r12, r11 = mixed.r12.copy(), mixed.r11.copy()
     s_z = r11 - 0.5
     norm = np.sqrt(np.abs(r12) ** 2 + s_z ** 2)
@@ -335,8 +344,8 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
 def test_projection_absorbs_truncation_overshoot():
     ens = single_node()
     grid = Grid(n_tau=5, n_z=7, t_end=1.0, length=1.0)
-    state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1)
-    state.r11[:] = 1.0 + 5.0e-7
+    state = flat_stage(grid, ens, 50.0,
+                       r11_initial=np.full((1, grid.n_z), 1.0 + 5.0e-7))
     state.assert_physical()
     assert np.all(state.r11 <= 1.0)
     assert np.all(state.r11 >= 0.0)
@@ -347,12 +356,11 @@ def test_projection_absorbs_truncation_overshoot():
 def test_unphysical_state_raises():
     ens = single_node()
     grid = Grid(n_tau=5, n_z=7, t_end=1.0, length=1.0)
-    state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1)
-    state.r11[:] = 1.5
+    state = flat_stage(grid, ens, 50.0,
+                       r11_initial=np.full((1, grid.n_z), 1.5))
     with pytest.raises(PhysicalityViolation):
         state.assert_physical()
-    hot = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1)
-    hot.r12[:] = 1.0
+    hot = flat_stage(grid, ens, 50.0, r12_initial=np.ones((1, grid.n_z)))
     with pytest.raises(PhysicalityViolation):
         hot.assert_physical()
 
@@ -362,11 +370,12 @@ def test_live_field_with_control_off_raises():
     ctl = ControlProfile.flat_top(rabi=0.0, detuning=50.0, switch_on=-2.0,
                                   switch_off=4.0)
     grid = Grid(n_tau=5, n_z=7, t_end=1.0, length=1.0)
-    state = SimulationState.fresh(grid, ens, 50.0, drive_sign=+1)
+    state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
+                                  drive_sign=+1)
     state.zeta_t[:] = 0.1
     state.zeta_scale = 0.1
     with pytest.raises(ControlVanishes):
-        advance_atoms(state, ctl, grid.dt)
+        advance_atoms(state, grid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -386,32 +395,31 @@ def _cheap_setup(amplitude_scale=1e-3, alpha_eff_l=10.0):
     return ens, ctl, probe, med, grid
 
 
-def test_first_step_solves_its_row_unless_the_package_recorded_it():
-    # probe centred on tau = 0, so the input boundary there is O(1): a
-    # step that took an unsolved zeta_t[0] for its k1 row would drift
+def test_fresh_state_solves_row_0_from_its_table():
+    # probe centred on tau = 0 with the control on there, so the input
+    # boundary at row 0 is O(1) and a row 0 left blank would show
     ens = build_gaussian_ensemble(width=1.0, n_nodes=5, rule="uniform")
     ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=-2.0,
                                   switch_off=10.0, rise_time=0.5)
     probe = ProbeSpec.gaussian(center=0.0, duration=0.8)
     med = MediumSpec(coupling_beta=2.0, length_L=1.0)
     grid = Grid(n_tau=65, n_z=9, t_end=2.0, length=1.0)
-    assert abs(ProbeBoundary(probe)(0.0, 0.0, ctl.rabi(0.0))) > 0.01
-
-    def history(record_row0):
-        state = SimulationState.fresh(
-            grid, ens, ctl.one_photon_detuning, drive_sign=+1,
-            boundary=ProbeBoundary(probe))
-        if record_row0:
-            state.zeta_t[0] = field_row(state, med, ctl, 0.0, 0.0,
-                                        state.r12, state.r11)
-        for _ in range(grid.n_tau - 1):
-            advance_strong(state, med, ctl, grid.dt)
-        return state
-
-    bare, recorded = history(False), history(True)
-    assert np.array_equal(bare.r12, recorded.r12)
-    assert np.array_equal(bare.r11, recorded.r11)
-    assert np.array_equal(bare.zeta_t[1:], recorded.zeta_t[1:])
+    rng = np.random.default_rng(3)
+    r12 = 0.05 * (rng.standard_normal((ens.n_nodes, grid.n_z))
+                  + 1j * rng.standard_normal((ens.n_nodes, grid.n_z)))
+    r11 = np.full((ens.n_nodes, grid.n_z), 0.9)
+    state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1,
+                                  boundary=ProbeBoundary(probe),
+                                  r12_initial=r12, r11_initial=r11)
+    table = state.table
+    f0, incoming0 = float(table.f[0, 0]), complex(table.incoming[0, 0])
+    assert table.times[0, 0] == 0.0 and f0 > 0.0
+    assert incoming0 == pytest.approx(
+        ProbeBoundary(probe)(0.0, 0.0, ctl.rabi(0.0)), rel=1e-12)
+    assert abs(incoming0) > 0.01
+    want = field_row(state, med, ctl, 0.0, r12, r11, (f0, incoming0))
+    assert np.array_equal(state.zeta_t[0], want)
+    assert not np.any(state.zeta_t[1:])
 
 
 def test_storage_counts_field_solves_and_peak_samples(monkeypatch):
@@ -485,7 +493,7 @@ def test_both_regimes_run_the_storage_checks(store):
 
 def test_strict_mode_gates_on_failing_report():
     ens, ctl, _, med, grid = _cheap_setup()
-    stored = SimulationState.fresh(grid, ens, 60.0, drive_sign=+1)
+    stored = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1)
     report = ConditionReport(entries=(
         ConditionEntry(id="iv", residual=2.0, tolerance=1e-9,
                        satisfied=False),))
@@ -501,7 +509,7 @@ def test_strict_mode_gates_on_failing_report():
 
 def test_retrieving_empty_state_yields_nothing():
     ens, ctl, _, med, grid = _cheap_setup()
-    stored = SimulationState.fresh(grid, ens, 60.0, drive_sign=+1)
+    stored = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1)
     protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0)
     ctl2 = ctl.time_reversed(anchor=16.0, detuning=-60.0)
     tau_in = grid.tau()

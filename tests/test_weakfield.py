@@ -81,8 +81,8 @@ def test_fid_through_integrator_matches_kernel():
                                   switch_off=6.0, rise_time=0.5)
     med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
     grid = Grid(n_tau=161, n_z=5, t_end=4.0, length=1.0)
-    state = WeakState.fresh(grid, ens, drive_sign=+1)
-    state.r12[:] = 1.0
+    state = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
+                            r12_initial=np.ones((ens.n_nodes, grid.n_z)))
     vals = [np.sum(ens.weights * state.r12[:, 0])]
     for _ in range(grid.n_tau - 1):
         advance_weak(state, ens, med, ctl, grid.dt, bandwidth=1.0)
@@ -111,20 +111,16 @@ def test_single_node_small_slab_is_plain_quadrature():
     probe = ProbeSpec.gaussian(center=4.0, duration=0.8)
     med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
     grid = Grid(n_tau=1025, n_z=5, t_end=8.0, length=1.0)
-    boundary = TildeInput(probe)(grid.tau(), ctl.rabi(grid.tau()))
+    boundary = TildeInput(probe)(grid.tau(), 0.0, ctl.rabi(grid.tau()))
     want = cumulative_integral(boundary, grid.dt)
     got = _node_history(probe, ctl, ens, med, grid)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) < SMALL_SLAB_TOL * scale
 
 
-def _node_history(probe, ctl, ens, med, grid, record_row0=False):
-    state = WeakState.fresh(grid, ens, drive_sign=+1,
+def _node_history(probe, ctl, ens, med, grid):
+    state = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
                             boundary=TildeInput(probe))
-    if record_row0:
-        state.zeta_t[0] = field_row(state, med, ctl, 0.0,
-                                    weighted_node_sum(ens.weights,
-                                                      state.r12))
     hist = [state.r12[0, 0]]
     for _ in range(grid.n_tau - 1):
         advance_weak(state, ens, med, ctl, grid.dt, probe.spectral_width)
@@ -132,19 +128,30 @@ def _node_history(probe, ctl, ens, med, grid, record_row0=False):
     return np.array(hist)
 
 
-def test_first_step_solves_its_row_unless_the_package_recorded_it():
-    # probe centred on tau = 0, so the input boundary there is O(1): a
-    # step that took an unsolved zeta_t[0] for its k1 row would drift
-    ens = build_gaussian_ensemble(width=1.0, n_nodes=1)
+def test_fresh_state_solves_row_0_from_its_table():
+    # probe centred on tau = 0 with the control on there, so the input
+    # boundary at row 0 is O(1) and a row 0 left blank would show
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=5, rule="uniform")
     ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=-2.0,
                                   switch_off=10.0, rise_time=0.5)
     probe = ProbeSpec.gaussian(center=0.0, duration=0.8)
-    med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
-    grid = Grid(n_tau=65, n_z=5, t_end=2.0, length=1.0)
-    assert abs(TildeInput(probe)(0.0, ctl.rabi(0.0))) > 0.01
-    bare = _node_history(probe, ctl, ens, med, grid)
-    recorded = _node_history(probe, ctl, ens, med, grid, record_row0=True)
-    assert np.array_equal(bare, recorded)
+    med = MediumSpec(coupling_beta=2.0, length_L=1.0)
+    grid = Grid(n_tau=65, n_z=9, t_end=2.0, length=1.0)
+    rng = np.random.default_rng(3)
+    r12 = 0.05 * (rng.standard_normal((ens.n_nodes, grid.n_z))
+                  + 1j * rng.standard_normal((ens.n_nodes, grid.n_z)))
+    state = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
+                            boundary=TildeInput(probe), r12_initial=r12)
+    table = state.table
+    f0, incoming0 = float(table.f[0, 0]), complex(table.incoming[0, 0])
+    assert table.times[0, 0] == 0.0 and f0 > 0.0
+    assert incoming0 == pytest.approx(
+        TildeInput(probe)(0.0, 0.0, ctl.rabi(0.0)), rel=1e-12)
+    assert abs(incoming0) > 0.01
+    want = field_row(state, med, 0.0, weighted_node_sum(ens.weights, r12),
+                     (f0, incoming0))
+    assert np.array_equal(state.zeta_t[0], want)
+    assert not np.any(state.zeta_t[1:])
 
 
 def _simpson_step(control, s, dt):
@@ -159,11 +166,18 @@ def _simpson_step(control, s, dt):
     return rabi, f, float(half), float(full)
 
 
-def _dense_advance_weak(state, ensemble, medium, control, dt):
-    # the step evaluated on full (node x Z) stage arrays, each summed over
-    # the nodes for its field row; the oracle of the rank-one evaluation,
-    # with the control and the boundary evaluated at each stage time
-    s = state.clock
+def _sampled(control, boundary, t):
+    """(f, boundary value) at time t, evaluated there alone; the tilde
+    boundary does not read the Stark phase."""
+    rabi, f = control.at(t)
+    return f, 0j if boundary is None else complex(boundary(t, 0.0, rabi))
+
+
+def _dense_advance_weak(state, ensemble, medium, control, boundary, s, dt):
+    # the step from time s evaluated on full (node x Z) stage arrays, each
+    # summed over the nodes for its field row; the oracle of the rank-one
+    # evaluation, with the control and the boundary evaluated at each
+    # stage time
     _, _, df_half, df_full = _simpson_step(control, s, dt)
     times = (s, s + 0.5 * dt, s + dt)
     d21 = ensemble.delta21s[:, None]
@@ -176,26 +190,26 @@ def _dense_advance_weak(state, ensemble, medium, control, dt):
     p = state.r12
 
     def row_at(k, r12):
-        return field_row(state, medium, control, times[k],
-                         weighted_node_sum(ensemble.weights, r12))
+        return field_row(state, medium, times[k],
+                         weighted_node_sum(ensemble.weights, r12),
+                         _sampled(control, boundary, times[k]))
 
-    row1 = (state.zeta_t[state.step_index] if state.row_current
-            else row_at(0, p))
+    row1 = state.zeta_t[state.step_index]
     k1 = drive * row1[None, :]
     k2 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k1))[None, :]
     k3 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k2))[None, :]
     k4 = drive_full * row_at(2, rot_full * (p + dt * k3))[None, :]
     state.r12 = rot_full * (p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3
                                                  + k4))
-    state.clock = s + dt
     state.step_index += 1
     state.zeta_t[state.step_index] = row_at(2, state.r12)
-    state.row_current = True
 
 
-def _mid_ramp_state(drive_sign, row_current):
-    # d21 and d31 spreads, random coherences, clock on the control's
-    # rising edge so the Stark increments are not linear in time
+def _mid_ramp_state(drive_sign):
+    # d21 and d31 spreads, random coherences, step 3 on the control's
+    # rising edge so the Stark increments are not linear in time; its row
+    # is solved from the coherences with the control and the boundary
+    # evaluated at that time alone
     ens = build_gaussian_ensemble(width=1.0, n_nodes=9, rule="uniform",
                                   width_21=0.3, n_nodes_21=3)
     ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=0.0,
@@ -206,32 +220,30 @@ def _mid_ramp_state(drive_sign, row_current):
     rng = np.random.default_rng(7)
     r12 = 0.1 * (rng.standard_normal((ens.n_nodes, grid.n_z))
                  + 1j * rng.standard_normal((ens.n_nodes, grid.n_z)))
-    state = WeakState.fresh(
-        grid, ens, drive_sign=drive_sign,
-        boundary=TildeInput(probe) if drive_sign > 0 else None,
-        r12_initial=r12)
+    boundary = TildeInput(probe) if drive_sign > 0 else None
+    state = WeakState.fresh(grid, ens, ctl, med, drive_sign=drive_sign,
+                            boundary=boundary, r12_initial=r12)
     state.step_index = 3
-    state.clock = 3 * grid.dt
-    if row_current:
-        state.zeta_t[3] = field_row(state, med, ctl, state.clock,
-                                    weighted_node_sum(ens.weights, r12))
-        state.row_current = True
-    return state, ens, med, ctl, grid
+    state.zeta_t[3] = field_row(state, med, 3 * grid.dt,
+                                weighted_node_sum(ens.weights, r12),
+                                _sampled(ctl, boundary, 3 * grid.dt))
+    return state, ens, med, ctl, boundary, grid
 
 
-@pytest.mark.parametrize("row_current", [True, False])
 @pytest.mark.parametrize("drive_sign", [+1, -1], ids=["storage", "recall"])
-def test_rank_one_step_matches_dense_step(drive_sign, row_current):
-    rank_one, ens, med, ctl, grid = _mid_ramp_state(drive_sign, row_current)
-    dense = _mid_ramp_state(drive_sign, row_current)[0]
-    _, _, df_half, df_full = _simpson_step(ctl, rank_one.clock, grid.dt)
+def test_rank_one_step_matches_dense_step(drive_sign):
+    rank_one, ens, med, ctl, boundary, grid = _mid_ramp_state(drive_sign)
+    dense = _mid_ramp_state(drive_sign)[0]
+    s, dt = 3 * grid.dt, grid.dt
+    _, _, df_half, df_full = _simpson_step(ctl, s, dt)
     assert abs(2.0 * df_half - df_full) > 1e-3 * df_full
     assert np.ptp(ens.delta21s) > 0.0 and np.ptp(ens.delta31s) > 0.0
     # bandwidth 2.0 is the probe's, 1 / duration
-    advance_weak(rank_one, ens, med, ctl, grid.dt, bandwidth=2.0)
-    _dense_advance_weak(dense, ens, med, ctl, grid.dt)
+    advance_weak(rank_one, ens, med, ctl, dt, bandwidth=2.0)
+    _dense_advance_weak(dense, ens, med, ctl, boundary, s, dt)
     assert rank_one.step_index == dense.step_index == 4
-    assert rank_one.row_current and rank_one.clock == dense.clock
+    # the table's step 3 runs over the times the oracle evaluated
+    assert rank_one.table.times[3].tolist() == [s, s + 0.5 * dt, s + dt]
     for got, want in ((rank_one.r12, dense.r12),
                       (rank_one.zeta_t[4], dense.zeta_t[4])):
         scale = np.max(np.abs(want))
@@ -241,8 +253,8 @@ def test_rank_one_step_matches_dense_step(drive_sign, row_current):
 
 def _stage_under_a_ramp(regime):
     """One whole stage stepped under a ramped control with a Gaussian
-    probe: the state, the control, the probe, dt and the clock at the
-    start of every step."""
+    probe: the state, its table when fresh, the control, the probe, its
+    boundary and dt."""
     ens = build_gaussian_ensemble(width=1.0, n_nodes=17, rule="uniform")
     ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=0.0,
                                   switch_off=4.0, rise_time=1.0)
@@ -250,62 +262,61 @@ def _stage_under_a_ramp(regime):
     med = MediumSpec(coupling_beta=2.0, length_L=1.0)
     grid = Grid(n_tau=91, n_z=9, t_end=3.0, length=1.0)
     if regime == "strong":
-        state = SimulationState.fresh(grid, ens, ctl.one_photon_detuning,
-                                      drive_sign=+1,
-                                      boundary=ProbeBoundary(probe))
+        boundary = ProbeBoundary(probe)
+        state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1,
+                                      boundary=boundary)
         step = lambda: advance_strong(state, med, ctl, grid.dt)
     else:
-        state = WeakState.fresh(grid, ens, drive_sign=+1,
-                                boundary=TildeInput(probe))
+        boundary = TildeInput(probe)
+        state = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
+                                boundary=boundary)
         step = lambda: advance_weak(state, ens, med, ctl, grid.dt,
                                     probe.spectral_width)
-    clocks = []
+    table = state.table
     for _ in range(grid.n_tau - 1):
-        clocks.append(state.clock)
         step()
-    return state, ctl, probe, grid.dt, clocks
+    return state, table, ctl, probe, boundary, grid.dt
 
 
 @pytest.mark.parametrize("regime", ["strong", "weak"])
 def test_stage_table_holds_what_each_step_would_sample(regime):
-    state, ctl, probe, dt, clocks = _stage_under_a_ramp(regime)
-    table = state.table
-    n_steps, n_node = len(clocks), state.r12.shape[0]
-    # the step starts add dt in sequence, as the stepper moved its clock
-    assert table.first == 0
+    state, table, ctl, probe, boundary, dt = _stage_under_a_ramp(regime)
+    # the steps read the table the fresh state built
+    assert state.table is table
+    n_steps, n_node = state.zeta_t.shape[0] - 1, state.r12.shape[0]
+    # the step starts add dt in sequence
+    clocks = [0.0]
+    for _ in range(n_steps - 1):
+        clocks.append(clocks[-1] + dt)
     assert table.times[:, 0].tolist() == clocks
     delta = ctl.one_photon_detuning
     eps = np.finfo(float).eps
     psi = 0.0
     for i, s in enumerate(clocks):
         rabi, f, half, full = _simpson_step(ctl, s, dt)
-        assert np.array_equal(table.rabi[i], rabi)
-        assert np.array_equal(table.f[i], f)
+        assert np.array_equal(table.f[i], f[::4])
         assert table.df_half[i] == half and table.df_full[i] == full
         psis = [psi, psi + delta * half, psi + delta * full]
-        assert table.psi[i].tolist() == psis
         psi += delta * full
         times = (s, s + 0.5 * dt, s + dt)
-        assert table.times[i, ::4].tolist() == list(times)
+        assert table.times[i].tolist() == list(times)
         for k, t in enumerate(times):
             # the table squares on arrays, x * x; a number alone is
             # squared by the C library's pow, which may be 1 ulp off
             om2 = float(abs(rabi[4 * k])) ** 2
             assert abs(table.om2[i, k] - om2) <= np.spacing(om2)
-            args = (t, psis[k], rabi[4 * k]) if regime == "strong" \
-                else (t, rabi[4 * k])
-            want = complex(state.boundary(*args))
+            want = complex(boundary(t, psis[k], rabi[4 * k]))
             # so the probe's Gaussian exponent may differ by 1 ulp, which
             # exp scales by the exponent's size
             exponent = 0.5 * ((t - 1.5) / probe.duration) ** 2
             assert abs(table.incoming[i, k] - want) \
                 <= (exponent + 4.0) * eps * abs(want)
-    # every array has a row per step and at most 9 entries in it, so none
+    # every array has a row per step and at most 3 entries in it, so none
     # grows with the node count
     arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8
+    assert len(arrays) == 6
     for value in arrays:
-        assert value.shape[0] == n_steps and value.size <= 9 * n_steps
+        assert value.shape[0] == n_steps and value.size <= 3 * n_steps
         assert value.size < n_steps * n_node
 
 
@@ -433,7 +444,7 @@ def test_recall_validates_its_grid():
     # spread, or a Z axis other than the stored state's, is refused
     ens, ctl1, _, med, grid = make_gaussian_setup(n_tau=289, n_z=17,
                                                   n_nodes=17)
-    stored = WeakState.fresh(grid, ens, drive_sign=+1)
+    stored = WeakState.fresh(grid, ens, ctl1, med, drive_sign=+1)
     protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0)
     ctl2 = ctl1.time_reversed(anchor=24.0, detuning=-60.0)
     tau = grid.tau()
@@ -507,6 +518,18 @@ def test_kernel_passivity_and_alpha_eff():
     omega = np.linspace(-10.0, 10.0, 801)
     assert np.all(kern.D(omega).real >= 0.0)
     assert kern.alpha_eff > 0.0
+
+
+# eta = 0 is valid: it keeps the nodes undamped, as the integrator does
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in ("f_value", "beta", "eta")
+    for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+    if (name, value) != ("eta", 0.0)])
+def test_kernel_refuses_bad_numbers(name, value):
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=8)
+    numbers = {"f_value": 0.25, "beta": 4.0, "eta": 0.3, name: value}
+    with pytest.raises(ValidationError, match=name):
+        SusceptibilityKernel(ens, **numbers)
 
 
 def test_monochromatic_transmission_matches_pole_sum():
