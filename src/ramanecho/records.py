@@ -149,6 +149,9 @@ class EchoRecord:
         if not math.isnan(self.transmitted_fraction):
             lines.append(
                 f"transmitted_fraction={fmt_float(self.transmitted_fraction)}")
+        if "audit_residual" in self.extras:
+            lines.append("retrieval_audit="
+                         + fmt_float(self.extras["audit_residual"]))
         if self.conditions is not None:
             lines.append(self.conditions.as_text())
         write_text_atomic(path, "\n".join(lines) + "\n")

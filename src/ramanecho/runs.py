@@ -64,6 +64,7 @@ class RunResult:
             rec.summary_line(self.efficiency, self.fidelity),
             f"transmitted_fraction = {self.transmitted_fraction:.6e}",
             f"storage_audit = {self.storage_audit:.6e}",
+            f"retrieval_audit = {rec.extras['audit_residual']:.6e}",
             f"conditions {'pass' if self.report.overall else 'fail'}",
         ]
 

@@ -18,10 +18,15 @@ d21 - Delta c_j f once the common Stark rotation Delta f is factored off.
 
 Unlike the linear module this one works in bare variables: the input
 boundary carries the physical control-induced chirp exp(+i psi), and the
-stepper rotates the full per-node bracket d21 - Delta c_j f out exactly
+stepper is RK4-Lawson in the full per-node bracket d21 - Delta c_j f: the
+bracket acts through exact rotations over the half and the full step
 (Simpson-integrated control phases), so the fast common phase cancels
-between the field and the rotation and the Runge-Kutta stages only see
-the slow node-spread rates.  The field is solved across the slab by an
+between the field and the rotation and the Runge-Kutta truncation only
+sees the slow node-spread rates.  The step is written in the lab frame:
+every stage is a rotated start value plus a per-node column times the
+slope, with the rotations, step sizes and RK weights folded into the
+columns, so no stage rotates the state into the co-rotating frame and
+back.  The field is solved across the slab by an
 integrating-factor quadrature at the k2, k3 and k4 stages of every
 Runge-Kutta step and recorded at the step end, keeping the coupled step
 4th order; k1 reuses the row recorded from the same atoms at the same
@@ -91,15 +96,19 @@ class SimulationState(stages.StageState):
 
     Adds the ground population r11 per (node, Z) to the shared stage
     state.  kernel_weights are the w_j c_j of the ensemble kernels B_mn,
-    and nodes the slopes' per-node constants: d21, the bracket rate
-    Delta c_j and the drive, Stark and coupling factors.  zeta_scale is
-    the largest field magnitude seen so far (the reference for
-    control-off field checks).
+    and nodes the per-node columns the step scales by its step sizes and
+    RK weights: the bracket's rates -i d21 and i Delta c_j per unit f,
+    the drive i s c_j and the population coupling -2 s c_j.  stark is
+    -s Delta, which times |zeta|^2/|Omega|^2 r12 is the probe Stark term
+    of the coherence slope over i s c_j.  zeta_scale is the largest
+    field magnitude seen so far (the reference for control-off field
+    checks).
     """
 
     r11: np.ndarray             # (n_node, n_z) real
     kernel_weights: np.ndarray  # (n_node,)
     nodes: tuple                # (n_node, 1) columns
+    stark: float
     zeta_scale: float = 0.0
 
     @classmethod
@@ -118,8 +127,9 @@ class SimulationState(stages.StageState):
             r12_initial,
             r11=stages.node_array(grid, ensemble, r11_initial, 1.0, float),
             kernel_weights=ensemble.weights * c,
-            nodes=(ensemble.delta21s[:, None], delta * col, (1j * sgn) * col,
-                   -1j * delta * col, -2.0 * sgn * col))
+            nodes=(-1j * ensemble.delta21s[:, None], 1j * delta * col,
+                   (1j * sgn) * col, -2.0 * sgn * col),
+            stark=-sgn * delta)
 
     def first_row(self, ensemble: EnsembleSpec, medium: MediumSpec,
                   control: ControlProfile) -> np.ndarray:
@@ -201,13 +211,14 @@ def field_row(state: SimulationState, medium: MediumSpec,
     return row
 
 
-def _stark_ratio(state: SimulationState, s: float, row: np.ndarray,
-                 om2: float, peak2: float) -> np.ndarray | None:
-    """|zeta|^2 / |Omega|^2 per Z, or None with the control off.
+def _stark_rate(state: SimulationState, s: float, row: np.ndarray,
+                om2: float, peak2: float) -> np.ndarray | None:
+    """-s Delta |zeta|^2 / |Omega|^2 per Z, or None with the control off.
 
-    Times Delta c_j it is the probe light shift, which equals the regular
-    form |g A|^2 / (Delta + d31); with the control off a live field makes
-    it singular, which is the ControlVanishes regime error.
+    Times -s c_j it is the probe light shift Delta c_j |zeta|^2/|Omega|^2,
+    which equals the regular form |g A|^2 / (Delta + d31); with the
+    control off a live field makes it singular, which is the
+    ControlVanishes regime error.
     """
     if om2 <= CONTROL_FLOOR * peak2:
         row_mag = float(np.abs(row).max())
@@ -216,55 +227,75 @@ def _stark_ratio(state: SimulationState, s: float, row: np.ndarray,
                 f"|Omega(tau={s:.6g})| = 0 with |zeta| = {row_mag:.3g}; "
                 "the probe Stark ratio is singular")
         return None
-    return np.abs(row) ** 2 / om2
+    return np.abs(row) ** 2 * (state.stark / om2)
 
 
 def _lawson_step(state: SimulationState, dt: float, row1: np.ndarray,
                  row_at: Callable) -> None:
-    """One RK4 step in the frame co-rotating with d21 - Delta c_j f.
+    """One RK4-Lawson step for the bracket d21 - Delta c_j f, written in
+    the lab frame.
 
-    The per-node bracket phase is Simpson-integrated from the table's
-    control row and applied as an exact rotation; row1 is the field row
-    at the step start and row_at(k, r12, r11) supplies the row the
-    slopes see at stage time s + k dt/2 (k = 1, 2).  The drive and the
-    probe Stark rate are the only terms the Runge-Kutta stages step.
+    R_h and R_f are the bracket rotations over the half and the full
+    step, with the phase Simpson-integrated from the table's control row,
+    and p is r12 at the step start.  Apart from the bracket, the
+    coherence slope is i s c_j G with G = row (2 r11 - 1) + (-s Delta
+    |row|^2/|Omega|^2) r12.  RK4 in the frame co-rotating with the
+    bracket, taken back to the lab frame stage by stage (R* R = 1), reads
+
+        r12_2 = R_h p + (dt/2) i s c R_h G_1
+        r12_3 = R_h p + (dt/2) i s c G_2
+        r12_4 = R_f p + dt i s c R_f R_h* G_3
+        r12'  = R_f p + (dt/6) i s c (R_f G_1 + 2 R_f R_h* (G_2 + G_3)
+                                      + G_4)
+
+    so each stage is one rotated start value plus one (n_node, 1) column
+    times G.  The population stages fold their step size h into the
+    coupling column the same way: r11_k = r11 + h (-2 s c) Im(conj(row)
+    r12) at the previous stage.  row1 is the field row at the step start
+    and row_at(k, r12, r11) supplies the row the slopes see at stage time
+    s + k dt/2 (k = 1, 2).
     """
     table = state.table
     times, om2, _, df_half, df_full = table.row(state.step_index)
-    d21, bracket, drive, stark, coupling = state.nodes
-    rot_half = np.exp(-1j * (d21 * (0.5 * dt) - bracket * df_half))
-    rot_full = np.exp(-1j * (d21 * dt - bracket * df_full))
+    d21_rate, f_rate, drive, coupling = state.nodes
+    rot_half = np.exp(d21_rate * (0.5 * dt) + f_rate * df_half)
+    rot_full = np.exp(d21_rate * dt + f_rate * df_full)
     # the rotations are unimodular, so undoing one is a multiplication by
     # its conjugate
-    drive_half = drive * np.conj(rot_half)
-    drive_full = drive * np.conj(rot_full)
+    back = rot_full * np.conj(rot_half)
+    drive_half, drive_sixth = drive * (0.5 * dt), drive * (dt / 6.0)
+    pop_half = coupling * (0.5 * dt)
 
-    def slope(k, drive_k, p_st, n_st, r12_st, row):
-        ratio = _stark_ratio(state, times[k], row, om2[k], table.peak2)
-        kp = drive_k * (row[None, :] * (2.0 * n_st - 1.0))
-        if ratio is not None:
-            kp += stark * (ratio[None, :] * p_st)
-        kn = coupling * (np.conj(row)[None, :] * r12_st).imag
-        return kp, kn
+    def slope(k, row, n_st, r12_st):
+        """G and Im(conj(row) r12) at stage time k dt/2."""
+        rate = _stark_rate(state, times[k], row, om2[k], table.peak2)
+        g = row[None, :] * (2.0 * n_st - 1.0)
+        if rate is not None:
+            g += rate[None, :] * r12_st
+        return g, (np.conj(row)[None, :] * r12_st).imag
 
     p, n = state.r12, state.r11
-    k1p, k1n = slope(0, drive, p, n, p, row1)
-    p_st, n_st = p + 0.5 * dt * k1p, n + 0.5 * dt * k1n
-    r12_st = rot_half * p_st
-    k2p, k2n = slope(1, drive_half, p_st, n_st, r12_st,
-                     row_at(1, r12_st, n_st))
-    p_st, n_st = p + 0.5 * dt * k2p, n + 0.5 * dt * k2n
-    r12_st = rot_half * p_st
-    k3p, k3n = slope(1, drive_half, p_st, n_st, r12_st,
-                     row_at(1, r12_st, n_st))
-    p_st, n_st = p + dt * k3p, n + dt * k3n
-    r12_st = rot_full * p_st
-    k4p, k4n = slope(2, drive_full, p_st, n_st, r12_st,
-                     row_at(2, r12_st, n_st))
+    g1, i1 = slope(0, row1, n, p)
+    p_half = rot_half * p
+    r12_st = p_half + (drive_half * rot_half) * g1
+    n_st = n + pop_half * i1
+    g2, i2 = slope(1, row_at(1, r12_st, n_st), n_st, r12_st)
+    r12_st = p_half + drive_half * g2
+    n_st = n + pop_half * i2
+    g3, i3 = slope(1, row_at(1, r12_st, n_st), n_st, r12_st)
+    p_full = rot_full * p
+    r12_st = p_full + (drive * dt * back) * g3
+    n_st = n + (coupling * dt) * i3
+    g2 += g3
+    i23 = i2 + i3
+    # free what the last stage no longer reads before its field solve,
+    # where the step holds the most arrays
+    del p_half, g3, i2, i3
+    g4, i4 = slope(2, row_at(2, r12_st, n_st), n_st, r12_st)
 
-    state.r12 = rot_full * (p + (dt / 6.0) * (k1p + 2.0 * k2p
-                                              + 2.0 * k3p + k4p))
-    state.r11 = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
+    state.r12 = (p_full + (drive_sixth * rot_full) * g1
+                 + (2.0 * drive_sixth * back) * g2 + drive_sixth * g4)
+    state.r11 = n + (coupling * (dt / 6.0)) * (i1 + i4 + 2.0 * i23)
     state.step_index += 1
     state.assert_physical()
 

@@ -371,8 +371,16 @@ def test_criterion_09_storage_audit_on_all_shipped_scenarios():
             out = run_weak_storage(probe, ctl1, ens, med, grid1)
         audits[os.path.basename(path)] = out.audit_residual
         assert out.audit_residual <= AUDIT_TOL
-    report(9, " ".join(f"{name}:{res:.1e}"
-                       for name, res in audits.items()))
+    # the scenarios that run to a recall (recrib_broken_iv is strict and
+    # refused before storage) must also balance their retrieval audit
+    recalls = {}
+    for name in ("recrib_ideal.ini", "recrib_strong.ini", "reafc_weak.ini"):
+        result = run_scenario(load_scenario(os.path.join(SCENARIO_DIR, name)))
+        recalls[name] = result.record.extras["audit_residual"]
+        assert recalls[name] <= AUDIT_TOL
+    report(9, " ".join(f"{name}:{res:.1e}" for name, res in audits.items())
+           + " retrieval " + " ".join(f"{name}:{res:.1e}"
+                                      for name, res in recalls.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,23 @@ def test_simulate_bundled_ideal_reports_high_efficiency(tmp_path, capsys):
         assert os.path.exists(os.path.join(out_dir, name))
 
 
+@pytest.mark.parametrize("name", ["recrib_ideal", "recrib_strong"])
+def test_simulate_reports_the_retrieval_audit(tmp_path, capsys, name):
+    # stdout prints it after the storage audit, summary.txt in full; both
+    # are the recall stage's own residual
+    want = run_scenario(load_scenario(bundled(name))).record.extras[
+        "audit_residual"]
+    out_dir = str(tmp_path / "out")
+    assert main(["simulate", bundled(name), "--out", out_dir]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = [line.partition(" = ")[0] for line in lines].index("storage_audit")
+    assert lines[at + 1] == f"retrieval_audit = {want:.6e}"
+    with open(os.path.join(out_dir, "summary.txt")) as fh:
+        summary = fh.read().splitlines()
+    assert f"retrieval_audit={fmt_float(want)}" in summary
+    assert 0.0 < want < 1e-3
+
+
 def test_simulate_outputs_are_byte_identical_across_runs(tmp_path, capsys):
     dirs = [str(tmp_path / tag) for tag in ("a", "b")]
     for out_dir in dirs:

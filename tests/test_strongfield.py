@@ -37,6 +37,7 @@ from ramanecho.strongfield import (
     ProbeBoundary,
     SimulationState,
     advance_atoms,
+    advance_strong,
     field_row,
     handover_wavevector_mismatch,
     run_retrieval,
@@ -48,6 +49,7 @@ from ramanecho.weakfield import (
     recall_weak,
     run_weak_storage,
 )
+from oracles import rotating_frame_copy, rotating_frame_step
 
 REDUCTION_TOL = 1e-12           # kernel reduction vs compensated column sums
 FIELD_CLOSED_FORM_TOL = 1e-12   # integrating factor vs exact slab solutions
@@ -64,6 +66,7 @@ SATURATED_FIDELITY_FLOOR = 0.95     # met-conditions recall, saturating drive
 CONDITION_IV_GAP = 0.05         # minimum epsilon cost of Delta2 = +Delta1
 MISMATCH_CAP = 0.1              # leftover grating wave number must suppress
 REFINE_SLACK = 1e-9
+STEP_ORACLE_TOL = 1e-12         # lab-frame step vs rotating-frame oracle
 
 DEEP_DELTA = 200.0              # weak-amplitude scenario, alpha_eff L = 20
 SAT_DELTA = 20.0                # saturating scenario, alpha_eff L = 500
@@ -376,6 +379,103 @@ def test_live_field_with_control_off_raises():
     state.zeta_scale = 0.1
     with pytest.raises(ControlVanishes):
         advance_atoms(state, grid.dt)
+
+
+# ---------------------------------------------------------------------------
+# the lab-frame step against the rotating-frame oracle
+# ---------------------------------------------------------------------------
+
+def _spread_ensemble():
+    # a d21 spread, so every node's half- and full-step rotations differ
+    return EnsembleSpec(shape="gaussian", weights=[0.1, 0.2, 0.4, 0.2, 0.1],
+                        delta21s=[-1.5, -0.5, 0.0, 0.7, 1.9],
+                        delta31s=[-3.0, -1.0, 0.0, 1.5, 3.0])
+
+
+def _tilted_atoms(ens, grid, seed):
+    """Bloch vectors of length 0.45 in random directions per (node, Z)."""
+    rng = np.random.default_rng(seed)
+    shape = (ens.n_nodes, grid.n_z)
+    theta = rng.uniform(0.0, math.pi, shape)
+    phi = rng.uniform(0.0, 2.0 * math.pi, shape)
+    return (0.45 * np.sin(theta) * np.exp(1j * phi),
+            0.5 + 0.45 * np.cos(theta))
+
+
+def _worst_step_mismatch(state, ens, ctl, step, oracle):
+    """Take every step of the stage, and before each one let a
+    rotating-frame copy of the state take it with the oracle; the worst
+    relative difference of r12 and r11 over all steps."""
+    worst = 0.0
+    for _ in range(state.table.times.shape[0]):
+        ref = rotating_frame_copy(state, ens, ctl)
+        step()
+        oracle(ref)
+        for got, want in ((state.r12, ref.r12), (state.r11, ref.r11)):
+            worst = max(worst, float(np.max(np.abs(got - want))
+                                     / np.max(np.abs(want))))
+    return worst
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_frozen_field_step_matches_rotating_frame_oracle(sign):
+    ens = _spread_ensemble()
+    ctl = const_control(rabi=40.0, detuning=40.0 * sign, t_end=0.8)
+    grid = Grid(n_tau=41, n_z=9, t_end=0.8, length=1.0)
+    r12, r11 = _tilted_atoms(ens, grid, seed=5)
+    state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
+                                  drive_sign=sign, r12_initial=r12,
+                                  r11_initial=r11)
+    state.zeta_t[:] = 1.2 * np.exp(1j * (0.6 + 2.0 * grid.z()))
+    state.zeta_scale = 1.2
+
+    def oracle(ref):
+        row = ref.zeta_t[ref.step_index]
+        rotating_frame_step(ref, grid.dt, row, lambda k, r12, r11: row)
+
+    worst = _worst_step_mismatch(
+        state, ens, ctl, lambda: advance_atoms(state, grid.dt), oracle)
+    assert worst <= STEP_ORACLE_TOL
+    assert np.max(np.abs(state.r11 - r11)) > 0.01
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_live_stage_matches_rotating_frame_oracle(sign):
+    # the control switches off mid-stage, so the later steps take the
+    # control-off branch of the probe Stark rate; storage (+1) is fed by
+    # a probe, retrieval (-1) emits from the tilted atoms
+    ens = _spread_ensemble()
+    ctl = ControlProfile.flat_top(rabi=30.0, detuning=30.0 * sign,
+                                  switch_on=-1.0, switch_off=1.0,
+                                  rise_time=0.4)
+    med = MediumSpec(coupling_beta=4.0, length_L=1.0)
+    grid = Grid(n_tau=81, n_z=17, t_end=2.0, length=1.0)
+    probe = ProbeSpec.gaussian(center=0.3, duration=0.4,
+                               amplitude_scale=30.0)
+    r12, r11 = _tilted_atoms(ens, grid, seed=6)
+    state = SimulationState.fresh(
+        grid, ens, ctl, med, drive_sign=sign,
+        boundary=ProbeBoundary(probe) if sign > 0 else None,
+        r12_initial=r12, r11_initial=r11)
+    state.zeta_scale = 1.0
+    off = state.table.om2 <= strongfield.CONTROL_FLOOR * state.table.peak2
+    assert off[:, 0].any() and not off[:, 0].all()
+
+    def oracle(ref):
+        times, _, sampled, _, _ = ref.table.row(ref.step_index)
+
+        def row_at(k, r12, r11):
+            return field_row(ref, med, ctl, times[k], r12, r11, sampled[k])
+
+        rotating_frame_step(ref, grid.dt, ref.zeta_t[ref.step_index],
+                            row_at)
+
+    worst = _worst_step_mismatch(
+        state, ens, ctl, lambda: advance_strong(state, med, ctl, grid.dt),
+        oracle)
+    assert worst <= STEP_ORACLE_TOL
+    assert np.max(np.abs(state.zeta_t)) > 0.01
+    assert np.max(np.abs(state.r11 - r11)) > 0.01
 
 
 # ---------------------------------------------------------------------------
