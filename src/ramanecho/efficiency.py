@@ -67,6 +67,15 @@ class EfficiencyModel:
         for name in ("alpha0L", "gamma_param", "total_time"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be finite and >= 0")
+        # the closed form squares gamma * total_time for gamma up to 1 and
+        # scales gamma by the depth, so both must stay finite
+        if not math.isfinite(self.total_time * self.total_time):
+            raise ValidationError(
+                f"total_time {self.total_time!r} overflows when squared")
+        if not math.isfinite(self.depth_per_gamma):
+            raise ValidationError(
+                f"alpha0L {self.alpha0L!r} overflows the {self.protocol} "
+                "absorption depth")
 
     @property
     def depth_per_gamma(self) -> float:
@@ -120,32 +129,64 @@ def sweep_gamma(protocol: str, alpha0L: float, gamma_grid,
     return np.column_stack([grid, [curve(g) for g in grid.tolist()]])
 
 
+# the bracket scan of optimal_gamma, and the relative margin within which
+# a screened value may be the scan's maximum: numpy's and math's exp agree
+# to a few ulps, far inside it
+BRACKET_GRID = np.linspace(0.0, 1.0, 4001)
+BRACKET_GRID.flags.writeable = False
+SCREEN_MARGIN = 1e-12
+
+
+def _screen(model: EfficiencyModel, gamma: np.ndarray) -> np.ndarray:
+    """The closed form of _curve evaluated as one array expression."""
+    dephasing = np.exp(-(gamma * model.total_time) ** 2)
+    absorption = (1.0 - np.exp(-model.depth_per_gamma * gamma)) ** 2
+    return dephasing * absorption
+
+
+def _boundary_maximum(model: EfficiencyModel, curve) -> tuple[float, float]:
+    warnings.warn(
+        f"efficiency maximum for {model.protocol} at "
+        f"alpha0L={model.alpha0L} sits on the gamma = 1 boundary",
+        NoInteriorMaximum)
+    return 1.0, curve(1.0)
+
+
 def optimal_gamma(protocol: str, alpha0L: float,
                   total_time: float | None = None) -> tuple[float, float]:
     """Interior maximizer of efficiency over gamma in (0, 1].
 
     With a the depth per unit gamma, d(log eps)/d(gamma) vanishes where
     gamma T^2 (e^{a gamma} - 1) = a; the left side increases strictly
-    from 0, so eps has one stationary point, a maximum.  The peak of a
-    4001-point scan therefore brackets it between its neighbours, and
-    golden section refines it to an efficiency converged well below
-    1e-8.  A maximum on the gamma = 1 boundary (so always for T = 0)
-    raises the NoInteriorMaximum warning and is returned anyway.
+    from 0 for T > 0, so eps has one stationary point, a maximum.  The
+    peak of a 4001-point scan of the scalar closed form brackets it
+    between its neighbours, and golden section refines it to an
+    efficiency converged well below 1e-8.  The scan is screened and
+    confirmed: the closed form is evaluated once as an array on the
+    grid, and only the points within SCREEN_MARGIN of its maximum (all of
+    them on a flat or vanishing curve) are evaluated as scalars, whose
+    first maximum is the scan's peak.  A peak on the gamma = 1 boundary
+    raises the NoInteriorMaximum warning and returns (1, eps(1)).  For
+    T = 0 eps increases on all of [0, 1], so it always takes that path,
+    even where the rounded curve reaches 1 inside the interval.
     """
     if not alpha0L > 0:
         raise ValidationError("alpha0L must be > 0")
     model = EfficiencyModel(protocol, alpha0L, 0.0, total_time)
     f = _curve(model)
-    grid = np.linspace(0.0, 1.0, 4001)
-    vals = np.array([f(g) for g in grid.tolist()])
-    k = int(np.argmax(vals))
-    if k == len(grid) - 1:
-        warnings.warn(
-            f"efficiency maximum for {model.protocol} at alpha0L={alpha0L} "
-            "sits on the gamma = 1 boundary", NoInteriorMaximum)
-        return 1.0, float(vals[-1])
-    g_star, eps_star = golden_section_max(f, grid[max(k - 1, 0)],
-                                          grid[k + 1])
+    if model.total_time == 0.0:
+        return _boundary_maximum(model, f)
+    screen = _screen(model, BRACKET_GRID)
+    # the absolute floor keeps every point where the screen is subnormal,
+    # so that its last bits cannot decide
+    floor = screen.max() * (1.0 - SCREEN_MARGIN) - np.finfo(float).tiny
+    candidates = np.flatnonzero(screen >= floor)
+    values = [f(g) for g in BRACKET_GRID[candidates].tolist()]
+    k = int(candidates[values.index(max(values))])
+    if k == BRACKET_GRID.size - 1:
+        return _boundary_maximum(model, f)
+    g_star, eps_star = golden_section_max(f, BRACKET_GRID[max(k - 1, 0)],
+                                          BRACKET_GRID[k + 1])
     return float(g_star), float(eps_star)
 
 
@@ -157,10 +198,18 @@ def write_sweep_csv(path: str, traces: dict, total_time: float | None = None
     """
     lines = ["protocol,alpha0L,gamma,epsilon"]
     comments = []
+    gamma_bits = gamma_cells = None
     for (protocol, alpha0L), table in traces.items():
         p, alpha_cell = _normalize_protocol(protocol), fmt_float(alpha0L)
-        lines.extend(f"{p},{alpha_cell},{fmt_float(g)},{fmt_float(e)}"
-                     for g, e in np.asarray(table, dtype=float).tolist())
+        gamma, eps = np.asarray(table, dtype=float).T
+        # a trace on the previous trace's grid reuses its cells; bits, not
+        # values, are compared, since -0.0 == 0.0 formats differently
+        if gamma.tobytes() != gamma_bits:
+            gamma_bits = gamma.tobytes()
+            gamma_cells = [fmt_float(g) for g in gamma.tolist()]
+        prefix = f"{p},{alpha_cell},"
+        lines.extend(f"{prefix}{g},{fmt_float(e)}"
+                     for g, e in zip(gamma_cells, eps.tolist()))
         g_star, eps_star = optimal_gamma(p, alpha0L, total_time)
         comments.append(
             f"# optimal {p} alpha0L={alpha_cell} "

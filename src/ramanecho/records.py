@@ -143,12 +143,16 @@ class EchoRecord:
             parts.append(f"{name}={fmt_float(val)}")
         return " ".join(parts)
 
-    def write_summary(self, path: str, efficiency: float,
-                      fidelity: float) -> None:
+    def write_summary(self, path: str, efficiency: float, fidelity: float,
+                      storage_audit: float) -> None:
+        """summary.txt: the summary line, the transmitted fraction, the
+        storage stage's audit residual (which the record does not hold),
+        the recall audit and the condition report."""
         lines = [self.summary_line(efficiency, fidelity)]
         if not math.isnan(self.transmitted_fraction):
             lines.append(
                 f"transmitted_fraction={fmt_float(self.transmitted_fraction)}")
+        lines.append(f"storage_audit={fmt_float(storage_audit)}")
         if "audit_residual" in self.extras:
             lines.append("retrieval_audit="
                          + fmt_float(self.extras["audit_residual"]))

@@ -114,6 +114,6 @@ def write_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
     record.write_input_csv(paths["input"])
     record.write_echo_csv(paths["echo"])
     record.write_summary(paths["summary"], result.efficiency,
-                         result.fidelity)
+                         result.fidelity, result.storage_audit)
     write_text_atomic(paths["conditions"], result.report.as_text() + "\n")
     return paths

@@ -112,7 +112,8 @@ class StageTable:
     Row i is step i, at its stage times s, s + dt/2 and s + dt: the
     control f, |Omega|^2 and the field row's boundary value there, and
     the integrals of f over the step's half and whole, Simpson's rule on
-    the points s + dt (0, 1/8, ..., 1).
+    the points s + dt (0, 1/8, ..., 1).  dt is the grid step, which every
+    step reads here so that it cannot differ from the integrals' own.
     """
 
     times: np.ndarray           # (n_steps, 3)
@@ -122,6 +123,7 @@ class StageTable:
     df_half: np.ndarray         # (n_steps,)
     df_full: np.ndarray         # (n_steps,)
     peak2: float
+    dt: float
 
     @classmethod
     def build(cls, control, grid, boundary: Callable | None) -> StageTable:
@@ -150,7 +152,7 @@ class StageTable:
         return cls(times, f[:, ::4], np.abs(rabi) ** 2,
                    np.broadcast_to(np.asarray(incoming, dtype=complex),
                                    psi.shape),
-                   half, full, control.peak_rabi() ** 2)
+                   half, full, control.peak_rabi() ** 2, dt)
 
     def row(self, i: int):
         """Step i in Python numbers: stage times, |Omega|^2, (f, boundary

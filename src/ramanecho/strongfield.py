@@ -230,7 +230,7 @@ def _stark_rate(state: SimulationState, s: float, row: np.ndarray,
     return np.abs(row) ** 2 * (state.stark / om2)
 
 
-def _lawson_step(state: SimulationState, dt: float, row1: np.ndarray,
+def _lawson_step(state: SimulationState, row1: np.ndarray,
                  row_at: Callable) -> None:
     """One RK4-Lawson step for the bracket d21 - Delta c_j f, written in
     the lab frame.
@@ -253,9 +253,10 @@ def _lawson_step(state: SimulationState, dt: float, row1: np.ndarray,
     coupling column the same way: r11_k = r11 + h (-2 s c) Im(conj(row)
     r12) at the previous stage.  row1 is the field row at the step start
     and row_at(k, r12, r11) supplies the row the slopes see at stage time
-    s + k dt/2 (k = 1, 2).
+    s + k dt/2 (k = 1, 2).  dt is the stage table's grid step.
     """
     table = state.table
+    dt = table.dt
     times, om2, _, df_half, df_full = table.row(state.step_index)
     d21_rate, f_rate, drive, coupling = state.nodes
     rot_half = np.exp(d21_rate * (0.5 * dt) + f_rate * df_half)
@@ -300,17 +301,17 @@ def _lawson_step(state: SimulationState, dt: float, row1: np.ndarray,
     state.assert_physical()
 
 
-def advance_atoms(state: SimulationState, dt: float) -> SimulationState:
+def advance_atoms(state: SimulationState) -> SimulationState:
     """One frozen-field atomic step: the row recorded at the current step
     index drives all four Runge-Kutta stages."""
     row = state.zeta_t[state.step_index]
-    _lawson_step(state, dt, row, row_at=lambda k, r12, r11: row)
+    _lawson_step(state, row, row_at=lambda k, r12, r11: row)
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
 
 
 def advance_strong(state: SimulationState, medium: MediumSpec,
-                   control: ControlProfile, dt: float) -> SimulationState:
+                   control: ControlProfile) -> SimulationState:
     """One coupled step: the field is solved from the provisional atoms
     at the k2, k3 and k4 stages, then recorded at the new clock.
 
@@ -323,7 +324,7 @@ def advance_strong(state: SimulationState, medium: MediumSpec,
         return field_row(state, medium, control, times[k], r12, r11,
                          sampled[k])
 
-    _lawson_step(state, dt, state.zeta_t[state.step_index], row_at)
+    _lawson_step(state, state.zeta_t[state.step_index], row_at)
     row = row_at(2, state.r12, state.r11)
     state.zeta_t[state.step_index] = row
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
@@ -382,7 +383,7 @@ def run_storage(probe: ProbeSpec, control: ControlProfile,
                                   boundary=ProbeBoundary(probe))
     state.zeta_scale = peak_zeta
     stages.march(grid.n_tau,
-                 lambda: advance_strong(state, medium, control, grid.dt))
+                 lambda: advance_strong(state, medium, control))
 
     # Stark-dressed record (accumulated Stark phase removed): the raw
     # chirp runs at Delta f rad per unit, far beyond Nyquist on any grid
@@ -443,6 +444,6 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
         np.asarray(control2.f(grid2.tau()), dtype=float), grid2.dt)
     return stages.recall(
         state, ensemble2, grid2, control2, medium,
-        lambda: advance_strong(state, medium, control2, grid2.dt),
+        lambda: advance_strong(state, medium, control2),
         protocol, tau_input, input_envelope, transmitted_fraction,
         conditions, stark_phase=psi2)

@@ -100,7 +100,7 @@ def field_row(state: WeakState, medium: MediumSpec, s: float,
 
 
 def advance_weak(state: WeakState, ensemble: EnsembleSpec,
-                 medium: MediumSpec, control: ControlProfile, dt: float,
+                 medium: MediumSpec, control: ControlProfile,
                  bandwidth: float) -> WeakState:
     """One exponential-RK4 step of the linear system, in place.
 
@@ -121,13 +121,14 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     The new coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 + k4)) are
     built once, and the kernel of the row recorded at the new clock
     follows from the same linearity.  k1 reuses the recorded row, which
-    was solved from the current coherences.  Rows and rotations read the
-    stage table.
+    was solved from the current coherences.  Rows, rotations and the
+    step dt read the stage table.
     bandwidth is the signal bandwidth that the linear-regime validity
     checks price the probe Stark shift against.
     """
     table = state.table
     times, om2, sampled, df_half, df_full = table.row(state.step_index)
+    dt = table.dt
     d21 = ensemble.delta21s
     d31 = ensemble.delta31s
     rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * df_half))
@@ -229,7 +230,7 @@ def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
                             boundary=TildeInput(probe))
     stages.march(grid.n_tau,
                  lambda: advance_weak(state, ensemble, medium, control,
-                                      grid.dt, probe.spectral_width))
+                                      probe.spectral_width))
     return stages.audit_storage(
         state, ensemble, tau, control, medium,
         envelope_from_scaled(state.zeta_t[:, 0], control, tau))
@@ -259,7 +260,7 @@ def recall_weak(stored: WeakState, control2: ControlProfile,
                             drive_sign=-1, r12_initial=r12)
     return stages.recall(
         state, ensemble2, grid2, control2, medium,
-        lambda: advance_weak(state, ensemble2, medium, control2, grid2.dt,
+        lambda: advance_weak(state, ensemble2, medium, control2,
                              bandwidth=bandwidth),
         protocol, tau_input, input_envelope, transmitted_fraction,
         conditions)

@@ -9,16 +9,27 @@ is rotated back at every stage.  strongfield._lawson_step writes the
 same scheme in the lab frame, so the two differ only by rounding.  The
 oracle reads its own per-node columns from state.nodes: give it a copy
 of a state whose nodes are rotating_frame_nodes(...).
+
+scan_optimal_gamma and scan_write_sweep_csv are efficiency.optimal_gamma
+and efficiency.write_sweep_csv as they were before the bracket scan was
+screened with one array evaluation and the shared gamma cells were
+formatted once: a full 4001-point scalar scan, and every cell formatted
+where it is written.  The package must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from typing import Callable
 
 import numpy as np
 
-from ramanecho.errors import ControlVanishes
+from ramanecho.efficiency import EfficiencyModel, _curve, _normalize_protocol
+from ramanecho.errors import ControlVanishes, NoInteriorMaximum, \
+    ValidationError
+from ramanecho.numerics import fmt_float, golden_section_max, \
+    write_text_atomic
 from ramanecho.strongfield import (
     CONTROL_FLOOR,
     FIELD_FLOOR,
@@ -113,3 +124,40 @@ def rotating_frame_step(state: SimulationState, dt: float,
     state.r11 = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
     state.step_index += 1
     state.assert_physical()
+
+
+def scan_optimal_gamma(protocol: str, alpha0L: float,
+                       total_time: float | None = None
+                       ) -> tuple[float, float]:
+    """Peak of a 4001-point scalar scan, refined by golden section."""
+    if not alpha0L > 0:
+        raise ValidationError("alpha0L must be > 0")
+    model = EfficiencyModel(protocol, alpha0L, 0.0, total_time)
+    f = _curve(model)
+    grid = np.linspace(0.0, 1.0, 4001)
+    vals = np.array([f(g) for g in grid.tolist()])
+    k = int(np.argmax(vals))
+    if k == len(grid) - 1:
+        warnings.warn(
+            f"efficiency maximum for {model.protocol} at alpha0L={alpha0L} "
+            "sits on the gamma = 1 boundary", NoInteriorMaximum)
+        return 1.0, float(vals[-1])
+    g_star, eps_star = golden_section_max(f, grid[max(k - 1, 0)],
+                                          grid[k + 1])
+    return float(g_star), float(eps_star)
+
+
+def scan_write_sweep_csv(path: str, traces: dict,
+                         total_time: float | None = None) -> None:
+    """The sweep CSV with every cell formatted where it is written."""
+    lines = ["protocol,alpha0L,gamma,epsilon"]
+    comments = []
+    for (protocol, alpha0L), table in traces.items():
+        p, alpha_cell = _normalize_protocol(protocol), fmt_float(alpha0L)
+        lines.extend(f"{p},{alpha_cell},{fmt_float(g)},{fmt_float(e)}"
+                     for g, e in np.asarray(table, dtype=float).tolist())
+        g_star, eps_star = scan_optimal_gamma(p, alpha0L, total_time)
+        comments.append(
+            f"# optimal {p} alpha0L={alpha_cell} "
+            f"gamma={fmt_float(g_star)} epsilon={fmt_float(eps_star)}")
+    write_text_atomic(path, "\n".join(lines + comments) + "\n")

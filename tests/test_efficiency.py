@@ -1,6 +1,7 @@
 """Closed-form efficiency model and gamma optimization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from ramanecho.efficiency import (
     write_sweep_csv,
 )
 from ramanecho.errors import NoInteriorMaximum, RatioOutOfRange, ValidationError
+
+from oracles import scan_optimal_gamma, scan_write_sweep_csv
 
 SCALAR_TOL = 1e-12
 OPT_EPS_TOL = 1e-8
@@ -88,6 +91,21 @@ def test_model_validation():
                       "total_time": 8.0, field: bad}
             with pytest.raises(ValidationError, match=field):
                 EfficiencyModel("recrib", **values)
+
+
+def test_model_refuses_what_the_closed_form_would_overflow():
+    # (gamma T)^2 for gamma up to 1, and the comb's sqrt(2 pi) alpha0L
+    with pytest.raises(ValidationError, match="total_time"):
+        EfficiencyModel("recrib", 50.0, 0.5, total_time=1e200)
+    with pytest.raises(ValidationError, match="alpha0L"):
+        EfficiencyModel("reafc", 1e308, 0.5)
+    assert EfficiencyModel("recrib", 1e308, 0.5, total_time=1e150)
+    for bad in ({"total_time": 1e200}, {"alpha0L": 1e308}):
+        kwargs = {"alpha0L": 50.0, **bad}
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            optimal_gamma("reafc", **kwargs)
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            sweep_gamma("reafc", gamma_grid=[0.1, 0.2], **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +244,44 @@ def test_boundary_maximum_warns():
     assert eps_star == pytest.approx((1.0 - math.exp(-5.0)) ** 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha0L", [100.0, 1000.0])
+@pytest.mark.parametrize("protocol", ["recrib", "reafc"])
+def test_zero_total_time_takes_the_boundary_path(protocol, alpha0L):
+    # eps rounds to 1 well inside (0, 1] at these depths, but without
+    # dephasing it increases all the way to gamma = 1
+    assert epsilon(EfficiencyModel(protocol, alpha0L, 0.5, 0.0)) == 1.0
+    with pytest.warns(NoInteriorMaximum):
+        g_star, eps_star = optimal_gamma(protocol, alpha0L, total_time=0.0)
+    assert g_star == 1.0
+    assert eps_star == epsilon(EfficiencyModel(protocol, alpha0L, 1.0, 0.0))
+
+
+def _optimum_and_warnings(optimizer, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = optimizer(*args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# depths from 1e-3 to 1e7 and total times from a dephasing that only
+# rounding sees (1e-12), through near-flat peaks where numpy's and
+# math's exp pick different grid points (1e-6, 1e-5) and the defaults
+# (None), to one where the curve is subnormal (1.08e5) or zero (1e6) on
+# the whole bracket grid
+DIFF_ALPHA0L = np.geomspace(1e-3, 1e7, 241).tolist()
+DIFF_TOTAL_TIMES = [1e-12, 1e-8, 1e-6, 1e-5, 1e-4, 1.0, None, 100.0,
+                    1.08e5, 1e6]
+
+
+@pytest.mark.parametrize("protocol", ["recrib", "reafc"])
+def test_screened_optimum_equals_the_full_scalar_scan(protocol):
+    for alpha0L in DIFF_ALPHA0L:
+        for total_time in DIFF_TOTAL_TIMES:
+            args = (protocol, alpha0L, total_time)
+            assert (_optimum_and_warnings(optimal_gamma, *args)
+                    == _optimum_and_warnings(scan_optimal_gamma, *args)), args
+
+
 def test_reafc_dominates_across_depth_range():
     for alpha0L in (10.0, 50.0, 300.0, 2000.0):
         assert (optimal_gamma("reafc", alpha0L)[1]
@@ -290,3 +346,37 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
     assert g_back == grid[3]
     write_sweep_csv(str(path), traces)
     assert path.read_text() == text
+
+
+def _sweep_bytes(writer, path, traces):
+    writer(str(path), traces)
+    return path.read_bytes()
+
+
+def test_sweep_csv_equals_the_cell_by_cell_writer_on_a_shared_grid(tmp_path):
+    grid = np.linspace(0.0, 1.0, 201)
+    traces = {(protocol, alpha0L): sweep_gamma(protocol, alpha0L, grid)
+              for protocol in ("recrib", "reafc")
+              for alpha0L in (50.0, 200.0, 1000.0)}
+    path = tmp_path / "sweep.csv"
+    assert (_sweep_bytes(write_sweep_csv, path, traces)
+            == _sweep_bytes(scan_write_sweep_csv, path, traces))
+
+
+def test_sweep_csv_equals_the_cell_by_cell_writer_on_different_grids(
+        tmp_path):
+    # grids that change from trace to trace, come back, differ only in
+    # the sign of a zero (equal values, different cells), and have
+    # different lengths
+    grids = [np.linspace(0.0, 1.0, 101), np.linspace(0.0, 0.5, 101),
+             np.linspace(0.0, 1.0, 101), np.r_[-0.0, 0.25, 0.5],
+             np.r_[0.0, 0.25, 0.5], np.geomspace(1e-3, 1.0, 37)]
+    traces = {(protocol, alpha0L): sweep_gamma(protocol, alpha0L, grid)
+              for (protocol, alpha0L), grid in zip(
+                  [("recrib", 50.0), ("reafc", 50.0), ("recrib", 200.0),
+                   ("reafc", 200.0), ("recrib", 1000.0), ("reafc", 1000.0)],
+                  grids)}
+    path = tmp_path / "sweep.csv"
+    text = _sweep_bytes(write_sweep_csv, path, traces)
+    assert text == _sweep_bytes(scan_write_sweep_csv, path, traces)
+    assert b"\nreafc,200,-0," in text and b"\nrecrib,1000,0," in text

@@ -258,6 +258,24 @@ def test_simulate_reports_the_retrieval_audit(tmp_path, capsys, name):
     assert 0.0 < want < 1e-3
 
 
+def test_summary_records_the_storage_audit(tmp_path, capsys):
+    # the storage residual that stdout prints, in 17 digits, on the line
+    # before the retrieval audit
+    out_dir = str(tmp_path / "out")
+    assert main(["simulate", bundled("recrib_ideal"), "--out", out_dir]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("storage_audit = ")]
+    with open(os.path.join(out_dir, "summary.txt")) as fh:
+        summary = fh.read().splitlines()
+    at = [line.partition("=")[0] for line in summary].index("storage_audit")
+    assert summary[at + 1].startswith("retrieval_audit=")
+    cell = summary[at].partition("=")[2]
+    value = float(cell)
+    assert cell == fmt_float(value)
+    assert printed == [f"storage_audit = {value:.6e}"]
+    assert 0.0 < value < 1e-3
+
+
 def test_simulate_outputs_are_byte_identical_across_runs(tmp_path, capsys):
     dirs = [str(tmp_path / tag) for tag in ("a", "b")]
     for out_dir in dirs:
@@ -596,6 +614,21 @@ def test_sweep_refuses_non_finite_arguments(tmp_path, capsys, option, value):
     assert option in captured.err
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["--total-time", "1e200"], "total_time"),
+    (["--protocol", "reafc", "--alpha0L", "1e308"], "alpha0L")])
+def test_sweep_refuses_an_overflowing_value_by_key(tmp_path, capsys, argv,
+                                                   key):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "internal error" not in captured.err
+    assert captured.err.startswith(f"error: {key} ")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

@@ -249,7 +249,7 @@ def test_free_atom_is_unchanged():
                                   drive_sign=+1, r12_initial=r12_0,
                                   r11_initial=r11_0)
     for _ in range(grid.n_tau - 1):
-        advance_atoms(state, grid.dt)
+        advance_atoms(state)
     assert np.array_equal(state.r12, r12_0)
     assert np.array_equal(state.r11, r11_0)
 
@@ -266,7 +266,7 @@ def test_static_detuning_is_exact_rotation():
         r12_initial=np.full((1, grid.n_z), r12_0),
         r11_initial=np.full((1, grid.n_z), 0.5))
     for _ in range(grid.n_tau - 1):
-        advance_atoms(state, grid.dt)
+        advance_atoms(state)
     want = np.exp(-1j * d21 * grid.t_end) * r12_0
     assert np.max(np.abs(state.r12 - want)) < ROTATION_TOL
     assert np.max(np.abs(state.r11 - 0.5)) < ROTATION_TOL
@@ -291,7 +291,7 @@ def test_resonant_drive_matches_rabi_oracle():
     hist = np.empty(grid.n_tau)
     hist[0] = state.r11[0, 0]
     for k in range(grid.n_tau - 1):
-        advance_atoms(state, grid.dt)
+        advance_atoms(state)
         hist[k + 1] = state.r11[0, 0]
     tau = grid.tau()
     assert np.max(np.abs(hist - np.cos(zeta * tau) ** 2)) < RABI_TOL
@@ -314,7 +314,7 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
     state.zeta_t[:] = amp * (0.6 + 0.8j)
     state.zeta_scale = amp
     for _ in range(grid.n_tau - 1):
-        advance_atoms(state, grid.dt)
+        advance_atoms(state)
     assert np.all(state.r11 >= 0.0)
     assert np.all(state.r11 <= 1.0)
     excess = np.max(np.abs(state.r12) ** 2 - state.r11 * (1.0 - state.r11))
@@ -378,7 +378,7 @@ def test_live_field_with_control_off_raises():
     state.zeta_t[:] = 0.1
     state.zeta_scale = 0.1
     with pytest.raises(ControlVanishes):
-        advance_atoms(state, grid.dt)
+        advance_atoms(state)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,7 @@ def test_frozen_field_step_matches_rotating_frame_oracle(sign):
         rotating_frame_step(ref, grid.dt, row, lambda k, r12, r11: row)
 
     worst = _worst_step_mismatch(
-        state, ens, ctl, lambda: advance_atoms(state, grid.dt), oracle)
+        state, ens, ctl, lambda: advance_atoms(state), oracle)
     assert worst <= STEP_ORACLE_TOL
     assert np.max(np.abs(state.r11 - r11)) > 0.01
 
@@ -471,7 +471,7 @@ def test_live_stage_matches_rotating_frame_oracle(sign):
                             row_at)
 
     worst = _worst_step_mismatch(
-        state, ens, ctl, lambda: advance_strong(state, med, ctl, grid.dt),
+        state, ens, ctl, lambda: advance_strong(state, med, ctl),
         oracle)
     assert worst <= STEP_ORACLE_TOL
     assert np.max(np.abs(state.zeta_t)) > 0.01

@@ -85,7 +85,7 @@ def test_fid_through_integrator_matches_kernel():
                             r12_initial=np.ones((ens.n_nodes, grid.n_z)))
     vals = [np.sum(ens.weights * state.r12[:, 0])]
     for _ in range(grid.n_tau - 1):
-        advance_weak(state, ens, med, ctl, grid.dt, bandwidth=1.0)
+        advance_weak(state, ens, med, ctl, bandwidth=1.0)
         vals.append(np.sum(ens.weights * state.r12[:, 0]))
     got = np.array(vals)
     want = fid_kernel(ens, 1.0, grid.tau())
@@ -123,7 +123,7 @@ def _node_history(probe, ctl, ens, med, grid):
                             boundary=TildeInput(probe))
     hist = [state.r12[0, 0]]
     for _ in range(grid.n_tau - 1):
-        advance_weak(state, ens, med, ctl, grid.dt, probe.spectral_width)
+        advance_weak(state, ens, med, ctl, probe.spectral_width)
         hist.append(state.r12[0, 0])
     return np.array(hist)
 
@@ -239,11 +239,12 @@ def test_rank_one_step_matches_dense_step(drive_sign):
     assert abs(2.0 * df_half - df_full) > 1e-3 * df_full
     assert np.ptp(ens.delta21s) > 0.0 and np.ptp(ens.delta31s) > 0.0
     # bandwidth 2.0 is the probe's, 1 / duration
-    advance_weak(rank_one, ens, med, ctl, dt, bandwidth=2.0)
+    advance_weak(rank_one, ens, med, ctl, bandwidth=2.0)
     _dense_advance_weak(dense, ens, med, ctl, boundary, s, dt)
     assert rank_one.step_index == dense.step_index == 4
     # the table's step 3 runs over the times the oracle evaluated
     assert rank_one.table.times[3].tolist() == [s, s + 0.5 * dt, s + dt]
+    assert rank_one.table.dt == dt
     for got, want in ((rank_one.r12, dense.r12),
                       (rank_one.zeta_t[4], dense.zeta_t[4])):
         scale = np.max(np.abs(want))
@@ -265,12 +266,12 @@ def _stage_under_a_ramp(regime):
         boundary = ProbeBoundary(probe)
         state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1,
                                       boundary=boundary)
-        step = lambda: advance_strong(state, med, ctl, grid.dt)
+        step = lambda: advance_strong(state, med, ctl)
     else:
         boundary = TildeInput(probe)
         state = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
                                 boundary=boundary)
-        step = lambda: advance_weak(state, ens, med, ctl, grid.dt,
+        step = lambda: advance_weak(state, ens, med, ctl,
                                     probe.spectral_width)
     table = state.table
     for _ in range(grid.n_tau - 1):
