@@ -72,6 +72,11 @@ class EfficiencyModel:
         if not math.isfinite(self.total_time * self.total_time):
             raise ValidationError(
                 f"total_time {self.total_time!r} overflows when squared")
+        scaled = self.gamma_param * self.total_time
+        if not math.isfinite(scaled * scaled):
+            raise ValidationError(
+                f"gamma_param {self.gamma_param!r} times total_time "
+                f"{self.total_time!r} overflows when squared")
         if not math.isfinite(self.depth_per_gamma):
             raise ValidationError(
                 f"alpha0L {self.alpha0L!r} overflows the {self.protocol} "

@@ -4,11 +4,12 @@ Both regimes store a probe in the slab and recall it as a backward echo,
 and they differ only in their equations.  What the drivers do alike
 lives here once: the stage state, the stage table of what the steps read
 that does not depend on the atoms, the storage checks, stepping a stage,
-the photon-flux audits of storage and retrieval, the recall gate
-(gap_time check and strict gate, which a scenario run applies before
-storage), the handover of the stored coherences to the recall stage (the
-gate again, Z-axis check, dark-interval phase, RECRIB node inversion)
-and the echo record.
+the reuse of each step's per-node factors while the control's step
+integrals repeat, the photon-flux audits of storage and retrieval, the
+recall gate (gap_time check and strict gate, which a scenario run
+applies before storage), the handover of the stored coherences to the
+recall stage (the gate again, Z-axis check, dark-interval phase, RECRIB
+node inversion) and the echo record.
 
 Each regime's state is a StageState: weakfield.WeakState and
 strongfield.SimulationState add their own atomic variables, a
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -78,7 +79,8 @@ class StageState:
     row solved from the current atoms: fresh records row 0, and each step
     records the row at its end, which the next step reuses as its k1 row.
     A subclass supplies first_row(ensemble, medium, control), its regime's
-    field row at the table's row-0 values.
+    field row at the table's row-0 values.  _factors is the set of
+    per-node step factors built last, which step_factors reuses.
     """
 
     zeta_t: np.ndarray          # (n_tau, n_z) complex
@@ -88,6 +90,31 @@ class StageState:
     drive_sign: int             # +1 storage, -1 retrieval
     table: StageTable
     step_index: int = 0
+    # not an __init__ field, so a dataclasses.replace copy starts without
+    # the set, whatever node columns it carries
+    _factors: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
+
+    def step_factors(self, nodes, df_half: float, df_full: float,
+                     build: Callable) -> tuple:
+        """The per-node factors build(df_half, df_full) of the current
+        step, rebuilt only when the step's control integrals change.
+
+        A step's rotations and the columns folded from them depend on the
+        node columns nodes, the table's dt and the step integrals
+        (df_half, df_full) alone, and a flat-top control repeats the
+        integrals on every step of its plateau.  So the set last built is
+        reused while the same nodes object (compared by identity) meets an
+        equal pair, and the result is bit for bit what rebuilding it would
+        give.  The integrals are sums of f >= 0, never -0.0, so equal
+        floats are equal bits.  One set is held per state.
+        """
+        held = self._factors
+        if (held is None or held[0] is not nodes
+                or held[1] != (df_half, df_full)):
+            held = self._factors = (nodes, (df_half, df_full),
+                                    build(df_half, df_full))
+        return held[2]
 
     @classmethod
     def fresh(cls, grid, ensemble, control, medium, drive_sign: int,

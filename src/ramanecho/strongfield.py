@@ -33,7 +33,10 @@ Runge-Kutta step and recorded at the step end, keeping the coupled step
 clock, which for the first step is the row the fresh state solved.  The
 per-node constants are set once per stage in the state, and the control
 at the stage times, its Simpson integrals and the boundary values in its
-StageTable, which the fresh state builds.
+StageTable, which the fresh state builds.  A step's rotations and folded
+columns depend on the control only through its Simpson integrals, so
+they are rebuilt only when those change (StageState.step_factors): on a
+flat-top plateau every step reuses them.
 Storage integrates the field from the input face Z = 0; retrieval from
 a zero boundary at Z = L, emitting backward.  All node/Z updates are
 whole-array operations and the ensemble sums run off BLAS, so repeated
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -253,19 +257,16 @@ def _lawson_step(state: SimulationState, row1: np.ndarray,
     coupling column the same way: r11_k = r11 + h (-2 s c) Im(conj(row)
     r12) at the previous stage.  row1 is the field row at the step start
     and row_at(k, r12, r11) supplies the row the slopes see at stage time
-    s + k dt/2 (k = 1, 2).  dt is the stage table's grid step.
+    s + k dt/2 (k = 1, 2).  dt is the stage table's grid step.  The
+    columns are _step_factors', reused while the step integrals repeat.
     """
     table = state.table
     dt = table.dt
     times, om2, _, df_half, df_full = table.row(state.step_index)
-    d21_rate, f_rate, drive, coupling = state.nodes
-    rot_half = np.exp(d21_rate * (0.5 * dt) + f_rate * df_half)
-    rot_full = np.exp(d21_rate * dt + f_rate * df_full)
-    # the rotations are unimodular, so undoing one is a multiplication by
-    # its conjugate
-    back = rot_full * np.conj(rot_half)
-    drive_half, drive_sixth = drive * (0.5 * dt), drive * (dt / 6.0)
-    pop_half = coupling * (0.5 * dt)
+    (rot_half, rot_full, drive_half, drive_sixth, pop_half, pop_full,
+     pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
+        state.nodes, df_half, df_full,
+        partial(_step_factors, state.nodes, dt))
 
     def slope(k, row, n_st, r12_st):
         """G and Im(conj(row) r12) at stage time k dt/2."""
@@ -278,15 +279,15 @@ def _lawson_step(state: SimulationState, row1: np.ndarray,
     p, n = state.r12, state.r11
     g1, i1 = slope(0, row1, n, p)
     p_half = rot_half * p
-    r12_st = p_half + (drive_half * rot_half) * g1
+    r12_st = p_half + col2 * g1
     n_st = n + pop_half * i1
     g2, i2 = slope(1, row_at(1, r12_st, n_st), n_st, r12_st)
     r12_st = p_half + drive_half * g2
     n_st = n + pop_half * i2
     g3, i3 = slope(1, row_at(1, r12_st, n_st), n_st, r12_st)
     p_full = rot_full * p
-    r12_st = p_full + (drive * dt * back) * g3
-    n_st = n + (coupling * dt) * i3
+    r12_st = p_full + col4 * g3
+    n_st = n + pop_full * i3
     g2 += g3
     i23 = i2 + i3
     # free what the last stage no longer reads before its field solve,
@@ -294,11 +295,30 @@ def _lawson_step(state: SimulationState, row1: np.ndarray,
     del p_half, g3, i2, i3
     g4, i4 = slope(2, row_at(2, r12_st, n_st), n_st, r12_st)
 
-    state.r12 = (p_full + (drive_sixth * rot_full) * g1
-                 + (2.0 * drive_sixth * back) * g2 + drive_sixth * g4)
-    state.r11 = n + (coupling * (dt / 6.0)) * (i1 + i4 + 2.0 * i23)
+    state.r12 = (p_full + col_new1 * g1 + col_new23 * g2
+                 + drive_sixth * g4)
+    state.r11 = n + pop_sixth * (i1 + i4 + 2.0 * i23)
     state.step_index += 1
     state.assert_physical()
+
+
+def _step_factors(nodes: tuple, dt: float, df_half: float,
+                  df_full: float) -> tuple:
+    """The (n_node, 1) columns of a step with control integrals df_half
+    and df_full: the bracket rotations R_h and R_f, the drive and
+    coupling columns scaled by the step sizes and RK weights, and the
+    drive columns folded with the rotations (see _lawson_step)."""
+    d21_rate, f_rate, drive, coupling = nodes
+    rot_half = np.exp(d21_rate * (0.5 * dt) + f_rate * df_half)
+    rot_full = np.exp(d21_rate * dt + f_rate * df_full)
+    # the rotations are unimodular, so undoing one is a multiplication by
+    # its conjugate
+    back = rot_full * np.conj(rot_half)
+    drive_half, drive_sixth = drive * (0.5 * dt), drive * (dt / 6.0)
+    return (rot_half, rot_full, drive_half, drive_sixth,
+            coupling * (0.5 * dt), coupling * dt, coupling * (dt / 6.0),
+            drive_half * rot_half, drive * dt * back,
+            drive_sixth * rot_full, 2.0 * drive_sixth * back)
 
 
 def advance_atoms(state: SimulationState) -> SimulationState:

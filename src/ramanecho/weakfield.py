@@ -17,7 +17,10 @@ at the k2, k3 and k4 stages and recorded at the step end; k1 reuses the
 row recorded from the same coherences at the same clock, which for the
 first step is the row the fresh state solved.  The control at the stage
 times, its Simpson integrals and the boundary values are tabulated once
-per stage, in a StageTable that the fresh state builds.
+per stage, in a StageTable that the fresh state builds.  The per-node
+rotations, drive columns and node-weight sums of a step depend on the
+control only through those integrals, so they are rebuilt only when the
+integrals change (StageState.step_factors).
 
 Because the equations are linear and every node is driven by the same
 field row, each Runge-Kutta slope is rank one: a per-node factor times
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -122,31 +126,26 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     built once, and the kernel of the row recorded at the new clock
     follows from the same linearity.  k1 reuses the recorded row, which
     was solved from the current coherences.  Rows, rotations and the
-    step dt read the stage table.
+    step dt read the stage table.  The rotations, the drive columns and
+    the node-weight scalars depend on the control only through the
+    step's integrals df_half and df_full, so they are rebuilt only when
+    the pair differs from the previous step's and reused while it
+    repeats, as on a flat-top plateau.
     bandwidth is the signal bandwidth that the linear-regime validity
     checks price the probe Stark shift against.
     """
     table = state.table
     times, om2, sampled, df_half, df_full = table.row(state.step_index)
     dt = table.dt
-    d21 = ensemble.delta21s
-    d31 = ensemble.delta31s
-    rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * df_half))
-    rot_full = np.exp(-1j * (d21 * dt + d31 * df_full))
-    # the rotations are unimodular: undoing one multiplies by its conjugate
     drive = float(state.drive_sign)
-    drive_half = drive * np.conj(rot_half)
-    drive_full = drive * np.conj(rot_full)
-    w = ensemble.weights
-    w_half = w * rot_half
-    w_full = w * rot_full
+    (rot_full, drive_half, drive_full, w_half, w_full, kernel2, kernel3,
+     kernel4, record1, record23, record4) = state.step_factors(
+        ensemble, df_half, df_full,
+        partial(_step_factors, ensemble, dt, drive))
     p = state.r12
     # complex weights, which weighted_node_sum does not take
-    p_half = np.add.reduce(w_half[:, None] * p, axis=0)
-    p_full = np.add.reduce(w_full[:, None] * p, axis=0)
-    sum_half, sum_half_dh, sum_full, sum_full_dh, sum_full_df = \
-        np.add.reduce([w_half, w_half * drive_half, w_full,
-                       w_full * drive_half, w_full * drive_full], axis=1)
+    p_half = np.add.reduce(w_half * p, axis=0)
+    p_full = np.add.reduce(w_full * p, axis=0)
 
     def row_at(k, b12):
         return field_row(state, medium, times[k], b12, sampled[k])
@@ -161,22 +160,47 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
                 f"probe-induced Stark shift {stark:.3g} exceeds "
                 f"{STARK_VALIDITY_FACTOR} x bandwidth at tau={times[0]:.4g}"
                 "; use the strong-field integrator")
-    row2 = row_at(1, p_half + (0.5 * dt * drive * sum_half) * row1)
-    row3 = row_at(1, p_half + (0.5 * dt * sum_half_dh) * row2)
-    row4 = row_at(2, p_full + (dt * sum_full_dh) * row3)
+    row2 = row_at(1, p_half + kernel2 * row1)
+    row3 = row_at(1, p_half + kernel3 * row2)
+    row4 = row_at(2, p_full + kernel4 * row3)
 
     row23 = row2 + row3
     p_new = p + ((dt / 6.0) * drive) * row1
-    p_new += drive_half[:, None] * ((dt / 3.0) * row23)
-    p_new += drive_full[:, None] * ((dt / 6.0) * row4)
-    p_new *= rot_full[:, None]
+    p_new += drive_half * ((dt / 3.0) * row23)
+    p_new += drive_full * ((dt / 6.0) * row4)
+    p_new *= rot_full
     state.r12 = p_new
     state.step_index += 1
-    b12 = (p_full + ((dt / 6.0) * drive * sum_full) * row1
-           + ((dt / 3.0) * sum_full_dh) * row23
-           + ((dt / 6.0) * sum_full_df) * row4)
+    b12 = p_full + record1 * row1 + record23 * row23 + record4 * row4
     state.zeta_t[state.step_index] = row_at(2, b12)
     return state
+
+
+def _step_factors(ensemble: EnsembleSpec, dt: float, drive: float,
+                  df_half: float, df_full: float) -> tuple:
+    """The per-node factors of a step with control integrals df_half and
+    df_full: the rotation rf, the drive columns dh and df and the weighted
+    rotations w rh and w rf as (n_node, 1) columns, then the node-weight
+    scalars of the stage kernels B(k2), B(k3), B(k4) and of the recorded
+    row's kernel (see advance_weak)."""
+    d21 = ensemble.delta21s
+    d31 = ensemble.delta31s
+    rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * df_half))
+    rot_full = np.exp(-1j * (d21 * dt + d31 * df_full))
+    # the rotations are unimodular: undoing one multiplies by its conjugate
+    drive_half = drive * np.conj(rot_half)
+    drive_full = drive * np.conj(rot_full)
+    w = ensemble.weights
+    w_half = w * rot_half
+    w_full = w * rot_full
+    sum_half, sum_half_dh, sum_full, sum_full_dh, sum_full_df = \
+        np.add.reduce([w_half, w_half * drive_half, w_full,
+                       w_full * drive_half, w_full * drive_full], axis=1)
+    return (rot_full[:, None], drive_half[:, None], drive_full[:, None],
+            w_half[:, None], w_full[:, None],
+            0.5 * dt * drive * sum_half, 0.5 * dt * sum_half_dh,
+            dt * sum_full_dh, (dt / 6.0) * drive * sum_full,
+            (dt / 3.0) * sum_full_dh, (dt / 6.0) * sum_full_df)
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,11 @@ def test_model_refuses_what_the_closed_form_would_overflow():
     with pytest.raises(ValidationError, match="alpha0L"):
         EfficiencyModel("reafc", 1e308, 0.5)
     assert EfficiencyModel("recrib", 1e308, 0.5, total_time=1e150)
+    # gamma_param itself is not bounded by 1 on the Python API
+    for gamma, total_time in ((1e200, None), (2e153, None), (1e10, 1e150)):
+        with pytest.raises(ValidationError, match="gamma_param"):
+            EfficiencyModel("recrib", 50.0, gamma, total_time)
+    assert epsilon(EfficiencyModel("recrib", 50.0, 1e153)) == 0.0
     for bad in ({"total_time": 1e200}, {"alpha0L": 1e308}):
         kwargs = {"alpha0L": 50.0, **bad}
         with pytest.raises(ValidationError, match=next(iter(bad))):

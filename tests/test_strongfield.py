@@ -67,6 +67,7 @@ CONDITION_IV_GAP = 0.05         # minimum epsilon cost of Delta2 = +Delta1
 MISMATCH_CAP = 0.1              # leftover grating wave number must suppress
 REFINE_SLACK = 1e-9
 STEP_ORACLE_TOL = 1e-12         # lab-frame step vs rotating-frame oracle
+CONVERGENCE_ORDER_FLOOR = 3.8   # RK4-Lawson coupled step, observed order
 
 DEEP_DELTA = 200.0              # weak-amplitude scenario, alpha_eff L = 20
 SAT_DELTA = 20.0                # saturating scenario, alpha_eff L = 500
@@ -476,6 +477,39 @@ def test_live_stage_matches_rotating_frame_oracle(sign):
     assert worst <= STEP_ORACLE_TOL
     assert np.max(np.abs(state.zeta_t)) > 0.01
     assert np.max(np.abs(state.r11 - r11)) > 0.01
+
+
+def _observed_order(coarse, mid, fine):
+    """log2 of the ratio of successive differences on nested grids."""
+    return math.log2(np.max(np.abs(coarse - mid))
+                     / np.max(np.abs(mid - fine)))
+
+
+def test_coupled_storage_converges_at_fourth_order():
+    # self-convergence on nested tau grids: the saturating case's probe
+    # and control at a shallow depth on 9 nodes; the slab is too thin to
+    # absorb the probe (about 96% passes), which the audit flags
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=9, rule="uniform")
+    ctl = ControlProfile.flat_top(rabi=SAT_DELTA, detuning=SAT_DELTA,
+                                  switch_on=0.0, switch_off=24.0)
+    # peak probe Stark shift equal to half the probe bandwidth
+    amp = math.sqrt(0.5 * 0.5 * SAT_DELTA) \
+        / (WEAK_AMPLITUDE_RATIO * SAT_DELTA)
+    probe = ProbeSpec.gaussian(center=12.0, duration=2.0,
+                               amplitude_scale=amp)
+    med = MediumSpec.from_alpha_eff(20.0, line_width_31=ens.line_width_31(),
+                                    length_L=1.0)
+    states = []
+    for n_tau in (577, 1153, 2305):
+        grid = Grid(n_tau=n_tau, n_z=25, t_end=24.0, length=1.0)
+        with pytest.warns(IncompleteAbsorptionWarning):
+            states.append(run_storage(probe, ctl, ens, med, grid).state)
+    assert np.min(states[-1].r11) < 0.99
+    # the exit row at the coarse grid's times
+    exits = [st.zeta_t[::2 ** k, -1] for k, st in enumerate(states)]
+    for arrays in ([st.r12 for st in states], [st.r11 for st in states],
+                   exits):
+        assert _observed_order(*arrays) >= CONVERGENCE_ORDER_FLOOR
 
 
 # ---------------------------------------------------------------------------

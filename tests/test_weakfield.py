@@ -1,5 +1,6 @@
 """Linear-regime integrator and frequency-domain oracle tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramanecho.conditions import ProtocolConfig
-from ramanecho import weakfield
+from ramanecho import strongfield, weakfield
 from ramanecho.core import (
     ControlProfile,
     Grid,
@@ -319,6 +320,125 @@ def test_stage_table_holds_what_each_step_would_sample(regime):
     for value in arrays:
         assert value.shape[0] == n_steps and value.size <= 3 * n_steps
         assert value.size < n_steps * n_node
+
+
+def _dipped_control():
+    """A Python-API control on all stage: a plateau with a dip to half
+    the Rabi frequency on (1.2, 1.6)."""
+    def env(tau):
+        tau = np.asarray(tau)
+        return 60.0 * np.where((tau > 1.2) & (tau < 1.6), 0.5, 1.0)
+
+    return ControlProfile(rabi_envelope=env, one_photon_detuning=60.0,
+                          switch_on=0.0, switch_off=3.0)
+
+
+REUSE_CONTROLS = {
+    # off, rising edge, plateau, falling edge, off again
+    "flat_top": lambda: ControlProfile.flat_top(
+        rabi=60.0, detuning=60.0, switch_on=0.5, switch_off=2.5,
+        rise_time=0.4),
+    "dip": _dipped_control,
+}
+
+
+def _reuse_stage(regime, control, ens=None):
+    """A fresh stage of either regime, with a d21 and a d31 spread, and
+    its step function."""
+    ens = ens or build_gaussian_ensemble(width=1.0, n_nodes=9,
+                                         rule="uniform", width_21=0.3,
+                                         n_nodes_21=3)
+    probe = ProbeSpec.gaussian(center=1.5, duration=0.4)
+    med = MediumSpec(coupling_beta=2.0, length_L=1.0)
+    grid = Grid(n_tau=91, n_z=9, t_end=3.0, length=1.0)
+    if regime == "strong":
+        state = SimulationState.fresh(grid, ens, control, med,
+                                      drive_sign=+1,
+                                      boundary=ProbeBoundary(probe))
+        return state, lambda s: advance_strong(s, med, control)
+    state = WeakState.fresh(grid, ens, control, med, drive_sign=+1,
+                            boundary=TildeInput(probe))
+    return state, lambda s: advance_weak(s, ens, med, control, 1.0)
+
+
+def _run(state, step, rebuild=False):
+    """Step state to the end of its stage; rebuild clears the reused
+    step factors before every step."""
+    while state.step_index < state.zeta_t.shape[0] - 1:
+        if rebuild:
+            state._factors = None
+        step(state)
+    return state
+
+
+def _same_atoms(a, b):
+    same = np.array_equal(a.r12, b.r12) and np.array_equal(a.zeta_t,
+                                                             b.zeta_t)
+    return same and np.array_equal(getattr(a, "r11", 0.0),
+                                   getattr(b, "r11", 0.0))
+
+
+@pytest.mark.parametrize("control", sorted(REUSE_CONTROLS))
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_reused_step_factors_equal_rebuilt_ones(regime, control,
+                                                monkeypatch):
+    module = strongfield if regime == "strong" else weakfield
+    builds = []
+
+    def counted(*args):
+        builds.append(args[-2:])
+        return original(*args)
+
+    original = module._step_factors
+    monkeypatch.setattr(module, "_step_factors", counted)
+    ctl = REUSE_CONTROLS[control]()
+    reused = _run(*_reuse_stage(regime, ctl))
+    pairs = list(zip(reused.table.df_half.tolist(),
+                     reused.table.df_full.tolist()))
+    # the integrals change, repeat, and come back to a pair held before
+    changed = [i for i in range(1, len(pairs)) if pairs[i] != pairs[i - 1]]
+    assert len(changed) >= 4 and len(changed) < len(pairs) // 2
+    assert any(pairs[i] in pairs[:i - 1] for i in changed)
+    # one build for the first step and one per change, none per repeat
+    assert builds == [pairs[0]] + [pairs[i] for i in changed]
+    rebuilt = _run(*_reuse_stage(regime, ctl), rebuild=True)
+    assert len(builds) == 1 + len(changed) + len(pairs)
+    assert _same_atoms(reused, rebuilt)
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in_place"])
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_other_node_columns_rebuild_the_step_factors(regime, in_place):
+    # the strong state carries its node columns, and the weak stepper
+    # takes them from the ensemble each step is given; other columns
+    # never read the held set, whether on a dataclasses.replace copy,
+    # which starts without it, or on the state that holds it
+    ctl = REUSE_CONTROLS["flat_top"]()
+    state, step = _reuse_stage(regime, ctl)
+    for _ in range(40):                 # into the plateau
+        step(state)
+    assert state._factors is not None
+    other = build_gaussian_ensemble(width=1.5, n_nodes=9, rule="uniform",
+                                    width_21=0.5, n_nodes_21=3)
+    other_state, other_step = _reuse_stage(regime, ctl, other)
+    nodes = {"nodes": other_state.nodes} if regime == "strong" else {}
+
+    def copy():
+        fields = {"r12": state.r12.copy(), "zeta_t": state.zeta_t.copy(),
+                  **nodes}
+        if regime == "strong":
+            fields["r11"] = state.r11.copy()
+        return dataclasses.replace(state, **fields)
+
+    reference = _run(copy(), other_step, rebuild=True)
+    if in_place:
+        moved = state
+        if nodes:
+            state.nodes = nodes["nodes"]
+    else:
+        moved = copy()
+        assert moved._factors is None
+    assert _same_atoms(_run(moved, other_step), reference)
 
 
 # ---------------------------------------------------------------------------
