@@ -14,7 +14,6 @@ from .conditions import (
     check_strong_conditions,
     check_weak_conditions,
     echo_time_afc,
-    solve_strong_stage2,
 )
 from .core import (
     ControlProfile,
@@ -44,8 +43,6 @@ from .scenario import (
 )
 from .strongfield import run_retrieval, run_storage
 from .weakfield import (
-    SusceptibilityKernel,
-    analytic_transmission,
     recall_weak,
     run_weak_storage,
 )
@@ -66,9 +63,7 @@ __all__ = [
     "Scenario",
     "SimulationError",
     "StageSetup",
-    "SusceptibilityKernel",
     "alpha_eff",
-    "analytic_transmission",
     "build_comb_ensemble",
     "build_gaussian_ensemble",
     "check_strong_conditions",
@@ -87,7 +82,6 @@ __all__ = [
     "run_storage",
     "run_weak_storage",
     "scenario_report",
-    "solve_strong_stage2",
     "sweep_gamma",
     "write_outputs",
     "__version__",

@@ -63,18 +63,18 @@ def parse_gamma_range(text: str) -> np.ndarray:
     if stop < start:
         raise ArgumentError("--gamma stop must be at least start")
     # a float, so that a subnormal step (count inf) is refused as well
-    count = (stop - start) / step + 1.0
+    steps = (stop - start) / step
+    count = steps + 1.0
     if not count <= MAX_GAMMA_POINTS:
         raise ArgumentError(
             f"--gamma {text!r} gives {count:.3g} points, more than "
             f"{MAX_GAMMA_POINTS}")
-    n = int((stop - start) / step + 0.5) + 1
+    # every point not past stop by more than the rounding of the step
+    # count; the last point is moved back onto stop by that rounding
+    n = math.floor(steps * (1.0 + 1e-9)) + 1
     values = start + step * np.arange(n)
-    # the rounded count can overshoot stop by one float ulp chain
     if values[-1] > stop:
         values[-1] = stop
-    if n >= 2 and values[-1] <= values[-2]:
-        values = values[:-1]
     return values
 
 

@@ -1,4 +1,4 @@
-"""Reversibility conditions for echo recall and their constructive solvers.
+"""Reversibility conditions for echo recall, their checkers, and echo timing.
 
 Strong-field recall needs four conditions: (i) phase matching between probe
 and backward echo, (ii) time-reversed control envelopes with equal coupling,
@@ -17,7 +17,7 @@ stage carries a clock_offset mapping its local time to that shared clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,8 +159,9 @@ class ProtocolConfig:
                 raise ValidationError("reafc needs comb_spacing > 0")
             if self.k < 1:
                 raise ValidationError("reafc needs k >= 1")
-        if self.t1 < 0:
-            raise ValidationError("t1 must be >= 0")
+        for name in ("t1", "t2"):
+            if (getattr(self, name) or 0.0) < 0:
+                raise ValidationError(f"{name} must be >= 0")
 
     def expected_echo_time(self, f1: float, f2: float) -> float:
         """Echo emission time on the stage-2 clock."""
@@ -295,45 +296,6 @@ def check_strong_conditions(stage1: StageSetup, stage2: StageSetup
         ent_iii = _blocked("iii")
 
     return ConditionReport(entries=(ent_i, ent_ii, ent_iii, ent_iv))
-
-
-def solve_strong_stage2(stage1: StageSetup, anchor: float = 0.0
-                        ) -> StageSetup:
-    """Construct the stage-2 parameters that null all four residuals.
-
-    Flips the one-photon detuning, shifts the echo carrier by twice that
-    detuning, mirrors the control envelope about the shared-clock origin,
-    keeps the coupling, inverts every node, and phase-matches the backward
-    echo.  anchor re-anchors the mirrored envelope in stage-2 local time
-    (local reversal point anchor/2 instead of 0).
-    """
-    ctl1 = stage1.control
-    d1 = ctl1.one_photon_detuning
-    m1 = stage1.matching
-    if m1 is None:
-        omega1 = stage1.probe.carrier if stage1.probe is not None else 0.0
-        m1 = PhaseMatching.backward_matched(omega1=omega1,
-                                            omega2=omega1 + 2.0 * d1)
-        stage1 = replace(stage1, matching=m1)
-    omega2 = m1.omega1 + 2.0 * d1
-    c = m1.light_speed
-    k2 = m1.K1z - (m1.n1 * m1.omega1 + m1.n2 * omega2) / c
-    matching2 = PhaseMatching(
-        K1z=m1.K1z, K2z=k2, omega1=m1.omega1, omega2=omega2, n1=m1.n1,
-        n2=m1.n2, light_speed=c)
-
-    # shared clock: stage 2 local time = anchor + (shared time), so the
-    # mirrored envelope lands at local tau = anchor - (stage-1 local tau)
-    ctl2 = ctl1.time_reversed(
-        anchor=anchor + stage1.clock_offset, detuning=-d1, carrier=omega2)
-    return StageSetup(
-        control=ctl2,
-        ensemble=stage1.ensemble.inverted(),
-        probe=None,
-        matching=matching2,
-        beta=stage1.beta,
-        clock_offset=anchor,
-    )
 
 
 def check_weak_conditions(stage1: StageSetup, stage2: StageSetup,

@@ -498,8 +498,3 @@ class Grid:
             raise StepTooCoarse(
                 f"dz * coupling = {self.dz * max_coupling:.3g} > 0.5; "
                 + _count_hint("n_z", self.length * max_coupling / 0.5))
-
-    def refined(self, factor: int = 2) -> "Grid":
-        return Grid(n_tau=(self.n_tau - 1) * factor + 1,
-                    n_z=(self.n_z - 1) * factor + 1,
-                    t_end=self.t_end, length=self.length)

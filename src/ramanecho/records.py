@@ -160,12 +160,6 @@ class EchoRecord:
             lines.append(self.conditions.as_text())
         write_text_atomic(path, "\n".join(lines) + "\n")
 
-    def write_input_csv(self, path: str) -> None:
-        write_envelope_csv(path, self.tau_input, self.input_envelope)
-
-    def write_echo_csv(self, path: str) -> None:
-        write_envelope_csv(path, self.tau_echo, self.echo_envelope)
-
 
 def measure_efficiency(record: EchoRecord) -> tuple[float, float]:
     """Energy recall efficiency and reversed-envelope overlap fidelity."""
@@ -176,7 +170,6 @@ def measure_efficiency(record: EchoRecord) -> tuple[float, float]:
     if eps > 1.0 + 1e-6:
         raise PhysicalityViolation(
             f"recall efficiency {eps} exceeds unity beyond tolerance")
-    eps = min(eps, 1.0 + 1e-6)
     fid = overlap_fidelity(record.tau_input, record.input_envelope,
                            record.tau_echo, record.echo_envelope)
     return eps, fid

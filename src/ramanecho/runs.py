@@ -20,7 +20,7 @@ from .conditions import (
 )
 from . import stages
 from .numerics import write_text_atomic
-from .records import EchoRecord, measure_efficiency
+from .records import EchoRecord, measure_efficiency, write_envelope_csv
 from .scenario import Scenario, build_grids, build_protocol, stage_setups
 from .strongfield import run_retrieval, run_storage
 from .weakfield import recall_weak, run_weak_storage
@@ -111,8 +111,8 @@ def write_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
         "summary": os.path.join(out_dir, "summary.txt"),
         "conditions": os.path.join(out_dir, "conditions.txt"),
     }
-    record.write_input_csv(paths["input"])
-    record.write_echo_csv(paths["echo"])
+    write_envelope_csv(paths["input"], record.tau_input, record.input_envelope)
+    write_envelope_csv(paths["echo"], record.tau_echo, record.echo_envelope)
     record.write_summary(paths["summary"], result.efficiency,
                          result.fidelity, result.storage_audit)
     write_text_atomic(paths["conditions"], result.report.as_text() + "\n")

@@ -296,6 +296,13 @@ def _squarable(section: str, key: str, value: float) -> float:
     return value
 
 
+def _rabi(section: str, value: float) -> float:
+    """A control's Rabi frequency, refused by key when it is 0 (f = 0)."""
+    if value == 0:
+        raise ValidationError(f"[{section}] rabi must be non-zero")
+    return _squarable(section, "rabi", value)
+
+
 def build_ensemble(sc: Scenario) -> EnsembleSpec:
     e = sc.ensemble
     if e.shape == "comb":
@@ -312,10 +319,16 @@ def build_ensemble(sc: Scenario) -> EnsembleSpec:
 
 def build_medium(sc: Scenario, ensemble: EnsembleSpec) -> MediumSpec:
     m = sc.medium
+    key = "alpha_eff_l" if m.beta is None else "beta"
+    if not getattr(m, key) > 0:
+        raise ValidationError(f"[medium] {key} must be > 0")
     if m.beta is not None:
         return MediumSpec(coupling_beta=m.beta, length_L=m.length)
-    return MediumSpec.from_alpha_eff(m.alpha_eff_l,
-                                     line_width_31=ensemble.line_width_31(),
+    width = ensemble.line_width_31()
+    if width == 0:
+        raise ValidationError("[medium] alpha_eff_l needs a 31 line of "
+                              "non-zero width; give beta instead")
+    return MediumSpec.from_alpha_eff(m.alpha_eff_l, line_width_31=width,
                                      length_L=m.length)
 
 
@@ -330,8 +343,7 @@ def build_probe(sc: Scenario) -> ProbeSpec:
 
 def build_controls(sc: Scenario) -> tuple[ControlProfile, ControlProfile]:
     c1 = sc.control1
-    ctl1 = ControlProfile.flat_top(rabi=_squarable("control1", "rabi",
-                                                   c1.rabi),
+    ctl1 = ControlProfile.flat_top(rabi=_rabi("control1", c1.rabi),
                                    detuning=_squarable("control1", "detuning",
                                                        c1.detuning),
                                    switch_on=c1.switch_on,
@@ -347,8 +359,7 @@ def build_controls(sc: Scenario) -> tuple[ControlProfile, ControlProfile]:
     else:
         if c2.detuning is None:
             raise ValidationError("[control2] flat_top needs a detuning")
-        ctl2 = ControlProfile.flat_top(rabi=_squarable("control2", "rabi",
-                                                       c2.rabi),
+        ctl2 = ControlProfile.flat_top(rabi=_rabi("control2", c2.rabi),
                                        detuning=c2.detuning,
                                        switch_on=c2.switch_on,
                                        switch_off=c2.switch_off,
@@ -416,14 +427,9 @@ def stage_setups(sc: Scenario
     probe = build_probe(sc)
     ctl1, ctl2 = build_controls(sc)
     matching = build_matching(sc, ctl1)
-    if sc.control2.mode == "mirror" and sc.control2.anchor is not None:
-        offset1 = sc.control2.anchor
-    else:
-        offset1 = ctl1.switch_off
-    if sc.protocol.name == "recrib":
-        ens2 = ens.inverted()
-    else:
-        ens2 = ens
+    anchor = sc.control2.anchor if sc.control2.mode == "mirror" else None
+    offset1 = ctl1.switch_off if anchor is None else anchor
+    ens2 = ens.inverted() if sc.protocol.name == "recrib" else ens
     stage1 = StageSetup(control=ctl1, ensemble=ens, probe=probe,
                         matching=matching, beta=med.coupling_beta,
                         clock_offset=offset1)

@@ -321,15 +321,6 @@ def _step_factors(nodes: tuple, dt: float, df_half: float,
             drive_sixth * rot_full, 2.0 * drive_sixth * back)
 
 
-def advance_atoms(state: SimulationState) -> SimulationState:
-    """One frozen-field atomic step: the row recorded at the current step
-    index drives all four Runge-Kutta stages."""
-    row = state.zeta_t[state.step_index]
-    _lawson_step(state, row, row_at=lambda k, r12, r11: row)
-    state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
-    return state
-
-
 def advance_strong(state: SimulationState, medium: MediumSpec,
                    control: ControlProfile) -> SimulationState:
     """One coupled step: the field is solved from the provisional atoms

@@ -48,11 +48,9 @@ from .core import (
     MediumSpec,
     ProbeSpec,
     WEAK_AMPLITUDE_RATIO,
-    require_finite,
 )
-from .errors import NonFiniteField, ValidationError, WeakFieldViolation
-from .numerics import cumulative_integral, trapezoid_energy, \
-    weighted_node_sum
+from .errors import NonFiniteField, WeakFieldViolation
+from .numerics import cumulative_integral, weighted_node_sum
 from . import stages
 from .records import EchoRecord, envelope_from_scaled
 
@@ -288,129 +286,3 @@ def recall_weak(stored: WeakState, control2: ControlProfile,
                              bandwidth=bandwidth),
         protocol, tau_input, input_envelope, transmitted_fraction,
         conditions)
-
-
-# ---------------------------------------------------------------------------
-# frequency-domain oracle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SusceptibilityKernel:
-    """Discrete-ensemble linear response shared by oracle and integrator.
-
-    D(omega) = sum_j w_j / (i (DeltaR_j - omega) + eta); eta > 0 models a
-    homogeneous width, eta = 0 keeps the nodes undamped (matching the
-    time-domain integrator).  alpha_eff is the line-center energy
-    absorption coefficient beta f Re D of the (eta-smoothed) line; with
-    eta = 0 a smoothing on the node-spacing scale is substituted so the
-    number remains a useful continuum estimate.
-    """
-
-    ensemble: EnsembleSpec
-    f_value: float
-    beta: float
-    eta: float = 0.0
-
-    def __post_init__(self):
-        require_finite(self, "f_value", "beta", "eta")
-        if self.f_value <= 0 or self.beta <= 0:
-            raise ValidationError("f_value and beta must be > 0")
-        if self.eta < 0:
-            raise ValidationError("eta must be >= 0")
-
-    def raman_detunings(self) -> np.ndarray:
-        return self.ensemble.raman_detunings(self.f_value)
-
-    def D(self, omega, eta_extra: float = 0.0) -> np.ndarray:
-        """Ensemble response at (possibly an array of) frequencies."""
-        om = np.atleast_1d(np.asarray(omega, dtype=float))
-        dr = self.raman_detunings()
-        w = self.ensemble.weights
-        denom = 1j * (dr[None, :] - om[:, None]) + (self.eta + eta_extra)
-        out = (w[None, :] / denom).sum(axis=1)
-        return out if np.ndim(omega) else out[0]
-
-    @property
-    def center(self) -> float:
-        dr = self.raman_detunings()
-        return float(np.sum(self.ensemble.weights * dr))
-
-    @property
-    def alpha_eff(self) -> float:
-        eta = self.eta
-        if eta == 0.0:
-            dr = np.sort(self.raman_detunings())
-            if len(dr) > 1:
-                eta = 3.0 * float(np.median(np.diff(dr)))
-            else:
-                eta = 1e-3
-        dr = self.raman_detunings()
-        w = self.ensemble.weights
-        re_d = float(np.sum(
-            w * eta / ((dr - self.center) ** 2 + eta ** 2)))
-        return self.beta * self.f_value * re_d
-
-
-@dataclass
-class TransmissionResult:
-    tau: np.ndarray
-    output: np.ndarray
-    ratio: float
-
-
-# the transform pads the window to this multiple of its length, and the
-# damping falls by this many e-folds across the padding
-PAD_FACTOR = 4
-DAMPING_CYCLES = 10.0
-
-
-def analytic_transmission(probe: ProbeSpec, kernel: SusceptibilityKernel,
-                          medium: MediumSpec, window: tuple[float, float],
-                          n_time: int | None = None) -> TransmissionResult:
-    """Exact linear transmission through the slab in the frequency domain.
-
-    The input envelope is damped by exp(-eta t), convolved with the
-    equally damped medium response (a rigorous identity for causal
-    kernels), and the damping undone afterward, so periodic-FFT wraparound
-    is suppressed by exp(-eta (T_pad - T)) without biasing the result.
-    Assumes f stationary over the window (evaluated from the kernel).
-    """
-    t0, t1 = window
-    span = t1 - t0
-    if n_time is None:
-        max_rate = float(np.max(np.abs(kernel.raman_detunings()))) \
-            + 10.0 * probe.spectral_width
-        n_time = int(2 ** math.ceil(math.log2(
-            max(span * max_rate / 0.3, 512))))
-    tau = np.linspace(t0, t1, n_time, endpoint=False)
-    a_in = probe.sample(tau)
-
-    n_pad = PAD_FACTOR * n_time
-    eta = DAMPING_CYCLES / (span * (PAD_FACTOR - 1))
-    damped = np.zeros(n_pad, dtype=complex)
-    damped[:n_time] = a_in * np.exp(-eta * (tau - t0))
-    spec = np.fft.fft(damped)
-    omega = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=tau[1] - tau[0])
-    depth = 0.5 * kernel.beta * kernel.f_value * medium.length_L
-    # numpy's forward FFT pairs bin omega_k with exp(-i omega_k t), so the
-    # causal response kernel sum_j w exp(-(i Delta_j + eta) u) multiplies
-    # each bin by D evaluated at -omega_k
-    transfer = np.exp(-depth * kernel.D(-omega, eta_extra=eta))
-    out_damped = np.fft.ifft(spec * transfer)[:n_time]
-    out = out_damped * np.exp(+eta * (tau - t0))
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteField("frequency-domain transform overflowed")
-
-    dt = tau[1] - tau[0]
-    e_in = trapezoid_energy(a_in, dt)
-    e_out = trapezoid_energy(out, dt)
-    ratio = e_out / e_in if e_in > 0 else 0.0
-    return TransmissionResult(tau=tau, output=out, ratio=float(ratio))
-
-
-def fid_kernel(ensemble: EnsembleSpec, f_value: float, tau) -> np.ndarray:
-    """Free-induction kernel B~12(tau) after unit impulse excitation."""
-    tau = np.asarray(tau, dtype=float)
-    dr = ensemble.raman_detunings(f_value)
-    return (ensemble.weights[None, :]
-            * np.exp(-1j * dr[None, :] * tau[:, None])).sum(axis=1)

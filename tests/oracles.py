@@ -15,26 +15,46 @@ and efficiency.write_sweep_csv as they were before the bracket scan was
 screened with one array evaluation and the shared gamma cells were
 formatted once: a full 4001-point scalar scan, and every cell formatted
 where it is written.  The package must reproduce them bit for bit.
+
+SusceptibilityKernel, analytic_transmission and fid_kernel are the
+linear regime solved in the frequency domain: the discrete ensemble's
+response D(omega), the slab's transmission of a probe through it, and
+the free-induction decay after an impulse.  The weak-field integrator
+and the strong-field integrator at weak amplitude must transmit what
+they predict.
+
+solve_strong_stage2 constructs the stage 2 that nulls all four
+strong-field residuals; the condition checkers must pass it.
+
+advance_atoms steps the strong-field atoms under a frozen field row,
+which isolates the atom update for the Rabi, rotation and Bloch-ball
+oracles.  refined(grid, factor) is the nested refinement the
+convergence tests compare a grid against.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from typing import Callable
 
 import numpy as np
 
+from ramanecho.conditions import PhaseMatching, StageSetup
+from ramanecho.core import EnsembleSpec, Grid, MediumSpec, ProbeSpec, \
+    require_finite
 from ramanecho.efficiency import EfficiencyModel, _curve, _normalize_protocol
 from ramanecho.errors import ControlVanishes, NoInteriorMaximum, \
-    ValidationError
+    NonFiniteField, ValidationError
 from ramanecho.numerics import fmt_float, golden_section_max, \
-    write_text_atomic
+    trapezoid_energy, write_text_atomic
 from ramanecho.strongfield import (
     CONTROL_FLOOR,
     FIELD_FLOOR,
     SimulationState,
     _c_factors,
+    _lawson_step,
 )
 
 
@@ -161,3 +181,157 @@ def scan_write_sweep_csv(path: str, traces: dict,
             f"# optimal {p} alpha0L={alpha_cell} "
             f"gamma={fmt_float(g_star)} epsilon={fmt_float(eps_star)}")
     write_text_atomic(path, "\n".join(lines + comments) + "\n")
+
+
+@dataclasses.dataclass(frozen=True)
+class SusceptibilityKernel:
+    """Discrete-ensemble linear response.
+
+    D(omega) = sum_j w_j / (i (DeltaR_j - omega) + eta); eta > 0 models a
+    homogeneous width, eta = 0 keeps the nodes undamped (matching the
+    time-domain integrator).
+    """
+
+    ensemble: EnsembleSpec
+    f_value: float
+    beta: float
+    eta: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self, "f_value", "beta", "eta")
+        if self.f_value <= 0 or self.beta <= 0:
+            raise ValidationError("f_value and beta must be > 0")
+        if self.eta < 0:
+            raise ValidationError("eta must be >= 0")
+
+    def raman_detunings(self) -> np.ndarray:
+        return self.ensemble.raman_detunings(self.f_value)
+
+    def D(self, omega, eta_extra: float = 0.0) -> np.ndarray:
+        """Ensemble response at (possibly an array of) frequencies."""
+        om = np.atleast_1d(np.asarray(omega, dtype=float))
+        dr = self.raman_detunings()
+        w = self.ensemble.weights
+        denom = 1j * (dr[None, :] - om[:, None]) + (self.eta + eta_extra)
+        out = (w[None, :] / denom).sum(axis=1)
+        return out if np.ndim(omega) else out[0]
+
+
+@dataclasses.dataclass
+class TransmissionResult:
+    tau: np.ndarray
+    output: np.ndarray
+    ratio: float
+
+
+# the transform pads the window to this multiple of its length, and the
+# damping falls by this many e-folds across the padding
+PAD_FACTOR = 4
+DAMPING_CYCLES = 10.0
+
+
+def analytic_transmission(probe: ProbeSpec, kernel: SusceptibilityKernel,
+                          medium: MediumSpec, window: tuple[float, float],
+                          n_time: int | None = None) -> TransmissionResult:
+    """Exact linear transmission through the slab in the frequency domain.
+
+    The input envelope is damped by exp(-eta t), convolved with the
+    equally damped medium response (a rigorous identity for causal
+    kernels), and the damping undone afterward, so periodic-FFT wraparound
+    is suppressed by exp(-eta (T_pad - T)) without biasing the result.
+    Assumes f stationary over the window (evaluated from the kernel).
+    """
+    t0, t1 = window
+    span = t1 - t0
+    if n_time is None:
+        max_rate = float(np.max(np.abs(kernel.raman_detunings()))) \
+            + 10.0 * probe.spectral_width
+        n_time = int(2 ** math.ceil(math.log2(
+            max(span * max_rate / 0.3, 512))))
+    tau = np.linspace(t0, t1, n_time, endpoint=False)
+    a_in = probe.sample(tau)
+
+    n_pad = PAD_FACTOR * n_time
+    eta = DAMPING_CYCLES / (span * (PAD_FACTOR - 1))
+    damped = np.zeros(n_pad, dtype=complex)
+    damped[:n_time] = a_in * np.exp(-eta * (tau - t0))
+    spec = np.fft.fft(damped)
+    omega = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=tau[1] - tau[0])
+    depth = 0.5 * kernel.beta * kernel.f_value * medium.length_L
+    # numpy's forward FFT pairs bin omega_k with exp(-i omega_k t), so the
+    # causal response kernel sum_j w exp(-(i Delta_j + eta) u) multiplies
+    # each bin by D evaluated at -omega_k
+    transfer = np.exp(-depth * kernel.D(-omega, eta_extra=eta))
+    out_damped = np.fft.ifft(spec * transfer)[:n_time]
+    out = out_damped * np.exp(+eta * (tau - t0))
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteField("frequency-domain transform overflowed")
+
+    dt = tau[1] - tau[0]
+    e_in = trapezoid_energy(a_in, dt)
+    e_out = trapezoid_energy(out, dt)
+    ratio = e_out / e_in if e_in > 0 else 0.0
+    return TransmissionResult(tau=tau, output=out, ratio=float(ratio))
+
+
+def fid_kernel(ensemble: EnsembleSpec, f_value: float, tau) -> np.ndarray:
+    """Free-induction kernel B~12(tau) after unit impulse excitation."""
+    tau = np.asarray(tau, dtype=float)
+    dr = ensemble.raman_detunings(f_value)
+    return (ensemble.weights[None, :]
+            * np.exp(-1j * dr[None, :] * tau[:, None])).sum(axis=1)
+
+
+def solve_strong_stage2(stage1: StageSetup, anchor: float = 0.0
+                        ) -> StageSetup:
+    """Construct the stage-2 parameters that null all four residuals.
+
+    Flips the one-photon detuning, shifts the echo carrier by twice that
+    detuning, mirrors the control envelope about the shared-clock origin,
+    keeps the coupling, inverts every node, and phase-matches the backward
+    echo.  anchor re-anchors the mirrored envelope in stage-2 local time
+    (local reversal point anchor/2 instead of 0).
+    """
+    ctl1 = stage1.control
+    d1 = ctl1.one_photon_detuning
+    m1 = stage1.matching
+    if m1 is None:
+        omega1 = stage1.probe.carrier if stage1.probe is not None else 0.0
+        m1 = PhaseMatching.backward_matched(omega1=omega1,
+                                            omega2=omega1 + 2.0 * d1)
+        stage1 = dataclasses.replace(stage1, matching=m1)
+    omega2 = m1.omega1 + 2.0 * d1
+    c = m1.light_speed
+    k2 = m1.K1z - (m1.n1 * m1.omega1 + m1.n2 * omega2) / c
+    matching2 = PhaseMatching(
+        K1z=m1.K1z, K2z=k2, omega1=m1.omega1, omega2=omega2, n1=m1.n1,
+        n2=m1.n2, light_speed=c)
+
+    # shared clock: stage 2 local time = anchor + (shared time), so the
+    # mirrored envelope lands at local tau = anchor - (stage-1 local tau)
+    ctl2 = ctl1.time_reversed(
+        anchor=anchor + stage1.clock_offset, detuning=-d1, carrier=omega2)
+    return StageSetup(
+        control=ctl2,
+        ensemble=stage1.ensemble.inverted(),
+        probe=None,
+        matching=matching2,
+        beta=stage1.beta,
+        clock_offset=anchor,
+    )
+
+
+def advance_atoms(state: SimulationState) -> SimulationState:
+    """One frozen-field atomic step: the row recorded at the current step
+    index drives all four Runge-Kutta stages."""
+    row = state.zeta_t[state.step_index]
+    _lawson_step(state, row, row_at=lambda k, r12, r11: row)
+    state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
+    return state
+
+
+def refined(grid: Grid, factor: int = 2) -> Grid:
+    """The grid with every tau and Z step split into factor steps."""
+    return Grid(n_tau=(grid.n_tau - 1) * factor + 1,
+                n_z=(grid.n_z - 1) * factor + 1,
+                t_end=grid.t_end, length=grid.length)

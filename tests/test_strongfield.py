@@ -36,20 +36,21 @@ from ramanecho.records import measure_efficiency
 from ramanecho.strongfield import (
     ProbeBoundary,
     SimulationState,
-    advance_atoms,
     advance_strong,
     field_row,
     handover_wavevector_mismatch,
     run_retrieval,
     run_storage,
 )
-from ramanecho.weakfield import (
+from ramanecho.weakfield import recall_weak, run_weak_storage
+from oracles import (
     SusceptibilityKernel,
+    advance_atoms,
     analytic_transmission,
-    recall_weak,
-    run_weak_storage,
+    refined,
+    rotating_frame_copy,
+    rotating_frame_step,
 )
-from oracles import rotating_frame_copy, rotating_frame_step
 
 REDUCTION_TOL = 1e-12           # kernel reduction vs compensated column sums
 FIELD_CLOSED_FORM_TOL = 1e-12   # integrating factor vs exact slab solutions
@@ -573,12 +574,12 @@ def test_storage_counts_field_solves_and_peak_samples(monkeypatch):
                         counted("peak_rabi", ControlProfile.peak_rabi))
     ens, ctl, probe, med, coarse = _cheap_setup()
     peaks = []
-    for grid in (coarse, coarse.refined()):
+    for grid in (coarse, refined(coarse)):
         calls.update(field_row=0, peak_rabi=0)
         run_storage(probe, ctl, ens, med, grid)
         assert calls["field_row"] == 1 + 4 * (grid.n_tau - 1)
         peaks.append(calls["peak_rabi"])
-    assert peaks[1] - peaks[0] <= coarse.refined().n_tau - coarse.n_tau
+    assert peaks[1] - peaks[0] <= refined(coarse).n_tau - coarse.n_tau
 
 
 def test_zero_probe_stores_nothing():
@@ -812,7 +813,7 @@ def saturating_case():
     # the retrieval validation prices the reshaped field peak (~1.74x the
     # input peak), which is what sets the tau resolution here
     coarse = Grid(n_tau=721, n_z=641, t_end=24.0, length=1.0)
-    fine = coarse.refined()
+    fine = refined(coarse)
     protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0)
     met2 = ctl1.time_reversed(anchor=24.0, detuning=-SAT_DELTA)
     broken2 = ctl1.time_reversed(anchor=24.0, detuning=+SAT_DELTA)
