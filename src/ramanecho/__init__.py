@@ -26,7 +26,6 @@ from .core import (
 )
 from .efficiency import (
     EfficiencyModel,
-    alpha_eff,
     epsilon,
     optimal_gamma,
     sweep_gamma,
@@ -63,7 +62,6 @@ __all__ = [
     "Scenario",
     "SimulationError",
     "StageSetup",
-    "alpha_eff",
     "build_comb_ensemble",
     "build_gaussian_ensemble",
     "check_strong_conditions",

@@ -75,19 +75,15 @@ class PhaseMatching:
         return cls(K1z=k1, K2z=k2, omega1=omega1, omega2=omega2, n1=n1,
                    n2=n2, light_speed=light_speed)
 
-    def residual_strong(self) -> float:
-        """Normalized defect of c(K1 - K2) = n1 w1 + n2 w2."""
-        c = self.light_speed
-        target = self.n1 * self.omega1 + self.n2 * self.omega2
-        return abs(c * (self.K1z - self.K2z) - target) / abs(
-            self.n1 * self.omega1)
+    def residual(self, slow_light: float = 0.0) -> float:
+        """Normalized defect of c(K1 - K2) = n1 w1 + n2 w2 + c slow_light.
 
-    def residual_weak(self, beta1: float, delta1: float, beta2: float,
-                      delta2: float) -> float:
-        """Same defect including the slow-light correction beta/Delta."""
+        The strong conditions take no slow-light term; the weak ones pass
+        the index correction beta1/Delta1 + beta2/Delta2.
+        """
         c = self.light_speed
         target = (self.n1 * self.omega1 + self.n2 * self.omega2
-                  + c * (beta1 / delta1 + beta2 / delta2))
+                  + c * slow_light)
         return abs(c * (self.K1z - self.K2z) - target) / abs(
             self.n1 * self.omega1)
 
@@ -136,40 +132,39 @@ class ProtocolConfig:
 
     t1 is the storage dephasing time (coherence write instant to stage-1
     control switch-off); t2, when given, prescribes the retrieval window
-    you expect the echo in.  For comb recall, comb_spacing and k fix the
-    rephasing order.  strict turns condition defects into errors.
+    you expect the echo in.  For comb recall, k fixes the rephasing order
+    on the comb ensemble's spacing.  strict turns condition defects into
+    errors.
     """
 
     protocol: str
     t1: float = 0.0
     t2: float | None = None
     matching: PhaseMatching | None = None
-    comb_spacing: float = 0.0
     k: int = 1
     strict: bool = False
     invert_delta21: bool = True
     invert_delta31: bool = True
 
     def __post_init__(self):
-        require_finite(self, "t1", "t2", "comb_spacing")
+        require_finite(self, "t1", "t2")
         if self.protocol not in ("recrib", "reafc"):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
-        if self.protocol == "reafc":
-            if self.comb_spacing <= 0:
-                raise ValidationError("reafc needs comb_spacing > 0")
-            if self.k < 1:
-                raise ValidationError("reafc needs k >= 1")
+        if self.protocol == "reafc" and self.k < 1:
+            raise ValidationError("reafc needs k >= 1")
         for name in ("t1", "t2"):
             if (getattr(self, name) or 0.0) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 
-    def expected_echo_time(self, f1: float, f2: float) -> float:
-        """Echo emission time on the stage-2 clock."""
+    def expected_echo_time(self, f1: float, f2: float,
+                           comb_spacing: float) -> float:
+        """Echo emission time on the stage-2 clock; comb_spacing is the
+        comb ensemble's tooth spacing, which only comb recall reads."""
         if self.protocol == "recrib":
             if f2 <= 0:
                 raise ValidationError("f2 must be > 0")
             return f1 * self.t1 / f2
-        return echo_time_afc(f1, f2, self.t1, self.comb_spacing, self.k)
+        return echo_time_afc(f1, f2, self.t1, comb_spacing, self.k)
 
 
 @dataclass(frozen=True)
@@ -264,7 +259,7 @@ def check_strong_conditions(stage1: StageSetup, stage2: StageSetup
     tau_grid = _shared_grid(stage1, stage2)
 
     matching = _matching_of(stage1, stage2)
-    res_i = matching.residual_strong()
+    res_i = matching.residual()
 
     om1 = np.abs(stage1.shared_rabi(tau_grid))
     om2r = np.abs(stage2.shared_rabi(-tau_grid))
@@ -314,7 +309,7 @@ def check_weak_conditions(stage1: StageSetup, stage2: StageSetup,
     matching = _matching_of(stage1, stage2)
     d1 = stage1.control.one_photon_detuning
     d2 = stage2.control.one_photon_detuning
-    res_i = matching.residual_weak(stage1.beta, d1, stage2.beta, d2)
+    res_i = matching.residual(stage1.beta / d1 + stage2.beta / d2)
 
     bf1 = stage1.beta * stage1.shared_f(tau_grid)
     bf2r = stage2.beta * stage2.shared_f(-tau_grid)

@@ -34,6 +34,10 @@ from .errors import (
 # amplitude_scale = 1 puts the peak |zeta|/|Omega| here
 WEAK_AMPLITUDE_RATIO = 1.0e-3
 
+# |Omega|^2 at or below this fraction of its peak counts as control-off:
+# no flux weight, no physical envelope and no probe Stark ratio there
+CONTROL_FLOOR = 1.0e-12
+
 # samples of |Omega| across the switch window that peak_rabi and peak_f
 # take their maximum over
 PEAK_SAMPLES = 2048
@@ -95,7 +99,7 @@ def raised_cosine_envelope(on: float, off: float, rise: float) -> Callable:
 
 @dataclass(frozen=True)
 class MediumSpec:
-    """Propagation medium: composite coupling and slab length.
+    """Propagation medium: its composite coupling (the slab is the grid's).
 
     coupling_beta has units frequency/length; a Gaussian 31 line of std
     width w has the on-resonance energy absorption coefficient
@@ -103,24 +107,21 @@ class MediumSpec:
     """
 
     coupling_beta: float
-    length_L: float
 
     def __post_init__(self):
-        require_finite(self, "coupling_beta", "length_L")
+        require_finite(self, "coupling_beta")
         if self.coupling_beta <= 0:
             raise ValidationError("coupling_beta must be > 0")
-        if self.length_L <= 0:
-            raise ValidationError("length_L must be > 0")
 
     @classmethod
     def from_alpha_eff(cls, alpha_eff_L: float, line_width_31: float,
                        length_L: float = 1.0) -> "MediumSpec":
-        """Medium whose line-center energy transmission is exp(-alpha_eff_L)
-        for a Gaussian 31 line of the given width."""
+        """Medium whose line-center energy transmission across length_L is
+        exp(-alpha_eff_L) for a Gaussian 31 line of the given width."""
         if length_L <= 0:
             raise ValidationError("length_L must be > 0")
         beta = alpha_eff_L * line_width_31 / (math.sqrt(math.pi / 2.0) * length_L)
-        return cls(coupling_beta=beta, length_L=length_L)
+        return cls(coupling_beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -132,28 +133,21 @@ class EnsembleSpec:
     """Quadrature representation of the doubly inhomogeneous ensemble.
 
     Node i sits at detunings (delta21s[i], delta31s[i]) of the joint
-    distribution G(d21) G(d31) with quadrature weight weights[i]; a comb
-    node also carries the index of its tooth.  The arrays are copied on
-    construction and read-only afterwards; comb_indices defaults to 0.
+    distribution G(d21) G(d31) with quadrature weight weights[i].  A comb
+    has its tooth spacing in comb_spacing; it is 0 for a Gaussian line.
+    The arrays are copied on construction and read-only afterwards.
     """
 
-    shape: str                      # "gaussian" | "comb"
     weights: np.ndarray
     delta21s: np.ndarray
     delta31s: np.ndarray
-    comb_indices: np.ndarray | None = None
     comb_spacing: float = 0.0
 
     def __post_init__(self):
         require_finite(self, "comb_spacing")
-        if self.shape not in ("gaussian", "comb"):
-            raise ValidationError(f"unknown ensemble shape {self.shape!r}")
         n = np.shape(self.weights)
-        if self.comb_indices is None:
-            object.__setattr__(self, "comb_indices", np.zeros(n, dtype=int))
-        for name, dtype in (("weights", float), ("delta21s", float),
-                            ("delta31s", float), ("comb_indices", int)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+        for name in ("weights", "delta21s", "delta31s"):
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.shape != n:
                 raise ValidationError(
                     "node arrays must be one-dimensional and of one length")
@@ -196,9 +190,7 @@ class EnsembleSpec:
         return replace(
             self,
             delta21s=-self.delta21s if invert_21 else self.delta21s,
-            delta31s=-self.delta31s if invert_31 else self.delta31s,
-            comb_indices=(-self.comb_indices if invert_31
-                          else self.comb_indices))
+            delta31s=-self.delta31s if invert_31 else self.delta31s)
 
 
 def _gauss_hermite_nodes(width: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,8 +248,7 @@ def build_gaussian_ensemble(width: float, n_nodes: int,
     weights = weights[order]
     # remove the one-part-in-1e16 rounding of the weight sum; summed in
     # node order (np.sum would pair terms), like the comb weights below
-    return EnsembleSpec(shape="gaussian",
-                        weights=weights / sum(weights.tolist()),
+    return EnsembleSpec(weights=weights / sum(weights.tolist()),
                         delta21s=delta21[order], delta31s=delta31[order])
 
 
@@ -293,7 +284,6 @@ def build_comb_ensemble(spacing: float, tooth_width: float, n_lines: int,
         local_d, local_w = _gauss_hermite_nodes(tooth_width, nodes_per_tooth)
 
     teeth = np.arange(-half, half + 1)
-    comb_index = np.repeat(teeth, len(local_d))
     delta31 = np.repeat(teeth * spacing, len(local_d)) + np.tile(local_d,
                                                                   n_lines)
     weights = np.tile(local_w, n_lines)
@@ -306,10 +296,9 @@ def build_comb_ensemble(spacing: float, tooth_width: float, n_lines: int,
     # normalized in tooth order, then sorted by (d31, d21)
     weights = weights / sum(weights.tolist())
     order = np.argsort(delta31, kind="stable")
-    return EnsembleSpec(shape="comb", weights=weights[order],
+    return EnsembleSpec(weights=weights[order],
                         delta21s=np.zeros(len(order)),
-                        delta31s=delta31[order],
-                        comb_indices=comb_index[order], comb_spacing=spacing)
+                        delta31s=delta31[order], comb_spacing=spacing)
 
 
 # ---------------------------------------------------------------------------

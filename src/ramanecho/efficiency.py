@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoInteriorMaximum, RatioOutOfRange, ValidationError
+from .errors import NoInteriorMaximum, ValidationError
 from .numerics import fmt_float, golden_section_max, write_text_atomic
 
 RECRIB = "recrib"
@@ -103,19 +103,6 @@ def _curve(model: EfficiencyModel):
 def epsilon(model: EfficiencyModel) -> float:
     """Recall efficiency: dephasing envelope times absorption completeness."""
     return _curve(model)(model.gamma_param)
-
-
-def alpha_eff(protocol: str, alpha0: float, ratio: float) -> float:
-    """Effective absorption coefficient after spectral tailoring.
-
-    ratio is natural width / controlled width (RECRIB) or tooth width /
-    comb spacing (REAFC); both schemes keep it in (0, 1].
-    """
-    p = _normalize_protocol(protocol)
-    if not (0.0 < ratio <= 1.0):
-        raise RatioOutOfRange(f"ratio must lie in (0, 1], got {ratio}")
-    factor = COMB_PEAK_FACTOR if p == REAFC else 1.0
-    return alpha0 * factor * ratio
 
 
 def sweep_gamma(protocol: str, alpha0L: float, gamma_grid,

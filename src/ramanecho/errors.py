@@ -69,10 +69,6 @@ class NonCausalEcho(SimulationError):
     time; a larger k is needed."""
 
 
-class RatioOutOfRange(SimulationError):
-    """Protocol width ratio outside (0, 1]."""
-
-
 class ParseError(SimulationError):
     """Malformed scenario file; carries location when known."""
 

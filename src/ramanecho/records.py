@@ -14,12 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import CONTROL_FLOOR
 from .errors import PhysicalityViolation, ZeroInputEnergy
 from .numerics import fmt_float, trapezoid_energy, write_text_atomic
-
-# |Omega|^2 below this fraction of its peak is treated as control-off when
-# undressing zeta into the physical envelope
-F_FLOOR = 1e-12
 
 
 def envelope_from_scaled(zeta_face, control, tau):
@@ -29,7 +26,7 @@ def envelope_from_scaled(zeta_face, control, tau):
     zeta_face = np.asarray(zeta_face, dtype=complex)
     om = np.asarray(control.rabi(tau), dtype=complex)
     om2 = np.abs(om) ** 2
-    mask = om2 > F_FLOOR * max(om2.max(), 1e-300)
+    mask = om2 > CONTROL_FLOOR * max(om2.max(), 1e-300)
     out = np.zeros_like(zeta_face)
     out[mask] = (zeta_face[mask] * control.one_photon_detuning
                  / np.conj(om[mask]))
@@ -113,7 +110,6 @@ class EchoRecord:
     t1: float = math.nan
     t2: float = math.nan
     transmitted_fraction: float = math.nan
-    conditions: object = None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -142,23 +138,6 @@ class EchoRecord:
                 continue
             parts.append(f"{name}={fmt_float(val)}")
         return " ".join(parts)
-
-    def write_summary(self, path: str, efficiency: float, fidelity: float,
-                      storage_audit: float) -> None:
-        """summary.txt: the summary line, the transmitted fraction, the
-        storage stage's audit residual (which the record does not hold),
-        the recall audit and the condition report."""
-        lines = [self.summary_line(efficiency, fidelity)]
-        if not math.isnan(self.transmitted_fraction):
-            lines.append(
-                f"transmitted_fraction={fmt_float(self.transmitted_fraction)}")
-        lines.append(f"storage_audit={fmt_float(storage_audit)}")
-        if "audit_residual" in self.extras:
-            lines.append("retrieval_audit="
-                         + fmt_float(self.extras["audit_residual"]))
-        if self.conditions is not None:
-            lines.append(self.conditions.as_text())
-        write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def measure_efficiency(record: EchoRecord) -> tuple[float, float]:

@@ -4,7 +4,7 @@ The scenario's objects are built once and serve both the reversal-
 condition report and the run.  The report is checked before the storage
 stage, so strict scenarios with a failed condition are refused before
 anything is stepped; it also rides along into the recall drivers, and
-report-only scenarios attach it to the echo record for inspection.
+the run result carries it into summary.txt and conditions.txt.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .conditions import (
     check_weak_conditions,
 )
 from . import stages
-from .numerics import write_text_atomic
+from .numerics import fmt_float, write_text_atomic
 from .records import EchoRecord, measure_efficiency, write_envelope_csv
 from .scenario import Scenario, build_grids, build_protocol, stage_setups
 from .strongfield import run_retrieval, run_storage
@@ -56,13 +56,12 @@ class RunResult:
     efficiency: float
     fidelity: float
     storage_audit: float
-    transmitted_fraction: float
 
     def summary_lines(self) -> list[str]:
         rec = self.record
         return [
             rec.summary_line(self.efficiency, self.fidelity),
-            f"transmitted_fraction = {self.transmitted_fraction:.6e}",
+            f"transmitted_fraction = {rec.transmitted_fraction:.6e}",
             f"storage_audit = {self.storage_audit:.6e}",
             f"retrieval_audit = {rec.extras['audit_residual']:.6e}",
             f"conditions {'pass' if self.report.overall else 'fail'}",
@@ -97,12 +96,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
     efficiency, fidelity = measure_efficiency(record)
     return RunResult(scenario=scenario, report=report, record=record,
                      efficiency=efficiency, fidelity=fidelity,
-                     storage_audit=out.audit_residual,
-                     transmitted_fraction=out.transmitted_fraction)
+                     storage_audit=out.audit_residual)
 
 
 def write_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
-    """Write the run's flat-file artifacts; every write is atomic."""
+    """Write the run's flat-file artifacts; every write is atomic.  The
+    summary holds both photon audits and the condition report."""
     os.makedirs(out_dir, exist_ok=True)
     record = result.record
     paths = {
@@ -113,7 +112,12 @@ def write_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
     }
     write_envelope_csv(paths["input"], record.tau_input, record.input_envelope)
     write_envelope_csv(paths["echo"], record.tau_echo, record.echo_envelope)
-    record.write_summary(paths["summary"], result.efficiency,
-                         result.fidelity, result.storage_audit)
-    write_text_atomic(paths["conditions"], result.report.as_text() + "\n")
+    report = result.report.as_text()
+    write_text_atomic(paths["summary"], "\n".join([
+        record.summary_line(result.efficiency, result.fidelity),
+        f"transmitted_fraction={fmt_float(record.transmitted_fraction)}",
+        f"storage_audit={fmt_float(result.storage_audit)}",
+        f"retrieval_audit={fmt_float(record.extras['audit_residual'])}",
+        report]) + "\n")
+    write_text_atomic(paths["conditions"], report + "\n")
     return paths

@@ -319,11 +319,13 @@ def build_ensemble(sc: Scenario) -> EnsembleSpec:
 
 def build_medium(sc: Scenario, ensemble: EnsembleSpec) -> MediumSpec:
     m = sc.medium
+    if not m.length > 0:
+        raise ValidationError("[medium] length must be > 0")
     key = "alpha_eff_l" if m.beta is None else "beta"
     if not getattr(m, key) > 0:
         raise ValidationError(f"[medium] {key} must be > 0")
     if m.beta is not None:
-        return MediumSpec(coupling_beta=m.beta, length_L=m.length)
+        return MediumSpec(coupling_beta=m.beta)
     width = ensemble.line_width_31()
     if width == 0:
         raise ValidationError("[medium] alpha_eff_l needs a 31 line of "
@@ -334,9 +336,12 @@ def build_medium(sc: Scenario, ensemble: EnsembleSpec) -> MediumSpec:
 
 def build_probe(sc: Scenario) -> ProbeSpec:
     p = sc.probe
+    center = _squarable("probe", "center", p.center)
+    duration = _squarable("probe", "duration", p.duration)
+    if duration <= 0:
+        raise ValidationError("[probe] duration must be > 0")
     return ProbeSpec.gaussian(
-        center=_squarable("probe", "center", p.center),
-        duration=_squarable("probe", "duration", p.duration),
+        center=center, duration=duration,
         amplitude_scale=_squarable("probe", "amplitude_scale",
                                    p.amplitude_scale))
 
@@ -402,11 +407,10 @@ def build_protocol(sc: Scenario, stage1: StageSetup,
         raise ValidationError(
             "probe center lies after control1 switch-off; t1 < 0")
     proto = ProtocolConfig(protocol=p.name, t1=t1, t2=p.t2,
-                           matching=stage1.matching,
-                           comb_spacing=p.comb_spacing, k=p.k,
-                           strict=p.strict)
+                           matching=stage1.matching, k=p.k, strict=p.strict)
     if proto.t2 is None:
-        t2 = proto.expected_echo_time(ctl1.peak_f(), ctl2.peak_f())
+        t2 = proto.expected_echo_time(ctl1.peak_f(), ctl2.peak_f(),
+                                      stage1.ensemble.comb_spacing)
         proto = replace(proto, t2=t2)
     return proto
 
@@ -421,7 +425,17 @@ def stage_setups(sc: Scenario
     ensemble.  The shared reversal clock puts its origin at the stage-2
     reading onset, i.e. stage-1 times are shifted by the mirror anchor
     (mirror mode) or by control1 switch-off (explicit stage-2 control).
+    A reafc scenario needs a comb whose [protocol] comb_spacing is its
+    [ensemble] spacing.
     """
+    p, e = sc.protocol, sc.ensemble
+    if p.name == "reafc" and e.shape != "comb":
+        raise ValidationError(
+            "[protocol] name = reafc needs [ensemble] shape = comb")
+    if p.name == "reafc" and p.comb_spacing != e.spacing:
+        raise ValidationError(
+            f"[protocol] comb_spacing = {p.comb_spacing!r} differs from "
+            f"[ensemble] spacing = {e.spacing!r}")
     ens = build_ensemble(sc)
     med = build_medium(sc, ens)
     probe = build_probe(sc)

@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .conditions import ProtocolConfig
+from .core import CONTROL_FLOOR
 from .errors import (
     ConditionsUnmet,
     DetuningTooSmall,
@@ -238,7 +239,7 @@ def flux_weights(control, medium, tau: np.ndarray) -> np.ndarray:
     """Photon-flux weight 2 / (beta f) where the control is on, else 0."""
     f_tau = np.asarray(control.f(tau), dtype=float)
     out = np.zeros_like(f_tau)
-    on = f_tau > 1e-12 * max(control.peak_f(), 1e-300)
+    on = f_tau > CONTROL_FLOOR * max(control.peak_f(), 1e-300)
     out[on] = 2.0 / (medium.coupling_beta * f_tau[on])
     return out
 
@@ -334,9 +335,9 @@ def recall_bandwidth(tau_input: np.ndarray) -> float:
     return max(1.0 / max(span, 1e-300), 1e-12)
 
 
-def recall(state: StageState, ensemble, grid2, control2, medium, step, protocol: ProtocolConfig,
-           tau_input: np.ndarray, input_envelope: np.ndarray,
-           transmitted_fraction: float, conditions,
+def recall(state: StageState, ensemble, grid2, control2, medium, step,
+           protocol: ProtocolConfig, tau_input: np.ndarray,
+           input_envelope: np.ndarray, transmitted_fraction: float,
            stark_phase: np.ndarray | None = None) -> EchoRecord:
     """Step the recall stage from the handed-over state, audit it and
     record the echo.
@@ -367,9 +368,6 @@ def recall(state: StageState, ensemble, grid2, control2, medium, step, protocol:
         t1=protocol.t1,
         t2=math.nan if protocol.t2 is None else protocol.t2,
         transmitted_fraction=transmitted_fraction,
-        conditions=conditions,
         extras={"state": state,
-                "audit_residual": abs(emitted - released) / max(held, 1e-300),
-                "emitted_photons": emitted,
-                "released_excitation": released},
+                "audit_residual": abs(emitted - released) / max(held, 1e-300)},
     )

@@ -54,6 +54,7 @@ import numpy as np
 
 from .conditions import ProtocolConfig
 from .core import (
+    CONTROL_FLOOR,
     ControlProfile,
     EnsembleSpec,
     Grid,
@@ -71,15 +72,12 @@ from .numerics import cumulative_integral, weighted_node_sum
 from . import stages
 from .records import EchoRecord
 
-# Bloch-sphere slack |r12|^2 <= r11 (1 - r11) + BLOCH_EPS guaranteed on the
-# state after every step; excursions beyond BLOCH_EMERGENCY mean the step
-# went unstable rather than accumulated truncation, and raise
-BLOCH_EPS = 1.0e-8
+# Bloch excursions beyond BLOCH_EMERGENCY mean the step went unstable
+# rather than accumulated truncation, and raise
 BLOCH_EMERGENCY = 1.0e-3
 
-# |Omega|^2 below this fraction of its peak counts as control-off for the
-# probe Stark ratio; a live field there is a ControlVanishes error
-CONTROL_FLOOR = 1.0e-12
+# a field row above this fraction of the largest field seen, where the
+# control is off (core.CONTROL_FLOOR), is a ControlVanishes error
 FIELD_FLOOR = 1.0e-9
 
 
@@ -156,10 +154,11 @@ class SimulationState(stages.StageState):
         saturating storage stage (721 x 641 grid, 33 nodes) about 62% of
         all cells end each step outside the sphere, by up to 1.0e-6, and
         the projection acts on 11.3 million cells per round trip.  Every
-        excursion is projected radially back onto the ball, which keeps
-        0 <= r11 <= 1 and |r12|^2 <= r11 (1 - r11) + BLOCH_EPS invariant
-        at any validated step size.  An excursion beyond BLOCH_EMERGENCY is not
-        truncation-sized and raises instead of being hidden."""
+        excursion is projected radially back onto the sphere and r11 is
+        clipped to [0, 1], so after every step 0 <= r11 <= 1 and
+        |r12|^2 <= r11 (1 - r11) hold to rounding.  An excursion beyond
+        BLOCH_EMERGENCY is not truncation-sized and raises instead of
+        being hidden."""
         s_z = self.r11 - 0.5
         norm = np.sqrt(np.abs(self.r12) ** 2 + s_z ** 2)
         worst = float(norm.max()) - 0.5
@@ -457,4 +456,4 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
         state, ensemble2, grid2, control2, medium,
         lambda: advance_strong(state, medium, control2),
         protocol, tau_input, input_envelope, transmitted_fraction,
-        conditions, stark_phase=psi2)
+        stark_phase=psi2)

@@ -284,5 +284,4 @@ def recall_weak(stored: WeakState, control2: ControlProfile,
         state, ensemble2, grid2, control2, medium,
         lambda: advance_weak(state, ensemble2, medium, control2,
                              bandwidth=bandwidth),
-        protocol, tau_input, input_envelope, transmitted_fraction,
-        conditions)
+        protocol, tau_input, input_envelope, transmitted_fraction)

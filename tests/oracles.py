@@ -42,8 +42,7 @@ from typing import Callable
 import numpy as np
 
 from ramanecho.conditions import PhaseMatching, StageSetup
-from ramanecho.core import EnsembleSpec, Grid, MediumSpec, ProbeSpec, \
-    require_finite
+from ramanecho.core import EnsembleSpec, Grid, ProbeSpec, require_finite
 from ramanecho.efficiency import EfficiencyModel, _curve, _normalize_protocol
 from ramanecho.errors import ControlVanishes, NoInteriorMaximum, \
     NonFiniteField, ValidationError
@@ -231,9 +230,10 @@ DAMPING_CYCLES = 10.0
 
 
 def analytic_transmission(probe: ProbeSpec, kernel: SusceptibilityKernel,
-                          medium: MediumSpec, window: tuple[float, float],
+                          length: float, window: tuple[float, float],
                           n_time: int | None = None) -> TransmissionResult:
-    """Exact linear transmission through the slab in the frequency domain.
+    """Exact linear transmission through a slab of the given length in
+    the frequency domain.
 
     The input envelope is damped by exp(-eta t), convolved with the
     equally damped medium response (a rigorous identity for causal
@@ -257,7 +257,7 @@ def analytic_transmission(probe: ProbeSpec, kernel: SusceptibilityKernel,
     damped[:n_time] = a_in * np.exp(-eta * (tau - t0))
     spec = np.fft.fft(damped)
     omega = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=tau[1] - tau[0])
-    depth = 0.5 * kernel.beta * kernel.f_value * medium.length_L
+    depth = 0.5 * kernel.beta * kernel.f_value * length
     # numpy's forward FFT pairs bin omega_k with exp(-i omega_k t), so the
     # causal response kernel sum_j w exp(-(i Delta_j + eta) u) multiplies
     # each bin by D evaluated at -omega_k

@@ -271,12 +271,11 @@ def _comb_recall(spacing, n_lines, t_end2, n_tau2):
                                    switch_on=0.0, switch_off=off1,
                                    rise_time=0.05)
     probe = ProbeSpec.gaussian(center=1.0, duration=0.15)
-    med = MediumSpec(coupling_beta=42.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=42.0)
     grid1 = Grid(n_tau=257, n_z=49, t_end=off1, length=1.0)
     t1 = math.pi
     t2 = echo_time_afc(1.0, 1.0, t1, spacing, k=1)
-    protocol = ProtocolConfig(protocol="reafc", t1=t1, t2=t2,
-                              comb_spacing=spacing, k=1)
+    protocol = ProtocolConfig(protocol="reafc", t1=t1, t2=t2, k=1)
     ctl2 = ControlProfile.flat_top(rabi=120.0, detuning=-120.0,
                                    switch_on=0.0, switch_off=t_end2,
                                    rise_time=0.05)
@@ -342,8 +341,8 @@ def test_criterion_08_transmission_matches_frequency_domain():
         grid = Grid(n_tau=513, n_z=65, t_end=24.0, length=1.0)
         out = run_weak_storage(probe, ctl, ens, med, grid)
         kern = SusceptibilityKernel(ens, 1.0, med.coupling_beta, eta=0.0)
-        res = analytic_transmission(probe, kern, med, window=(0.0, 24.0),
-                                    n_time=4096)
+        res = analytic_transmission(probe, kern, grid.length,
+                                    window=(0.0, 24.0), n_time=4096)
         rels.append(abs(out.transmitted_fraction - res.ratio) / res.ratio)
     assert max(rels) < TRANSMISSION_REL_TOL
     report(8, "relative errors at depth 1/3/10: "

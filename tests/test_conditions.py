@@ -351,7 +351,7 @@ def test_backward_matched_construction():
     m = PhaseMatching.backward_matched(omega1=100.0, omega2=110.0)
     assert m.K1z == pytest.approx(100.0)
     assert m.K2z == pytest.approx(-110.0)
-    assert m.residual_strong() <= 1e-15
+    assert m.residual() <= 1e-15
 
 
 def test_phase_matching_validation():

@@ -64,8 +64,7 @@ def tooth_envelope_overlap(center, tooth_width, envelope_width, n=200_000):
 def test_single_node_is_degenerate_delta():
     ens = build_gaussian_ensemble(width=1.0, n_nodes=1)
     assert (ens.delta21s.tolist(), ens.delta31s.tolist(),
-            ens.weights.tolist(), ens.comb_indices.tolist()) \
-        == ([0.0], [0.0], [1.0], [0])
+            ens.weights.tolist()) == ([0.0], [0.0], [1.0])
 
 
 def test_gauss_hermite_moments():
@@ -119,12 +118,17 @@ def test_tensor_product_with_raman_line():
 # comb ensembles
 # ---------------------------------------------------------------------------
 
+def teeth(ens):
+    """Each node's tooth index, read off its detuning and the spacing."""
+    return np.rint(ens.delta31s / ens.comb_spacing)
+
+
 def test_delta_comb_has_equal_weights():
     ens = build_comb_ensemble(spacing=1.0, tooth_width=1e-6, n_lines=5,
                               nodes_per_tooth=1)
     assert ens.n_nodes == 5
     assert np.allclose(ens.weights, 0.2, atol=1e-12)
-    assert list(ens.comb_indices) == [-2, -1, 0, 1, 2]
+    assert teeth(ens).tolist() == [-2, -1, 0, 1, 2]
     assert np.allclose(ens.delta31s, [-2, -1, 0, 1, 2], atol=1e-5)
 
 
@@ -133,8 +137,8 @@ def test_comb_weight_symmetry():
                               nodes_per_tooth=5, envelope_width=2.5)
     assert abs(ens.weights.sum() - 1.0) <= WEIGHT_SUM_TOL
     for n in range(1, 4):
-        w_plus = ens.weights[ens.comb_indices == n].sum()
-        w_minus = ens.weights[ens.comb_indices == -n].sum()
+        w_plus = ens.weights[teeth(ens) == n].sum()
+        w_minus = ens.weights[teeth(ens) == -n].sum()
         assert abs(w_plus - w_minus) <= SYMMETRY_TOL
 
 
@@ -143,8 +147,8 @@ def test_adjacent_tooth_weight_ratio_matches_overlap_integral():
     ens = build_comb_ensemble(spacing=spacing, tooth_width=tooth_width,
                               n_lines=5, nodes_per_tooth=7,
                               envelope_width=env_width)
-    w0 = ens.weights[ens.comb_indices == 0].sum()
-    w1 = ens.weights[ens.comb_indices == 1].sum()
+    w0 = ens.weights[teeth(ens) == 0].sum()
+    w1 = ens.weights[teeth(ens) == 1].sum()
     expected = (tooth_envelope_overlap(spacing, tooth_width, env_width)
                 / tooth_envelope_overlap(0.0, tooth_width, env_width))
     assert abs(w1 / w0 - expected) / expected <= RATIO_TOL
@@ -165,12 +169,12 @@ def test_comb_rejects_bad_inputs():
 
 def test_weight_normalization_enforced():
     with pytest.raises(ValidationError):
-        EnsembleSpec(shape="gaussian", weights=[0.6, 0.6],
+        EnsembleSpec(weights=[0.6, 0.6],
                      delta21s=[0.0, 0.0], delta31s=[-1.0, 1.0])
 
 
 def test_raman_detunings_compose_both_lines():
-    ens = EnsembleSpec(shape="gaussian", weights=[0.5, 0.5],
+    ens = EnsembleSpec(weights=[0.5, 0.5],
                        delta21s=[0.2, -0.2], delta31s=[-1.0, 1.0])
     dr = ens.raman_detunings(f_value=0.25)
     assert np.allclose(dr, [0.2 - 0.25, -0.2 + 0.25], atol=1e-15)
@@ -188,7 +192,7 @@ def test_inverted_flips_signs_and_comb_indices():
 
 def _node_by_node_gaussian(width, n_nodes, rule, width_21, n_nodes_21):
     """Reference builder: the same quadrature node by node in Python loops
-    (nodes as (delta31, delta21, weight, comb_index) tuples)."""
+    (nodes as (delta31, delta21, weight) tuples)."""
     if n_nodes == 1:
         d31, w31 = np.array([0.0]), np.array([1.0])
     elif rule == "gausshermite":
@@ -203,11 +207,11 @@ def _node_by_node_gaussian(width, n_nodes, rule, width_21, n_nodes_21):
         d21, w21 = x * math.sqrt(2.0) * width_21, w / math.sqrt(math.pi)
     else:
         d21, w21 = np.array([0.0]), np.array([1.0])
-    nodes = sorted(((float(b), float(a), float(wa * wb), 0)
+    nodes = sorted(((float(b), float(a), float(wa * wb))
                     for b, wb in zip(d31, w31) for a, wa in zip(d21, w21)),
                    key=lambda nd: nd[:2])
     total = sum(node[2] for node in nodes)
-    return [(b, a, w / total, n) for b, a, w, n in nodes]
+    return [(b, a, w / total) for b, a, w in nodes]
 
 
 def _node_by_node_comb(spacing, tooth_width, n_lines, nodes_per_tooth,
@@ -225,15 +229,15 @@ def _node_by_node_comb(spacing, tooth_width, n_lines, nodes_per_tooth,
         for d, w in zip(local_d, local_w):
             env = 1.0 if math.isinf(envelope_width) else math.exp(
                 -(center + d) ** 2 / (2.0 * envelope_width ** 2))
-            nodes.append((float(center + d), 0.0, float(env * w), n))
+            nodes.append((float(center + d), 0.0, float(env * w)))
     total = sum(node[2] for node in nodes)
-    return [(b, a, w / total, n)
-            for b, a, w, n in sorted(nodes, key=lambda nd: nd[:2])]
+    return [(b, a, w / total)
+            for b, a, w in sorted(nodes, key=lambda nd: nd[:2])]
 
 
 def _node_table(ens):
     return list(zip(ens.delta31s.tolist(), ens.delta21s.tolist(),
-                    ens.weights.tolist(), ens.comb_indices.tolist()))
+                    ens.weights.tolist()))
 
 
 @pytest.mark.parametrize("kw", [
@@ -246,7 +250,7 @@ def test_gaussian_builder_matches_node_by_node_reference(kw):
     # same products, same sort, same summation order: bit for bit
     ens = build_gaussian_ensemble(**kw)
     assert _node_table(ens) == _node_by_node_gaussian(**kw)
-    flipped = [(-b, -a, w, -n) for b, a, w, n in _node_table(ens)]
+    flipped = [(-b, -a, w) for b, a, w in _node_table(ens)]
     assert _node_table(ens.inverted()) == flipped
 
 
@@ -263,7 +267,7 @@ def test_comb_builder_matches_node_by_node_reference(
     ens = build_comb_ensemble(**kw)
     assert _node_table(ens) == _node_by_node_comb(**kw)
     assert ens.comb_spacing == 1.0
-    kept21 = [(-b, a, w, -n) for b, a, w, n in _node_table(ens)]
+    kept21 = [(-b, a, w) for b, a, w in _node_table(ens)]
     assert _node_table(ens.inverted(invert_21=False)) == kept21
 
 
@@ -272,11 +276,12 @@ def test_comb_builder_matches_node_by_node_reference(
 # ---------------------------------------------------------------------------
 
 def test_from_alpha_eff_round_trips():
+    length = 2.0
     med = MediumSpec.from_alpha_eff(alpha_eff_L=20.0, line_width_31=1.0,
-                                    length_L=2.0)
+                                    length_L=length)
     # alpha0 = beta sqrt(pi/2) / width for a Gaussian 31 line of width 1
     alpha0 = med.coupling_beta * math.sqrt(math.pi / 2.0) / 1.0
-    assert alpha0 * med.length_L == pytest.approx(20.0, rel=1e-12)
+    assert alpha0 * length == pytest.approx(20.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +300,13 @@ def _phase_matching(**kw):
 
 
 def _one_node(**kw):
-    return EnsembleSpec(**{**dict(shape="gaussian", weights=[1.0],
-                                  delta21s=[0.0], delta31s=[0.0]), **kw})
+    return EnsembleSpec(**{**dict(weights=[1.0], delta21s=[0.0],
+                                  delta31s=[0.0]), **kw})
 
 
 # every frozen dataclass refuses a nan or infinite number, naming the field
 NON_FINITE_FIELDS = {
-    "coupling_beta": lambda v: MediumSpec(coupling_beta=v, length_L=1.0),
-    "length_L": lambda v: MediumSpec(coupling_beta=1.0, length_L=v),
+    "coupling_beta": lambda v: MediumSpec(coupling_beta=v),
     "t_end": lambda v: Grid(n_tau=11, n_z=11, t_end=v, length=1.0),
     "length": lambda v: Grid(n_tau=11, n_z=11, t_end=1.0, length=v),
     "duration": lambda v: ProbeSpec.gaussian(center=0.0, duration=v),

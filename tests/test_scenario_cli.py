@@ -560,6 +560,28 @@ def test_zero_coupling_is_refused_by_its_medium_key(tmp_path, capsys,
     _command_exits_1_with(tmp_path, capsys, command, path, message)
 
 
+# the same refusal by key for the slab, the probe and the comb: the slab
+# length is refused on both medium paths (depth and coupling), and a
+# reafc scenario needs a comb whose spacing the protocol states once more
+@pytest.mark.parametrize("name,section,key,value,message", [
+    ("recrib_ideal", "medium", "length", "0", "[medium] length must be > 0"),
+    ("reafc_weak", "medium", "length", "0", "[medium] length must be > 0"),
+    ("recrib_ideal", "probe", "duration", "0",
+     "[probe] duration must be > 0"),
+    ("reafc_weak", "ensemble", "shape", "gaussian",
+     "[protocol] name = reafc needs [ensemble] shape = comb"),
+    ("reafc_weak", "protocol", "comb_spacing", "0.5",
+     "[protocol] comb_spacing = 0.5 differs from [ensemble] spacing = 1.0")],
+    ids=["length_depth", "length_beta", "duration", "reafc_gaussian",
+         "comb_spacing_mismatch"])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_invalid_value_is_refused_by_its_scenario_key(tmp_path, capsys,
+                                                      command, name, section,
+                                                      key, value, message):
+    path = _write_with_value(tmp_path, name, section, key, value)
+    _command_exits_1_with(tmp_path, capsys, command, path, message)
+
+
 def test_check_with_an_overflowing_rabi_prints_one_line(tmp_path):
     """Outside pytest no warning is captured: the refusal is all that
     reaches stderr."""

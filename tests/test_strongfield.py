@@ -76,7 +76,7 @@ SAT_DEPTH = 500.0
 
 
 def single_node(delta21=0.0, delta31=0.0):
-    return EnsembleSpec(shape="gaussian", weights=[1.0], delta21s=[delta21],
+    return EnsembleSpec(weights=[1.0], delta21s=[delta21],
                         delta31s=[delta31])
 
 
@@ -88,7 +88,7 @@ def const_control(rabi, detuning, t_end):
 
 # a medium for states whose tests read only the atoms: of all they do,
 # only the row 0 that a fresh state solves reads it
-ATOMS_ONLY_MEDIUM = MediumSpec(coupling_beta=1.0, length_L=1.0)
+ATOMS_ONLY_MEDIUM = MediumSpec(coupling_beta=1.0)
 
 
 def flat_stage(grid, ens, delta, **initial):
@@ -111,7 +111,7 @@ def test_kernel_reduction_matches_compensated_sum():
     w /= w.sum()
     d21 = rng.normal(size=n_node)
     d31 = rng.uniform(-5.0, 5.0, size=n_node)
-    ens = EnsembleSpec(shape="gaussian", weights=w, delta21s=d21,
+    ens = EnsembleSpec(weights=w, delta21s=d21,
                        delta31s=d31)
     c = 1.0 / (1.0 + ens.delta31s / 50.0)
     r12 = rng.standard_normal((n_node, n_z)) \
@@ -137,7 +137,7 @@ def test_kernel_reduction_matches_compensated_sum():
 def _field_test_pieces(n_z=65, beta=4.0, detuning=50.0):
     ens = single_node()
     ctl = const_control(rabi=detuning, detuning=detuning, t_end=1.0)  # f = 1
-    med = MediumSpec(coupling_beta=beta, length_L=1.0)
+    med = MediumSpec(coupling_beta=beta)
     grid = Grid(n_tau=5, n_z=n_z, t_end=1.0, length=1.0)
     return ens, ctl, med, grid
 
@@ -207,11 +207,11 @@ def test_short_slab_row_is_linear_in_depth():
 def test_row_matches_refined_z_reference():
     # smooth multi-node profile: the 4th-order quadrature at n_z = 65 must
     # agree with a 4x refined reference on the shared points
-    ens = EnsembleSpec(shape="gaussian", weights=[0.1, 0.2, 0.4, 0.2, 0.1],
+    ens = EnsembleSpec(weights=[0.1, 0.2, 0.4, 0.2, 0.1],
                        delta21s=np.zeros(5),
                        delta31s=[-4.0, -2.0, 0.0, 2.0, 4.0])
     ctl = const_control(rabi=40.0, detuning=40.0, t_end=1.0)
-    med = MediumSpec(coupling_beta=8.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=8.0)
 
     def atoms(z):
         phases = np.arange(5)[:, None]
@@ -307,7 +307,7 @@ def test_resonant_drive_matches_rabi_oracle():
 @given(amp=st.floats(0.2, 2.0), delta=st.sampled_from([40.0, -40.0]),
        d21=st.floats(-2.0, 2.0), d31=st.floats(0.0, 3.0))
 def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
-    ens = EnsembleSpec(shape="gaussian", weights=[0.25, 0.5, 0.25],
+    ens = EnsembleSpec(weights=[0.25, 0.5, 0.25],
                        delta21s=[d21, 0.0, -d21], delta31s=[-d31, 0.0, d31])
     ctl = const_control(rabi=40.0, detuning=delta, t_end=0.8)
     grid = Grid(n_tau=41, n_z=5, t_end=0.8, length=1.0)
@@ -389,7 +389,7 @@ def test_live_field_with_control_off_raises():
 
 def _spread_ensemble():
     # a d21 spread, so every node's half- and full-step rotations differ
-    return EnsembleSpec(shape="gaussian", weights=[0.1, 0.2, 0.4, 0.2, 0.1],
+    return EnsembleSpec(weights=[0.1, 0.2, 0.4, 0.2, 0.1],
                         delta21s=[-1.5, -0.5, 0.0, 0.7, 1.9],
                         delta31s=[-3.0, -1.0, 0.0, 1.5, 3.0])
 
@@ -450,7 +450,7 @@ def test_live_stage_matches_rotating_frame_oracle(sign):
     ctl = ControlProfile.flat_top(rabi=30.0, detuning=30.0 * sign,
                                   switch_on=-1.0, switch_off=1.0,
                                   rise_time=0.4)
-    med = MediumSpec(coupling_beta=4.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=4.0)
     grid = Grid(n_tau=81, n_z=17, t_end=2.0, length=1.0)
     probe = ProbeSpec.gaussian(center=0.3, duration=0.4,
                                amplitude_scale=30.0)
@@ -537,7 +537,7 @@ def test_fresh_state_solves_row_0_from_its_table():
     ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=-2.0,
                                   switch_off=10.0, rise_time=0.5)
     probe = ProbeSpec.gaussian(center=0.0, duration=0.8)
-    med = MediumSpec(coupling_beta=2.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=2.0)
     grid = Grid(n_tau=65, n_z=9, t_end=2.0, length=1.0)
     rng = np.random.default_rng(3)
     r12 = 0.05 * (rng.standard_normal((ens.n_nodes, grid.n_z))
@@ -728,7 +728,8 @@ def test_deep_transmission_bounded_by_linear_oracle(deep_case):
     out, med, ens = deep_case["out"], deep_case["med"], deep_case["ens"]
     kern = SusceptibilityKernel(ensemble=ens, f_value=1.0,
                                 beta=med.coupling_beta)
-    oracle = analytic_transmission(deep_case["probe"], kern, med,
+    oracle = analytic_transmission(deep_case["probe"], kern,
+                                   deep_case["grid"].length,
                                    window=(0.0, 24.0))
     assert out.transmitted_fraction <= \
         math.exp(-20.0) + 2.0 * oracle.ratio + 1e-8

@@ -78,7 +78,7 @@ def test_fid_through_integrator_matches_kernel():
     ens = build_gaussian_ensemble(width=1.0, n_nodes=33, rule="uniform")
     ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=-2.0,
                                   switch_off=6.0, rise_time=0.5)
-    med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
+    med = MediumSpec(coupling_beta=1e-12)
     grid = Grid(n_tau=161, n_z=5, t_end=4.0, length=1.0)
     state = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
                             r12_initial=np.ones((ens.n_nodes, grid.n_z)))
@@ -108,7 +108,7 @@ def test_single_node_small_slab_is_plain_quadrature():
     ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=-2.0,
                                   switch_off=10.0, rise_time=0.5)
     probe = ProbeSpec.gaussian(center=4.0, duration=0.8)
-    med = MediumSpec(coupling_beta=1e-12, length_L=1.0)
+    med = MediumSpec(coupling_beta=1e-12)
     grid = Grid(n_tau=1025, n_z=5, t_end=8.0, length=1.0)
     boundary = TildeInput(probe)(grid.tau(), 0.0, ctl.rabi(grid.tau()))
     want = cumulative_integral(boundary, grid.dt)
@@ -134,7 +134,7 @@ def test_fresh_state_solves_row_0_from_its_table():
     ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=-2.0,
                                   switch_off=10.0, rise_time=0.5)
     probe = ProbeSpec.gaussian(center=0.0, duration=0.8)
-    med = MediumSpec(coupling_beta=2.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=2.0)
     grid = Grid(n_tau=65, n_z=9, t_end=2.0, length=1.0)
     rng = np.random.default_rng(3)
     r12 = 0.05 * (rng.standard_normal((ens.n_nodes, grid.n_z))
@@ -214,7 +214,7 @@ def _mid_ramp_state(drive_sign):
     ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=0.0,
                                   switch_off=8.0, rise_time=1.0)
     probe = ProbeSpec.gaussian(center=0.6, duration=0.5)
-    med = MediumSpec(coupling_beta=30.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=30.0)
     grid = Grid(n_tau=65, n_z=17, t_end=8.0, length=1.0)
     rng = np.random.default_rng(7)
     r12 = 0.1 * (rng.standard_normal((ens.n_nodes, grid.n_z))
@@ -259,7 +259,7 @@ def _stage_under_a_ramp(regime):
     ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=0.0,
                                   switch_off=4.0, rise_time=1.0)
     probe = ProbeSpec.gaussian(center=1.5, duration=0.5)
-    med = MediumSpec(coupling_beta=2.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=2.0)
     grid = Grid(n_tau=91, n_z=9, t_end=3.0, length=1.0)
     if regime == "strong":
         boundary = ProbeBoundary(probe)
@@ -347,7 +347,7 @@ def _reuse_stage(regime, control, ens=None):
                                          rule="uniform", width_21=0.3,
                                          n_nodes_21=3)
     probe = ProbeSpec.gaussian(center=1.5, duration=0.4)
-    med = MediumSpec(coupling_beta=2.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=2.0)
     grid = Grid(n_tau=91, n_z=9, t_end=3.0, length=1.0)
     if regime == "strong":
         state = SimulationState.fresh(grid, ens, control, med,
@@ -507,7 +507,7 @@ def test_detuning_validity_guard():
     ctl = ControlProfile.flat_top(rabi=30.0, detuning=30.0, switch_on=0.0,
                                   switch_off=4.0)
     probe = ProbeSpec.gaussian(center=2.0, duration=0.4)
-    med = MediumSpec(coupling_beta=1.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=1.0)
     grid = Grid(n_tau=513, n_z=17, t_end=4.0, length=1.0)
     with pytest.raises(WeakFieldViolation):
         run_weak_storage(probe, ctl, ens, med, grid)
@@ -607,12 +607,11 @@ def test_reafc_echo_at_comb_period():
                                    switch_on=0.0, switch_off=off1,
                                    rise_time=0.05)
     probe = ProbeSpec.gaussian(center=center, duration=0.15)
-    med = MediumSpec(coupling_beta=42.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=42.0)
     grid1 = Grid(n_tau=257, n_z=49, t_end=off1, length=1.0)
     out = run_weak_storage(probe, ctl1, ens, med, grid1)
 
-    protocol = ProtocolConfig(protocol="reafc", t1=math.pi, t2=math.pi,
-                              comb_spacing=1.0, k=1)
+    protocol = ProtocolConfig(protocol="reafc", t1=math.pi, t2=math.pi, k=1)
     t_end2 = 2.0 * math.pi
     ctl2 = ControlProfile.flat_top(rabi=120.0, detuning=-120.0,
                                    switch_on=0.0, switch_off=t_end2,
@@ -657,19 +656,18 @@ def test_monochromatic_transmission_matches_pole_sum():
     med = MediumSpec.from_alpha_eff(3.0, line_width_31=1.0, length_L=1.0)
     kern = SusceptibilityKernel(ens, 1.0, med.coupling_beta, eta=0.5)
     probe = ProbeSpec.gaussian(center=0.0, duration=5000.0)
-    res = analytic_transmission(probe, kern, med, window=(-60000.0, 60000.0),
-                                n_time=2 ** 15)
-    expected = math.exp(-med.coupling_beta * med.length_L
-                        * kern.D(0.0).real)
+    length = 1.0
+    res = analytic_transmission(probe, kern, length,
+                                window=(-60000.0, 60000.0), n_time=2 ** 15)
+    expected = math.exp(-med.coupling_beta * length * kern.D(0.0).real)
     assert abs(res.ratio - expected) / expected < MONOCHROMATIC_TOL
 
 
 def test_zero_depth_transmission_is_identity():
     ens = build_gaussian_ensemble(width=1.0, n_nodes=24)
-    med = MediumSpec(coupling_beta=2.0, length_L=1e-14)
-    kern = SusceptibilityKernel(ens, 1.0, med.coupling_beta, eta=0.2)
+    kern = SusceptibilityKernel(ens, 1.0, 2.0, eta=0.2)
     probe = ProbeSpec.gaussian(center=0.0, duration=1.0)
-    res = analytic_transmission(probe, kern, med, window=(-12.0, 12.0),
+    res = analytic_transmission(probe, kern, 1e-14, window=(-12.0, 12.0),
                                 n_time=2048)
     assert abs(res.ratio - 1.0) < IDENTITY_TOL
     want = probe.sample(res.tau)
@@ -685,8 +683,8 @@ def test_time_domain_matches_frequency_domain(alpha_eff_l):
         alpha_eff_l=alpha_eff_l, n_tau=513)
     out = run_weak_storage(probe, ctl, ens, med, grid)
     kern = SusceptibilityKernel(ens, 1.0, med.coupling_beta, eta=0.0)
-    res = analytic_transmission(probe, kern, med, window=(0.0, 24.0),
-                                n_time=4096)
+    res = analytic_transmission(probe, kern, grid.length,
+                                window=(0.0, 24.0), n_time=4096)
     rel = abs(out.transmitted_fraction - res.ratio) / res.ratio
     assert rel < TIME_FREQ_TOL
 
@@ -697,11 +695,11 @@ def test_comb_transmission_matches_time_domain():
     ctl = ControlProfile.flat_top(rabi=120.0, detuning=120.0, switch_on=0.0,
                                   switch_off=6.0, rise_time=0.03)
     probe = ProbeSpec.gaussian(center=3.0, duration=0.4)
-    med = MediumSpec(coupling_beta=20.0, length_L=1.0)
+    med = MediumSpec(coupling_beta=20.0)
     grid = Grid(n_tau=513, n_z=49, t_end=6.0, length=1.0)
     out = run_weak_storage(probe, ctl, ens, med, grid)
     kern = SusceptibilityKernel(ens, 1.0, med.coupling_beta, eta=0.0)
-    res = analytic_transmission(probe, kern, med, window=(0.0, 6.0),
-                                n_time=4096)
+    res = analytic_transmission(probe, kern, grid.length,
+                                window=(0.0, 6.0), n_time=4096)
     rel = abs(out.transmitted_fraction - res.ratio) / max(res.ratio, 1e-12)
     assert rel < COMB_TIME_FREQ_TOL
