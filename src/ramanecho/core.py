@@ -50,8 +50,13 @@ class CombEnvelopeWarning(UserWarning):
 def require_finite(obj, *names: str) -> None:
     """Refuse a nan or infinite value in any of the named fields; None
     (an optional field left out) passes."""
-    for name in names:
-        value = getattr(obj, name)
+    require_finite_arguments(**{name: getattr(obj, name) for name in names})
+
+
+def require_finite_arguments(**values) -> None:
+    """Refuse a nan or infinite value among the named arguments; None
+    (an optional argument left out) passes."""
+    for name, value in values.items():
         if value is not None and not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
 
@@ -62,6 +67,8 @@ def require_finite(obj, *names: str) -> None:
 
 def gaussian_envelope(center: float, duration: float) -> Callable:
     """Unit-peak Gaussian ``exp(-(t-center)^2 / (2 duration^2))``."""
+    require_finite_arguments(center=center, duration=duration)
+
     def env(tau):
         tau = np.asarray(tau, dtype=float)
         return np.exp(-((tau - center) ** 2) / (2.0 * duration ** 2))
@@ -74,6 +81,9 @@ def raised_cosine_envelope(on: float, off: float, rise: float) -> Callable:
     Zero outside [on, off], unity on [on+rise, off-rise].  rise = 0 gives a
     hard gate.
     """
+    # a nan passes every comparison below, and rise = nan would then give
+    # a hard gate
+    require_finite_arguments(on=on, off=off, rise=rise)
     if off <= on:
         raise ValidationError(f"switch_off {off} must exceed switch_on {on}")
     if rise < 0 or 2.0 * rise > (off - on):
@@ -363,6 +373,8 @@ class ControlProfile:
                  **kw) -> "ControlProfile":
         """Plateau control with raised-cosine edges (default rise: 5% of
         the on-window)."""
+        require_finite_arguments(rabi=rabi, switch_on=switch_on,
+                                 switch_off=switch_off, rise_time=rise_time)
         if rise_time is None:
             rise_time = 0.05 * (switch_off - switch_on)
         shape = raised_cosine_envelope(switch_on, switch_off, rise_time)

@@ -2,14 +2,14 @@
 
 Both regimes store a probe in the slab and recall it as a backward echo,
 and they differ only in their equations.  What the drivers do alike
-lives here once: the stage state, the stage table of what the steps read
-that does not depend on the atoms, the storage checks, stepping a stage,
-the reuse of each step's per-node factors while the control's step
-integrals repeat, the photon-flux audits of storage and retrieval, the
-recall gate (gap_time check and strict gate, which a scenario run
-applies before storage), the handover of the stored coherences to the
-recall stage (the gate again, Z-axis check, dark-interval phase, RECRIB
-node inversion) and the echo record.
+lives here once: the stage state with its Z quadrature, the stage table
+of what the steps read that does not depend on the atoms, the storage
+checks, stepping a stage, the reuse of each step's per-node factors
+while the control's step integrals repeat, the photon-flux audits of
+storage and retrieval, the recall gate (gap_time check and strict gate,
+which a scenario run applies before storage), the handover of the
+stored coherences to the recall stage (the gate again, Z-axis check,
+dark-interval phase, RECRIB node inversion) and the echo record.
 
 Each regime's state is a StageState: weakfield.WeakState and
 strongfield.SimulationState add their own atomic variables, a
@@ -36,7 +36,7 @@ from .errors import (
     IncompleteAbsorptionWarning,
     ValidationError,
 )
-from .numerics import cumulative_integral
+from .numerics import CumulativeQuadrature, cumulative_integral
 from .records import EchoRecord, envelope_from_scaled
 
 # far-off-resonance bound |Delta| >= DETUNING_FACTOR x probe bandwidth
@@ -73,9 +73,10 @@ class StageState:
     """Evolving state of one stage on its grid, in either regime.
 
     zeta_t holds a field row per step; r12 is the current coherence per
-    (node, Z), and z the Z axis with its step dz.  drive_sign is +1 for
-    storage, which integrates the field from the input face Z = 0, and -1
-    for retrieval, which emits backward from a zero boundary at Z = L.
+    (node, Z), and z the Z axis.  drive_sign is +1 for storage, which
+    integrates the field from the input face Z = 0, and -1 for retrieval,
+    which emits backward from a zero boundary at Z = L.  quadrature is
+    the cumulative integral on the Z axis, with the Z step as its dx, and
     table is the stage's StageTable.  zeta_t[step_index] is always the
     row solved from the current atoms: fresh records row 0, and each step
     records the row at its end, which the next step reuses as its k1 row.
@@ -87,8 +88,8 @@ class StageState:
     zeta_t: np.ndarray          # (n_tau, n_z) complex
     r12: np.ndarray             # (n_node, n_z) complex
     z: np.ndarray
-    dz: float
     drive_sign: int             # +1 storage, -1 retrieval
+    quadrature: CumulativeQuadrature
     table: StageTable
     step_index: int = 0
     # not an __init__ field, so a dataclasses.replace copy starts without
@@ -121,13 +122,14 @@ class StageState:
     def fresh(cls, grid, ensemble, control, medium, drive_sign: int,
               boundary: Callable | None = None,
               r12_initial: np.ndarray | None = None, **own):
-        """The stage at clock 0 with r12_initial (default zero), its table
-        for control and boundary, and row 0 solved from the initial atoms;
-        own holds the subclass's fields."""
+        """The stage at clock 0 with r12_initial (default zero), its
+        quadrature, its table for control and boundary, and row 0 solved
+        from the initial atoms; own holds the subclass's fields."""
         z = grid.z()
+        quadrature = CumulativeQuadrature(grid.n_z, float(z[1] - z[0]))
         state = cls(zeta_t=np.zeros((grid.n_tau, grid.n_z), dtype=complex),
                     r12=node_array(grid, ensemble, r12_initial, 0.0, complex),
-                    z=z, dz=float(z[1] - z[0]), drive_sign=drive_sign,
+                    z=z, drive_sign=drive_sign, quadrature=quadrature,
                     table=StageTable.build(control, grid, boundary), **own)
         state.zeta_t[0] = state.first_row(ensemble, medium, control)
         return state
@@ -249,7 +251,7 @@ def _held_excitation(state, ensemble) -> float:
     # 4th-order quadrature: the stored profile decays like exp(-alpha z)
     # and plain trapezoid error would dominate the audit at depth >~ 10
     return float(cumulative_integral(state.excitation(ensemble),
-                                     state.dz)[-1])
+                                     state.quadrature.dx)[-1])
 
 
 def audit_storage(state, ensemble, tau: np.ndarray, control, medium,

@@ -39,8 +39,13 @@ they are rebuilt only when those change (StageState.step_factors): on a
 flat-top plateau every step reuses them.
 Storage integrates the field from the input face Z = 0; retrieval from
 a zero boundary at Z = L, emitting backward.  All node/Z updates are
-whole-array operations and the ensemble sums run off BLAS, so repeated
-runs are bit-identical whatever the BLAS thread count.
+whole-array operations and the ensemble sums run off BLAS.  The field
+solve's Z quadrature on a slab of at most numerics.DENSE_QUADRATURE_MAX
+points is one BLAS product, a gemm of 2 n_z^2 <= 131,072 multiply-adds,
+which OpenBLAS runs on one thread whatever its thread count.  So repeated
+runs are bit-identical whatever the BLAS thread count, as
+test_simulate_output_does_not_depend_on_blas_threads checks on the
+shipped scenarios.
 """
 
 from __future__ import annotations
@@ -68,7 +73,11 @@ from .errors import (
     PhysicalityViolation,
     ResonantSingularity,
 )
-from .numerics import cumulative_integral, weighted_node_sum
+from .numerics import (
+    CumulativeQuadrature,
+    cumulative_integral,
+    weighted_node_sum,
+)
 from . import stages
 from .records import EchoRecord
 
@@ -175,7 +184,8 @@ class SimulationState(stages.StageState):
         np.clip(self.r11, 0.0, 1.0, out=self.r11)
 
 
-def _solve_field_ode(a: np.ndarray, source: np.ndarray, dz: float,
+def _solve_field_ode(a: np.ndarray, source: np.ndarray,
+                     quadrature: CumulativeQuadrature,
                      boundary_value: complex) -> np.ndarray:
     """dZ zeta = a(Z) zeta + source(Z) with zeta[0] = boundary_value.
 
@@ -183,8 +193,8 @@ def _solve_field_ode(a: np.ndarray, source: np.ndarray, dz: float,
     order, and a purely imaginary a (the population-dispersion term)
     yields an exactly unimodular factor.
     """
-    phi = np.exp(cumulative_integral(a, dz))
-    inner = cumulative_integral(source / phi, dz)
+    phi = np.exp(quadrature(a))
+    inner = quadrature(source / phi)
     return phi * (boundary_value + inner)
 
 
@@ -196,8 +206,9 @@ def field_row(state: SimulationState, medium: MediumSpec,
 
     Storage integrates from the input face Z = 0; retrieval from a zero
     boundary at the far face toward the exit at Z = 0 (the slab is
-    flipped, solved forward, and flipped back).  sampled is the pair
-    (f(s), boundary value) of a stage table row.
+    flipped, solved forward, and flipped back).  Both run on the state's
+    quadrature.  sampled is the pair (f(s), boundary value) of a stage
+    table row.
     """
     f_s, incoming = sampled
     w, sgn, beta = state.kernel_weights, state.drive_sign, medium.coupling_beta
@@ -205,9 +216,12 @@ def field_row(state: SimulationState, medium: MediumSpec,
         * weighted_node_sum(w, r11)
     source = (0.5j * beta * f_s) * weighted_node_sum(w, r12)
     if sgn > 0:
-        row = _solve_field_ode(a, source, state.dz, incoming)
+        row = _solve_field_ode(a, source, state.quadrature, incoming)
     else:
-        rev = _solve_field_ode(-a[::-1], -source[::-1], state.dz, incoming)
+        # the row stays a reversed view: the atom update reads it as such,
+        # and its last bits depend on that memory layout
+        rev = _solve_field_ode(-a[::-1], -source[::-1], state.quadrature,
+                               incoming)
         row = rev[::-1]
     if not np.isfinite(row).all():
         raise NonFiniteField(f"field row non-finite at tau={s}")

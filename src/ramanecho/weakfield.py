@@ -28,8 +28,12 @@ one row across Z.  field_row therefore takes the node-summed kernel
 B~12, and a step needs only two weighted node sums over the (node x Z)
 coherences; the stage kernels, the recorded row's kernel and the new
 coherences follow from rows and node-weight scalars (see advance_weak).
-Every node sum runs off BLAS, so the output does not depend on the BLAS
-thread count.
+Every node sum runs off BLAS.  The Z quadrature of a slab of at most
+numerics.DENSE_QUADRATURE_MAX points is one BLAS product, a gemm of
+2 n_z^2 <= 131,072 multiply-adds, which OpenBLAS runs on one thread
+whatever its thread count; so the output does not depend on the BLAS
+thread count, as test_simulate_output_does_not_depend_on_blas_threads
+checks on the shipped scenarios.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .core import (
     WEAK_AMPLITUDE_RATIO,
 )
 from .errors import NonFiniteField, WeakFieldViolation
-from .numerics import cumulative_integral, weighted_node_sum
+from .numerics import weighted_node_sum
 from . import stages
 from .records import EchoRecord, envelope_from_scaled
 
@@ -86,16 +90,16 @@ def field_row(state: WeakState, medium: MediumSpec, s: float,
 
     b12 is the node-summed coherence sum_j w_j R~12_j at every Z.
     Storage integrates the source from the input face; retrieval from the
-    far face (zero incoming echo), emitting toward Z = 0.  sampled is the
-    pair (f(s), boundary value) of a stage table row.
+    far face (zero incoming echo), emitting toward Z = 0; both integrate
+    by the state's quadrature.  sampled is the pair (f(s), boundary value)
+    of a stage table row.
     """
     f_s, incoming = sampled
     gain = 0.5 * medium.coupling_beta * f_s
     if state.drive_sign > 0:
-        row = incoming - gain * cumulative_integral(b12, state.dz)
+        row = incoming - gain * state.quadrature(b12)
     else:
-        tail = cumulative_integral(b12[::-1], state.dz)[::-1]
-        row = incoming + gain * tail
+        row = incoming + gain * state.quadrature(b12[::-1])[::-1]
     if not np.isfinite(row).all():
         raise NonFiniteField(f"field row non-finite at tau={s}")
     return row

@@ -27,7 +27,12 @@ from ramanecho.errors import (
     UnresolvedComb,
     ValidationError,
 )
-from ramanecho.numerics import cumulative_integral, weighted_node_sum
+from ramanecho.numerics import (
+    DENSE_QUADRATURE_MAX,
+    CumulativeQuadrature,
+    cumulative_integral,
+    weighted_node_sum,
+)
 from oracles import refined
 
 WEIGHT_SUM_TOL = 1e-10
@@ -338,6 +343,44 @@ def test_dataclasses_refuse_non_finite_fields(name, value):
         NON_FINITE_FIELDS[name](value)
 
 
+def _flat_top(**kw):
+    return ControlProfile.flat_top(**{**dict(
+        rabi=2.0, detuning=30.0, switch_on=0.0, switch_off=10.0), **kw})
+
+
+# every envelope factory refuses a nan or infinite argument, naming it;
+# (factory, argument) -> call with the argument set to the value
+NON_FINITE_ARGUMENTS = {
+    ("raised_cosine_envelope", "on"):
+        lambda v: raised_cosine_envelope(on=v, off=10.0, rise=1.0),
+    ("raised_cosine_envelope", "off"):
+        lambda v: raised_cosine_envelope(on=0.0, off=v, rise=1.0),
+    ("raised_cosine_envelope", "rise"):
+        lambda v: raised_cosine_envelope(on=0.0, off=10.0, rise=v),
+    ("gaussian_envelope", "center"):
+        lambda v: gaussian_envelope(center=v, duration=2.0),
+    ("gaussian_envelope", "duration"):
+        lambda v: gaussian_envelope(center=0.0, duration=v),
+    ("flat_top", "rabi"): lambda v: _flat_top(rabi=v),
+    ("flat_top", "switch_on"): lambda v: _flat_top(switch_on=v),
+    ("flat_top", "switch_off"): lambda v: _flat_top(switch_off=v),
+    ("flat_top", "rise_time"): lambda v: _flat_top(rise_time=v),
+    ("ProbeSpec.gaussian", "center"):
+        lambda v: ProbeSpec.gaussian(center=v, duration=2.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("factory, name", sorted(NON_FINITE_ARGUMENTS))
+def test_envelope_factories_refuse_non_finite_arguments(factory, name,
+                                                        value):
+    # a nan passes every range check: a nan rise time would build a hard
+    # gate, and a nan rabi or probe center would surface only as a
+    # non-finite field row once stepped
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        NON_FINITE_ARGUMENTS[factory, name](value)
+
+
 # ---------------------------------------------------------------------------
 # control profiles
 # ---------------------------------------------------------------------------
@@ -482,6 +525,28 @@ def test_cumulative_integral_matches_reference_formula(n, kind):
     want = _cumulative_integral_reference(y, 0.37)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.all(got[..., 0] == 0.0)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= CUMINT_REFERENCE_TOL * scale
+
+
+@pytest.mark.parametrize("n", [4, 5, 17, 49, 65, DENSE_QUADRATURE_MAX])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("orientation", ["storage", "retrieval"])
+def test_dense_quadrature_matches_cumulative_integral(n, kind, orientation):
+    # up to DENSE_QUADRATURE_MAX points the rule is one matrix product;
+    # retrieval integrates the flipped slab, a reversed view
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n)
+    if kind == "complex":
+        y = y + 1j * rng.standard_normal(n)
+    quadrature = CumulativeQuadrature(n, 0.37)
+    assert quadrature.weights is not None
+    if orientation == "storage":
+        got, want = quadrature(y), cumulative_integral(y, 0.37)
+    else:
+        got = quadrature(y[::-1])[::-1]
+        want = cumulative_integral(y[::-1], 0.37)[::-1]
+    assert got.dtype == want.dtype and got.shape == want.shape
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= CUMINT_REFERENCE_TOL * scale
 

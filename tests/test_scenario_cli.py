@@ -804,11 +804,14 @@ def test_console_entry_point_runs():
     assert parse_scenario(proc.stdout) == default_scenario()
 
 
-def test_simulate_output_does_not_depend_on_blas_threads(tmp_path):
-    # the weak solver's ensemble sums stay off BLAS, whose reductions
-    # change their last bits with the thread count
+@pytest.mark.parametrize("name", ["recrib_ideal", "recrib_strong",
+                                  "reafc_weak"])
+def test_simulate_output_does_not_depend_on_blas_threads(tmp_path, name):
+    # both solvers' node sums stay off BLAS, whose reductions can change
+    # their last bits with the thread count, and their Z quadrature is a
+    # gemm small enough for OpenBLAS to run on one thread
     src_dir = os.path.dirname(os.path.dirname(ramanecho.__file__))
-    scenario = os.path.abspath(bundled("reafc_weak"))
+    scenario = os.path.abspath(bundled(name))
     runs = []
     for threads in ("1", "2"):
         cwd = tmp_path / f"threads{threads}"

@@ -31,7 +31,7 @@ from ramanecho.errors import (
     PhysicalityViolation,
     ValidationError,
 )
-from ramanecho.numerics import weighted_node_sum
+from ramanecho.numerics import cumulative_integral, weighted_node_sum
 from ramanecho.records import measure_efficiency
 from ramanecho.strongfield import (
     ProbeBoundary,
@@ -235,6 +235,40 @@ def test_row_matches_refined_z_reference():
         fine = rows[sgn, 257][::4]
         scale = np.max(np.abs(fine))
         assert np.max(np.abs(coarse - fine)) < REFINED_FIELD_TOL * scale
+
+
+@pytest.mark.parametrize("n_z", [257, 641])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_long_slab_row_is_the_banded_quadrature_bit_for_bit(n_z, sign):
+    # above DENSE_QUADRATURE_MAX both integrals of the field solve are
+    # cumulative_integral itself, so the row's bits are the banded rule's
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=5, rule="uniform")
+    ctl = const_control(rabi=40.0, detuning=40.0, t_end=1.0)
+    med = MediumSpec(coupling_beta=8.0)
+    grid = Grid(n_tau=5, n_z=n_z, t_end=1.0, length=1.0)
+    rng = np.random.default_rng(n_z)
+    r12 = 0.3 * (rng.standard_normal((ens.n_nodes, n_z))
+                 + 1j * rng.standard_normal((ens.n_nodes, n_z)))
+    r11 = rng.random((ens.n_nodes, n_z))
+    state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=sign,
+                                  r12_initial=r12, r11_initial=r11)
+    assert state.quadrature.weights is None
+    z = grid.z()
+    dz = float(z[1] - z[0])
+    f_s, incoming = 0.7, 0.05 + 0.02j
+    w = state.kernel_weights
+    a = (0.5j * med.coupling_beta * sign / ctl.one_photon_detuning) \
+        * weighted_node_sum(w, r11)
+    source = (0.5j * med.coupling_beta * f_s) * weighted_node_sum(w, r12)
+
+    def solve(a, source):
+        phi = np.exp(cumulative_integral(a, dz))
+        return phi * (incoming + cumulative_integral(source / phi, dz))
+
+    want = (solve(a, source) if sign > 0
+            else solve(-a[::-1], -source[::-1])[::-1])
+    got = field_row(state, med, ctl, 0.0, r12, r11, (f_s, incoming))
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +544,30 @@ def test_coupled_storage_converges_at_fourth_order():
     exits = [st.zeta_t[::2 ** k, -1] for k, st in enumerate(states)]
     for arrays in ([st.r12 for st in states], [st.r11 for st in states],
                    exits):
+        assert _observed_order(*arrays) >= CONVERGENCE_ORDER_FLOOR
+
+
+def test_weak_storage_converges_at_fourth_order():
+    # the weak stepper's self-convergence on nested tau grids, beside the
+    # strong one's: 9 nodes at depth 20 under a flat top with the default
+    # rise 1.2, whose raised-cosine knots (jumps of the second derivative)
+    # fall on grid points of all three grids; at n_tau = 289/577/1153 a
+    # knot inside a step reads 3.75.  The linear regime evolves no r11:
+    # its excitation |r12|^2 stands for 1 - r11
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=9, rule="uniform")
+    ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=0.0,
+                                  switch_off=24.0)
+    probe = ProbeSpec.gaussian(center=12.0, duration=2.0,
+                               amplitude_scale=1e-3)
+    med = MediumSpec.from_alpha_eff(20.0, line_width_31=ens.line_width_31(),
+                                    length_L=1.0)
+    states = []
+    for n_tau in (301, 601, 1201):
+        grid = Grid(n_tau=n_tau, n_z=25, t_end=24.0, length=1.0)
+        states.append(run_weak_storage(probe, ctl, ens, med, grid).state)
+    exits = [st.zeta_t[::2 ** k, -1] for k, st in enumerate(states)]
+    for arrays in ([st.r12 for st in states],
+                   [np.abs(st.r12) ** 2 for st in states], exits):
         assert _observed_order(*arrays) >= CONVERGENCE_ORDER_FLOOR
 
 

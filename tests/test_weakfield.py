@@ -153,6 +153,35 @@ def test_fresh_state_solves_row_0_from_its_table():
     assert not np.any(state.zeta_t[1:])
 
 
+@pytest.mark.parametrize("n_z", [257, 641])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_long_slab_row_is_the_banded_quadrature_bit_for_bit(n_z, sign):
+    # above DENSE_QUADRATURE_MAX the row integrates by cumulative_integral
+    # itself, so its bits are those of the banded rule
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=5, rule="uniform")
+    ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=0.0,
+                                  switch_off=2.0)
+    med = MediumSpec(coupling_beta=20.0)
+    grid = Grid(n_tau=5, n_z=n_z, t_end=2.0, length=1.0)
+    rng = np.random.default_rng(n_z)
+    r12 = 0.05 * (rng.standard_normal((ens.n_nodes, n_z))
+                  + 1j * rng.standard_normal((ens.n_nodes, n_z)))
+    state = WeakState.fresh(grid, ens, ctl, med, drive_sign=sign,
+                            r12_initial=r12)
+    assert state.quadrature.weights is None
+    b12 = weighted_node_sum(ens.weights, r12)
+    z = grid.z()
+    dz = float(z[1] - z[0])
+    f_s, incoming = 0.7, 0.3 - 0.2j
+    gain = 0.5 * med.coupling_beta * f_s
+    if sign > 0:
+        want = incoming - gain * cumulative_integral(b12, dz)
+    else:
+        want = incoming + gain * cumulative_integral(b12[::-1], dz)[::-1]
+    got = field_row(state, med, 0.0, b12, (f_s, incoming))
+    assert got.tobytes() == want.tobytes()
+
+
 def _simpson_step(control, s, dt):
     """The control on one step's Simpson points s + dt (0, 1/8, ..., 1),
     sampled for that step alone: (Omega, f, int f over the first half,
