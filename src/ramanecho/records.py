@@ -96,10 +96,11 @@ class EchoRecord:
     """One storage/recall outcome.
 
     tau_input/tau_echo are each stage's local clock (echo clock zero at
-    reading onset).  Envelopes are physical field amplitudes; for the
-    linear solver they are the Stark-dressed envelopes (the accumulated
-    Stark phase removed), which coincide with the physical ones whenever
-    the reversal conditions hold.
+    reading onset).  Envelopes are Stark-dressed in both regimes (the
+    accumulated control Stark phase removed: the linear solver's tilde
+    variables factor it out, the nonlinear solver removes it from its
+    input and psi2 from its echo), so they coincide with the physical
+    field amplitudes whenever the reversal conditions hold.
     """
 
     protocol: str

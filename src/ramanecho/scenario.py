@@ -346,6 +346,14 @@ def build_probe(sc: Scenario) -> ProbeSpec:
                                    p.amplitude_scale))
 
 
+def _reversal_anchor(sc: Scenario) -> float:
+    """The stage-1 time mirrored onto the stage-2 clock origin: control2's
+    anchor when given in mirror mode, else control1 switch_off."""
+    c2 = sc.control2
+    mirror = c2.mode == "mirror" and c2.anchor is not None
+    return c2.anchor if mirror else sc.control1.switch_off
+
+
 def build_controls(sc: Scenario) -> tuple[ControlProfile, ControlProfile]:
     c1 = sc.control1
     ctl1 = ControlProfile.flat_top(rabi=_rabi("control1", c1.rabi),
@@ -358,9 +366,9 @@ def build_controls(sc: Scenario) -> tuple[ControlProfile, ControlProfile]:
     if c2.detuning is not None:
         _squarable("control2", "detuning", c2.detuning)
     if c2.mode == "mirror":
-        anchor = c1.switch_off if c2.anchor is None else c2.anchor
         detuning = -c1.detuning if c2.detuning is None else c2.detuning
-        ctl2 = ctl1.time_reversed(anchor=anchor, detuning=detuning)
+        ctl2 = ctl1.time_reversed(anchor=_reversal_anchor(sc),
+                                  detuning=detuning)
     else:
         if c2.detuning is None:
             raise ValidationError("[control2] flat_top needs a detuning")
@@ -441,12 +449,10 @@ def stage_setups(sc: Scenario
     probe = build_probe(sc)
     ctl1, ctl2 = build_controls(sc)
     matching = build_matching(sc, ctl1)
-    anchor = sc.control2.anchor if sc.control2.mode == "mirror" else None
-    offset1 = ctl1.switch_off if anchor is None else anchor
     ens2 = ens.inverted() if sc.protocol.name == "recrib" else ens
     stage1 = StageSetup(control=ctl1, ensemble=ens, probe=probe,
                         matching=matching, beta=med.coupling_beta,
-                        clock_offset=offset1)
+                        clock_offset=_reversal_anchor(sc))
     stage2 = StageSetup(control=ctl2, ensemble=ens2, probe=None,
                         matching=matching, beta=med.coupling_beta,
                         clock_offset=0.0)

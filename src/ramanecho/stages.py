@@ -13,10 +13,12 @@ dark-interval phase, RECRIB node inversion) and the echo record.
 
 Each regime's state is a StageState: weakfield.WeakState and
 strongfield.SimulationState add their own atomic variables, a
-first_row (their field row at the table's row-0 values) and an
-excitation(ensemble) profile across the slab.  A state is complete when made: fresh builds
-its table from clock 0 and records row 0, so every row of a stage comes
-from the one table.
+first_row() (their field row at the table's row-0 values) and an
+excitation() profile across the slab.  A state is complete when made:
+fresh builds its table from clock 0, records row 0 and keeps the grid,
+ensemble, control and medium, which every step, field row, audit and
+recall reads from the state alone.  So every row of a stage comes from
+the one table and the one set of stage inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .conditions import ProtocolConfig
-from .core import CONTROL_FLOOR
+from .core import CONTROL_FLOOR, ControlProfile, EnsembleSpec, Grid, MediumSpec
 from .errors import (
     ConditionsUnmet,
     DetuningTooSmall,
@@ -73,50 +75,51 @@ class StageState:
     """Evolving state of one stage on its grid, in either regime.
 
     zeta_t holds a field row per step; r12 is the current coherence per
-    (node, Z), and z the Z axis.  drive_sign is +1 for storage, which
-    integrates the field from the input face Z = 0, and -1 for retrieval,
-    which emits backward from a zero boundary at Z = L.  quadrature is
-    the cumulative integral on the Z axis, with the Z step as its dx, and
-    table is the stage's StageTable.  zeta_t[step_index] is always the
-    row solved from the current atoms: fresh records row 0, and each step
-    records the row at its end, which the next step reuses as its k1 row.
-    A subclass supplies first_row(ensemble, medium, control), its regime's
-    field row at the table's row-0 values.  _factors is the set of
-    per-node step factors built last, which step_factors reuses.
+    (node, Z); grid, ensemble, control and medium are the stage inputs
+    fresh was given.  drive_sign is +1 for storage, which integrates the
+    field from the input face Z = 0, and -1 for retrieval, which emits
+    backward from a zero boundary at Z = L.  quadrature is the cumulative
+    integral on the grid's Z axis, and table is the stage's StageTable.
+    zeta_t[step_index] is always the row solved from the current atoms:
+    fresh records row 0, and each step records the row at its end, which
+    the next step reuses as its k1 row.  A subclass supplies first_row(),
+    its regime's field row at the table's row-0 values.  _factors is the
+    set of per-node step factors built last, which step_factors reuses.
     """
 
     zeta_t: np.ndarray          # (n_tau, n_z) complex
     r12: np.ndarray             # (n_node, n_z) complex
-    z: np.ndarray
+    grid: Grid
+    ensemble: EnsembleSpec
+    control: ControlProfile
+    medium: MediumSpec
     drive_sign: int             # +1 storage, -1 retrieval
     quadrature: CumulativeQuadrature
     table: StageTable
     step_index: int = 0
     # not an __init__ field, so a dataclasses.replace copy starts without
-    # the set, whatever node columns it carries
+    # the set, whatever ensemble or node columns it carries
     _factors: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
 
-    def step_factors(self, nodes, df_half: float, df_full: float,
+    def step_factors(self, df_half: float, df_full: float,
                      build: Callable) -> tuple:
         """The per-node factors build(df_half, df_full) of the current
         step, rebuilt only when the step's control integrals change.
 
         A step's rotations and the columns folded from them depend on the
-        node columns nodes, the table's dt and the step integrals
-        (df_half, df_full) alone, and a flat-top control repeats the
-        integrals on every step of its plateau.  So the set last built is
-        reused while the same nodes object (compared by identity) meets an
-        equal pair, and the result is bit for bit what rebuilding it would
-        give.  The integrals are sums of f >= 0, never -0.0, so equal
-        floats are equal bits.  One set is held per state.
+        state's node columns, the table's dt and the step integrals
+        (df_half, df_full) alone.  The first two are fixed for the life
+        of the state, and a flat-top control repeats the integrals on
+        every step of its plateau.  So the set last built is reused while
+        the pair is equal, and the result is bit for bit what rebuilding
+        it would give.  The integrals are sums of f >= 0, never -0.0, so
+        equal floats are equal bits.  One set is held per state.
         """
-        held = self._factors
-        if (held is None or held[0] is not nodes
-                or held[1] != (df_half, df_full)):
-            held = self._factors = (nodes, (df_half, df_full),
-                                    build(df_half, df_full))
-        return held[2]
+        pair = (df_half, df_full)
+        if self._factors is None or self._factors[0] != pair:
+            self._factors = (pair, build(df_half, df_full))
+        return self._factors[1]
 
     @classmethod
     def fresh(cls, grid, ensemble, control, medium, drive_sign: int,
@@ -124,14 +127,17 @@ class StageState:
               r12_initial: np.ndarray | None = None, **own):
         """The stage at clock 0 with r12_initial (default zero), its
         quadrature, its table for control and boundary, and row 0 solved
-        from the initial atoms; own holds the subclass's fields."""
+        from the initial atoms; the state keeps grid, ensemble, control
+        and medium, and own holds the subclass's fields."""
         z = grid.z()
         quadrature = CumulativeQuadrature(grid.n_z, float(z[1] - z[0]))
         state = cls(zeta_t=np.zeros((grid.n_tau, grid.n_z), dtype=complex),
                     r12=node_array(grid, ensemble, r12_initial, 0.0, complex),
-                    z=z, drive_sign=drive_sign, quadrature=quadrature,
+                    grid=grid, ensemble=ensemble, control=control,
+                    medium=medium, drive_sign=drive_sign,
+                    quadrature=quadrature,
                     table=StageTable.build(control, grid, boundary), **own)
-        state.zeta_t[0] = state.first_row(ensemble, medium, control)
+        state.zeta_t[0] = state.first_row()
         return state
 
 
@@ -231,10 +237,10 @@ class StorageOutcome:
     audit_residual: float
 
 
-def march(n_tau: int, step) -> None:
-    """Take the n_tau - 1 steps of a stage from its fresh state."""
-    for _ in range(n_tau - 1):
-        step()
+def march(state: StageState, advance: Callable) -> None:
+    """Step a fresh stage to its end, each step by advance(state)."""
+    for _ in range(state.grid.n_tau - 1):
+        advance(state)
 
 
 def flux_weights(control, medium, tau: np.ndarray) -> np.ndarray:
@@ -246,15 +252,15 @@ def flux_weights(control, medium, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def _held_excitation(state, ensemble) -> float:
+def _held_excitation(state: StageState) -> float:
     """Ensemble excitation of the state integrated across the slab."""
     # 4th-order quadrature: the stored profile decays like exp(-alpha z)
     # and plain trapezoid error would dominate the audit at depth >~ 10
-    return float(cumulative_integral(state.excitation(ensemble),
+    return float(cumulative_integral(state.excitation(),
                                      state.quadrature.dx)[-1])
 
 
-def audit_storage(state, ensemble, tau: np.ndarray, control, medium,
+def audit_storage(state: StageState,
                   input_envelope: np.ndarray) -> StorageOutcome:
     """Account for every photon of a finished storage stage.
 
@@ -263,14 +269,15 @@ def audit_storage(state, ensemble, tau: np.ndarray, control, medium,
     a discretization audit, not a physics assumption.  A transmitted
     fraction above ABSORPTION_WARNING_FRACTION triggers
     IncompleteAbsorptionWarning, because the recall analysis presumes
-    complete absorption.
+    complete absorption.  The outcome's tau is the stage grid's clock.
     """
-    flux = flux_weights(control, medium, tau)
+    tau = state.grid.tau()
+    flux = flux_weights(state.control, state.medium, tau)
     input_photons = float(np.trapezoid(
         flux * np.abs(state.zeta_t[:, 0]) ** 2, tau))
     transmitted_photons = float(np.trapezoid(
         flux * np.abs(state.zeta_t[:, -1]) ** 2, tau))
-    stored = _held_excitation(state, ensemble)
+    stored = _held_excitation(state)
     scale = max(input_photons, 1e-300)
     transmitted_fraction = transmitted_photons / scale
     if transmitted_fraction > ABSORPTION_WARNING_FRACTION:
@@ -318,7 +325,8 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
     node table.
     """
     gate_recall(protocol, gap_time, conditions)
-    if stored.z.shape != (grid2.n_z,) or not np.allclose(stored.z, grid2.z()):
+    z = stored.grid.z()
+    if z.shape != (grid2.n_z,) or not np.allclose(z, grid2.z()):
         raise ValidationError(
             "retrieval grid does not match the stored state's Z axis")
     r12 = np.array(stored.r12, dtype=complex)
@@ -337,12 +345,12 @@ def recall_bandwidth(tau_input: np.ndarray) -> float:
     return max(1.0 / max(span, 1e-300), 1e-12)
 
 
-def recall(state: StageState, ensemble, grid2, control2, medium, step,
-           protocol: ProtocolConfig, tau_input: np.ndarray,
-           input_envelope: np.ndarray, transmitted_fraction: float,
+def recall(state: StageState, advance: Callable, protocol: ProtocolConfig,
+           tau_input: np.ndarray, input_envelope: np.ndarray,
+           transmitted_fraction: float,
            stark_phase: np.ndarray | None = None) -> EchoRecord:
-    """Step the recall stage from the handed-over state, audit it and
-    record the echo.
+    """Step the fresh recall stage by advance(state), audit it and record
+    the echo.
 
     The photons emitted at Z = 0 must match the excitation the ensemble
     released; the residual is relative to what it held when recall
@@ -351,14 +359,14 @@ def recall(state: StageState, ensemble, grid2, control2, medium, step,
     stark_phase) when the regime's variables carry the stage-2 Stark
     phase.
     """
-    held = _held_excitation(state, ensemble)
-    march(grid2.n_tau, step)
-    tau2 = grid2.tau()
-    flux = flux_weights(control2, medium, tau2)
+    held = _held_excitation(state)
+    march(state, advance)
+    tau2 = state.grid.tau()
+    flux = flux_weights(state.control, state.medium, tau2)
     emitted = float(np.trapezoid(
         flux * np.abs(state.zeta_t[:, 0]) ** 2, tau2))
-    released = held - _held_excitation(state, ensemble)
-    echo = envelope_from_scaled(state.zeta_t[:, 0], control2, tau2)
+    released = held - _held_excitation(state)
+    echo = envelope_from_scaled(state.zeta_t[:, 0], state.control, tau2)
     if stark_phase is not None:
         echo = echo * np.exp(-1j * stark_phase)
     return EchoRecord(

@@ -33,19 +33,17 @@ Runge-Kutta step and recorded at the step end, keeping the coupled step
 clock, which for the first step is the row the fresh state solved.  The
 per-node constants are set once per stage in the state, and the control
 at the stage times, its Simpson integrals and the boundary values in its
-StageTable, which the fresh state builds.  A step's rotations and folded
-columns depend on the control only through its Simpson integrals, so
-they are rebuilt only when those change (StageState.step_factors): on a
-flat-top plateau every step reuses them.
+StageTable, which the fresh state builds; field_row and advance_strong
+read the stage inputs from the state alone, so a step solves its rows
+with the Delta its node columns were made from.  A step's rotations and
+folded columns depend on the control only through its Simpson
+integrals, so they are rebuilt only when those change
+(StageState.step_factors): on a flat-top plateau every step reuses them.
 Storage integrates the field from the input face Z = 0; retrieval from
 a zero boundary at Z = L, emitting backward.  All node/Z updates are
-whole-array operations and the ensemble sums run off BLAS.  The field
-solve's Z quadrature on a slab of at most numerics.DENSE_QUADRATURE_MAX
-points is one BLAS product, a gemm of 2 n_z^2 <= 131,072 multiply-adds,
-which OpenBLAS runs on one thread whatever its thread count.  So repeated
-runs are bit-identical whatever the BLAS thread count, as
-test_simulate_output_does_not_depend_on_blas_threads checks on the
-shipped scenarios.
+whole-array operations, the ensemble sums run off BLAS, and the Z
+quadrature is the state's numerics.CumulativeQuadrature, whose bits do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -142,16 +140,14 @@ class SimulationState(stages.StageState):
                    (1j * sgn) * col, -2.0 * sgn * col),
             stark=-sgn * delta)
 
-    def first_row(self, ensemble: EnsembleSpec, medium: MediumSpec,
-                  control: ControlProfile) -> np.ndarray:
+    def first_row(self) -> np.ndarray:
         """Row 0 from the current atoms at the table's first stage time."""
         times, _, sampled, _, _ = self.table.row(0)
-        return field_row(self, medium, control, times[0], self.r12,
-                         self.r11, sampled[0])
+        return field_row(self, times[0], self.r12, self.r11, sampled[0])
 
-    def excitation(self, ensemble: EnsembleSpec) -> np.ndarray:
+    def excitation(self) -> np.ndarray:
         """Ensemble excitation sum_j w_j (1 - r11_j) at every Z."""
-        return weighted_node_sum(ensemble.weights, 1.0 - self.r11)
+        return weighted_node_sum(self.ensemble.weights, 1.0 - self.r11)
 
     def assert_physical(self) -> None:
         """Restore the Bloch-ball bounds and raise if they truly broke.
@@ -198,8 +194,7 @@ def _solve_field_ode(a: np.ndarray, source: np.ndarray,
     return phi * (boundary_value + inner)
 
 
-def field_row(state: SimulationState, medium: MediumSpec,
-              control: ControlProfile, s: float, r12: np.ndarray,
+def field_row(state: SimulationState, s: float, r12: np.ndarray,
               r11: np.ndarray, sampled: tuple) -> np.ndarray:
     """Scaled field across the slab at time s, from the ensemble kernels
     B11 and B12 of the atomic arrays.
@@ -211,8 +206,9 @@ def field_row(state: SimulationState, medium: MediumSpec,
     table row.
     """
     f_s, incoming = sampled
-    w, sgn, beta = state.kernel_weights, state.drive_sign, medium.coupling_beta
-    a = (0.5j * beta * sgn / control.one_photon_detuning) \
+    w, sgn = state.kernel_weights, state.drive_sign
+    beta = state.medium.coupling_beta
+    a = (0.5j * beta * sgn / state.control.one_photon_detuning) \
         * weighted_node_sum(w, r11)
     source = (0.5j * beta * f_s) * weighted_node_sum(w, r12)
     if sgn > 0:
@@ -278,8 +274,7 @@ def _lawson_step(state: SimulationState, row1: np.ndarray,
     times, om2, _, df_half, df_full = table.row(state.step_index)
     (rot_half, rot_full, drive_half, drive_sixth, pop_half, pop_full,
      pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
-        state.nodes, df_half, df_full,
-        partial(_step_factors, state.nodes, dt))
+        df_half, df_full, partial(_step_factors, state.nodes, dt))
 
     def slope(k, row, n_st, r12_st):
         """G and Im(conj(row) r12) at stage time k dt/2."""
@@ -334,8 +329,7 @@ def _step_factors(nodes: tuple, dt: float, df_half: float,
             drive_sixth * rot_full, 2.0 * drive_sixth * back)
 
 
-def advance_strong(state: SimulationState, medium: MediumSpec,
-                   control: ControlProfile) -> SimulationState:
+def advance_strong(state: SimulationState) -> SimulationState:
     """One coupled step: the field is solved from the provisional atoms
     at the k2, k3 and k4 stages, then recorded at the new clock.
 
@@ -345,8 +339,7 @@ def advance_strong(state: SimulationState, medium: MediumSpec,
     times, _, sampled, _, _ = state.table.row(state.step_index)
 
     def row_at(k, r12, r11):
-        return field_row(state, medium, control, times[k], r12, r11,
-                         sampled[k])
+        return field_row(state, times[k], r12, r11, sampled[k])
 
     _lawson_step(state, state.zeta_t[state.step_index], row_at)
     row = row_at(2, state.r12, state.r11)
@@ -396,7 +389,6 @@ def run_storage(probe: ProbeSpec, control: ControlProfile,
                 grid: Grid) -> stages.StorageOutcome:
     """Drive the nonlinear storage stage and account for every photon."""
     stages.check_storage(probe, control, grid)
-    tau = grid.tau()
     peak_zeta = WEAK_AMPLITUDE_RATIO * probe.amplitude_scale \
         * control.peak_rabi()
     _validate_grid(grid, ensemble, control, medium,
@@ -406,16 +398,15 @@ def run_storage(probe: ProbeSpec, control: ControlProfile,
                                   drive_sign=+1,
                                   boundary=ProbeBoundary(probe))
     state.zeta_scale = peak_zeta
-    stages.march(grid.n_tau,
-                 lambda: advance_strong(state, medium, control))
+    stages.march(state, advance_strong)
 
     # Stark-dressed record (accumulated Stark phase removed): the raw
     # chirp runs at Delta f rad per unit, far beyond Nyquist on any grid
     # the solver needs, and the solver cancels it analytically anyway
     input_envelope = (WEAK_AMPLITUDE_RATIO * probe.amplitude_scale
-                      * control.one_photon_detuning * probe.sample(tau))
-    return stages.audit_storage(state, ensemble, tau, control, medium,
-                                input_envelope)
+                      * control.one_photon_detuning
+                      * probe.sample(grid.tau()))
+    return stages.audit_storage(state, input_envelope)
 
 
 def handover_wavevector_mismatch(protocol: ProtocolConfig) -> float:
@@ -452,7 +443,7 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
                                       gap_time, conditions)
     q = handover_wavevector_mismatch(protocol)
     if q != 0.0:
-        r12 *= np.exp(1j * q * stored.z)[None, :]
+        r12 *= np.exp(1j * q * stored.grid.z())[None, :]
     drive_bound = max(stored.zeta_scale, 1e-300)
     _validate_grid(grid2, ensemble2, control2, medium,
                    drive_bound=drive_bound,
@@ -466,8 +457,6 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
     # stage-2 accumulated Stark phase so the envelope is slow on the grid
     psi2 = control2.one_photon_detuning * cumulative_integral(
         np.asarray(control2.f(grid2.tau()), dtype=float), grid2.dt)
-    return stages.recall(
-        state, ensemble2, grid2, control2, medium,
-        lambda: advance_strong(state, medium, control2),
-        protocol, tau_input, input_envelope, transmitted_fraction,
-        stark_phase=psi2)
+    return stages.recall(state, advance_strong, protocol, tau_input,
+                         input_envelope, transmitted_fraction,
+                         stark_phase=psi2)

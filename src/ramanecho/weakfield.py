@@ -17,10 +17,11 @@ at the k2, k3 and k4 stages and recorded at the step end; k1 reuses the
 row recorded from the same coherences at the same clock, which for the
 first step is the row the fresh state solved.  The control at the stage
 times, its Simpson integrals and the boundary values are tabulated once
-per stage, in a StageTable that the fresh state builds.  The per-node
-rotations, drive columns and node-weight sums of a step depend on the
-control only through those integrals, so they are rebuilt only when the
-integrals change (StageState.step_factors).
+per stage, in a StageTable that the fresh state builds; field_row and
+advance_weak read the stage inputs and the signal bandwidth from the
+state alone.  The per-node rotations, drive columns and node-weight sums
+of a step depend on the control only through those integrals, so they
+are rebuilt only when the integrals change (StageState.step_factors).
 
 Because the equations are linear and every node is driven by the same
 field row, each Runge-Kutta slope is rank one: a per-node factor times
@@ -28,12 +29,9 @@ one row across Z.  field_row therefore takes the node-summed kernel
 B~12, and a step needs only two weighted node sums over the (node x Z)
 coherences; the stage kernels, the recorded row's kernel and the new
 coherences follow from rows and node-weight scalars (see advance_weak).
-Every node sum runs off BLAS.  The Z quadrature of a slab of at most
-numerics.DENSE_QUADRATURE_MAX points is one BLAS product, a gemm of
-2 n_z^2 <= 131,072 multiply-adds, which OpenBLAS runs on one thread
-whatever its thread count; so the output does not depend on the BLAS
-thread count, as test_simulate_output_does_not_depend_on_blas_threads
-checks on the shipped scenarios.
+Every node sum runs off BLAS, and the Z quadrature is the state's
+numerics.CumulativeQuadrature, whose bits do not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -68,24 +66,28 @@ class WeakState(stages.StageState):
     """Evolving linear-regime state on one stage grid.
 
     The shared stage state in tilde variables: r12 is the coherence R~12.
+    bandwidth is the signal bandwidth that the linear-regime validity
+    checks price the probe Stark shift against.
     """
 
-    def first_row(self, ensemble: EnsembleSpec, medium: MediumSpec,
-                  control: ControlProfile) -> np.ndarray:
+    bandwidth: float
+
+    def first_row(self) -> np.ndarray:
         """Row 0 from the current coherences at the table's first stage
         time."""
         times, _, sampled, _, _ = self.table.row(0)
-        return field_row(self, medium, times[0],
-                         weighted_node_sum(ensemble.weights, self.r12),
+        return field_row(self, times[0],
+                         weighted_node_sum(self.ensemble.weights, self.r12),
                          sampled[0])
 
-    def excitation(self, ensemble: EnsembleSpec) -> np.ndarray:
+    def excitation(self) -> np.ndarray:
         """Ensemble excitation sum_j w_j |R~12_j|^2 at every Z."""
-        return weighted_node_sum(ensemble.weights, np.abs(self.r12) ** 2)
+        return weighted_node_sum(self.ensemble.weights,
+                                 np.abs(self.r12) ** 2)
 
 
-def field_row(state: WeakState, medium: MediumSpec, s: float,
-              b12: np.ndarray, sampled: tuple) -> np.ndarray:
+def field_row(state: WeakState, s: float, b12: np.ndarray,
+              sampled: tuple) -> np.ndarray:
     """Tilde field across the slab at time s, given the kernel B~12.
 
     b12 is the node-summed coherence sum_j w_j R~12_j at every Z.
@@ -95,7 +97,7 @@ def field_row(state: WeakState, medium: MediumSpec, s: float,
     of a stage table row.
     """
     f_s, incoming = sampled
-    gain = 0.5 * medium.coupling_beta * f_s
+    gain = 0.5 * state.medium.coupling_beta * f_s
     if state.drive_sign > 0:
         row = incoming - gain * state.quadrature(b12)
     else:
@@ -105,9 +107,7 @@ def field_row(state: WeakState, medium: MediumSpec, s: float,
     return row
 
 
-def advance_weak(state: WeakState, ensemble: EnsembleSpec,
-                 medium: MediumSpec, control: ControlProfile,
-                 bandwidth: float) -> WeakState:
+def advance_weak(state: WeakState) -> WeakState:
     """One exponential-RK4 step of the linear system, in place.
 
     The per-node detuning phase d21 + d31 f(tau) is integrated to high
@@ -132,9 +132,8 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     the node-weight scalars depend on the control only through the
     step's integrals df_half and df_full, so they are rebuilt only when
     the pair differs from the previous step's and reused while it
-    repeats, as on a flat-top plateau.
-    bandwidth is the signal bandwidth that the linear-regime validity
-    checks price the probe Stark shift against.
+    repeats, as on a flat-top plateau.  The probe Stark shift is priced
+    against the state's bandwidth.
     """
     table = state.table
     times, om2, sampled, df_half, df_full = table.row(state.step_index)
@@ -142,22 +141,21 @@ def advance_weak(state: WeakState, ensemble: EnsembleSpec,
     drive = float(state.drive_sign)
     (rot_full, drive_half, drive_full, w_half, w_full, kernel2, kernel3,
      kernel4, record1, record23, record4) = state.step_factors(
-        ensemble, df_half, df_full,
-        partial(_step_factors, ensemble, dt, drive))
+        df_half, df_full, partial(_step_factors, state.ensemble, dt, drive))
     p = state.r12
     # complex weights, which weighted_node_sum does not take
     p_half = np.add.reduce(w_half * p, axis=0)
     p_full = np.add.reduce(w_full * p, axis=0)
 
     def row_at(k, b12):
-        return field_row(state, medium, times[k], b12, sampled[k])
+        return field_row(state, times[k], b12, sampled[k])
 
     row1 = state.zeta_t[state.step_index]
     if om2[0] > 1e-9 * table.peak2:
         # the probe Stark shift, priced while the control is on
-        stark = abs(control.one_photon_detuning) \
+        stark = abs(state.control.one_photon_detuning) \
             * float((np.abs(row1) ** 2).max()) / om2[0]
-        if stark > STARK_VALIDITY_FACTOR * bandwidth:
+        if stark > STARK_VALIDITY_FACTOR * state.bandwidth:
             raise WeakFieldViolation(
                 f"probe-induced Stark shift {stark:.3g} exceeds "
                 f"{STARK_VALIDITY_FACTOR} x bandwidth at tau={times[0]:.4g}"
@@ -250,16 +248,13 @@ def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
     lossless linear system.
     """
     stages.check_storage(probe, control, grid)
-    tau = grid.tau()
     _validate_grid(grid, ensemble, control, medium, probe.spectral_width)
     state = WeakState.fresh(grid, ensemble, control, medium, drive_sign=+1,
-                            boundary=TildeInput(probe))
-    stages.march(grid.n_tau,
-                 lambda: advance_weak(state, ensemble, medium, control,
-                                      probe.spectral_width))
+                            boundary=TildeInput(probe),
+                            bandwidth=probe.spectral_width)
+    stages.march(state, advance_weak)
     return stages.audit_storage(
-        state, ensemble, tau, control, medium,
-        envelope_from_scaled(state.zeta_t[:, 0], control, tau))
+        state, envelope_from_scaled(state.zeta_t[:, 0], control, grid.tau()))
 
 
 def recall_weak(stored: WeakState, control2: ControlProfile,
@@ -283,9 +278,7 @@ def recall_weak(stored: WeakState, control2: ControlProfile,
     _validate_grid(grid2, ensemble2, control2, medium, bandwidth)
 
     state = WeakState.fresh(grid2, ensemble2, control2, medium,
-                            drive_sign=-1, r12_initial=r12)
-    return stages.recall(
-        state, ensemble2, grid2, control2, medium,
-        lambda: advance_weak(state, ensemble2, medium, control2,
-                             bandwidth=bandwidth),
-        protocol, tau_input, input_envelope, transmitted_fraction)
+                            drive_sign=-1, r12_initial=r12,
+                            bandwidth=bandwidth)
+    return stages.recall(state, advance_weak, protocol, tau_input,
+                         input_envelope, transmitted_fraction)

@@ -67,14 +67,14 @@ def rotating_frame_nodes(ensemble, control, drive_sign: int) -> tuple:
             -1j * delta * col, -2.0 * sgn * col)
 
 
-def rotating_frame_copy(state: SimulationState, ensemble, control
-                        ) -> SimulationState:
+def rotating_frame_copy(state: SimulationState) -> SimulationState:
     """A copy of state, atoms and field rows included, that carries the
-    oracle's columns."""
+    oracle's columns for the state's ensemble and control."""
     return dataclasses.replace(
         state, r12=state.r12.copy(), r11=state.r11.copy(),
         zeta_t=state.zeta_t.copy(),
-        nodes=rotating_frame_nodes(ensemble, control, state.drive_sign))
+        nodes=rotating_frame_nodes(state.ensemble, state.control,
+                                   state.drive_sign))
 
 
 def _stark_ratio(state: SimulationState, s: float, row: np.ndarray,

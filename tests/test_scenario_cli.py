@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +175,45 @@ def test_control2_defaults_mirror_the_writing_stage():
     assert ctl2.one_photon_detuning == -ctl1.one_photon_detuning
     assert ctl2.switch_off - ctl2.switch_on == pytest.approx(
         ctl1.switch_off - ctl1.switch_on)
+
+
+def _with_control2(regime="weak", **keys):
+    base = default_scenario()
+    return replace(base, run=replace(base.run, regime=regime),
+                   control2=replace(base.control2, **keys))
+
+
+@pytest.mark.parametrize("regime, condition",
+                         [("weak", "ii'"), ("strong", "ii")])
+def test_mirror_anchor_sets_the_reversal_clock_and_the_image(regime,
+                                                             condition):
+    # an explicit anchor moves the stage-2 image and the shared clock
+    # together, so the envelope-reversal condition still holds
+    anchor = 30.0
+    scenario = _with_control2(regime, anchor=anchor)
+    stage1, stage2, _ = stage_setups(scenario)
+    assert stage1.clock_offset == anchor
+    ctl1, ctl2 = stage1.control, stage2.control
+    t = np.linspace(-2.0, 32.0, 341)
+    assert np.abs(ctl2.rabi(t)).max() > 0.0
+    assert np.allclose(ctl2.rabi(t), ctl1.rabi(anchor - t), rtol=1e-13,
+                       atol=0.0)
+    entry = scenario_report(scenario).get(condition)
+    assert entry.satisfied and entry.residual == 0.0
+
+
+def test_flat_top_control2_ignores_the_anchor():
+    plain = _with_control2(mode="flat_top", detuning=-60.0)
+    anchored = replace(plain, control2=replace(plain.control2,
+                                               anchor=30.0))
+    stage1, stage2, _ = stage_setups(anchored)
+    want1, want2, _ = stage_setups(plain)
+    assert stage1.clock_offset == want1.clock_offset \
+        == anchored.control1.switch_off
+    t = np.linspace(-2.0, 32.0, 341)
+    assert np.array_equal(stage2.control.rabi(t), want2.control.rabi(t))
+    assert (stage2.control.switch_on, stage2.control.switch_off) \
+        == (want2.control.switch_on, want2.control.switch_off)
 
 
 def test_default_scenario_conditions_all_pass():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramanecho import strongfield
+from ramanecho import strongfield, weakfield
 from ramanecho.conditions import (
     ConditionEntry,
     ConditionReport,
@@ -42,7 +42,7 @@ from ramanecho.strongfield import (
     run_retrieval,
     run_storage,
 )
-from ramanecho.weakfield import recall_weak, run_weak_storage
+from ramanecho.weakfield import WeakState, recall_weak, run_weak_storage
 from oracles import (
     SusceptibilityKernel,
     advance_atoms,
@@ -267,7 +267,7 @@ def test_long_slab_row_is_the_banded_quadrature_bit_for_bit(n_z, sign):
 
     want = (solve(a, source) if sign > 0
             else solve(-a[::-1], -source[::-1])[::-1])
-    got = field_row(state, med, ctl, 0.0, r12, r11, (f_s, incoming))
+    got = field_row(state, 0.0, r12, r11, (f_s, incoming))
     assert got.tobytes() == want.tobytes()
 
 
@@ -438,13 +438,13 @@ def _tilted_atoms(ens, grid, seed):
             0.5 + 0.45 * np.cos(theta))
 
 
-def _worst_step_mismatch(state, ens, ctl, step, oracle):
+def _worst_step_mismatch(state, step, oracle):
     """Take every step of the stage, and before each one let a
     rotating-frame copy of the state take it with the oracle; the worst
     relative difference of r12 and r11 over all steps."""
     worst = 0.0
     for _ in range(state.table.times.shape[0]):
-        ref = rotating_frame_copy(state, ens, ctl)
+        ref = rotating_frame_copy(state)
         step()
         oracle(ref)
         for got, want in ((state.r12, ref.r12), (state.r11, ref.r11)):
@@ -469,8 +469,8 @@ def test_frozen_field_step_matches_rotating_frame_oracle(sign):
         row = ref.zeta_t[ref.step_index]
         rotating_frame_step(ref, grid.dt, row, lambda k, r12, r11: row)
 
-    worst = _worst_step_mismatch(
-        state, ens, ctl, lambda: advance_atoms(state), oracle)
+    worst = _worst_step_mismatch(state, lambda: advance_atoms(state),
+                                 oracle)
     assert worst <= STEP_ORACLE_TOL
     assert np.max(np.abs(state.r11 - r11)) > 0.01
 
@@ -501,14 +501,13 @@ def test_live_stage_matches_rotating_frame_oracle(sign):
         times, _, sampled, _, _ = ref.table.row(ref.step_index)
 
         def row_at(k, r12, r11):
-            return field_row(ref, med, ctl, times[k], r12, r11, sampled[k])
+            return field_row(ref, times[k], r12, r11, sampled[k])
 
         rotating_frame_step(ref, grid.dt, ref.zeta_t[ref.step_index],
                             row_at)
 
-    worst = _worst_step_mismatch(
-        state, ens, ctl, lambda: advance_strong(state, med, ctl),
-        oracle)
+    worst = _worst_step_mismatch(state, lambda: advance_strong(state),
+                                 oracle)
     assert worst <= STEP_ORACLE_TOL
     assert np.max(np.abs(state.zeta_t)) > 0.01
     assert np.max(np.abs(state.r11 - r11)) > 0.01
@@ -610,7 +609,7 @@ def test_fresh_state_solves_row_0_from_its_table():
     assert incoming0 == pytest.approx(
         ProbeBoundary(probe)(0.0, 0.0, ctl.rabi(0.0)), rel=1e-12)
     assert abs(incoming0) > 0.01
-    want = field_row(state, med, ctl, 0.0, r12, r11, (f0, incoming0))
+    want = field_row(state, 0.0, r12, r11, (f0, incoming0))
     assert np.array_equal(state.zeta_t[0], want)
     assert not np.any(state.zeta_t[1:])
 
@@ -698,6 +697,38 @@ def test_strict_mode_gates_on_failing_report():
                       tau_input=tau_in,
                       input_envelope=gaussian_envelope(8.0, 2.0)(tau_in),
                       conditions=report)
+
+
+@pytest.mark.parametrize("axis", ["n_z", "length"])
+@pytest.mark.parametrize("regime", ["weak", "strong"])
+def test_recall_refuses_another_z_axis_before_any_step(regime, axis,
+                                                       monkeypatch):
+    # the recall stage continues the stored coherences on the stored Z
+    # axis: a retrieval grid with another point count or slab length is
+    # refused before the recall stage solves a row or takes a step
+    ens, ctl, _, med, grid = _cheap_setup()
+    if regime == "strong":
+        module, retrieve = strongfield, run_retrieval
+        stored = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1)
+    else:
+        module, retrieve = weakfield, recall_weak
+        stored = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
+                                 bandwidth=1.0)
+
+    def refused(*args, **kwargs):
+        pytest.fail("the recall stage ran on a mismatched Z axis")
+
+    for name in ("field_row", f"advance_{regime}"):
+        monkeypatch.setattr(module, name, refused)
+    other = {"n_z": 2 * grid.n_z - 1} if axis == "n_z" else {"length": 2.0}
+    grid2 = Grid(**{"n_tau": grid.n_tau, "n_z": grid.n_z,
+                    "t_end": grid.t_end, "length": grid.length, **other})
+    protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0)
+    ctl2 = ctl.time_reversed(anchor=16.0, detuning=-60.0)
+    tau_in = grid.tau()
+    with pytest.raises(ValidationError, match="Z axis"):
+        retrieve(stored, ctl2, protocol, ens, med, grid2, tau_in,
+                 np.zeros_like(tau_in, dtype=complex))
 
 
 def test_retrieving_empty_state_yields_nothing():

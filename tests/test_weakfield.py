@@ -81,10 +81,11 @@ def test_fid_through_integrator_matches_kernel():
     med = MediumSpec(coupling_beta=1e-12)
     grid = Grid(n_tau=161, n_z=5, t_end=4.0, length=1.0)
     state = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
-                            r12_initial=np.ones((ens.n_nodes, grid.n_z)))
+                            r12_initial=np.ones((ens.n_nodes, grid.n_z)),
+                            bandwidth=1.0)
     vals = [np.sum(ens.weights * state.r12[:, 0])]
     for _ in range(grid.n_tau - 1):
-        advance_weak(state, ens, med, ctl, bandwidth=1.0)
+        advance_weak(state)
         vals.append(np.sum(ens.weights * state.r12[:, 0]))
     got = np.array(vals)
     want = fid_kernel(ens, 1.0, grid.tau())
@@ -119,10 +120,11 @@ def test_single_node_small_slab_is_plain_quadrature():
 
 def _node_history(probe, ctl, ens, med, grid):
     state = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
-                            boundary=TildeInput(probe))
+                            boundary=TildeInput(probe),
+                            bandwidth=probe.spectral_width)
     hist = [state.r12[0, 0]]
     for _ in range(grid.n_tau - 1):
-        advance_weak(state, ens, med, ctl, probe.spectral_width)
+        advance_weak(state)
         hist.append(state.r12[0, 0])
     return np.array(hist)
 
@@ -140,14 +142,15 @@ def test_fresh_state_solves_row_0_from_its_table():
     r12 = 0.05 * (rng.standard_normal((ens.n_nodes, grid.n_z))
                   + 1j * rng.standard_normal((ens.n_nodes, grid.n_z)))
     state = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
-                            boundary=TildeInput(probe), r12_initial=r12)
+                            boundary=TildeInput(probe), r12_initial=r12,
+                            bandwidth=probe.spectral_width)
     table = state.table
     f0, incoming0 = float(table.f[0, 0]), complex(table.incoming[0, 0])
     assert table.times[0, 0] == 0.0 and f0 > 0.0
     assert incoming0 == pytest.approx(
         TildeInput(probe)(0.0, 0.0, ctl.rabi(0.0)), rel=1e-12)
     assert abs(incoming0) > 0.01
-    want = field_row(state, med, 0.0, weighted_node_sum(ens.weights, r12),
+    want = field_row(state, 0.0, weighted_node_sum(ens.weights, r12),
                      (f0, incoming0))
     assert np.array_equal(state.zeta_t[0], want)
     assert not np.any(state.zeta_t[1:])
@@ -167,7 +170,7 @@ def test_long_slab_row_is_the_banded_quadrature_bit_for_bit(n_z, sign):
     r12 = 0.05 * (rng.standard_normal((ens.n_nodes, n_z))
                   + 1j * rng.standard_normal((ens.n_nodes, n_z)))
     state = WeakState.fresh(grid, ens, ctl, med, drive_sign=sign,
-                            r12_initial=r12)
+                            r12_initial=r12, bandwidth=1.0)
     assert state.quadrature.weights is None
     b12 = weighted_node_sum(ens.weights, r12)
     z = grid.z()
@@ -178,7 +181,7 @@ def test_long_slab_row_is_the_banded_quadrature_bit_for_bit(n_z, sign):
         want = incoming - gain * cumulative_integral(b12, dz)
     else:
         want = incoming + gain * cumulative_integral(b12[::-1], dz)[::-1]
-    got = field_row(state, med, 0.0, b12, (f_s, incoming))
+    got = field_row(state, 0.0, b12, (f_s, incoming))
     assert got.tobytes() == want.tobytes()
 
 
@@ -201,11 +204,12 @@ def _sampled(control, boundary, t):
     return f, 0j if boundary is None else complex(boundary(t, 0.0, rabi))
 
 
-def _dense_advance_weak(state, ensemble, medium, control, boundary, s, dt):
+def _dense_advance_weak(state, boundary, s, dt):
     # the step from time s evaluated on full (node x Z) stage arrays, each
     # summed over the nodes for its field row; the oracle of the rank-one
-    # evaluation, with the control and the boundary evaluated at each
-    # stage time
+    # evaluation, with the state's control and the boundary evaluated at
+    # each stage time
+    ensemble, control = state.ensemble, state.control
     _, _, df_half, df_full = _simpson_step(control, s, dt)
     times = (s, s + 0.5 * dt, s + dt)
     d21 = ensemble.delta21s[:, None]
@@ -218,7 +222,7 @@ def _dense_advance_weak(state, ensemble, medium, control, boundary, s, dt):
     p = state.r12
 
     def row_at(k, r12):
-        return field_row(state, medium, times[k],
+        return field_row(state, times[k],
                          weighted_node_sum(ensemble.weights, r12),
                          _sampled(control, boundary, times[k]))
 
@@ -249,26 +253,27 @@ def _mid_ramp_state(drive_sign):
     r12 = 0.1 * (rng.standard_normal((ens.n_nodes, grid.n_z))
                  + 1j * rng.standard_normal((ens.n_nodes, grid.n_z)))
     boundary = TildeInput(probe) if drive_sign > 0 else None
+    # bandwidth 2.0 is the probe's, 1 / duration
     state = WeakState.fresh(grid, ens, ctl, med, drive_sign=drive_sign,
-                            boundary=boundary, r12_initial=r12)
+                            boundary=boundary, r12_initial=r12,
+                            bandwidth=2.0)
     state.step_index = 3
-    state.zeta_t[3] = field_row(state, med, 3 * grid.dt,
+    state.zeta_t[3] = field_row(state, 3 * grid.dt,
                                 weighted_node_sum(ens.weights, r12),
                                 _sampled(ctl, boundary, 3 * grid.dt))
-    return state, ens, med, ctl, boundary, grid
+    return state, ens, ctl, boundary, grid
 
 
 @pytest.mark.parametrize("drive_sign", [+1, -1], ids=["storage", "recall"])
 def test_rank_one_step_matches_dense_step(drive_sign):
-    rank_one, ens, med, ctl, boundary, grid = _mid_ramp_state(drive_sign)
+    rank_one, ens, ctl, boundary, grid = _mid_ramp_state(drive_sign)
     dense = _mid_ramp_state(drive_sign)[0]
     s, dt = 3 * grid.dt, grid.dt
     _, _, df_half, df_full = _simpson_step(ctl, s, dt)
     assert abs(2.0 * df_half - df_full) > 1e-3 * df_full
     assert np.ptp(ens.delta21s) > 0.0 and np.ptp(ens.delta31s) > 0.0
-    # bandwidth 2.0 is the probe's, 1 / duration
-    advance_weak(rank_one, ens, med, ctl, bandwidth=2.0)
-    _dense_advance_weak(dense, ens, med, ctl, boundary, s, dt)
+    advance_weak(rank_one)
+    _dense_advance_weak(dense, boundary, s, dt)
     assert rank_one.step_index == dense.step_index == 4
     # the table's step 3 runs over the times the oracle evaluated
     assert rank_one.table.times[3].tolist() == [s, s + 0.5 * dt, s + dt]
@@ -294,16 +299,16 @@ def _stage_under_a_ramp(regime):
         boundary = ProbeBoundary(probe)
         state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1,
                                       boundary=boundary)
-        step = lambda: advance_strong(state, med, ctl)
+        advance = advance_strong
     else:
         boundary = TildeInput(probe)
         state = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
-                                boundary=boundary)
-        step = lambda: advance_weak(state, ens, med, ctl,
-                                    probe.spectral_width)
+                                boundary=boundary,
+                                bandwidth=probe.spectral_width)
+        advance = advance_weak
     table = state.table
     for _ in range(grid.n_tau - 1):
-        step()
+        advance(state)
     return state, table, ctl, probe, boundary, grid.dt
 
 
@@ -371,7 +376,7 @@ REUSE_CONTROLS = {
 
 def _reuse_stage(regime, control, ens=None):
     """A fresh stage of either regime, with a d21 and a d31 spread, and
-    its step function."""
+    its stepper."""
     ens = ens or build_gaussian_ensemble(width=1.0, n_nodes=9,
                                          rule="uniform", width_21=0.3,
                                          n_nodes_21=3)
@@ -382,10 +387,10 @@ def _reuse_stage(regime, control, ens=None):
         state = SimulationState.fresh(grid, ens, control, med,
                                       drive_sign=+1,
                                       boundary=ProbeBoundary(probe))
-        return state, lambda s: advance_strong(s, med, control)
+        return state, advance_strong
     state = WeakState.fresh(grid, ens, control, med, drive_sign=+1,
-                            boundary=TildeInput(probe))
-    return state, lambda s: advance_weak(s, ens, med, control, 1.0)
+                            boundary=TildeInput(probe), bandwidth=1.0)
+    return state, advance_weak
 
 
 def _run(state, step, rebuild=False):
@@ -433,39 +438,35 @@ def test_reused_step_factors_equal_rebuilt_ones(regime, control,
     assert _same_atoms(reused, rebuilt)
 
 
-@pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in_place"])
-@pytest.mark.parametrize("regime", ["strong", "weak"])
-def test_other_node_columns_rebuild_the_step_factors(regime, in_place):
-    # the strong state carries its node columns, and the weak stepper
-    # takes them from the ensemble each step is given; other columns
-    # never read the held set, whether on a dataclasses.replace copy,
-    # which starts without it, or on the state that holds it
+@pytest.mark.parametrize("regime", ["strong", "weak"],
+                         ids=["strong-copy", "weak-copy"])
+def test_other_node_columns_rebuild_the_step_factors(regime):
+    # the held set is keyed by the step integrals alone, since a state's
+    # ensemble and node columns are fixed for its life; a
+    # dataclasses.replace copy with another ensemble (and, in the strong
+    # regime, its node columns) starts without the set, so it never reads
+    # the factors of the columns it was copied from
     ctl = REUSE_CONTROLS["flat_top"]()
-    state, step = _reuse_stage(regime, ctl)
+    state, advance = _reuse_stage(regime, ctl)
     for _ in range(40):                 # into the plateau
-        step(state)
+        advance(state)
     assert state._factors is not None
     other = build_gaussian_ensemble(width=1.5, n_nodes=9, rule="uniform",
                                     width_21=0.5, n_nodes_21=3)
-    other_state, other_step = _reuse_stage(regime, ctl, other)
-    nodes = {"nodes": other_state.nodes} if regime == "strong" else {}
+    fields = {"ensemble": other}
+    if regime == "strong":
+        fields["nodes"] = _reuse_stage(regime, ctl, other)[0].nodes
 
     def copy():
-        fields = {"r12": state.r12.copy(), "zeta_t": state.zeta_t.copy(),
-                  **nodes}
+        atoms = {"r12": state.r12.copy(), "zeta_t": state.zeta_t.copy()}
         if regime == "strong":
-            fields["r11"] = state.r11.copy()
-        return dataclasses.replace(state, **fields)
+            atoms["r11"] = state.r11.copy()
+        return dataclasses.replace(state, **atoms, **fields)
 
-    reference = _run(copy(), other_step, rebuild=True)
-    if in_place:
-        moved = state
-        if nodes:
-            state.nodes = nodes["nodes"]
-    else:
-        moved = copy()
-        assert moved._factors is None
-    assert _same_atoms(_run(moved, other_step), reference)
+    reference = _run(copy(), advance, rebuild=True)
+    moved = copy()
+    assert moved._factors is None
+    assert _same_atoms(_run(moved, advance), reference)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +593,8 @@ def test_recall_validates_its_grid():
     # spread, or a Z axis other than the stored state's, is refused
     ens, ctl1, _, med, grid = make_gaussian_setup(n_tau=289, n_z=17,
                                                   n_nodes=17)
-    stored = WeakState.fresh(grid, ens, ctl1, med, drive_sign=+1)
+    stored = WeakState.fresh(grid, ens, ctl1, med, drive_sign=+1,
+                             bandwidth=1.0)
     protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0)
     ctl2 = ctl1.time_reversed(anchor=24.0, detuning=-60.0)
     tau = grid.tau()
