@@ -18,7 +18,11 @@ excitation() profile across the slab.  A state is complete when made:
 fresh builds its table from clock 0, records row 0 and keeps the grid,
 ensemble, control and medium, which every step, field row, audit and
 recall reads from the state alone.  So every row of a stage comes from
-the one table and the one set of stage inputs.
+the one table and the one set of stage inputs.  Of the field, a state
+keeps the current row, which the next step starts from, and the trace
+of its two faces over the stage, which is all the audits and the echo
+read; march drops the buffers a regime's step holds when the stage
+ends.
 """
 
 from __future__ import annotations
@@ -74,20 +78,25 @@ def node_array(grid, ensemble, initial, fill: float, dtype) -> np.ndarray:
 class StageState:
     """Evolving state of one stage on its grid, in either regime.
 
-    zeta_t holds a field row per step; r12 is the current coherence per
-    (node, Z); grid, ensemble, control and medium are the stage inputs
-    fresh was given.  drive_sign is +1 for storage, which integrates the
-    field from the input face Z = 0, and -1 for retrieval, which emits
-    backward from a zero boundary at Z = L.  quadrature is the cumulative
-    integral on the grid's Z axis, and table is the stage's StageTable.
-    zeta_t[step_index] is always the row solved from the current atoms:
-    fresh records row 0, and each step records the row at its end, which
-    the next step reuses as its k1 row.  A subclass supplies first_row(),
-    its regime's field row at the table's row-0 values.  _factors is the
-    set of per-node step factors built last, which step_factors reuses.
+    row is the field row solved from the current atoms, a contiguous
+    (n_z,) array: fresh records row 0, and each step records the row at
+    its end over it, which the next step reuses as its k1 row.  faces
+    traces the field at Z = 0 and Z = L, one (n_tau, 2) entry per clock
+    recorded, which is all the audits and the echo read of the field.
+    r12 is the current coherence per (node, Z); grid, ensemble, control
+    and medium are the stage inputs fresh was given.  drive_sign is +1
+    for storage, which integrates the field from the input face Z = 0,
+    and -1 for retrieval, which emits backward from a zero boundary at
+    Z = L.  quadrature is the cumulative integral on the grid's Z axis,
+    and table is the stage's StageTable.  A subclass supplies
+    first_row(), its regime's field row at the table's row-0 values.
+    _factors is the set of per-node step factors built last, which
+    step_factors reuses; _work holds the buffers a regime's step writes,
+    which march drops when the stage ends.
     """
 
-    zeta_t: np.ndarray          # (n_tau, n_z) complex
+    row: np.ndarray             # (n_z,) complex
+    faces: np.ndarray           # (n_tau, 2) complex
     r12: np.ndarray             # (n_node, n_z) complex
     grid: Grid
     ensemble: EnsembleSpec
@@ -101,6 +110,16 @@ class StageState:
     # the set, whatever ensemble or node columns it carries
     _factors: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
+    # likewise, so that a copy never writes into the buffers of the state
+    # it was copied from
+    _work: object | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+
+    def record(self, row: np.ndarray) -> None:
+        """Hold row as the field row of the current clock, and trace its
+        faces there."""
+        self.row[:] = row
+        self.faces[self.step_index] = row[0], row[-1]
 
     def step_factors(self, df_half: float, df_full: float,
                      build: Callable) -> tuple:
@@ -131,13 +150,14 @@ class StageState:
         and medium, and own holds the subclass's fields."""
         z = grid.z()
         quadrature = CumulativeQuadrature(grid.n_z, float(z[1] - z[0]))
-        state = cls(zeta_t=np.zeros((grid.n_tau, grid.n_z), dtype=complex),
+        state = cls(row=np.empty(grid.n_z, dtype=complex),
+                    faces=np.zeros((grid.n_tau, 2), dtype=complex),
                     r12=node_array(grid, ensemble, r12_initial, 0.0, complex),
                     grid=grid, ensemble=ensemble, control=control,
                     medium=medium, drive_sign=drive_sign,
                     quadrature=quadrature,
                     table=StageTable.build(control, grid, boundary), **own)
-        state.zeta_t[0] = state.first_row()
+        state.record(state.first_row())
         return state
 
 
@@ -238,9 +258,12 @@ class StorageOutcome:
 
 
 def march(state: StageState, advance: Callable) -> None:
-    """Step a fresh stage to its end, each step by advance(state)."""
+    """Step a fresh stage to its end, each step by advance(state), then
+    drop the buffers the steps wrote, which nothing after the stage
+    reads."""
     for _ in range(state.grid.n_tau - 1):
         advance(state)
+    state._work = None
 
 
 def flux_weights(control, medium, tau: np.ndarray) -> np.ndarray:
@@ -274,9 +297,9 @@ def audit_storage(state: StageState,
     tau = state.grid.tau()
     flux = flux_weights(state.control, state.medium, tau)
     input_photons = float(np.trapezoid(
-        flux * np.abs(state.zeta_t[:, 0]) ** 2, tau))
+        flux * np.abs(state.faces[:, 0]) ** 2, tau))
     transmitted_photons = float(np.trapezoid(
-        flux * np.abs(state.zeta_t[:, -1]) ** 2, tau))
+        flux * np.abs(state.faces[:, 1]) ** 2, tau))
     stored = _held_excitation(state)
     scale = max(input_photons, 1e-300)
     transmitted_fraction = transmitted_photons / scale
@@ -318,13 +341,20 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
     """Stored coherences and node table at the start of recall.
 
     gate_recall applies the gap_time check and the strict gate first.
-    The dark interval adds the free phase exp(-i d21 gap_time) with the
-    detunings as seen before any inversion, while the populations stay
-    frozen.  RECRIB recall inverts the nodes per the protocol flags; comb
-    recall keeps them.  Returns a copy of the stored r12 and the stage-2
-    node table.
+    ensemble is the stage-1 node table the caller stored with: one whose
+    node detunings or weights differ from the stored state's is refused,
+    as is a retrieval grid on another Z axis.  The dark interval adds the
+    free phase exp(-i d21 gap_time) with the detunings as seen before any
+    inversion, while the populations stay frozen.  RECRIB recall inverts
+    the nodes per the protocol flags; comb recall keeps them.  Returns a
+    copy of the stored r12 and the stage-2 node table.
     """
     gate_recall(protocol, gap_time, conditions)
+    if not all(np.array_equal(getattr(ensemble, name),
+                              getattr(stored.ensemble, name))
+               for name in ("delta21s", "delta31s", "weights")):
+        raise ValidationError(
+            "ensemble does not match the stored state's node table")
     z = stored.grid.z()
     if z.shape != (grid2.n_z,) or not np.allclose(z, grid2.z()):
         raise ValidationError(
@@ -364,9 +394,9 @@ def recall(state: StageState, advance: Callable, protocol: ProtocolConfig,
     tau2 = state.grid.tau()
     flux = flux_weights(state.control, state.medium, tau2)
     emitted = float(np.trapezoid(
-        flux * np.abs(state.zeta_t[:, 0]) ** 2, tau2))
+        flux * np.abs(state.faces[:, 0]) ** 2, tau2))
     released = held - _held_excitation(state)
-    echo = envelope_from_scaled(state.zeta_t[:, 0], state.control, tau2)
+    echo = envelope_from_scaled(state.faces[:, 0], state.control, tau2)
     if stark_phase is not None:
         echo = echo * np.exp(-1j * stark_phase)
     return EchoRecord(

@@ -31,6 +31,12 @@ integrating-factor quadrature at the k2, k3 and k4 stages of every
 Runge-Kutta step and recorded at the step end, keeping the coupled step
 4th order; k1 reuses the row recorded from the same atoms at the same
 clock, which for the first step is the row the fresh state solved.  The
+state holds that row and the field's trace at the two faces, no
+history of rows.  A step and its Bloch projection write every (node, Z)
+intermediate into the state's workspace, buffers held from its first
+step until stages.march ends the stage; allocated afresh, node arrays
+above the C library's mapping threshold would be mapped and faulted in
+again at every step.  The
 per-node constants are set once per stage in the state, and the control
 at the stage times, its Simpson integrals and the boundary values in its
 StageTable, which the fresh state builds; field_row and advance_strong
@@ -149,6 +155,23 @@ class SimulationState(stages.StageState):
         """Ensemble excitation sum_j w_j (1 - r11_j) at every Z."""
         return weighted_node_sum(self.ensemble.weights, 1.0 - self.r11)
 
+    def workspace(self) -> tuple:
+        """The buffers a step and its projection write: seven complex and
+        three real (n_node, n_z) arrays and a boolean mask of that shape.
+
+        Allocated at first use and held until stages.march drops them at
+        the stage end, so the steps of a stage write their intermediates
+        into the same memory instead of fresh arrays.  The lists are
+        mutable: a step hands its first complex and real buffer to the
+        state as the new atoms and takes the old atoms in their place.
+        """
+        if self._work is None:
+            shape = self.r12.shape
+            self._work = ([np.empty(shape, dtype=complex) for _ in range(7)],
+                          [np.empty(shape) for _ in range(3)],
+                          np.empty(shape, dtype=bool))
+        return self._work
+
     def assert_physical(self) -> None:
         """Restore the Bloch-ball bounds and raise if they truly broke.
 
@@ -163,20 +186,32 @@ class SimulationState(stages.StageState):
         clipped to [0, 1], so after every step 0 <= r11 <= 1 and
         |r12|^2 <= r11 (1 - r11) hold to rounding.  An excursion beyond
         BLOCH_EMERGENCY is not truncation-sized and raises instead of
-        being hidden."""
-        s_z = self.r11 - 0.5
-        norm = np.sqrt(np.abs(self.r12) ** 2 + s_z ** 2)
+        being hidden.
+
+        The projection runs on every cell, in the workspace's buffers:
+        with norm the vector's length, shrink = 0.5 / max(norm, 0.5) is 1
+        inside the sphere, and scaling Re r12 and Im r12 by it leaves
+        those cells' bits as they were.  r11 - 1/2 scaled by it, plus
+        1/2, would not, so r11 takes it only where norm > 0.5."""
+        _, (s_z, norm, square), over = self.workspace()
+        np.subtract(self.r11, 0.5, out=s_z)
+        np.abs(self.r12, out=norm)
+        np.multiply(norm, norm, out=norm)
+        np.multiply(s_z, s_z, out=square)
+        norm += square
+        np.sqrt(norm, out=norm)
         worst = float(norm.max()) - 0.5
         if not math.isfinite(worst) or worst > BLOCH_EMERGENCY:
             raise PhysicalityViolation(
                 f"Bloch vector left the unit ball by {worst:.3g}")
-        # masked in place: only cells outside the sphere change, each by
-        # the shrink 0.5 / norm, which overwrites norm there
-        over = norm > 0.5
-        shrink = np.divide(0.5, norm, out=norm, where=over)
-        np.multiply(self.r12, shrink, out=self.r12, where=over)
-        np.multiply(s_z, shrink, out=s_z, where=over)
-        np.add(s_z, 0.5, out=self.r11, where=over)
+        np.greater(norm, 0.5, out=over)
+        shrink = np.maximum(norm, 0.5, out=norm)
+        np.divide(0.5, shrink, out=shrink)
+        self.r12.real *= shrink
+        self.r12.imag *= shrink
+        s_z *= shrink
+        s_z += 0.5
+        np.copyto(self.r11, s_z, where=over)
         np.clip(self.r11, 0.0, 1.0, out=self.r11)
 
 
@@ -243,7 +278,7 @@ def _stark_rate(state: SimulationState, s: float, row: np.ndarray,
     return np.abs(row) ** 2 * (state.stark / om2)
 
 
-def _lawson_step(state: SimulationState, row1: np.ndarray,
+def _lawson_step(state: SimulationState, step: tuple, row1: np.ndarray,
                  row_at: Callable) -> None:
     """One RK4-Lawson step for the bracket d21 - Delta c_j f, written in
     the lab frame.
@@ -264,48 +299,78 @@ def _lawson_step(state: SimulationState, row1: np.ndarray,
     so each stage is one rotated start value plus one (n_node, 1) column
     times G.  The population stages fold their step size h into the
     coupling column the same way: r11_k = r11 + h (-2 s c) Im(conj(row)
-    r12) at the previous stage.  row1 is the field row at the step start
-    and row_at(k, r12, r11) supplies the row the slopes see at stage time
-    s + k dt/2 (k = 1, 2).  dt is the stage table's grid step.  The
-    columns are _step_factors', reused while the step integrals repeat.
+    r12) at the previous stage.  step is the stage table's row of the
+    step, row1 the field row at the step start, and row_at(k, r12, r11)
+    supplies the row the slopes see at stage time s + k dt/2 (k = 1, 2).
+    dt is the stage table's grid step.  The columns are _step_factors',
+    reused while the step integrals repeat.
+
+    Every (node, Z) intermediate is written into the state's workspace,
+    in the order and with the operands an expression per stage would
+    use, so the bits are those of fresh arrays.  The new atoms land in
+    the first complex and real buffers, which become the state's r12
+    and r11; the old ones take their place in the workspace.
     """
     table = state.table
     dt = table.dt
-    times, om2, _, df_half, df_full = table.row(state.step_index)
+    times, om2, _, df_half, df_full = step
     (rot_half, rot_full, drive_half, drive_sixth, pop_half, pop_full,
      pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
         df_half, df_full, partial(_step_factors, state.nodes, dt))
+    complex_buffers, real_buffers, _ = state.workspace()
+    half, stage, g1, g2, g3, prod1, prod = complex_buffers
+    n_st, i23, scratch = real_buffers
 
-    def slope(k, row, n_st, r12_st):
-        """G and Im(conj(row) r12) at stage time k dt/2."""
+    def slope(k, row, n_k, r12_k, g, prod):
+        """G into g and conj(row) r12 into prod at stage time k dt/2;
+        returns Im(conj(row) r12), a view of prod."""
         rate = _stark_rate(state, times[k], row, om2[k], table.peak2)
-        g = row[None, :] * (2.0 * n_st - 1.0)
+        np.multiply(n_k, 2.0, out=scratch)
+        np.subtract(scratch, 1.0, out=scratch)
+        np.multiply(row, scratch, out=g)
         if rate is not None:
-            g += rate[None, :] * r12_st
-        return g, (np.conj(row)[None, :] * r12_st).imag
+            np.multiply(rate, r12_k, out=prod)
+            g += prod
+        np.multiply(np.conj(row), r12_k, out=prod)
+        return prod.imag
 
     p, n = state.r12, state.r11
-    g1, i1 = slope(0, row1, n, p)
-    p_half = rot_half * p
-    r12_st = p_half + col2 * g1
-    n_st = n + pop_half * i1
-    g2, i2 = slope(1, row_at(1, r12_st, n_st), n_st, r12_st)
-    r12_st = p_half + drive_half * g2
-    n_st = n + pop_half * i2
-    g3, i3 = slope(1, row_at(1, r12_st, n_st), n_st, r12_st)
-    p_full = rot_full * p
-    r12_st = p_full + col4 * g3
-    n_st = n + pop_full * i3
+    i1 = slope(0, row1, n, p, g1, prod1)
+    np.multiply(rot_half, p, out=half)
+    np.multiply(col2, g1, out=stage)
+    stage += half
+    np.multiply(pop_half, i1, out=n_st)
+    n_st += n
+    i2 = slope(1, row_at(1, stage, n_st), n_st, stage, g2, prod)
+    np.copyto(i23, i2)
+    np.multiply(drive_half, g2, out=stage)
+    stage += half
+    np.multiply(pop_half, i23, out=n_st)
+    n_st += n
+    i3 = slope(1, row_at(1, stage, n_st), n_st, stage, g3, prod)
+    # R_f p replaces R_h p, which no later stage reads
+    np.multiply(rot_full, p, out=half)
+    np.multiply(col4, g3, out=stage)
+    stage += half
+    np.multiply(pop_full, i3, out=n_st)
+    n_st += n
     g2 += g3
-    i23 = i2 + i3
-    # free what the last stage no longer reads before its field solve,
-    # where the step holds the most arrays
-    del p_half, g3, i2, i3
-    g4, i4 = slope(2, row_at(2, r12_st, n_st), n_st, r12_st)
+    i23 += i3
+    # G_4 replaces G_3, which is read no more
+    i4 = slope(2, row_at(2, stage, n_st), n_st, stage, g3, prod)
 
-    state.r12 = (p_full + col_new1 * g1 + col_new23 * g2
-                 + drive_sixth * g4)
-    state.r11 = n + pop_sixth * (i1 + i4 + 2.0 * i23)
+    # r12' = R_f p + col_new1 G_1 + col_new23 (G_2 + G_3) + drive_sixth G_4
+    for column, g in ((col_new1, g1), (col_new23, g2), (drive_sixth, g3)):
+        np.multiply(column, g, out=stage)
+        half += stage
+    # r11' = r11 + pop_sixth ((i1 + i4) + 2 (i2 + i3))
+    np.add(i1, i4, out=n_st)
+    i23 *= 2.0
+    n_st += i23
+    n_st *= pop_sixth
+    n_st += n
+    complex_buffers[0], state.r12 = p, half
+    real_buffers[0], state.r11 = n, n_st
     state.step_index += 1
     state.assert_physical()
 
@@ -333,17 +398,19 @@ def advance_strong(state: SimulationState) -> SimulationState:
     """One coupled step: the field is solved from the provisional atoms
     at the k2, k3 and k4 stages, then recorded at the new clock.
 
-    k1 reuses the recorded row, which was solved from the current atoms.
-    Every row takes its time, f and boundary value from the stage table.
+    k1 reuses the held row, which was solved from the current atoms.
+    Every row takes its time, f and boundary value from the stage table,
+    whose row of the step is read once here and handed to the step.
     """
-    times, _, sampled, _, _ = state.table.row(state.step_index)
+    step = state.table.row(state.step_index)
+    times, _, sampled, _, _ = step
 
     def row_at(k, r12, r11):
         return field_row(state, times[k], r12, r11, sampled[k])
 
-    _lawson_step(state, state.zeta_t[state.step_index], row_at)
+    _lawson_step(state, step, state.row, row_at)
     row = row_at(2, state.r12, state.r11)
-    state.zeta_t[state.step_index] = row
+    state.record(row)
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
 
@@ -433,11 +500,12 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
                   transmitted_fraction: float = math.nan) -> EchoRecord:
     """Retrieve the echo from a stored strong-field state.
 
-    ensemble is the stage-1 node table; stages.hand_over applies the
-    strict gate, the dark-interval phase and the RECRIB inversion.  After
-    it, the mode-matching map r12 -> r12 exp(i q Z) carries the grating
-    into the retrieval frame.  conditions, when supplied, is the
-    ConditionReport consulted in strict mode.
+    ensemble is the stage-1 node table, which stages.hand_over refuses
+    unless it is the stored state's; it applies the strict gate, the
+    dark-interval phase and the RECRIB inversion.  After it, the
+    mode-matching map r12 -> r12 exp(i q Z) carries the grating into the
+    retrieval frame.  conditions, when supplied, is the ConditionReport
+    consulted in strict mode.
     """
     r12, ensemble2 = stages.hand_over(stored, protocol, ensemble, grid2,
                                       gap_time, conditions)

@@ -15,10 +15,12 @@ node's deterministic detuning phase is rotated out analytically, so only
 the smooth driven motion is stepped by Runge-Kutta.  The field is solved
 at the k2, k3 and k4 stages and recorded at the step end; k1 reuses the
 row recorded from the same coherences at the same clock, which for the
-first step is the row the fresh state solved.  The control at the stage
-times, its Simpson integrals and the boundary values are tabulated once
-per stage, in a StageTable that the fresh state builds; field_row and
-advance_weak read the stage inputs and the signal bandwidth from the
+first step is the row the fresh state solved.  The state holds only
+that row and the trace of the field at its two faces, from which the
+storage driver records the input envelope at Z = 0.  The control at the
+stage times, its Simpson integrals and the boundary values are tabulated
+once per stage, in a StageTable that the fresh state builds; field_row
+and advance_weak read the stage inputs and the signal bandwidth from the
 state alone.  The per-node rotations, drive columns and node-weight sums
 of a step depend on the control only through those integrals, so they
 are rebuilt only when the integrals change (StageState.step_factors).
@@ -150,7 +152,7 @@ def advance_weak(state: WeakState) -> WeakState:
     def row_at(k, b12):
         return field_row(state, times[k], b12, sampled[k])
 
-    row1 = state.zeta_t[state.step_index]
+    row1 = state.row
     if om2[0] > 1e-9 * table.peak2:
         # the probe Stark shift, priced while the control is on
         stark = abs(state.control.one_photon_detuning) \
@@ -172,7 +174,7 @@ def advance_weak(state: WeakState) -> WeakState:
     state.r12 = p_new
     state.step_index += 1
     b12 = p_full + record1 * row1 + record23 * row23 + record4 * row4
-    state.zeta_t[state.step_index] = row_at(2, b12)
+    state.record(row_at(2, b12))
     return state
 
 
@@ -254,7 +256,7 @@ def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
                             bandwidth=probe.spectral_width)
     stages.march(state, advance_weak)
     return stages.audit_storage(
-        state, envelope_from_scaled(state.zeta_t[:, 0], control, grid.tau()))
+        state, envelope_from_scaled(state.faces[:, 0], control, grid.tau()))
 
 
 def recall_weak(stored: WeakState, control2: ControlProfile,
@@ -266,11 +268,12 @@ def recall_weak(stored: WeakState, control2: ControlProfile,
                 transmitted_fraction: float = math.nan) -> EchoRecord:
     """Retrieve the echo from a stored linear-regime state.
 
-    ensemble is the stage-1 node table; stages.hand_over applies the
-    strict gate, the dark-interval phase and the RECRIB inversion.  The
-    tilde variables factor out the linear Z-phase, so no mode-matching
-    map follows.  conditions, when supplied, is the ConditionReport
-    consulted in strict mode.
+    ensemble is the stage-1 node table, which stages.hand_over refuses
+    unless it is the stored state's; it applies the strict gate, the
+    dark-interval phase and the RECRIB inversion.  The tilde variables
+    factor out the linear Z-phase, so no mode-matching map follows.
+    conditions, when supplied, is the ConditionReport consulted in
+    strict mode.
     """
     r12, ensemble2 = stages.hand_over(stored, protocol, ensemble, grid2,
                                       gap_time, conditions)

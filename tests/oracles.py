@@ -26,6 +26,12 @@ they predict.
 solve_strong_stage2 constructs the stage 2 that nulls all four
 strong-field residuals; the condition checkers must pass it.
 
+allocating_lawson_step and allocating_assert_physical are the strong
+step and its Bloch projection written the plain way, every stage an
+expression on fresh arrays and the projection in masked passes;
+allocating_advance_strong steps a stage with them.  The package's step,
+which writes into a held workspace, must reproduce them bit for bit.
+
 advance_atoms steps the strong-field atoms under a frozen field row,
 which isolates the atom update for the Rabi, rotation and Bloch-ball
 oracles.  refined(grid, factor) is the nested refinement the
@@ -37,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -45,15 +52,19 @@ from ramanecho.conditions import PhaseMatching, StageSetup
 from ramanecho.core import EnsembleSpec, Grid, ProbeSpec, require_finite
 from ramanecho.efficiency import EfficiencyModel, _curve, _normalize_protocol
 from ramanecho.errors import ControlVanishes, NoInteriorMaximum, \
-    NonFiniteField, ValidationError
+    NonFiniteField, PhysicalityViolation, ValidationError
 from ramanecho.numerics import fmt_float, golden_section_max, \
     trapezoid_energy, write_text_atomic
 from ramanecho.strongfield import (
+    BLOCH_EMERGENCY,
     CONTROL_FLOOR,
     FIELD_FLOOR,
     SimulationState,
     _c_factors,
     _lawson_step,
+    _stark_rate,
+    _step_factors,
+    field_row,
 )
 
 
@@ -68,11 +79,11 @@ def rotating_frame_nodes(ensemble, control, drive_sign: int) -> tuple:
 
 
 def rotating_frame_copy(state: SimulationState) -> SimulationState:
-    """A copy of state, atoms and field rows included, that carries the
-    oracle's columns for the state's ensemble and control."""
+    """A copy of state, atoms, field row and face trace included, that
+    carries the oracle's columns for the state's ensemble and control."""
     return dataclasses.replace(
         state, r12=state.r12.copy(), r11=state.r11.copy(),
-        zeta_t=state.zeta_t.copy(),
+        row=state.row.copy(), faces=state.faces.copy(),
         nodes=rotating_frame_nodes(state.ensemble, state.control,
                                    state.drive_sign))
 
@@ -143,6 +154,86 @@ def rotating_frame_step(state: SimulationState, dt: float,
     state.r11 = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
     state.step_index += 1
     state.assert_physical()
+
+
+def allocating_assert_physical(state: SimulationState) -> None:
+    """SimulationState.assert_physical in masked passes on fresh arrays:
+    the radial projection of the cells outside the Bloch sphere, then
+    the clip of r11 to [0, 1]."""
+    s_z = state.r11 - 0.5
+    norm = np.sqrt(np.abs(state.r12) ** 2 + s_z ** 2)
+    worst = float(norm.max()) - 0.5
+    if not math.isfinite(worst) or worst > BLOCH_EMERGENCY:
+        raise PhysicalityViolation(
+            f"Bloch vector left the unit ball by {worst:.3g}")
+    # masked in place: only cells outside the sphere change, each by
+    # the shrink 0.5 / norm, which overwrites norm there
+    over = norm > 0.5
+    shrink = np.divide(0.5, norm, out=norm, where=over)
+    np.multiply(state.r12, shrink, out=state.r12, where=over)
+    np.multiply(s_z, shrink, out=s_z, where=over)
+    np.add(s_z, 0.5, out=state.r11, where=over)
+    np.clip(state.r11, 0.0, 1.0, out=state.r11)
+
+
+def allocating_lawson_step(state: SimulationState, row1: np.ndarray,
+                           row_at: Callable) -> None:
+    """strongfield._lawson_step with every stage an expression on fresh
+    arrays, projected by allocating_assert_physical."""
+    table = state.table
+    dt = table.dt
+    times, om2, _, df_half, df_full = table.row(state.step_index)
+    (rot_half, rot_full, drive_half, drive_sixth, pop_half, pop_full,
+     pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
+        df_half, df_full, partial(_step_factors, state.nodes, dt))
+
+    def slope(k, row, n_st, r12_st):
+        """G and Im(conj(row) r12) at stage time k dt/2."""
+        rate = _stark_rate(state, times[k], row, om2[k], table.peak2)
+        g = row[None, :] * (2.0 * n_st - 1.0)
+        if rate is not None:
+            g += rate[None, :] * r12_st
+        return g, (np.conj(row)[None, :] * r12_st).imag
+
+    p, n = state.r12, state.r11
+    g1, i1 = slope(0, row1, n, p)
+    p_half = rot_half * p
+    r12_st = p_half + col2 * g1
+    n_st = n + pop_half * i1
+    g2, i2 = slope(1, row_at(1, r12_st, n_st), n_st, r12_st)
+    r12_st = p_half + drive_half * g2
+    n_st = n + pop_half * i2
+    g3, i3 = slope(1, row_at(1, r12_st, n_st), n_st, r12_st)
+    p_full = rot_full * p
+    r12_st = p_full + col4 * g3
+    n_st = n + pop_full * i3
+    g2 += g3
+    i23 = i2 + i3
+    # free what the last stage no longer reads before its field solve,
+    # where the step holds the most arrays
+    del p_half, g3, i2, i3
+    g4, i4 = slope(2, row_at(2, r12_st, n_st), n_st, r12_st)
+
+    state.r12 = (p_full + col_new1 * g1 + col_new23 * g2
+                 + drive_sixth * g4)
+    state.r11 = n + pop_sixth * (i1 + i4 + 2.0 * i23)
+    state.step_index += 1
+    allocating_assert_physical(state)
+
+
+def allocating_advance_strong(state: SimulationState) -> SimulationState:
+    """strongfield.advance_strong with allocating_lawson_step as its
+    step: the same field rows, recorded the same way."""
+    times, _, sampled, _, _ = state.table.row(state.step_index)
+
+    def row_at(k, r12, r11):
+        return field_row(state, times[k], r12, r11, sampled[k])
+
+    allocating_lawson_step(state, state.row, row_at)
+    row = row_at(2, state.r12, state.r11)
+    state.record(row)
+    state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
+    return state
 
 
 def scan_optimal_gamma(protocol: str, alpha0L: float,
@@ -322,10 +413,11 @@ def solve_strong_stage2(stage1: StageSetup, anchor: float = 0.0
 
 
 def advance_atoms(state: SimulationState) -> SimulationState:
-    """One frozen-field atomic step: the row recorded at the current step
-    index drives all four Runge-Kutta stages."""
-    row = state.zeta_t[state.step_index]
-    _lawson_step(state, row, row_at=lambda k, r12, r11: row)
+    """One frozen-field atomic step: the state's held row drives all four
+    Runge-Kutta stages."""
+    row = state.row
+    _lawson_step(state, state.table.row(state.step_index), row,
+                 row_at=lambda k, r12, r11: row)
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
 

@@ -1,12 +1,14 @@
 """Nonlinear integrator tests: exact limits, oracles, and round trips."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramanecho import strongfield, weakfield
+from ramanecho import stages, strongfield, weakfield
 from ramanecho.conditions import (
     ConditionEntry,
     ConditionReport,
@@ -43,9 +45,11 @@ from ramanecho.strongfield import (
     run_storage,
 )
 from ramanecho.weakfield import WeakState, recall_weak, run_weak_storage
+import oracles
 from oracles import (
     SusceptibilityKernel,
     advance_atoms,
+    allocating_advance_strong,
     analytic_transmission,
     refined,
     rotating_frame_copy,
@@ -146,8 +150,8 @@ def test_field_row_no_coherence_no_input_is_zero():
     ens, ctl, med, grid = _field_test_pieces()
     for sgn in (+1, -1):
         state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=sgn)
-        row = state.zeta_t[0]
-        assert np.all(row == 0)
+        assert np.all(state.row == 0)
+        assert np.all(state.faces == 0)
 
 
 def test_population_term_keeps_field_magnitude():
@@ -157,13 +161,13 @@ def test_population_term_keeps_field_magnitude():
     zeta0 = 0.3 - 0.4j
     state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1,
                                   boundary=lambda s, psi, rabi: zeta0)
-    row = state.zeta_t[0]
+    row = state.row
     assert row[0] == zeta0
     assert np.max(np.abs(np.abs(row) - abs(zeta0))) < FIELD_CLOSED_FORM_TOL
 
     back = SimulationState.fresh(grid, ens, ctl, med, drive_sign=-1,
                                  boundary=lambda s, psi, rabi: zeta0)
-    row_b = back.zeta_t[0]
+    row_b = back.row
     assert row_b[-1] == zeta0
     assert np.max(np.abs(np.abs(row_b) - abs(zeta0))) < FIELD_CLOSED_FORM_TOL
 
@@ -185,7 +189,7 @@ def test_single_node_row_matches_closed_form():
             want = (s / a) * (np.exp(a * z) - 1.0)
         else:
             want = (s / a) * (np.exp(a * (z - grid.length)) - 1.0)
-        row = state.zeta_t[0]
+        row = state.row
         scale = np.max(np.abs(want))
         assert np.max(np.abs(row - want)) < FIELD_CLOSED_FORM_TOL * scale
 
@@ -198,7 +202,7 @@ def test_short_slab_row_is_linear_in_depth():
         grid, ens, ctl, med, drive_sign=+1,
         r12_initial=np.full((1, grid.n_z), r),
         r11_initial=np.ones((1, grid.n_z)))
-    row = state.zeta_t[0]
+    row = state.row
     linear = 0.5j * med.coupling_beta * r * grid.length
     a_l = 0.5 * med.coupling_beta / ctl.one_photon_detuning * grid.length
     assert abs(row[-1] - linear) < 0.6 * a_l * abs(linear)
@@ -229,7 +233,7 @@ def test_row_matches_refined_z_reference():
                 grid, ens, ctl, med, drive_sign=sgn,
                 boundary=lambda s, psi, rabi: 0.05 + 0.02j,
                 r12_initial=r12, r11_initial=r11)
-            rows[sgn, n_z] = state.zeta_t[0]
+            rows[sgn, n_z] = state.row
     for sgn in (+1, -1):
         coarse = rows[sgn, 65]
         fine = rows[sgn, 257][::4]
@@ -322,7 +326,7 @@ def test_resonant_drive_matches_rabi_oracle():
     zeta = 0.5
     state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
                                   drive_sign=+1)
-    state.zeta_t[:] = zeta
+    state.row[:] = zeta
     state.zeta_scale = zeta
     hist = np.empty(grid.n_tau)
     hist[0] = state.r11[0, 0]
@@ -347,7 +351,7 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
     grid = Grid(n_tau=41, n_z=5, t_end=0.8, length=1.0)
     state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
                                   drive_sign=+1)
-    state.zeta_t[:] = amp * (0.6 + 0.8j)
+    state.row[:] = amp * (0.6 + 0.8j)
     state.zeta_scale = amp
     for _ in range(grid.n_tau - 1):
         advance_atoms(state)
@@ -411,7 +415,7 @@ def test_live_field_with_control_off_raises():
     grid = Grid(n_tau=5, n_z=7, t_end=1.0, length=1.0)
     state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
                                   drive_sign=+1)
-    state.zeta_t[:] = 0.1
+    state.row[:] = 0.1
     state.zeta_scale = 0.1
     with pytest.raises(ControlVanishes):
         advance_atoms(state)
@@ -428,14 +432,15 @@ def _spread_ensemble():
                         delta31s=[-3.0, -1.0, 0.0, 1.5, 3.0])
 
 
-def _tilted_atoms(ens, grid, seed):
-    """Bloch vectors of length 0.45 in random directions per (node, Z)."""
+def _tilted_atoms(ens, grid, seed, radius=0.45):
+    """Bloch vectors of length radius in random directions per (node,
+    Z)."""
     rng = np.random.default_rng(seed)
     shape = (ens.n_nodes, grid.n_z)
     theta = rng.uniform(0.0, math.pi, shape)
     phi = rng.uniform(0.0, 2.0 * math.pi, shape)
-    return (0.45 * np.sin(theta) * np.exp(1j * phi),
-            0.5 + 0.45 * np.cos(theta))
+    return (radius * np.sin(theta) * np.exp(1j * phi),
+            0.5 + radius * np.cos(theta))
 
 
 def _worst_step_mismatch(state, step, oracle):
@@ -462,11 +467,11 @@ def test_frozen_field_step_matches_rotating_frame_oracle(sign):
     state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
                                   drive_sign=sign, r12_initial=r12,
                                   r11_initial=r11)
-    state.zeta_t[:] = 1.2 * np.exp(1j * (0.6 + 2.0 * grid.z()))
+    state.row[:] = 1.2 * np.exp(1j * (0.6 + 2.0 * grid.z()))
     state.zeta_scale = 1.2
 
     def oracle(ref):
-        row = ref.zeta_t[ref.step_index]
+        row = ref.row
         rotating_frame_step(ref, grid.dt, row, lambda k, r12, r11: row)
 
     worst = _worst_step_mismatch(state, lambda: advance_atoms(state),
@@ -503,14 +508,126 @@ def test_live_stage_matches_rotating_frame_oracle(sign):
         def row_at(k, r12, r11):
             return field_row(ref, times[k], r12, r11, sampled[k])
 
-        rotating_frame_step(ref, grid.dt, ref.zeta_t[ref.step_index],
-                            row_at)
+        rotating_frame_step(ref, grid.dt, ref.row, row_at)
 
     worst = _worst_step_mismatch(state, lambda: advance_strong(state),
                                  oracle)
     assert worst <= STEP_ORACLE_TOL
-    assert np.max(np.abs(state.zeta_t)) > 0.01
+    assert np.max(np.abs(state.faces)) > 0.01
     assert np.max(np.abs(state.r11 - r11)) > 0.01
+
+
+# ---------------------------------------------------------------------------
+# the workspace step against the allocating step
+# ---------------------------------------------------------------------------
+
+# (ensemble, n_z, n_tau): 5 nodes on a short slab, and 65 nodes on the
+# saturating case's 641 points, whose (node, Z) arrays of 667 KB lie
+# above the size from which the C library maps every allocation afresh,
+# and above what numpy's buffered iteration of one broadcast operation
+# allocates for itself (at most 8,192 elements of 16 B per operand)
+WORKSPACE_STAGES = {
+    "small": (_spread_ensemble, 17, 81),
+    "large": (lambda: build_gaussian_ensemble(
+        width=1.0, n_nodes=13, rule="uniform", width_21=0.3,
+        n_nodes_21=5), 641, 41),
+}
+
+
+def _live_stage(size, sign):
+    """A fresh stage of WORKSPACE_STAGES[size] from atoms on the Bloch
+    sphere, so that truncation pushes cells out and the projection acts.
+    The control switches off mid-stage; storage (+1) is fed by a probe,
+    retrieval (-1) emits from the atoms."""
+    make_ensemble, n_z, n_tau = WORKSPACE_STAGES[size]
+    ens = make_ensemble()
+    t_end = 0.025 * (n_tau - 1)
+    ctl = ControlProfile.flat_top(rabi=30.0, detuning=30.0 * sign,
+                                  switch_on=-1.0, switch_off=0.5 * t_end,
+                                  rise_time=0.2 * t_end)
+    probe = ProbeSpec.gaussian(center=0.15 * t_end, duration=0.2 * t_end,
+                               amplitude_scale=30.0)
+    grid = Grid(n_tau=n_tau, n_z=n_z, t_end=t_end, length=1.0)
+    r12, r11 = _tilted_atoms(ens, grid, seed=8, radius=0.5)
+    state = SimulationState.fresh(
+        grid, ens, ctl, MediumSpec(coupling_beta=4.0), drive_sign=sign,
+        boundary=ProbeBoundary(probe) if sign > 0 else None,
+        r12_initial=r12, r11_initial=r11)
+    state.zeta_scale = 1.0
+    return state
+
+
+@pytest.mark.parametrize("size", sorted(WORKSPACE_STAGES))
+@pytest.mark.parametrize("sign", [+1, -1], ids=["storage", "retrieval"])
+def test_workspace_step_reproduces_the_allocating_step(sign, size,
+                                                       monkeypatch):
+    # the workspace step makes the allocating step's operations in its
+    # order, on operands of the same layout (the retrieval row is a
+    # reversed view), so every step leaves the same bits
+    state, ref = _live_stage(size, sign), _live_stage(size, sign)
+    off = state.table.om2[:, 0] <= strongfield.CONTROL_FLOOR \
+        * state.table.peak2
+    assert off.any() and not off.all()
+    projected = []
+
+    def counted(st):
+        s_z = st.r11 - 0.5
+        projected.append(np.count_nonzero(
+            np.sqrt(np.abs(st.r12) ** 2 + s_z ** 2) > 0.5))
+        project(st)
+
+    project = oracles.allocating_assert_physical
+    monkeypatch.setattr(oracles, "allocating_assert_physical", counted)
+    for _ in range(state.grid.n_tau - 1):
+        advance_strong(state)
+        allocating_advance_strong(ref)
+        for name in ("r12", "r11", "row", "faces"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name))
+    assert sum(projected) > 0
+    assert np.max(np.abs(state.faces)) > 1e-3
+
+
+def _traced_step_peak(advance, state) -> int:
+    """Bytes a step of state allocates at its peak, after a first step."""
+    advance(state)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        advance(state)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sign", [+1, -1], ids=["storage", "retrieval"])
+def test_strong_step_allocates_no_node_array_after_its_first(sign):
+    # the first step allocates the workspace, and every later step writes
+    # its (node, Z) intermediates there: the small rows of its field
+    # solves stay below one such array, where the allocating step holds
+    # several at once
+    node_array = _live_stage("large", sign).r12.nbytes
+    assert _traced_step_peak(advance_strong,
+                             _live_stage("large", sign)) < node_array
+    assert _traced_step_peak(allocating_advance_strong,
+                             _live_stage("large", sign)) > 4 * node_array
+
+
+def test_workspace_lives_for_one_stage_of_one_state():
+    # march drops the buffers when the stage ends, and a copy of a state
+    # starts without them, so it never writes into the original's
+    state = _live_stage("small", +1)
+    advance_strong(state)
+    assert state.workspace() is state.workspace()
+    copy = dataclasses.replace(state, r12=state.r12.copy(),
+                               r11=state.r11.copy(), row=state.row.copy(),
+                               faces=state.faces.copy())
+    assert copy._work is None
+    assert copy.workspace()[0][0] is not state.workspace()[0][0]
+    fresh = _live_stage("small", +1)
+    stages.march(fresh, advance_strong)
+    assert fresh.step_index == fresh.grid.n_tau - 1
+    assert fresh._work is None
 
 
 def _observed_order(coarse, mid, fine):
@@ -540,7 +657,7 @@ def test_coupled_storage_converges_at_fourth_order():
             states.append(run_storage(probe, ctl, ens, med, grid).state)
     assert np.min(states[-1].r11) < 0.99
     # the exit row at the coarse grid's times
-    exits = [st.zeta_t[::2 ** k, -1] for k, st in enumerate(states)]
+    exits = [st.faces[::2 ** k, 1] for k, st in enumerate(states)]
     for arrays in ([st.r12 for st in states], [st.r11 for st in states],
                    exits):
         assert _observed_order(*arrays) >= CONVERGENCE_ORDER_FLOOR
@@ -564,7 +681,7 @@ def test_weak_storage_converges_at_fourth_order():
     for n_tau in (301, 601, 1201):
         grid = Grid(n_tau=n_tau, n_z=25, t_end=24.0, length=1.0)
         states.append(run_weak_storage(probe, ctl, ens, med, grid).state)
-    exits = [st.zeta_t[::2 ** k, -1] for k, st in enumerate(states)]
+    exits = [st.faces[::2 ** k, 1] for k, st in enumerate(states)]
     for arrays in ([st.r12 for st in states],
                    [np.abs(st.r12) ** 2 for st in states], exits):
         assert _observed_order(*arrays) >= CONVERGENCE_ORDER_FLOOR
@@ -610,8 +727,9 @@ def test_fresh_state_solves_row_0_from_its_table():
         ProbeBoundary(probe)(0.0, 0.0, ctl.rabi(0.0)), rel=1e-12)
     assert abs(incoming0) > 0.01
     want = field_row(state, 0.0, r12, r11, (f0, incoming0))
-    assert np.array_equal(state.zeta_t[0], want)
-    assert not np.any(state.zeta_t[1:])
+    assert np.array_equal(state.row, want)
+    assert np.array_equal(state.faces[0], want[[0, -1]])
+    assert not np.any(state.faces[1:])
 
 
 def test_storage_counts_field_solves_and_peak_samples(monkeypatch):
@@ -643,7 +761,8 @@ def test_zero_probe_stores_nothing():
     ens, ctl, _, med, grid = _cheap_setup()
     probe = ProbeSpec.gaussian(center=8.0, duration=2.0, amplitude_scale=0.0)
     out = run_storage(probe, ctl, ens, med, grid)
-    assert np.all(out.state.zeta_t == 0)
+    assert np.all(out.state.faces == 0)
+    assert np.all(out.state.row == 0)
     assert np.all(out.state.r12 == 0)
     assert np.all(out.state.r11 == 1.0)
     assert out.input_photons == 0.0
@@ -731,6 +850,41 @@ def test_recall_refuses_another_z_axis_before_any_step(regime, axis,
                  np.zeros_like(tau_in, dtype=complex))
 
 
+@pytest.mark.parametrize("regime", ["weak", "strong"])
+def test_recall_refuses_another_ensemble(regime):
+    # the recall drivers take the stage-1 node table again, and the
+    # dark-interval phase and the RECRIB inversion act on it: storage of
+    # 33 uniform nodes of width 1 at depth 20, recalled after gap_time 1
+    # with the same call at width 0.5, ran silently and gave efficiency
+    # 0.5097 instead of 0.9999994.  An equal table built again is the
+    # stored one and recalls; another is refused
+    def nodes(width):
+        return build_gaussian_ensemble(width=width, n_nodes=33,
+                                       rule="uniform")
+
+    ens = nodes(1.0)
+    ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=0.0,
+                                  switch_off=24.0)
+    probe = ProbeSpec.gaussian(center=12.0, duration=2.0)
+    med = MediumSpec.from_alpha_eff(20.0, line_width_31=ens.line_width_31(),
+                                    length_L=1.0)
+    # the strong regime's grid bound prices the d31 spread: 289 steps is
+    # just too coarse for it
+    store, retrieve, n_tau = {
+        "weak": (run_weak_storage, recall_weak, 289),
+        "strong": (run_storage, run_retrieval, 385)}[regime]
+    grid = Grid(n_tau=n_tau, n_z=33, t_end=24.0, length=1.0)
+    out = store(probe, ctl, ens, med, grid)
+    ctl2 = ctl.time_reversed(anchor=24.0, detuning=-60.0)
+    protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0)
+    record = retrieve(out.state, ctl2, protocol, nodes(1.0), med, grid,
+                      out.tau, out.input_envelope, gap_time=1.0)
+    assert measure_efficiency(record)[0] > 0.99999
+    with pytest.raises(ValidationError, match="ensemble"):
+        retrieve(out.state, ctl2, protocol, nodes(0.5), med, grid,
+                 out.tau, out.input_envelope, gap_time=1.0)
+
+
 def test_retrieving_empty_state_yields_nothing():
     ens, ctl, _, med, grid = _cheap_setup()
     stored = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1)
@@ -741,7 +895,8 @@ def test_retrieving_empty_state_yields_nothing():
                            tau_input=tau_in,
                            input_envelope=gaussian_envelope(8.0, 2.0)(tau_in))
     assert record.echo_energy == 0.0
-    assert np.all(record.extras["state"].zeta_t == 0)
+    assert np.all(record.extras["state"].faces == 0)
+    assert np.all(record.extras["state"].row == 0)
     eps, _ = measure_efficiency(record)
     assert eps == 0.0
 

@@ -152,8 +152,9 @@ def test_fresh_state_solves_row_0_from_its_table():
     assert abs(incoming0) > 0.01
     want = field_row(state, 0.0, weighted_node_sum(ens.weights, r12),
                      (f0, incoming0))
-    assert np.array_equal(state.zeta_t[0], want)
-    assert not np.any(state.zeta_t[1:])
+    assert np.array_equal(state.row, want)
+    assert np.array_equal(state.faces[0], want[[0, -1]])
+    assert not np.any(state.faces[1:])
 
 
 @pytest.mark.parametrize("n_z", [257, 641])
@@ -226,7 +227,7 @@ def _dense_advance_weak(state, boundary, s, dt):
                          weighted_node_sum(ensemble.weights, r12),
                          _sampled(control, boundary, times[k]))
 
-    row1 = state.zeta_t[state.step_index]
+    row1 = state.row
     k1 = drive * row1[None, :]
     k2 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k1))[None, :]
     k3 = drive_half * row_at(1, rot_half * (p + 0.5 * dt * k2))[None, :]
@@ -234,7 +235,7 @@ def _dense_advance_weak(state, boundary, s, dt):
     state.r12 = rot_full * (p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3
                                                  + k4))
     state.step_index += 1
-    state.zeta_t[state.step_index] = row_at(2, state.r12)
+    state.record(row_at(2, state.r12))
 
 
 def _mid_ramp_state(drive_sign):
@@ -258,9 +259,9 @@ def _mid_ramp_state(drive_sign):
                             boundary=boundary, r12_initial=r12,
                             bandwidth=2.0)
     state.step_index = 3
-    state.zeta_t[3] = field_row(state, 3 * grid.dt,
-                                weighted_node_sum(ens.weights, r12),
-                                _sampled(ctl, boundary, 3 * grid.dt))
+    state.row[:] = field_row(state, 3 * grid.dt,
+                             weighted_node_sum(ens.weights, r12),
+                             _sampled(ctl, boundary, 3 * grid.dt))
     return state, ens, ctl, boundary, grid
 
 
@@ -279,7 +280,8 @@ def test_rank_one_step_matches_dense_step(drive_sign):
     assert rank_one.table.times[3].tolist() == [s, s + 0.5 * dt, s + dt]
     assert rank_one.table.dt == dt
     for got, want in ((rank_one.r12, dense.r12),
-                      (rank_one.zeta_t[4], dense.zeta_t[4])):
+                      (rank_one.row, dense.row),
+                      (rank_one.faces[4], dense.faces[4])):
         scale = np.max(np.abs(want))
         assert scale > 0.0
         assert np.max(np.abs(got - want)) <= STEP_ORACLE_TOL * scale
@@ -317,7 +319,7 @@ def test_stage_table_holds_what_each_step_would_sample(regime):
     state, table, ctl, probe, boundary, dt = _stage_under_a_ramp(regime)
     # the steps read the table the fresh state built
     assert state.table is table
-    n_steps, n_node = state.zeta_t.shape[0] - 1, state.r12.shape[0]
+    n_steps, n_node = state.grid.n_tau - 1, state.r12.shape[0]
     # the step starts add dt in sequence
     clocks = [0.0]
     for _ in range(n_steps - 1):
@@ -396,7 +398,7 @@ def _reuse_stage(regime, control, ens=None):
 def _run(state, step, rebuild=False):
     """Step state to the end of its stage; rebuild clears the reused
     step factors before every step."""
-    while state.step_index < state.zeta_t.shape[0] - 1:
+    while state.step_index < state.grid.n_tau - 1:
         if rebuild:
             state._factors = None
         step(state)
@@ -404,8 +406,8 @@ def _run(state, step, rebuild=False):
 
 
 def _same_atoms(a, b):
-    same = np.array_equal(a.r12, b.r12) and np.array_equal(a.zeta_t,
-                                                             b.zeta_t)
+    same = all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("r12", "row", "faces"))
     return same and np.array_equal(getattr(a, "r11", 0.0),
                                    getattr(b, "r11", 0.0))
 
@@ -458,7 +460,8 @@ def test_other_node_columns_rebuild_the_step_factors(regime):
         fields["nodes"] = _reuse_stage(regime, ctl, other)[0].nodes
 
     def copy():
-        atoms = {"r12": state.r12.copy(), "zeta_t": state.zeta_t.copy()}
+        atoms = {"r12": state.r12.copy(), "row": state.row.copy(),
+                 "faces": state.faces.copy()}
         if regime == "strong":
             atoms["r11"] = state.r11.copy()
         return dataclasses.replace(state, **atoms, **fields)
@@ -502,9 +505,15 @@ def test_storage_is_linear_in_amplitude():
     probe2 = ProbeSpec.gaussian(center=12.0, duration=2.0,
                                 amplitude_scale=2.0)
     out2 = run_weak_storage(probe2, ctl, ens, med, grid)
-    scale = np.max(np.abs(out2.state.zeta_t))
-    diff = np.max(np.abs(2.0 * out1.state.zeta_t - out2.state.zeta_t))
-    assert diff < LINEARITY_TOL * scale
+    # the field at both faces over the stage and the row at its end,
+    # against the field's scale, and the stored coherences double with
+    # the input
+    field = max(np.max(np.abs(out2.state.faces)),
+                np.max(np.abs(out2.state.row)))
+    for name, scale in (("faces", field), ("row", field),
+                        ("r12", np.max(np.abs(out2.state.r12)))):
+        got1, got2 = getattr(out1.state, name), getattr(out2.state, name)
+        assert np.max(np.abs(2.0 * got1 - got2)) < LINEARITY_TOL * scale
 
 
 def test_storage_audit_balances():
