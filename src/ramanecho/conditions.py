@@ -166,6 +166,15 @@ class ProtocolConfig:
             return f1 * self.t1 / f2
         return echo_time_afc(f1, f2, self.t1, comb_spacing, self.k)
 
+    def recall_ensemble(self, ensemble: EnsembleSpec) -> EnsembleSpec:
+        """The stage-2 node table recalling from the stage-1 ensemble:
+        RECRIB inverts the nodes per invert_delta21/invert_delta31, comb
+        recall keeps them."""
+        if self.protocol == "recrib":
+            return ensemble.inverted(invert_31=self.invert_delta31,
+                                     invert_21=self.invert_delta21)
+        return ensemble
+
 
 @dataclass(frozen=True)
 class StageSetup:
@@ -335,24 +344,17 @@ def check_weak_conditions(stage1: StageSetup, stage2: StageSetup,
     ))
 
 
-def echo_carrier_weak(omega1: float, control1: ControlProfile,
-                      control2: ControlProfile,
-                      omega21: float | None = None
-                      ) -> tuple[float, float | None]:
-    """Echo carrier under two-photon resonance with constant Stark shifts.
+def echo_carrier(omega1: float, control1: ControlProfile,
+                 control2: ControlProfile) -> float:
+    """Echo carrier omega2 under two-photon resonance in both stages.
 
-    omega2 = omega1 + (control carrier difference) + (Stark shift
-    difference).  When the ground-state splitting omega21 is supplied the
-    stage-1 resonance defect |omega1 - (carrier1 + omega21 - shift1)| is
-    returned alongside; otherwise None.
+    omega2 = omega1 + (carrier2 - carrier1) + Delta1 f1 - Delta2 f2: the
+    control carrier difference plus the difference of the stages' Stark
+    shifts Delta f at their peak control levels.
     """
     shift1 = control1.one_photon_detuning * control1.peak_f()
     shift2 = control2.one_photon_detuning * control2.peak_f()
-    omega2 = omega1 + control2.carrier - control1.carrier + shift1 - shift2
-    residual = None
-    if omega21 is not None:
-        residual = abs(omega1 - (control1.carrier + omega21 - shift1))
-    return omega2, residual
+    return omega1 + (control2.carrier - control1.carrier) + shift1 - shift2
 
 
 def echo_time_afc(f1: float, f2: float, t1: float, delta_comb: float,

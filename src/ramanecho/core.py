@@ -320,7 +320,8 @@ class ControlProfile:
     """Classical control field of one stage.
 
     f_nu(tau) and the Stark shift are always derived from rabi_envelope and
-    one_photon_detuning; nothing redundant is stored.
+    one_photon_detuning; nothing redundant is stored.  carrier is the
+    control laser's own carrier, which conditions.echo_carrier reads.
     """
 
     rabi_envelope: Callable
@@ -410,15 +411,15 @@ class ControlProfile:
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Input probe envelope A1(tau, Z=0) and its duration."""
+    """Input probe envelope A1(tau, Z=0) and its duration; the probe
+    carrier is PhaseMatching.omega1."""
 
     envelope: Callable
     duration: float
-    carrier: float = 0.0
     amplitude_scale: float = 1.0
 
     def __post_init__(self):
-        require_finite(self, "duration", "carrier", "amplitude_scale")
+        require_finite(self, "duration", "amplitude_scale")
         if self.amplitude_scale < 0:
             raise ValidationError("amplitude_scale must be >= 0")
         if self.duration <= 0:
@@ -431,11 +432,9 @@ class ProbeSpec:
 
     @classmethod
     def gaussian(cls, center: float, duration: float,
-                 amplitude_scale: float = 1.0, carrier: float = 0.0
-                 ) -> "ProbeSpec":
+                 amplitude_scale: float = 1.0) -> "ProbeSpec":
         return cls(envelope=gaussian_envelope(center, duration),
-                   carrier=carrier, duration=duration,
-                   amplitude_scale=amplitude_scale)
+                   duration=duration, amplitude_scale=amplitude_scale)
 
     def sample(self, tau):
         return np.asarray(self.envelope(tau), dtype=complex)

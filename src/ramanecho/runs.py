@@ -21,19 +21,17 @@ from .conditions import (
 from . import stages
 from .numerics import fmt_float, write_text_atomic
 from .records import EchoRecord, measure_efficiency, write_envelope_csv
-from .scenario import Scenario, build_grids, build_protocol, stage_setups
+from .scenario import Scenario, build_grids, stage_setups
 from .strongfield import run_retrieval, run_storage
 from .weakfield import recall_weak, run_weak_storage
 
 
 def _check(scenario: Scenario, stage1, stage2,
-           proto: ProtocolConfig | None = None) -> ConditionReport:
+           proto: ProtocolConfig) -> ConditionReport:
     """Run the regime's reversal-condition checker on the two stages; the
-    weak checker reads t1 and t2 off the protocol (built when not given)."""
+    weak checker reads t1 and t2 off the protocol."""
     if scenario.run.regime == "strong":
         return check_strong_conditions(stage1, stage2)
-    if proto is None:
-        proto = build_protocol(scenario, stage1, stage2)
     k = scenario.protocol.k if scenario.protocol.name == "reafc" else 0
     return check_weak_conditions(stage1, stage2, k=k, t1=proto.t1,
                                  t2=proto.t2)
@@ -42,10 +40,10 @@ def _check(scenario: Scenario, stage1, stage2,
 def scenario_report(scenario: Scenario) -> ConditionReport:
     """Run the regime's reversal-condition checker on the two stages,
     once the storage checks that a run makes first have passed."""
-    stage1, stage2, _ = stage_setups(scenario)
+    stage1, stage2, _, proto = stage_setups(scenario)
     stages.check_storage(stage1.probe, stage1.control,
                          build_grids(scenario)[0])
-    return _check(scenario, stage1, stage2)
+    return _check(scenario, stage1, stage2, proto)
 
 
 @dataclass
@@ -76,10 +74,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     strict and the report has a failure, and ValidationError there for a
     negative or non-finite gap_time.
     """
-    stage1, stage2, med = stage_setups(scenario)
+    stage1, stage2, med, proto = stage_setups(scenario)
     ens, probe, ctl1, ctl2 = (stage1.ensemble, stage1.probe, stage1.control,
                               stage2.control)
-    proto = build_protocol(scenario, stage1, stage2)
     report = _check(scenario, stage1, stage2, proto)
     grid1, grid2 = build_grids(scenario)
     stages.gate_recall(proto, scenario.protocol.gap_time, report)

@@ -19,7 +19,7 @@ import configparser
 import math
 from dataclasses import dataclass, fields, replace
 
-from .conditions import PhaseMatching, ProtocolConfig, StageSetup
+from .conditions import PhaseMatching, ProtocolConfig, StageSetup, echo_carrier
 from .core import (
     ControlProfile,
     EnsembleSpec,
@@ -98,13 +98,13 @@ class ControlSection:
 
 @dataclass(frozen=True)
 class ProtocolSection:
-    """Blank t1 derives switch_off1 - probe center; blank t2 derives t1
-    for recrib and the comb rephasing time for reafc."""
+    """Blank t1 derives switch_off1 - probe center; blank t2 derives
+    f1 t1 / f2 at the controls' peak f for recrib (t1 on mirrored
+    controls) and the comb rephasing time for reafc."""
 
     name: str = "recrib"
     t1: float | None = None
     t2: float | None = None
-    comb_spacing: float = 0.0
     k: int = 1
     strict: bool = False
     gap_time: float = 0.0
@@ -123,9 +123,12 @@ class GridSection:
 
 @dataclass(frozen=True)
 class MatchingSection:
-    """Probe carrier and echo carrier (blank: omega1 + 2 detuning1 f1),
-    fed to the backward phase-matched geometry; explicit k1z/k2z override
-    it for deliberately mismatched setups."""
+    """Probe carrier omega1 and echo carrier omega2, fed to the backward
+    phase-matched geometry; explicit k1z/k2z override it for deliberately
+    mismatched setups.  Blank omega2 is the two-photon resonance of both
+    stages, conditions.echo_carrier: omega1 + (carrier2 - carrier1) +
+    detuning1 f1 - detuning2 f2 at the controls' peak f, which is
+    omega1 + 2 detuning1 f1 for a mirrored control2."""
 
     omega1: float = 1.0e5
     omega2: float | None = None
@@ -391,69 +394,55 @@ def build_grids(sc: Scenario) -> tuple[Grid, Grid]:
     return grid1, grid2
 
 
-def build_matching(sc: Scenario, ctl1: ControlProfile) -> PhaseMatching:
+def build_matching(sc: Scenario, ctl1: ControlProfile,
+                   ctl2: ControlProfile) -> PhaseMatching:
     m = sc.matching
     if m.omega1 == 0:
         # the phase-matching residuals are relative to the probe carrier
         raise ValidationError("[matching] omega1 must be non-zero")
     omega2 = m.omega2
     if omega2 is None:
-        omega2 = m.omega1 + 2.0 * ctl1.one_photon_detuning * ctl1.peak_f()
+        omega2 = echo_carrier(m.omega1, ctl1, ctl2)
     matched = PhaseMatching.backward_matched(omega1=m.omega1, omega2=omega2)
     k1z = matched.K1z if m.k1z is None else m.k1z
     k2z = matched.K2z if m.k2z is None else m.k2z
     return PhaseMatching(K1z=k1z, K2z=k2z, omega1=m.omega1, omega2=omega2)
 
 
-def build_protocol(sc: Scenario, stage1: StageSetup,
-                   stage2: StageSetup) -> ProtocolConfig:
-    """Recall protocol of the scenario on the stages of stage_setups."""
-    ctl1, ctl2 = stage1.control, stage2.control
+def stage_setups(sc: Scenario) -> tuple[StageSetup, StageSetup, MediumSpec,
+                                        ProtocolConfig]:
+    """The scenario's objects, each built once: the condition-checker view
+    of the two stages, the medium they share and the recall protocol.
+
+    Stage 1 carries the ensemble, probe, stage-1 control and matching a
+    run uses; stage 2 the stage-2 control and the node table the protocol
+    recalls on.  The shared reversal clock puts its origin at the stage-2
+    reading onset, i.e. stage-1 times are shifted by the mirror anchor
+    (mirror mode) or by control1 switch-off (explicit stage-2 control).
+    The protocol's blank t1 and t2 derive as ProtocolSection states.
+    """
     p = sc.protocol
+    if p.name == "reafc" and sc.ensemble.shape != "comb":
+        raise ValidationError(
+            "[protocol] name = reafc needs [ensemble] shape = comb")
+    ens = build_ensemble(sc)
+    med = build_medium(sc, ens)
+    probe = build_probe(sc)
+    ctl1, ctl2 = build_controls(sc)
+    matching = build_matching(sc, ctl1, ctl2)
     t1 = p.t1 if p.t1 is not None else ctl1.switch_off - sc.probe.center
     if t1 < 0:
         raise ValidationError(
             "probe center lies after control1 switch-off; t1 < 0")
     proto = ProtocolConfig(protocol=p.name, t1=t1, t2=p.t2,
-                           matching=stage1.matching, k=p.k, strict=p.strict)
+                           matching=matching, k=p.k, strict=p.strict)
     if proto.t2 is None:
-        t2 = proto.expected_echo_time(ctl1.peak_f(), ctl2.peak_f(),
-                                      stage1.ensemble.comb_spacing)
-        proto = replace(proto, t2=t2)
-    return proto
-
-
-def stage_setups(sc: Scenario
-                 ) -> tuple[StageSetup, StageSetup, MediumSpec]:
-    """The scenario's objects, each built once: the condition-checker view
-    of the two stages and the medium they share.
-
-    Stage 1 carries the ensemble, probe, stage-1 control and matching a
-    run uses; stage 2 the stage-2 control and, for RECRIB, the inverted
-    ensemble.  The shared reversal clock puts its origin at the stage-2
-    reading onset, i.e. stage-1 times are shifted by the mirror anchor
-    (mirror mode) or by control1 switch-off (explicit stage-2 control).
-    A reafc scenario needs a comb whose [protocol] comb_spacing is its
-    [ensemble] spacing.
-    """
-    p, e = sc.protocol, sc.ensemble
-    if p.name == "reafc" and e.shape != "comb":
-        raise ValidationError(
-            "[protocol] name = reafc needs [ensemble] shape = comb")
-    if p.name == "reafc" and p.comb_spacing != e.spacing:
-        raise ValidationError(
-            f"[protocol] comb_spacing = {p.comb_spacing!r} differs from "
-            f"[ensemble] spacing = {e.spacing!r}")
-    ens = build_ensemble(sc)
-    med = build_medium(sc, ens)
-    probe = build_probe(sc)
-    ctl1, ctl2 = build_controls(sc)
-    matching = build_matching(sc, ctl1)
-    ens2 = ens.inverted() if sc.protocol.name == "recrib" else ens
+        proto = replace(proto, t2=proto.expected_echo_time(
+            ctl1.peak_f(), ctl2.peak_f(), ens.comb_spacing))
     stage1 = StageSetup(control=ctl1, ensemble=ens, probe=probe,
                         matching=matching, beta=med.coupling_beta,
                         clock_offset=_reversal_anchor(sc))
-    stage2 = StageSetup(control=ctl2, ensemble=ens2, probe=None,
-                        matching=matching, beta=med.coupling_beta,
-                        clock_offset=0.0)
-    return stage1, stage2, med
+    stage2 = StageSetup(control=ctl2, ensemble=proto.recall_ensemble(ens),
+                        probe=None, matching=matching,
+                        beta=med.coupling_beta, clock_offset=0.0)
+    return stage1, stage2, med, proto

@@ -345,9 +345,9 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
     node detunings or weights differ from the stored state's is refused,
     as is a retrieval grid on another Z axis.  The dark interval adds the
     free phase exp(-i d21 gap_time) with the detunings as seen before any
-    inversion, while the populations stay frozen.  RECRIB recall inverts
-    the nodes per the protocol flags; comb recall keeps them.  Returns a
-    copy of the stored r12 and the stage-2 node table.
+    inversion, while the populations stay frozen.  Returns a copy of the
+    stored r12 and the stage-2 node table, protocol.recall_ensemble of
+    the stored one.
     """
     gate_recall(protocol, gap_time, conditions)
     if not all(np.array_equal(getattr(ensemble, name),
@@ -362,10 +362,7 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
     r12 = np.array(stored.r12, dtype=complex)
     if gap_time > 0.0:
         r12 *= np.exp(-1j * ensemble.delta21s * gap_time)[:, None]
-    if protocol.protocol == "recrib":
-        ensemble = ensemble.inverted(invert_31=protocol.invert_delta31,
-                                     invert_21=protocol.invert_delta21)
-    return r12, ensemble
+    return r12, protocol.recall_ensemble(ensemble)
 
 
 def recall_bandwidth(tau_input: np.ndarray) -> float:

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from ramanecho.conditions import PhaseMatching, StageSetup
+from ramanecho.conditions import PhaseMatching, StageSetup, echo_carrier
 from ramanecho.core import EnsembleSpec, Grid, ProbeSpec, require_finite
 from ramanecho.efficiency import EfficiencyModel, _curve, _normalize_protocol
 from ramanecho.errors import ControlVanishes, NoInteriorMaximum, \
@@ -377,31 +377,25 @@ def solve_strong_stage2(stage1: StageSetup, anchor: float = 0.0
                         ) -> StageSetup:
     """Construct the stage-2 parameters that null all four residuals.
 
-    Flips the one-photon detuning, shifts the echo carrier by twice that
-    detuning, mirrors the control envelope about the shared-clock origin,
-    keeps the coupling, inverts every node, and phase-matches the backward
-    echo.  anchor re-anchors the mirrored envelope in stage-2 local time
-    (local reversal point anchor/2 instead of 0).
+    Flips the one-photon detuning, mirrors the control envelope about the
+    shared-clock origin, keeps the coupling, inverts every node, and
+    phase-matches the backward echo on the carrier echo_carrier gives
+    for the probe carrier omega1 of stage 1's matching.  anchor
+    re-anchors the mirrored envelope in stage-2 local time (local
+    reversal point anchor/2 instead of 0).
     """
     ctl1 = stage1.control
-    d1 = ctl1.one_photon_detuning
     m1 = stage1.matching
-    if m1 is None:
-        omega1 = stage1.probe.carrier if stage1.probe is not None else 0.0
-        m1 = PhaseMatching.backward_matched(omega1=omega1,
-                                            omega2=omega1 + 2.0 * d1)
-        stage1 = dataclasses.replace(stage1, matching=m1)
-    omega2 = m1.omega1 + 2.0 * d1
+    # shared clock: stage 2 local time = anchor + (shared time), so the
+    # mirrored envelope lands at local tau = anchor - (stage-1 local tau)
+    ctl2 = ctl1.time_reversed(anchor=anchor + stage1.clock_offset,
+                              detuning=-ctl1.one_photon_detuning)
+    omega2 = echo_carrier(m1.omega1, ctl1, ctl2)
     c = m1.light_speed
     k2 = m1.K1z - (m1.n1 * m1.omega1 + m1.n2 * omega2) / c
     matching2 = PhaseMatching(
         K1z=m1.K1z, K2z=k2, omega1=m1.omega1, omega2=omega2, n1=m1.n1,
         n2=m1.n2, light_speed=c)
-
-    # shared clock: stage 2 local time = anchor + (shared time), so the
-    # mirrored envelope lands at local tau = anchor - (stage-1 local tau)
-    ctl2 = ctl1.time_reversed(
-        anchor=anchor + stage1.clock_offset, detuning=-d1, carrier=omega2)
     return StageSetup(
         control=ctl2,
         ensemble=stage1.ensemble.inverted(),

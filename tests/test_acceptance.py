@@ -391,7 +391,7 @@ def test_criterion_10_condition_checkers_round_trip_and_cross_terms():
                                        switch_on=0.0, switch_off=10.0,
                                        rise_time=1.0, carrier=960.0)
     ensemble = build_gaussian_ensemble(width=1.0, n_nodes=16)
-    probe = ProbeSpec.gaussian(center=2.0, duration=1.0, carrier=1000.0)
+    probe = ProbeSpec.gaussian(center=2.0, duration=1.0)
     matching = PhaseMatching.backward_matched(omega1=1000.0, omega2=1080.0)
     stage1 = StageSetup(control=control1, ensemble=ensemble, probe=probe,
                         matching=matching, beta=2.0, clock_offset=10.0)

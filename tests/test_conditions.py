@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramanecho.conditions import (
-    ConditionReport,
     PhaseMatching,
     StageSetup,
     _shared_grid,
     check_strong_conditions,
     check_weak_conditions,
-    echo_carrier_weak,
+    echo_carrier,
     echo_time_afc,
 )
 from ramanecho.core import (
@@ -25,6 +24,12 @@ from ramanecho.core import (
     build_gaussian_ensemble,
 )
 from ramanecho.errors import NonCausalEcho, ValidationError
+from ramanecho.scenario import (
+    build_controls,
+    build_matching,
+    default_scenario,
+    stage_setups,
+)
 from oracles import solve_strong_stage2
 
 ROUND_TRIP_TOL = 1e-12
@@ -36,7 +41,7 @@ def make_stage1(rabi=4.0, detuning=40.0, switch_off=10.0, rise=1.0,
         rabi=rabi, detuning=detuning, switch_on=0.0, switch_off=switch_off,
         rise_time=rise, carrier=omega1 - detuning)
     ensemble = build_gaussian_ensemble(width=1.0, n_nodes=n_nodes)
-    probe = ProbeSpec.gaussian(center=2.0, duration=1.0, carrier=omega1)
+    probe = ProbeSpec.gaussian(center=2.0, duration=1.0)
     matching = PhaseMatching.backward_matched(
         omega1=omega1, omega2=omega1 + 2.0 * detuning)
     return StageSetup(
@@ -63,7 +68,8 @@ def test_solved_stage_parameters():
     stage1 = make_stage1(detuning=5.0, omega1=100.0)
     stage2 = solve_strong_stage2(stage1)
     assert stage2.control.one_photon_detuning == -5.0
-    assert stage2.matching.omega2 == pytest.approx(110.0, abs=1e-12)
+    # omega1 + 2 Delta1 f1 with f1 = 4^2 / 5^2
+    assert stage2.matching.omega2 == pytest.approx(106.4, abs=1e-12)
     assert stage2.beta == stage1.beta
     # node map flips the detuning axis
     assert np.allclose(np.sort(stage2.ensemble.delta31s),
@@ -265,7 +271,7 @@ def test_comb_timing_requires_comb_ensemble():
 def test_identical_controls_leave_carrier_unchanged():
     c = ControlProfile.flat_top(rabi=4.0, detuning=40.0, switch_on=0.0,
                                 switch_off=10.0, rise_time=1.0, carrier=90.0)
-    omega2, _ = echo_carrier_weak(100.0, c, c)
+    omega2 = echo_carrier(100.0, c, c)
     assert omega2 == pytest.approx(100.0, abs=1e-12)
 
 
@@ -275,7 +281,7 @@ def test_carrier_conversion_substitution():
     # shift2 = rabi^2 / detuning = 4 / -40 = -0.1
     c2 = ControlProfile.flat_top(rabi=2.0, detuning=-40.0, switch_on=0.0,
                                  switch_off=10.0, rise_time=1.0, carrier=93.0)
-    omega2, _ = echo_carrier_weak(100.0, c1, c2)
+    omega2 = echo_carrier(100.0, c1, c2)
     assert omega2 == pytest.approx(103.5, abs=1e-9)
 
 
@@ -285,20 +291,57 @@ def test_carrier_conversion_is_linear_in_control_carrier():
     outs = []
     for cc in (90.0, 91.0, 95.0, 100.0):
         c2 = replace(c1, carrier=cc)
-        outs.append(echo_carrier_weak(100.0, c1, c2)[0])
+        outs.append(echo_carrier(100.0, c1, c2))
     diffs = np.diff(outs)
     assert np.allclose(diffs, [1.0, 4.0, 5.0], atol=1e-9)
 
 
-def test_resonance_residual_reported_when_splitting_known():
-    c1 = ControlProfile.flat_top(rabi=4.0, detuning=40.0, switch_on=0.0,
-                                 switch_off=10.0, rise_time=1.0, carrier=90.0)
-    omega2, residual = echo_carrier_weak(100.0, c1, c1, omega21=10.4)
-    assert residual == pytest.approx(0.0, abs=1e-9)
-    _, off = echo_carrier_weak(100.0, c1, c1, omega21=11.4)
-    assert off == pytest.approx(1.0, abs=1e-9)
-    _, none = echo_carrier_weak(100.0, c1, c1)
-    assert none is None
+def _quarter_f(**control2):
+    """The default scenario at omega1 = 100 with control1 at rabi 30 and
+    detuning 60, so f1 = 0.25; control2 mirrors it unless keys say
+    otherwise."""
+    base = default_scenario()
+    return replace(base, control1=replace(base.control1, rabi=30.0),
+                   control2=replace(base.control2, **control2),
+                   matching=replace(base.matching, omega1=100.0))
+
+
+def test_every_stage2_path_takes_the_one_echo_carrier_at_f_below_one():
+    # omega1 + Delta1 f1 - Delta2 f2 = 100 + 60/4 + 60/4 on a mirrored
+    # control2; a rule that leaves out f reads 220
+    scenario = _quarter_f()
+    ctl1, ctl2 = build_controls(scenario)
+    assert ctl1.peak_f() == ctl2.peak_f() == 0.25
+    assert echo_carrier(100.0, ctl1, ctl2) == 130.0
+    assert build_matching(scenario, ctl1, ctl2).omega2 == 130.0
+    stage1 = stage_setups(scenario)[0]
+    assert stage1.matching.omega2 == 130.0
+    assert solve_strong_stage2(stage1).matching.omega2 == 130.0
+
+
+@pytest.mark.parametrize("regime", ["weak", "strong"])
+def test_constructed_stage2_passes_every_condition_at_f_below_one(regime):
+    stage1, stage2, _, proto = stage_setups(_quarter_f())
+    solved = solve_strong_stage2(stage1)
+    # without a stage-1 matching the checkers read the solved stage's own
+    pairs = [(stage1, stage2), (stage1, solved),
+             (replace(stage1, matching=None), solved)]
+    for first, second in pairs:
+        if regime == "strong":
+            report = check_strong_conditions(first, second)
+        else:
+            report = check_weak_conditions(first, second, k=0, t1=proto.t1,
+                                           t2=proto.t2)
+        assert report.overall, report.as_text()
+
+
+def test_flat_top_control2_on_the_writing_detuning_keeps_the_carrier():
+    # equal Stark shifts Delta f in both stages cancel
+    scenario = _quarter_f(mode="flat_top", rabi=30.0, detuning=60.0)
+    ctl1, ctl2 = build_controls(scenario)
+    assert ctl2.peak_f() == ctl1.peak_f() == 0.25
+    assert echo_carrier(100.0, ctl1, ctl2) == 100.0
+    assert build_matching(scenario, ctl1, ctl2).omega2 == 100.0
 
 
 # ---------------------------------------------------------------------------

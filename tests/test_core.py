@@ -317,8 +317,7 @@ NON_FINITE_FIELDS = {
     "duration": lambda v: ProbeSpec.gaussian(center=0.0, duration=v),
     "amplitude_scale": lambda v: ProbeSpec.gaussian(
         center=0.0, duration=1.0, amplitude_scale=v),
-    "carrier": lambda v: ProbeSpec.gaussian(center=0.0, duration=1.0,
-                                            carrier=v),
+    "carrier": lambda v: _control(carrier=v),
     "one_photon_detuning": lambda v: ControlProfile.flat_top(
         rabi=1.0, detuning=v, switch_on=0.0, switch_off=1.0),
     "switch_on": lambda v: _control(switch_on=v),

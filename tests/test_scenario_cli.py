@@ -20,13 +20,12 @@ from ramanecho.cli import (
     parse_gamma_range,
 )
 from ramanecho.efficiency import EfficiencyModel, epsilon
-from ramanecho.errors import ArgumentError, ParseError, ValidationError
+from ramanecho.errors import ArgumentError, ParseError
 from ramanecho.numerics import fmt_float
 from ramanecho.runs import run_scenario, scenario_report, write_outputs
 from ramanecho.scenario import (
     Scenario,
     build_controls,
-    build_protocol,
     default_scenario,
     dump_scenario,
     load_scenario,
@@ -73,8 +72,8 @@ DEFAULT_DUMP = "\n".join((
     "switch_on = 0.0", "switch_off = 24.0", "rise_time = ", "anchor = ", "",
     "[control2]", "mode = mirror", "rabi = 60.0", "detuning = ",
     "switch_on = 0.0", "switch_off = 24.0", "rise_time = ", "anchor = ", "",
-    "[protocol]", "name = recrib", "t1 = ", "t2 = ", "comb_spacing = 0.0",
-    "k = 1", "strict = false", "gap_time = 0.0", "",
+    "[protocol]", "name = recrib", "t1 = ", "t2 = ", "k = 1",
+    "strict = false", "gap_time = 0.0", "",
     "[grid]", "n_tau = 385", "n_z = 65", "t_end = 24.0", "n_tau2 = ",
     "t_end2 = ", "",
     "[matching]", "omega1 = 100000.0", "omega2 = ", "k1z = ", "k2z = ",
@@ -163,8 +162,7 @@ def test_round_trip_survives_arbitrary_numbers(center, duration, rabi,
 
 def test_blank_times_derive_from_controls_and_comb():
     scenario = load_scenario(bundled("reafc_weak"))
-    stage1, stage2, _ = stage_setups(scenario)
-    proto = build_protocol(scenario, stage1, stage2)
+    proto = stage_setups(scenario)[3]
     assert abs(proto.t1 - math.pi) < TIMING_TOL
     assert abs(proto.t2 - math.pi) < TIMING_TOL
 
@@ -191,7 +189,7 @@ def test_mirror_anchor_sets_the_reversal_clock_and_the_image(regime,
     # together, so the envelope-reversal condition still holds
     anchor = 30.0
     scenario = _with_control2(regime, anchor=anchor)
-    stage1, stage2, _ = stage_setups(scenario)
+    stage1, stage2, _, _ = stage_setups(scenario)
     assert stage1.clock_offset == anchor
     ctl1, ctl2 = stage1.control, stage2.control
     t = np.linspace(-2.0, 32.0, 341)
@@ -206,8 +204,8 @@ def test_flat_top_control2_ignores_the_anchor():
     plain = _with_control2(mode="flat_top", detuning=-60.0)
     anchored = replace(plain, control2=replace(plain.control2,
                                                anchor=30.0))
-    stage1, stage2, _ = stage_setups(anchored)
-    want1, want2, _ = stage_setups(plain)
+    stage1, stage2, _, _ = stage_setups(anchored)
+    want1, want2, _, _ = stage_setups(plain)
     assert stage1.clock_offset == want1.clock_offset \
         == anchored.control1.switch_off
     t = np.linspace(-2.0, 32.0, 341)
@@ -602,24 +600,57 @@ def test_zero_coupling_is_refused_by_its_medium_key(tmp_path, capsys,
 
 # the same refusal by key for the slab, the probe and the comb: the slab
 # length is refused on both medium paths (depth and coupling), and a
-# reafc scenario needs a comb whose spacing the protocol states once more
+# reafc scenario needs a comb
 @pytest.mark.parametrize("name,section,key,value,message", [
     ("recrib_ideal", "medium", "length", "0", "[medium] length must be > 0"),
     ("reafc_weak", "medium", "length", "0", "[medium] length must be > 0"),
     ("recrib_ideal", "probe", "duration", "0",
      "[probe] duration must be > 0"),
     ("reafc_weak", "ensemble", "shape", "gaussian",
-     "[protocol] name = reafc needs [ensemble] shape = comb"),
-    ("reafc_weak", "protocol", "comb_spacing", "0.5",
-     "[protocol] comb_spacing = 0.5 differs from [ensemble] spacing = 1.0")],
-    ids=["length_depth", "length_beta", "duration", "reafc_gaussian",
-         "comb_spacing_mismatch"])
+     "[protocol] name = reafc needs [ensemble] shape = comb")],
+    ids=["length_depth", "length_beta", "duration", "reafc_gaussian"])
 @pytest.mark.parametrize("command", ["check", "simulate"])
 def test_invalid_value_is_refused_by_its_scenario_key(tmp_path, capsys,
                                                       command, name, section,
                                                       key, value, message):
     path = _write_with_value(tmp_path, name, section, key, value)
     _command_exits_1_with(tmp_path, capsys, command, path, message)
+
+
+def _write_with_line(tmp_path, name, section, line):
+    """The bundled scenario `name` with one line added after [section]."""
+    with open(bundled(name)) as fh:
+        text = fh.read()
+    path = tmp_path / "edited.ini"
+    path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    return path
+
+
+# the comb spacing has one key, [ensemble] spacing: an older file that
+# still states it under [protocol] is refused by the parser
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_comb_spacing_key_is_unknown(tmp_path, capsys, command):
+    path = _write_with_line(tmp_path, "reafc_weak", "protocol",
+                            "comb_spacing = 1.0")
+    _command_exits_1_with(tmp_path, capsys, command, path,
+                          "[protocol] unknown key(s): comb_spacing")
+
+
+# both regimes derive the recall protocol before they check or run, so
+# check refuses a comb echo that is already due during storage exactly
+# as simulate does
+@pytest.mark.parametrize("regime", ["weak", "strong"])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_non_causal_comb_echo_is_refused_in_both_regimes(tmp_path, capsys,
+                                                         command, regime):
+    path = _write_with_line(tmp_path, "reafc_weak", "protocol", "t1 = 7.0")
+    path.write_text(path.read_text().replace(
+        "regime = weak", f"regime = {regime}"))
+    t2 = 2.0 * math.pi - 7.0
+    _command_exits_1_with(
+        tmp_path, capsys, command, path,
+        f"rephasing order k=1 already passed during storage (t2={t2:.6g}); "
+        "try k >= 2")
 
 
 def test_check_with_an_overflowing_rabi_prints_one_line(tmp_path):

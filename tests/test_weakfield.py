@@ -19,7 +19,7 @@ from ramanecho.core import (
 )
 from ramanecho.errors import StepTooCoarse, ValidationError, WeakFieldViolation
 from ramanecho.numerics import cumulative_integral, weighted_node_sum
-from ramanecho.records import envelope_from_scaled, measure_efficiency
+from ramanecho.records import measure_efficiency
 from ramanecho.strongfield import ProbeBoundary, SimulationState, \
     advance_strong
 from ramanecho.weakfield import (
