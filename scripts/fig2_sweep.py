@@ -14,7 +14,6 @@ import numpy as np
 from ramanecho.efficiency import (
     REAFC,
     RECRIB,
-    optimal_gamma,
     sweep_gamma,
     write_sweep_csv,
 )
@@ -28,16 +27,13 @@ def main() -> int:
     parser.add_argument("--out", default="sweep.csv")
     args = parser.parse_args()
 
-    traces = {}
+    traces = {(protocol, depth): sweep_gamma(protocol, depth, GAMMA_GRID)
+              for protocol in (RECRIB, REAFC) for depth in DEPTHS}
+    optima = write_sweep_csv(args.out, traces)
     print(f"{'protocol':>8} {'alpha0L':>8} {'gamma*':>10} {'epsilon*':>10}")
-    for protocol in (RECRIB, REAFC):
-        for depth in DEPTHS:
-            traces[(protocol, depth)] = sweep_gamma(protocol, depth,
-                                                    GAMMA_GRID)
-            gamma_star, eps_star = optimal_gamma(protocol, depth)
-            print(f"{protocol:>8} {depth:>8.0f} {gamma_star:>10.6f} "
-                  f"{eps_star:>10.6f}")
-    write_sweep_csv(args.out, traces)
+    for (protocol, depth), (gamma_star, eps_star) in optima.items():
+        print(f"{protocol:>8} {depth:>8.0f} {gamma_star:>10.6f} "
+              f"{eps_star:>10.6f}")
     print(f"wrote {args.out}")
     return 0
 

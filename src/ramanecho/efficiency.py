@@ -13,6 +13,16 @@ the line-center absorption of a Gaussian line rebinned onto the
 controlled profile: RECRIB stretches the line by 1/gamma, while a comb
 concentrates the same area into teeth whose peak gain over the mean is
 sqrt(2 pi) * gamma per unit spacing.
+
+The closed form is written once as an array expression (`_closed_form`)
+whose bits do not depend on the shape of gamma: a sweep trace is one
+evaluation on its grid, `epsilon` is the same expression on a 0-d array,
+so each row equals `epsilon` at its gamma, and `optimal_gamma` screens
+its bracket grid with it.  The optimum itself (the confirmation of the
+screened peak, the golden section and the boundary value) keeps the
+scalar math.exp form, on which the recorded optima were found; numpy's
+exp differs from math.exp by a few ulps, and refining on it would move
+the default sweep's gamma* by up to 2.4e-8 relative.
 """
 
 from __future__ import annotations
@@ -88,9 +98,21 @@ class EfficiencyModel:
         return self.alpha0L * factor
 
 
+def _closed_form(model: EfficiencyModel, gamma: np.ndarray) -> np.ndarray:
+    """Efficiency at the model's protocol, depth and total time for every
+    gamma, as one array expression.  Its bits do not depend on the shape
+    or the strides of gamma: numpy's exp works the same on a 0-d array, a
+    contiguous grid and the fresh products made here from a strided
+    column; the squares are products, since `** 2` on a 0-d array calls
+    pow, which now and then rounds differently from `x * x`."""
+    scaled = gamma * model.total_time
+    missed = 1.0 - np.exp(-model.depth_per_gamma * gamma)
+    return np.exp(-(scaled * scaled)) * (missed * missed)
+
+
 def _curve(model: EfficiencyModel):
-    """Efficiency as a function of gamma at the model's protocol, depth
-    and total time: the one closed form, evaluated on plain floats."""
+    """The closed form on plain floats through math.exp: the form the
+    optimum confirms and refines on (see the module docstring)."""
     total_time, depth_per_gamma = model.total_time, model.depth_per_gamma
 
     def eps(gamma: float) -> float:
@@ -101,24 +123,26 @@ def _curve(model: EfficiencyModel):
 
 
 def epsilon(model: EfficiencyModel) -> float:
-    """Recall efficiency: dephasing envelope times absorption completeness."""
-    return _curve(model)(model.gamma_param)
+    """Recall efficiency: dephasing envelope times absorption completeness.
+    The closed form on a 0-d array, so that it equals the sweep's row."""
+    return float(_closed_form(model, np.asarray(model.gamma_param)))
 
 
 def sweep_gamma(protocol: str, alpha0L: float, gamma_grid,
                 total_time: float | None = None) -> np.ndarray:
-    """Efficiency along a monotone gamma grid in [0, 1].
+    """Efficiency along a monotone gamma grid in [0, 1], each row equal to
+    `epsilon` at its gamma.
 
     Returns an (n, 2) array of (gamma, efficiency) rows.
     """
-    curve = _curve(EfficiencyModel(protocol, alpha0L, 0.0, total_time))
+    model = EfficiencyModel(protocol, alpha0L, 0.0, total_time)
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("gamma_grid must be a non-empty 1-d array")
     # written so that a nan anywhere fails it too
     if not (np.all(np.diff(grid) > 0) and 0.0 <= grid[0] and grid[-1] <= 1.0):
         raise ValidationError("gamma_grid must increase strictly in [0, 1]")
-    return np.column_stack([grid, [curve(g) for g in grid.tolist()]])
+    return np.column_stack([grid, _closed_form(model, grid)])
 
 
 # the bracket scan of optimal_gamma, and the relative margin within which
@@ -127,13 +151,6 @@ def sweep_gamma(protocol: str, alpha0L: float, gamma_grid,
 BRACKET_GRID = np.linspace(0.0, 1.0, 4001)
 BRACKET_GRID.flags.writeable = False
 SCREEN_MARGIN = 1e-12
-
-
-def _screen(model: EfficiencyModel, gamma: np.ndarray) -> np.ndarray:
-    """The closed form of _curve evaluated as one array expression."""
-    dephasing = np.exp(-(gamma * model.total_time) ** 2)
-    absorption = (1.0 - np.exp(-model.depth_per_gamma * gamma)) ** 2
-    return dephasing * absorption
 
 
 def _boundary_maximum(model: EfficiencyModel, curve) -> tuple[float, float]:
@@ -160,7 +177,11 @@ def optimal_gamma(protocol: str, alpha0L: float,
     first maximum is the scan's peak.  A peak on the gamma = 1 boundary
     raises the NoInteriorMaximum warning and returns (1, eps(1)).  For
     T = 0 eps increases on all of [0, 1], so it always takes that path,
-    even where the rounded curve reaches 1 inside the interval.
+    even where the rounded curve reaches 1 inside the interval.  Where
+    the refined efficiency rounds to 0 (a depth too small for
+    1 - exp(-depth) to leave 0, or a dephasing that underflows on the
+    whole bracket) the located point means nothing, and a
+    ValidationError names alpha0L and total_time.
     """
     if not alpha0L > 0:
         raise ValidationError("alpha0L must be > 0")
@@ -168,7 +189,7 @@ def optimal_gamma(protocol: str, alpha0L: float,
     f = _curve(model)
     if model.total_time == 0.0:
         return _boundary_maximum(model, f)
-    screen = _screen(model, BRACKET_GRID)
+    screen = _closed_form(model, BRACKET_GRID)
     # the absolute floor keeps every point where the screen is subnormal,
     # so that its last bits cannot decide
     floor = screen.max() * (1.0 - SCREEN_MARGIN) - np.finfo(float).tiny
@@ -179,17 +200,24 @@ def optimal_gamma(protocol: str, alpha0L: float,
         return _boundary_maximum(model, f)
     g_star, eps_star = golden_section_max(f, BRACKET_GRID[max(k - 1, 0)],
                                           BRACKET_GRID[k + 1])
+    if eps_star == 0.0:
+        raise ValidationError(
+            f"{model.protocol} efficiency rounds to 0 around its peak at "
+            f"alpha0L={alpha0L!r}, total_time={model.total_time!r}: "
+            "no optimum to report")
     return float(g_star), float(eps_star)
 
 
 def write_sweep_csv(path: str, traces: dict, total_time: float | None = None
-                    ) -> None:
+                    ) -> dict:
     """Write (protocol, alpha0L) -> (n, 2) sweep tables to one CSV.
 
-    Appends a comment row per trace with its optimal point.
+    Appends a comment row per trace with its optimal point, and returns
+    those optima, (gamma*, epsilon*) by trace key.
     """
     lines = ["protocol,alpha0L,gamma,epsilon"]
     comments = []
+    optima = {}
     gamma_bits = gamma_cells = None
     for (protocol, alpha0L), table in traces.items():
         p, alpha_cell = _normalize_protocol(protocol), fmt_float(alpha0L)
@@ -200,10 +228,13 @@ def write_sweep_csv(path: str, traces: dict, total_time: float | None = None
             gamma_bits = gamma.tobytes()
             gamma_cells = [fmt_float(g) for g in gamma.tolist()]
         prefix = f"{p},{alpha_cell},"
-        lines.extend(f"{prefix}{g},{fmt_float(e)}"
+        # the cell fmt_float writes, formatted inline
+        lines.extend(f"{prefix}{g},{e:.17g}"
                      for g, e in zip(gamma_cells, eps.tolist()))
         g_star, eps_star = optimal_gamma(p, alpha0L, total_time)
+        optima[(protocol, alpha0L)] = (g_star, eps_star)
         comments.append(
             f"# optimal {p} alpha0L={alpha_cell} "
             f"gamma={fmt_float(g_star)} epsilon={fmt_float(eps_star)}")
     write_text_atomic(path, "\n".join(lines + comments) + "\n")
+    return optima

@@ -239,7 +239,8 @@ def allocating_advance_strong(state: SimulationState) -> SimulationState:
 def scan_optimal_gamma(protocol: str, alpha0L: float,
                        total_time: float | None = None
                        ) -> tuple[float, float]:
-    """Peak of a 4001-point scalar scan, refined by golden section."""
+    """Peak of a 4001-point scalar scan, refined by golden section; a
+    refined efficiency of 0 is refused as the package refuses it."""
     if not alpha0L > 0:
         raise ValidationError("alpha0L must be > 0")
     model = EfficiencyModel(protocol, alpha0L, 0.0, total_time)
@@ -254,6 +255,11 @@ def scan_optimal_gamma(protocol: str, alpha0L: float,
         return 1.0, float(vals[-1])
     g_star, eps_star = golden_section_max(f, grid[max(k - 1, 0)],
                                           grid[k + 1])
+    if eps_star == 0.0:
+        raise ValidationError(
+            f"{model.protocol} efficiency rounds to 0 around its peak at "
+            f"alpha0L={alpha0L!r}, total_time={model.total_time!r}: "
+            "no optimum to report")
     return float(g_star), float(eps_star)
 
 

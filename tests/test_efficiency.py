@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
 from ramanecho.efficiency import (
     COMB_PEAK_FACTOR,
     DEFAULT_TOTAL_TIME,
     EfficiencyModel,
+    _closed_form,
+    _curve,
     epsilon,
     optimal_gamma,
     sweep_gamma,
@@ -183,6 +186,42 @@ def test_sweep_rows_equal_scalar_epsilon_exactly(protocol, total_time):
         for g in grid]
 
 
+@pytest.mark.parametrize("total_time", [None, 3.7])
+@pytest.mark.parametrize("protocol", ["recrib", "reafc"])
+def test_closed_form_bits_do_not_depend_on_the_gamma_layout(protocol,
+                                                             total_time):
+    # the grid of the exact-row test: a 0-d `** 2` would move its row 603
+    # at (recrib, 3.7)
+    grid = np.concatenate([np.linspace(0.0, 1.0, 1001)[:-1],
+                           np.geomspace(0.9995, 1.0, 7)])
+    model = EfficiencyModel(protocol, 137.5, 0.0, total_time)
+    contiguous = _closed_form(model, grid).tolist()
+    table = np.column_stack([grid, grid[::-1]])
+    for column in (table[:, 0], table[::-1, 1]):
+        assert not column.flags.c_contiguous
+        assert _closed_form(model, column).tolist() == contiguous
+    assert [float(_closed_form(model, np.asarray(g)))
+            for g in grid.tolist()] == contiguous
+
+
+def test_default_sweep_rows_stay_within_3_ulps_of_the_math_form():
+    grid = np.linspace(0.0, 1.0, 1001)
+    moved = 0
+    for protocol in ("recrib", "reafc"):
+        for alpha0L in (50.0, 200.0, 1000.0):
+            rows = sweep_gamma(protocol, alpha0L, grid)[:, 1]
+            f = _curve(EfficiencyModel(protocol, alpha0L, 0.0))
+            scalar = np.array([f(g) for g in grid.tolist()])
+            # both non-negative, so their bit patterns count ulps
+            ulps = np.abs(rows.view(np.int64) - scalar.view(np.int64))
+            assert ulps.max() <= 3
+            moved += int(np.count_nonzero(ulps))
+    # numpy runs a float64 exp through its AVX512F kernel where the CPU
+    # has one; math.exp is the C library's
+    if __cpu_features__.get("AVX512F"):
+        assert moved == 270
+
+
 def test_sweep_matches_scalar_evaluation():
     grid = np.linspace(0.01, 0.2, 20)
     table = sweep_gamma("reafc", 80.0, grid)
@@ -261,9 +300,13 @@ def test_zero_total_time_takes_the_boundary_path(protocol, alpha0L):
 
 
 def _optimum_and_warnings(optimizer, *args):
+    """The optimum, or the refusal's message, with the warnings raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = optimizer(*args)
+        try:
+            result = optimizer(*args)
+        except ValidationError as exc:
+            result = str(exc)
     return result, [(w.category, str(w.message)) for w in caught]
 
 
@@ -284,6 +327,22 @@ def test_screened_optimum_equals_the_full_scalar_scan(protocol):
             args = (protocol, alpha0L, total_time)
             assert (_optimum_and_warnings(optimal_gamma, *args)
                     == _optimum_and_warnings(scan_optimal_gamma, *args)), args
+
+
+@pytest.mark.parametrize("alpha0L,total_time", [
+    (1e-16, None), (1e-17, None), (1e-100, None), (1e-300, None),
+    (50.0, 1e6)])
+def test_an_optimum_that_rounds_to_zero_is_refused(alpha0L, total_time):
+    # the golden section ends on a point whose efficiency rounds to 0,
+    # near 2.5e-4 or 0.45, while the maximiser is near 1/T = 0.125
+    with pytest.raises(ValidationError) as caught:
+        optimal_gamma("recrib", alpha0L, total_time)
+    message = str(caught.value)
+    assert f"alpha0L={alpha0L!r}" in message
+    assert "total_time=" in message
+    if alpha0L == 1e-16:
+        # the curve itself is not 0 everywhere: only its located peak is
+        assert sweep_gamma("recrib", alpha0L, [0.75])[0, 1] > 0.0
 
 
 def test_reafc_dominates_across_depth_range():
@@ -336,7 +395,8 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
         ("reafc", 50.0): sweep_gamma("reafc", 50.0, grid),
     }
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(str(path), traces)
+    optima = write_sweep_csv(str(path), traces)
+    assert optima == {key: optimal_gamma(*key) for key in traces}
     text = path.read_text()
     lines = text.splitlines()
     assert lines[0] == "protocol,alpha0L,gamma,epsilon"

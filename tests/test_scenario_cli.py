@@ -790,6 +790,21 @@ def test_sweep_refuses_an_overflowing_value_by_key(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+def test_sweep_refuses_an_optimum_that_rounds_to_zero(tmp_path, capsys):
+    # the row at gamma 0.75 is 2.9e-48, but the located peak rounds to 0
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--protocol", "recrib", "--alpha0L", "1e-16",
+                 "--gamma", "0:1:0.25", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: recrib efficiency rounds to 0")
+    assert "alpha0L=1e-16" in captured.err
+    assert "total_time=8.0" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("step", ["1e-300", "1e-320"])
 def test_sweep_refuses_a_gamma_grid_too_large_to_build(tmp_path, capsys,
                                                        step):
