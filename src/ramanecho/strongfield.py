@@ -1,28 +1,36 @@
 """Nonlinear storage/recall dynamics of the Raman-reduced Bloch system.
 
 The strong-field solver evolves the scaled field together with the full
-per-node ground-state Bloch variables.  With the stage sign s_nu = +1 for
-storage and -1 for retrieval, c_j = 1 / (1 + d31_j / Delta) the one-photon
-denominator factor, and B_mn = sum_j w_j c_j r_mn_j, the system is
+per-node ground-state Bloch variables: the coherence r12_j and the Bloch
+z-component s_j = r11_j - 1/2, half the population difference.  With the
+stage sign s_nu = +1 for storage and -1 for retrieval, c_j = 1 / (1 +
+d31_j / Delta) the one-photon denominator factor, and B_mn = sum_j w_j
+c_j r_mn_j, the system is
 
     dZ zeta    = (i beta/2) (s_nu B11 zeta / Delta + f(tau) B12)
-    dtau r12_j = +i s_nu c_j zeta (2 r11_j - 1)
+    dtau r12_j = +2 i s_nu c_j zeta s_j
                  - i [d21_j - Delta c_j f(tau) + Delta c_j |zeta|^2/|Omega|^2] r12_j
-    dtau r11_j = -2 s_nu c_j Im(conj(zeta) r12_j)
+    dtau s_j   = -2 s_nu c_j Im(conj(zeta) r12_j)
 
-The detuning bracket reads the static two-photon shift d21_j alongside
-the control light shift -Delta c_j f and the probe light shift written in
-regular form |g A|^2 / (Delta + d31) = Delta c_j |zeta|^2 / |Omega|^2.
-The linearized solver's composite rate d21 + d31 f is the first order of
-d21 - Delta c_j f once the common Stark rotation Delta f is factored off.
+with B11 = sum_j w_j c_j s_j + (1/2) sum_j w_j c_j, whose second term is
+a constant of the stage.  The detuning bracket reads the static
+two-photon shift d21_j alongside the control light shift -Delta c_j f
+and the probe light shift written in regular form |g A|^2 / (Delta + d31)
+= Delta c_j |zeta|^2 / |Omega|^2.  The linearized solver's composite
+rate d21 + d31 f is the first order of d21 - Delta c_j f once the common
+Stark rotation Delta f is factored off.
 
 Unlike the linear module this one works in bare variables: the input
 boundary carries the physical control-induced chirp exp(+i psi), and the
-stepper is RK4-Lawson in the full per-node bracket d21 - Delta c_j f: the
+stepper is RK4-Lawson in the per-node bracket d21 - Delta c_j f: the
 bracket acts through exact rotations over the half and the full step
 (Simpson-integrated control phases), so the fast common phase cancels
 between the field and the rotation and the Runge-Kutta truncation only
-sees the slow node-spread rates.  The step is written in the lab frame:
+sees the slow node-spread rates.  The probe Stark term stays in the
+Runge-Kutta slope, folded into the drive: over i s_nu c_j, the
+coherence slope is G = 2 zeta (s_j + (kappa/2) conj(zeta) r12_j) with
+kappa = -s_nu Delta / |Omega|^2, which reuses the product conj(zeta)
+r12_j of the population slope.  The step is written in the lab frame:
 every stage is a rotated start value plus a per-node column times the
 slope, with the rotations, step sizes and RK weights folded into the
 columns, so no stage rotates the state into the co-rotating frame and
@@ -109,19 +117,22 @@ def _c_factors(ensemble: EnsembleSpec, one_photon_detuning: float
 class SimulationState(stages.StageState):
     """Evolving strong-field state on one stage grid.
 
-    Adds the ground population r11 per (node, Z) to the shared stage
-    state.  kernel_weights are the w_j c_j of the ensemble kernels B_mn,
-    and nodes the per-node columns the step scales by its step sizes and
-    RK weights: the bracket's rates -i d21 and i Delta c_j per unit f,
-    the drive i s c_j and the population coupling -2 s c_j.  stark is
-    -s Delta, which times |zeta|^2/|Omega|^2 r12 is the probe Stark term
-    of the coherence slope over i s c_j.  zeta_scale is the largest
-    field magnitude seen so far (the reference for control-off field
-    checks).
+    Adds the Bloch z-component bloch_z = r11 - 1/2 per (node, Z) to the
+    shared stage state; r11 reads it back as bloch_z + 1/2.
+    kernel_weights are the w_j c_j of the ensemble kernels B_mn, and
+    half_weight is (1/2) sum_j w_j c_j, the part of B11 that does not
+    depend on the atoms.  nodes are the per-node columns the step
+    scales by its step sizes and RK weights: the bracket's rates -i d21
+    and i Delta c_j per unit f, the drive i s_nu c_j and the population
+    coupling -2 s_nu c_j.  stark is -s_nu Delta / 2, which over
+    |Omega|^2 is the kappa/2 of the coherence slope.  zeta_scale is the
+    largest field magnitude seen so far (the reference for control-off
+    field checks).
     """
 
-    r11: np.ndarray             # (n_node, n_z) real
+    bloch_z: np.ndarray         # (n_node, n_z) real, r11 - 1/2
     kernel_weights: np.ndarray  # (n_node,)
+    half_weight: float
     nodes: tuple                # (n_node, 1) columns
     stark: float
     zeta_scale: float = 0.0
@@ -131,33 +142,43 @@ class SimulationState(stages.StageState):
               control: ControlProfile, medium: MediumSpec, drive_sign: int,
               boundary: Callable | None = None,
               r12_initial: np.ndarray | None = None,
-              r11_initial: np.ndarray | None = None) -> "SimulationState":
-        """The stage at clock 0 (stages.StageState.fresh), with r11_initial
-        (default 1) and the per-node constants of the control's Delta."""
+              bloch_z_initial: np.ndarray | None = None
+              ) -> "SimulationState":
+        """The stage at clock 0 (stages.StageState.fresh), with
+        bloch_z_initial (default 1/2, every atom in the ground state) and
+        the per-node constants of the control's Delta."""
         delta = control.one_photon_detuning
         c = _c_factors(ensemble, delta)
         sgn, col = float(drive_sign), c[:, None]
+        kernel_weights = ensemble.weights * c
         return super().fresh(
             grid, ensemble, control, medium, drive_sign, boundary,
             r12_initial,
-            r11=stages.node_array(grid, ensemble, r11_initial, 1.0, float),
-            kernel_weights=ensemble.weights * c,
+            bloch_z=stages.node_array(grid, ensemble, bloch_z_initial, 0.5,
+                                      float),
+            kernel_weights=kernel_weights,
+            half_weight=0.5 * float(np.sum(kernel_weights)),
             nodes=(-1j * ensemble.delta21s[:, None], 1j * delta * col,
                    (1j * sgn) * col, -2.0 * sgn * col),
-            stark=-sgn * delta)
+            stark=-0.5 * sgn * delta)
+
+    @property
+    def r11(self) -> np.ndarray:
+        """The ground population bloch_z + 1/2, a fresh array."""
+        return self.bloch_z + 0.5
 
     def first_row(self) -> np.ndarray:
         """Row 0 from the current atoms at the table's first stage time."""
         times, _, sampled, _, _ = self.table.row(0)
-        return field_row(self, times[0], self.r12, self.r11, sampled[0])
+        return field_row(self, times[0], self.r12, self.bloch_z, sampled[0])
 
     def excitation(self) -> np.ndarray:
-        """Ensemble excitation sum_j w_j (1 - r11_j) at every Z."""
-        return weighted_node_sum(self.ensemble.weights, 1.0 - self.r11)
+        """Ensemble excitation sum_j w_j (1/2 - s_j) at every Z."""
+        return weighted_node_sum(self.ensemble.weights, 0.5 - self.bloch_z)
 
     def workspace(self) -> tuple:
         """The buffers a step and its projection write: seven complex and
-        three real (n_node, n_z) arrays and a boolean mask of that shape.
+        two real (n_node, n_z) arrays.
 
         Allocated at first use and held until stages.march drops them at
         the stage end, so the steps of a stage write their intermediates
@@ -168,51 +189,46 @@ class SimulationState(stages.StageState):
         if self._work is None:
             shape = self.r12.shape
             self._work = ([np.empty(shape, dtype=complex) for _ in range(7)],
-                          [np.empty(shape) for _ in range(3)],
-                          np.empty(shape, dtype=bool))
+                          [np.empty(shape) for _ in range(2)])
         return self._work
 
     def assert_physical(self) -> None:
         """Restore the Bloch-ball bounds and raise if they truly broke.
 
         The lossless equations keep each node's Bloch vector
-        (Re r12, Im r12, r11 - 1/2) on the sphere of radius 1/2 exactly,
-        so an outward excursion is integrator truncation.  The drift is
+        (Re r12, Im r12, s) on the sphere of radius 1/2 exactly, so an
+        outward excursion is integrator truncation.  The drift is
         systematic, not confined to population turning points: on the
         saturating storage stage (721 x 641 grid, 33 nodes) about 62% of
         all cells end each step outside the sphere, by up to 1.0e-6, and
         the projection acts on 11.3 million cells per round trip.  Every
-        excursion is projected radially back onto the sphere and r11 is
-        clipped to [0, 1], so after every step 0 <= r11 <= 1 and
+        excursion is projected radially back onto the sphere and s is
+        clipped to [-1/2, 1/2], so after every step 0 <= r11 <= 1 and
         |r12|^2 <= r11 (1 - r11) hold to rounding.  An excursion beyond
         BLOCH_EMERGENCY is not truncation-sized and raises instead of
         being hidden.
 
         The projection runs on every cell, in the workspace's buffers:
-        with norm the vector's length, shrink = 0.5 / max(norm, 0.5) is 1
-        inside the sphere, and scaling Re r12 and Im r12 by it leaves
-        those cells' bits as they were.  r11 - 1/2 scaled by it, plus
-        1/2, would not, so r11 takes it only where norm > 0.5."""
-        _, (s_z, norm, square), over = self.workspace()
-        np.subtract(self.r11, 0.5, out=s_z)
+        with norm the vector's length, r12 and s are scaled by
+        0.5 / max(norm, 0.5), which is exactly 1 inside the sphere, so
+        those cells keep their bits."""
+        _, (norm, square) = self.workspace()
+        s = self.bloch_z
         np.abs(self.r12, out=norm)
         np.multiply(norm, norm, out=norm)
-        np.multiply(s_z, s_z, out=square)
+        np.multiply(s, s, out=square)
         norm += square
         np.sqrt(norm, out=norm)
         worst = float(norm.max()) - 0.5
         if not math.isfinite(worst) or worst > BLOCH_EMERGENCY:
             raise PhysicalityViolation(
                 f"Bloch vector left the unit ball by {worst:.3g}")
-        np.greater(norm, 0.5, out=over)
         shrink = np.maximum(norm, 0.5, out=norm)
         np.divide(0.5, shrink, out=shrink)
         self.r12.real *= shrink
         self.r12.imag *= shrink
-        s_z *= shrink
-        s_z += 0.5
-        np.copyto(self.r11, s_z, where=over)
-        np.clip(self.r11, 0.0, 1.0, out=self.r11)
+        s *= shrink
+        np.clip(s, -0.5, 0.5, out=s)
 
 
 def _solve_field_ode(a: np.ndarray, source: np.ndarray,
@@ -230,9 +246,9 @@ def _solve_field_ode(a: np.ndarray, source: np.ndarray,
 
 
 def field_row(state: SimulationState, s: float, r12: np.ndarray,
-              r11: np.ndarray, sampled: tuple) -> np.ndarray:
+              bloch_z: np.ndarray, sampled: tuple) -> np.ndarray:
     """Scaled field across the slab at time s, from the ensemble kernels
-    B11 and B12 of the atomic arrays.
+    B11 and B12 of the coherences r12 and Bloch z-components bloch_z.
 
     Storage integrates from the input face Z = 0; retrieval from a zero
     boundary at the far face toward the exit at Z = 0 (the slab is
@@ -243,14 +259,15 @@ def field_row(state: SimulationState, s: float, r12: np.ndarray,
     f_s, incoming = sampled
     w, sgn = state.kernel_weights, state.drive_sign
     beta = state.medium.coupling_beta
-    a = (0.5j * beta * sgn / state.control.one_photon_detuning) \
-        * weighted_node_sum(w, r11)
+    b11 = weighted_node_sum(w, bloch_z)
+    b11 += state.half_weight
+    a = (0.5j * beta * sgn / state.control.one_photon_detuning) * b11
     source = (0.5j * beta * f_s) * weighted_node_sum(w, r12)
     if sgn > 0:
         row = _solve_field_ode(a, source, state.quadrature, incoming)
     else:
-        # the row stays a reversed view: the atom update reads it as such,
-        # and its last bits depend on that memory layout
+        # a reversed view: the atom update reads it only through the
+        # fresh arrays 2 row and conj(row), so no bit depends on the layout
         rev = _solve_field_ode(-a[::-1], -source[::-1], state.quadrature,
                                incoming)
         row = rev[::-1]
@@ -259,14 +276,14 @@ def field_row(state: SimulationState, s: float, r12: np.ndarray,
     return row
 
 
-def _stark_rate(state: SimulationState, s: float, row: np.ndarray,
-                om2: float, peak2: float) -> np.ndarray | None:
-    """-s Delta |zeta|^2 / |Omega|^2 per Z, or None with the control off.
+def _stark_factor(state: SimulationState, s: float, row: np.ndarray,
+                  om2: float, peak2: float) -> float:
+    """kappa/2 = -s_nu Delta / (2 |Omega|^2), or 0 with the control off.
 
-    Times -s c_j it is the probe light shift Delta c_j |zeta|^2/|Omega|^2,
-    which equals the regular form |g A|^2 / (Delta + d31); with the
-    control off a live field makes it singular, which is the
-    ControlVanishes regime error.
+    Times 2 i s_nu c_j zeta conj(zeta) r12 it is the probe light shift
+    Delta c_j |zeta|^2/|Omega|^2 acting on r12, which equals the regular
+    form |g A|^2 / (Delta + d31); with the control off a live field
+    makes it singular, which is the ControlVanishes regime error.
     """
     if om2 <= CONTROL_FLOOR * peak2:
         row_mag = float(np.abs(row).max())
@@ -274,8 +291,8 @@ def _stark_rate(state: SimulationState, s: float, row: np.ndarray,
             raise ControlVanishes(
                 f"|Omega(tau={s:.6g})| = 0 with |zeta| = {row_mag:.3g}; "
                 "the probe Stark ratio is singular")
-        return None
-    return np.abs(row) ** 2 * (state.stark / om2)
+        return 0.0
+    return state.stark / om2
 
 
 def _lawson_step(state: SimulationState, step: tuple, row1: np.ndarray,
@@ -286,30 +303,32 @@ def _lawson_step(state: SimulationState, step: tuple, row1: np.ndarray,
     R_h and R_f are the bracket rotations over the half and the full
     step, with the phase Simpson-integrated from the table's control row,
     and p is r12 at the step start.  Apart from the bracket, the
-    coherence slope is i s c_j G with G = row (2 r11 - 1) + (-s Delta
-    |row|^2/|Omega|^2) r12.  RK4 in the frame co-rotating with the
-    bracket, taken back to the lab frame stage by stage (R* R = 1), reads
+    coherence slope is i s_nu c_j G with G = 2 row (s + (kappa/2)
+    conj(row) r12), kappa = -s_nu Delta / |Omega|^2 (0 with the control
+    off).  RK4 in the frame co-rotating with the bracket, taken back to
+    the lab frame stage by stage (R* R = 1), reads
 
-        r12_2 = R_h p + (dt/2) i s c R_h G_1
-        r12_3 = R_h p + (dt/2) i s c G_2
-        r12_4 = R_f p + dt i s c R_f R_h* G_3
-        r12'  = R_f p + (dt/6) i s c (R_f G_1 + 2 R_f R_h* (G_2 + G_3)
-                                      + G_4)
+        r12_2 = R_h p + (dt/2) i s_nu c R_h G_1
+        r12_3 = R_h p + (dt/2) i s_nu c G_2
+        r12_4 = R_f p + dt i s_nu c R_f R_h* G_3
+        r12'  = R_f p + (dt/6) i s_nu c (R_f G_1 + 2 R_f R_h* (G_2 + G_3)
+                                         + G_4)
 
     so each stage is one rotated start value plus one (n_node, 1) column
-    times G.  The population stages fold their step size h into the
-    coupling column the same way: r11_k = r11 + h (-2 s c) Im(conj(row)
-    r12) at the previous stage.  step is the stage table's row of the
-    step, row1 the field row at the step start, and row_at(k, r12, r11)
-    supplies the row the slopes see at stage time s + k dt/2 (k = 1, 2).
-    dt is the stage table's grid step.  The columns are _step_factors',
-    reused while the step integrals repeat.
+    times G.  The z-component stages fold their step size h into the
+    coupling column the same way: s_k = s + h (-2 s_nu c) Im(conj(row)
+    r12) at the previous stage, where conj(row) r12 is the product G
+    reads.  step is the stage table's row of the step, row1 the field
+    row at the step start, and row_at(k, r12, s) supplies the row the
+    slopes see at stage time t + k dt/2 (k = 1, 2).  dt is the stage
+    table's grid step.  The columns are _step_factors', reused while the
+    step integrals repeat.
 
     Every (node, Z) intermediate is written into the state's workspace,
     in the order and with the operands an expression per stage would
     use, so the bits are those of fresh arrays.  The new atoms land in
     the first complex and real buffers, which become the state's r12
-    and r11; the old ones take their place in the workspace.
+    and bloch_z; the old ones take their place in the workspace.
     """
     table = state.table
     dt = table.dt
@@ -317,60 +336,57 @@ def _lawson_step(state: SimulationState, step: tuple, row1: np.ndarray,
     (rot_half, rot_full, drive_half, drive_sixth, pop_half, pop_full,
      pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
         df_half, df_full, partial(_step_factors, state.nodes, dt))
-    complex_buffers, real_buffers, _ = state.workspace()
+    complex_buffers, real_buffers = state.workspace()
     half, stage, g1, g2, g3, prod1, prod = complex_buffers
-    n_st, i23, scratch = real_buffers
+    s_st, i23 = real_buffers
 
-    def slope(k, row, n_k, r12_k, g, prod):
+    def slope(k, row, s_k, r12_k, g, prod):
         """G into g and conj(row) r12 into prod at stage time k dt/2;
         returns Im(conj(row) r12), a view of prod."""
-        rate = _stark_rate(state, times[k], row, om2[k], table.peak2)
-        np.multiply(n_k, 2.0, out=scratch)
-        np.subtract(scratch, 1.0, out=scratch)
-        np.multiply(row, scratch, out=g)
-        if rate is not None:
-            np.multiply(rate, r12_k, out=prod)
-            g += prod
+        factor = _stark_factor(state, times[k], row, om2[k], table.peak2)
         np.multiply(np.conj(row), r12_k, out=prod)
+        np.multiply(prod, factor, out=g)
+        g.real += s_k
+        g *= 2.0 * row
         return prod.imag
 
-    p, n = state.r12, state.r11
-    i1 = slope(0, row1, n, p, g1, prod1)
+    p, s = state.r12, state.bloch_z
+    i1 = slope(0, row1, s, p, g1, prod1)
     np.multiply(rot_half, p, out=half)
     np.multiply(col2, g1, out=stage)
     stage += half
-    np.multiply(pop_half, i1, out=n_st)
-    n_st += n
-    i2 = slope(1, row_at(1, stage, n_st), n_st, stage, g2, prod)
+    np.multiply(pop_half, i1, out=s_st)
+    s_st += s
+    i2 = slope(1, row_at(1, stage, s_st), s_st, stage, g2, prod)
     np.copyto(i23, i2)
     np.multiply(drive_half, g2, out=stage)
     stage += half
-    np.multiply(pop_half, i23, out=n_st)
-    n_st += n
-    i3 = slope(1, row_at(1, stage, n_st), n_st, stage, g3, prod)
+    np.multiply(pop_half, i23, out=s_st)
+    s_st += s
+    i3 = slope(1, row_at(1, stage, s_st), s_st, stage, g3, prod)
     # R_f p replaces R_h p, which no later stage reads
     np.multiply(rot_full, p, out=half)
     np.multiply(col4, g3, out=stage)
     stage += half
-    np.multiply(pop_full, i3, out=n_st)
-    n_st += n
+    np.multiply(pop_full, i3, out=s_st)
+    s_st += s
     g2 += g3
     i23 += i3
     # G_4 replaces G_3, which is read no more
-    i4 = slope(2, row_at(2, stage, n_st), n_st, stage, g3, prod)
+    i4 = slope(2, row_at(2, stage, s_st), s_st, stage, g3, prod)
 
     # r12' = R_f p + col_new1 G_1 + col_new23 (G_2 + G_3) + drive_sixth G_4
     for column, g in ((col_new1, g1), (col_new23, g2), (drive_sixth, g3)):
         np.multiply(column, g, out=stage)
         half += stage
-    # r11' = r11 + pop_sixth ((i1 + i4) + 2 (i2 + i3))
-    np.add(i1, i4, out=n_st)
+    # s' = s + pop_sixth ((i1 + i4) + 2 (i2 + i3))
+    np.add(i1, i4, out=s_st)
     i23 *= 2.0
-    n_st += i23
-    n_st *= pop_sixth
-    n_st += n
+    s_st += i23
+    s_st *= pop_sixth
+    s_st += s
     complex_buffers[0], state.r12 = p, half
-    real_buffers[0], state.r11 = n, n_st
+    real_buffers[0], state.bloch_z = s, s_st
     state.step_index += 1
     state.assert_physical()
 
@@ -405,11 +421,11 @@ def advance_strong(state: SimulationState) -> SimulationState:
     step = state.table.row(state.step_index)
     times, _, sampled, _, _ = step
 
-    def row_at(k, r12, r11):
-        return field_row(state, times[k], r12, r11, sampled[k])
+    def row_at(k, r12, bloch_z):
+        return field_row(state, times[k], r12, bloch_z, sampled[k])
 
     _lawson_step(state, step, state.row, row_at)
-    row = row_at(2, state.r12, state.r11)
+    row = row_at(2, state.r12, state.bloch_z)
     state.record(row)
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
@@ -519,7 +535,7 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
 
     state = SimulationState.fresh(
         grid2, ensemble2, control2, medium, drive_sign=-1,
-        r12_initial=r12, r11_initial=stored.r11)
+        r12_initial=r12, bloch_z_initial=stored.bloch_z)
     state.zeta_scale = drive_bound
     # dress the echo the same way the input record is dressed: remove the
     # stage-2 accumulated Stark phase so the envelope is slow on the grid

@@ -28,9 +28,13 @@ strong-field residuals; the condition checkers must pass it.
 
 allocating_lawson_step and allocating_assert_physical are the strong
 step and its Bloch projection written the plain way, every stage an
-expression on fresh arrays and the projection in masked passes;
-allocating_advance_strong steps a stage with them.  The package's step,
-which writes into a held workspace, must reproduce them bit for bit.
+expression on fresh arrays; allocating_advance_strong steps a stage with
+them.  The package's step, which writes into a held workspace, must
+reproduce them bit for bit.  r11_form_advance_strong steps a stage as
+the package did when it held the ground population r11 instead of the
+Bloch z-component: the drive 2 r11 - 1 and the probe Stark rate as
+separate products, B11 summed over r11 itself, and the projection in
+masked passes.  The two forms differ only by rounding.
 
 advance_atoms steps the strong-field atoms under a frozen field row,
 which isolates the atom update for the Rabi, rotation and Bloch-ball
@@ -54,7 +58,7 @@ from ramanecho.efficiency import EfficiencyModel, _curve, _normalize_protocol
 from ramanecho.errors import ControlVanishes, NoInteriorMaximum, \
     NonFiniteField, PhysicalityViolation, ValidationError
 from ramanecho.numerics import fmt_float, golden_section_max, \
-    trapezoid_energy, write_text_atomic
+    trapezoid_energy, weighted_node_sum, write_text_atomic
 from ramanecho.strongfield import (
     BLOCH_EMERGENCY,
     CONTROL_FLOOR,
@@ -62,7 +66,8 @@ from ramanecho.strongfield import (
     SimulationState,
     _c_factors,
     _lawson_step,
-    _stark_rate,
+    _solve_field_ode,
+    _stark_factor,
     _step_factors,
     field_row,
 )
@@ -82,7 +87,7 @@ def rotating_frame_copy(state: SimulationState) -> SimulationState:
     """A copy of state, atoms, field row and face trace included, that
     carries the oracle's columns for the state's ensemble and control."""
     return dataclasses.replace(
-        state, r12=state.r12.copy(), r11=state.r11.copy(),
+        state, r12=state.r12.copy(), bloch_z=state.bloch_z.copy(),
         row=state.row.copy(), faces=state.faces.copy(),
         nodes=rotating_frame_nodes(state.ensemble, state.control,
                                    state.drive_sign))
@@ -115,6 +120,8 @@ def rotating_frame_step(state: SimulationState, dt: float,
     at the step start and row_at(k, r12, r11) supplies the row the
     slopes see at stage time s + k dt/2 (k = 1, 2).  The drive and the
     probe Stark rate are the only terms the Runge-Kutta stages step.
+    The step runs on the ground population r11 = bloch_z + 1/2, and
+    only its final store goes back to the state's bloch_z.
     """
     table = state.table
     times, om2, _, df_half, df_full = table.row(state.step_index)
@@ -151,29 +158,24 @@ def rotating_frame_step(state: SimulationState, dt: float,
 
     state.r12 = rot_full * (p + (dt / 6.0) * (k1p + 2.0 * k2p
                                               + 2.0 * k3p + k4p))
-    state.r11 = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
+    state.bloch_z = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) \
+        - 0.5
     state.step_index += 1
     state.assert_physical()
 
 
 def allocating_assert_physical(state: SimulationState) -> None:
-    """SimulationState.assert_physical in masked passes on fresh arrays:
-    the radial projection of the cells outside the Bloch sphere, then
-    the clip of r11 to [0, 1]."""
-    s_z = state.r11 - 0.5
-    norm = np.sqrt(np.abs(state.r12) ** 2 + s_z ** 2)
+    """SimulationState.assert_physical on fresh arrays: every cell scaled
+    by 0.5 / max(norm, 0.5), then the clip of bloch_z to [-1/2, 1/2]."""
+    s = state.bloch_z
+    norm = np.sqrt(np.abs(state.r12) ** 2 + s ** 2)
     worst = float(norm.max()) - 0.5
     if not math.isfinite(worst) or worst > BLOCH_EMERGENCY:
         raise PhysicalityViolation(
             f"Bloch vector left the unit ball by {worst:.3g}")
-    # masked in place: only cells outside the sphere change, each by
-    # the shrink 0.5 / norm, which overwrites norm there
-    over = norm > 0.5
-    shrink = np.divide(0.5, norm, out=norm, where=over)
-    np.multiply(state.r12, shrink, out=state.r12, where=over)
-    np.multiply(s_z, shrink, out=s_z, where=over)
-    np.add(s_z, 0.5, out=state.r11, where=over)
-    np.clip(state.r11, 0.0, 1.0, out=state.r11)
+    shrink = 0.5 / np.maximum(norm, 0.5)
+    state.r12 = state.r12 * shrink
+    state.bloch_z = np.clip(s * shrink, -0.5, 0.5)
 
 
 def allocating_lawson_step(state: SimulationState, row1: np.ndarray,
@@ -187,15 +189,90 @@ def allocating_lawson_step(state: SimulationState, row1: np.ndarray,
      pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
         df_half, df_full, partial(_step_factors, state.nodes, dt))
 
-    def slope(k, row, n_st, r12_st):
+    def slope(k, row, s_st, r12_st):
         """G and Im(conj(row) r12) at stage time k dt/2."""
-        rate = _stark_rate(state, times[k], row, om2[k], table.peak2)
+        factor = _stark_factor(state, times[k], row, om2[k], table.peak2)
+        prod = np.conj(row)[None, :] * r12_st
+        return (s_st + prod * factor) * (2.0 * row), prod.imag
+
+    p, s = state.r12, state.bloch_z
+    g1, i1 = slope(0, row1, s, p)
+    p_half = rot_half * p
+    r12_st = p_half + col2 * g1
+    s_st = s + pop_half * i1
+    g2, i2 = slope(1, row_at(1, r12_st, s_st), s_st, r12_st)
+    r12_st = p_half + drive_half * g2
+    s_st = s + pop_half * i2
+    g3, i3 = slope(1, row_at(1, r12_st, s_st), s_st, r12_st)
+    p_full = rot_full * p
+    r12_st = p_full + col4 * g3
+    s_st = s + pop_full * i3
+    g2 += g3
+    i23 = i2 + i3
+    # free what the last stage no longer reads before its field solve,
+    # where the step holds the most arrays
+    del p_half, g3, i2, i3
+    g4, i4 = slope(2, row_at(2, r12_st, s_st), s_st, r12_st)
+
+    state.r12 = (p_full + col_new1 * g1 + col_new23 * g2
+                 + drive_sixth * g4)
+    state.bloch_z = s + pop_sixth * (i1 + i4 + 2.0 * i23)
+    state.step_index += 1
+    allocating_assert_physical(state)
+
+
+def allocating_advance_strong(state: SimulationState) -> SimulationState:
+    """strongfield.advance_strong with allocating_lawson_step as its
+    step: the same field rows, recorded the same way."""
+    times, _, sampled, _, _ = state.table.row(state.step_index)
+
+    def row_at(k, r12, bloch_z):
+        return field_row(state, times[k], r12, bloch_z, sampled[k])
+
+    allocating_lawson_step(state, state.row, row_at)
+    row = row_at(2, state.r12, state.bloch_z)
+    state.record(row)
+    state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
+    return state
+
+
+def _r11_form_field_row(state: SimulationState, s: float, r12: np.ndarray,
+                        r11: np.ndarray, sampled: tuple) -> np.ndarray:
+    """strongfield.field_row with B11 summed over r11."""
+    f_s, incoming = sampled
+    w, sgn = state.kernel_weights, state.drive_sign
+    beta = state.medium.coupling_beta
+    a = (0.5j * beta * sgn / state.control.one_photon_detuning) \
+        * weighted_node_sum(w, r11)
+    source = (0.5j * beta * f_s) * weighted_node_sum(w, r12)
+    if sgn > 0:
+        return _solve_field_ode(a, source, state.quadrature, incoming)
+    return _solve_field_ode(-a[::-1], -source[::-1], state.quadrature,
+                            incoming)[::-1]
+
+
+def _r11_form_lawson_step(state: SimulationState, r11: np.ndarray,
+                          row1: np.ndarray, row_at: Callable) -> np.ndarray:
+    """The allocating step on r11, with G = row (2 r11 - 1) + (-s_nu
+    Delta |row|^2/|Omega|^2) r12 and the masked projection; advances the
+    state's r12 and returns the new r11."""
+    table = state.table
+    dt = table.dt
+    times, om2, _, df_half, df_full = table.row(state.step_index)
+    (rot_half, rot_full, drive_half, drive_sixth, pop_half, pop_full,
+     pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
+        df_half, df_full, partial(_step_factors, state.nodes, dt))
+
+    def slope(k, row, n_st, r12_st):
+        # 2 kappa/2 = -s_nu Delta / |Omega|^2 exactly, and 0 with the
+        # control off
+        factor = _stark_factor(state, times[k], row, om2[k], table.peak2)
         g = row[None, :] * (2.0 * n_st - 1.0)
-        if rate is not None:
-            g += rate[None, :] * r12_st
+        if factor != 0.0:
+            g += (np.abs(row) ** 2 * (2.0 * factor))[None, :] * r12_st
         return g, (np.conj(row)[None, :] * r12_st).imag
 
-    p, n = state.r12, state.r11
+    p, n = state.r12, r11
     g1, i1 = slope(0, row1, n, p)
     p_half = rot_half * p
     r12_st = p_half + col2 * g1
@@ -209,31 +286,43 @@ def allocating_lawson_step(state: SimulationState, row1: np.ndarray,
     n_st = n + pop_full * i3
     g2 += g3
     i23 = i2 + i3
-    # free what the last stage no longer reads before its field solve,
-    # where the step holds the most arrays
-    del p_half, g3, i2, i3
     g4, i4 = slope(2, row_at(2, r12_st, n_st), n_st, r12_st)
 
-    state.r12 = (p_full + col_new1 * g1 + col_new23 * g2
-                 + drive_sixth * g4)
-    state.r11 = n + pop_sixth * (i1 + i4 + 2.0 * i23)
+    r12 = p_full + col_new1 * g1 + col_new23 * g2 + drive_sixth * g4
+    r11 = n + pop_sixth * (i1 + i4 + 2.0 * i23)
     state.step_index += 1
-    allocating_assert_physical(state)
+    # the projection of the cells outside the sphere, in masked passes
+    s_z = r11 - 0.5
+    norm = np.sqrt(np.abs(r12) ** 2 + s_z ** 2)
+    worst = float(norm.max()) - 0.5
+    if not math.isfinite(worst) or worst > BLOCH_EMERGENCY:
+        raise PhysicalityViolation(
+            f"Bloch vector left the unit ball by {worst:.3g}")
+    over = norm > 0.5
+    shrink = np.divide(0.5, norm, out=norm, where=over)
+    np.multiply(r12, shrink, out=r12, where=over)
+    np.multiply(s_z, shrink, out=s_z, where=over)
+    np.add(s_z, 0.5, out=r11, where=over)
+    np.clip(r11, 0.0, 1.0, out=r11)
+    state.r12 = r12
+    return r11
 
 
-def allocating_advance_strong(state: SimulationState) -> SimulationState:
-    """strongfield.advance_strong with allocating_lawson_step as its
-    step: the same field rows, recorded the same way."""
+def r11_form_advance_strong(state: SimulationState,
+                            r11: np.ndarray) -> np.ndarray:
+    """A coupled step of state on the ground population r11, which the
+    caller holds beside it: the state's r12, row and faces advance, and
+    the new r11 is returned.  The state's bloch_z is not read."""
     times, _, sampled, _, _ = state.table.row(state.step_index)
 
-    def row_at(k, r12, r11):
-        return field_row(state, times[k], r12, r11, sampled[k])
+    def row_at(k, r12, n):
+        return _r11_form_field_row(state, times[k], r12, n, sampled[k])
 
-    allocating_lawson_step(state, state.row, row_at)
-    row = row_at(2, state.r12, state.r11)
+    r11 = _r11_form_lawson_step(state, r11, state.row, row_at)
+    row = row_at(2, state.r12, r11)
     state.record(row)
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
-    return state
+    return r11
 
 
 def scan_optimal_gamma(protocol: str, alpha0L: float,
@@ -417,7 +506,7 @@ def advance_atoms(state: SimulationState) -> SimulationState:
     Runge-Kutta stages."""
     row = state.row
     _lawson_step(state, state.table.row(state.step_index), row,
-                 row_at=lambda k, r12, r11: row)
+                 row_at=lambda k, r12, bloch_z: row)
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
 

@@ -65,6 +65,7 @@ AUDIT_TOL = 1e-3                # photon flux vs stored excitation balance
 EQUIVALENCE_TOL = 1e-4          # strong vs linear epsilon at weak amplitude
 PHASE_TOL = 1e-10               # global input phase must drop out
 INVARIANT_SLACK = 1e-8          # Bloch-ball slack on evolved states
+SPHERE_ROUNDING = 4.5e-16       # projected cell's radius vs 1/2 (4 ulps)
 ECHO_EFFICIENCY_FLOOR = 0.98    # deep met-conditions recall, weak amplitude
 ECHO_FIDELITY_FLOOR = 0.99
 SATURATED_FIDELITY_FLOOR = 0.95     # met-conditions recall, saturating drive
@@ -72,6 +73,9 @@ CONDITION_IV_GAP = 0.05         # minimum epsilon cost of Delta2 = +Delta1
 MISMATCH_CAP = 0.1              # leftover grating wave number must suppress
 REFINE_SLACK = 1e-9
 STEP_ORACLE_TOL = 1e-12         # lab-frame step vs rotating-frame oracle
+# the step on the Bloch z-component vs the same step on r11, over a live
+# stage: measured at most 1.4e-15 relative on r12 and 8.9e-16 on r11
+Z_FORM_ROUNDING = 5e-15
 CONVERGENCE_ORDER_FLOOR = 3.8   # RK4-Lawson coupled step, observed order
 
 DEEP_DELTA = 200.0              # weak-amplitude scenario, alpha_eff L = 20
@@ -122,8 +126,12 @@ def test_kernel_reduction_matches_compensated_sum():
         + 1j * rng.standard_normal((n_node, n_z))
     r11 = rng.random((n_node, n_z))
     grid = Grid(n_tau=2, n_z=n_z, t_end=1.0, length=1.0)
-    state = flat_stage(grid, ens, 50.0, r12_initial=r12, r11_initial=r11)
-    b11 = weighted_node_sum(state.kernel_weights, state.r11)
+    state = flat_stage(grid, ens, 50.0, r12_initial=r12,
+                       bloch_z_initial=r11 - 0.5)
+    # B11 in the one form field_row sums: over the Bloch z-component,
+    # plus the stage constant (1/2) sum_j w_j c_j
+    b11 = weighted_node_sum(state.kernel_weights, state.bloch_z) \
+        + state.half_weight
     b12 = weighted_node_sum(state.kernel_weights, state.r12)
 
     wc = ens.weights * c
@@ -182,7 +190,7 @@ def test_single_node_row_matches_closed_form():
         state = SimulationState.fresh(
             grid, ens, ctl, med, drive_sign=sgn,
             r12_initial=np.full((1, grid.n_z), r),
-            r11_initial=np.ones((1, grid.n_z)))
+            bloch_z_initial=np.full((1, grid.n_z), 0.5))
         a = 0.5j * med.coupling_beta * sgn / ctl.one_photon_detuning
         s = 0.5j * med.coupling_beta * 1.0 * r
         if sgn > 0:
@@ -201,7 +209,7 @@ def test_short_slab_row_is_linear_in_depth():
     state = SimulationState.fresh(
         grid, ens, ctl, med, drive_sign=+1,
         r12_initial=np.full((1, grid.n_z), r),
-        r11_initial=np.ones((1, grid.n_z)))
+        bloch_z_initial=np.full((1, grid.n_z), 0.5))
     row = state.row
     linear = 0.5j * med.coupling_beta * r * grid.length
     a_l = 0.5 * med.coupling_beta / ctl.one_photon_detuning * grid.length
@@ -221,18 +229,18 @@ def test_row_matches_refined_z_reference():
         phases = np.arange(5)[:, None]
         r12 = (0.3 + 0.2j) * np.exp(-0.5 * z)[None, :] \
             * (1.0 + 0.3 * np.sin(z[None, :] + phases))
-        r11 = 0.8 + 0.15 * np.cos(z[None, :] + 0.3 * phases)
-        return r12, r11
+        s = 0.3 + 0.15 * np.cos(z[None, :] + 0.3 * phases)
+        return r12, s
 
     rows = {}
     for n_z in (65, 257):
         grid = Grid(n_tau=5, n_z=n_z, t_end=1.0, length=1.0)
-        r12, r11 = atoms(grid.z())
+        r12, s = atoms(grid.z())
         for sgn in (+1, -1):
             state = SimulationState.fresh(
                 grid, ens, ctl, med, drive_sign=sgn,
                 boundary=lambda s, psi, rabi: 0.05 + 0.02j,
-                r12_initial=r12, r11_initial=r11)
+                r12_initial=r12, bloch_z_initial=s)
             rows[sgn, n_z] = state.row
     for sgn in (+1, -1):
         coarse = rows[sgn, 65]
@@ -253,16 +261,16 @@ def test_long_slab_row_is_the_banded_quadrature_bit_for_bit(n_z, sign):
     rng = np.random.default_rng(n_z)
     r12 = 0.3 * (rng.standard_normal((ens.n_nodes, n_z))
                  + 1j * rng.standard_normal((ens.n_nodes, n_z)))
-    r11 = rng.random((ens.n_nodes, n_z))
+    s = rng.random((ens.n_nodes, n_z)) - 0.5
     state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=sign,
-                                  r12_initial=r12, r11_initial=r11)
+                                  r12_initial=r12, bloch_z_initial=s)
     assert state.quadrature.weights is None
     z = grid.z()
     dz = float(z[1] - z[0])
     f_s, incoming = 0.7, 0.05 + 0.02j
     w = state.kernel_weights
     a = (0.5j * med.coupling_beta * sign / ctl.one_photon_detuning) \
-        * weighted_node_sum(w, r11)
+        * (weighted_node_sum(w, s) + state.half_weight)
     source = (0.5j * med.coupling_beta * f_s) * weighted_node_sum(w, r12)
 
     def solve(a, source):
@@ -271,7 +279,7 @@ def test_long_slab_row_is_the_banded_quadrature_bit_for_bit(n_z, sign):
 
     want = (solve(a, source) if sign > 0
             else solve(-a[::-1], -source[::-1])[::-1])
-    got = field_row(state, 0.0, r12, r11, (f_s, incoming))
+    got = field_row(state, 0.0, r12, s, (f_s, incoming))
     assert got.tobytes() == want.tobytes()
 
 
@@ -284,14 +292,14 @@ def test_free_atom_is_unchanged():
                                   switch_off=4.0)
     grid = Grid(n_tau=11, n_z=9, t_end=0.5, length=1.0)
     r12_0 = np.full((1, grid.n_z), 0.2 + 0.05j)
-    r11_0 = np.full((1, grid.n_z), 0.7)
+    s_0 = np.full((1, grid.n_z), 0.2)
     state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
                                   drive_sign=+1, r12_initial=r12_0,
-                                  r11_initial=r11_0)
+                                  bloch_z_initial=s_0)
     for _ in range(grid.n_tau - 1):
         advance_atoms(state)
     assert np.array_equal(state.r12, r12_0)
-    assert np.array_equal(state.r11, r11_0)
+    assert np.array_equal(state.bloch_z, s_0)
 
 
 def test_static_detuning_is_exact_rotation():
@@ -304,12 +312,12 @@ def test_static_detuning_is_exact_rotation():
     state = SimulationState.fresh(
         grid, ens, ctl, ATOMS_ONLY_MEDIUM, drive_sign=+1,
         r12_initial=np.full((1, grid.n_z), r12_0),
-        r11_initial=np.full((1, grid.n_z), 0.5))
+        bloch_z_initial=np.zeros((1, grid.n_z)))
     for _ in range(grid.n_tau - 1):
         advance_atoms(state)
     want = np.exp(-1j * d21 * grid.t_end) * r12_0
     assert np.max(np.abs(state.r12 - want)) < ROTATION_TOL
-    assert np.max(np.abs(state.r11 - 0.5)) < ROTATION_TOL
+    assert np.max(np.abs(state.bloch_z)) < ROTATION_TOL
 
 
 def test_resonant_drive_matches_rabi_oracle():
@@ -361,34 +369,59 @@ def test_bloch_ball_survives_generic_drive(amp, delta, d21, d31):
     assert excess <= INVARIANT_SLACK
     # bit for bit the radial projection of the excursions alone, written
     # with boolean gathers and scatters
-    rng = np.random.default_rng(11)
-    shape = (ens.n_nodes, 257)
-    theta = rng.uniform(0.0, math.pi, shape)
-    radius = 0.5 + rng.uniform(-1e-6, 1e-6, shape)
-    mixed = flat_stage(
-        Grid(n_tau=5, n_z=shape[1], t_end=1.0, length=1.0), ens, 50.0,
-        r12_initial=radius * np.sin(theta) * np.exp(
-            1j * rng.uniform(0.0, 2.0 * math.pi, shape)),
-        r11_initial=0.5 + radius * np.cos(theta))
-    r12, r11 = mixed.r12.copy(), mixed.r11.copy()
-    s_z = r11 - 0.5
-    norm = np.sqrt(np.abs(r12) ** 2 + s_z ** 2)
+    mixed = _straddling_stage(ens, seed=11)
+    r12, s = mixed.r12.copy(), mixed.bloch_z.copy()
+    norm = np.sqrt(np.abs(r12) ** 2 + s ** 2)
     over = norm > 0.5
     assert 0 < np.count_nonzero(over) < over.size
     shrink = 0.5 / norm[over]
     r12[over] *= shrink
-    r11[over] = 0.5 + s_z[over] * shrink
-    np.clip(r11, 0.0, 1.0, out=r11)
+    s[over] *= shrink
+    np.clip(s, -0.5, 0.5, out=s)
     mixed.assert_physical()
     assert np.array_equal(mixed.r12, r12)
-    assert np.array_equal(mixed.r11, r11)
+    assert np.array_equal(mixed.bloch_z, s)
+
+
+def _straddling_stage(ens, seed):
+    """A fresh stage of 257 points whose Bloch vectors lie within 1e-6 of
+    the sphere, inside and outside."""
+    rng = np.random.default_rng(seed)
+    shape = (ens.n_nodes, 257)
+    theta = rng.uniform(0.0, math.pi, shape)
+    radius = 0.5 + rng.uniform(-1e-6, 1e-6, shape)
+    return flat_stage(
+        Grid(n_tau=5, n_z=shape[1], t_end=1.0, length=1.0), ens, 50.0,
+        r12_initial=radius * np.sin(theta) * np.exp(
+            1j * rng.uniform(0.0, 2.0 * math.pi, shape)),
+        bloch_z_initial=radius * np.cos(theta))
+
+
+def test_projection_leaves_cells_inside_the_sphere_untouched():
+    # the scale 0.5 / max(norm, 0.5) is exactly 1 for norm <= 1/2, so no
+    # mask is needed to keep those cells; the cells outside land on the
+    # sphere to rounding
+    ens = EnsembleSpec(weights=[0.25, 0.5, 0.25], delta21s=[0.0] * 3,
+                       delta31s=[0.0] * 3)
+    state = _straddling_stage(ens, seed=12)
+    # and cells well inside, down to the centre
+    state.r12[:, ::4] *= np.linspace(0.0, 1.0, state.r12[:, ::4].size
+                                     ).reshape(state.r12[:, ::4].shape)
+    r12, s = state.r12.copy(), state.bloch_z.copy()
+    inside = np.sqrt(np.abs(r12) ** 2 + s ** 2) <= 0.5
+    assert 0 < np.count_nonzero(inside) < inside.size
+    state.assert_physical()
+    assert np.array_equal(state.r12[inside], r12[inside])
+    assert np.array_equal(state.bloch_z[inside], s[inside])
+    norm = np.sqrt(np.abs(state.r12) ** 2 + state.bloch_z ** 2)
+    assert np.max(np.abs(norm[~inside] - 0.5)) <= SPHERE_ROUNDING
 
 
 def test_projection_absorbs_truncation_overshoot():
     ens = single_node()
     grid = Grid(n_tau=5, n_z=7, t_end=1.0, length=1.0)
     state = flat_stage(grid, ens, 50.0,
-                       r11_initial=np.full((1, grid.n_z), 1.0 + 5.0e-7))
+                       bloch_z_initial=np.full((1, grid.n_z), 0.5 + 5.0e-7))
     state.assert_physical()
     assert np.all(state.r11 <= 1.0)
     assert np.all(state.r11 >= 0.0)
@@ -400,7 +433,7 @@ def test_unphysical_state_raises():
     ens = single_node()
     grid = Grid(n_tau=5, n_z=7, t_end=1.0, length=1.0)
     state = flat_stage(grid, ens, 50.0,
-                       r11_initial=np.full((1, grid.n_z), 1.5))
+                       bloch_z_initial=np.full((1, grid.n_z), 1.0))
     with pytest.raises(PhysicalityViolation):
         state.assert_physical()
     hot = flat_stage(grid, ens, 50.0, r12_initial=np.ones((1, grid.n_z)))
@@ -433,14 +466,14 @@ def _spread_ensemble():
 
 
 def _tilted_atoms(ens, grid, seed, radius=0.45):
-    """Bloch vectors of length radius in random directions per (node,
-    Z)."""
+    """Bloch vectors (r12, s) of length radius in random directions per
+    (node, Z)."""
     rng = np.random.default_rng(seed)
     shape = (ens.n_nodes, grid.n_z)
     theta = rng.uniform(0.0, math.pi, shape)
     phi = rng.uniform(0.0, 2.0 * math.pi, shape)
     return (radius * np.sin(theta) * np.exp(1j * phi),
-            0.5 + radius * np.cos(theta))
+            radius * np.cos(theta))
 
 
 def _worst_step_mismatch(state, step, oracle):
@@ -463,10 +496,10 @@ def test_frozen_field_step_matches_rotating_frame_oracle(sign):
     ens = _spread_ensemble()
     ctl = const_control(rabi=40.0, detuning=40.0 * sign, t_end=0.8)
     grid = Grid(n_tau=41, n_z=9, t_end=0.8, length=1.0)
-    r12, r11 = _tilted_atoms(ens, grid, seed=5)
+    r12, s = _tilted_atoms(ens, grid, seed=5)
     state = SimulationState.fresh(grid, ens, ctl, ATOMS_ONLY_MEDIUM,
                                   drive_sign=sign, r12_initial=r12,
-                                  r11_initial=r11)
+                                  bloch_z_initial=s)
     state.row[:] = 1.2 * np.exp(1j * (0.6 + 2.0 * grid.z()))
     state.zeta_scale = 1.2
 
@@ -477,7 +510,7 @@ def test_frozen_field_step_matches_rotating_frame_oracle(sign):
     worst = _worst_step_mismatch(state, lambda: advance_atoms(state),
                                  oracle)
     assert worst <= STEP_ORACLE_TOL
-    assert np.max(np.abs(state.r11 - r11)) > 0.01
+    assert np.max(np.abs(state.bloch_z - s)) > 0.01
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
@@ -493,11 +526,11 @@ def test_live_stage_matches_rotating_frame_oracle(sign):
     grid = Grid(n_tau=81, n_z=17, t_end=2.0, length=1.0)
     probe = ProbeSpec.gaussian(center=0.3, duration=0.4,
                                amplitude_scale=30.0)
-    r12, r11 = _tilted_atoms(ens, grid, seed=6)
+    r12, s = _tilted_atoms(ens, grid, seed=6)
     state = SimulationState.fresh(
         grid, ens, ctl, med, drive_sign=sign,
         boundary=ProbeBoundary(probe) if sign > 0 else None,
-        r12_initial=r12, r11_initial=r11)
+        r12_initial=r12, bloch_z_initial=s)
     state.zeta_scale = 1.0
     off = state.table.om2 <= strongfield.CONTROL_FLOOR * state.table.peak2
     assert off[:, 0].any() and not off[:, 0].all()
@@ -506,7 +539,7 @@ def test_live_stage_matches_rotating_frame_oracle(sign):
         times, _, sampled, _, _ = ref.table.row(ref.step_index)
 
         def row_at(k, r12, r11):
-            return field_row(ref, times[k], r12, r11, sampled[k])
+            return field_row(ref, times[k], r12, r11 - 0.5, sampled[k])
 
         rotating_frame_step(ref, grid.dt, ref.row, row_at)
 
@@ -514,7 +547,7 @@ def test_live_stage_matches_rotating_frame_oracle(sign):
                                  oracle)
     assert worst <= STEP_ORACLE_TOL
     assert np.max(np.abs(state.faces)) > 0.01
-    assert np.max(np.abs(state.r11 - r11)) > 0.01
+    assert np.max(np.abs(state.bloch_z - s)) > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +581,11 @@ def _live_stage(size, sign):
     probe = ProbeSpec.gaussian(center=0.15 * t_end, duration=0.2 * t_end,
                                amplitude_scale=30.0)
     grid = Grid(n_tau=n_tau, n_z=n_z, t_end=t_end, length=1.0)
-    r12, r11 = _tilted_atoms(ens, grid, seed=8, radius=0.5)
+    r12, s = _tilted_atoms(ens, grid, seed=8, radius=0.5)
     state = SimulationState.fresh(
         grid, ens, ctl, MediumSpec(coupling_beta=4.0), drive_sign=sign,
         boundary=ProbeBoundary(probe) if sign > 0 else None,
-        r12_initial=r12, r11_initial=r11)
+        r12_initial=r12, bloch_z_initial=s)
     state.zeta_scale = 1.0
     return state
 
@@ -571,9 +604,8 @@ def test_workspace_step_reproduces_the_allocating_step(sign, size,
     projected = []
 
     def counted(st):
-        s_z = st.r11 - 0.5
         projected.append(np.count_nonzero(
-            np.sqrt(np.abs(st.r12) ** 2 + s_z ** 2) > 0.5))
+            np.sqrt(np.abs(st.r12) ** 2 + st.bloch_z ** 2) > 0.5))
         project(st)
 
     project = oracles.allocating_assert_physical
@@ -581,10 +613,34 @@ def test_workspace_step_reproduces_the_allocating_step(sign, size,
     for _ in range(state.grid.n_tau - 1):
         advance_strong(state)
         allocating_advance_strong(ref)
-        for name in ("r12", "r11", "row", "faces"):
+        for name in ("r12", "bloch_z", "row", "faces"):
             assert np.array_equal(getattr(state, name), getattr(ref, name))
     assert sum(projected) > 0
     assert np.max(np.abs(state.faces)) > 1e-3
+
+
+@pytest.mark.parametrize("size", sorted(WORKSPACE_STAGES))
+@pytest.mark.parametrize("sign", [+1, -1], ids=["storage", "retrieval"])
+def test_z_component_step_stays_within_rounding_of_the_r11_step(sign, size):
+    # the step on s = r11 - 1/2 folds the probe Stark term into the drive
+    # product and projects without a mask; over a whole stage, the
+    # control switching off mid-stage, it stays within rounding of the
+    # step that held r11 and formed 2 r11 - 1 and |row|^2 r12 apart
+    state, ref = _live_stage(size, sign), _live_stage(size, sign)
+    r11 = ref.r11
+    times, _, sampled, _, _ = ref.table.row(0)
+    ref.record(oracles._r11_form_field_row(ref, times[0], ref.r12, r11,
+                                           sampled[0]))
+    worst = 0.0
+    for _ in range(state.grid.n_tau - 1):
+        advance_strong(state)
+        r11 = oracles.r11_form_advance_strong(ref, r11)
+        for got, want in ((state.r12, ref.r12), (state.r11, r11)):
+            worst = max(worst, float(np.max(np.abs(got - want))
+                                     / np.max(np.abs(want))))
+    assert worst <= Z_FORM_ROUNDING
+    assert np.max(np.abs(state.faces)) > 1e-3
+    assert not np.array_equal(state.r12, ref.r12)
 
 
 def _traced_step_peak(advance, state) -> int:
@@ -620,7 +676,8 @@ def test_workspace_lives_for_one_stage_of_one_state():
     advance_strong(state)
     assert state.workspace() is state.workspace()
     copy = dataclasses.replace(state, r12=state.r12.copy(),
-                               r11=state.r11.copy(), row=state.row.copy(),
+                               bloch_z=state.bloch_z.copy(),
+                               row=state.row.copy(),
                                faces=state.faces.copy())
     assert copy._work is None
     assert copy.workspace()[0][0] is not state.workspace()[0][0]
@@ -716,17 +773,17 @@ def test_fresh_state_solves_row_0_from_its_table():
     rng = np.random.default_rng(3)
     r12 = 0.05 * (rng.standard_normal((ens.n_nodes, grid.n_z))
                   + 1j * rng.standard_normal((ens.n_nodes, grid.n_z)))
-    r11 = np.full((ens.n_nodes, grid.n_z), 0.9)
+    s = np.full((ens.n_nodes, grid.n_z), 0.4)
     state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1,
                                   boundary=ProbeBoundary(probe),
-                                  r12_initial=r12, r11_initial=r11)
+                                  r12_initial=r12, bloch_z_initial=s)
     table = state.table
     f0, incoming0 = float(table.f[0, 0]), complex(table.incoming[0, 0])
     assert table.times[0, 0] == 0.0 and f0 > 0.0
     assert incoming0 == pytest.approx(
         ProbeBoundary(probe)(0.0, 0.0, ctl.rabi(0.0)), rel=1e-12)
     assert abs(incoming0) > 0.01
-    want = field_row(state, 0.0, r12, r11, (f0, incoming0))
+    want = field_row(state, 0.0, r12, s, (f0, incoming0))
     assert np.array_equal(state.row, want)
     assert np.array_equal(state.faces[0], want[[0, -1]])
     assert not np.any(state.faces[1:])
@@ -899,6 +956,39 @@ def test_retrieving_empty_state_yields_nothing():
     assert np.all(record.extras["state"].row == 0)
     eps, _ = measure_efficiency(record)
     assert eps == 0.0
+
+
+def test_handover_keeps_the_z_component_bit_for_bit(monkeypatch):
+    # the retrieval stage starts from the stored s itself: a round trip
+    # through r11 = s + 1/2 would round s in the cells with r11 >= 1/4,
+    # so the stored atoms span both sides of r11 = 1/4
+    ens, ctl, _, med, grid = _cheap_setup()
+    r12, s = _tilted_atoms(ens, grid, seed=9)
+    stored = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1,
+                                   r12_initial=r12, bloch_z_initial=s)
+    assert np.any(stored.r11 < 0.25) and np.any(stored.r11 > 0.25)
+    assert not np.array_equal((stored.bloch_z + 0.5) - 0.5, stored.bloch_z)
+
+    class Started(Exception):
+        """Raised in place of the recall march, once its state is made."""
+
+    def started(state, *args, **kwargs):
+        seen.append(state)
+        raise Started
+
+    seen = []
+    monkeypatch.setattr(stages, "recall", started)
+    protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0)
+    ctl2 = ctl.time_reversed(anchor=16.0, detuning=-60.0)
+    tau_in = grid.tau()
+    with pytest.raises(Started):
+        run_retrieval(stored, ctl2, protocol, ens, med, grid,
+                      tau_input=tau_in,
+                      input_envelope=gaussian_envelope(8.0, 2.0)(tau_in),
+                      gap_time=0.5)
+    assert seen[0].drive_sign == -1
+    assert np.array_equal(seen[0].bloch_z, stored.bloch_z)
+    assert seen[0].bloch_z is not stored.bloch_z
 
 
 def test_global_input_phase_drops_out():
@@ -1111,3 +1201,41 @@ def test_saturating_audits_balance(saturating_case):
     assert saturating_case["out_f"].audit_residual < AUDIT_TOL
     assert saturating_case["met_f"].extras["audit_residual"] < AUDIT_TOL
     assert saturating_case["broken_f"].extras["audit_residual"] < AUDIT_TOL
+
+
+def test_retrieval_bits_do_not_depend_on_the_row_layout(saturating_case,
+                                                        monkeypatch):
+    # field_row returns the retrieval row as a reversed view; the step
+    # reads it only through the fresh arrays 2 row and conj(row), so a
+    # contiguous copy of the same row leaves the same bits.  The step
+    # that read the view in a complex-by-real product moved them from
+    # the 6th step of this recall on
+    stored = saturating_case["out_c"].state
+    met2 = ControlProfile.flat_top(
+        rabi=SAT_DELTA, detuning=SAT_DELTA, switch_on=0.0,
+        switch_off=24.0).time_reversed(anchor=24.0, detuning=-SAT_DELTA)
+
+    def recall():
+        state = SimulationState.fresh(
+            stored.grid, stored.ensemble, met2, stored.medium,
+            drive_sign=-1, r12_initial=stored.r12,
+            bloch_z_initial=stored.bloch_z)
+        state.zeta_scale = stored.zeta_scale
+        return state
+
+    viewed = []
+
+    def contiguous(*args):
+        row = field_row(*args)
+        viewed.append(row.base is not None)
+        return np.ascontiguousarray(row)
+
+    state, ref = recall(), recall()
+    for _ in range(20):
+        advance_strong(state)
+    monkeypatch.setattr(strongfield, "field_row", contiguous)
+    for _ in range(20):
+        advance_strong(ref)
+    assert all(viewed)
+    for name in ("r12", "bloch_z", "row", "faces"):
+        assert np.array_equal(getattr(state, name), getattr(ref, name))

@@ -408,8 +408,8 @@ def _run(state, step, rebuild=False):
 def _same_atoms(a, b):
     same = all(np.array_equal(getattr(a, name), getattr(b, name))
                for name in ("r12", "row", "faces"))
-    return same and np.array_equal(getattr(a, "r11", 0.0),
-                                   getattr(b, "r11", 0.0))
+    return same and np.array_equal(getattr(a, "bloch_z", 0.0),
+                                   getattr(b, "bloch_z", 0.0))
 
 
 @pytest.mark.parametrize("control", sorted(REUSE_CONTROLS))
@@ -463,7 +463,7 @@ def test_other_node_columns_rebuild_the_step_factors(regime):
         atoms = {"r12": state.r12.copy(), "row": state.row.copy(),
                  "faces": state.faces.copy()}
         if regime == "strong":
-            atoms["r11"] = state.r11.copy()
+            atoms["bloch_z"] = state.bloch_z.copy()
         return dataclasses.replace(state, **atoms, **fields)
 
     reference = _run(copy(), advance, rebuild=True)
