@@ -132,27 +132,28 @@ class ProtocolConfig:
 
     t1 is the storage dephasing time (coherence write instant to stage-1
     control switch-off); t2, when given, prescribes the retrieval window
-    you expect the echo in.  For comb recall, k fixes the rephasing order
-    on the comb ensemble's spacing.  strict turns condition defects into
-    errors.
+    you expect the echo in.  gap_time is the dark interval between the
+    stages, over which the stored coherences take the free phase
+    exp(-i d21 gap_time).  For comb recall, k fixes the rephasing order
+    on the comb ensemble's spacing.
     """
 
     protocol: str
     t1: float = 0.0
     t2: float | None = None
+    gap_time: float = 0.0
     matching: PhaseMatching | None = None
     k: int = 1
-    strict: bool = False
     invert_delta21: bool = True
     invert_delta31: bool = True
 
     def __post_init__(self):
-        require_finite(self, "t1", "t2")
+        require_finite(self, "t1", "t2", "gap_time")
         if self.protocol not in ("recrib", "reafc"):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "reafc" and self.k < 1:
             raise ValidationError("reafc needs k >= 1")
-        for name in ("t1", "t2"):
+        for name in ("t1", "t2", "gap_time"):
             if (getattr(self, name) or 0.0) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 

@@ -55,10 +55,6 @@ class WeakFieldViolation(SimulationError):
 class ConditionsUnmet(SimulationError):
     """Reversibility conditions failed and strict mode is on."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class ZeroInputEnergy(SimulationError):
     """Efficiency undefined: the input envelope carries no energy."""

@@ -3,8 +3,8 @@
 The scenario's objects are built once and serve both the reversal-
 condition report and the run.  The report is checked before the storage
 stage, so strict scenarios with a failed condition are refused before
-anything is stepped; it also rides along into the recall drivers, and
-the run result carries it into summary.txt and conditions.txt.
+anything is stepped, and the run result carries it into summary.txt and
+conditions.txt.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .conditions import (
     check_weak_conditions,
 )
 from . import stages
+from .errors import ConditionsUnmet
 from .numerics import fmt_float, write_text_atomic
 from .records import EchoRecord, measure_efficiency, write_envelope_csv
 from .scenario import Scenario, build_grids, stage_setups
@@ -71,15 +72,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     Builds the scenario's objects once and checks its conditions on them.
     Raises ConditionsUnmet before the storage stage when the scenario is
-    strict and the report has a failure, and ValidationError there for a
-    negative or non-finite gap_time.
+    strict and the report has a failure.
     """
     stage1, stage2, med, proto = stage_setups(scenario)
     ens, probe, ctl1, ctl2 = (stage1.ensemble, stage1.probe, stage1.control,
                               stage2.control)
     report = _check(scenario, stage1, stage2, proto)
     grid1, grid2 = build_grids(scenario)
-    stages.gate_recall(proto, scenario.protocol.gap_time, report)
+    if scenario.protocol.strict and not report.overall:
+        raise ConditionsUnmet("strict mode: conditions failed: "
+                              + ", ".join(report.failing_ids()))
     # looked up at call time, so that a test can replace a driver here
     store, recall = ((run_storage, run_retrieval)
                      if scenario.run.regime == "strong"
@@ -88,7 +90,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     record = recall(
         out.state, ctl2, proto, ens, med, grid2,
         tau_input=out.tau, input_envelope=out.input_envelope,
-        gap_time=scenario.protocol.gap_time, conditions=report,
         transmitted_fraction=out.transmitted_fraction)
     efficiency, fidelity = measure_efficiency(record)
     return RunResult(scenario=scenario, report=report, record=record,

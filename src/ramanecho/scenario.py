@@ -419,7 +419,8 @@ def stage_setups(sc: Scenario) -> tuple[StageSetup, StageSetup, MediumSpec,
     recalls on.  The shared reversal clock puts its origin at the stage-2
     reading onset, i.e. stage-1 times are shifted by the mirror anchor
     (mirror mode) or by control1 switch-off (explicit stage-2 control).
-    The protocol's blank t1 and t2 derive as ProtocolSection states.
+    The protocol's blank t1 and t2 derive as ProtocolSection states, and
+    a gap_time whose dark-interval phase overflows is refused by key.
     """
     p = sc.protocol
     if p.name == "reafc" and sc.ensemble.shape != "comb":
@@ -434,8 +435,12 @@ def stage_setups(sc: Scenario) -> tuple[StageSetup, StageSetup, MediumSpec,
     if t1 < 0:
         raise ValidationError(
             "probe center lies after control1 switch-off; t1 < 0")
+    # Python floats, which overflow to inf without a numpy warning
+    if not math.isfinite(max(map(abs, ens.delta21s.tolist())) * p.gap_time):
+        raise ValidationError(f"[protocol] gap_time = {p.gap_time!r} "
+                              "overflows the dark-interval phase")
     proto = ProtocolConfig(protocol=p.name, t1=t1, t2=p.t2,
-                           matching=matching, k=p.k, strict=p.strict)
+                           gap_time=p.gap_time, matching=matching, k=p.k)
     if proto.t2 is None:
         proto = replace(proto, t2=proto.expected_echo_time(
             ctl1.peak_f(), ctl2.peak_f(), ens.comb_spacing))

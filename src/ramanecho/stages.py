@@ -6,10 +6,9 @@ lives here once: the stage state with its Z quadrature, the stage table
 of what the steps read that does not depend on the atoms, the storage
 checks, stepping a stage, the reuse of each step's per-node factors
 while the control's step integrals repeat, the photon-flux audits of
-storage and retrieval, the recall gate (gap_time check and strict gate,
-which a scenario run applies before storage), the handover of the
-stored coherences to the recall stage (the gate again, Z-axis check,
-dark-interval phase, RECRIB node inversion) and the echo record.
+storage and retrieval, the handover of the stored coherences to the
+recall stage (node-table and Z-axis checks, the dark-interval phase over
+the protocol's gap_time, RECRIB node inversion) and the echo record.
 
 Each regime's state is a StageState: weakfield.WeakState and
 strongfield.SimulationState add their own atomic variables, a
@@ -37,7 +36,6 @@ import numpy as np
 from .conditions import ProtocolConfig
 from .core import CONTROL_FLOOR, ControlProfile, EnsembleSpec, Grid, MediumSpec
 from .errors import (
-    ConditionsUnmet,
     DetuningTooSmall,
     IncompleteAbsorptionWarning,
     ValidationError,
@@ -317,39 +315,18 @@ def audit_storage(state: StageState,
         / scale)
 
 
-def gate_recall(protocol: ProtocolConfig, gap_time: float,
-                conditions) -> None:
-    """Refuse a recall that may not run, before anything is stepped.
-
-    A negative or non-finite gap_time raises ValidationError; then strict
-    mode raises ConditionsUnmet when the ConditionReport conditions has a
-    failure.  Both need only the scenario and its report, so a scenario
-    run calls this before its storage stage, and hand_over calls it again
-    for callers that recall a state they stored themselves.
-    """
-    if not (math.isfinite(gap_time) and gap_time >= 0.0):
-        raise ValidationError(
-            f"gap_time must be finite and >= 0, got {gap_time!r}")
-    if protocol.strict and conditions is not None and not conditions.overall:
-        raise ConditionsUnmet(
-            "strict mode: conditions failed: "
-            + ", ".join(conditions.failing_ids()), report=conditions)
-
-
 def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
-              grid2, gap_time: float, conditions):
+              grid2):
     """Stored coherences and node table at the start of recall.
 
-    gate_recall applies the gap_time check and the strict gate first.
     ensemble is the stage-1 node table the caller stored with: one whose
     node detunings or weights differ from the stored state's is refused,
     as is a retrieval grid on another Z axis.  The dark interval adds the
-    free phase exp(-i d21 gap_time) with the detunings as seen before any
-    inversion, while the populations stay frozen.  Returns a copy of the
-    stored r12 and the stage-2 node table, protocol.recall_ensemble of
-    the stored one.
+    free phase exp(-i d21 protocol.gap_time) with the detunings as seen
+    before any inversion, while the populations stay frozen.  Returns a
+    copy of the stored r12 and the stage-2 node table,
+    protocol.recall_ensemble of the stored one.
     """
-    gate_recall(protocol, gap_time, conditions)
     if not all(np.array_equal(getattr(ensemble, name),
                               getattr(stored.ensemble, name))
                for name in ("delta21s", "delta31s", "weights")):
@@ -360,8 +337,8 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
         raise ValidationError(
             "retrieval grid does not match the stored state's Z axis")
     r12 = np.array(stored.r12, dtype=complex)
-    if gap_time > 0.0:
-        r12 *= np.exp(-1j * ensemble.delta21s * gap_time)[:, None]
+    if protocol.gap_time > 0.0:
+        r12 *= np.exp(-1j * ensemble.delta21s * protocol.gap_time)[:, None]
     return r12, protocol.recall_ensemble(ensemble)
 
 

@@ -511,20 +511,16 @@ def run_retrieval(stored: SimulationState, control2: ControlProfile,
                   protocol: ProtocolConfig, ensemble: EnsembleSpec,
                   medium: MediumSpec, grid2: Grid,
                   tau_input: np.ndarray, input_envelope: np.ndarray,
-                  gap_time: float = 0.0,
-                  conditions=None,
                   transmitted_fraction: float = math.nan) -> EchoRecord:
     """Retrieve the echo from a stored strong-field state.
 
     ensemble is the stage-1 node table, which stages.hand_over refuses
-    unless it is the stored state's; it applies the strict gate, the
-    dark-interval phase and the RECRIB inversion.  After it, the
+    unless it is the stored state's; it applies the dark-interval phase
+    over protocol.gap_time and the RECRIB inversion.  After it, the
     mode-matching map r12 -> r12 exp(i q Z) carries the grating into the
-    retrieval frame.  conditions, when supplied, is the ConditionReport
-    consulted in strict mode.
+    retrieval frame.
     """
-    r12, ensemble2 = stages.hand_over(stored, protocol, ensemble, grid2,
-                                      gap_time, conditions)
+    r12, ensemble2 = stages.hand_over(stored, protocol, ensemble, grid2)
     q = handover_wavevector_mismatch(protocol)
     if q != 0.0:
         r12 *= np.exp(1j * q * stored.grid.z())[None, :]

@@ -263,20 +263,15 @@ def recall_weak(stored: WeakState, control2: ControlProfile,
                 protocol: ProtocolConfig, ensemble: EnsembleSpec,
                 medium: MediumSpec, grid2: Grid,
                 tau_input: np.ndarray, input_envelope: np.ndarray,
-                gap_time: float = 0.0,
-                conditions=None,
                 transmitted_fraction: float = math.nan) -> EchoRecord:
     """Retrieve the echo from a stored linear-regime state.
 
     ensemble is the stage-1 node table, which stages.hand_over refuses
-    unless it is the stored state's; it applies the strict gate, the
-    dark-interval phase and the RECRIB inversion.  The tilde variables
+    unless it is the stored state's; it applies the dark-interval phase
+    over protocol.gap_time and the RECRIB inversion.  The tilde variables
     factor out the linear Z-phase, so no mode-matching map follows.
-    conditions, when supplied, is the ConditionReport consulted in
-    strict mode.
     """
-    r12, ensemble2 = stages.hand_over(stored, protocol, ensemble, grid2,
-                                      gap_time, conditions)
+    r12, ensemble2 = stages.hand_over(stored, protocol, ensemble, grid2)
     bandwidth = stages.recall_bandwidth(tau_input)
     _validate_grid(grid2, ensemble2, control2, medium, bandwidth)
 

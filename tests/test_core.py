@@ -328,6 +328,7 @@ NON_FINITE_FIELDS = {
     "comb_spacing": lambda v: _one_node(comb_spacing=v),
     "t1": lambda v: ProtocolConfig("recrib", t1=v),
     "t2": lambda v: ProtocolConfig("recrib", t2=v),
+    "gap_time": lambda v: ProtocolConfig("recrib", gap_time=v),
     "omega1": lambda v: _phase_matching(omega1=v),
     "light_speed": lambda v: _phase_matching(light_speed=v),
     "beta": lambda v: StageSetup(control=_control(), ensemble=_one_node(),
@@ -340,6 +341,14 @@ NON_FINITE_FIELDS = {
 def test_dataclasses_refuse_non_finite_fields(name, value):
     with pytest.raises(ValidationError, match=f"^{name} must be finite"):
         NON_FINITE_FIELDS[name](value)
+
+
+# the protocol's times, storage dwell, recall window and dark interval,
+# are durations: a negative one is refused by name
+@pytest.mark.parametrize("name", ["t1", "t2", "gap_time"])
+def test_protocol_refuses_negative_times(name):
+    with pytest.raises(ValidationError, match=f"^{name} must be >= 0$"):
+        ProtocolConfig("recrib", **{name: -1.0})
 
 
 def _flat_top(**kw):

@@ -573,12 +573,39 @@ def test_zero_control_rabi_is_refused_by_key(tmp_path, capsys, command, name,
                           f"[{section}] rabi must be non-zero")
 
 
-@pytest.mark.parametrize("command", ["check", "simulate"])
-def test_negative_t2_is_refused_by_key(tmp_path, capsys, command):
-    path = _write_with_value(tmp_path, "recrib_ideal", "protocol", "t2",
+# a negative recall window or dark interval is refused alike by check and
+# simulate, before storage; the t2 cases keep their bare command ids
+@pytest.mark.parametrize("command,key", [
+    pytest.param(command, key,
+                 id=command if key == "t2" else f"{command}-{key}")
+    for key in ("t2", "gap_time") for command in ("check", "simulate")])
+def test_negative_t2_is_refused_by_key(tmp_path, capsys, monkeypatch,
+                                       command, key):
+    _forbid_storage(monkeypatch)
+    path = _write_with_value(tmp_path, "recrib_ideal", "protocol", key,
                              "-1")
     _command_exits_1_with(tmp_path, capsys, command, path,
-                          "t2 must be >= 0")
+                          f"{key} must be >= 0")
+
+
+# a dark interval whose phase max|d21| gap_time overflows is refused by
+# key before storage, with no numpy warning; at gap_time 0 the scenario
+# runs (n_tau = 801 resolves the 21 spread)
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_overflowing_gap_time_is_refused_by_key(tmp_path, capsys,
+                                                monkeypatch, command):
+    _forbid_storage(monkeypatch)
+    base = load_scenario(bundled("recrib_ideal"))
+    edited = replace(
+        base,
+        ensemble=replace(base.ensemble, width_21=5.0, n_nodes_21=3),
+        grid=replace(base.grid, n_tau=801),
+        protocol=replace(base.protocol, gap_time=1e308))
+    path = tmp_path / "edited.ini"
+    path.write_text(dump_scenario(edited))
+    _command_exits_1_with(tmp_path, capsys, command, path,
+                          "[protocol] gap_time = 1e+308 overflows the "
+                          "dark-interval phase")
 
 
 # a zero coupling is refused by the [medium] key that sets it; a

@@ -9,12 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramanecho import stages, strongfield, weakfield
-from ramanecho.conditions import (
-    ConditionEntry,
-    ConditionReport,
-    PhaseMatching,
-    ProtocolConfig,
-)
+from ramanecho.conditions import PhaseMatching, ProtocolConfig
 from ramanecho.core import (
     ControlProfile,
     EnsembleSpec,
@@ -26,7 +21,6 @@ from ramanecho.core import (
     gaussian_envelope,
 )
 from ramanecho.errors import (
-    ConditionsUnmet,
     ControlVanishes,
     DetuningTooSmall,
     IncompleteAbsorptionWarning,
@@ -859,22 +853,6 @@ def test_both_regimes_run_the_storage_checks(store):
     assert out.transmitted_fraction > 0.05
 
 
-def test_strict_mode_gates_on_failing_report():
-    ens, ctl, _, med, grid = _cheap_setup()
-    stored = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1)
-    report = ConditionReport(entries=(
-        ConditionEntry(id="iv", residual=2.0, tolerance=1e-9,
-                       satisfied=False),))
-    protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0, strict=True)
-    ctl2 = ctl.time_reversed(anchor=16.0, detuning=-60.0)
-    tau_in = grid.tau()
-    with pytest.raises(ConditionsUnmet, match="iv"):
-        run_retrieval(stored, ctl2, protocol, ens, med, grid,
-                      tau_input=tau_in,
-                      input_envelope=gaussian_envelope(8.0, 2.0)(tau_in),
-                      conditions=report)
-
-
 @pytest.mark.parametrize("axis", ["n_z", "length"])
 @pytest.mark.parametrize("regime", ["weak", "strong"])
 def test_recall_refuses_another_z_axis_before_any_step(regime, axis,
@@ -933,13 +911,14 @@ def test_recall_refuses_another_ensemble(regime):
     grid = Grid(n_tau=n_tau, n_z=33, t_end=24.0, length=1.0)
     out = store(probe, ctl, ens, med, grid)
     ctl2 = ctl.time_reversed(anchor=24.0, detuning=-60.0)
-    protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0)
+    protocol = ProtocolConfig(protocol="recrib", t1=12.0, t2=12.0,
+                              gap_time=1.0)
     record = retrieve(out.state, ctl2, protocol, nodes(1.0), med, grid,
-                      out.tau, out.input_envelope, gap_time=1.0)
+                      out.tau, out.input_envelope)
     assert measure_efficiency(record)[0] > 0.99999
     with pytest.raises(ValidationError, match="ensemble"):
         retrieve(out.state, ctl2, protocol, nodes(0.5), med, grid,
-                 out.tau, out.input_envelope, gap_time=1.0)
+                 out.tau, out.input_envelope)
 
 
 def test_retrieving_empty_state_yields_nothing():
@@ -978,14 +957,14 @@ def test_handover_keeps_the_z_component_bit_for_bit(monkeypatch):
 
     seen = []
     monkeypatch.setattr(stages, "recall", started)
-    protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0)
+    protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0,
+                              gap_time=0.5)
     ctl2 = ctl.time_reversed(anchor=16.0, detuning=-60.0)
     tau_in = grid.tau()
     with pytest.raises(Started):
         run_retrieval(stored, ctl2, protocol, ens, med, grid,
                       tau_input=tau_in,
-                      input_envelope=gaussian_envelope(8.0, 2.0)(tau_in),
-                      gap_time=0.5)
+                      input_envelope=gaussian_envelope(8.0, 2.0)(tau_in))
     assert seen[0].drive_sign == -1
     assert np.array_equal(seen[0].bloch_z, stored.bloch_z)
     assert seen[0].bloch_z is not stored.bloch_z
