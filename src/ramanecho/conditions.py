@@ -167,6 +167,16 @@ class ProtocolConfig:
             return f1 * self.t1 / f2
         return echo_time_afc(f1, f2, self.t1, comb_spacing, self.k)
 
+    def dark_phase(self, ensemble: EnsembleSpec) -> np.ndarray:
+        """The free phase d21 gap_time of each node over the dark
+        interval; a gap_time for which it overflows is refused by name."""
+        # Python floats, which overflow to inf without a numpy warning
+        if not math.isfinite(max(map(abs, ensemble.delta21s.tolist()))
+                             * self.gap_time):
+            raise ValidationError(f"gap_time = {self.gap_time!r} overflows "
+                                  "the dark-interval phase")
+        return ensemble.delta21s * self.gap_time
+
     def recall_ensemble(self, ensemble: EnsembleSpec) -> EnsembleSpec:
         """The stage-2 node table recalling from the stage-1 ensemble:
         RECRIB inverts the nodes per invert_delta21/invert_delta31, comb

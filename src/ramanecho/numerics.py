@@ -107,8 +107,11 @@ def weighted_node_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     einsum's own loop: bit-identical from run to run, and not dependent on
     the BLAS library or its thread count, as a matrix product over the
     nodes could be once it is large enough for OpenBLAS to split it across
-    threads.  (CumulativeQuadrature's product is a BLAS call, kept below
-    that size.)
+    threads.  Every node sum follows this rule; the weak step's, with
+    complex weights, is one einsum of their real and imaginary parts in
+    the same form.  The BLAS calls that remain cannot reorder a sum:
+    CumulativeQuadrature's product is kept below that size, and the weak
+    step's update product has an inner dimension of 3.
     """
     x = np.ascontiguousarray(x, np.promote_types(x.dtype, np.float64))
     return np.einsum("j,jz->z", weights, x.view(np.float64)).view(x.dtype)

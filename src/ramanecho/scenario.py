@@ -435,12 +435,12 @@ def stage_setups(sc: Scenario) -> tuple[StageSetup, StageSetup, MediumSpec,
     if t1 < 0:
         raise ValidationError(
             "probe center lies after control1 switch-off; t1 < 0")
-    # Python floats, which overflow to inf without a numpy warning
-    if not math.isfinite(max(map(abs, ens.delta21s.tolist())) * p.gap_time):
-        raise ValidationError(f"[protocol] gap_time = {p.gap_time!r} "
-                              "overflows the dark-interval phase")
     proto = ProtocolConfig(protocol=p.name, t1=t1, t2=p.t2,
                            gap_time=p.gap_time, matching=matching, k=p.k)
+    try:
+        proto.dark_phase(ens)
+    except ValidationError as exc:
+        raise ValidationError(f"[protocol] {exc}") from None
     if proto.t2 is None:
         proto = replace(proto, t2=proto.expected_echo_time(
             ctl1.peak_f(), ctl2.peak_f(), ens.comb_spacing))

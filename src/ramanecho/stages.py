@@ -323,8 +323,9 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
     node detunings or weights differ from the stored state's is refused,
     as is a retrieval grid on another Z axis.  The dark interval adds the
     free phase exp(-i d21 protocol.gap_time) with the detunings as seen
-    before any inversion, while the populations stay frozen.  Returns a
-    copy of the stored r12 and the stage-2 node table,
+    before any inversion, while the populations stay frozen; a gap_time
+    whose phase overflows is refused by name, before any numpy warning.
+    Returns a copy of the stored r12 and the stage-2 node table,
     protocol.recall_ensemble of the stored one.
     """
     if not all(np.array_equal(getattr(ensemble, name),
@@ -336,9 +337,10 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
     if z.shape != (grid2.n_z,) or not np.allclose(z, grid2.z()):
         raise ValidationError(
             "retrieval grid does not match the stored state's Z axis")
+    phase = protocol.dark_phase(ensemble)
     r12 = np.array(stored.r12, dtype=complex)
     if protocol.gap_time > 0.0:
-        r12 *= np.exp(-1j * ensemble.delta21s * protocol.gap_time)[:, None]
+        r12 *= np.exp(-1j * phase)[:, None]
     return r12, protocol.recall_ensemble(ensemble)
 
 

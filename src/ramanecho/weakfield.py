@@ -28,12 +28,11 @@ are rebuilt only when the integrals change (StageState.step_factors).
 Because the equations are linear and every node is driven by the same
 field row, each Runge-Kutta slope is rank one: a per-node factor times
 one row across Z.  field_row therefore takes the node-summed kernel
-B~12, and a step needs only two weighted node sums over the (node x Z)
-coherences; the stage kernels, the recorded row's kernel and the new
-coherences follow from rows and node-weight scalars (see advance_weak).
-Every node sum runs off BLAS, and the Z quadrature is the state's
-numerics.CumulativeQuadrature, whose bits do not depend on the BLAS
-thread count.
+B~12, and a step's (node x Z) work is two kernels, in a workspace held
+for the stage: one off-BLAS einsum for its node sums and one BLAS
+product of inner dimension 3 for the new coherences (see advance_weak).
+With the Z quadrature the state's numerics.CumulativeQuadrature, no bit
+of a weak stage depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -78,14 +77,30 @@ class WeakState(stages.StageState):
         """Row 0 from the current coherences at the table's first stage
         time."""
         times, _, sampled, _, _ = self.table.row(0)
-        return field_row(self, times[0],
-                         weighted_node_sum(self.ensemble.weights, self.r12),
-                         sampled[0])
+        return _finite(field_row(
+            self, times[0],
+            weighted_node_sum(self.ensemble.weights, self.r12), sampled[0]),
+            times[0])
 
     def excitation(self) -> np.ndarray:
         """Ensemble excitation sum_j w_j |R~12_j|^2 at every Z."""
         return weighted_node_sum(self.ensemble.weights,
                                  np.abs(self.r12) ** 2)
+
+    def workspace(self) -> tuple:
+        """The buffers a step writes: two complex (n_node, n_z) arrays,
+        for rf p and the update product, and the complex (3, n_z) rows R.
+
+        Allocated at first use and held until stages.march drops them at
+        the stage end, as the strong step's are.  The list is mutable: a
+        step hands its first buffer to the state as the new coherences and
+        takes the old ones in its place.
+        """
+        if self._work is None:
+            shape = self.r12.shape
+            self._work = ([np.empty(shape, dtype=complex) for _ in range(2)],
+                          np.empty((3, shape[1]), dtype=complex))
+        return self._work
 
 
 def field_row(state: WeakState, s: float, b12: np.ndarray,
@@ -101,12 +116,8 @@ def field_row(state: WeakState, s: float, b12: np.ndarray,
     f_s, incoming = sampled
     gain = 0.5 * state.medium.coupling_beta * f_s
     if state.drive_sign > 0:
-        row = incoming - gain * state.quadrature(b12)
-    else:
-        row = incoming + gain * state.quadrature(b12[::-1])[::-1]
-    if not np.isfinite(row).all():
-        raise NonFiniteField(f"field row non-finite at tau={s}")
-    return row
+        return incoming - gain * state.quadrature(b12)
+    return incoming + gain * state.quadrature(b12[::-1])[::-1]
 
 
 def advance_weak(state: WeakState) -> WeakState:
@@ -126,28 +137,47 @@ def advance_weak(state: WeakState) -> WeakState:
         B(k3) = P_h + (dt/2) (sum w rh dh) row2
         B(k4) = P_f + dt (sum w rf dh) row3
 
-    The new coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 + k4)) are
-    built once, and the kernel of the row recorded at the new clock
-    follows from the same linearity.  k1 reuses the recorded row, which
-    was solved from the current coherences.  Rows, rotations and the
-    step dt read the stage table.  The rotations, the drive columns and
-    the node-weight scalars depend on the control only through the
-    step's integrals df_half and df_full, so they are rebuilt only when
-    the pair differs from the previous step's and reused while it
-    repeats, as on a flat-top plateau.  The probe Stark shift is priced
-    against the state's bandwidth.
+    The step does its (node x Z) work in two kernels.  The node sums are
+    one einsum of the real (4, n_node) table [Re w rh; Im w rh; Re w rf;
+    Im w rf] against the coherences' interleaved real and imaginary
+    parts, which gives S_re and S_im of each sum, P = S_re + i S_im:
+    einsum's own loop, off BLAS as numerics.weighted_node_sum's rule
+    requires.  The new coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 +
+    k4)) are rf p + U R, with U = rf [(dt/6) d, (dt/3) dh, (dt/6) df]
+    the (n_node, 3) update table and R = [row1; row2 + row3; row4]: a
+    BLAS product, but a complex one of inner dimension 3, so however
+    OpenBLAS splits it across threads, every output is the same
+    three-term sum and its bits do not depend on the thread count.  (The
+    same product as a real gemm, [Re U, Im U] times the interleaved
+    parts of [R; i R], is no faster and does depend on it: at 129 x 1025
+    OpenBLAS 0.3.31 gives other bits on two threads, from the kernel it
+    runs at the edge of a thread's block.)  The kernel of the
+    row recorded at the new clock follows from the same linearity.  k1
+    reuses the recorded row, which was solved from the current
+    coherences.  Rows, rotations and the step dt read the stage table.
+    The rotations, the tables and the node-weight scalars depend on the
+    control only through the step's integrals df_half and df_full, so
+    they are rebuilt only when the pair differs from the previous step's
+    and reused while it repeats, as on a flat-top plateau.  rf p, U R
+    and R are written into the state's workspace.  The probe Stark shift
+    is priced against the state's bandwidth.  The field rows are checked
+    once per step, on the recorded row: a non-finite k2, k3 or k4 row
+    reaches it through its kernel, since 0 x NaN is NaN.
     """
     table = state.table
     times, om2, sampled, df_half, df_full = table.row(state.step_index)
-    dt = table.dt
-    drive = float(state.drive_sign)
-    (rot_full, drive_half, drive_full, w_half, w_full, kernel2, kernel3,
-     kernel4, record1, record23, record4) = state.step_factors(
-        df_half, df_full, partial(_step_factors, state.ensemble, dt, drive))
-    p = state.r12
-    # complex weights, which weighted_node_sum does not take
-    p_half = np.add.reduce(w_half * p, axis=0)
-    p_full = np.add.reduce(w_full * p, axis=0)
+    (rot_full, sum_table, update, kernel2, kernel3, kernel4, record1,
+     record23, record4) = state.step_factors(
+        df_half, df_full,
+        partial(_step_factors, state.ensemble, table.dt,
+                float(state.drive_sign)))
+    buffers, rows = state.workspace()
+    p, rotated, product = state.r12, *buffers
+    # S_re and S_im of P_h, then of P_f, as complex rows
+    s_re_h, s_im_h, s_re_f, s_im_f = np.einsum(
+        "kj,jz->kz", sum_table, p.view(np.float64)).view(complex)
+    p_half = s_re_h + 1j * s_im_h
+    p_full = s_re_f + 1j * s_im_f
 
     def row_at(k, b12):
         return field_row(state, times[k], b12, sampled[k])
@@ -166,25 +196,34 @@ def advance_weak(state: WeakState) -> WeakState:
     row3 = row_at(1, p_half + kernel3 * row2)
     row4 = row_at(2, p_full + kernel4 * row3)
 
-    row23 = row2 + row3
-    p_new = p + ((dt / 6.0) * drive) * row1
-    p_new += drive_half * ((dt / 3.0) * row23)
-    p_new += drive_full * ((dt / 6.0) * row4)
-    p_new *= rot_full
-    state.r12 = p_new
+    rows[0] = row1
+    np.add(row2, row3, out=rows[1])
+    rows[2] = row4
+    np.multiply(rot_full, p, out=rotated)
+    np.matmul(update, rows, out=product)
+    rotated += product
+    buffers[0], state.r12 = p, rotated
     state.step_index += 1
-    b12 = p_full + record1 * row1 + record23 * row23 + record4 * row4
-    state.record(row_at(2, b12))
+    b12 = p_full + record1 * row1 + record23 * rows[1] + record4 * row4
+    state.record(_finite(row_at(2, b12), times[2]))
     return state
+
+
+def _finite(row: np.ndarray, s: float) -> np.ndarray:
+    """row, refused when any of its values is not finite."""
+    if not np.isfinite(row).all():
+        raise NonFiniteField(f"field row non-finite at tau={s}")
+    return row
 
 
 def _step_factors(ensemble: EnsembleSpec, dt: float, drive: float,
                   df_half: float, df_full: float) -> tuple:
     """The per-node factors of a step with control integrals df_half and
-    df_full: the rotation rf, the drive columns dh and df and the weighted
-    rotations w rh and w rf as (n_node, 1) columns, then the node-weight
-    scalars of the stage kernels B(k2), B(k3), B(k4) and of the recorded
-    row's kernel (see advance_weak)."""
+    df_full: the rotation rf as an (n_node, 1) column, the real (4,
+    n_node) node-sum table [Re w rh; Im w rh; Re w rf; Im w rf], the
+    (n_node, 3) update table rf [(dt/6) d, (dt/3) dh, (dt/6) df], then
+    the node-weight scalars of the stage kernels B(k2), B(k3), B(k4) and
+    of the recorded row's kernel (see advance_weak)."""
     d21 = ensemble.delta21s
     d31 = ensemble.delta31s
     rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * df_half))
@@ -198,8 +237,12 @@ def _step_factors(ensemble: EnsembleSpec, dt: float, drive: float,
     sum_half, sum_half_dh, sum_full, sum_full_dh, sum_full_df = \
         np.add.reduce([w_half, w_half * drive_half, w_full,
                        w_full * drive_half, w_full * drive_full], axis=1)
-    return (rot_full[:, None], drive_half[:, None], drive_full[:, None],
-            w_half[:, None], w_full[:, None],
+    sum_table = np.stack([w_half.real, w_half.imag, w_full.real,
+                          w_full.imag])
+    update = rot_full[:, None] * np.stack(
+        [np.full(d21.shape, (dt / 6.0) * drive), (dt / 3.0) * drive_half,
+         (dt / 6.0) * drive_full], axis=1)
+    return (rot_full[:, None], sum_table, update,
             0.5 * dt * drive * sum_half, 0.5 * dt * sum_half_dh,
             dt * sum_full_dh, (dt / 6.0) * drive * sum_full,
             (dt / 3.0) * sum_full_dh, (dt / 6.0) * sum_full_df)

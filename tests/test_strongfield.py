@@ -885,6 +885,39 @@ def test_recall_refuses_another_z_axis_before_any_step(regime, axis,
                  np.zeros_like(tau_in, dtype=complex))
 
 
+# a dark interval whose phase max|d21| gap_time overflows is refused by
+# name before the recall stage solves a row, with no numpy warning; it
+# used to give two warnings (overflow in multiply, invalid value in exp)
+# and then a non-finite field row at tau = 0
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("regime", ["weak", "strong"])
+def test_recall_refuses_an_overflowing_dark_phase(monkeypatch, regime):
+    _, ctl, _, med, grid = _cheap_setup()
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=5, rule="uniform",
+                                  width_21=5.0, n_nodes_21=3)
+    if regime == "strong":
+        module, retrieve = strongfield, run_retrieval
+        stored = SimulationState.fresh(grid, ens, ctl, med, drive_sign=+1)
+    else:
+        module, retrieve = weakfield, recall_weak
+        stored = WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
+                                 bandwidth=1.0)
+
+    def refused(*args, **kwargs):
+        pytest.fail("the recall stage ran with an overflowing dark phase")
+
+    for name in ("field_row", f"advance_{regime}"):
+        monkeypatch.setattr(module, name, refused)
+    protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0,
+                              gap_time=1e308)
+    ctl2 = ctl.time_reversed(anchor=16.0, detuning=-60.0)
+    tau_in = grid.tau()
+    with pytest.raises(ValidationError, match=r"^gap_time = 1e\+308 "
+                       "overflows the dark-interval phase$"):
+        retrieve(stored, ctl2, protocol, ens, med, grid, tau_in,
+                 np.zeros_like(tau_in, dtype=complex))
+
+
 @pytest.mark.parametrize("regime", ["weak", "strong"])
 def test_recall_refuses_another_ensemble(regime):
     # the recall drivers take the stage-1 node table again, and the

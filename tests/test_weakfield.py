@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,12 @@ from ramanecho.core import (
     build_comb_ensemble,
     build_gaussian_ensemble,
 )
-from ramanecho.errors import StepTooCoarse, ValidationError, WeakFieldViolation
+from ramanecho.errors import (
+    NonFiniteField,
+    StepTooCoarse,
+    ValidationError,
+    WeakFieldViolation,
+)
 from ramanecho.numerics import cumulative_integral, weighted_node_sum
 from ramanecho.records import measure_efficiency
 from ramanecho.strongfield import ProbeBoundary, SimulationState, \
@@ -285,6 +293,75 @@ def test_rank_one_step_matches_dense_step(drive_sign):
         scale = np.max(np.abs(want))
         assert scale > 0.0
         assert np.max(np.abs(got - want)) <= STEP_ORACLE_TOL * scale
+
+
+# the step checks the field once, on the row it records: a NaN in one
+# cell of r12 reaches the k2 row through P_h, and the recorded row
+# through that row's kernel, so the step that meets it still refuses it
+@pytest.mark.parametrize("drive_sign", [+1, -1], ids=["storage", "recall"])
+def test_non_finite_coherence_is_refused_in_the_same_step(drive_sign):
+    state = _mid_ramp_state(drive_sign)[0]
+    state.r12[4, 7] = np.nan
+    with pytest.raises(NonFiniteField, match=r"^field row non-finite at "
+                       f"tau={float(state.table.times[3, 2])!r}$"):
+        advance_weak(state)
+
+
+# the weak step in a fresh interpreter: digests of r12, row and faces
+# after steps of storage from seeded coherences
+_THREAD_RUN = """
+import hashlib
+import numpy as np
+from ramanecho.core import (ControlProfile, Grid, MediumSpec, ProbeSpec,
+                            build_gaussian_ensemble)
+from ramanecho.weakfield import TildeInput, WeakState, advance_weak
+
+n_node, n_z, steps = {n_node}, {n_z}, {steps}
+ens = build_gaussian_ensemble(width=1.0, n_nodes=n_node, rule="uniform")
+ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=0.0,
+                              switch_off=24.0)
+probe = ProbeSpec.gaussian(center=12.0, duration=2.0)
+med = MediumSpec.from_alpha_eff(20.0, line_width_31=ens.line_width_31(),
+                                length_L=1.0)
+rng = np.random.default_rng(1)
+r12 = 0.01 * (rng.standard_normal((n_node, n_z))
+              + 1j * rng.standard_normal((n_node, n_z)))
+state = WeakState.fresh(Grid(n_tau=385, n_z=n_z, t_end=24.0, length=1.0),
+                        ens, ctl, med, drive_sign=+1,
+                        boundary=TildeInput(probe), r12_initial=r12,
+                        bandwidth=probe.spectral_width)
+for _ in range(steps):
+    advance_weak(state)
+for name in ("r12", "row", "faces"):
+    print(name, hashlib.sha256(getattr(state, name).tobytes()).hexdigest())
+"""
+
+
+def test_weak_step_does_not_depend_on_blas_threads():
+    # 129 nodes x 1025 Z: the update product U R is a gemm of m n k =
+    # 129 x 1025 x 3, above the size up to which OpenBLAS runs a gemm on
+    # one thread (262,144), so two threads split it; with inner dimension
+    # 3 every output is the same three-term sum either way.  With
+    # OpenBLAS 0.3.31, a node sum by matrix product (W @ p on the complex
+    # (2, n_node) weights) gives other last bits on two threads within 5
+    # steps, and the update taken as a real gemm ([Re U, Im U] times the
+    # parts of [R; i R]) within 20
+    n_node, n_z = 129, 1025
+    assert n_node * n_z * 3 > 262_144
+    src_dir = os.path.dirname(os.path.dirname(weakfield.__file__))
+    code = _THREAD_RUN.format(n_node=n_node, n_z=n_z, steps=40)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split("\n"))
+    assert [line.split()[0] for line in digests[0] if line] == \
+        ["r12", "row", "faces"]
+    assert digests[0] == digests[1]
 
 
 def _stage_under_a_ramp(regime):
