@@ -21,7 +21,12 @@ the one table and the one set of stage inputs.  Of the field, a state
 keeps the current row, which the next step starts from, and the trace
 of its two faces over the stage, which is all the audits and the echo
 read; march drops the buffers a regime's step holds when the stage
-ends.
+ends, or when a step raises.  march also steps a long slab with numpy's
+ufunc buffer at STEP_BUFFER elements, so that a broadcast product's
+chunk of each operand stays in the L1 data cache, and restores the
+caller's size afterwards; a short slab keeps numpy's default, which
+takes its whole (node, Z) array in one chunk.  Elementwise ufuncs give
+the same bits at any buffer size.
 """
 
 from __future__ import annotations
@@ -59,6 +64,12 @@ SUPPORT_SAMPLES = 256
 # transmitted-energy fraction above which the complete-absorption premise
 # of the recall analysis is flagged
 ABSORPTION_WARNING_FRACTION = 0.05
+
+# numpy's ufunc buffer, in elements, while march steps a slab whose row
+# has at least _LONG_ROW points (see march); numpy takes only multiples
+# of 16
+STEP_BUFFER = 256
+_LONG_ROW = 128
 
 
 def node_array(grid, ensemble, initial, fill: float, dtype) -> np.ndarray:
@@ -258,10 +269,27 @@ class StorageOutcome:
 def march(state: StageState, advance: Callable) -> None:
     """Step a fresh stage to its end, each step by advance(state), then
     drop the buffers the steps wrote, which nothing after the stage
-    reads."""
-    for _ in range(state.grid.n_tau - 1):
-        advance(state)
-    state._work = None
+    reads, also when a step raises.
+
+    A long slab, a row of at least _LONG_ROW points, is stepped with
+    numpy's ufunc buffer at STEP_BUFFER elements, and the caller's size
+    is restored afterwards.  A product of an (n_node, 1) column or an
+    (n_z,) row with a (node, Z) array goes through numpy's buffered
+    iterator, whose default buffer gathers a dozen long rows per operand,
+    more than a core's L1 data cache holds; a small buffer keeps each
+    operand's chunk in it.  A short slab keeps numpy's default: its
+    whole array fits the default buffer in one chunk, where a small one
+    would cut it into several.  Elementwise ufuncs do not depend on how
+    the iterator chunks their operands, so no bit depends on the size.
+    """
+    try:
+        with np.errstate():
+            if state.grid.n_z >= _LONG_ROW:
+                np.setbufsize(STEP_BUFFER)
+            for _ in range(state.grid.n_tau - 1):
+                advance(state)
+    finally:
+        state._work = None
 
 
 def flux_weights(control, medium, tau: np.ndarray) -> np.ndarray:

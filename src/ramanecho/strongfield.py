@@ -44,7 +44,9 @@ history of rows.  A step and its Bloch projection write every (node, Z)
 intermediate into the state's workspace, buffers held from its first
 step until stages.march ends the stage; allocated afresh, node arrays
 above the C library's mapping threshold would be mapped and faulted in
-again at every step.  The
+again at every step.  What a broadcast product of a row or a node
+column allocates for itself is numpy's iterator buffer, which march
+keeps at stages.STEP_BUFFER elements per operand on a long slab.  The
 per-node constants are set once per stage in the state, and the control
 at the stage times, its Simpson integrals and the boundary values in its
 StageTable, which the fresh state builds; field_row and advance_strong

@@ -562,11 +562,12 @@ WORKSPACE_STAGES = {
 
 
 def _live_stage(size, sign):
-    """A fresh stage of WORKSPACE_STAGES[size] from atoms on the Bloch
-    sphere, so that truncation pushes cells out and the projection acts.
+    """A fresh stage of WORKSPACE_STAGES[size] or BUFFER_STAGES[size]
+    from atoms on the Bloch sphere, so that truncation pushes cells out
+    and the projection acts.
     The control switches off mid-stage; storage (+1) is fed by a probe,
     retrieval (-1) emits from the atoms."""
-    make_ensemble, n_z, n_tau = WORKSPACE_STAGES[size]
+    make_ensemble, n_z, n_tau = (WORKSPACE_STAGES | BUFFER_STAGES)[size]
     ens = make_ensemble()
     t_end = 0.025 * (n_tau - 1)
     ctl = ControlProfile.flat_top(rabi=30.0, detuning=30.0 * sign,
@@ -679,6 +680,98 @@ def test_workspace_lives_for_one_stage_of_one_state():
     stages.march(fresh, advance_strong)
     assert fresh.step_index == fresh.grid.n_tau - 1
     assert fresh._work is None
+
+
+# ---------------------------------------------------------------------------
+# the ufunc buffer march steps a stage with
+# ---------------------------------------------------------------------------
+
+# (ensemble, n_z, n_tau): a long slab, which march steps with
+# stages.STEP_BUFFER, and a short one as long as the longest shipped
+# scenario's, which keeps numpy's default buffer
+BUFFER_STAGES = {
+    "long": (lambda: build_gaussian_ensemble(width=1.0, n_nodes=9,
+                                             rule="uniform"), 321, 101),
+    "short": (_spread_ensemble, 65, 101),
+}
+
+
+def _buffer_stage(size, regime):
+    """A fresh stage of BUFFER_STAGES[size]: strong storage, strong
+    retrieval from atoms on the Bloch sphere, or weak storage."""
+    if regime != "weak":
+        return _live_stage(size, +1 if regime == "storage" else -1)
+    make_ensemble, n_z, n_tau = BUFFER_STAGES[size]
+    ens = make_ensemble()
+    ctl = ControlProfile.flat_top(rabi=SAT_DELTA, detuning=SAT_DELTA,
+                                  switch_on=0.0, switch_off=24.0)
+    probe = ProbeSpec.gaussian(center=12.0, duration=2.0,
+                               amplitude_scale=0.01)
+    med = MediumSpec.from_alpha_eff(
+        50.0, line_width_31=ens.line_width_31(), length_L=1.0)
+    grid = Grid(n_tau=n_tau, n_z=n_z, t_end=24.0, length=1.0)
+    return WeakState.fresh(grid, ens, ctl, med, drive_sign=+1,
+                           boundary=weakfield.TildeInput(probe),
+                           bandwidth=probe.spectral_width)
+
+
+def _buffer_sizes(advance):
+    """advance wrapped to note numpy's ufunc buffer size at every step,
+    and the list it notes them in."""
+    sizes = []
+
+    def noted(state):
+        sizes.append(np.getbufsize())
+        return advance(state)
+
+    return noted, sizes
+
+
+@pytest.mark.parametrize("regime", ["storage", "retrieval", "weak"])
+def test_no_bit_depends_on_the_step_buffer(regime):
+    # march steps the long slab with the small buffer, and by hand under
+    # numpy's default buffer the same steps leave the same bits: every
+    # operation the steps make is elementwise or does not go through the
+    # buffered iterator
+    advance = weakfield.advance_weak if regime == "weak" else advance_strong
+    marched, by_hand = (_buffer_stage("long", regime) for _ in range(2))
+    noted, sizes = _buffer_sizes(advance)
+    stages.march(marched, noted)
+    default = np.getbufsize()
+    assert sizes == [stages.STEP_BUFFER] * (marched.grid.n_tau - 1)
+    assert default != stages.STEP_BUFFER
+    for _ in range(by_hand.grid.n_tau - 1):
+        advance(by_hand)
+    names = ("r12", "row", "faces") + (("bloch_z",) if regime != "weak"
+                                        else ())
+    for name in names:
+        assert np.array_equal(getattr(marched, name),
+                              getattr(by_hand, name)), name
+    assert np.max(np.abs(marched.faces)) > 1e-4
+    short = _buffer_stage("short", regime)
+    noted, sizes = _buffer_sizes(advance)
+    stages.march(short, noted)
+    assert sizes == [default] * (short.grid.n_tau - 1)
+
+
+def test_a_failed_stage_drops_its_workspace_and_buffer_size():
+    # a step that raises ends the stage as its last step would: the
+    # workspace goes with it, and the caller's buffer size comes back
+    state = _buffer_stage("long", "storage")
+
+    def failing(st):
+        if st.step_index == 2:
+            assert st._work is not None
+            raise PhysicalityViolation("raised on step 3")
+        return advance_strong(st)
+
+    with np.errstate():
+        np.setbufsize(4096)
+        with pytest.raises(PhysicalityViolation, match="step 3"):
+            stages.march(state, failing)
+        assert np.getbufsize() == 4096
+    assert state.step_index == 2
+    assert state._work is None
 
 
 def _observed_order(coarse, mid, fine):
