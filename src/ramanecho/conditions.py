@@ -372,7 +372,9 @@ def echo_time_afc(f1: float, f2: float, t1: float, delta_comb: float,
                   k: int = 1) -> float:
     """Retrieval delay t2 completing the comb rephasing at order k.
 
-    Solves f1 t1 + f2 t2 = 2 pi k / delta_comb.
+    Solves f1 t1 + f2 t2 = 2 pi k / delta_comb.  A t2 that overflows to
+    inf or nan is refused before the causality check, which a nan would
+    pass.
     """
     if f2 <= 0:
         raise ValidationError("f2 must be > 0")
@@ -381,6 +383,11 @@ def echo_time_afc(f1: float, f2: float, t1: float, delta_comb: float,
     if k < 1 or int(k) != k:
         raise ValidationError("k must be an integer >= 1")
     t2 = (2.0 * math.pi * k / delta_comb - f1 * t1) / f2
+    if not math.isfinite(t2):
+        raise ValidationError(
+            f"echo time t2 = {t2} is not finite: the rephasing time "
+            f"overflows for f1={f1!r}, f2={f2!r}, t1={t1!r}, "
+            f"delta_comb={delta_comb!r}")
     if t2 <= 0:
         raise NonCausalEcho(
             f"rephasing order k={k} already passed during storage "

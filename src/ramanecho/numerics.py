@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -13,17 +14,29 @@ import numpy as np
 _END_TAPS = np.array([0, 1, 2, 3, -4, -3, -2, -1])
 _END_WEIGHTS = np.array([[9.0, 19.0, -5.0, 1.0], [1.0, -5.0, 19.0, 9.0]])
 
+# OpenBLAS runs a product on one thread while it is small, so that its
+# bits cannot depend on the thread count.  Its interface sources set the
+# size as a multiple of GEMM_MULTITHREAD_THRESHOLD, 4 by default: a gemm
+# of m n k <= 65,536 x 4 = 262,144 (interface/gemm.c) and a gemv on an
+# m x n matrix of m n < 2,304 x 4 = 9,216 (interface/gemv.c).  Later
+# releases raised them: on a 2-vCPU x86-64 VM, the OpenBLAS 0.3.31
+# bundled with numpy 2.4.6 woke no second thread (its worker took no CPU
+# time over repeated calls) for a gemm of m n k <= 1,000,000 or a gemv of
+# m n < 460,800.  A node sum or a dense Z
+# quadrature runs as np.dot up to half of the older sizes
+# (one_thread_product), and off BLAS above them.
+GEMM_ONE_THREAD_MAX = 262_144 // 2
+GEMV_ONE_THREAD_MAX = 9_216 // 2
+
 # CumulativeQuadrature applies the rule as one dense matrix product up to
-# this many points, where the product stops being the faster form.  Per
-# call on a complex row (numpy 2.4.6, OpenBLAS 0.3.31, one thread of a
-# shared 2-vCPU x86-64 VM, best of 7 x 1000): the product takes 2.5-3.4 us
-# against 11-12 us for cumulative_integral at n = 17-65, 8.0 against
-# 11.0 us at 193, 12.8 against 11.6 us at 257 and 137 against 14 us at
-# 641.  At most 256 points, the product is a gemm of m n k = 2 n^2 <=
-# 131,072, at most half the size up to which OpenBLAS runs a gemm on one
-# thread by default (262,144), so its bits do not depend on the thread
-# count.
-DENSE_QUADRATURE_MAX = 256
+# this many points: the longest axis whose complex row, an (n, n) by
+# (n, 2) gemm, is within GEMM_ONE_THREAD_MAX.  That is also about where
+# the product stops being the faster form.  Per call on a complex row
+# (numpy 2.4.6, OpenBLAS 0.3.31, one thread of a shared 2-vCPU x86-64 VM,
+# best of 7 x 1000): the product takes 2.5-3.4 us against 11-12 us for
+# cumulative_integral at n = 17-65, 8.0 against 11.0 us at 193, 12.8
+# against 11.6 us at 257 and 137 against 14 us at 641.
+DENSE_QUADRATURE_MAX = math.isqrt(GEMM_ONE_THREAD_MAX // 2)
 
 # golden section stops at this argument interval, or after this many steps
 GOLDEN_TOL = 1e-10
@@ -77,8 +90,9 @@ class CumulativeQuadrature:
     real weight matrix, cumulative_integral of the identity, to the real
     and imaginary parts of y as an (n, 2) product: the same weights summed
     in another order, so a result differs from cumulative_integral's in
-    its last bits.  A longer axis calls cumulative_integral itself, bit
-    for bit.
+    its last bits.  A longer axis, or a real y whose (n, 1) product is a
+    gemv above one_thread_product's bound, calls cumulative_integral
+    itself, bit for bit.
     """
 
     def __init__(self, n: int, dx: float):
@@ -88,7 +102,9 @@ class CumulativeQuadrature:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """The cumulative integral of the samples y on the axis."""
-        if self.weights is None:
+        if self.weights is None or (
+                y.dtype.kind != "c"
+                and not one_thread_product(y.size, y.size, 1)):
             return cumulative_integral(y, self.dx)
         y = np.ascontiguousarray(y, np.promote_types(y.dtype, np.float64))
         parts = y.view(np.float64).reshape(y.size, -1)
@@ -100,21 +116,40 @@ def trapezoid_energy(y: np.ndarray, dx: float) -> float:
     return float(np.trapezoid(np.abs(np.asarray(y)) ** 2, dx=dx))
 
 
+def one_thread_product(m: int, k: int, n: int) -> bool:
+    """Whether np.dot of an (m, k) and a (k, n) float64 array is within
+    half of the size up to which OpenBLAS runs it on one thread.
+
+    numpy calls a gemv when m or n is 1, bounded by GEMV_ONE_THREAD_MAX,
+    and a gemm otherwise, bounded by GEMM_ONE_THREAD_MAX; either product
+    of that size has the same bits on any number of threads.
+    """
+    size = m * k * n
+    if m == 1 or n == 1:
+        return size <= GEMV_ONE_THREAD_MAX
+    return size <= GEMM_ONE_THREAD_MAX
+
+
 def weighted_node_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j weights[j] * x[j, :] over the node axis for real weights.
 
-    A complex x is summed as its interleaved real and imaginary parts, by
-    einsum's own loop: bit-identical from run to run, and not dependent on
-    the BLAS library or its thread count, as a matrix product over the
-    nodes could be once it is large enough for OpenBLAS to split it across
-    threads.  Every node sum follows this rule; the weak step's, with
-    complex weights, is one einsum of their real and imaginary parts in
-    the same form.  The BLAS calls that remain cannot reorder a sum:
-    CumulativeQuadrature's product is kept below that size, and the weak
-    step's update product has an inner dimension of 3.
+    weights is the (n_node,) node weights, or a real (rows, n_node) table
+    that gives one sum per row.  A complex x is summed as its interleaved
+    real and imaginary parts.  Within one_thread_product's bound the sum
+    is np.dot, a gemv or a gemm that OpenBLAS keeps on one thread, and at
+    the node counts and slabs of the shipped scenarios 3-6 times faster
+    than einsum.  Above the bound it is einsum's own loop, off BLAS, since
+    OpenBLAS may split a larger product across threads and sum it in
+    another order.  Either way the result is bit-identical from run to
+    run and does not depend on the BLAS thread count.
     """
     x = np.ascontiguousarray(x, np.promote_types(x.dtype, np.float64))
-    return np.einsum("j,jz->z", weights, x.view(np.float64)).view(x.dtype)
+    parts = x.view(np.float64)
+    rows = weights.shape[0] if weights.ndim == 2 else 1
+    if one_thread_product(rows, *parts.shape):
+        return np.dot(weights, parts).view(x.dtype)
+    subscripts = "kj,jz->kz" if weights.ndim == 2 else "j,jz->z"
+    return np.einsum(subscripts, weights, parts).view(x.dtype)
 
 
 def golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:

@@ -57,9 +57,10 @@ integrals, so they are rebuilt only when those change
 (StageState.step_factors): on a flat-top plateau every step reuses them.
 Storage integrates the field from the input face Z = 0; retrieval from
 a zero boundary at Z = L, emitting backward.  All node/Z updates are
-whole-array operations, the ensemble sums run off BLAS, and the Z
-quadrature is the state's numerics.CumulativeQuadrature, whose bits do
-not depend on the BLAS thread count.
+whole-array operations, the ensemble sums are numerics.weighted_node_sum
+(a BLAS product only within the size that OpenBLAS keeps on one thread),
+and the Z quadrature is the state's numerics.CumulativeQuadrature, so no
+bit depends on the BLAS thread count.
 """
 
 from __future__ import annotations

@@ -29,10 +29,12 @@ Because the equations are linear and every node is driven by the same
 field row, each Runge-Kutta slope is rank one: a per-node factor times
 one row across Z.  field_row therefore takes the node-summed kernel
 B~12, and a step's (node x Z) work is two kernels, in a workspace held
-for the stage: one off-BLAS einsum for its node sums and one BLAS
-product of inner dimension 3 for the new coherences (see advance_weak).
-With the Z quadrature the state's numerics.CumulativeQuadrature, no bit
-of a weak stage depends on the BLAS thread count.
+for the stage: one numerics.weighted_node_sum of a (4, n_node) table for
+its node sums (a BLAS product only within the size that OpenBLAS keeps
+on one thread) and one BLAS product of inner dimension 3 for the new
+coherences (see advance_weak).  With the Z quadrature the state's
+numerics.CumulativeQuadrature, no bit of a weak stage depends on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -138,11 +140,12 @@ def advance_weak(state: WeakState) -> WeakState:
         B(k4) = P_f + dt (sum w rf dh) row3
 
     The step does its (node x Z) work in two kernels.  The node sums are
-    one einsum of the real (4, n_node) table [Re w rh; Im w rh; Re w rf;
-    Im w rf] against the coherences' interleaved real and imaginary
-    parts, which gives S_re and S_im of each sum, P = S_re + i S_im:
-    einsum's own loop, off BLAS as numerics.weighted_node_sum's rule
-    requires.  The new coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 +
+    one numerics.weighted_node_sum of the real (4, n_node) table [Re w
+    rh; Im w rh; Re w rf; Im w rf] against the coherences' interleaved
+    real and imaginary parts, which gives S_re and S_im of each sum, P =
+    S_re + i S_im: a gemm while OpenBLAS keeps one of that size on one
+    thread (every shipped scenario), einsum's own loop above it.  The new
+    coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 +
     k4)) are rf p + U R, with U = rf [(dt/6) d, (dt/3) dh, (dt/6) df]
     the (n_node, 3) update table and R = [row1; row2 + row3; row4]: a
     BLAS product, but a complex one of inner dimension 3, so however
@@ -174,8 +177,7 @@ def advance_weak(state: WeakState) -> WeakState:
     buffers, rows = state.workspace()
     p, rotated, product = state.r12, *buffers
     # S_re and S_im of P_h, then of P_f, as complex rows
-    s_re_h, s_im_h, s_re_f, s_im_f = np.einsum(
-        "kj,jz->kz", sum_table, p.view(np.float64)).view(complex)
+    s_re_h, s_im_h, s_re_f, s_im_f = weighted_node_sum(sum_table, p)
     p_half = s_re_h + 1j * s_im_h
     p_full = s_re_f + 1j * s_im_f
 

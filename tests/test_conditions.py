@@ -371,6 +371,16 @@ def test_echo_time_argument_validation():
         echo_time_afc(1.0, 1.0, 1.0, 1.0, k=0)
 
 
+@pytest.mark.parametrize("f1, f2, t1, spacing", [
+    (1.0, 1.0, 1.0, 1e-308),     # 2 pi / spacing overflows
+    (1.0, 1e-320, 1.0, 1.0),     # dividing by a subnormal f2 overflows
+    (10.0, 1.0, 1e308, 1e-308),  # inf - inf is nan, and nan <= 0 is false
+])
+def test_echo_time_refuses_a_non_finite_time(f1, f2, t1, spacing):
+    with pytest.raises(ValidationError, match="not finite"):
+        echo_time_afc(f1, f2, t1, spacing, k=1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(f1=st.floats(0.1, 4.0), f2=st.floats(0.1, 4.0),
        t1=st.floats(0.0, 2.0), spacing=st.floats(0.2, 3.0),

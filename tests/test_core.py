@@ -1,6 +1,9 @@
 """Domain types and ensemble builders."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,10 +30,13 @@ from ramanecho.errors import (
     UnresolvedComb,
     ValidationError,
 )
+from ramanecho import numerics
 from ramanecho.numerics import (
     DENSE_QUADRATURE_MAX,
+    GEMV_ONE_THREAD_MAX,
     CumulativeQuadrature,
     cumulative_integral,
+    one_thread_product,
     weighted_node_sum,
 )
 from oracles import refined
@@ -492,7 +498,7 @@ def test_grid_refinement_preserves_extent():
 CUMINT_REFERENCE_TOL = 1e-14    # in-place fill vs the plain formula
 CUBIC_TOL = 1e-12               # the 4-point rule is exact on cubics
 ROW_BRANCH_TOL = 1e-15          # a complex row alone vs in a (3, n) stack
-NODE_SUM_TOL = 1e-15            # einsum node sum vs the row-by-row sum
+NODE_SUM_TOL = 1e-15            # a node sum vs the row-by-row sum or fsum
 
 
 def _cumulative_integral_reference(y, dx):
@@ -610,3 +616,109 @@ def test_weighted_node_sum_matches_row_by_row_sum(shape, kind):
     assert np.max(np.abs(got - want)) <= NODE_SUM_TOL * np.max(np.abs(want))
     for _ in range(20):
         assert np.array_equal(weighted_node_sum(w, x), got)
+
+
+# node x Z shapes of complex coherences whose node sum is exactly at the
+# one-thread bound, and one Z point past it: the 1-D weights' gemv on the
+# (n_node, 2 n_z) parts, m n = 36 x 128 = GEMV_ONE_THREAD_MAX, and the
+# weak step's (4, n_node) table's gemm, m n k = 4 x 128 x 256 =
+# GEMM_ONE_THREAD_MAX
+EDGE_SHAPES = {"vector": (36, 64), "table": (128, 128)}
+
+
+def _edge_operands(form, past, kind="complex"):
+    """Weights and x of a node sum at the bound, or one Z point past it."""
+    n_node, n_z = EDGE_SHAPES[form]
+    if kind == "real":
+        n_z *= 2
+    rng = np.random.default_rng(n_node * n_z + past)
+    x = rng.standard_normal((n_node, n_z + past))
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(x.shape)
+    if form == "vector":
+        weights = rng.random(n_node)
+        weights /= weights.sum()
+    else:
+        weights = rng.standard_normal((4, n_node)) / n_node
+    return weights, x
+
+
+def test_one_thread_product_bound():
+    # gemv when a side is 1, gemm otherwise; the dense quadrature's
+    # longest axis is the last whose complex row fits the gemm bound
+    assert one_thread_product(1, 36, 128)
+    assert not one_thread_product(1, 36, 129)
+    assert one_thread_product(4608, 1, 1)
+    assert not one_thread_product(1, 4609, 1)
+    assert one_thread_product(4, 128, 256)
+    assert not one_thread_product(4, 128, 257)
+    assert one_thread_product(DENSE_QUADRATURE_MAX, DENSE_QUADRATURE_MAX, 2)
+    assert not one_thread_product(DENSE_QUADRATURE_MAX + 1,
+                                  DENSE_QUADRATURE_MAX + 1, 2)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("form", ["vector", "table"])
+@pytest.mark.parametrize("past", [0, 1])
+def test_node_sum_is_a_blas_product_only_within_the_bound(form, past, kind):
+    # exactly np.dot's bits at the bound and exactly einsum's past it, so
+    # that moving a larger sum onto BLAS, which may split it across
+    # threads, fails here
+    weights, x = _edge_operands(form, past, kind)
+    parts = x.view(np.float64)
+    got = weighted_node_sum(weights, x)
+    dot = np.dot(weights, parts).view(x.dtype)
+    einsum = np.einsum("kj,jz->kz" if form == "table" else "j,jz->z",
+                       weights, parts).view(x.dtype)
+    assert not np.array_equal(dot, einsum)
+    assert np.array_equal(got, einsum if past else dot)
+    # both against the correctly rounded sum of the rounded products
+    products = weights[..., :, None] * parts
+    exact = np.array([[math.fsum(col) for col in row.T] for row in
+                      products.reshape(-1, *parts.shape)])
+    want = exact.reshape(got.view(np.float64).shape)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got.view(np.float64) - want)) <= NODE_SUM_TOL * scale
+
+
+_EDGE_RUN = """
+import hashlib
+import sys
+sys.path.insert(0, {tests!r})
+from test_core import _edge_operands
+from ramanecho.numerics import weighted_node_sum
+for form in ("vector", "table"):
+    got = weighted_node_sum(*_edge_operands(form, 0))
+    print(form, hashlib.sha256(got.tobytes()).hexdigest())
+"""
+
+
+def test_node_sums_at_the_bound_do_not_depend_on_blas_threads():
+    # the largest node sums taken on BLAS, each in a fresh interpreter
+    # whose OpenBLAS runs on one and on two threads
+    src_dir = os.path.dirname(os.path.dirname(numerics.__file__))
+    code = _EDGE_RUN.format(tests=os.path.dirname(os.path.abspath(__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert [line.split()[0] for line in digests[0].splitlines()] == \
+        ["vector", "table"]
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("n", [67, 68])
+def test_real_quadrature_is_a_blas_product_only_within_the_bound(n):
+    # a real row is an (n, n) by (n, 1) gemv, within the bound up to
+    # n^2 = 67^2 <= GEMV_ONE_THREAD_MAX; past it cumulative_integral
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n)
+    quadrature = CumulativeQuadrature(n, 0.37)
+    want = (np.dot(quadrature.weights, y[:, None]).ravel()
+            if n * n <= GEMV_ONE_THREAD_MAX else cumulative_integral(y, 0.37))
+    assert np.array_equal(quadrature(y), want)

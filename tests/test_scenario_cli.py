@@ -887,6 +887,23 @@ def test_echo_time_non_causal_exits_1(capsys):
     assert "k >= 2" in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ["--t1", "1", "--delta-comb", "1e-308"],               # inf
+    ["--t1", "1", "--delta-comb", "1", "--f2", "1e-320"],  # inf
+    ["--t1", "1e308", "--f1", "10", "--delta-comb", "1e-308"],  # inf - inf
+])
+def test_echo_time_refuses_an_overflowed_time(capsys, args):
+    # finite arguments whose t2 overflows; a nan t2 would also pass the
+    # causality check, since nan <= 0 is false
+    code = main(["echo-time", *args])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: echo time t2 = ")
+    assert "not finite" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("option", ["--f1", "--f2", "--t1", "--delta-comb"])
 def test_echo_time_refuses_non_finite_numbers(capsys, option, value):
@@ -920,9 +937,9 @@ def test_console_entry_point_runs():
 @pytest.mark.parametrize("name", ["recrib_ideal", "recrib_strong",
                                   "reafc_weak"])
 def test_simulate_output_does_not_depend_on_blas_threads(tmp_path, name):
-    # both solvers' node sums stay off BLAS, whose reductions can change
-    # their last bits with the thread count, and their Z quadrature is a
-    # gemm small enough for OpenBLAS to run on one thread
+    # both solvers' node sums and their Z quadrature are BLAS products
+    # only while small enough for OpenBLAS to run them on one thread; a
+    # larger BLAS reduction can change its last bits with the thread count
     src_dir = os.path.dirname(os.path.dirname(ramanecho.__file__))
     scenario = os.path.abspath(bundled(name))
     runs = []
