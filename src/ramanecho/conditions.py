@@ -372,9 +372,10 @@ def echo_time_afc(f1: float, f2: float, t1: float, delta_comb: float,
                   k: int = 1) -> float:
     """Retrieval delay t2 completing the comb rephasing at order k.
 
-    Solves f1 t1 + f2 t2 = 2 pi k / delta_comb.  A t2 that overflows to
-    inf or nan is refused before the causality check, which a nan would
-    pass.
+    Solves f1 t1 + f2 t2 = 2 pi k / delta_comb.  An integer k too large
+    for a float, whose 2 pi k / delta_comb cannot be formed, is refused
+    by name.  A t2 that overflows to inf or nan is refused before the
+    causality check, which a nan would pass.
     """
     if f2 <= 0:
         raise ValidationError("f2 must be > 0")
@@ -382,7 +383,14 @@ def echo_time_afc(f1: float, f2: float, t1: float, delta_comb: float,
         raise ValidationError("delta_comb must be > 0")
     if k < 1 or int(k) != k:
         raise ValidationError("k must be an integer >= 1")
-    t2 = (2.0 * math.pi * k / delta_comb - f1 * t1) / f2
+    try:
+        rephasing = 2.0 * math.pi * k / delta_comb
+    except OverflowError:
+        raise ValidationError(
+            f"k is too large: a {len(str(k))}-digit rephasing order k "
+            "exceeds the float range, so 2 pi k / delta_comb cannot be "
+            "formed") from None
+    t2 = (rephasing - f1 * t1) / f2
     if not math.isfinite(t2):
         raise ValidationError(
             f"echo time t2 = {t2} is not finite: the rephasing time "

@@ -1,10 +1,19 @@
-"""Small numerical and I/O helpers used by the integrators and writers."""
+"""Small numerical and I/O helpers used by the integrators and writers.
+
+The node sums and the Z quadrature come in two forms with the same bits:
+weighted_node_sum and CumulativeQuadrature.__call__ choose their product
+and normalise their operands on every call, and node_sum and
+CumulativeQuadrature.complex_row are the products chosen once for one
+shape, which a stage holds and calls directly.
+"""
 
 from __future__ import annotations
 
 import math
 import os
 import tempfile
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +46,12 @@ GEMV_ONE_THREAD_MAX = 9_216 // 2
 # cumulative_integral at n = 17-65, 8.0 against 11.0 us at 193, 12.8
 # against 11.6 us at 257 and 137 against 14 us at 641.
 DENSE_QUADRATURE_MAX = math.isqrt(GEMM_ONE_THREAD_MAX // 2)
+
+# the views the bound products read and return: a complex array's
+# interleaved float64 parts, and a complex row's as (n, 2)
+_FLOAT = np.dtype(np.float64)
+_COMPLEX = np.dtype(np.complex128)
+_PARTS = np.dtype((np.float64, (2,)))
 
 # golden section stops at this argument interval, or after this many steps
 GOLDEN_TOL = 1e-10
@@ -92,13 +107,26 @@ class CumulativeQuadrature:
     in another order, so a result differs from cumulative_integral's in
     its last bits.  A longer axis, or a real y whose (n, 1) product is a
     gemv above one_thread_product's bound, calls cumulative_integral
-    itself, bit for bit.
+    itself, bit for bit.  complex_row is the same rule on a C-contiguous
+    complex row, chosen once for the axis: the weights' own np.dot of
+    the row's (n, 2) parts, with no operand to normalise, or
+    cumulative_integral.  Either gives __call__'s bits.
     """
 
     def __init__(self, n: int, dx: float):
         self.dx = dx
-        self.weights = (np.ascontiguousarray(cumulative_integral(
-            np.eye(n), dx).T) if n <= DENSE_QUADRATURE_MAX else None)
+        if n > DENSE_QUADRATURE_MAX:
+            self.weights = None
+            self.complex_row = partial(cumulative_integral, dx=dx)
+            return
+        self.weights = np.ascontiguousarray(cumulative_integral(
+            np.eye(n), dx).T)
+        dot = self.weights.dot
+
+        def complex_row(y: np.ndarray) -> np.ndarray:
+            return dot(y.view(_PARTS)).view(_COMPLEX)[:, 0]
+
+        self.complex_row = complex_row
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """The cumulative integral of the samples y on the axis."""
@@ -130,6 +158,32 @@ def one_thread_product(m: int, k: int, n: int) -> bool:
     return size <= GEMM_ONE_THREAD_MAX
 
 
+def node_sum(weights_shape: tuple, shape: tuple, dtype) -> Callable:
+    """weighted_node_sum's product for weights of weights_shape and a
+    C-contiguous x of this (n_node, n_z) shape and dtype, chosen once: a
+    callable (weights, x) that takes no decision and normalises nothing.
+
+    Within one_thread_product's bound it is np.ndarray.dot, which is
+    np.dot without numpy's __array_function__ dispatch (both call the same
+    C product), on x or on a complex x's interleaved float64 parts; above
+    it, einsum's own loop on the same operand.
+    """
+    rows = weights_shape[0] if len(weights_shape) == 2 else 1
+    is_complex = np.dtype(dtype).kind == "c"
+    if one_thread_product(rows, shape[0], shape[1] * (1 + is_complex)):
+        product = np.ndarray.dot
+    else:
+        product = partial(np.einsum, "kj,jz->kz" if len(weights_shape) == 2
+                          else "j,jz->z")
+    if not is_complex:
+        return product
+
+    def complex_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return product(weights, x.view(_FLOAT)).view(_COMPLEX)
+
+    return complex_sum
+
+
 def weighted_node_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j weights[j] * x[j, :] over the node axis for real weights.
 
@@ -141,15 +195,12 @@ def weighted_node_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     than einsum.  Above the bound it is einsum's own loop, off BLAS, since
     OpenBLAS may split a larger product across threads and sum it in
     another order.  Either way the result is bit-identical from run to
-    run and does not depend on the BLAS thread count.
+    run and does not depend on the BLAS thread count.  The product is
+    node_sum's for x's shape, taken on x made C-contiguous in float64 or
+    complex128: a stage chooses it once and calls it directly.
     """
     x = np.ascontiguousarray(x, np.promote_types(x.dtype, np.float64))
-    parts = x.view(np.float64)
-    rows = weights.shape[0] if weights.ndim == 2 else 1
-    if one_thread_product(rows, *parts.shape):
-        return np.dot(weights, parts).view(x.dtype)
-    subscripts = "kj,jz->kz" if weights.ndim == 2 else "j,jz->z"
-    return np.einsum(subscripts, weights, parts).view(x.dtype)
+    return node_sum(weights.shape, x.shape, x.dtype)(weights, x)
 
 
 def golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:

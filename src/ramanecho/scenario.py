@@ -34,6 +34,10 @@ from .errors import ParseError, ValidationError
 REGIMES = ("weak", "strong")
 CONTROL2_MODES = ("mirror", "flat_top")
 
+# the most bytes one array of a run may take; check_sizes holds every
+# size key to it
+MAX_ARRAY_BYTES = 2 ** 30
+
 
 @dataclass(frozen=True)
 class RunSection:
@@ -306,6 +310,64 @@ def _rabi(section: str, value: float) -> float:
     return _squarable(section, "rabi", value)
 
 
+def _at_most(section: str, key: str, value: int, ceiling: int,
+             array: str) -> None:
+    """Refuse value by key when it is above ceiling, the largest value
+    whose array stays within MAX_ARRAY_BYTES."""
+    if value > ceiling:
+        raise ValidationError(
+            f"[{section}] {key} must be at most {ceiling}: a larger one "
+            f"makes {array} of more than {MAX_ARRAY_BYTES} bytes")
+
+
+def check_sizes(sc: Scenario) -> None:
+    """Refuse a size key whose largest array would take more than
+    MAX_ARRAY_BYTES (1 GiB), by key, before any array is allocated.
+
+    The largest array each key sizes, and the ceiling it gives:
+    - n_tau, and n_tau2 when given: a stage table's (n_tau - 1, 9)
+      float64 control samples, 72 bytes a step, so n_tau <= 14,913,081;
+    - n_z and the node count: the complex (node, Z) coherences, 16 bytes a
+      cell, so n_node x n_z <= 2**26 cells.  The node count is n_nodes,
+      times n_nodes_21 when width_21 > 0, for a Gaussian line, and n_lines
+      x nodes_per_tooth for a comb.  Each node key is held to the cells
+      of the least n_z, 2, and n_z to the cells the node count leaves;
+    - a Gauss-Hermite rule's (n, n) float64 companion matrix, 8 n^2
+      bytes, so n_nodes (rule gausshermite), n_nodes_21 and
+      nodes_per_tooth <= 11,585.
+    A key the scenario's line shape does not read is not checked.
+    """
+    steps = MAX_ARRAY_BYTES // 72
+    table = "a stage table"
+    _at_most("grid", "n_tau", sc.grid.n_tau, steps + 1, table)
+    if sc.grid.n_tau2 is not None:
+        _at_most("grid", "n_tau2", sc.grid.n_tau2, steps + 1, table)
+    cells = MAX_ARRAY_BYTES // 16
+    companion = math.isqrt(MAX_ARRAY_BYTES // 8)
+    e = sc.ensemble
+    if e.shape == "comb":
+        node_keys = [("n_lines", e.n_lines, False),
+                     ("nodes_per_tooth", e.nodes_per_tooth, True)]
+    else:
+        node_keys = [("n_nodes", e.n_nodes, e.rule == "gausshermite")]
+        if e.width_21 > 0:
+            node_keys.append(("n_nodes_21", e.n_nodes_21, True))
+    n_node = 1
+    for key, value, hermite in node_keys:
+        if hermite:
+            _at_most("ensemble", key, value, companion,
+                     "a Gauss-Hermite companion matrix")
+        _at_most("ensemble", key, value, cells // 2, "a (node, Z) array")
+        n_node *= max(value, 1)
+    if n_node > cells // 2:
+        raise ValidationError(
+            f"[ensemble] {' x '.join(key for key, _, _ in node_keys)} "
+            f"must be at most {cells // 2} nodes: more make a (node, Z) "
+            f"array of more than {MAX_ARRAY_BYTES} bytes")
+    _at_most("grid", "n_z", sc.grid.n_z, cells // n_node,
+             f"a (node, Z) array of {n_node} nodes")
+
+
 def build_ensemble(sc: Scenario) -> EnsembleSpec:
     e = sc.ensemble
     if e.shape == "comb":
@@ -420,8 +482,10 @@ def stage_setups(sc: Scenario) -> tuple[StageSetup, StageSetup, MediumSpec,
     reading onset, i.e. stage-1 times are shifted by the mirror anchor
     (mirror mode) or by control1 switch-off (explicit stage-2 control).
     The protocol's blank t1 and t2 derive as ProtocolSection states, and
-    a gap_time whose dark-interval phase overflows is refused by key.
+    a gap_time whose dark-interval phase overflows is refused by key.  A
+    size key is refused first, by check_sizes, before any array exists.
     """
+    check_sizes(sc)
     p = sc.protocol
     if p.name == "reafc" and sc.ensemble.shape != "comb":
         raise ValidationError(

@@ -2,7 +2,8 @@
 
 Both regimes store a probe in the slab and recall it as a backward echo,
 and they differ only in their equations.  What the drivers do alike
-lives here once: the stage state with its Z quadrature, the stage table
+lives here once: the stage state with its Z quadrature and the products
+of its node sums, chosen once from its shapes, the stage table
 of what the steps read that does not depend on the atoms, the storage
 checks, stepping a stage, the reuse of each step's per-node factors
 while the control's step integrals repeat, the photon-flux audits of
@@ -45,7 +46,7 @@ from .errors import (
     IncompleteAbsorptionWarning,
     ValidationError,
 )
-from .numerics import CumulativeQuadrature, cumulative_integral
+from .numerics import CumulativeQuadrature, cumulative_integral, node_sum
 from .records import EchoRecord, envelope_from_scaled
 
 # far-off-resonance bound |Delta| >= DETUNING_FACTOR x probe bandwidth
@@ -73,10 +74,11 @@ _LONG_ROW = 128
 
 
 def node_array(grid, ensemble, initial, fill: float, dtype) -> np.ndarray:
-    """An (n_node, n_z) atomic array: a copy of initial, or fill."""
+    """An (n_node, n_z) atomic array: a C-contiguous copy of initial, or
+    fill."""
     shape = (ensemble.n_nodes, grid.n_z)
     out = (np.full(shape, fill, dtype=dtype) if initial is None
-           else np.array(initial, dtype=dtype))
+           else np.array(initial, dtype=dtype, order="C"))
     if out.shape != shape:
         raise ValidationError(
             f"initial atomic arrays must have shape {shape}")
@@ -98,7 +100,19 @@ class StageState:
     and -1 for retrieval, which emits backward from a zero boundary at
     Z = L.  quadrature is the cumulative integral on the grid's Z axis,
     and table is the stage's StageTable.  A subclass supplies
-    first_row(), its regime's field row at the table's row-0 values.
+    first_row(), its regime's field row at the table's row-0 values, and
+    build_factors(df_half, df_full), its per-node step factors.
+
+    The products of the stage are chosen once, when the state is made,
+    from its (n_node, n_z) shape (numerics.node_sum): real_sum and
+    complex_sum take (n_node,) weights against a real or a complex
+    C-contiguous (node, Z) array, and quadrature.complex_row integrates a
+    C-contiguous complex row.  On a short slab each is a bare np.dot, on
+    a long one einsum or cumulative_integral; either gives the bits of
+    numerics.weighted_node_sum and of the quadrature's __call__, which
+    choose and normalise on every call.  The node sums are not __init__
+    fields, so a dataclasses.replace copy chooses them again for its own
+    shapes.
     _factors is the set of per-node step factors built last, which
     step_factors reuses; _work holds the buffers a regime's step writes,
     which march drops when the stage ends.
@@ -123,6 +137,13 @@ class StageState:
     # it was copied from
     _work: object | None = field(default=None, init=False, repr=False,
                                  compare=False)
+    real_sum: Callable = field(init=False, repr=False, compare=False)
+    complex_sum: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        weights, shape = self.ensemble.weights.shape, self.r12.shape
+        self.real_sum = node_sum(weights, shape, float)
+        self.complex_sum = node_sum(weights, shape, complex)
 
     def record(self, row: np.ndarray) -> None:
         """Hold row as the field row of the current clock, and trace its
@@ -130,10 +151,10 @@ class StageState:
         self.row[:] = row
         self.faces[self.step_index] = row[0], row[-1]
 
-    def step_factors(self, df_half: float, df_full: float,
-                     build: Callable) -> tuple:
-        """The per-node factors build(df_half, df_full) of the current
-        step, rebuilt only when the step's control integrals change.
+    def step_factors(self, df_half: float, df_full: float) -> tuple:
+        """The per-node factors build_factors(df_half, df_full) of the
+        current step, rebuilt only when the step's control integrals
+        change.
 
         A step's rotations and the columns folded from them depend on the
         state's node columns, the table's dt and the step integrals
@@ -146,7 +167,7 @@ class StageState:
         """
         pair = (df_half, df_full)
         if self._factors is None or self._factors[0] != pair:
-            self._factors = (pair, build(df_half, df_full))
+            self._factors = (pair, self.build_factors(df_half, df_full))
         return self._factors[1]
 
     @classmethod

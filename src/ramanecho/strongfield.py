@@ -57,17 +57,18 @@ integrals, so they are rebuilt only when those change
 (StageState.step_factors): on a flat-top plateau every step reuses them.
 Storage integrates the field from the input face Z = 0; retrieval from
 a zero boundary at Z = L, emitting backward.  All node/Z updates are
-whole-array operations, the ensemble sums are numerics.weighted_node_sum
-(a BLAS product only within the size that OpenBLAS keeps on one thread),
-and the Z quadrature is the state's numerics.CumulativeQuadrature, so no
-bit depends on the BLAS thread count.
+whole-array operations.  The ensemble sums and the Z quadrature are the
+products the state chose once, from its shapes, by the rule of
+numerics.weighted_node_sum and numerics.CumulativeQuadrature (a BLAS
+product only within the size that OpenBLAS keeps on one thread), so a
+step's field solve normalises no operand and no bit depends on the BLAS
+thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -88,11 +89,7 @@ from .errors import (
     PhysicalityViolation,
     ResonantSingularity,
 )
-from .numerics import (
-    CumulativeQuadrature,
-    cumulative_integral,
-    weighted_node_sum,
-)
+from .numerics import cumulative_integral
 from . import stages
 from .records import EchoRecord
 
@@ -177,7 +174,12 @@ class SimulationState(stages.StageState):
 
     def excitation(self) -> np.ndarray:
         """Ensemble excitation sum_j w_j (1/2 - s_j) at every Z."""
-        return weighted_node_sum(self.ensemble.weights, 0.5 - self.bloch_z)
+        return self.real_sum(self.ensemble.weights, 0.5 - self.bloch_z)
+
+    def build_factors(self, df_half: float, df_full: float) -> tuple:
+        """The step factors of the state's node columns and dt for the
+        control integrals df_half and df_full (_step_factors)."""
+        return _step_factors(self.nodes, self.table.dt, df_half, df_full)
 
     def workspace(self) -> tuple:
         """The buffers a step and its projection write: seven complex and
@@ -231,17 +233,20 @@ class SimulationState(stages.StageState):
         self.r12.real *= shrink
         self.r12.imag *= shrink
         s *= shrink
-        np.clip(s, -0.5, 0.5, out=s)
+        np.minimum(s, 0.5, out=s)
+        np.maximum(s, -0.5, out=s)
 
 
 def _solve_field_ode(a: np.ndarray, source: np.ndarray,
-                     quadrature: CumulativeQuadrature,
+                     quadrature: Callable,
                      boundary_value: complex) -> np.ndarray:
     """dZ zeta = a(Z) zeta + source(Z) with zeta[0] = boundary_value.
 
     Integrating-factor quadrature: both cumulative integrals are 4th
     order, and a purely imaginary a (the population-dispersion term)
-    yields an exactly unimodular factor.
+    yields an exactly unimodular factor.  quadrature integrates a
+    C-contiguous complex row, as CumulativeQuadrature.complex_row does;
+    a and source / phi are fresh rows.
     """
     phi = np.exp(quadrature(a))
     inner = quadrature(source / phi)
@@ -255,24 +260,26 @@ def field_row(state: SimulationState, s: float, r12: np.ndarray,
 
     Storage integrates from the input face Z = 0; retrieval from a zero
     boundary at the far face toward the exit at Z = 0 (the slab is
-    flipped, solved forward, and flipped back).  Both run on the state's
-    quadrature.  sampled is the pair (f(s), boundary value) of a stage
-    table row.
+    flipped, solved forward, and flipped back).  Both integrate by the
+    state's quadrature.complex_row, and the kernels are the state's
+    node sums, which take r12 and bloch_z as C-contiguous (node, Z)
+    arrays, as the state's own and its workspace's are.  sampled is the
+    pair (f(s), boundary value) of a stage table row.
     """
     f_s, incoming = sampled
     w, sgn = state.kernel_weights, state.drive_sign
     beta = state.medium.coupling_beta
-    b11 = weighted_node_sum(w, bloch_z)
+    integrate = state.quadrature.complex_row
+    b11 = state.real_sum(w, bloch_z)
     b11 += state.half_weight
     a = (0.5j * beta * sgn / state.control.one_photon_detuning) * b11
-    source = (0.5j * beta * f_s) * weighted_node_sum(w, r12)
+    source = (0.5j * beta * f_s) * state.complex_sum(w, r12)
     if sgn > 0:
-        row = _solve_field_ode(a, source, state.quadrature, incoming)
+        row = _solve_field_ode(a, source, integrate, incoming)
     else:
         # a reversed view: the atom update reads it only through the
         # fresh arrays 2 row and conj(row), so no bit depends on the layout
-        rev = _solve_field_ode(-a[::-1], -source[::-1], state.quadrature,
-                               incoming)
+        rev = _solve_field_ode(-a[::-1], -source[::-1], integrate, incoming)
         row = rev[::-1]
     if not np.isfinite(row).all():
         raise NonFiniteField(f"field row non-finite at tau={s}")
@@ -334,11 +341,10 @@ def _lawson_step(state: SimulationState, step: tuple, row1: np.ndarray,
     and bloch_z; the old ones take their place in the workspace.
     """
     table = state.table
-    dt = table.dt
     times, om2, _, df_half, df_full = step
     (rot_half, rot_full, drive_half, drive_sixth, pop_half, pop_full,
      pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
-        df_half, df_full, partial(_step_factors, state.nodes, dt))
+        df_half, df_full)
     complex_buffers, real_buffers = state.workspace()
     half, stage, g1, g2, g3, prod1, prod = complex_buffers
     s_st, i23 = real_buffers

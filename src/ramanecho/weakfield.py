@@ -29,19 +29,20 @@ Because the equations are linear and every node is driven by the same
 field row, each Runge-Kutta slope is rank one: a per-node factor times
 one row across Z.  field_row therefore takes the node-summed kernel
 B~12, and a step's (node x Z) work is two kernels, in a workspace held
-for the stage: one numerics.weighted_node_sum of a (4, n_node) table for
-its node sums (a BLAS product only within the size that OpenBLAS keeps
-on one thread) and one BLAS product of inner dimension 3 for the new
-coherences (see advance_weak).  With the Z quadrature the state's
-numerics.CumulativeQuadrature, no bit of a weak stage depends on the
-BLAS thread count.
+for the stage: one product of a (4, n_node) table for its node sums, by
+the rule of numerics.weighted_node_sum (a BLAS product only within the
+size that OpenBLAS keeps on one thread), and one BLAS product of inner
+dimension 3 for the new coherences (see advance_weak).  The state
+chooses its node sums' products and its quadrature's form for a row
+once, from its shapes (stages.StageState), and the step calls them
+directly.  So no bit of a weak stage depends on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .core import (
     WEAK_AMPLITUDE_RATIO,
 )
 from .errors import NonFiniteField, WeakFieldViolation
-from .numerics import weighted_node_sum
+from .numerics import node_sum
 from . import stages
 from .records import EchoRecord, envelope_from_scaled
 
@@ -70,10 +71,18 @@ class WeakState(stages.StageState):
 
     The shared stage state in tilde variables: r12 is the coherence R~12.
     bandwidth is the signal bandwidth that the linear-regime validity
-    checks price the probe Stark shift against.
+    checks price the probe Stark shift against.  table_sum is the product
+    of a step's (4, n_node) node-sum table against the coherences, chosen
+    with the state's other products (see stages.StageState).
     """
 
     bandwidth: float
+    table_sum: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.table_sum = node_sum((4, self.r12.shape[0]), self.r12.shape,
+                                  complex)
 
     def first_row(self) -> np.ndarray:
         """Row 0 from the current coherences at the table's first stage
@@ -81,13 +90,18 @@ class WeakState(stages.StageState):
         times, _, sampled, _, _ = self.table.row(0)
         return _finite(field_row(
             self, times[0],
-            weighted_node_sum(self.ensemble.weights, self.r12), sampled[0]),
+            self.complex_sum(self.ensemble.weights, self.r12), sampled[0]),
             times[0])
 
     def excitation(self) -> np.ndarray:
         """Ensemble excitation sum_j w_j |R~12_j|^2 at every Z."""
-        return weighted_node_sum(self.ensemble.weights,
-                                 np.abs(self.r12) ** 2)
+        return self.real_sum(self.ensemble.weights, np.abs(self.r12) ** 2)
+
+    def build_factors(self, df_half: float, df_full: float) -> tuple:
+        """The step factors of the state's ensemble, dt and drive sign for
+        the control integrals df_half and df_full (_step_factors)."""
+        return _step_factors(self.ensemble, self.table.dt,
+                             float(self.drive_sign), df_half, df_full)
 
     def workspace(self) -> tuple:
         """The buffers a step writes: two complex (n_node, n_z) arrays,
@@ -109,17 +123,19 @@ def field_row(state: WeakState, s: float, b12: np.ndarray,
               sampled: tuple) -> np.ndarray:
     """Tilde field across the slab at time s, given the kernel B~12.
 
-    b12 is the node-summed coherence sum_j w_j R~12_j at every Z.
-    Storage integrates the source from the input face; retrieval from the
-    far face (zero incoming echo), emitting toward Z = 0; both integrate
-    by the state's quadrature.  sampled is the pair (f(s), boundary value)
+    b12 is the node-summed coherence sum_j w_j R~12_j at every Z, a
+    C-contiguous row.  Storage integrates the source from the input face;
+    retrieval from the far face (zero incoming echo), emitting toward Z =
+    0, on a reversed copy; both integrate by the state's
+    quadrature.complex_row.  sampled is the pair (f(s), boundary value)
     of a stage table row.
     """
     f_s, incoming = sampled
     gain = 0.5 * state.medium.coupling_beta * f_s
+    integrate = state.quadrature.complex_row
     if state.drive_sign > 0:
-        return incoming - gain * state.quadrature(b12)
-    return incoming + gain * state.quadrature(b12[::-1])[::-1]
+        return incoming - gain * integrate(b12)
+    return incoming + gain * integrate(b12[::-1].copy())[::-1]
 
 
 def advance_weak(state: WeakState) -> WeakState:
@@ -140,7 +156,7 @@ def advance_weak(state: WeakState) -> WeakState:
         B(k4) = P_f + dt (sum w rf dh) row3
 
     The step does its (node x Z) work in two kernels.  The node sums are
-    one numerics.weighted_node_sum of the real (4, n_node) table [Re w
+    the state's table_sum of the real (4, n_node) table [Re w
     rh; Im w rh; Re w rf; Im w rf] against the coherences' interleaved
     real and imaginary parts, which gives S_re and S_im of each sum, P =
     S_re + i S_im: a gemm while OpenBLAS keeps one of that size on one
@@ -170,14 +186,11 @@ def advance_weak(state: WeakState) -> WeakState:
     table = state.table
     times, om2, sampled, df_half, df_full = table.row(state.step_index)
     (rot_full, sum_table, update, kernel2, kernel3, kernel4, record1,
-     record23, record4) = state.step_factors(
-        df_half, df_full,
-        partial(_step_factors, state.ensemble, table.dt,
-                float(state.drive_sign)))
+     record23, record4) = state.step_factors(df_half, df_full)
     buffers, rows = state.workspace()
     p, rotated, product = state.r12, *buffers
     # S_re and S_im of P_h, then of P_f, as complex rows
-    s_re_h, s_im_h, s_re_f, s_im_f = weighted_node_sum(sum_table, p)
+    s_re_h, s_im_h, s_re_f, s_im_f = state.table_sum(sum_table, p)
     p_half = s_re_h + 1j * s_im_h
     p_full = s_re_f + 1j * s_im_f
 
@@ -187,8 +200,10 @@ def advance_weak(state: WeakState) -> WeakState:
     row1 = state.row
     if om2[0] > 1e-9 * table.peak2:
         # the probe Stark shift, priced while the control is on
+        # max |row|^2, as the square of max |row|: squaring keeps the order
+        row_max = float(np.abs(row1).max())
         stark = abs(state.control.one_photon_detuning) \
-            * float((np.abs(row1) ** 2).max()) / om2[0]
+            * (row_max * row_max) / om2[0]
         if stark > STARK_VALIDITY_FACTOR * state.bandwidth:
             raise WeakFieldViolation(
                 f"probe-induced Stark shift {stark:.3g} exceeds "

@@ -47,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -68,7 +67,6 @@ from ramanecho.strongfield import (
     _lawson_step,
     _solve_field_ode,
     _stark_factor,
-    _step_factors,
     field_row,
 )
 
@@ -183,11 +181,10 @@ def allocating_lawson_step(state: SimulationState, row1: np.ndarray,
     """strongfield._lawson_step with every stage an expression on fresh
     arrays, projected by allocating_assert_physical."""
     table = state.table
-    dt = table.dt
     times, om2, _, df_half, df_full = table.row(state.step_index)
     (rot_half, rot_full, drive_half, drive_sixth, pop_half, pop_full,
      pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
-        df_half, df_full, partial(_step_factors, state.nodes, dt))
+        df_half, df_full)
 
     def slope(k, row, s_st, r12_st):
         """G and Im(conj(row) r12) at stage time k dt/2."""
@@ -257,11 +254,10 @@ def _r11_form_lawson_step(state: SimulationState, r11: np.ndarray,
     Delta |row|^2/|Omega|^2) r12 and the masked projection; advances the
     state's r12 and returns the new r11."""
     table = state.table
-    dt = table.dt
     times, om2, _, df_half, df_full = table.row(state.step_index)
     (rot_half, rot_full, drive_half, drive_sixth, pop_half, pop_full,
      pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
-        df_half, df_full, partial(_step_factors, state.nodes, dt))
+        df_half, df_full)
 
     def slope(k, row, n_st, r12_st):
         # 2 kappa/2 = -s_nu Delta / |Omega|^2 exactly, and 0 with the

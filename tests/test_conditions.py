@@ -369,6 +369,10 @@ def test_echo_time_argument_validation():
         echo_time_afc(1.0, 1.0, 1.0, -1.0)
     with pytest.raises(ValidationError):
         echo_time_afc(1.0, 1.0, 1.0, 1.0, k=0)
+    # an order beyond the float range is refused by name, not by an
+    # OverflowError from forming 2 pi k
+    with pytest.raises(ValidationError, match="k is too large"):
+        echo_time_afc(1.0, 1.0, 1.0, 1.0, k=10 ** 400)
 
 
 @pytest.mark.parametrize("f1, f2, t1, spacing", [

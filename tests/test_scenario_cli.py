@@ -20,7 +20,7 @@ from ramanecho.cli import (
     parse_gamma_range,
 )
 from ramanecho.efficiency import EfficiencyModel, epsilon
-from ramanecho.errors import ArgumentError, ParseError
+from ramanecho.errors import ArgumentError, ParseError, ValidationError
 from ramanecho.numerics import fmt_float
 from ramanecho.runs import run_scenario, scenario_report, write_outputs
 from ramanecho.scenario import (
@@ -473,6 +473,88 @@ def test_check_survives_bad_values_of_every_key(tmp_path, capsys, name,
         assert "Traceback" not in err, where
 
 
+# a size key far past the ceiling of its largest array, for the
+# commands whose runs allocated it: a 400-digit integer, which numpy
+# refuses as a size, and two that it would try to allocate
+HUGE_SIZES = ("1" + "0" * 400, str(10 ** 18), str(10 ** 9))
+SIZE_CASES = [("check", "ensemble", "n_nodes"), ("check", "grid", "n_tau"),
+              ("simulate", "grid", "n_z"), ("simulate", "grid", "n_tau2")]
+# the child's address space, so that a size that is not refused fails
+# with MemoryError instead of taking the machine's memory
+SIZE_RUN_BYTES = 2 << 30
+
+_SIZE_RUN = """
+import contextlib, io, resource
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from ramanecho.cli import main
+for argv in {cases!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(code, err.getvalue().replace("\\n", " | "))
+"""
+
+
+def test_huge_sizes_are_refused_by_key_before_any_allocation(tmp_path):
+    # one interpreter under a 2 GiB address-space limit runs every case
+    # through cli.main; each must exit 1 on one error line naming its key
+    cases, keys = [], []
+    for command, section, key in SIZE_CASES:
+        for i, value in enumerate(HUGE_SIZES):
+            case_dir = tmp_path / f"{key}-{i}"
+            case_dir.mkdir()
+            path = _write_with_value(case_dir, "recrib_strong", section,
+                                     key, value)
+            argv = [command, path]
+            if command == "simulate":
+                argv += ["--out", str(case_dir / "out")]
+            cases.append(argv)
+            keys.append(f"[{section}] {key} must be at most ")
+    src_dir = os.path.dirname(os.path.dirname(ramanecho.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         _SIZE_RUN.format(limit=SIZE_RUN_BYTES, cases=cases)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(cases)
+    for argv, key, line in zip(cases, keys, lines):
+        assert line.startswith(f"1 error: {key}"), (argv, line)
+        assert line.endswith(" bytes | ") and line.count(" | ") == 1, \
+            (argv, line)
+    assert not any((tmp_path / f"{key}-{i}" / "out").exists()
+                   for _, _, key in SIZE_CASES for i in range(3))
+
+
+# one key past its ceiling, or node keys whose product is: (name,
+# ensemble keys, key the refusal names); each is refused before the
+# builders allocate anything
+CEILING_CASES = [
+    ("recrib_ideal", {"rule": "gausshermite", "n_nodes": 11_586},
+     "[ensemble] n_nodes must be at most 11585"),
+    ("recrib_ideal", {"width_21": 0.1, "n_nodes_21": 2 ** 25 + 1},
+     "[ensemble] n_nodes_21 must be at most 11585"),
+    ("recrib_ideal", {"n_nodes": 2 ** 13, "width_21": 0.1,
+                      "n_nodes_21": 2 ** 13},
+     "[ensemble] n_nodes x n_nodes_21 must be at most 33554432 nodes"),
+    ("reafc_weak", {"n_lines": 2 ** 25 + 1},
+     "[ensemble] n_lines must be at most 33554432"),
+    ("recrib_ideal", {"n_nodes": 2 ** 20}, "[grid] n_z must be at most 64"),
+]
+
+
+@pytest.mark.parametrize("name,keys,refusal", CEILING_CASES)
+def test_size_ceilings_refuse_by_key(name, keys, refusal):
+    base = load_scenario(bundled(name))
+    scenario = replace(base, ensemble=replace(base.ensemble, **keys))
+    with pytest.raises(ValidationError) as caught:
+        stage_setups(scenario)
+    assert str(caught.value).startswith(refusal + ":")
+
+
 # every value is refused with an error line of its own; bare_message is
 # False where the scenario builders refuse a number whose square would
 # overflow a float, and the line then names its key and value
@@ -891,16 +973,22 @@ def test_echo_time_non_causal_exits_1(capsys):
     ["--t1", "1", "--delta-comb", "1e-308"],               # inf
     ["--t1", "1", "--delta-comb", "1", "--f2", "1e-320"],  # inf
     ["--t1", "1e308", "--f1", "10", "--delta-comb", "1e-308"],  # inf - inf
+    ["--t1", "1", "--delta-comb", "1", "--k", "1" + "0" * 400],  # no float
 ])
 def test_echo_time_refuses_an_overflowed_time(capsys, args):
     # finite arguments whose t2 overflows; a nan t2 would also pass the
-    # causality check, since nan <= 0 is false
+    # causality check, since nan <= 0 is false.  An order k beyond the
+    # float range cannot even form 2 pi k / delta_comb, and is refused by
+    # name instead of reaching the CLI as an internal OverflowError
     code = main(["echo-time", *args])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: echo time t2 = ")
-    assert "not finite" in captured.err
+    if "--k" in args:
+        assert captured.err.startswith("error: k is too large: a 401-digit")
+    else:
+        assert captured.err.startswith("error: echo time t2 = ")
+        assert "not finite" in captured.err
     assert captured.err.count("\n") == 1
 
 

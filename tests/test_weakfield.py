@@ -26,8 +26,13 @@ from ramanecho.errors import (
     ValidationError,
     WeakFieldViolation,
 )
-from ramanecho.numerics import cumulative_integral, weighted_node_sum
+from ramanecho.numerics import (
+    DENSE_QUADRATURE_MAX,
+    cumulative_integral,
+    weighted_node_sum,
+)
 from ramanecho.records import measure_efficiency
+from ramanecho.scenario import build_grids, load_scenario, stage_setups
 from ramanecho.strongfield import ProbeBoundary, SimulationState, \
     advance_strong
 from ramanecho.weakfield import (
@@ -39,6 +44,8 @@ from ramanecho.weakfield import (
     run_weak_storage,
 )
 from oracles import SusceptibilityKernel, analytic_transmission, fid_kernel
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 FID_TOL = 1e-4                  # impulse-response kernel vs Gaussian decay
 ROTATION_TOL = 1e-9             # free evolution must be an exact rotation
@@ -547,6 +554,169 @@ def test_other_node_columns_rebuild_the_step_factors(regime):
     moved = copy()
     assert moved._factors is None
     assert _same_atoms(_run(moved, advance), reference)
+
+
+def _products_stage(regime, drive_sign, n_node=9, n_z=9):
+    """A fresh stage of either regime on a slab of n_node x n_z: storage
+    of a probe from zero atoms, or retrieval from random atoms, on a
+    Gaussian line with a d31 spread."""
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=n_node, rule="uniform")
+    ctl = REUSE_CONTROLS["flat_top"]()
+    med = MediumSpec(coupling_beta=2.0)
+    grid = Grid(n_tau=91, n_z=n_z, t_end=3.0, length=1.0)
+    own = {}
+    if drive_sign > 0:
+        own["boundary"] = (ProbeBoundary if regime == "strong"
+                           else TildeInput)(
+            ProbeSpec.gaussian(center=1.5, duration=0.4))
+    else:
+        rng = np.random.default_rng(n_node * n_z)
+        theta = rng.uniform(0.0, 0.6, (n_node, n_z))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (n_node, n_z))
+        own["r12_initial"] = 0.5 * np.sin(theta) * np.exp(1j * phi)
+        if regime == "strong":
+            own["bloch_z_initial"] = 0.5 * np.cos(theta)
+    if regime == "strong":
+        state = SimulationState.fresh(grid, ens, ctl, med, drive_sign,
+                                      **own)
+        state.zeta_scale = 1.0
+        return state, advance_strong
+    return WeakState.fresh(grid, ens, ctl, med, drive_sign, bandwidth=1.0,
+                           **own), advance_weak
+
+
+@pytest.mark.parametrize("drive_sign", [+1, -1],
+                         ids=["storage", "retrieval"])
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_chosen_products_step_a_stage_as_the_general_helpers(regime,
+                                                             drive_sign):
+    # the state's node sums and row quadrature, chosen once from its
+    # shapes, against the helpers that choose and normalise their operands
+    # on every call: the same bits of every array a stage keeps
+    state, advance = _products_stage(regime, drive_sign)
+    ref, _ = _products_stage(regime, drive_sign)
+    assert ref.quadrature.weights is not None
+    ref.real_sum = ref.complex_sum = weighted_node_sum
+    if regime == "weak":
+        ref.table_sum = weighted_node_sum
+    ref.quadrature.complex_row = ref.quadrature
+    ref.record(ref.first_row())
+    _run(state, advance)
+    _run(ref, advance)
+    assert _same_atoms(state, ref)
+    assert np.array_equal(state.excitation(), ref.excitation())
+    assert np.max(np.abs(state.faces)) > 1e-3
+
+
+# (n_node, n_z) of a stage whose node sum is exactly at
+# one_thread_product's bound: the (n_node,) weights against a real (node,
+# Z) array, m n = 36 x 128 = GEMV_ONE_THREAD_MAX, and against a complex
+# one's interleaved parts, 36 x (2 x 64), and the weak step's (4, n_node)
+# table against them, m n k = 4 x 128 x 256 = GEMM_ONE_THREAD_MAX
+BOUND_SLABS = {"real": (36, 128), "complex": (36, 64), "table": (128, 128)}
+
+
+@pytest.mark.parametrize("past", ["at", "node", "z", "saturating"])
+@pytest.mark.parametrize("form", sorted(BOUND_SLABS))
+def test_stage_binds_a_blas_node_sum_only_within_the_bound(form, past):
+    # np.dot's bits exactly at the bound, einsum's one node or one Z
+    # point past it and on the saturating case's 33 x 641 slab
+    n_node, n_z = (33, 641) if past == "saturating" else BOUND_SLABS[form]
+    n_node += past == "node"
+    n_z += past == "z"
+    state, _ = _products_stage("weak", -1, n_node, n_z)
+    rng = np.random.default_rng(n_node * n_z)
+    x = rng.standard_normal((n_node, n_z))
+    if form != "real":
+        x = x + 1j * rng.standard_normal(x.shape)
+    if form == "table":
+        weights = rng.standard_normal((4, n_node)) / n_node
+        got = state.table_sum(weights, x)
+    else:
+        weights = state.ensemble.weights
+        got = (state.real_sum if form == "real"
+               else state.complex_sum)(weights, x)
+    parts = x.view(np.float64)
+    dot = np.dot(weights, parts)
+    einsum = np.einsum("kj,jz->kz" if form == "table" else "j,jz->z",
+                       weights, parts)
+    assert not np.array_equal(dot, einsum)
+    assert got.dtype == x.dtype
+    assert np.array_equal(got.view(np.float64),
+                          dot if past == "at" else einsum)
+
+
+@pytest.mark.parametrize("n_z", [DENSE_QUADRATURE_MAX,
+                                 DENSE_QUADRATURE_MAX + 1, 641])
+def test_stage_binds_the_dense_quadrature_only_within_the_bound(n_z):
+    # the weights' product on the row's (n, 2) parts up to
+    # DENSE_QUADRATURE_MAX points, cumulative_integral past it
+    state, _ = _products_stage("strong", -1, 3, n_z)
+    quadrature = state.quadrature
+    rng = np.random.default_rng(n_z)
+    y = rng.standard_normal(n_z) + 1j * rng.standard_normal(n_z)
+    got = quadrature.complex_row(y)
+    banded = cumulative_integral(y, quadrature.dx)
+    assert got.shape == y.shape and got.dtype == y.dtype
+    if n_z > DENSE_QUADRATURE_MAX:
+        assert quadrature.weights is None
+        assert np.array_equal(got, banded)
+        return
+    dense = np.dot(quadrature.weights,
+                   y.view(np.float64).reshape(n_z, 2)).view(complex).ravel()
+    assert not np.array_equal(dense, banded)
+    assert np.array_equal(got, dense)
+
+
+# calls one plateau step may make, as sys.setprofile reports them:
+# Python frames, and C-level calls of builtin functions and methods
+# (ufuncs and operators are not reported).  Python 3.11 with numpy 2.4.6
+# counts (47, 58) on recrib_strong's 17 x 17 storage stage and (21, 24)
+# on recrib_ideal's 65 x 65, against (79, 100) and (27, 37) when each node
+# sum and Z quadrature chose its product and normalised its operands on
+# every call.  The bounds leave 3-6 calls for numpy versions whose
+# dispatch wrappers add a frame or two
+STEP_CALL_BUDGET = {"recrib_strong": (52, 64), "recrib_ideal": (24, 28)}
+
+
+def _step_calls(state, advance):
+    """(Python, C-level) calls of one advance(state)."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts and arg is not sys.setprofile:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        advance(state)
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"]
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CALL_BUDGET))
+def test_a_plateau_step_keeps_its_call_budget(name):
+    # the per-call overhead of a short slab's step, counted rather than
+    # timed: the storage stage of the shipped scenario, stepped onto its
+    # control plateau, where the step reuses its factors and workspace
+    scenario = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.ini"))
+    stage1, _, med, _ = stage_setups(scenario)
+    grid = build_grids(scenario)[0]
+    if scenario.run.regime == "strong":
+        state = SimulationState.fresh(grid, stage1.ensemble, stage1.control,
+                                      med, +1, ProbeBoundary(stage1.probe))
+        advance = advance_strong
+    else:
+        state = WeakState.fresh(grid, stage1.ensemble, stage1.control, med,
+                                +1, TildeInput(stage1.probe),
+                                bandwidth=stage1.probe.spectral_width)
+        advance = advance_weak
+    for _ in range(40):
+        advance(state)
+    python, c_level = _step_calls(state, advance)
+    max_python, max_c_level = STEP_CALL_BUDGET[name]
+    assert python <= max_python and c_level <= max_c_level, (python, c_level)
 
 
 # ---------------------------------------------------------------------------
