@@ -2,9 +2,11 @@
 
 The node sums and the Z quadrature come in two forms with the same bits:
 weighted_node_sum and CumulativeQuadrature.__call__ choose their product
-and normalise their operands on every call, and node_sum and
-CumulativeQuadrature.complex_row are the products chosen once for one
-shape, which a stage holds and calls directly.
+and normalise their operands on every call, and node_product, node_sum
+and CumulativeQuadrature.complex_row are the products chosen once for
+one shape, which a stage holds and calls directly.  A dense quadrature
+also holds its backward form, the integral from each point to the end
+of the axis, as the flipped weight matrix J W J.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ GEMM_ONE_THREAD_MAX = 262_144 // 2
 GEMV_ONE_THREAD_MAX = 9_216 // 2
 
 # CumulativeQuadrature applies the rule as one dense matrix product up to
-# this many points: the longest axis whose complex row, an (n, n) by
-# (n, 2) gemm, is within GEMM_ONE_THREAD_MAX.  That is also about where
-# the product stops being the faster form.  Per call on a complex row
+# this many points, forward and backward: the longest axis whose complex
+# row, an (n, n) by (n, 2) gemm, is within GEMM_ONE_THREAD_MAX.  That is
+# also about where the product stops being the faster form.  Per call on
+# a complex row
 # (numpy 2.4.6, OpenBLAS 0.3.31, one thread of a shared 2-vCPU x86-64 VM,
 # best of 7 x 1000): the product takes 2.5-3.4 us against 11-12 us for
 # cumulative_integral at n = 17-65, 8.0 against 11.0 us at 193, 12.8
@@ -111,16 +114,25 @@ class CumulativeQuadrature:
     complex row, chosen once for the axis: the weights' own np.dot of
     the row's (n, 2) parts, with no operand to normalise, or
     cumulative_integral.  Either gives __call__'s bits.
+
+    backward_weights is the dense rule run from the far end of the axis,
+    J W J with J the reversal: its product with y is the flipped
+    cumulative_integral of the flipped y, the integral from each point to
+    the last, without flipping y or the result.  It sums the same terms
+    in the opposite order, so it agrees with the flipped rule to
+    rounding.  Both matrices are None above DENSE_QUADRATURE_MAX.
     """
 
     def __init__(self, n: int, dx: float):
         self.dx = dx
         if n > DENSE_QUADRATURE_MAX:
-            self.weights = None
+            self.weights = self.backward_weights = None
             self.complex_row = partial(cumulative_integral, dx=dx)
             return
         self.weights = np.ascontiguousarray(cumulative_integral(
             np.eye(n), dx).T)
+        self.backward_weights = np.ascontiguousarray(
+            self.weights[::-1, ::-1])
         dot = self.weights.dot
 
         def complex_row(y: np.ndarray) -> np.ndarray:
@@ -158,23 +170,45 @@ def one_thread_product(m: int, k: int, n: int) -> bool:
     return size <= GEMM_ONE_THREAD_MAX
 
 
-def node_sum(weights_shape: tuple, shape: tuple, dtype) -> Callable:
+def node_product(weights_shape: tuple, shape: tuple) -> Callable:
+    """weighted_node_sum's product for weights of weights_shape and a
+    C-contiguous float64 x of this (n_node, n_cols) shape, chosen once: a
+    callable (weights, x, out=None) that takes no decision.
+
+    Within one_thread_product's bound it is np.ndarray.dot, which is
+    np.dot without numpy's __array_function__ dispatch (both call the same
+    C product); above it, einsum's own loop.  Either writes into a
+    C-contiguous float64 out when one is given, with the bits it would
+    return.
+    """
+    rows = weights_shape[0] if len(weights_shape) == 2 else 1
+    if one_thread_product(rows, shape[0], shape[1]):
+        return np.ndarray.dot
+    return partial(np.einsum, "kj,jz->kz" if len(weights_shape) == 2
+                   else "j,jz->z")
+
+
+def node_sum(weights_shape: tuple, shape: tuple, dtype,
+             out: np.ndarray | None = None) -> Callable:
     """weighted_node_sum's product for weights of weights_shape and a
     C-contiguous x of this (n_node, n_z) shape and dtype, chosen once: a
     callable (weights, x) that takes no decision and normalises nothing.
 
-    Within one_thread_product's bound it is np.ndarray.dot, which is
-    np.dot without numpy's __array_function__ dispatch (both call the same
-    C product), on x or on a complex x's interleaved float64 parts; above
-    it, einsum's own loop on the same operand.
+    It is node_product on x, or on a complex x's interleaved float64
+    parts.  Given out, an array of the sum's shape and dtype, every call
+    writes the sum into it and returns it.
     """
-    rows = weights_shape[0] if len(weights_shape) == 2 else 1
     is_complex = np.dtype(dtype).kind == "c"
-    if one_thread_product(rows, shape[0], shape[1] * (1 + is_complex)):
-        product = np.ndarray.dot
-    else:
-        product = partial(np.einsum, "kj,jz->kz" if len(weights_shape) == 2
-                          else "j,jz->z")
+    product = node_product(weights_shape,
+                           (shape[0], shape[1] * (1 + is_complex)))
+    if out is not None:
+        flat = out.view(_FLOAT)
+
+        def held_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+            product(weights, x.view(_FLOAT), out=flat)
+            return out
+
+        return held_sum
     if not is_complex:
         return product
 

@@ -38,6 +38,16 @@ CONTROL2_MODES = ("mirror", "flat_top")
 # size key to it
 MAX_ARRAY_BYTES = 2 ** 30
 
+# the most digits an integer key may have: Python's own default limit on
+# converting text to an integer (sys.int_info.default_max_str_digits),
+# held here so that the refusal, and the cost of the conversion, do not
+# depend on the interpreter's setting.  Every size key's ceiling has far
+# fewer digits, and check_sizes names it
+MAX_INT_DIGITS = 4300
+
+# how much of a refused value an error message echoes
+SHOWN_CHARS = 40
+
 
 @dataclass(frozen=True)
 class RunSection:
@@ -175,7 +185,12 @@ CHOICES = {
 
 
 def _fail(section: str, key: str, value: str, want: str):
-    raise ParseError(f"[{section}] {key} = {value!r}: expected {want}")
+    """Refuse a raw value by key, echoing at most SHOWN_CHARS of it."""
+    if len(value) > SHOWN_CHARS:
+        shown = f"{value[:SHOWN_CHARS]!r}... ({len(value)} characters)"
+    else:
+        shown = repr(value)
+    raise ParseError(f"[{section}] {key} = {shown}: expected {want}")
 
 
 def _value(section: str, key, raw: str):
@@ -192,6 +207,9 @@ def _value(section: str, key, raw: str):
         except KeyError:
             _fail(section, key.name, raw, "a boolean")
     if kind == "int":
+        if sum(map(str.isdigit, raw)) > MAX_INT_DIGITS:
+            _fail(section, key.name, raw,
+                  f"an integer of at most {MAX_INT_DIGITS} digits")
         try:
             return int(raw)
         except ValueError:

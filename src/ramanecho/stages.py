@@ -4,7 +4,8 @@ Both regimes store a probe in the slab and recall it as a backward echo,
 and they differ only in their equations.  What the drivers do alike
 lives here once: the stage state with its Z quadrature and the products
 of its node sums, chosen once from its shapes, the stage table
-of what the steps read that does not depend on the atoms, the storage
+of what the steps read that does not depend on the atoms, its rows
+converted to Python numbers a block of steps at a time, the storage
 checks, stepping a stage, the reuse of each step's per-node factors
 while the control's step integrals repeat, the photon-flux audits of
 storage and retrieval, the handover of the stored coherences to the
@@ -25,9 +26,14 @@ read; march drops the buffers a regime's step holds when the stage
 ends, or when a step raises.  march also steps a long slab with numpy's
 ufunc buffer at STEP_BUFFER elements, so that a broadcast product's
 chunk of each operand stays in the L1 data cache, and restores the
-caller's size afterwards; a short slab keeps numpy's default, which
-takes its whole (node, Z) array in one chunk.  Elementwise ufuncs give
-the same bits at any buffer size.
+caller's size afterwards.  A short slab, a row of fewer than _LONG_ROW
+points, keeps numpy's default buffer, but a product with a broadcast
+operand still runs one inner loop per node row, since numpy cannot
+merge a broadcast axis: so its step columns are repeated to the full
+(node, Z) shape once per build (StageState.step_factors), and each
+regime solves its field rows on operands its state made once.
+Elementwise ufuncs give the same bits at any buffer size and for
+either form of a column.
 """
 
 from __future__ import annotations
@@ -72,6 +78,18 @@ ABSORPTION_WARNING_FRACTION = 0.05
 STEP_BUFFER = 256
 _LONG_ROW = 128
 
+# steps whose table rows StageTable.row converts to Python numbers at once
+_ROW_BLOCK = 32
+
+
+def _full_shape(factors: tuple, shape: tuple) -> tuple:
+    """factors with each (n_node, 1) column of an (n_node, n_z) shape
+    repeated across its n_z points; every other factor as it is."""
+    n_node, n_z = shape
+    return tuple(
+        f.repeat(n_z, 1) if isinstance(f, np.ndarray)
+        and f.shape == (n_node, 1) else f for f in factors)
+
 
 def node_array(grid, ensemble, initial, fill: float, dtype) -> np.ndarray:
     """An (n_node, n_z) atomic array: a C-contiguous copy of initial, or
@@ -107,12 +125,14 @@ class StageState:
     from its (n_node, n_z) shape (numerics.node_sum): real_sum and
     complex_sum take (n_node,) weights against a real or a complex
     C-contiguous (node, Z) array, and quadrature.complex_row integrates a
-    C-contiguous complex row.  On a short slab each is a bare np.dot, on
-    a long one einsum or cumulative_integral; either gives the bits of
-    numerics.weighted_node_sum and of the quadrature's __call__, which
-    choose and normalise on every call.  The node sums are not __init__
-    fields, so a dataclasses.replace copy chooses them again for its own
-    shapes.
+    C-contiguous complex row.  Within one_thread_product's bound each is
+    a bare np.dot, above it einsum or cumulative_integral; either gives
+    the bits of numerics.weighted_node_sum and of the quadrature's
+    __call__, which choose and normalise on every call.  _short marks a
+    slab of fewer than _LONG_ROW points, whose step columns are full-shape
+    (step_factors) and whose regime solves its field rows on operands
+    made once, with the state.  None of these are __init__ fields, so a
+    dataclasses.replace copy chooses them again for its own shapes.
     _factors is the set of per-node step factors built last, which
     step_factors reuses; _work holds the buffers a regime's step writes,
     which march drops when the stage ends.
@@ -139,11 +159,13 @@ class StageState:
                                  compare=False)
     real_sum: Callable = field(init=False, repr=False, compare=False)
     complex_sum: Callable = field(init=False, repr=False, compare=False)
+    _short: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights, shape = self.ensemble.weights.shape, self.r12.shape
         self.real_sum = node_sum(weights, shape, float)
         self.complex_sum = node_sum(weights, shape, complex)
+        self._short = shape[1] < _LONG_ROW
 
     def record(self, row: np.ndarray) -> None:
         """Hold row as the field row of the current clock, and trace its
@@ -164,10 +186,20 @@ class StageState:
         the pair is equal, and the result is bit for bit what rebuilding
         it would give.  The integrals are sums of f >= 0, never -0.0, so
         equal floats are equal bits.  One set is held per state.
+
+        On a short slab every (n_node, 1) column of the set is repeated
+        across the slab's n_z points, once per build (_full_shape): numpy
+        cannot merge a broadcast axis, so a product of a column with a
+        (node, Z) array runs one inner loop per node, where the same
+        product of two (node, Z) arrays runs one.  Each product gives the
+        same bits either way.
         """
         pair = (df_half, df_full)
         if self._factors is None or self._factors[0] != pair:
-            self._factors = (pair, self.build_factors(df_half, df_full))
+            factors = self.build_factors(df_half, df_full)
+            if self._short:
+                factors = _full_shape(factors, self.r12.shape)
+            self._factors = (pair, factors)
         return self._factors[1]
 
     @classmethod
@@ -240,12 +272,32 @@ class StageTable:
                                    psi.shape),
                    half, full, control.peak_rabi() ** 2, dt)
 
+    # the first step of the rows converted last, and those rows; none
+    # at first
+    _block: list = field(default_factory=lambda: [-_ROW_BLOCK, []],
+                         init=False, repr=False, compare=False)
+
     def row(self, i: int):
         """Step i in Python numbers: stage times, |Omega|^2, (f, boundary
-        value) pairs, df_half and df_full."""
-        return (self.times[i].tolist(), self.om2[i].tolist(),
-                tuple(zip(self.f[i].tolist(), self.incoming[i].tolist())),
-                float(self.df_half[i]), float(self.df_full[i]))
+        value) pairs, df_half and df_full.
+
+        The rows are converted from the arrays _ROW_BLOCK steps at a
+        time, and the block of the last row asked for is held, so a
+        stage stepped in order converts each row once and holds no more
+        than one block."""
+        start, rows = self._block
+        if not 0 <= i - start < _ROW_BLOCK:
+            start = i - i % _ROW_BLOCK
+            block = slice(start, start + _ROW_BLOCK)
+            pairs = [tuple(zip(f, incoming)) for f, incoming in
+                     zip(self.f[block].tolist(),
+                         self.incoming[block].tolist())]
+            rows = list(zip(self.times[block].tolist(),
+                            self.om2[block].tolist(), pairs,
+                            self.df_half[block].tolist(),
+                            self.df_full[block].tolist()))
+            self._block[:] = start, rows
+        return rows[i - start]
 
 
 def check_storage(probe, control, grid) -> None:
@@ -300,8 +352,10 @@ def march(state: StageState, advance: Callable) -> None:
     more than a core's L1 data cache holds; a small buffer keeps each
     operand's chunk in it.  A short slab keeps numpy's default: its
     whole array fits the default buffer in one chunk, where a small one
-    would cut it into several.  Elementwise ufuncs do not depend on how
-    the iterator chunks their operands, so no bit depends on the size.
+    would cut it into several, and its step columns are full-shape
+    (StageState.step_factors), so their products take no buffer at all.
+    Elementwise ufuncs do not depend on how the iterator chunks their
+    operands, so no bit depends on the size.
     """
     try:
         with np.errstate():

@@ -46,7 +46,9 @@ step until stages.march ends the stage; allocated afresh, node arrays
 above the C library's mapping threshold would be mapped and faulted in
 again at every step.  What a broadcast product of a row or a node
 column allocates for itself is numpy's iterator buffer, which march
-keeps at stages.STEP_BUFFER elements per operand on a long slab.  The
+keeps at stages.STEP_BUFFER elements per operand on a long slab; a
+short slab's columns are full-shape (StageState.step_factors), so each
+of their products runs as one loop.  The
 per-node constants are set once per stage in the state, and the control
 at the stage times, its Simpson integrals and the boundary values in its
 StageTable, which the fresh state builds; field_row and advance_strong
@@ -62,13 +64,16 @@ products the state chose once, from its shapes, by the rule of
 numerics.weighted_node_sum and numerics.CumulativeQuadrature (a BLAS
 product only within the size that OpenBLAS keeps on one thread), so a
 step's field solve normalises no operand and no bit depends on the BLAS
-thread count.
+thread count.  A short slab solves on operands its state made once
+(_short_slab_solve): its products write into held rows, retrieval
+integrates backward by the flipped weight matrix, and the phase is the
+real kernel integrated by a pre-scaled matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -89,7 +94,7 @@ from .errors import (
     PhysicalityViolation,
     ResonantSingularity,
 )
-from .numerics import cumulative_integral
+from .numerics import _FLOAT, _PARTS, cumulative_integral, node_product
 from . import stages
 from .records import EchoRecord
 
@@ -136,6 +141,13 @@ class SimulationState(stages.StageState):
     nodes: tuple                # (n_node, 1) columns
     stark: float
     zeta_scale: float = 0.0
+    # a short slab's field solve on operands made for this state alone
+    # (_short_slab_solve), None on a long slab
+    _solve: Callable | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._solve = _short_slab_solve(self) if self._short else None
 
     @classmethod
     def fresh(cls, grid: Grid, ensemble: EnsembleSpec,
@@ -183,7 +195,9 @@ class SimulationState(stages.StageState):
 
     def workspace(self) -> tuple:
         """The buffers a step and its projection write: seven complex and
-        two real (n_node, n_z) arrays.
+        two real (n_node, n_z) arrays, and the parts of them the slopes
+        read or write, viewed once: the real parts of the three G buffers
+        and the imaginary parts of the two product buffers.
 
         Allocated at first use and held until stages.march drops them at
         the stage end, so the steps of a stage write their intermediates
@@ -193,8 +207,11 @@ class SimulationState(stages.StageState):
         """
         if self._work is None:
             shape = self.r12.shape
-            self._work = ([np.empty(shape, dtype=complex) for _ in range(7)],
-                          [np.empty(shape) for _ in range(2)])
+            complex_buffers = [np.empty(shape, dtype=complex)
+                               for _ in range(7)]
+            g1, g2, g3, prod1, prod = complex_buffers[2:]
+            self._work = (complex_buffers, [np.empty(shape) for _ in range(2)],
+                          (g1.real, g2.real, g3.real, prod1.imag, prod.imag))
         return self._work
 
     def assert_physical(self) -> None:
@@ -217,14 +234,14 @@ class SimulationState(stages.StageState):
         with norm the vector's length, r12 and s are scaled by
         0.5 / max(norm, 0.5), which is exactly 1 inside the sphere, so
         those cells keep their bits."""
-        _, (norm, square) = self.workspace()
+        _, (norm, square), _ = self.workspace()
         s = self.bloch_z
         np.abs(self.r12, out=norm)
         np.multiply(norm, norm, out=norm)
         np.multiply(s, s, out=square)
         norm += square
         np.sqrt(norm, out=norm)
-        worst = float(norm.max()) - 0.5
+        worst = float(np.maximum.reduce(norm, None)) - 0.5
         if not math.isfinite(worst) or worst > BLOCH_EMERGENCY:
             raise PhysicalityViolation(
                 f"Bloch vector left the unit ball by {worst:.3g}")
@@ -253,20 +270,92 @@ def _solve_field_ode(a: np.ndarray, source: np.ndarray,
     return phi * (boundary_value + inner)
 
 
+def _short_slab_solve(state: SimulationState) -> Callable:
+    """The field solve of a short slab, solve(r12, bloch_z, f_s,
+    incoming), on operands made once for the state.
+
+    With Q the dense quadrature of the stage's direction, forward W for
+    storage and backward J W J for retrieval (the integral from Z to the
+    far face), and sigma = drive_sign, the solve of _solve_field_ode,
+    flipped for retrieval, is
+
+        theta = (beta / (2 Delta)) Q (b11 + half_weight)
+        row   = phi (incoming + (i beta f_s sigma / 2) Q(conj(phi) b12))
+
+    with phi = exp(i theta) and b11, b12 the node sums over bloch_z and
+    r12: the phase is the real kernel b11 integrated by a pre-scaled
+    matrix, with the constant half-weight term folded into one row, and
+    phi is unimodular, so dividing by it is multiplying by its conjugate.
+    Every product writes with out= into a buffer, or into a float64 view
+    of one, made here; the row it returns is a fresh array.  The result
+    differs from the general form's in its last bits.
+    """
+    n_node, n_z = state.r12.shape
+    quadrature = state.quadrature
+    weights = (quadrature.weights if state.drive_sign > 0
+               else quadrature.backward_weights)
+    beta = state.medium.coupling_beta
+    phase_weights = (0.5 * beta / state.control.one_photon_detuning) \
+        * weights
+    phase_offset = phase_weights.dot(np.full(n_z, state.half_weight))
+    kernel = state.kernel_weights
+    real_sum = node_product(kernel.shape, (n_node, n_z))
+    parts_sum = node_product(kernel.shape, (n_node, 2 * n_z))
+    phase_dot, source_dot = phase_weights.dot, weights.dot
+    b11, theta = np.empty(n_z), np.empty(n_z)
+    phi, conj_phi, b12, inner = (np.empty(n_z, dtype=complex)
+                                 for _ in range(4))
+    phi_real, phi_imag = phi.real, phi.imag
+    b12_flat, b12_parts = b12.view(_FLOAT), b12.view(_PARTS)
+    inner_parts = inner.view(_PARTS)
+    gain = 0.5j * beta * state.drive_sign
+
+    def solve(r12, bloch_z, f_s, incoming):
+        real_sum(kernel, bloch_z, out=b11)
+        phase_dot(b11, out=theta)
+        np.add(theta, phase_offset, out=theta)
+        np.cos(theta, out=phi_real)
+        np.sin(theta, out=phi_imag)
+        np.conjugate(phi, out=conj_phi)
+        parts_sum(kernel, r12.view(_FLOAT), out=b12_flat)
+        np.multiply(b12, conj_phi, out=b12)
+        source_dot(b12_parts, out=inner_parts)
+        np.multiply(inner, gain * f_s, out=inner)
+        np.add(inner, incoming, out=inner)
+        return np.multiply(phi, inner)
+
+    return solve
+
+
 def field_row(state: SimulationState, s: float, r12: np.ndarray,
               bloch_z: np.ndarray, sampled: tuple) -> np.ndarray:
     """Scaled field across the slab at time s, from the ensemble kernels
     B11 and B12 of the coherences r12 and Bloch z-components bloch_z.
 
     Storage integrates from the input face Z = 0; retrieval from a zero
-    boundary at the far face toward the exit at Z = 0 (the slab is
-    flipped, solved forward, and flipped back).  Both integrate by the
-    state's quadrature.complex_row, and the kernels are the state's
-    node sums, which take r12 and bloch_z as C-contiguous (node, Z)
-    arrays, as the state's own and its workspace's are.  sampled is the
-    pair (f(s), boundary value) of a stage table row.
+    boundary at the far face toward the exit at Z = 0.  The kernels are
+    node sums that take r12 and bloch_z as C-contiguous (node, Z) arrays,
+    as the state's own and its workspace's are.  A short slab solves on
+    the operands its state made once (_short_slab_solve), integrating
+    retrieval backward by the flipped weight matrix.  A long slab sums by
+    the state's node sums and integrates by its quadrature.complex_row,
+    retrieval on the flipped slab, solved forward and flipped back.
+    sampled is the pair (f(s), boundary value) of a stage table row.
     """
     f_s, incoming = sampled
+    if state._solve is not None:
+        row = state._solve(r12, bloch_z, f_s, incoming)
+    else:
+        row = _long_slab_row(state, r12, bloch_z, f_s, incoming)
+    if not np.logical_and.reduce(np.isfinite(row)):
+        raise NonFiniteField(f"field row non-finite at tau={s}")
+    return row
+
+
+def _long_slab_row(state: SimulationState, r12: np.ndarray,
+                   bloch_z: np.ndarray, f_s: float,
+                   incoming: complex) -> np.ndarray:
+    """field_row's solve on a long slab, by _solve_field_ode."""
     w, sgn = state.kernel_weights, state.drive_sign
     beta = state.medium.coupling_beta
     integrate = state.quadrature.complex_row
@@ -275,15 +364,11 @@ def field_row(state: SimulationState, s: float, r12: np.ndarray,
     a = (0.5j * beta * sgn / state.control.one_photon_detuning) * b11
     source = (0.5j * beta * f_s) * state.complex_sum(w, r12)
     if sgn > 0:
-        row = _solve_field_ode(a, source, integrate, incoming)
-    else:
-        # a reversed view: the atom update reads it only through the
-        # fresh arrays 2 row and conj(row), so no bit depends on the layout
-        rev = _solve_field_ode(-a[::-1], -source[::-1], integrate, incoming)
-        row = rev[::-1]
-    if not np.isfinite(row).all():
-        raise NonFiniteField(f"field row non-finite at tau={s}")
-    return row
+        return _solve_field_ode(a, source, integrate, incoming)
+    # a reversed view: the atom update reads it only through the fresh
+    # arrays 2 row and conj(row), so no bit depends on the layout
+    return _solve_field_ode(-a[::-1], -source[::-1], integrate,
+                            incoming)[::-1]
 
 
 def _stark_factor(state: SimulationState, s: float, row: np.ndarray,
@@ -296,7 +381,7 @@ def _stark_factor(state: SimulationState, s: float, row: np.ndarray,
     makes it singular, which is the ControlVanishes regime error.
     """
     if om2 <= CONTROL_FLOOR * peak2:
-        row_mag = float(np.abs(row).max())
+        row_mag = float(np.maximum.reduce(np.abs(row)))
         if row_mag > FIELD_FLOOR * max(state.zeta_scale, 1e-300):
             raise ControlVanishes(
                 f"|Omega(tau={s:.6g})| = 0 with |zeta| = {row_mag:.3g}; "
@@ -345,51 +430,53 @@ def _lawson_step(state: SimulationState, step: tuple, row1: np.ndarray,
     (rot_half, rot_full, drive_half, drive_sixth, pop_half, pop_full,
      pop_sixth, col2, col4, col_new1, col_new23) = state.step_factors(
         df_half, df_full)
-    complex_buffers, real_buffers = state.workspace()
+    complex_buffers, real_buffers, views = state.workspace()
     half, stage, g1, g2, g3, prod1, prod = complex_buffers
     s_st, i23 = real_buffers
+    g1_real, g2_real, g3_real, i1, i_prod = views
 
-    def slope(k, row, s_k, r12_k, g, prod):
-        """G into g and conj(row) r12 into prod at stage time k dt/2;
-        returns Im(conj(row) r12), a view of prod."""
+    def slope(k, row, s_k, r12_k, g, g_real, prod):
+        """G into g, whose real part is g_real, and conj(row) r12 into
+        prod at stage time k dt/2."""
         factor = _stark_factor(state, times[k], row, om2[k], table.peak2)
         np.multiply(np.conj(row), r12_k, out=prod)
         np.multiply(prod, factor, out=g)
-        g.real += s_k
+        g_real += s_k
         g *= 2.0 * row
-        return prod.imag
 
+    # Im(conj(row) r12) of the first slope is i1, a view of prod1, and of
+    # the later ones i_prod, a view of prod
     p, s = state.r12, state.bloch_z
-    i1 = slope(0, row1, s, p, g1, prod1)
+    slope(0, row1, s, p, g1, g1_real, prod1)
     np.multiply(rot_half, p, out=half)
     np.multiply(col2, g1, out=stage)
     stage += half
     np.multiply(pop_half, i1, out=s_st)
     s_st += s
-    i2 = slope(1, row_at(1, stage, s_st), s_st, stage, g2, prod)
-    np.copyto(i23, i2)
+    slope(1, row_at(1, stage, s_st), s_st, stage, g2, g2_real, prod)
+    i23[...] = i_prod
     np.multiply(drive_half, g2, out=stage)
     stage += half
     np.multiply(pop_half, i23, out=s_st)
     s_st += s
-    i3 = slope(1, row_at(1, stage, s_st), s_st, stage, g3, prod)
+    slope(1, row_at(1, stage, s_st), s_st, stage, g3, g3_real, prod)
     # R_f p replaces R_h p, which no later stage reads
     np.multiply(rot_full, p, out=half)
     np.multiply(col4, g3, out=stage)
     stage += half
-    np.multiply(pop_full, i3, out=s_st)
+    np.multiply(pop_full, i_prod, out=s_st)
     s_st += s
     g2 += g3
-    i23 += i3
+    i23 += i_prod
     # G_4 replaces G_3, which is read no more
-    i4 = slope(2, row_at(2, stage, s_st), s_st, stage, g3, prod)
+    slope(2, row_at(2, stage, s_st), s_st, stage, g3, g3_real, prod)
 
     # r12' = R_f p + col_new1 G_1 + col_new23 (G_2 + G_3) + drive_sixth G_4
     for column, g in ((col_new1, g1), (col_new23, g2), (drive_sixth, g3)):
         np.multiply(column, g, out=stage)
         half += stage
     # s' = s + pop_sixth ((i1 + i4) + 2 (i2 + i3))
-    np.add(i1, i4, out=s_st)
+    np.add(i1, i_prod, out=s_st)
     i23 *= 2.0
     s_st += i23
     s_st *= pop_sixth
@@ -436,7 +523,8 @@ def advance_strong(state: SimulationState) -> SimulationState:
     _lawson_step(state, step, state.row, row_at)
     row = row_at(2, state.r12, state.bloch_z)
     state.record(row)
-    state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
+    state.zeta_scale = max(state.zeta_scale,
+                           float(np.maximum.reduce(np.abs(row))))
     return state
 
 

@@ -36,6 +36,10 @@ dimension 3 for the new coherences (see advance_weak).  The state
 chooses its node sums' products and its quadrature's form for a row
 once, from its shapes (stages.StageState), and the step calls them
 directly.  So no bit of a weak stage depends on the BLAS thread count.
+A short slab's rotation column is full-shape (StageState.step_factors),
+and its table sum and Z integral write into rows held for the stage,
+retrieval integrating backward by the flipped weight matrix
+(_short_slab_integral).
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .core import (
     WEAK_AMPLITUDE_RATIO,
 )
 from .errors import NonFiniteField, WeakFieldViolation
-from .numerics import node_sum
+from .numerics import _PARTS, node_sum
 from . import stages
 from .records import EchoRecord, envelope_from_scaled
 
@@ -73,16 +77,26 @@ class WeakState(stages.StageState):
     bandwidth is the signal bandwidth that the linear-regime validity
     checks price the probe Stark shift against.  table_sum is the product
     of a step's (4, n_node) node-sum table against the coherences, chosen
-    with the state's other products (see stages.StageState).
+    with the state's other products (see stages.StageState); on a short
+    slab it writes the sums into one (4, n_z) array held for the stage,
+    which the next call overwrites.
     """
 
     bandwidth: float
     table_sum: Callable = field(init=False, repr=False, compare=False)
+    # a short slab's Z integral on operands made for this state alone
+    # (_short_slab_integral), None on a long slab
+    _integrate: Callable | None = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        self.table_sum = node_sum((4, self.r12.shape[0]), self.r12.shape,
-                                  complex)
+        n_node, n_z = self.r12.shape
+        held = np.empty((4, n_z), dtype=complex) if self._short else None
+        self.table_sum = node_sum((4, n_node), self.r12.shape, complex,
+                                  out=held)
+        self._integrate = _short_slab_integral(self) if self._short \
+            else None
 
     def first_row(self) -> np.ndarray:
         """Row 0 from the current coherences at the table's first stage
@@ -119,6 +133,30 @@ class WeakState(stages.StageState):
         return self._work
 
 
+def _short_slab_integral(state: WeakState) -> Callable:
+    """The Z integral of a short slab's field solve, integrate(b12), on
+    operands made once for the state.
+
+    Storage integrates from the input face by the dense weights W,
+    retrieval from the far face by the flipped J W J, so no row is
+    flipped or copied.  The product writes into the float64 parts of one
+    row held for the stage, which it returns and the next call
+    overwrites.
+    """
+    quadrature = state.quadrature
+    weights = (quadrature.weights if state.drive_sign > 0
+               else quadrature.backward_weights)
+    dot = weights.dot
+    integral = np.empty(state.r12.shape[1], dtype=complex)
+    parts = integral.view(_PARTS)
+
+    def integrate(b12: np.ndarray) -> np.ndarray:
+        dot(b12.view(_PARTS), out=parts)
+        return integral
+
+    return integrate
+
+
 def field_row(state: WeakState, s: float, b12: np.ndarray,
               sampled: tuple) -> np.ndarray:
     """Tilde field across the slab at time s, given the kernel B~12.
@@ -126,16 +164,23 @@ def field_row(state: WeakState, s: float, b12: np.ndarray,
     b12 is the node-summed coherence sum_j w_j R~12_j at every Z, a
     C-contiguous row.  Storage integrates the source from the input face;
     retrieval from the far face (zero incoming echo), emitting toward Z =
-    0, on a reversed copy; both integrate by the state's
-    quadrature.complex_row.  sampled is the pair (f(s), boundary value)
-    of a stage table row.
+    0.  A short slab integrates on the operands its state made once
+    (_short_slab_integral), retrieval backward by the flipped weight
+    matrix; a long slab by the state's quadrature.complex_row, retrieval
+    on a reversed copy.  sampled is the pair (f(s), boundary value) of a
+    stage table row.
     """
     f_s, incoming = sampled
     gain = 0.5 * state.medium.coupling_beta * f_s
-    integrate = state.quadrature.complex_row
+    if state._integrate is not None:
+        integral = state._integrate(b12)
+    elif state.drive_sign > 0:
+        integral = state.quadrature.complex_row(b12)
+    else:
+        integral = state.quadrature.complex_row(b12[::-1].copy())[::-1]
     if state.drive_sign > 0:
-        return incoming - gain * integrate(b12)
-    return incoming + gain * integrate(b12[::-1].copy())[::-1]
+        return incoming - gain * integral
+    return incoming + gain * integral
 
 
 def advance_weak(state: WeakState) -> WeakState:
@@ -201,7 +246,7 @@ def advance_weak(state: WeakState) -> WeakState:
     if om2[0] > 1e-9 * table.peak2:
         # the probe Stark shift, priced while the control is on
         # max |row|^2, as the square of max |row|: squaring keeps the order
-        row_max = float(np.abs(row1).max())
+        row_max = float(np.maximum.reduce(np.abs(row1)))
         stark = abs(state.control.one_photon_detuning) \
             * (row_max * row_max) / om2[0]
         if stark > STARK_VALIDITY_FACTOR * state.bandwidth:
@@ -228,7 +273,7 @@ def advance_weak(state: WeakState) -> WeakState:
 
 def _finite(row: np.ndarray, s: float) -> np.ndarray:
     """row, refused when any of its values is not finite."""
-    if not np.isfinite(row).all():
+    if not np.logical_and.reduce(np.isfinite(row)):
         raise NonFiniteField(f"field row non-finite at tau={s}")
     return row
 

@@ -36,6 +36,13 @@ Bloch z-component: the drive 2 r11 - 1 and the probe Stark rate as
 separate products, B11 summed over r11 itself, and the projection in
 masked passes.  The two forms differ only by rounding.
 
+flipped_field_row is strongfield.field_row in the general form a long
+slab keeps, on the general helpers: B11 summed over the Bloch
+z-component plus the stage constant, the phase integrated as a complex
+row, the source divided by the integrating factor, and retrieval solved
+on the flipped slab and flipped back.  The short-slab solve, on operands
+its state made once, must stay within rounding of it.
+
 advance_atoms steps the strong-field atoms under a frozen field row,
 which isolates the atom update for the Rabi, rotation and Bloch-ball
 oracles.  refined(grid, factor) is the nested refinement the
@@ -231,6 +238,22 @@ def allocating_advance_strong(state: SimulationState) -> SimulationState:
     state.record(row)
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
+
+
+def flipped_field_row(state: SimulationState, s: float, r12: np.ndarray,
+                      bloch_z: np.ndarray, sampled: tuple) -> np.ndarray:
+    """strongfield.field_row by _solve_field_ode on the general helpers,
+    retrieval on the flipped slab."""
+    f_s, incoming = sampled
+    w, sgn = state.kernel_weights, state.drive_sign
+    beta = state.medium.coupling_beta
+    a = (0.5j * beta * sgn / state.control.one_photon_detuning) \
+        * (weighted_node_sum(w, bloch_z) + state.half_weight)
+    source = (0.5j * beta * f_s) * weighted_node_sum(w, r12)
+    if sgn > 0:
+        return _solve_field_ode(a, source, state.quadrature, incoming)
+    return _solve_field_ode(-a[::-1], -source[::-1], state.quadrature,
+                            incoming)[::-1]
 
 
 def _r11_form_field_row(state: SimulationState, s: float, r12: np.ndarray,

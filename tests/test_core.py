@@ -565,6 +565,30 @@ def test_dense_quadrature_matches_cumulative_integral(n, kind, orientation):
     assert np.max(np.abs(got - want)) <= CUMINT_REFERENCE_TOL * scale
 
 
+@pytest.mark.parametrize("n", [17, DENSE_QUADRATURE_MAX,
+                               DENSE_QUADRATURE_MAX + 1])
+def test_backward_quadrature_is_the_flipped_forward_rule(n):
+    # the flipped weight matrix J W J integrates from each point to the
+    # end of the axis, as the forward rule does on the flipped samples,
+    # to rounding; past DENSE_QUADRATURE_MAX neither matrix is made
+    rng = np.random.default_rng(200 + n)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    quadrature = CumulativeQuadrature(n, 0.37)
+    if n > DENSE_QUADRATURE_MAX:
+        assert quadrature.weights is None
+        assert quadrature.backward_weights is None
+        return
+    backward = quadrature.backward_weights
+    assert backward.flags.c_contiguous
+    assert np.array_equal(backward, quadrature.weights[::-1, ::-1])
+    got = np.dot(backward, y.view(np.float64).reshape(n, 2)).view(
+        complex).ravel()
+    want = cumulative_integral(y[::-1], 0.37)[::-1]
+    assert got[-1] == 0.0
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= CUMINT_REFERENCE_TOL * scale
+
+
 @pytest.mark.parametrize("n", [4, 5, 17, 49, 65, 641])
 def test_cumulative_integral_is_exact_on_cubics(n):
     x = np.linspace(-1.0, 2.0, n)

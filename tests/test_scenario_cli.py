@@ -24,6 +24,8 @@ from ramanecho.errors import ArgumentError, ParseError, ValidationError
 from ramanecho.numerics import fmt_float
 from ramanecho.runs import run_scenario, scenario_report, write_outputs
 from ramanecho.scenario import (
+    MAX_INT_DIGITS,
+    SHOWN_CHARS,
     Scenario,
     build_controls,
     default_scenario,
@@ -527,6 +529,31 @@ def test_huge_sizes_are_refused_by_key_before_any_allocation(tmp_path):
             (argv, line)
     assert not any((tmp_path / f"{key}-{i}" / "out").exists()
                    for _, _, key in SIZE_CASES for i in range(3))
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_integer_keys_are_refused_past_their_digits(tmp_path, capsys,
+                                                    command):
+    # an integer key of more than MAX_INT_DIGITS digits is refused by key
+    # before it is converted, with only the start of its value echoed;
+    # one of MAX_INT_DIGITS digits converts, and its ceiling refuses it
+    out_dir = tmp_path / "out"
+    echoed = repr("9" * SHOWN_CHARS)
+    for digits, message in (
+            (5000, f"error: [grid] n_z = {echoed}... (5000 characters): "
+                   f"expected an integer of at most {MAX_INT_DIGITS} "
+                   "digits\n"),
+            (MAX_INT_DIGITS, "error: [grid] n_z must be at most ")):
+        path = _write_with_value(tmp_path, "recrib_strong", "grid", "n_z",
+                                 "9" * digits)
+        argv = [command, path] + (["--out", str(out_dir)]
+                                  if command == "simulate" else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1 and len(captured.err) < 200
+        assert not out_dir.exists()
 
 
 # one key past its ceiling, or node keys whose product is: (name,

@@ -52,6 +52,7 @@ from oracles import (
 
 REDUCTION_TOL = 1e-12           # kernel reduction vs compensated column sums
 FIELD_CLOSED_FORM_TOL = 1e-12   # integrating factor vs exact slab solutions
+FIELD_FORM_ROUNDING = 1e-13     # short-slab field solve vs the flipped form
 REFINED_FIELD_TOL = 1e-8        # smooth profile vs 4x refined Z reference
 ROTATION_TOL = 1e-9             # static detuning must be an exact rotation
 RABI_TOL = 1e-6                 # resonant drive vs two-level closed form
@@ -275,6 +276,38 @@ def test_long_slab_row_is_the_banded_quadrature_bit_for_bit(n_z, sign):
             else solve(-a[::-1], -source[::-1])[::-1])
     got = field_row(state, 0.0, r12, s, (f_s, incoming))
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_z", [17, 641])
+@pytest.mark.parametrize("sign", [+1, -1], ids=["storage", "retrieval"])
+def test_field_row_stays_within_rounding_of_the_flipped_form(n_z, sign):
+    # a short slab solves on the operands its state made once: the phase
+    # of the real kernel by a pre-scaled matrix, the source times
+    # conj(phi), retrieval by the flipped weight matrix.  A long slab
+    # keeps the flipped form itself
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=7, rule="uniform")
+    ctl = const_control(rabi=40.0, detuning=40.0, t_end=1.0)
+    med = MediumSpec(coupling_beta=8.0)
+    grid = Grid(n_tau=5, n_z=n_z, t_end=1.0, length=1.0)
+    rng = np.random.default_rng(n_z + sign)
+    theta = rng.uniform(0.0, math.pi, (ens.n_nodes, n_z))
+    # a grating whose phase varies slowly along Z, so the row builds up
+    phase = rng.uniform(0.0, 0.5, (ens.n_nodes, 1)) + 2.0 * grid.z()
+    r12 = 0.5 * np.sin(theta) * np.exp(1j * phase)
+    s = 0.5 * np.cos(theta)
+    state = SimulationState.fresh(grid, ens, ctl, med, drive_sign=sign,
+                                  r12_initial=r12, bloch_z_initial=s)
+    assert (state._solve is not None) == (n_z < stages._LONG_ROW)
+    for f_s, incoming in ((0.7, 0.05 + 0.02j), (1.3, 0.0)):
+        got = field_row(state, 0.0, r12, s, (f_s, incoming))
+        want = oracles.flipped_field_row(state, 0.0, r12, s,
+                                         (f_s, incoming))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= FIELD_FORM_ROUNDING * scale
+        assert scale > 0.1
+        if n_z >= stages._LONG_ROW:
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +907,32 @@ def test_fresh_state_solves_row_0_from_its_table():
     assert np.array_equal(state.row, want)
     assert np.array_equal(state.faces[0], want[[0, -1]])
     assert not np.any(state.faces[1:])
+
+
+def test_table_rows_read_the_arrays_in_any_order():
+    # row(i) converts the table's rows a block of steps at a time and
+    # holds the block: read forward across a block's edge, backward and
+    # at random, every row is the arrays' values at step i, and a step
+    # past the table's end is an IndexError
+    ctl = ControlProfile.flat_top(rabi=60.0, detuning=60.0, switch_on=-2.0,
+                                  switch_off=10.0, rise_time=0.5)
+    grid = Grid(n_tau=stages._ROW_BLOCK + 40, n_z=9, t_end=2.0,
+                length=1.0)
+    probe = ProbeSpec.gaussian(center=1.0, duration=0.4)
+    table = stages.StageTable.build(ctl, grid, ProbeBoundary(probe))
+    n_steps = grid.n_tau - 1
+    order = list(range(n_steps)) + list(range(n_steps - 1, -1, -1)) \
+        + np.random.default_rng(4).integers(0, n_steps, 50).tolist()
+    for i in order:
+        times, om2, sampled, df_half, df_full = table.row(i)
+        assert times == table.times[i].tolist()
+        assert om2 == table.om2[i].tolist()
+        assert sampled == tuple(zip(table.f[i].tolist(),
+                                    table.incoming[i].tolist()))
+        assert (df_half, df_full) == (table.df_half[i], table.df_full[i])
+        assert type(df_half) is float and type(sampled[1][1]) is complex
+    with pytest.raises(IndexError):
+        table.row(n_steps)
 
 
 def test_storage_counts_field_solves_and_peak_samples(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramanecho.conditions import ProtocolConfig
-from ramanecho import strongfield, weakfield
+from ramanecho import stages, strongfield, weakfield
 from ramanecho.core import (
     ControlProfile,
     Grid,
@@ -592,9 +592,13 @@ def test_chosen_products_step_a_stage_as_the_general_helpers(regime,
                                                              drive_sign):
     # the state's node sums and row quadrature, chosen once from its
     # shapes, against the helpers that choose and normalise their operands
-    # on every call: the same bits of every array a stage keeps
-    state, advance = _products_stage(regime, drive_sign)
-    ref, _ = _products_stage(regime, drive_sign)
+    # on every call: the same bits of every array a stage keeps.  The
+    # slab is the shortest long one, whose field solves call them and
+    # whose products are still a BLAS gemv and a dense quadrature; a
+    # short slab solves on operands of its own (the next test)
+    n_z = stages._LONG_ROW + 1
+    state, advance = _products_stage(regime, drive_sign, n_z=n_z)
+    ref, _ = _products_stage(regime, drive_sign, n_z=n_z)
     assert ref.quadrature.weights is not None
     ref.real_sum = ref.complex_sum = weighted_node_sum
     if regime == "weak":
@@ -605,6 +609,30 @@ def test_chosen_products_step_a_stage_as_the_general_helpers(regime,
     _run(ref, advance)
     assert _same_atoms(state, ref)
     assert np.array_equal(state.excitation(), ref.excitation())
+    assert np.max(np.abs(state.faces)) > 1e-3
+
+
+@pytest.mark.parametrize("drive_sign", [+1, -1],
+                         ids=["storage", "retrieval"])
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_full_shape_columns_step_a_short_slab_as_node_columns(
+        regime, drive_sign, monkeypatch):
+    # a short slab repeats each (n_node, 1) step column across Z once per
+    # build, so that its products run one loop; every product is
+    # elementwise, so the stage keeps the bits of (n_node, 1) columns,
+    # also where the control integrals change and the columns are rebuilt
+    state, advance = _products_stage(regime, drive_sign)
+    ref, _ = _products_stage(regime, drive_sign)
+    _run(state, advance)
+    monkeypatch.setattr(stages, "_full_shape", lambda factors, shape: factors)
+    _run(ref, advance)
+    shape = state.r12.shape
+    columns = [(a.shape, b.shape) for a, b in zip(state._factors[1],
+                                                 ref._factors[1])
+               if isinstance(b, np.ndarray) and b.shape == (shape[0], 1)]
+    assert columns and all(full == shape for full, _ in columns)
+    assert len(columns) == (11 if regime == "strong" else 1)
+    assert _same_atoms(state, ref)
     assert np.max(np.abs(state.faces)) > 1e-3
 
 
@@ -671,28 +699,32 @@ def test_stage_binds_the_dense_quadrature_only_within_the_bound(n_z):
 # calls one plateau step may make, as sys.setprofile reports them:
 # Python frames, and C-level calls of builtin functions and methods
 # (ufuncs and operators are not reported).  Python 3.11 with numpy 2.4.6
-# counts (47, 58) on recrib_strong's 17 x 17 storage stage and (21, 24)
-# on recrib_ideal's 65 x 65, against (79, 100) and (27, 37) when each node
-# sum and Z quadrature chose its product and normalised its operands on
-# every call.  The bounds leave 3-6 calls for numpy versions whose
-# dispatch wrappers add a frame or two
-STEP_CALL_BUDGET = {"recrib_strong": (52, 64), "recrib_ideal": (24, 28)}
+# counts (28, 28) on recrib_strong's 17 x 17 storage stage and (19, 13)
+# on recrib_ideal's 65 x 65.  The bounds leave 3-6 calls for numpy
+# versions whose dispatch wrappers add a frame or two
+STEP_CALL_BUDGET = {"recrib_strong": (33, 34), "recrib_ideal": (22, 17)}
+# ndarray.view calls a strong plateau step may make: one per field row,
+# the coherences' float64 parts for their node sum; every other operand
+# and result of its products is viewed once per stage
+STRONG_STEP_VIEWS = 4
 
 
 def _step_calls(state, advance):
-    """(Python, C-level) calls of one advance(state)."""
-    counts = {"call": 0, "c_call": 0}
+    """(Python, C-level, ndarray.view) calls of one advance(state)."""
+    counts = {"call": 0, "c_call": 0, "view": 0}
 
     def profile(frame, event, arg):
         if event in counts and arg is not sys.setprofile:
             counts[event] += 1
+            counts["view"] += getattr(arg, "__qualname__",
+                                      None) == "ndarray.view"
 
     sys.setprofile(profile)
     try:
         advance(state)
     finally:
         sys.setprofile(None)
-    return counts["call"], counts["c_call"]
+    return counts["call"], counts["c_call"], counts["view"]
 
 
 @pytest.mark.parametrize("name", sorted(STEP_CALL_BUDGET))
@@ -714,9 +746,11 @@ def test_a_plateau_step_keeps_its_call_budget(name):
         advance = advance_weak
     for _ in range(40):
         advance(state)
-    python, c_level = _step_calls(state, advance)
+    python, c_level, views = _step_calls(state, advance)
     max_python, max_c_level = STEP_CALL_BUDGET[name]
     assert python <= max_python and c_level <= max_c_level, (python, c_level)
+    if scenario.run.regime == "strong":
+        assert views <= STRONG_STEP_VIEWS, views
 
 
 # ---------------------------------------------------------------------------
