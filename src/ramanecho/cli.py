@@ -26,38 +26,54 @@ from .efficiency import REAFC, RECRIB, sweep_gamma, write_sweep_csv
 from .errors import ArgumentError, ConditionsUnmet, SimulationError
 from .numerics import fmt_float, write_text_atomic
 from .runs import run_scenario, scenario_report, write_outputs
-from .scenario import default_scenario, dump_scenario, load_scenario
+from .scenario import _shown, default_scenario, dump_scenario, load_scenario
 
 # the most points a --gamma grid may have: a step of 1e-6 across [0, 1]
 MAX_GAMMA_POINTS = 1_000_001
 
 
 def finite_float(text: str) -> float:
-    """A finite float, for argparse's `type=`; refuses nan and inf."""
-    value = float(text)
+    """A finite float, for argparse's `type=`; refuses nan and inf, and
+    echoes at most SHOWN_CHARS of a refused value."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {_shown(text)}")
     return value
+
+
+def _integer(text: str) -> int:
+    """An integer, for argparse's `type=`; echoes at most SHOWN_CHARS of
+    a refused value."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {_shown(text)}") from None
 
 
 def parse_alpha0l_list(text: str) -> list[float]:
     try:
         return [finite_float(part) for part in text.split(",")]
-    except ValueError:
+    except argparse.ArgumentTypeError:
         raise ArgumentError(
-            f"--alpha0L expects comma-separated finite numbers, got {text!r}")
+            "--alpha0L expects comma-separated finite numbers, got "
+            f"{_shown(text)}")
 
 
 def parse_gamma_range(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ArgumentError(
-            f"--gamma expects start:stop:step, got {text!r}")
+            f"--gamma expects start:stop:step, got {_shown(text)}")
     try:
         start, stop, step = (finite_float(p) for p in parts)
-    except ValueError:
+    except argparse.ArgumentTypeError:
         raise ArgumentError(
-            f"--gamma expects finite start:stop:step, got {text!r}")
+            f"--gamma expects finite start:stop:step, got {_shown(text)}")
     if step <= 0:
         raise ArgumentError("--gamma step must be positive")
     if stop < start:
@@ -67,7 +83,7 @@ def parse_gamma_range(text: str) -> np.ndarray:
     count = steps + 1.0
     if not count <= MAX_GAMMA_POINTS:
         raise ArgumentError(
-            f"--gamma {text!r} gives {count:.3g} points, more than "
+            f"--gamma {_shown(text)} gives {count:.3g} points, more than "
             f"{MAX_GAMMA_POINTS}")
     # every point not past stop by more than the rounding of the step
     # count; the last point is moved back onto stop by that rounding
@@ -181,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="storage dwell time")
     p.add_argument("--delta-comb", type=finite_float, required=True,
                    help="comb tooth spacing")
-    p.add_argument("--k", type=int, default=1, help="rephasing order")
+    p.add_argument("--k", type=_integer, default=1,
+                   help="rephasing order")
     p.set_defaults(func=cmd_echo_time)
 
     p = sub.add_parser("dump-defaults",

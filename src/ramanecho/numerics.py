@@ -2,11 +2,11 @@
 
 The node sums and the Z quadrature come in two forms with the same bits:
 weighted_node_sum and CumulativeQuadrature.__call__ choose their product
-and normalise their operands on every call, and node_product, node_sum
-and CumulativeQuadrature.complex_row are the products chosen once for
-one shape, which a stage holds and calls directly.  A dense quadrature
-also holds its backward form, the integral from each point to the end
-of the axis, as the flipped weight matrix J W J.
+and normalise their operands on every call, and node_product and
+CumulativeQuadrature.directed are the products chosen once for one
+shape, which a stage holds and calls directly.  directed also runs the
+rule from the far end of the axis, the integral from each point to the
+last, as a retrieval stage integrates.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ _END_WEIGHTS = np.array([[9.0, 19.0, -5.0, 1.0], [1.0, -5.0, 19.0, 9.0]])
 GEMM_ONE_THREAD_MAX = 262_144 // 2
 GEMV_ONE_THREAD_MAX = 9_216 // 2
 
-# CumulativeQuadrature applies the rule as one dense matrix product up to
-# this many points, forward and backward: the longest axis whose complex
-# row, an (n, n) by (n, 2) gemm, is within GEMM_ONE_THREAD_MAX.  That is
-# also about where the product stops being the faster form.  Per call on
-# a complex row
+# CumulativeQuadrature applies the rule to a complex row as one dense
+# matrix product up to this many points, in either direction: the longest
+# axis whose complex row, an (n, n) by (n, 2) gemm, is within
+# GEMM_ONE_THREAD_MAX.  That is also about where the product stops being
+# the faster form.  Per call on a complex row
 # (numpy 2.4.6, OpenBLAS 0.3.31, one thread of a shared 2-vCPU x86-64 VM,
 # best of 7 x 1000): the product takes 2.5-3.4 us against 11-12 us for
 # cumulative_integral at n = 17-65, 8.0 against 11.0 us at 193, 12.8
@@ -105,50 +105,68 @@ class CumulativeQuadrature:
     """cumulative_integral(y, dx) on one fixed axis of n points.
 
     Up to DENSE_QUADRATURE_MAX points the rule is applied as one (n, n)
-    real weight matrix, cumulative_integral of the identity, to the real
+    real weight matrix W, cumulative_integral of the identity, to the real
     and imaginary parts of y as an (n, 2) product: the same weights summed
     in another order, so a result differs from cumulative_integral's in
-    its last bits.  A longer axis, or a real y whose (n, 1) product is a
+    its last bits.  A longer axis, or a real y whose (n,) product is a
     gemv above one_thread_product's bound, calls cumulative_integral
-    itself, bit for bit.  complex_row is the same rule on a C-contiguous
-    complex row, chosen once for the axis: the weights' own np.dot of
-    the row's (n, 2) parts, with no operand to normalise, or
-    cumulative_integral.  Either gives __call__'s bits.
+    itself, bit for bit.  weights is W, None above DENSE_QUADRATURE_MAX.
 
-    backward_weights is the dense rule run from the far end of the axis,
-    J W J with J the reversal: its product with y is the flipped
-    cumulative_integral of the flipped y, the integral from each point to
-    the last, without flipping y or the result.  It sums the same terms
-    in the opposite order, so it agrees with the flipped rule to
-    rounding.  Both matrices are None above DENSE_QUADRATURE_MAX.
+    directed(sign, scale, real) makes that choice once for one kind of
+    row and one direction: the integral from the first point for sign
+    +1, and for sign -1 from each point to the last, times scale.
+    Backward the dense rule is the flipped weight matrix J W J, with J
+    the reversal: it sums the terms of the flipped cumulative_integral of
+    the flipped y in the opposite order, so it agrees with that to
+    rounding, and flips neither y nor the result.  __call__ is the
+    forward rule chosen on every call.
     """
 
     def __init__(self, n: int, dx: float):
         self.dx = dx
-        if n > DENSE_QUADRATURE_MAX:
-            self.weights = self.backward_weights = None
-            self.complex_row = partial(cumulative_integral, dx=dx)
-            return
-        self.weights = np.ascontiguousarray(cumulative_integral(
-            np.eye(n), dx).T)
-        self.backward_weights = np.ascontiguousarray(
-            self.weights[::-1, ::-1])
-        dot = self.weights.dot
-
-        def complex_row(y: np.ndarray) -> np.ndarray:
-            return dot(y.view(_PARTS)).view(_COMPLEX)[:, 0]
-
-        self.complex_row = complex_row
+        self.weights = None if n > DENSE_QUADRATURE_MAX else \
+            np.ascontiguousarray(cumulative_integral(np.eye(n), dx).T)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        """The cumulative integral of the samples y on the axis."""
-        if self.weights is None or (
-                y.dtype.kind != "c"
-                and not one_thread_product(y.size, y.size, 1)):
-            return cumulative_integral(y, self.dx)
+        """The cumulative integral of the samples y on the axis, by the
+        forward integrator of y's kind, on y made C-contiguous."""
         y = np.ascontiguousarray(y, np.promote_types(y.dtype, np.float64))
-        parts = y.view(np.float64).reshape(y.size, -1)
-        return np.dot(self.weights, parts).view(y.dtype).ravel()
+        out = np.empty_like(y)
+        if y.dtype.kind == "c":
+            self.directed(+1)(y.view(_PARTS), out.view(_PARTS))
+        else:
+            self.directed(+1, real=True)(y, out)
+        return out
+
+    def directed(self, sign: int, scale: float = 1.0,
+                 real: bool = False) -> Callable:
+        """The integral in the direction of sign, times scale, as a
+        callable (y, out) that takes no decision and writes into out.
+
+        For a complex row (real False) y and out are the (n, 2) float64
+        parts of C-contiguous complex rows, for a real row (real True)
+        C-contiguous float64 rows.  On a dense axis, for a complex row or
+        a real one whose gemv is within one_thread_product's bound, the
+        integrator is the bare bound ndarray.dot of W, or of J W J for
+        sign -1, pre-scaled by scale.  Otherwise it writes scale times
+        cumulative_integral, run on the flipped row and flipped back for
+        sign -1.
+        """
+        if self.weights is not None and (
+                not real or one_thread_product(*self.weights.shape, 1)):
+            weights = self.weights if sign > 0 else self.weights[::-1, ::-1]
+            if scale != 1.0:
+                weights = scale * weights
+            return np.ascontiguousarray(weights).dot
+        dx, step = self.dx, 1 if sign > 0 else -1
+
+        def integrate(y: np.ndarray, out: np.ndarray) -> None:
+            if not real:
+                y, out = y.view(_COMPLEX)[:, 0], out.view(_COMPLEX)[:, 0]
+            integral = cumulative_integral(y[::step], dx)[::step]
+            out[...] = integral if scale == 1.0 else scale * integral
+
+        return integrate
 
 
 def trapezoid_energy(y: np.ndarray, dx: float) -> float:
@@ -188,36 +206,6 @@ def node_product(weights_shape: tuple, shape: tuple) -> Callable:
                    else "j,jz->z")
 
 
-def node_sum(weights_shape: tuple, shape: tuple, dtype,
-             out: np.ndarray | None = None) -> Callable:
-    """weighted_node_sum's product for weights of weights_shape and a
-    C-contiguous x of this (n_node, n_z) shape and dtype, chosen once: a
-    callable (weights, x) that takes no decision and normalises nothing.
-
-    It is node_product on x, or on a complex x's interleaved float64
-    parts.  Given out, an array of the sum's shape and dtype, every call
-    writes the sum into it and returns it.
-    """
-    is_complex = np.dtype(dtype).kind == "c"
-    product = node_product(weights_shape,
-                           (shape[0], shape[1] * (1 + is_complex)))
-    if out is not None:
-        flat = out.view(_FLOAT)
-
-        def held_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-            product(weights, x.view(_FLOAT), out=flat)
-            return out
-
-        return held_sum
-    if not is_complex:
-        return product
-
-    def complex_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return product(weights, x.view(_FLOAT)).view(_COMPLEX)
-
-    return complex_sum
-
-
 def weighted_node_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j weights[j] * x[j, :] over the node axis for real weights.
 
@@ -230,11 +218,13 @@ def weighted_node_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     OpenBLAS may split a larger product across threads and sum it in
     another order.  Either way the result is bit-identical from run to
     run and does not depend on the BLAS thread count.  The product is
-    node_sum's for x's shape, taken on x made C-contiguous in float64 or
-    complex128: a stage chooses it once and calls it directly.
+    node_product's for the float64 parts of x made C-contiguous in
+    float64 or complex128: a stage chooses it once and calls it directly.
     """
     x = np.ascontiguousarray(x, np.promote_types(x.dtype, np.float64))
-    return node_sum(weights.shape, x.shape, x.dtype)(weights, x)
+    parts = x.view(_FLOAT)
+    return node_product(weights.shape, parts.shape)(weights, parts).view(
+        x.dtype)
 
 
 def golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:

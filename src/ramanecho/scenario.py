@@ -184,13 +184,17 @@ CHOICES = {
 }
 
 
+def _shown(value: str) -> str:
+    """A refused value as an error message echoes it: its repr, cut to
+    its first SHOWN_CHARS characters when it is longer."""
+    if len(value) > SHOWN_CHARS:
+        return f"{value[:SHOWN_CHARS]!r}... ({len(value)} characters)"
+    return repr(value)
+
+
 def _fail(section: str, key: str, value: str, want: str):
     """Refuse a raw value by key, echoing at most SHOWN_CHARS of it."""
-    if len(value) > SHOWN_CHARS:
-        shown = f"{value[:SHOWN_CHARS]!r}... ({len(value)} characters)"
-    else:
-        shown = repr(value)
-    raise ParseError(f"[{section}] {key} = {shown}: expected {want}")
+    raise ParseError(f"[{section}] {key} = {_shown(value)}: expected {want}")
 
 
 def _value(section: str, key, raw: str):

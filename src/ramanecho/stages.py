@@ -2,8 +2,7 @@
 
 Both regimes store a probe in the slab and recall it as a backward echo,
 and they differ only in their equations.  What the drivers do alike
-lives here once: the stage state with its Z quadrature and the products
-of its node sums, chosen once from its shapes, the stage table
+lives here once: the stage state with its Z quadrature, the stage table
 of what the steps read that does not depend on the atoms, its rows
 converted to Python numbers a block of steps at a time, the storage
 checks, stepping a stage, the reuse of each step's per-node factors
@@ -30,10 +29,10 @@ caller's size afterwards.  A short slab, a row of fewer than _LONG_ROW
 points, keeps numpy's default buffer, but a product with a broadcast
 operand still runs one inner loop per node row, since numpy cannot
 merge a broadcast axis: so its step columns are repeated to the full
-(node, Z) shape once per build (StageState.step_factors), and each
-regime solves its field rows on operands its state made once.
-Elementwise ufuncs give the same bits at any buffer size and for
-either form of a column.
+(node, Z) shape once per build (StageState.step_factors).  Elementwise
+ufuncs give the same bits at any buffer size and for either form of a
+column.  Every slab, short or long, solves its field rows on operands
+its state made once.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .errors import (
     IncompleteAbsorptionWarning,
     ValidationError,
 )
-from .numerics import CumulativeQuadrature, cumulative_integral, node_sum
+from .numerics import CumulativeQuadrature, cumulative_integral
 from .records import EchoRecord, envelope_from_scaled
 
 # far-off-resonance bound |Delta| >= DETUNING_FACTOR x probe bandwidth
@@ -121,18 +120,16 @@ class StageState:
     first_row(), its regime's field row at the table's row-0 values, and
     build_factors(df_half, df_full), its per-node step factors.
 
-    The products of the stage are chosen once, when the state is made,
-    from its (n_node, n_z) shape (numerics.node_sum): real_sum and
-    complex_sum take (n_node,) weights against a real or a complex
-    C-contiguous (node, Z) array, and quadrature.complex_row integrates a
-    C-contiguous complex row.  Within one_thread_product's bound each is
-    a bare np.dot, above it einsum or cumulative_integral; either gives
-    the bits of numerics.weighted_node_sum and of the quadrature's
-    __call__, which choose and normalise on every call.  _short marks a
-    slab of fewer than _LONG_ROW points, whose step columns are full-shape
-    (step_factors) and whose regime solves its field rows on operands
-    made once, with the state.  None of these are __init__ fields, so a
-    dataclasses.replace copy chooses them again for its own shapes.
+    Each regime solves its field rows on operands it makes once, with
+    the state, for every slab length: node products chosen from its
+    (n_node, n_z) shape (numerics.node_product) and the quadrature's
+    integrator in the stage's direction (CumulativeQuadrature.directed).
+    Within one_thread_product's bound each is a bare np.dot, above it
+    einsum or cumulative_integral.  _short marks a slab of fewer than
+    _LONG_ROW points, whose step columns are full-shape (step_factors)
+    and which march steps under numpy's default ufunc buffer.  Neither
+    it nor a regime's solve is an __init__ field, so a dataclasses.replace
+    copy makes them again for its own shapes.
     _factors is the set of per-node step factors built last, which
     step_factors reuses; _work holds the buffers a regime's step writes,
     which march drops when the stage ends.
@@ -157,15 +154,10 @@ class StageState:
     # it was copied from
     _work: object | None = field(default=None, init=False, repr=False,
                                  compare=False)
-    real_sum: Callable = field(init=False, repr=False, compare=False)
-    complex_sum: Callable = field(init=False, repr=False, compare=False)
     _short: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights, shape = self.ensemble.weights.shape, self.r12.shape
-        self.real_sum = node_sum(weights, shape, float)
-        self.complex_sum = node_sum(weights, shape, complex)
-        self._short = shape[1] < _LONG_ROW
+        self._short = self.r12.shape[1] < _LONG_ROW
 
     def record(self, row: np.ndarray) -> None:
         """Hold row as the field row of the current clock, and trace its
@@ -359,7 +351,7 @@ def march(state: StageState, advance: Callable) -> None:
     """
     try:
         with np.errstate():
-            if state.grid.n_z >= _LONG_ROW:
+            if not state._short:
                 np.setbufsize(STEP_BUFFER)
             for _ in range(state.grid.n_tau - 1):
                 advance(state)

@@ -64,10 +64,10 @@ products the state chose once, from its shapes, by the rule of
 numerics.weighted_node_sum and numerics.CumulativeQuadrature (a BLAS
 product only within the size that OpenBLAS keeps on one thread), so a
 step's field solve normalises no operand and no bit depends on the BLAS
-thread count.  A short slab solves on operands its state made once
-(_short_slab_solve): its products write into held rows, retrieval
-integrates backward by the flipped weight matrix, and the phase is the
-real kernel integrated by a pre-scaled matrix.
+thread count.  Every slab solves on operands its state made once
+(_field_solve): its products write into held rows, retrieval integrates
+backward from the far face with no flip, and the phase is the real
+kernel integrated by a pre-scaled integrator.
 """
 
 from __future__ import annotations
@@ -94,7 +94,13 @@ from .errors import (
     PhysicalityViolation,
     ResonantSingularity,
 )
-from .numerics import _FLOAT, _PARTS, cumulative_integral, node_product
+from .numerics import (
+    _FLOAT,
+    _PARTS,
+    cumulative_integral,
+    node_product,
+    weighted_node_sum,
+)
 from . import stages
 from .records import EchoRecord
 
@@ -141,13 +147,12 @@ class SimulationState(stages.StageState):
     nodes: tuple                # (n_node, 1) columns
     stark: float
     zeta_scale: float = 0.0
-    # a short slab's field solve on operands made for this state alone
-    # (_short_slab_solve), None on a long slab
-    _solve: Callable | None = field(init=False, repr=False, compare=False)
+    # the field solve on operands made for this state alone (_field_solve)
+    _solve: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        self._solve = _short_slab_solve(self) if self._short else None
+        self._solve = _field_solve(self)
 
     @classmethod
     def fresh(cls, grid: Grid, ensemble: EnsembleSpec,
@@ -186,7 +191,7 @@ class SimulationState(stages.StageState):
 
     def excitation(self) -> np.ndarray:
         """Ensemble excitation sum_j w_j (1/2 - s_j) at every Z."""
-        return self.real_sum(self.ensemble.weights, 0.5 - self.bloch_z)
+        return weighted_node_sum(self.ensemble.weights, 0.5 - self.bloch_z)
 
     def build_factors(self, df_half: float, df_full: float) -> tuple:
         """The step factors of the state's node columns and dt for the
@@ -254,72 +259,54 @@ class SimulationState(stages.StageState):
         np.maximum(s, -0.5, out=s)
 
 
-def _solve_field_ode(a: np.ndarray, source: np.ndarray,
-                     quadrature: Callable,
-                     boundary_value: complex) -> np.ndarray:
-    """dZ zeta = a(Z) zeta + source(Z) with zeta[0] = boundary_value.
+def _field_solve(state: SimulationState) -> Callable:
+    """The field solve of the state, solve(r12, bloch_z, f_s, incoming),
+    on operands made once for it.
 
-    Integrating-factor quadrature: both cumulative integrals are 4th
-    order, and a purely imaginary a (the population-dispersion term)
-    yields an exactly unimodular factor.  quadrature integrates a
-    C-contiguous complex row, as CumulativeQuadrature.complex_row does;
-    a and source / phi are fresh rows.
-    """
-    phi = np.exp(quadrature(a))
-    inner = quadrature(source / phi)
-    return phi * (boundary_value + inner)
-
-
-def _short_slab_solve(state: SimulationState) -> Callable:
-    """The field solve of a short slab, solve(r12, bloch_z, f_s,
-    incoming), on operands made once for the state.
-
-    With Q the dense quadrature of the stage's direction, forward W for
-    storage and backward J W J for retrieval (the integral from Z to the
-    far face), and sigma = drive_sign, the solve of _solve_field_ode,
-    flipped for retrieval, is
+    With Q the quadrature's integral in the stage's direction (from the
+    input face for storage, from Z to the far face for retrieval:
+    CumulativeQuadrature.directed) and sigma = drive_sign, the
+    integrating-factor solve of dZ zeta = a zeta + source is
 
         theta = (beta / (2 Delta)) Q (b11 + half_weight)
         row   = phi (incoming + (i beta f_s sigma / 2) Q(conj(phi) b12))
 
     with phi = exp(i theta) and b11, b12 the node sums over bloch_z and
     r12: the phase is the real kernel b11 integrated by a pre-scaled
-    matrix, with the constant half-weight term folded into one row, and
+    integrator, with the constant half-weight term integrated once, and
     phi is unimodular, so dividing by it is multiplying by its conjugate.
     Every product writes with out= into a buffer, or into a float64 view
-    of one, made here; the row it returns is a fresh array.  The result
-    differs from the general form's in its last bits.
+    of one, made here; the row it returns is a fresh array.
     """
     n_node, n_z = state.r12.shape
-    quadrature = state.quadrature
-    weights = (quadrature.weights if state.drive_sign > 0
-               else quadrature.backward_weights)
+    quadrature, sign = state.quadrature, state.drive_sign
     beta = state.medium.coupling_beta
-    phase_weights = (0.5 * beta / state.control.one_photon_detuning) \
-        * weights
-    phase_offset = phase_weights.dot(np.full(n_z, state.half_weight))
+    phase_dot = quadrature.directed(
+        sign, 0.5 * beta / state.control.one_photon_detuning, real=True)
+    source_dot = quadrature.directed(sign)
+    phase_offset = np.empty(n_z)
+    phase_dot(np.full(n_z, state.half_weight), phase_offset)
     kernel = state.kernel_weights
-    real_sum = node_product(kernel.shape, (n_node, n_z))
-    parts_sum = node_product(kernel.shape, (n_node, 2 * n_z))
-    phase_dot, source_dot = phase_weights.dot, weights.dot
+    b11_sum = node_product(kernel.shape, (n_node, n_z))
+    b12_sum = node_product(kernel.shape, (n_node, 2 * n_z))
     b11, theta = np.empty(n_z), np.empty(n_z)
     phi, conj_phi, b12, inner = (np.empty(n_z, dtype=complex)
                                  for _ in range(4))
     phi_real, phi_imag = phi.real, phi.imag
     b12_flat, b12_parts = b12.view(_FLOAT), b12.view(_PARTS)
     inner_parts = inner.view(_PARTS)
-    gain = 0.5j * beta * state.drive_sign
+    gain = 0.5j * beta * sign
 
     def solve(r12, bloch_z, f_s, incoming):
-        real_sum(kernel, bloch_z, out=b11)
-        phase_dot(b11, out=theta)
+        b11_sum(kernel, bloch_z, out=b11)
+        phase_dot(b11, theta)
         np.add(theta, phase_offset, out=theta)
         np.cos(theta, out=phi_real)
         np.sin(theta, out=phi_imag)
         np.conjugate(phi, out=conj_phi)
-        parts_sum(kernel, r12.view(_FLOAT), out=b12_flat)
+        b12_sum(kernel, r12.view(_FLOAT), out=b12_flat)
         np.multiply(b12, conj_phi, out=b12)
-        source_dot(b12_parts, out=inner_parts)
+        source_dot(b12_parts, inner_parts)
         np.multiply(inner, gain * f_s, out=inner)
         np.add(inner, incoming, out=inner)
         return np.multiply(phi, inner)
@@ -335,40 +322,15 @@ def field_row(state: SimulationState, s: float, r12: np.ndarray,
     Storage integrates from the input face Z = 0; retrieval from a zero
     boundary at the far face toward the exit at Z = 0.  The kernels are
     node sums that take r12 and bloch_z as C-contiguous (node, Z) arrays,
-    as the state's own and its workspace's are.  A short slab solves on
-    the operands its state made once (_short_slab_solve), integrating
-    retrieval backward by the flipped weight matrix.  A long slab sums by
-    the state's node sums and integrates by its quadrature.complex_row,
-    retrieval on the flipped slab, solved forward and flipped back.
-    sampled is the pair (f(s), boundary value) of a stage table row.
+    as the state's own and its workspace's are, and the row is solved on
+    the operands the state made once (_field_solve).  sampled is the pair
+    (f(s), boundary value) of a stage table row.
     """
     f_s, incoming = sampled
-    if state._solve is not None:
-        row = state._solve(r12, bloch_z, f_s, incoming)
-    else:
-        row = _long_slab_row(state, r12, bloch_z, f_s, incoming)
+    row = state._solve(r12, bloch_z, f_s, incoming)
     if not np.logical_and.reduce(np.isfinite(row)):
         raise NonFiniteField(f"field row non-finite at tau={s}")
     return row
-
-
-def _long_slab_row(state: SimulationState, r12: np.ndarray,
-                   bloch_z: np.ndarray, f_s: float,
-                   incoming: complex) -> np.ndarray:
-    """field_row's solve on a long slab, by _solve_field_ode."""
-    w, sgn = state.kernel_weights, state.drive_sign
-    beta = state.medium.coupling_beta
-    integrate = state.quadrature.complex_row
-    b11 = state.real_sum(w, bloch_z)
-    b11 += state.half_weight
-    a = (0.5j * beta * sgn / state.control.one_photon_detuning) * b11
-    source = (0.5j * beta * f_s) * state.complex_sum(w, r12)
-    if sgn > 0:
-        return _solve_field_ode(a, source, integrate, incoming)
-    # a reversed view: the atom update reads it only through the fresh
-    # arrays 2 row and conj(row), so no bit depends on the layout
-    return _solve_field_ode(-a[::-1], -source[::-1], integrate,
-                            incoming)[::-1]
 
 
 def _stark_factor(state: SimulationState, s: float, row: np.ndarray,

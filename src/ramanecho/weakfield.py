@@ -36,10 +36,10 @@ dimension 3 for the new coherences (see advance_weak).  The state
 chooses its node sums' products and its quadrature's form for a row
 once, from its shapes (stages.StageState), and the step calls them
 directly.  So no bit of a weak stage depends on the BLAS thread count.
-A short slab's rotation column is full-shape (StageState.step_factors),
-and its table sum and Z integral write into rows held for the stage,
-retrieval integrating backward by the flipped weight matrix
-(_short_slab_integral).
+A short slab's rotation column is full-shape (StageState.step_factors).
+On every slab the table sum and the Z integral write into rows held for
+the stage, retrieval integrating backward from the far face with no
+flip (_field_integral).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .core import (
     WEAK_AMPLITUDE_RATIO,
 )
 from .errors import NonFiniteField, WeakFieldViolation
-from .numerics import _PARTS, node_sum
+from .numerics import _FLOAT, _PARTS, node_product, weighted_node_sum
 from . import stages
 from .records import EchoRecord, envelope_from_scaled
 
@@ -77,39 +77,34 @@ class WeakState(stages.StageState):
     bandwidth is the signal bandwidth that the linear-regime validity
     checks price the probe Stark shift against.  table_sum is the product
     of a step's (4, n_node) node-sum table against the coherences, chosen
-    with the state's other products (see stages.StageState); on a short
-    slab it writes the sums into one (4, n_z) array held for the stage,
-    which the next call overwrites.
+    once from the state's shapes (see stages.StageState); it writes the
+    sums into one (4, n_z) array held for the stage, which the next call
+    overwrites.
     """
 
     bandwidth: float
     table_sum: Callable = field(init=False, repr=False, compare=False)
-    # a short slab's Z integral on operands made for this state alone
-    # (_short_slab_integral), None on a long slab
-    _integrate: Callable | None = field(init=False, repr=False,
-                                        compare=False)
+    # the Z integral on operands made for this state alone (_field_integral)
+    _integrate: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        n_node, n_z = self.r12.shape
-        held = np.empty((4, n_z), dtype=complex) if self._short else None
-        self.table_sum = node_sum((4, n_node), self.r12.shape, complex,
-                                  out=held)
-        self._integrate = _short_slab_integral(self) if self._short \
-            else None
+        self.table_sum = _table_sum(self)
+        self._integrate = _field_integral(self)
 
     def first_row(self) -> np.ndarray:
         """Row 0 from the current coherences at the table's first stage
         time."""
         times, _, sampled, _, _ = self.table.row(0)
         return _finite(field_row(
-            self, times[0],
-            self.complex_sum(self.ensemble.weights, self.r12), sampled[0]),
+            self, times[0], weighted_node_sum(self.ensemble.weights,
+                                              self.r12), sampled[0]),
             times[0])
 
     def excitation(self) -> np.ndarray:
         """Ensemble excitation sum_j w_j |R~12_j|^2 at every Z."""
-        return self.real_sum(self.ensemble.weights, np.abs(self.r12) ** 2)
+        return weighted_node_sum(self.ensemble.weights,
+                                 np.abs(self.r12) ** 2)
 
     def build_factors(self, df_half: float, df_full: float) -> tuple:
         """The step factors of the state's ensemble, dt and drive sign for
@@ -133,25 +128,40 @@ class WeakState(stages.StageState):
         return self._work
 
 
-def _short_slab_integral(state: WeakState) -> Callable:
-    """The Z integral of a short slab's field solve, integrate(b12), on
-    operands made once for the state.
+def _table_sum(state: WeakState) -> Callable:
+    """The node sums of a step, table_sum(table, p), for a real (4,
+    n_node) table against the coherences p: node_product on p's float64
+    parts, chosen once for the state's shape.  It writes the (4, n_z)
+    complex sums into an array held for the stage, which it returns and
+    the next call overwrites."""
+    n_node, n_z = state.r12.shape
+    product = node_product((4, n_node), (n_node, 2 * n_z))
+    sums = np.empty((4, n_z), dtype=complex)
+    flat = sums.view(_FLOAT)
 
-    Storage integrates from the input face by the dense weights W,
-    retrieval from the far face by the flipped J W J, so no row is
-    flipped or copied.  The product writes into the float64 parts of one
-    row held for the stage, which it returns and the next call
-    overwrites.
+    def table_sum(table: np.ndarray, p: np.ndarray) -> np.ndarray:
+        product(table, p.view(_FLOAT), out=flat)
+        return sums
+
+    return table_sum
+
+
+def _field_integral(state: WeakState) -> Callable:
+    """The Z integral of the state's field solve, integrate(b12), on
+    operands made once for it.
+
+    Storage integrates from the input face, retrieval from the far face,
+    by the quadrature's integrator in the stage's direction
+    (CumulativeQuadrature.directed), so no row is flipped or copied.  It
+    writes into the float64 parts of one row held for the stage, which it
+    returns and the next call overwrites.
     """
-    quadrature = state.quadrature
-    weights = (quadrature.weights if state.drive_sign > 0
-               else quadrature.backward_weights)
-    dot = weights.dot
+    integral_dot = state.quadrature.directed(state.drive_sign)
     integral = np.empty(state.r12.shape[1], dtype=complex)
     parts = integral.view(_PARTS)
 
     def integrate(b12: np.ndarray) -> np.ndarray:
-        dot(b12.view(_PARTS), out=parts)
+        integral_dot(b12.view(_PARTS), parts)
         return integral
 
     return integrate
@@ -164,20 +174,12 @@ def field_row(state: WeakState, s: float, b12: np.ndarray,
     b12 is the node-summed coherence sum_j w_j R~12_j at every Z, a
     C-contiguous row.  Storage integrates the source from the input face;
     retrieval from the far face (zero incoming echo), emitting toward Z =
-    0.  A short slab integrates on the operands its state made once
-    (_short_slab_integral), retrieval backward by the flipped weight
-    matrix; a long slab by the state's quadrature.complex_row, retrieval
-    on a reversed copy.  sampled is the pair (f(s), boundary value) of a
-    stage table row.
+    0, both on the operands the state made once (_field_integral).
+    sampled is the pair (f(s), boundary value) of a stage table row.
     """
     f_s, incoming = sampled
     gain = 0.5 * state.medium.coupling_beta * f_s
-    if state._integrate is not None:
-        integral = state._integrate(b12)
-    elif state.drive_sign > 0:
-        integral = state.quadrature.complex_row(b12)
-    else:
-        integral = state.quadrature.complex_row(b12[::-1].copy())[::-1]
+    integral = state._integrate(b12)
     if state.drive_sign > 0:
         return incoming - gain * integral
     return incoming + gain * integral

@@ -36,12 +36,13 @@ Bloch z-component: the drive 2 r11 - 1 and the probe Stark rate as
 separate products, B11 summed over r11 itself, and the projection in
 masked passes.  The two forms differ only by rounding.
 
-flipped_field_row is strongfield.field_row in the general form a long
-slab keeps, on the general helpers: B11 summed over the Bloch
-z-component plus the stage constant, the phase integrated as a complex
-row, the source divided by the integrating factor, and retrieval solved
-on the flipped slab and flipped back.  The short-slab solve, on operands
-its state made once, must stay within rounding of it.
+flipped_field_row is strongfield.field_row in the general form the
+package first solved every slab in, on the general helpers
+(_solve_field_ode): B11 summed over the Bloch z-component plus the stage
+constant, the phase integrated as a complex row, the source divided by
+the integrating factor, and retrieval solved on the flipped slab and
+flipped back.  The package's solve, on operands its state made once,
+must stay within rounding of it.
 
 advance_atoms steps the strong-field atoms under a frozen field row,
 which isolates the atom update for the Rabi, rotation and Bloch-ball
@@ -72,7 +73,6 @@ from ramanecho.strongfield import (
     SimulationState,
     _c_factors,
     _lawson_step,
-    _solve_field_ode,
     _stark_factor,
     field_row,
 )
@@ -238,6 +238,21 @@ def allocating_advance_strong(state: SimulationState) -> SimulationState:
     state.record(row)
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
+
+
+def _solve_field_ode(a: np.ndarray, source: np.ndarray,
+                     quadrature: Callable,
+                     boundary_value: complex) -> np.ndarray:
+    """dZ zeta = a(Z) zeta + source(Z) with zeta[0] = boundary_value.
+
+    Integrating-factor quadrature: both cumulative integrals are 4th
+    order, and a purely imaginary a (the population-dispersion term)
+    yields an exactly unimodular factor.  quadrature integrates a complex
+    row, as CumulativeQuadrature.__call__ does.
+    """
+    phi = np.exp(quadrature(a))
+    inner = quadrature(source / phi)
+    return phi * (boundary_value + inner)
 
 
 def flipped_field_row(state: SimulationState, s: float, r12: np.ndarray,

@@ -39,6 +39,7 @@ from ramanecho.numerics import (
     one_thread_product,
     weighted_node_sum,
 )
+from ramanecho.strongfield import SimulationState
 from oracles import refined
 
 WEIGHT_SUM_TOL = 1e-10
@@ -568,22 +569,28 @@ def test_dense_quadrature_matches_cumulative_integral(n, kind, orientation):
 @pytest.mark.parametrize("n", [17, DENSE_QUADRATURE_MAX,
                                DENSE_QUADRATURE_MAX + 1])
 def test_backward_quadrature_is_the_flipped_forward_rule(n):
-    # the flipped weight matrix J W J integrates from each point to the
-    # end of the axis, as the forward rule does on the flipped samples,
-    # to rounding; past DENSE_QUADRATURE_MAX neither matrix is made
+    # the backward integrator, directed(-1), integrates from each point to
+    # the end of the axis, as the forward rule does on the flipped
+    # samples: by the flipped weight matrix J W J to rounding, and past
+    # DENSE_QUADRATURE_MAX, where no matrix is made, by the flipped
+    # cumulative_integral itself
     rng = np.random.default_rng(200 + n)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     quadrature = CumulativeQuadrature(n, 0.37)
+    backward = quadrature.directed(-1)
+    got = np.empty_like(y)
+    backward(y.view(np.float64).reshape(n, 2),
+             got.view(np.float64).reshape(n, 2))
+    want = cumulative_integral(y[::-1], 0.37)[::-1]
     if n > DENSE_QUADRATURE_MAX:
         assert quadrature.weights is None
-        assert quadrature.backward_weights is None
+        assert np.array_equal(got, want)
         return
-    backward = quadrature.backward_weights
-    assert backward.flags.c_contiguous
-    assert np.array_equal(backward, quadrature.weights[::-1, ::-1])
-    got = np.dot(backward, y.view(np.float64).reshape(n, 2)).view(
-        complex).ravel()
-    want = cumulative_integral(y[::-1], 0.37)[::-1]
+    matrix = backward.__self__
+    assert backward.__name__ == "dot" and matrix.flags.c_contiguous
+    assert np.array_equal(matrix, quadrature.weights[::-1, ::-1])
+    assert np.array_equal(got, np.dot(matrix, y.view(np.float64).reshape(
+        n, 2)).view(complex).ravel())
     assert got[-1] == 0.0
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= CUMINT_REFERENCE_TOL * scale
@@ -737,12 +744,47 @@ def test_node_sums_at_the_bound_do_not_depend_on_blas_threads():
 
 
 @pytest.mark.parametrize("n", [67, 68])
-def test_real_quadrature_is_a_blas_product_only_within_the_bound(n):
+def test_real_quadrature_is_a_blas_product_only_within_the_bound(
+        n, monkeypatch):
     # a real row is an (n, n) by (n, 1) gemv, within the bound up to
-    # n^2 = 67^2 <= GEMV_ONE_THREAD_MAX; past it cumulative_integral
+    # n^2 = 67^2 <= GEMV_ONE_THREAD_MAX; past it cumulative_integral.  The
+    # strong state's phase integrator keeps the rule in both directions:
+    # the pre-scaled weights, flipped for retrieval, or the scaled
+    # cumulative_integral, run on the flipped row for retrieval
     rng = np.random.default_rng(n)
     y = rng.standard_normal(n)
     quadrature = CumulativeQuadrature(n, 0.37)
+    dense = n * n <= GEMV_ONE_THREAD_MAX
     want = (np.dot(quadrature.weights, y[:, None]).ravel()
-            if n * n <= GEMV_ONE_THREAD_MAX else cumulative_integral(y, 0.37))
+            if dense else cumulative_integral(y, 0.37))
     assert np.array_equal(quadrature(y), want)
+
+    directed, real_rows = CumulativeQuadrature.directed, []
+
+    def noted(self, sign, scale=1.0, real=False):
+        integrate = directed(self, sign, scale, real)
+        if real:
+            real_rows.append((self, sign, scale, integrate))
+        return integrate
+
+    monkeypatch.setattr(CumulativeQuadrature, "directed", noted)
+    ens = build_gaussian_ensemble(width=1.0, n_nodes=3, rule="uniform")
+    ctl = ControlProfile.flat_top(rabi=40.0, detuning=40.0, switch_on=0.0,
+                                  switch_off=1.0)
+    grid = Grid(n_tau=5, n_z=n, t_end=1.0, length=1.0)
+    for drive_sign in (+1, -1):
+        SimulationState.fresh(grid, ens, ctl, MediumSpec(coupling_beta=8.0),
+                              drive_sign)
+        (own, sign, scale, phase), = real_rows
+        real_rows.clear()
+        assert sign == drive_sign and scale == 8.0 / (2.0 * 40.0)
+        got = np.empty(n)
+        phase(y, got)
+        if dense:
+            matrix = np.ascontiguousarray(
+                scale * own.weights[::sign, ::sign])
+            assert np.array_equal(phase.__self__, matrix)
+            want = np.dot(matrix, y[:, None]).ravel()
+        else:
+            want = scale * cumulative_integral(y[::sign], own.dx)[::sign]
+        assert np.array_equal(got, want)

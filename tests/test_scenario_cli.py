@@ -1034,6 +1034,40 @@ def test_echo_time_refuses_non_finite_numbers(capsys, option, value):
     assert option in captured.err
 
 
+# each option that takes one value, after the arguments its subcommand
+# needs besides it
+LONG_VALUE_ARGV = {
+    "--k": ["echo-time", "--t1", "1", "--delta-comb", "1"],
+    "--t1": ["echo-time", "--delta-comb", "1"],
+    "--f1": ["echo-time", "--t1", "1", "--delta-comb", "1"],
+    "--f2": ["echo-time", "--t1", "1", "--delta-comb", "1"],
+    "--delta-comb": ["echo-time", "--t1", "1"],
+    "--total-time": ["sweep"],
+    "--alpha0L": ["sweep"],
+    "--gamma": ["sweep"],
+}
+
+
+@pytest.mark.parametrize("option", sorted(LONG_VALUE_ARGV))
+def test_a_refused_long_value_is_echoed_cut(tmp_path, capsys, option):
+    # a 5,000-digit value is refused on one short line, which echoes at
+    # most SHOWN_CHARS of it, as a scenario key's refusal does
+    out = tmp_path / "sweep.csv"
+    argv = LONG_VALUE_ARGV[option]
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(out)]
+    code = main([*argv, option, "9" * 5000])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ") and option in lines[0]
+    assert f"{'9' * SHOWN_CHARS!r}... (5000 characters)" in lines[0]
+    assert len(lines[0]) <= 128, lines[0]
+    assert not out.exists()
+
+
 def test_dump_defaults_round_trips(tmp_path, capsys):
     path = str(tmp_path / "defaults.ini")
     assert main(["dump-defaults", "--out", path]) == 0

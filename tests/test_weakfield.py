@@ -28,7 +28,9 @@ from ramanecho.errors import (
 )
 from ramanecho.numerics import (
     DENSE_QUADRATURE_MAX,
+    CumulativeQuadrature,
     cumulative_integral,
+    node_product,
     weighted_node_sum,
 )
 from ramanecho.records import measure_efficiency
@@ -585,25 +587,43 @@ def _products_stage(regime, drive_sign, n_node=9, n_z=9):
                            **own), advance_weak
 
 
+def _general_product(weights_shape, shape):
+    """A node product that chooses and normalises on every call: the
+    general helper weighted_node_sum, written into out."""
+    def product(weights, x, out):
+        out[...] = weighted_node_sum(weights, x)
+    return product
+
+
 @pytest.mark.parametrize("drive_sign", [+1, -1],
                          ids=["storage", "retrieval"])
 @pytest.mark.parametrize("regime", ["strong", "weak"])
-def test_chosen_products_step_a_stage_as_the_general_helpers(regime,
-                                                             drive_sign):
-    # the state's node sums and row quadrature, chosen once from its
-    # shapes, against the helpers that choose and normalise their operands
-    # on every call: the same bits of every array a stage keeps.  The
-    # slab is the shortest long one, whose field solves call them and
-    # whose products are still a BLAS gemv and a dense quadrature; a
-    # short slab solves on operands of its own (the next test)
+def test_chosen_products_step_a_stage_as_the_general_helpers(
+        regime, drive_sign, monkeypatch):
+    # the state's node sums and Z integrals, chosen once from its shapes
+    # and held with their rows, against the same rules chosen on every
+    # call: the general node sum weighted_node_sum and an integrator
+    # directed anew for each row, on a C-contiguous copy of it.  The same
+    # bits of every array a stage keeps.  The slab is the shortest long
+    # one, whose node sums are still a BLAS gemv and whose complex rows
+    # still integrate by the dense weight matrix, while its real phase
+    # row is past the gemv bound
     n_z = stages._LONG_ROW + 1
     state, advance = _products_stage(regime, drive_sign, n_z=n_z)
+    directed = CumulativeQuadrature.directed
+
+    def per_call(quadrature, sign, scale=1.0, real=False):
+        def integrate(y, out):
+            directed(quadrature, sign, scale, real)(
+                np.ascontiguousarray(y), out)
+        return integrate
+
+    monkeypatch.setattr(CumulativeQuadrature, "directed", per_call)
+    monkeypatch.setattr(strongfield, "node_product", _general_product)
     ref, _ = _products_stage(regime, drive_sign, n_z=n_z)
     assert ref.quadrature.weights is not None
-    ref.real_sum = ref.complex_sum = weighted_node_sum
     if regime == "weak":
         ref.table_sum = weighted_node_sum
-    ref.quadrature.complex_row = ref.quadrature
     ref.record(ref.first_row())
     _run(state, advance)
     _run(ref, advance)
@@ -637,63 +657,76 @@ def test_full_shape_columns_step_a_short_slab_as_node_columns(
 
 
 # (n_node, n_z) of a stage whose node sum is exactly at
-# one_thread_product's bound: the (n_node,) weights against a real (node,
-# Z) array, m n = 36 x 128 = GEMV_ONE_THREAD_MAX, and against a complex
-# one's interleaved parts, 36 x (2 x 64), and the weak step's (4, n_node)
-# table against them, m n k = 4 x 128 x 256 = GEMM_ONE_THREAD_MAX
+# one_thread_product's bound: the strong solve's (n_node,) kernel weights
+# against the real Bloch z-components, m n = 36 x 128 =
+# GEMV_ONE_THREAD_MAX, and against the complex coherences' interleaved
+# parts, 36 x (2 x 64), and the weak step's (4, n_node) table against
+# them, m n k = 4 x 128 x 256 = GEMM_ONE_THREAD_MAX
 BOUND_SLABS = {"real": (36, 128), "complex": (36, 64), "table": (128, 128)}
 
 
 @pytest.mark.parametrize("past", ["at", "node", "z", "saturating"])
 @pytest.mark.parametrize("form", sorted(BOUND_SLABS))
-def test_stage_binds_a_blas_node_sum_only_within_the_bound(form, past):
+def test_stage_binds_a_blas_node_sum_only_within_the_bound(form, past,
+                                                          monkeypatch):
     # np.dot's bits exactly at the bound, einsum's one node or one Z
     # point past it and on the saturating case's 33 x 641 slab
     n_node, n_z = (33, 641) if past == "saturating" else BOUND_SLABS[form]
     n_node += past == "node"
     n_z += past == "z"
-    state, _ = _products_stage("weak", -1, n_node, n_z)
+    bound = {}
+
+    def noted(weights_shape, shape):
+        bound[shape] = node_product(weights_shape, shape)
+        return bound[shape]
+
+    monkeypatch.setattr(strongfield, "node_product", noted)
+    state, _ = _products_stage("weak" if form == "table" else "strong", -1,
+                               n_node, n_z)
     rng = np.random.default_rng(n_node * n_z)
     x = rng.standard_normal((n_node, n_z))
     if form != "real":
         x = x + 1j * rng.standard_normal(x.shape)
+    parts = x.view(np.float64)
     if form == "table":
         weights = rng.standard_normal((4, n_node)) / n_node
         got = state.table_sum(weights, x)
+        assert got.dtype == x.dtype
+        got = got.view(np.float64)
     else:
-        weights = state.ensemble.weights
-        got = (state.real_sum if form == "real"
-               else state.complex_sum)(weights, x)
-    parts = x.view(np.float64)
+        weights = state.kernel_weights
+        got = np.empty(parts.shape[1])
+        bound[parts.shape](weights, parts, out=got)
     dot = np.dot(weights, parts)
     einsum = np.einsum("kj,jz->kz" if form == "table" else "j,jz->z",
                        weights, parts)
     assert not np.array_equal(dot, einsum)
-    assert got.dtype == x.dtype
-    assert np.array_equal(got.view(np.float64),
-                          dot if past == "at" else einsum)
+    assert np.array_equal(got, dot if past == "at" else einsum)
 
 
 @pytest.mark.parametrize("n_z", [DENSE_QUADRATURE_MAX,
                                  DENSE_QUADRATURE_MAX + 1, 641])
 def test_stage_binds_the_dense_quadrature_only_within_the_bound(n_z):
-    # the weights' product on the row's (n, 2) parts up to
-    # DENSE_QUADRATURE_MAX points, cumulative_integral past it
+    # in either direction, the product of the weights, or of the flipped
+    # weights, with the row's (n, 2) parts up to DENSE_QUADRATURE_MAX
+    # points, cumulative_integral past it
     state, _ = _products_stage("strong", -1, 3, n_z)
     quadrature = state.quadrature
     rng = np.random.default_rng(n_z)
     y = rng.standard_normal(n_z) + 1j * rng.standard_normal(n_z)
-    got = quadrature.complex_row(y)
-    banded = cumulative_integral(y, quadrature.dx)
-    assert got.shape == y.shape and got.dtype == y.dtype
-    if n_z > DENSE_QUADRATURE_MAX:
-        assert quadrature.weights is None
-        assert np.array_equal(got, banded)
-        return
-    dense = np.dot(quadrature.weights,
-                   y.view(np.float64).reshape(n_z, 2)).view(complex).ravel()
-    assert not np.array_equal(dense, banded)
-    assert np.array_equal(got, dense)
+    parts = y.view(np.float64).reshape(n_z, 2)
+    for sign in (+1, -1):
+        got = np.empty_like(y)
+        quadrature.directed(sign)(parts, got.view(np.float64).reshape(n_z, 2))
+        banded = cumulative_integral(y[::sign], quadrature.dx)[::sign]
+        if n_z > DENSE_QUADRATURE_MAX:
+            assert quadrature.weights is None
+            assert np.array_equal(got, banded)
+            continue
+        weights = np.ascontiguousarray(quadrature.weights[::sign, ::sign])
+        dense = np.dot(weights, parts).view(complex).ravel()
+        assert not np.array_equal(dense, banded)
+        assert np.array_equal(got, dense)
 
 
 # calls one plateau step may make, as sys.setprofile reports them:
