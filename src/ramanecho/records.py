@@ -164,7 +164,8 @@ def write_envelope_csv(path: str, tau, envelope) -> None:
     im_zeta)."""
     tau = np.asarray(tau, dtype=float)
     env = np.asarray(envelope, dtype=complex)
+    # one format per row on Python floats; 0 is fmt_float(0.0)
     lines = ["tau,z,re_zeta,im_zeta"] + [
-        ",".join(map(fmt_float, (t, 0.0, v.real, v.imag)))
-        for t, v in zip(tau, env)]
+        f"{t:.17g},0,{re:.17g},{im:.17g}" for t, re, im in
+        zip(tau.tolist(), env.real.tolist(), env.imag.tolist())]
     write_text_atomic(path, "\n".join(lines) + "\n")

@@ -416,10 +416,11 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
 
     ensemble is the stage-1 node table the caller stored with: one whose
     node detunings or weights differ from the stored state's is refused,
-    as is a retrieval grid on another Z axis.  The dark interval adds the
-    free phase exp(-i d21 protocol.gap_time) with the detunings as seen
-    before any inversion, while the populations stay frozen; a gap_time
-    whose phase overflows is refused by name, before any numpy warning.
+    as is a retrieval grid whose Z axis differs from the stored one in
+    any bit.  The dark interval adds the free phase exp(-i d21
+    protocol.gap_time) with the detunings as seen before any inversion,
+    while the populations stay frozen; a gap_time whose phase overflows
+    is refused by name, before any numpy warning.
     Returns a copy of the stored r12 and the stage-2 node table,
     protocol.recall_ensemble of the stored one.
     """
@@ -428,8 +429,7 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
                for name in ("delta21s", "delta31s", "weights")):
         raise ValidationError(
             "ensemble does not match the stored state's node table")
-    z = stored.grid.z()
-    if z.shape != (grid2.n_z,) or not np.allclose(z, grid2.z()):
+    if not np.array_equal(stored.grid.z(), grid2.z()):
         raise ValidationError(
             "retrieval grid does not match the stored state's Z axis")
     phase = protocol.dark_phase(ensemble)

@@ -31,15 +31,19 @@ one row across Z.  field_row therefore takes the node-summed kernel
 B~12, and a step's (node x Z) work is two kernels, in a workspace held
 for the stage: one product of a (4, n_node) table for its node sums, by
 the rule of numerics.weighted_node_sum (a BLAS product only within the
-size that OpenBLAS keeps on one thread), and one BLAS product of inner
-dimension 3 for the new coherences (see advance_weak).  The state
-chooses its node sums' products and its quadrature's form for a row
-once, from its shapes (stages.StageState), and the step calls them
-directly.  So no bit of a weak stage depends on the BLAS thread count.
-A short slab's rotation column is full-shape (StageState.step_factors).
-On every slab the table sum and the Z integral write into rows held for
-the stage, retrieval integrating backward from the far face with no
-flip (_field_integral).
+size that OpenBLAS keeps on one thread), and one product U R for the new
+coherences (see advance_weak).  U R takes one of two forms by the same
+rule: within the bound one real gemm of [Re U, Im U] on the parts of
+[R; i R], above it a complex matmul of inner dimension 3, whose every
+output is the same three-term sum however OpenBLAS splits it.  The
+state chooses its node sums' products, its update's form and its
+quadrature's form for a row once, from its shapes (stages.StageState),
+and the step calls them directly.  So no bit of a weak stage depends on
+the BLAS thread count.  A short slab's rotation column is full-shape
+(StageState.step_factors).  On every slab a step writes its kernels,
+its field rows, R and the table sum into rows the state made with
+itself, and the Z integral into one more, retrieval integrating
+backward from the far face with no flip (_field_integral).
 """
 
 from __future__ import annotations
@@ -60,7 +64,13 @@ from .core import (
     WEAK_AMPLITUDE_RATIO,
 )
 from .errors import NonFiniteField, WeakFieldViolation
-from .numerics import _FLOAT, _PARTS, node_product, weighted_node_sum
+from .numerics import (
+    _FLOAT,
+    _PARTS,
+    node_product,
+    one_thread_product,
+    weighted_node_sum,
+)
 from . import stages
 from .records import EchoRecord, envelope_from_scaled
 
@@ -78,19 +88,42 @@ class WeakState(stages.StageState):
     checks price the probe Stark shift against.  table_sum is the product
     of a step's (4, n_node) node-sum table against the coherences, chosen
     once from the state's shapes (see stages.StageState); it writes the
-    sums into one (4, n_z) array held for the stage, which the next call
-    overwrites.
+    sums into one (4, n_z) array held for the stage, which the step and
+    the next call overwrite.
+
+    The complex rows of a step are made with the state: kernel, the
+    node-summed kernel a step's field rows integrate, read through the
+    (n_z, 2) parts view held with it (_field_integral); scratch, one more
+    row; and the (6, n_z) block [R; i R] of the update, whose rows 0-2
+    are R = [row1; row2 + row3; row4] and rows 3-5 i R, read through its
+    float64 view.  rows holds the block's views a step writes and reads:
+    R's three rows, then R.  _update writes the update U R by the form
+    chosen from the state's shape (_update_product), and real_update says
+    which form it is.  No closure held here captures the state, so a
+    finished stage is freed by reference counting alone.
     """
 
     bandwidth: float
     table_sum: Callable = field(init=False, repr=False, compare=False)
+    kernel: np.ndarray = field(init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: tuple = field(init=False, repr=False, compare=False)
+    real_update: bool = field(init=False, repr=False, compare=False)
     # the Z integral on operands made for this state alone (_field_integral)
     _integrate: Callable = field(init=False, repr=False, compare=False)
+    _update: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
+        n_node, n_z = self.r12.shape
+        self.kernel, self.scratch = (np.empty(n_z, dtype=complex)
+                                     for _ in range(2))
+        block = np.empty((6, n_z), dtype=complex)
+        self.rows = (*block[:3], block[:3])
+        self.real_update = one_thread_product(n_node, 6, 2 * n_z)
         self.table_sum = _table_sum(self)
         self._integrate = _field_integral(self)
+        self._update = _update_product(block, self.real_update)
 
     def first_row(self) -> np.ndarray:
         """Row 0 from the current coherences at the table's first stage
@@ -108,13 +141,15 @@ class WeakState(stages.StageState):
 
     def build_factors(self, df_half: float, df_full: float) -> tuple:
         """The step factors of the state's ensemble, dt and drive sign for
-        the control integrals df_half and df_full (_step_factors)."""
+        the control integrals df_half and df_full, with the update table
+        in the state's form (_step_factors)."""
         return _step_factors(self.ensemble, self.table.dt,
-                             float(self.drive_sign), df_half, df_full)
+                             float(self.drive_sign), self.real_update,
+                             df_half, df_full)
 
-    def workspace(self) -> tuple:
+    def workspace(self) -> list:
         """The buffers a step writes: two complex (n_node, n_z) arrays,
-        for rf p and the update product, and the complex (3, n_z) rows R.
+        for rf p and the update product.
 
         Allocated at first use and held until stages.march drops them at
         the stage end, as the strong step's are.  The list is mutable: a
@@ -122,9 +157,8 @@ class WeakState(stages.StageState):
         takes the old ones in its place.
         """
         if self._work is None:
-            shape = self.r12.shape
-            self._work = ([np.empty(shape, dtype=complex) for _ in range(2)],
-                          np.empty((3, shape[1]), dtype=complex))
+            self._work = [np.empty(self.r12.shape, dtype=complex)
+                          for _ in range(2)]
         return self._work
 
 
@@ -152,37 +186,76 @@ def _field_integral(state: WeakState) -> Callable:
 
     Storage integrates from the input face, retrieval from the far face,
     by the quadrature's integrator in the stage's direction
-    (CumulativeQuadrature.directed), so no row is flipped or copied.  It
-    writes into the float64 parts of one row held for the stage, which it
+    (CumulativeQuadrature.directed), so no row is flipped or copied.  The
+    state's own kernel row is read through the parts view held with it,
+    any other C-contiguous row through a view of its own.  It writes
+    into the float64 parts of one row held for the stage, which it
     returns and the next call overwrites.
     """
     integral_dot = state.quadrature.directed(state.drive_sign)
     integral = np.empty(state.r12.shape[1], dtype=complex)
     parts = integral.view(_PARTS)
+    kernel = state.kernel
+    kernel_parts = kernel.view(_PARTS)
 
     def integrate(b12: np.ndarray) -> np.ndarray:
-        integral_dot(b12.view(_PARTS), parts)
+        integral_dot(kernel_parts if b12 is kernel else b12.view(_PARTS),
+                     parts)
         return integral
 
     return integrate
 
 
+def _update_product(block: np.ndarray, real: bool) -> Callable:
+    """The update U R of a step, update(table, out), for the (6, n_z)
+    block [R; i R] of a state, written into the complex (n_node, n_z)
+    out.
+
+    real (within one_thread_product's bound for an (n_node, 6) by (6, 2
+    n_z) product) takes the real (n_node, 6) table [Re U, Im U], fills
+    i R from R and writes one real gemm on the block's float64 parts:
+    [Re U, Im U] [R; i R] = U R, since a real factor scales both parts of
+    a complex entry.  Otherwise it takes the complex (n_node, 3) U and
+    writes the complex matmul U R: of inner dimension 3, so however
+    OpenBLAS splits it across threads, every output is the same
+    three-term sum.  The real gemm is not: at 129 x 1025 OpenBLAS 0.3.31
+    gives other bits on two threads, from the kernel it runs at the edge
+    of a thread's block.
+    """
+    head = block[:3]
+    if not real:
+        def update(table: np.ndarray, out: np.ndarray) -> None:
+            np.matmul(table, head, out=out)
+        return update
+    tail, parts = block[3:], block.view(_FLOAT)
+
+    def update(table: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(head, 1j, out=tail)
+        table.dot(parts, out=out.view(_FLOAT))
+
+    return update
+
+
 def field_row(state: WeakState, s: float, b12: np.ndarray,
-              sampled: tuple) -> np.ndarray:
+              sampled: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Tilde field across the slab at time s, given the kernel B~12.
 
     b12 is the node-summed coherence sum_j w_j R~12_j at every Z, a
-    C-contiguous row.  Storage integrates the source from the input face;
-    retrieval from the far face (zero incoming echo), emitting toward Z =
-    0, both on the operands the state made once (_field_integral).
-    sampled is the pair (f(s), boundary value) of a stage table row.
+    C-contiguous row: a step passes the state's kernel row, which is
+    integrated through the parts view held with it.  Storage integrates
+    the source from the input face; retrieval from the far face (zero
+    incoming echo), emitting toward Z = 0, both on the operands the state
+    made once (_field_integral).  sampled is the pair (f(s), boundary
+    value) of a stage table row.  The row is written into out, a
+    complex (n_z,) row, or into a fresh row when out is None; either has
+    the same bits.
     """
     f_s, incoming = sampled
     gain = 0.5 * state.medium.coupling_beta * f_s
-    integral = state._integrate(b12)
+    out = np.multiply(state._integrate(b12), gain, out=out)
     if state.drive_sign > 0:
-        return incoming - gain * integral
-    return incoming + gain * integral
+        return np.subtract(incoming, out, out=out)
+    return np.add(incoming, out, out=out)
 
 
 def advance_weak(state: WeakState) -> WeakState:
@@ -208,41 +281,43 @@ def advance_weak(state: WeakState) -> WeakState:
     real and imaginary parts, which gives S_re and S_im of each sum, P =
     S_re + i S_im: a gemm while OpenBLAS keeps one of that size on one
     thread (every shipped scenario), einsum's own loop above it.  The new
-    coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 +
-    k4)) are rf p + U R, with U = rf [(dt/6) d, (dt/3) dh, (dt/6) df]
-    the (n_node, 3) update table and R = [row1; row2 + row3; row4]: a
-    BLAS product, but a complex one of inner dimension 3, so however
-    OpenBLAS splits it across threads, every output is the same
-    three-term sum and its bits do not depend on the thread count.  (The
-    same product as a real gemm, [Re U, Im U] times the interleaved
-    parts of [R; i R], is no faster and does depend on it: at 129 x 1025
-    OpenBLAS 0.3.31 gives other bits on two threads, from the kernel it
-    runs at the edge of a thread's block.)  The kernel of the
-    row recorded at the new clock follows from the same linearity.  k1
-    reuses the recorded row, which was solved from the current
-    coherences.  Rows, rotations and the step dt read the stage table.
-    The rotations, the tables and the node-weight scalars depend on the
-    control only through the step's integrals df_half and df_full, so
-    they are rebuilt only when the pair differs from the previous step's
-    and reused while it repeats, as on a flat-top plateau.  rf p, U R
-    and R are written into the state's workspace.  The probe Stark shift
-    is priced against the state's bandwidth.  The field rows are checked
-    once per step, on the recorded row: a non-finite k2, k3 or k4 row
-    reaches it through its kernel, since 0 x NaN is NaN.
+    coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 + k4)) are rf p + U R,
+    with U = rf [(dt/6) d, (dt/3) dh, (dt/6) df] the (n_node, 3) update
+    table and R = [row1; row2 + row3; row4], in the form the state chose
+    from its shape (_update_product): a real gemm of [Re U, Im U] on
+    [R; i R] within one_thread_product's bound (every shipped scenario),
+    the complex matmul U R above it.  The kernel of the row recorded at
+    the new clock follows from the same linearity, P_f plus one product
+    of its (3,) coefficients with R.  k1 reuses the recorded row, which
+    was solved from the current coherences.  Rows, rotations and the
+    step dt read the stage table.  The rotations, the tables and the
+    node-weight scalars depend on the control only through the step's
+    integrals df_half and df_full, so they are rebuilt only when the
+    pair differs from the previous step's and reused while it repeats,
+    as on a flat-top plateau.  rf p and U R are written into the state's
+    workspace.  The stage kernels and the field rows go into the rows the
+    state holds: each kernel into its kernel row, row2 into R[1], row3
+    into the scratch row and row4 into R[2], then row1 into R[0] and row3
+    added to R[1]; the recorded row is solved into the scratch row.  The
+    probe Stark shift is priced against the state's bandwidth.  The field
+    rows are checked once per step, on the recorded row: a non-finite
+    k2, k3 or k4 row reaches it through its kernel, since 0 x NaN is NaN.
     """
     table = state.table
     times, om2, sampled, df_half, df_full = table.row(state.step_index)
-    (rot_full, sum_table, update, kernel2, kernel3, kernel4, record1,
-     record23, record4) = state.step_factors(df_half, df_full)
-    buffers, rows = state.workspace()
+    (rot_full, sum_table, update, kernel2, kernel3, kernel4,
+     record_coefs) = state.step_factors(df_half, df_full)
+    buffers = state.workspace()
     p, rotated, product = state.r12, *buffers
-    # S_re and S_im of P_h, then of P_f, as complex rows
-    s_re_h, s_im_h, s_re_f, s_im_f = state.table_sum(sum_table, p)
-    p_half = s_re_h + 1j * s_im_h
-    p_full = s_re_f + 1j * s_im_f
-
-    def row_at(k, b12):
-        return field_row(state, times[k], b12, sampled[k])
+    kernel, row3 = state.kernel, state.scratch
+    r1, r23, r4, rows = state.rows
+    # S_re and S_im of P_h, then of P_f, as complex rows; each P is
+    # S_re + i S_im, written over its S_im row
+    s_re_h, p_half, s_re_f, p_full = state.table_sum(sum_table, p)
+    p_half *= 1j
+    p_half += s_re_h
+    p_full *= 1j
+    p_full += s_re_f
 
     row1 = state.row
     if om2[0] > 1e-9 * table.peak2:
@@ -256,20 +331,27 @@ def advance_weak(state: WeakState) -> WeakState:
                 f"probe-induced Stark shift {stark:.3g} exceeds "
                 f"{STARK_VALIDITY_FACTOR} x bandwidth at tau={times[0]:.4g}"
                 "; use the strong-field integrator")
-    row2 = row_at(1, p_half + kernel2 * row1)
-    row3 = row_at(1, p_half + kernel3 * row2)
-    row4 = row_at(2, p_full + kernel4 * row3)
+    np.multiply(kernel2, row1, out=kernel)
+    kernel += p_half
+    row2 = field_row(state, times[1], kernel, sampled[1], out=r23)
+    np.multiply(kernel3, row2, out=kernel)
+    kernel += p_half
+    field_row(state, times[1], kernel, sampled[1], out=row3)
+    np.multiply(kernel4, row3, out=kernel)
+    kernel += p_full
+    field_row(state, times[2], kernel, sampled[2], out=r4)
+    r1[...] = row1
+    r23 += row3
 
-    rows[0] = row1
-    np.add(row2, row3, out=rows[1])
-    rows[2] = row4
     np.multiply(rot_full, p, out=rotated)
-    np.matmul(update, rows, out=product)
+    state._update(update, product)
     rotated += product
     buffers[0], state.r12 = p, rotated
     state.step_index += 1
-    b12 = p_full + record1 * row1 + record23 * rows[1] + record4 * row4
-    state.record(_finite(row_at(2, b12), times[2]))
+    np.matmul(record_coefs, rows, out=kernel)
+    kernel += p_full
+    state.record(_finite(field_row(state, times[2], kernel, sampled[2],
+                                   out=row3), times[2]))
     return state
 
 
@@ -281,13 +363,15 @@ def _finite(row: np.ndarray, s: float) -> np.ndarray:
 
 
 def _step_factors(ensemble: EnsembleSpec, dt: float, drive: float,
-                  df_half: float, df_full: float) -> tuple:
+                  real_update: bool, df_half: float, df_full: float) -> tuple:
     """The per-node factors of a step with control integrals df_half and
     df_full: the rotation rf as an (n_node, 1) column, the real (4,
     n_node) node-sum table [Re w rh; Im w rh; Re w rf; Im w rf], the
-    (n_node, 3) update table rf [(dt/6) d, (dt/3) dh, (dt/6) df], then
-    the node-weight scalars of the stage kernels B(k2), B(k3), B(k4) and
-    of the recorded row's kernel (see advance_weak)."""
+    update table of U = rf [(dt/6) d, (dt/3) dh, (dt/6) df], then the
+    node-weight scalars of the stage kernels B(k2), B(k3), B(k4) and the
+    (3,) coefficients of the recorded row's kernel (see advance_weak).
+    The update table is the real (n_node, 6) [Re U, Im U] for
+    real_update, else the complex (n_node, 3) U (_update_product)."""
     d21 = ensemble.delta21s
     d31 = ensemble.delta31s
     rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * df_half))
@@ -306,10 +390,13 @@ def _step_factors(ensemble: EnsembleSpec, dt: float, drive: float,
     update = rot_full[:, None] * np.stack(
         [np.full(d21.shape, (dt / 6.0) * drive), (dt / 3.0) * drive_half,
          (dt / 6.0) * drive_full], axis=1)
+    if real_update:
+        update = np.concatenate([update.real, update.imag], axis=1)
+    record = np.array([(dt / 6.0) * drive * sum_full,
+                       (dt / 3.0) * sum_full_dh, (dt / 6.0) * sum_full_df])
     return (rot_full[:, None], sum_table, update,
             0.5 * dt * drive * sum_half, 0.5 * dt * sum_half_dh,
-            dt * sum_full_dh, (dt / 6.0) * drive * sum_full,
-            (dt / 3.0) * sum_full_dh, (dt / 6.0) * sum_full_df)
+            dt * sum_full_dh, record)
 
 
 @dataclass(frozen=True)

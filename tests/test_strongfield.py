@@ -969,13 +969,14 @@ def test_both_regimes_run_the_storage_checks(store):
     assert out.transmitted_fraction > 0.05
 
 
-@pytest.mark.parametrize("axis", ["n_z", "length"])
+@pytest.mark.parametrize("axis", ["n_z", "length", "close_length"])
 @pytest.mark.parametrize("regime", ["weak", "strong"])
 def test_recall_refuses_another_z_axis_before_any_step(regime, axis,
                                                        monkeypatch):
     # the recall stage continues the stored coherences on the stored Z
     # axis: a retrieval grid with another point count or slab length is
-    # refused before the recall stage solves a row or takes a step
+    # refused before the recall stage solves a row or takes a step, also
+    # a length within np.allclose's default rtol of 1e-5 of the stored one
     ens, ctl, _, med, grid = _cheap_setup()
     if regime == "strong":
         module, retrieve = strongfield, run_retrieval
@@ -990,7 +991,9 @@ def test_recall_refuses_another_z_axis_before_any_step(regime, axis,
 
     for name in ("field_row", f"advance_{regime}"):
         monkeypatch.setattr(module, name, refused)
-    other = {"n_z": 2 * grid.n_z - 1} if axis == "n_z" else {"length": 2.0}
+    other = {"n_z": {"n_z": 2 * grid.n_z - 1}, "length": {"length": 2.0},
+             "close_length": {"length": 1.000009}}[axis]
+    assert grid.length == 1.0
     grid2 = Grid(**{"n_tau": grid.n_tau, "n_z": grid.n_z,
                     "t_end": grid.t_end, "length": grid.length, **other})
     protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0)

@@ -1,10 +1,12 @@
 """Linear-regime integrator and frequency-domain oracle tests."""
 
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -656,13 +658,33 @@ def test_full_shape_columns_step_a_short_slab_as_node_columns(
     assert np.max(np.abs(state.faces)) > 1e-3
 
 
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_a_stepped_stage_is_freed_by_reference_counting(regime):
+    # the closures a state holds capture its buffers, never the state, so
+    # dropping the last reference frees it; a state in a reference cycle
+    # would wait for the cycle collector, and every stage with it
+    state, advance = _products_stage(regime, +1)
+    stages.march(state, advance)
+    freed = weakref.ref(state)
+    gc.disable()
+    try:
+        del state
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 # (n_node, n_z) of a stage whose node sum is exactly at
 # one_thread_product's bound: the strong solve's (n_node,) kernel weights
 # against the real Bloch z-components, m n = 36 x 128 =
 # GEMV_ONE_THREAD_MAX, and against the complex coherences' interleaved
 # parts, 36 x (2 x 64), and the weak step's (4, n_node) table against
-# them, m n k = 4 x 128 x 256 = GEMM_ONE_THREAD_MAX
-BOUND_SLABS = {"real": (36, 128), "complex": (36, 64), "table": (128, 128)}
+# them, m n k = 4 x 128 x 256 = GEMM_ONE_THREAD_MAX.  The weak update's
+# real gemm, (n_node, 6) by (6, 2 n_z), has m n k = 12 n_node n_z, which
+# is never exactly 131,072: at 86 x 127 it is 131,064, and one more node
+# or Z point takes it past
+BOUND_SLABS = {"real": (36, 128), "complex": (36, 64), "table": (128, 128),
+               "update": (86, 127)}
 
 
 @pytest.mark.parametrize("past", ["at", "node", "z", "saturating"])
@@ -670,7 +692,9 @@ BOUND_SLABS = {"real": (36, 128), "complex": (36, 64), "table": (128, 128)}
 def test_stage_binds_a_blas_node_sum_only_within_the_bound(form, past,
                                                           monkeypatch):
     # np.dot's bits exactly at the bound, einsum's one node or one Z
-    # point past it and on the saturating case's 33 x 641 slab
+    # point past it and on the saturating case's 33 x 641 slab; for the
+    # weak update, the real gemm at the bound and the complex matmul of
+    # inner dimension 3 past it
     n_node, n_z = (33, 641) if past == "saturating" else BOUND_SLABS[form]
     n_node += past == "node"
     n_z += past == "z"
@@ -681,9 +705,29 @@ def test_stage_binds_a_blas_node_sum_only_within_the_bound(form, past,
         return bound[shape]
 
     monkeypatch.setattr(strongfield, "node_product", noted)
-    state, _ = _products_stage("weak" if form == "table" else "strong", -1,
-                               n_node, n_z)
+    state, _ = _products_stage(
+        "weak" if form in ("table", "update") else "strong", -1, n_node,
+        n_z)
     rng = np.random.default_rng(n_node * n_z)
+    if form == "update":
+        # the step factors carry the update table in the state's form
+        assert state.real_update == (past == "at")
+        built = state.build_factors(*state.table.row(0)[3:])[2]
+        assert (built.shape, built.dtype) == (
+            ((n_node, 6), np.float64) if past == "at"
+            else ((n_node, 3), np.complex128))
+        u, r = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in ((n_node, 3), (3, n_z)))
+        table = np.concatenate([u.real, u.imag], axis=1)
+        state.rows[-1][...] = r
+        got = np.empty((n_node, n_z), dtype=complex)
+        state._update(table if state.real_update else u, got)
+        dot = np.dot(table, np.concatenate([r, 1j * r]).view(np.float64))
+        matmul = np.matmul(u, r)
+        assert not np.array_equal(dot.view(complex), matmul)
+        assert np.array_equal(got, dot.view(complex) if past == "at"
+                              else matmul)
+        return
     x = rng.standard_normal((n_node, n_z))
     if form != "real":
         x = x + 1j * rng.standard_normal(x.shape)
@@ -732,14 +776,18 @@ def test_stage_binds_the_dense_quadrature_only_within_the_bound(n_z):
 # calls one plateau step may make, as sys.setprofile reports them:
 # Python frames, and C-level calls of builtin functions and methods
 # (ufuncs and operators are not reported).  Python 3.11 with numpy 2.4.6
-# counts (28, 28) on recrib_strong's 17 x 17 storage stage and (19, 13)
+# counts (28, 28) on recrib_strong's 17 x 17 storage stage and (16, 11)
 # on recrib_ideal's 65 x 65.  The bounds leave 3-6 calls for numpy
 # versions whose dispatch wrappers add a frame or two
-STEP_CALL_BUDGET = {"recrib_strong": (33, 34), "recrib_ideal": (22, 17)}
+STEP_CALL_BUDGET = {"recrib_strong": (33, 34), "recrib_ideal": (19, 15)}
 # ndarray.view calls a strong plateau step may make: one per field row,
 # the coherences' float64 parts for their node sum; every other operand
 # and result of its products is viewed once per stage
 STRONG_STEP_VIEWS = 4
+# and a weak one: the coherences' float64 parts for the table sum, and
+# the update product's for the real gemm; its field rows integrate the
+# kernel row through the parts view held with it
+WEAK_STEP_VIEWS = 2
 
 
 def _step_calls(state, advance):
@@ -782,8 +830,8 @@ def test_a_plateau_step_keeps_its_call_budget(name):
     python, c_level, views = _step_calls(state, advance)
     max_python, max_c_level = STEP_CALL_BUDGET[name]
     assert python <= max_python and c_level <= max_c_level, (python, c_level)
-    if scenario.run.regime == "strong":
-        assert views <= STRONG_STEP_VIEWS, views
+    assert views <= (STRONG_STEP_VIEWS if scenario.run.regime == "strong"
+                     else WEAK_STEP_VIEWS), views
 
 
 # ---------------------------------------------------------------------------
