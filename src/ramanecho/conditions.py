@@ -17,11 +17,13 @@ stage carries a clock_offset mapping its local time to that shared clock.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlProfile, EnsembleSpec, ProbeSpec, require_finite
+from .core import (ControlProfile, EnsembleSpec, ProbeSpec, require_finite,
+                   require_integer)
 from .errors import NonCausalEcho, ValidationError
 
 ALGEBRAIC_TOL = 1e-9
@@ -149,6 +151,7 @@ class ProtocolConfig:
 
     def __post_init__(self):
         require_finite(self, "t1", "t2", "gap_time")
+        require_integer(self, "k")
         if self.protocol not in ("recrib", "reafc"):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "reafc" and self.k < 1:
@@ -381,7 +384,7 @@ def echo_time_afc(f1: float, f2: float, t1: float, delta_comb: float,
         raise ValidationError("f2 must be > 0")
     if delta_comb <= 0:
         raise ValidationError("delta_comb must be > 0")
-    if k < 1 or int(k) != k:
+    if not isinstance(k, numbers.Integral) or k < 1:
         raise ValidationError("k must be an integer >= 1")
     try:
         rephasing = 2.0 * math.pi * k / delta_comb

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -59,6 +60,15 @@ def require_finite_arguments(**values) -> None:
     for name, value in values.items():
         if value is not None and not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def require_integer(obj, *names: str) -> None:
+    """Refuse any of the named fields that is not an integer, such as 3.5
+    or nan."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +239,7 @@ def build_gaussian_ensemble(width: float, n_nodes: int,
     degenerate delta-distribution limit.  A non-zero width_21 builds the
     tensor product with a Gaussian d21 distribution on n_nodes_21 nodes.
     """
+    require_finite_arguments(width=width, width_21=width_21)
     if width <= 0:
         raise NonPositiveWidth(f"width must be > 0, got {width}")
     if n_nodes != 1 and n_nodes < 3:
@@ -271,8 +282,12 @@ def build_comb_ensemble(spacing: float, tooth_width: float, n_lines: int,
     quadrature; tooth weights follow a Gaussian envelope of std
     envelope_width (inf = flat).
     """
+    require_finite_arguments(spacing=spacing, tooth_width=tooth_width)
     if spacing <= 0 or tooth_width <= 0:
         raise NonPositiveWidth("spacing and tooth_width must be > 0")
+    if not envelope_width > 0:
+        raise NonPositiveWidth(
+            f"envelope_width must be > 0, got {envelope_width!r}")
     if n_lines % 2 == 0:
         raise EvenLineCount(f"n_lines must be odd, got {n_lines}")
     if n_lines < 3:
@@ -462,6 +477,7 @@ class Grid:
 
     def __post_init__(self):
         require_finite(self, "t_end", "length")
+        require_integer(self, "n_tau", "n_z")
         if self.n_tau < 2 or self.n_z < 2:
             raise ValidationError("n_tau and n_z must be >= 2")
         if self.t_end <= 0 or self.length <= 0:

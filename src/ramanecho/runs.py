@@ -23,8 +23,8 @@ from .errors import ConditionsUnmet
 from .numerics import fmt_float, write_text_atomic
 from .records import EchoRecord, measure_efficiency, write_envelope_csv
 from .scenario import Scenario, build_grids, stage_setups
-from .strongfield import run_retrieval, run_storage
-from .weakfield import recall_weak, run_weak_storage
+from .strongfield import SimulationState
+from .weakfield import WeakState
 
 
 def _check(scenario: Scenario, stage1, stage2,
@@ -82,14 +82,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
     if scenario.protocol.strict and not report.overall:
         raise ConditionsUnmet("strict mode: conditions failed: "
                               + ", ".join(report.failing_ids()))
-    # looked up at call time, so that a test can replace a driver here
-    store, recall = ((run_storage, run_retrieval)
-                     if scenario.run.regime == "strong"
-                     else (run_weak_storage, recall_weak))
-    out = store(probe, ctl1, ens, med, grid1)
-    record = recall(
-        out.state, ctl2, proto, ens, med, grid2,
-        tau_input=out.tau, input_envelope=out.input_envelope,
+    regime = SimulationState if scenario.run.regime == "strong" else WeakState
+    out = regime.store(probe, ctl1, ens, med, grid1)
+    record = out.state.retrieve(
+        ctl2, proto, ens, med, grid2, tau_input=out.tau,
+        input_envelope=out.input_envelope,
         transmitted_fraction=out.transmitted_fraction)
     efficiency, fidelity = measure_efficiency(record)
     return RunResult(scenario=scenario, report=report, record=record,

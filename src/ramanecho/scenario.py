@@ -318,10 +318,15 @@ def dump_scenario(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 def _squarable(section: str, key: str, value: float) -> float:
-    """value, refused by key when the model's square of it overflows."""
-    if not math.isfinite(value * value):
+    """value, refused by key when the model's square of it overflows, or
+    underflows to 0 while value is not 0 (the model divides by it)."""
+    square = value * value
+    if not math.isfinite(square):
         raise ValidationError(f"[{section}] {key} = {value!r} overflows "
                               "a float when squared")
+    if square == 0 and value != 0:
+        raise ValidationError(f"[{section}] {key} = {value!r} underflows "
+                              "to 0 when squared")
     return value
 
 

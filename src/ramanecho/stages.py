@@ -1,38 +1,29 @@
-"""Stage orchestration shared by the weak- and strong-field drivers.
+"""The stage lifecycle, written once for both regimes.
 
 Both regimes store a probe in the slab and recall it as a backward echo,
-and they differ only in their equations.  What the drivers do alike
-lives here once: the stage state with its Z quadrature, the stage table
-of what the steps read that does not depend on the atoms, its rows
-converted to Python numbers a block of steps at a time, the storage
-checks, stepping a stage, the reuse of each step's per-node factors
-while the control's step integrals repeat, the photon-flux audits of
-storage and retrieval, the handover of the stored coherences to the
-recall stage (node-table and Z-axis checks, the dark-interval phase over
-the protocol's gap_time, RECRIB node inversion) and the echo record.
+and they differ only in their equations.  StageState.store checks the
+storage premises, steps the storage stage and audits its photons;
+StageState.retrieve hands the stored coherences over to the recall stage
+(node-table and Z-axis checks, the dark-interval phase over the
+protocol's gap_time, RECRIB node inversion), steps it, audits it and
+records the echo.  The stage table of what the steps read that does not
+depend on the atoms, its rows converted to Python numbers a block of
+steps at a time, and the reuse of each step's per-node factors while the
+control's step integrals repeat live here too.
 
 Each regime's state is a StageState: weakfield.WeakState and
-strongfield.SimulationState add their own atomic variables, a
-first_row() (their field row at the table's row-0 values) and an
-excitation() profile across the slab.  A state is complete when made:
-fresh builds its table from clock 0, records row 0 and keeps the grid,
+strongfield.SimulationState add their own atomic variables and supply
+their equations (see StageState).  A state is complete when made: fresh
+builds its table from clock 0, records row 0 and keeps the grid,
 ensemble, control and medium, which every step, field row, audit and
-recall reads from the state alone.  So every row of a stage comes from
-the one table and the one set of stage inputs.  Of the field, a state
-keeps the current row, which the next step starts from, and the trace
-of its two faces over the stage, which is all the audits and the echo
-read; march drops the buffers a regime's step holds when the stage
-ends, or when a step raises.  march also steps a long slab with numpy's
-ufunc buffer at STEP_BUFFER elements, so that a broadcast product's
-chunk of each operand stays in the L1 data cache, and restores the
-caller's size afterwards.  A short slab, a row of fewer than _LONG_ROW
-points, keeps numpy's default buffer, but a product with a broadcast
-operand still runs one inner loop per node row, since numpy cannot
-merge a broadcast axis: so its step columns are repeated to the full
-(node, Z) shape once per build (StageState.step_factors).  Elementwise
-ufuncs give the same bits at any buffer size and for either form of a
-column.  Every slab, short or long, solves its field rows on operands
-its state made once.
+recall reads from the state alone.  Of the field, a state keeps the
+current row, which the next step starts from, and the trace of its two
+faces over the stage, which is all the audits and the echo read.  march
+steps a stage and drops the buffers a regime's step holds when it ends.
+It steps a long slab under a small ufunc buffer, and a short slab steps
+on full-shape columns (StageState.step_factors); every slab solves its
+field rows on operands its state made once, and no bit depends on the
+buffer or on the form of a column.
 """
 
 from __future__ import annotations
@@ -118,7 +109,12 @@ class StageState:
     Z = L.  quadrature is the cumulative integral on the grid's Z axis,
     and table is the stage's StageTable.  A subclass supplies
     first_row(), its regime's field row at the table's row-0 values, and
-    build_factors(df_half, df_full), its per-node step factors.
+    build_factors(df_half, df_full), its per-node step factors; and for
+    store and retrieve, its stage at clock 0 for storage (storage_stage)
+    and for recall from the handed-over r12 (recall_stage), its input
+    record at Z = 0 (input_record), its step function (stepper, the
+    module's own, looked up once per stage) and, where its variables
+    carry the stage-2 Stark phase, echo_phase().
 
     Each regime solves its field rows on operands it makes once, with
     the state, for every slab length: node products chosen from its
@@ -213,6 +209,64 @@ class StageState:
                     table=StageTable.build(control, grid, boundary), **own)
         state.record(state.first_row())
         return state
+
+    @classmethod
+    def store(cls, probe, control, ensemble, medium, grid) -> StorageOutcome:
+        """Check, step and audit the storage stage of probe in this regime.
+
+        The stage at clock 0 and the input record at Z = 0 are the
+        regime's (storage_stage, input_record); its step is stepper()."""
+        check_storage(probe, control, grid)
+        state = cls.storage_stage(probe, control, ensemble, medium, grid)
+        march(state, state.stepper())
+        return audit_storage(state, state.input_record(probe))
+
+    def retrieve(self, control2, protocol: ProtocolConfig, ensemble, medium,
+                 grid2, tau_input: np.ndarray, input_envelope: np.ndarray,
+                 transmitted_fraction: float = math.nan) -> EchoRecord:
+        """Recall the echo from this stored state, in its own regime.
+
+        ensemble is the stage-1 node table, which hand_over refuses unless
+        it is the stored one.  The recall stage prices the probe bandwidth
+        as the inverse span of tau_input.  The photons emitted at Z = 0
+        must match the excitation the ensemble released; the residual is
+        relative to what it held when recall began, and goes to the
+        record's extras with the final state.  The echo is the physical
+        envelope at Z = 0, dressed by exp(-i echo_phase()) when the
+        regime's variables carry the stage-2 Stark phase.
+        """
+        r12, ensemble2 = hand_over(self, protocol, ensemble, grid2)
+        span = float(tau_input[-1] - tau_input[0])
+        bandwidth = max(1.0 / max(span, 1e-300), 1e-12)
+        state = self.recall_stage(r12, protocol, control2, ensemble2, medium,
+                                  grid2, bandwidth)
+        held = _held_excitation(state)
+        march(state, state.stepper())
+        tau2 = state.grid.tau()
+        flux = flux_weights(state.control, state.medium, tau2)
+        emitted = float(np.trapezoid(
+            flux * np.abs(state.faces[:, 0]) ** 2, tau2))
+        released = held - _held_excitation(state)
+        echo = envelope_from_scaled(state.faces[:, 0], state.control, tau2)
+        phase = state.echo_phase()
+        if phase is not None:
+            echo = echo * np.exp(-1j * phase)
+        return EchoRecord(
+            protocol=protocol.protocol,
+            tau_input=np.asarray(tau_input, dtype=float),
+            input_envelope=np.asarray(input_envelope, dtype=complex),
+            tau_echo=tau2,
+            echo_envelope=echo,
+            t1=protocol.t1,
+            t2=math.nan if protocol.t2 is None else protocol.t2,
+            transmitted_fraction=transmitted_fraction,
+            extras={"state": state,
+                    "audit_residual": abs(emitted - released)
+                    / max(held, 1e-300)},
+        )
+
+    def echo_phase(self) -> np.ndarray | None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -437,48 +491,3 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
     if protocol.gap_time > 0.0:
         r12 *= np.exp(-1j * phase)[:, None]
     return r12, protocol.recall_ensemble(ensemble)
-
-
-def recall_bandwidth(tau_input: np.ndarray) -> float:
-    """Probe bandwidth priced by the recall stage: the inverse span of the
-    input clock."""
-    span = float(tau_input[-1] - tau_input[0])
-    return max(1.0 / max(span, 1e-300), 1e-12)
-
-
-def recall(state: StageState, advance: Callable, protocol: ProtocolConfig,
-           tau_input: np.ndarray, input_envelope: np.ndarray,
-           transmitted_fraction: float,
-           stark_phase: np.ndarray | None = None) -> EchoRecord:
-    """Step the fresh recall stage by advance(state), audit it and record
-    the echo.
-
-    The photons emitted at Z = 0 must match the excitation the ensemble
-    released; the residual is relative to what it held when recall
-    began, and goes to the record's extras with the final state.  The
-    echo is the physical envelope at Z = 0, dressed by exp(-i
-    stark_phase) when the regime's variables carry the stage-2 Stark
-    phase.
-    """
-    held = _held_excitation(state)
-    march(state, advance)
-    tau2 = state.grid.tau()
-    flux = flux_weights(state.control, state.medium, tau2)
-    emitted = float(np.trapezoid(
-        flux * np.abs(state.faces[:, 0]) ** 2, tau2))
-    released = held - _held_excitation(state)
-    echo = envelope_from_scaled(state.faces[:, 0], state.control, tau2)
-    if stark_phase is not None:
-        echo = echo * np.exp(-1j * stark_phase)
-    return EchoRecord(
-        protocol=protocol.protocol,
-        tau_input=np.asarray(tau_input, dtype=float),
-        input_envelope=np.asarray(input_envelope, dtype=complex),
-        tau_echo=tau2,
-        echo_envelope=echo,
-        t1=protocol.t1,
-        t2=math.nan if protocol.t2 is None else protocol.t2,
-        transmitted_fraction=transmitted_fraction,
-        extras={"state": state,
-                "audit_residual": abs(emitted - released) / max(held, 1e-300)},
-    )

@@ -22,52 +22,27 @@ Stark rotation Delta f is factored off.
 
 Unlike the linear module this one works in bare variables: the input
 boundary carries the physical control-induced chirp exp(+i psi), and the
-stepper is RK4-Lawson in the per-node bracket d21 - Delta c_j f: the
-bracket acts through exact rotations over the half and the full step
-(Simpson-integrated control phases), so the fast common phase cancels
-between the field and the rotation and the Runge-Kutta truncation only
-sees the slow node-spread rates.  The probe Stark term stays in the
-Runge-Kutta slope, folded into the drive: over i s_nu c_j, the
-coherence slope is G = 2 zeta (s_j + (kappa/2) conj(zeta) r12_j) with
-kappa = -s_nu Delta / |Omega|^2, which reuses the product conj(zeta)
-r12_j of the population slope.  The step is written in the lab frame:
-every stage is a rotated start value plus a per-node column times the
-slope, with the rotations, step sizes and RK weights folded into the
-columns, so no stage rotates the state into the co-rotating frame and
-back.  The field is solved across the slab by an
-integrating-factor quadrature at the k2, k3 and k4 stages of every
-Runge-Kutta step and recorded at the step end, keeping the coupled step
-4th order; k1 reuses the row recorded from the same atoms at the same
-clock, which for the first step is the row the fresh state solved.  The
-state holds that row and the field's trace at the two faces, no
-history of rows.  A step and its Bloch projection write every (node, Z)
-intermediate into the state's workspace, buffers held from its first
-step until stages.march ends the stage; allocated afresh, node arrays
-above the C library's mapping threshold would be mapped and faulted in
-again at every step.  What a broadcast product of a row or a node
-column allocates for itself is numpy's iterator buffer, which march
-keeps at stages.STEP_BUFFER elements per operand on a long slab; a
-short slab's columns are full-shape (StageState.step_factors), so each
-of their products runs as one loop.  The
-per-node constants are set once per stage in the state, and the control
-at the stage times, its Simpson integrals and the boundary values in its
-StageTable, which the fresh state builds; field_row and advance_strong
-read the stage inputs from the state alone, so a step solves its rows
-with the Delta its node columns were made from.  A step's rotations and
-folded columns depend on the control only through its Simpson
-integrals, so they are rebuilt only when those change
-(StageState.step_factors): on a flat-top plateau every step reuses them.
+stepper is RK4-Lawson in the per-node bracket d21 - Delta c_j f
+(_lawson_step): the bracket acts through exact rotations over the half
+and the full step (Simpson-integrated control phases), so the fast
+common phase cancels between the field and the rotation and the
+Runge-Kutta truncation only sees the slow node-spread rates.  The probe
+Stark term stays in the Runge-Kutta slope, folded into the drive.  The
+field is solved across the slab by an integrating-factor quadrature
+(_field_solve) at the k2, k3 and k4 stages of every step and recorded at
+the step end, keeping the coupled step 4th order; k1 reuses the row
+recorded from the same atoms at the same clock.  A step and its Bloch
+projection write every (node, Z) intermediate into the state's
+workspace, and its rotations and folded columns are rebuilt only when
+the control's step integrals change (StageState.step_factors).  The
+node sums and the Z quadrature are products the state chose once from
+its shapes, so no bit depends on the BLAS thread count.
+
 Storage integrates the field from the input face Z = 0; retrieval from
-a zero boundary at Z = L, emitting backward.  All node/Z updates are
-whole-array operations.  The ensemble sums and the Z quadrature are the
-products the state chose once, from its shapes, by the rule of
-numerics.weighted_node_sum and numerics.CumulativeQuadrature (a BLAS
-product only within the size that OpenBLAS keeps on one thread), so a
-step's field solve normalises no operand and no bit depends on the BLAS
-thread count.  Every slab solves on operands its state made once
-(_field_solve): its products write into held rows, retrieval integrates
-backward from the far face with no flip, and the phase is the real
-kernel integrated by a pre-scaled integrator.
+a zero boundary at Z = L, emitting backward.  Both run through
+stages.StageState.store and retrieve: SimulationState supplies its
+stages (with the grating map and the carried z-component at recall),
+its Stark-dressed input record, its step and the echo's Stark phase.
 """
 
 from __future__ import annotations
@@ -102,7 +77,6 @@ from .numerics import (
     weighted_node_sum,
 )
 from . import stages
-from .records import EchoRecord
 
 # Bloch excursions beyond BLOCH_EMERGENCY mean the step went unstable
 # rather than accumulated truncation, and raise
@@ -179,6 +153,50 @@ class SimulationState(stages.StageState):
                    (1j * sgn) * col, -2.0 * sgn * col),
             stark=-0.5 * sgn * delta)
 
+    @classmethod
+    def storage_stage(cls, probe, control, ensemble, medium, grid):
+        peak_zeta = WEAK_AMPLITUDE_RATIO * probe.amplitude_scale \
+            * control.peak_rabi()
+        _validate_grid(grid, ensemble, control, medium,
+                       drive_bound=peak_zeta, bandwidth=probe.spectral_width)
+        state = cls.fresh(grid, ensemble, control, medium, drive_sign=+1,
+                          boundary=ProbeBoundary(probe))
+        state.zeta_scale = peak_zeta
+        return state
+
+    def input_record(self, probe) -> np.ndarray:
+        # Stark-dressed (accumulated Stark phase removed): the raw chirp
+        # runs at Delta f rad per unit, far beyond Nyquist on any grid the
+        # solver needs, and the solver cancels it analytically anyway
+        return (WEAK_AMPLITUDE_RATIO * probe.amplitude_scale
+                * self.control.one_photon_detuning
+                * probe.sample(self.grid.tau()))
+
+    def recall_stage(self, r12, protocol, control2, ensemble2, medium, grid2,
+                     bandwidth):
+        # the mode-matching map r12 -> r12 exp(i q Z) carries the grating
+        # into the retrieval frame; the stored z-component carries over
+        q = handover_wavevector_mismatch(protocol)
+        if q != 0.0:
+            r12 *= np.exp(1j * q * self.grid.z())[None, :]
+        drive_bound = max(self.zeta_scale, 1e-300)
+        _validate_grid(grid2, ensemble2, control2, medium,
+                       drive_bound=drive_bound, bandwidth=bandwidth)
+        state = self.fresh(grid2, ensemble2, control2, medium, drive_sign=-1,
+                           r12_initial=r12, bloch_z_initial=self.bloch_z)
+        state.zeta_scale = drive_bound
+        return state
+
+    def stepper(self) -> Callable:
+        return advance_strong
+
+    def echo_phase(self) -> np.ndarray:
+        # the stage-2 accumulated Stark phase, removed from the echo as it
+        # is from the input record, so that the envelope is slow on the grid
+        return self.control.one_photon_detuning * cumulative_integral(
+            np.asarray(self.control.f(self.grid.tau()), dtype=float),
+            self.grid.dt)
+
     @property
     def r11(self) -> np.ndarray:
         """The ground population bloch_z + 1/2, a fresh array."""
@@ -206,7 +224,9 @@ class SimulationState(stages.StageState):
 
         Allocated at first use and held until stages.march drops them at
         the stage end, so the steps of a stage write their intermediates
-        into the same memory instead of fresh arrays.  The lists are
+        into the same memory instead of fresh arrays, which above the C
+        library's mapping threshold would be mapped and faulted in again
+        at every step.  The lists are
         mutable: a step hands its first complex and real buffer to the
         state as the new atoms and takes the old atoms in their place.
         """
@@ -526,31 +546,6 @@ def _validate_grid(grid: Grid, ensemble: EnsembleSpec,
     grid.validate(max_phase_rate=rate, max_coupling=coupling)
 
 
-def run_storage(probe: ProbeSpec, control: ControlProfile,
-                ensemble: EnsembleSpec, medium: MediumSpec,
-                grid: Grid) -> stages.StorageOutcome:
-    """Drive the nonlinear storage stage and account for every photon."""
-    stages.check_storage(probe, control, grid)
-    peak_zeta = WEAK_AMPLITUDE_RATIO * probe.amplitude_scale \
-        * control.peak_rabi()
-    _validate_grid(grid, ensemble, control, medium,
-                   drive_bound=peak_zeta, bandwidth=probe.spectral_width)
-
-    state = SimulationState.fresh(grid, ensemble, control, medium,
-                                  drive_sign=+1,
-                                  boundary=ProbeBoundary(probe))
-    state.zeta_scale = peak_zeta
-    stages.march(state, advance_strong)
-
-    # Stark-dressed record (accumulated Stark phase removed): the raw
-    # chirp runs at Delta f rad per unit, far beyond Nyquist on any grid
-    # the solver needs, and the solver cancels it analytically anyway
-    input_envelope = (WEAK_AMPLITUDE_RATIO * probe.amplitude_scale
-                      * control.one_photon_detuning
-                      * probe.sample(grid.tau()))
-    return stages.audit_storage(state, input_envelope)
-
-
 def handover_wavevector_mismatch(protocol: ProtocolConfig) -> float:
     """Residual grating wave number q left by the mode-matching operation.
 
@@ -566,36 +561,5 @@ def handover_wavevector_mismatch(protocol: ProtocolConfig) -> float:
         - (m.K1z - m.K2z)
 
 
-def run_retrieval(stored: SimulationState, control2: ControlProfile,
-                  protocol: ProtocolConfig, ensemble: EnsembleSpec,
-                  medium: MediumSpec, grid2: Grid,
-                  tau_input: np.ndarray, input_envelope: np.ndarray,
-                  transmitted_fraction: float = math.nan) -> EchoRecord:
-    """Retrieve the echo from a stored strong-field state.
-
-    ensemble is the stage-1 node table, which stages.hand_over refuses
-    unless it is the stored state's; it applies the dark-interval phase
-    over protocol.gap_time and the RECRIB inversion.  After it, the
-    mode-matching map r12 -> r12 exp(i q Z) carries the grating into the
-    retrieval frame.
-    """
-    r12, ensemble2 = stages.hand_over(stored, protocol, ensemble, grid2)
-    q = handover_wavevector_mismatch(protocol)
-    if q != 0.0:
-        r12 *= np.exp(1j * q * stored.grid.z())[None, :]
-    drive_bound = max(stored.zeta_scale, 1e-300)
-    _validate_grid(grid2, ensemble2, control2, medium,
-                   drive_bound=drive_bound,
-                   bandwidth=stages.recall_bandwidth(tau_input))
-
-    state = SimulationState.fresh(
-        grid2, ensemble2, control2, medium, drive_sign=-1,
-        r12_initial=r12, bloch_z_initial=stored.bloch_z)
-    state.zeta_scale = drive_bound
-    # dress the echo the same way the input record is dressed: remove the
-    # stage-2 accumulated Stark phase so the envelope is slow on the grid
-    psi2 = control2.one_photon_detuning * cumulative_integral(
-        np.asarray(control2.f(grid2.tau()), dtype=float), grid2.dt)
-    return stages.recall(state, advance_strong, protocol, tau_input,
-                         input_envelope, transmitted_fraction,
-                         stark_phase=psi2)
+run_storage = SimulationState.store
+run_retrieval = SimulationState.retrieve

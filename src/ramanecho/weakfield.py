@@ -9,52 +9,32 @@ Z-phase beta/(2 Delta) * Z factored out.  What remains is
 
 with drive sign +1 during storage and -1 during retrieval.  The field
 equation is a pure quadrature in Z (input face Z=0 for storage; zero
-boundary at Z=L with backward emission toward Z=0 for retrieval).  The
-atom equation is integrated with a 4th-order exponential scheme: each
-node's deterministic detuning phase is rotated out analytically, so only
-the smooth driven motion is stepped by Runge-Kutta.  The field is solved
-at the k2, k3 and k4 stages and recorded at the step end; k1 reuses the
-row recorded from the same coherences at the same clock, which for the
-first step is the row the fresh state solved.  The state holds only
-that row and the trace of the field at its two faces, from which the
-storage driver records the input envelope at Z = 0.  The control at the
-stage times, its Simpson integrals and the boundary values are tabulated
-once per stage, in a StageTable that the fresh state builds; field_row
-and advance_weak read the stage inputs and the signal bandwidth from the
-state alone.  The per-node rotations, drive columns and node-weight sums
-of a step depend on the control only through those integrals, so they
-are rebuilt only when the integrals change (StageState.step_factors).
+boundary at Z=L with backward emission toward Z=0 for retrieval).
 
-Because the equations are linear and every node is driven by the same
-field row, each Runge-Kutta slope is rank one: a per-node factor times
-one row across Z.  field_row therefore takes the node-summed kernel
-B~12, and a step's (node x Z) work is two kernels, in a workspace held
-for the stage: one product of a (4, n_node) table for its node sums, by
-the rule of numerics.weighted_node_sum (a BLAS product only within the
-size that OpenBLAS keeps on one thread), and one product U R for the new
-coherences (see advance_weak).  U R takes one of two forms by the same
-rule: within the bound one real gemm of [Re U, Im U] on the parts of
-[R; i R], above it a complex matmul of inner dimension 3, whose every
-output is the same three-term sum however OpenBLAS splits it.  The
-state chooses its node sums' products, its update's form and its
-quadrature's form for a row once, from its shapes (stages.StageState),
-and the step calls them directly.  So no bit of a weak stage depends on
-the BLAS thread count.  A short slab's rotation column is full-shape
-(StageState.step_factors).  On every slab a step writes its kernels,
-its field rows, R and the table sum into rows the state made with
-itself, and the Z integral into one more, retrieval integrating
-backward from the far face with no flip (_field_integral).
+The atom equation is integrated with a 4th-order exponential scheme:
+each node's deterministic detuning phase is rotated out analytically, so
+only the smooth driven motion is stepped by Runge-Kutta.  The field is
+solved at the k2, k3 and k4 stages and recorded at the step end; k1
+reuses the row recorded from the same coherences at the same clock.  The
+equations are linear and every node is driven by the same field row, so
+each Runge-Kutta slope is rank one, a per-node factor times one row
+across Z, and a step's (node x Z) work is two products: its node sums
+and its update (advance_weak).  The state chooses their forms, and its
+quadrature's, once from its shapes, so no bit of a weak stage depends on
+the BLAS thread count.
+
+Storage and recall run through stages.StageState.store and retrieve:
+WeakState supplies its stages, its input record at Z = 0 and its step,
+and no echo phase, since the tilde variables factor the Stark phase out.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .conditions import ProtocolConfig
 from .core import (
     ControlProfile,
     EnsembleSpec,
@@ -72,7 +52,7 @@ from .numerics import (
     weighted_node_sum,
 )
 from . import stages
-from .records import EchoRecord, envelope_from_scaled
+from .records import envelope_from_scaled
 
 # validity margins for the linearization
 STARK_VALIDITY_FACTOR = 0.01   # Delta |zeta|^2/|Omega|^2 <= this * d_omega
@@ -146,6 +126,28 @@ class WeakState(stages.StageState):
         return _step_factors(self.ensemble, self.table.dt,
                              float(self.drive_sign), self.real_update,
                              df_half, df_full)
+
+    @classmethod
+    def storage_stage(cls, probe, control, ensemble, medium, grid):
+        _validate_grid(grid, ensemble, control, medium, probe.spectral_width)
+        return cls.fresh(grid, ensemble, control, medium, drive_sign=+1,
+                         boundary=TildeInput(probe),
+                         bandwidth=probe.spectral_width)
+
+    def input_record(self, probe) -> np.ndarray:
+        return envelope_from_scaled(self.faces[:, 0], self.control,
+                                    self.grid.tau())
+
+    def recall_stage(self, r12, protocol, control2, ensemble2, medium, grid2,
+                     bandwidth):
+        # the tilde variables factor out the linear Z-phase, so no
+        # mode-matching map follows the handover
+        _validate_grid(grid2, ensemble2, control2, medium, bandwidth)
+        return self.fresh(grid2, ensemble2, control2, medium, drive_sign=-1,
+                          r12_initial=r12, bandwidth=bandwidth)
+
+    def stepper(self) -> Callable:
+        return advance_weak
 
     def workspace(self) -> list:
         """The buffers a step writes: two complex (n_node, n_z) arrays,
@@ -434,43 +436,5 @@ def _validate_grid(grid: Grid, ensemble: EnsembleSpec,
                   max_coupling=0.5 * medium.coupling_beta * f_peak)
 
 
-def run_weak_storage(probe: ProbeSpec, control: ControlProfile,
-                     ensemble: EnsembleSpec, medium: MediumSpec,
-                     grid: Grid) -> stages.StorageOutcome:
-    """Drive the full storage stage and account for every photon.
-
-    Returns the frozen state at the stage end together with the energy
-    audit: input photons = transmitted photons + stored excitation for the
-    lossless linear system.
-    """
-    stages.check_storage(probe, control, grid)
-    _validate_grid(grid, ensemble, control, medium, probe.spectral_width)
-    state = WeakState.fresh(grid, ensemble, control, medium, drive_sign=+1,
-                            boundary=TildeInput(probe),
-                            bandwidth=probe.spectral_width)
-    stages.march(state, advance_weak)
-    return stages.audit_storage(
-        state, envelope_from_scaled(state.faces[:, 0], control, grid.tau()))
-
-
-def recall_weak(stored: WeakState, control2: ControlProfile,
-                protocol: ProtocolConfig, ensemble: EnsembleSpec,
-                medium: MediumSpec, grid2: Grid,
-                tau_input: np.ndarray, input_envelope: np.ndarray,
-                transmitted_fraction: float = math.nan) -> EchoRecord:
-    """Retrieve the echo from a stored linear-regime state.
-
-    ensemble is the stage-1 node table, which stages.hand_over refuses
-    unless it is the stored state's; it applies the dark-interval phase
-    over protocol.gap_time and the RECRIB inversion.  The tilde variables
-    factor out the linear Z-phase, so no mode-matching map follows.
-    """
-    r12, ensemble2 = stages.hand_over(stored, protocol, ensemble, grid2)
-    bandwidth = stages.recall_bandwidth(tau_input)
-    _validate_grid(grid2, ensemble2, control2, medium, bandwidth)
-
-    state = WeakState.fresh(grid2, ensemble2, control2, medium,
-                            drive_sign=-1, r12_initial=r12,
-                            bandwidth=bandwidth)
-    return stages.recall(state, advance_weak, protocol, tau_input,
-                         input_envelope, transmitted_fraction)
+run_weak_storage = WeakState.store
+recall_weak = WeakState.retrieve

@@ -373,6 +373,13 @@ def test_echo_time_argument_validation():
     # OverflowError from forming 2 pi k
     with pytest.raises(ValidationError, match="k is too large"):
         echo_time_afc(1.0, 1.0, 1.0, 1.0, k=10 ** 400)
+    # an order that is not an integer is refused by name, as
+    # ProtocolConfig refuses it: a nan reached int(k) and raised a bare
+    # ValueError, an inf an OverflowError
+    for k in (math.nan, math.inf, 1.5, 2.0):
+        with pytest.raises(ValidationError,
+                           match="^k must be an integer >= 1$"):
+            echo_time_afc(1.0, 1.0, 1.0, 1.0, k=k)
 
 
 @pytest.mark.parametrize("f1, f2, t1, spacing", [

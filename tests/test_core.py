@@ -350,12 +350,57 @@ def test_dataclasses_refuse_non_finite_fields(name, value):
         NON_FINITE_FIELDS[name](value)
 
 
+# a grid's point counts and the comb's rephasing order are integers,
+# refused by name otherwise: a nan n_z passed n_z >= 2 and gave a nan dz,
+# an n_tau of 3.5 failed later in tau() with a bare TypeError, and a nan
+# k failed in expected_echo_time with a bare ValueError
+NON_INTEGER_FIELDS = {
+    "n_tau": lambda v: Grid(n_tau=v, n_z=5, t_end=1.0, length=1.0),
+    "n_z": lambda v: Grid(n_tau=5, n_z=v, t_end=1.0, length=1.0),
+    "k": lambda v: ProtocolConfig("reafc", t1=1.0, k=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 3.5, 1.5])
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_FIELDS))
+def test_dataclasses_refuse_non_integer_counts(name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+        NON_INTEGER_FIELDS[name](value)
+
+
 # the protocol's times, storage dwell, recall window and dark interval,
 # are durations: a negative one is refused by name
 @pytest.mark.parametrize("name", ["t1", "t2", "gap_time"])
 def test_protocol_refuses_negative_times(name):
     with pytest.raises(ValidationError, match=f"^{name} must be >= 0$"):
         ProtocolConfig("recrib", **{name: -1.0})
+
+
+# every ensemble builder refuses a non-finite width by name: a nan
+# width_21 built no d21 spread, a nan envelope_width the flat comb, and
+# a nan width was refused only by EnsembleSpec, as "delta31s must be
+# finite"; an infinite envelope_width is the flat comb, the default
+NON_FINITE_WIDTHS = {
+    "width": lambda v: build_gaussian_ensemble(width=v, n_nodes=3),
+    "width_21": lambda v: build_gaussian_ensemble(
+        width=1.0, n_nodes=3, width_21=v, n_nodes_21=3),
+    "spacing": lambda v: build_comb_ensemble(spacing=v, tooth_width=0.05,
+                                             n_lines=3),
+    "tooth_width": lambda v: build_comb_ensemble(spacing=1.0,
+                                                 tooth_width=v, n_lines=3),
+    "envelope_width": lambda v: build_comb_ensemble(
+        spacing=1.0, tooth_width=0.05, n_lines=3, envelope_width=v),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in sorted(NON_FINITE_WIDTHS)
+    for value in (math.nan, math.inf, -math.inf)
+    if (name, value) != ("envelope_width", math.inf)])
+def test_ensemble_builders_refuse_non_finite_widths(name, value):
+    with pytest.raises((ValidationError, NonPositiveWidth),
+                       match=f"^{name} must be "):
+        NON_FINITE_WIDTHS[name](value)
 
 
 def _flat_top(**kw):

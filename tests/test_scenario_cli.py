@@ -1,5 +1,7 @@
 """Scenario files and the command-line front end."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramanecho
-from ramanecho import core, runs
+from ramanecho import core, stages
 from ramanecho.cli import (
     MAX_GAMMA_POINTS,
     main,
@@ -369,8 +371,7 @@ def test_simulate_empty_file_exits_1(tmp_path, capsys):
 def _forbid_storage(monkeypatch):
     def storage(*args, **kwargs):
         raise AssertionError("the storage stage ran")
-    monkeypatch.setattr(runs, "run_storage", storage)
-    monkeypatch.setattr(runs, "run_weak_storage", storage)
+    monkeypatch.setattr(stages.StageState, "store", classmethod(storage))
 
 
 def test_strict_refusal_comes_before_storage(tmp_path, capsys, monkeypatch):
@@ -440,15 +441,20 @@ def _scenario_keys():
             for key in fields(section.default)]
 
 
-def _write_with_value(tmp_path, name, section, key, value):
-    """The bundled scenario `name`, dumped in full, with one key set."""
-    text = dump_scenario(load_scenario(bundled(name)))
+def _with_value(text, section, key, value):
+    """A dumped scenario text with one key set."""
     block = text.index(f"[{section}]")
     line = text.index(f"\n{key} = ", block) + 1
     end = text.index("\n", line)
+    return text[:line] + f"{key} = {value}" + text[end:]
+
+
+def _write_with_value(tmp_path, name, section, key, value):
+    """The bundled scenario `name`, dumped in full, with one key set."""
     path = str(tmp_path / "edited.ini")
     with open(path, "w") as fh:
-        fh.write(text[:line] + f"{key} = {value}" + text[end:])
+        fh.write(_with_value(dump_scenario(load_scenario(bundled(name))),
+                             section, key, value))
     return path
 
 
@@ -473,6 +479,32 @@ def test_check_survives_bad_values_of_every_key(tmp_path, capsys, name,
         assert code in (0, 1, 3), where
         assert err.count("\n") <= 1, where
         assert "Traceback" not in err, where
+
+
+# the schema fuzz of check: any key of the schema, which dump-defaults
+# prints in full, set to any of these values, exits 0-3 with no internal
+# error, traceback or warning.  Among them, a subnormal width or
+# detuning gave numpy warnings once its square underflowed to 0
+FUZZ_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "0", "-1",
+               "1e-320", "9" * 400, "", "x", "3.5")
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(_scenario_keys()),
+       value=st.sampled_from(FUZZ_VALUES))
+def test_check_exits_cleanly_on_any_key_and_value(tmp_path_factory, key,
+                                                  value):
+    section, name, _ = key
+    path = tmp_path_factory.getbasetemp() / "fuzzed.ini"
+    path.write_text(_with_value(DEFAULT_DUMP, section, name, value))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    where = f"[{section}] {name} = {value[:40]}: {err.getvalue()!r}"
+    assert code in (0, 1, 2, 3), where
+    for sign in ("internal error", "Traceback", "warning:"):
+        assert sign not in err.getvalue(), where
 
 
 # a size key far past the ceiling of its largest array, for the
@@ -614,13 +646,17 @@ def test_simulate_refuses_extreme_values_on_one_line(tmp_path, capsys,
 
 
 # check refuses the same overflowing numbers in the same words, since the
-# builders it shares with simulate are where they are read
+# builders it shares with simulate are where they are read; so too a
+# number whose square underflows to 0, which printed numpy warnings from
+# the divisions by it before its error line
 @pytest.mark.parametrize("section,key,value", [
     ("ensemble", "width", "1e300"), ("probe", "duration", "1e300"),
     ("control1", "detuning", "1e300"), ("control1", "detuning", "-1e300"),
     ("control2", "detuning", "1e300"), ("control2", "detuning", "-1e300"),
     ("control1", "rabi", "1e300"), ("control1", "rabi", "-1e300"),
-    ("probe", "center", "-1e300"), ("probe", "amplitude_scale", "1e300")])
+    ("probe", "center", "-1e300"), ("probe", "amplitude_scale", "1e300"),
+    ("ensemble", "width", "1e-320"), ("control1", "detuning", "1e-320"),
+    ("control2", "detuning", "-1e-320"), ("control1", "rabi", "1e-320")])
 def test_overflowing_scenario_number_names_its_key(tmp_path, capsys,
                                                    section, key, value):
     path = _write_with_value(tmp_path, "recrib_ideal", section, key, value)

@@ -1108,7 +1108,7 @@ def test_handover_keeps_the_z_component_bit_for_bit(monkeypatch):
         raise Started
 
     seen = []
-    monkeypatch.setattr(stages, "recall", started)
+    monkeypatch.setattr(stages, "march", started)
     protocol = ProtocolConfig(protocol="recrib", t1=8.0, t2=8.0,
                               gap_time=0.5)
     ctl2 = ctl.time_reversed(anchor=16.0, detuning=-60.0)
