@@ -10,8 +10,8 @@ on beta * f only, and (iii') either node-wise inversion (k = 0) or the comb
 timing f1 t1 + f2 t2 = 2 pi k / spacing (k >= 1).
 
 Envelope conditions compare the stages on a shared clock where stage 2 runs
-backward: residuals are built from Omega2(-tau) against Omega1(tau).  Each
-stage carries a clock_offset mapping its local time to that shared clock.
+backward: residuals are built from Omega2(-tau) against Omega1(tau)
+(StageSetup.clock_offset).
 """
 
 from __future__ import annotations
@@ -146,8 +146,6 @@ class ProtocolConfig:
     gap_time: float = 0.0
     matching: PhaseMatching | None = None
     k: int = 1
-    invert_delta21: bool = True
-    invert_delta31: bool = True
 
     def __post_init__(self):
         require_finite(self, "t1", "t2", "gap_time")
@@ -182,12 +180,8 @@ class ProtocolConfig:
 
     def recall_ensemble(self, ensemble: EnsembleSpec) -> EnsembleSpec:
         """The stage-2 node table recalling from the stage-1 ensemble:
-        RECRIB inverts the nodes per invert_delta21/invert_delta31, comb
-        recall keeps them."""
-        if self.protocol == "recrib":
-            return ensemble.inverted(invert_31=self.invert_delta31,
-                                     invert_21=self.invert_delta21)
-        return ensemble
+        RECRIB inverts the nodes, comb recall keeps them."""
+        return ensemble.inverted() if self.protocol == "recrib" else ensemble
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,7 @@ class CombEnvelopeWarning(UserWarning):
 
 
 def require_finite(obj, *names: str) -> None:
-    """Refuse a nan or infinite value in any of the named fields; None
-    (an optional field left out) passes."""
+    """require_finite_arguments on the named fields of obj."""
     require_finite_arguments(**{name: getattr(obj, name) for name in names})
 
 
@@ -60,6 +59,17 @@ def require_finite_arguments(**values) -> None:
     for name, value in values.items():
         if value is not None and not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def require_squarable(name: str, value: float) -> None:
+    """Refuse a value whose square overflows, or a non-zero value whose
+    square underflows to 0, which the model divides by, naming it."""
+    if not math.isfinite(value * value):
+        raise ValidationError(f"{name} = {value!r} overflows a float when "
+                              "squared")
+    if value != 0 and value * value == 0:
+        raise ValidationError(f"{name} = {value!r} underflows to 0 when "
+                              "squared")
 
 
 def require_integer(obj, *names: str) -> None:
@@ -201,16 +211,10 @@ class EnsembleSpec:
         dr = self.raman_detunings(f_value)
         return float(np.sqrt(np.sum(self.weights * dr ** 2)))
 
-    def inverted(self, invert_31: bool = True, invert_21: bool = True
-                 ) -> "EnsembleSpec":
-        """Node map Delta -> -Delta used by RECRIB recall.
-
-        Leaving one component un-inverted models the irreversible residual.
-        """
-        return replace(
-            self,
-            delta21s=-self.delta21s if invert_21 else self.delta21s,
-            delta31s=-self.delta31s if invert_31 else self.delta31s)
+    def inverted(self) -> "EnsembleSpec":
+        """Node map Delta -> -Delta used by RECRIB recall."""
+        return replace(self, delta21s=-self.delta21s,
+                       delta31s=-self.delta31s)
 
 
 def _gauss_hermite_nodes(width: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,6 +246,7 @@ def build_gaussian_ensemble(width: float, n_nodes: int,
     require_finite_arguments(width=width, width_21=width_21)
     if width <= 0:
         raise NonPositiveWidth(f"width must be > 0, got {width}")
+    require_squarable("width", width)
     if n_nodes != 1 and n_nodes < 3:
         raise TooFewNodes(f"need n_nodes >= 3 (or exactly 1), got {n_nodes}")
     if width_21 < 0:
@@ -288,6 +293,8 @@ def build_comb_ensemble(spacing: float, tooth_width: float, n_lines: int,
     if not envelope_width > 0:
         raise NonPositiveWidth(
             f"envelope_width must be > 0, got {envelope_width!r}")
+    if math.isfinite(envelope_width):
+        require_squarable("envelope_width", envelope_width)
     if n_lines % 2 == 0:
         raise EvenLineCount(f"n_lines must be odd, got {n_lines}")
     if n_lines < 3:
@@ -332,12 +339,8 @@ def build_comb_ensemble(spacing: float, tooth_width: float, n_lines: int,
 
 @dataclass(frozen=True)
 class ControlProfile:
-    """Classical control field of one stage.
-
-    f_nu(tau) and the Stark shift are always derived from rabi_envelope and
-    one_photon_detuning; nothing redundant is stored.  carrier is the
-    control laser's own carrier, which conditions.echo_carrier reads.
-    """
+    """Classical control field of one stage; carrier is the control
+    laser's own carrier, which conditions.echo_carrier reads."""
 
     rabi_envelope: Callable
     one_photon_detuning: float

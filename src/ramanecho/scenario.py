@@ -28,6 +28,7 @@ from .core import (
     ProbeSpec,
     build_comb_ensemble,
     build_gaussian_ensemble,
+    require_squarable,
 )
 from .errors import ParseError, ValidationError
 
@@ -318,15 +319,8 @@ def dump_scenario(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 def _squarable(section: str, key: str, value: float) -> float:
-    """value, refused by key when the model's square of it overflows, or
-    underflows to 0 while value is not 0 (the model divides by it)."""
-    square = value * value
-    if not math.isfinite(square):
-        raise ValidationError(f"[{section}] {key} = {value!r} overflows "
-                              "a float when squared")
-    if square == 0 and value != 0:
-        raise ValidationError(f"[{section}] {key} = {value!r} underflows "
-                              "to 0 when squared")
+    """value, refused by key as require_squarable refuses it."""
+    require_squarable(f"[{section}] {key}", value)
     return value
 
 

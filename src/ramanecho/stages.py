@@ -1,29 +1,10 @@
 """The stage lifecycle, written once for both regimes.
 
 Both regimes store a probe in the slab and recall it as a backward echo,
-and they differ only in their equations.  StageState.store checks the
-storage premises, steps the storage stage and audits its photons;
-StageState.retrieve hands the stored coherences over to the recall stage
-(node-table and Z-axis checks, the dark-interval phase over the
-protocol's gap_time, RECRIB node inversion), steps it, audits it and
-records the echo.  The stage table of what the steps read that does not
-depend on the atoms, its rows converted to Python numbers a block of
-steps at a time, and the reuse of each step's per-node factors while the
-control's step integrals repeat live here too.
-
-Each regime's state is a StageState: weakfield.WeakState and
-strongfield.SimulationState add their own atomic variables and supply
-their equations (see StageState).  A state is complete when made: fresh
-builds its table from clock 0, records row 0 and keeps the grid,
-ensemble, control and medium, which every step, field row, audit and
-recall reads from the state alone.  Of the field, a state keeps the
-current row, which the next step starts from, and the trace of its two
-faces over the stage, which is all the audits and the echo read.  march
-steps a stage and drops the buffers a regime's step holds when it ends.
-It steps a long slab under a small ufunc buffer, and a short slab steps
-on full-shape columns (StageState.step_factors); every slab solves its
-field rows on operands its state made once, and no bit depends on the
-buffer or on the form of a column.
+and differ only in their equations.  StageState.store and
+StageState.retrieve are the one storage driver and the one recall
+driver; weakfield.WeakState and strongfield.SimulationState are
+StageStates that supply their equations (see StageState).
 """
 
 from __future__ import annotations
@@ -97,38 +78,22 @@ def node_array(grid, ensemble, initial, fill: float, dtype) -> np.ndarray:
 class StageState:
     """Evolving state of one stage on its grid, in either regime.
 
-    row is the field row solved from the current atoms, a contiguous
-    (n_z,) array: fresh records row 0, and each step records the row at
-    its end over it, which the next step reuses as its k1 row.  faces
-    traces the field at Z = 0 and Z = L, one (n_tau, 2) entry per clock
-    recorded, which is all the audits and the echo read of the field.
-    r12 is the current coherence per (node, Z); grid, ensemble, control
-    and medium are the stage inputs fresh was given.  drive_sign is +1
-    for storage, which integrates the field from the input face Z = 0,
-    and -1 for retrieval, which emits backward from a zero boundary at
-    Z = L.  quadrature is the cumulative integral on the grid's Z axis,
-    and table is the stage's StageTable.  A subclass supplies
-    first_row(), its regime's field row at the table's row-0 values, and
-    build_factors(df_half, df_full), its per-node step factors; and for
-    store and retrieve, its stage at clock 0 for storage (storage_stage)
-    and for recall from the handed-over r12 (recall_stage), its input
-    record at Z = 0 (input_record), its step function (stepper, the
-    module's own, looked up once per stage) and, where its variables
-    carry the stage-2 Stark phase, echo_phase().
+    row is the field row solved from the current atoms, which the next
+    step reuses as its k1 row; faces traces the field at Z = 0 and Z = L,
+    one (n_tau, 2) entry per clock recorded, which is all the audits and
+    the echo read of the field.  r12 is the coherence per (node, Z), and
+    grid, ensemble, control and medium are the inputs fresh was given.
+    drive_sign is +1 for storage, which integrates the field from the
+    input face Z = 0, and -1 for retrieval, which emits backward from a
+    zero boundary at Z = L.
 
-    Each regime solves its field rows on operands it makes once, with
-    the state, for every slab length: node products chosen from its
-    (n_node, n_z) shape (numerics.node_product) and the quadrature's
-    integrator in the stage's direction (CumulativeQuadrature.directed).
-    Within one_thread_product's bound each is a bare np.dot, above it
-    einsum or cumulative_integral.  _short marks a slab of fewer than
-    _LONG_ROW points, whose step columns are full-shape (step_factors)
-    and which march steps under numpy's default ufunc buffer.  Neither
-    it nor a regime's solve is an __init__ field, so a dataclasses.replace
-    copy makes them again for its own shapes.
-    _factors is the set of per-node step factors built last, which
-    step_factors reuses; _work holds the buffers a regime's step writes,
-    which march drops when the stage ends.
+    A regime supplies its equations: first_row(), its field row at the
+    table's row 0; build_factors(df_half, df_full), its per-node step
+    factors; storage_stage and recall_stage, its stage at clock 0 for
+    storage and for recall from the handed-over r12; input_record(probe),
+    its input record at Z = 0; stepper(), its module's step function,
+    looked up once per stage; and echo_phase(), where its variables
+    carry the stage-2 Stark phase.
     """
 
     row: np.ndarray             # (n_z,) complex
@@ -142,12 +107,13 @@ class StageState:
     quadrature: CumulativeQuadrature
     table: StageTable
     step_index: int = 0
-    # not an __init__ field, so a dataclasses.replace copy starts without
-    # the set, whatever ensemble or node columns it carries
+    # the step factors built last (step_factors), the buffers a regime's
+    # step writes (march drops them) and whether the slab is short
+    # (march): none is an __init__ field, so a dataclasses.replace copy
+    # makes them again for its own shapes and never writes into the
+    # buffers of the state it was copied from
     _factors: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
-    # likewise, so that a copy never writes into the buffers of the state
-    # it was copied from
     _work: object | None = field(default=None, init=False, repr=False,
                                  compare=False)
     _short: bool = field(init=False, repr=False, compare=False)
@@ -166,21 +132,18 @@ class StageState:
         current step, rebuilt only when the step's control integrals
         change.
 
-        A step's rotations and the columns folded from them depend on the
-        state's node columns, the table's dt and the step integrals
-        (df_half, df_full) alone.  The first two are fixed for the life
-        of the state, and a flat-top control repeats the integrals on
-        every step of its plateau.  So the set last built is reused while
-        the pair is equal, and the result is bit for bit what rebuilding
-        it would give.  The integrals are sums of f >= 0, never -0.0, so
-        equal floats are equal bits.  One set is held per state.
+        The factors depend on the state's node columns and the table's
+        dt, fixed for the life of the state, and on the step integrals
+        (df_half, df_full), which a flat-top control repeats on every step
+        of its plateau.  So the one set held is reused while the pair is
+        equal, bit for bit what rebuilding it would give: the integrals
+        are sums of f >= 0, never -0.0, so equal floats are equal bits.
 
-        On a short slab every (n_node, 1) column of the set is repeated
-        across the slab's n_z points, once per build (_full_shape): numpy
-        cannot merge a broadcast axis, so a product of a column with a
-        (node, Z) array runs one inner loop per node, where the same
-        product of two (node, Z) arrays runs one.  Each product gives the
-        same bits either way.
+        On a short slab each (n_node, 1) column is repeated across the
+        slab's n_z points, once per build (_full_shape): numpy cannot
+        merge a broadcast axis, so a column times a (node, Z) array runs
+        one inner loop per node, where two (node, Z) arrays run one, with
+        the same bits.
         """
         pair = (df_half, df_full)
         if self._factors is None or self._factors[0] != pair:
@@ -212,10 +175,8 @@ class StageState:
 
     @classmethod
     def store(cls, probe, control, ensemble, medium, grid) -> StorageOutcome:
-        """Check, step and audit the storage stage of probe in this regime.
-
-        The stage at clock 0 and the input record at Z = 0 are the
-        regime's (storage_stage, input_record); its step is stepper()."""
+        """Check, step and audit the storage stage of probe in this
+        regime."""
         check_storage(probe, control, grid)
         state = cls.storage_stage(probe, control, ensemble, medium, grid)
         march(state, state.stepper())
@@ -226,13 +187,12 @@ class StageState:
                  transmitted_fraction: float = math.nan) -> EchoRecord:
         """Recall the echo from this stored state, in its own regime.
 
-        ensemble is the stage-1 node table, which hand_over refuses unless
-        it is the stored one.  The recall stage prices the probe bandwidth
-        as the inverse span of tau_input.  The photons emitted at Z = 0
-        must match the excitation the ensemble released; the residual is
-        relative to what it held when recall began, and goes to the
-        record's extras with the final state.  The echo is the physical
-        envelope at Z = 0, dressed by exp(-i echo_phase()) when the
+        ensemble is the stage-1 node table (hand_over).  The recall stage
+        prices the probe bandwidth as the inverse span of tau_input.  The
+        photons emitted at Z = 0 must match the excitation the ensemble
+        released; the residual is relative to what it held when recall began,
+        and goes to the record's extras with the final state.  The echo is the
+        physical envelope at Z = 0, dressed by exp(-i echo_phase()) when the
         regime's variables carry the stage-2 Stark phase.
         """
         r12, ensemble2 = hand_over(self, protocol, ensemble, grid2)
@@ -242,10 +202,7 @@ class StageState:
                                   grid2, bandwidth)
         held = _held_excitation(state)
         march(state, state.stepper())
-        tau2 = state.grid.tau()
-        flux = flux_weights(state.control, state.medium, tau2)
-        emitted = float(np.trapezoid(
-            flux * np.abs(state.faces[:, 0]) ** 2, tau2))
+        tau2, emitted, _ = state.photons()
         released = held - _held_excitation(state)
         echo = envelope_from_scaled(state.faces[:, 0], state.control, tau2)
         phase = state.echo_phase()
@@ -264,6 +221,19 @@ class StageState:
                     "audit_residual": abs(emitted - released)
                     / max(held, 1e-300)},
         )
+
+    def photons(self) -> tuple[np.ndarray, float, float]:
+        """The stage clock and the photons through Z = 0 and Z = L over
+        it: the flux 2 |zeta|^2 / (beta f) of each face, 0 where the
+        control is off (core.CONTROL_FLOOR), by the trapezoid rule."""
+        tau = self.grid.tau()
+        f = np.asarray(self.control.f(tau), dtype=float)
+        weight = np.zeros_like(f)
+        on = f > CONTROL_FLOOR * max(self.control.peak_f(), 1e-300)
+        weight[on] = 2.0 / (self.medium.coupling_beta * f[on])
+        near, far = (float(np.trapezoid(weight * np.abs(face) ** 2, tau))
+                     for face in self.faces.T)
+        return tau, near, far
 
     def echo_phase(self) -> np.ndarray | None:
         return None
@@ -379,9 +349,6 @@ class StorageOutcome:
     tau: np.ndarray
     input_envelope: np.ndarray      # dressed physical envelope at Z = 0
     transmitted_fraction: float
-    input_photons: float
-    transmitted_photons: float
-    stored_excitation: float
     audit_residual: float
 
 
@@ -392,16 +359,13 @@ def march(state: StageState, advance: Callable) -> None:
 
     A long slab, a row of at least _LONG_ROW points, is stepped with
     numpy's ufunc buffer at STEP_BUFFER elements, and the caller's size
-    is restored afterwards.  A product of an (n_node, 1) column or an
-    (n_z,) row with a (node, Z) array goes through numpy's buffered
-    iterator, whose default buffer gathers a dozen long rows per operand,
-    more than a core's L1 data cache holds; a small buffer keeps each
-    operand's chunk in it.  A short slab keeps numpy's default: its
-    whole array fits the default buffer in one chunk, where a small one
-    would cut it into several, and its step columns are full-shape
-    (StageState.step_factors), so their products take no buffer at all.
-    Elementwise ufuncs do not depend on how the iterator chunks their
-    operands, so no bit depends on the size.
+    is restored afterwards: a column or row times a (node, Z) array goes
+    through numpy's buffered iterator, whose default buffer gathers a
+    dozen long rows per operand, more than a core's L1 data cache holds.
+    A short slab keeps the default, which holds its whole array in one
+    chunk, and its full-shape columns (StageState.step_factors) take no
+    buffer at all.  Elementwise ufuncs do not depend on how the iterator
+    chunks their operands, so no bit depends on the size.
     """
     try:
         with np.errstate():
@@ -411,15 +375,6 @@ def march(state: StageState, advance: Callable) -> None:
                 advance(state)
     finally:
         state._work = None
-
-
-def flux_weights(control, medium, tau: np.ndarray) -> np.ndarray:
-    """Photon-flux weight 2 / (beta f) where the control is on, else 0."""
-    f_tau = np.asarray(control.f(tau), dtype=float)
-    out = np.zeros_like(f_tau)
-    on = f_tau > CONTROL_FLOOR * max(control.peak_f(), 1e-300)
-    out[on] = 2.0 / (medium.coupling_beta * f_tau[on])
-    return out
 
 
 def _held_excitation(state: StageState) -> float:
@@ -434,22 +389,17 @@ def audit_storage(state: StageState,
                   input_envelope: np.ndarray) -> StorageOutcome:
     """Account for every photon of a finished storage stage.
 
-    The photon flux 2 |zeta|^2 / (beta f) obeys an exact continuity law
+    The photon flux (StageState.photons) obeys an exact continuity law
     against the ensemble excitation, so input = transmitted + stored is
     a discretization audit, not a physics assumption.  A transmitted
     fraction above ABSORPTION_WARNING_FRACTION triggers
     IncompleteAbsorptionWarning, because the recall analysis presumes
     complete absorption.  The outcome's tau is the stage grid's clock.
     """
-    tau = state.grid.tau()
-    flux = flux_weights(state.control, state.medium, tau)
-    input_photons = float(np.trapezoid(
-        flux * np.abs(state.faces[:, 0]) ** 2, tau))
-    transmitted_photons = float(np.trapezoid(
-        flux * np.abs(state.faces[:, 1]) ** 2, tau))
+    tau, photons_in, photons_out = state.photons()
     stored = _held_excitation(state)
-    scale = max(input_photons, 1e-300)
-    transmitted_fraction = transmitted_photons / scale
+    scale = max(photons_in, 1e-300)
+    transmitted_fraction = photons_out / scale
     if transmitted_fraction > ABSORPTION_WARNING_FRACTION:
         warnings.warn(
             f"transmitted fraction {transmitted_fraction:.3g} exceeds "
@@ -458,10 +408,7 @@ def audit_storage(state: StageState,
     return StorageOutcome(
         state=state, tau=tau, input_envelope=input_envelope,
         transmitted_fraction=transmitted_fraction,
-        input_photons=input_photons,
-        transmitted_photons=transmitted_photons, stored_excitation=stored,
-        audit_residual=abs(input_photons - transmitted_photons - stored)
-        / scale)
+        audit_residual=abs(photons_in - photons_out - stored) / scale)
 
 
 def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
@@ -471,12 +418,11 @@ def hand_over(stored: StageState, protocol: ProtocolConfig, ensemble,
     ensemble is the stage-1 node table the caller stored with: one whose
     node detunings or weights differ from the stored state's is refused,
     as is a retrieval grid whose Z axis differs from the stored one in
-    any bit.  The dark interval adds the free phase exp(-i d21
-    protocol.gap_time) with the detunings as seen before any inversion,
-    while the populations stay frozen; a gap_time whose phase overflows
-    is refused by name, before any numpy warning.
-    Returns a copy of the stored r12 and the stage-2 node table,
-    protocol.recall_ensemble of the stored one.
+    any bit.  The dark interval adds the free phase
+    protocol.dark_phase(ensemble), with the detunings as seen before any
+    inversion, while the populations stay frozen.  Returns a copy of the
+    stored r12 and the stage-2 node table, protocol.recall_ensemble of
+    the stored one.
     """
     if not all(np.array_equal(getattr(ensemble, name),
                               getattr(stored.ensemble, name))

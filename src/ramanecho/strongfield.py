@@ -20,29 +20,11 @@ and the probe light shift written in regular form |g A|^2 / (Delta + d31)
 rate d21 + d31 f is the first order of d21 - Delta c_j f once the common
 Stark rotation Delta f is factored off.
 
-Unlike the linear module this one works in bare variables: the input
-boundary carries the physical control-induced chirp exp(+i psi), and the
-stepper is RK4-Lawson in the per-node bracket d21 - Delta c_j f
-(_lawson_step): the bracket acts through exact rotations over the half
-and the full step (Simpson-integrated control phases), so the fast
-common phase cancels between the field and the rotation and the
-Runge-Kutta truncation only sees the slow node-spread rates.  The probe
-Stark term stays in the Runge-Kutta slope, folded into the drive.  The
+Unlike the linear module this one works in bare variables, so the input
+boundary carries the control Stark chirp (ProbeBoundary).  The atoms step
+by RK4-Lawson in the bracket (_lawson_step, advance_strong), and the
 field is solved across the slab by an integrating-factor quadrature
-(_field_solve) at the k2, k3 and k4 stages of every step and recorded at
-the step end, keeping the coupled step 4th order; k1 reuses the row
-recorded from the same atoms at the same clock.  A step and its Bloch
-projection write every (node, Z) intermediate into the state's
-workspace, and its rotations and folded columns are rebuilt only when
-the control's step integrals change (StageState.step_factors).  The
-node sums and the Z quadrature are products the state chose once from
-its shapes, so no bit depends on the BLAS thread count.
-
-Storage integrates the field from the input face Z = 0; retrieval from
-a zero boundary at Z = L, emitting backward.  Both run through
-stages.StageState.store and retrieve: SimulationState supplies its
-stages (with the grating map and the carried z-component at recall),
-its Stark-dressed input record, its step and the echo's Stark phase.
+(_field_solve).
 """
 
 from __future__ import annotations
@@ -102,17 +84,15 @@ def _c_factors(ensemble: EnsembleSpec, one_photon_detuning: float
 class SimulationState(stages.StageState):
     """Evolving strong-field state on one stage grid.
 
-    Adds the Bloch z-component bloch_z = r11 - 1/2 per (node, Z) to the
-    shared stage state; r11 reads it back as bloch_z + 1/2.
-    kernel_weights are the w_j c_j of the ensemble kernels B_mn, and
-    half_weight is (1/2) sum_j w_j c_j, the part of B11 that does not
-    depend on the atoms.  nodes are the per-node columns the step
-    scales by its step sizes and RK weights: the bracket's rates -i d21
-    and i Delta c_j per unit f, the drive i s_nu c_j and the population
-    coupling -2 s_nu c_j.  stark is -s_nu Delta / 2, which over
-    |Omega|^2 is the kappa/2 of the coherence slope.  zeta_scale is the
-    largest field magnitude seen so far (the reference for control-off
-    field checks).
+    Adds the Bloch z-component bloch_z = r11 - 1/2 per (node, Z) to the shared
+    stage state.  kernel_weights are the w_j c_j of the ensemble kernels B_mn,
+    and half_weight is (1/2) sum_j w_j c_j, the part of B11 that does not
+    depend on the atoms.  nodes are the per-node columns the step scales by
+    its step sizes and RK weights: the bracket's rates -i d21 and i Delta c_j
+    per unit f, the drive i s_nu c_j and the population coupling -2 s_nu c_j.
+    stark is -s_nu Delta / 2, which over |Omega|^2 is the kappa/2 of the
+    coherence slope.  zeta_scale is the largest field magnitude seen so far
+    (the reference for control-off field checks).
     """
 
     bloch_z: np.ndarray         # (n_node, n_z) real, r11 - 1/2
@@ -223,12 +203,11 @@ class SimulationState(stages.StageState):
         and the imaginary parts of the two product buffers.
 
         Allocated at first use and held until stages.march drops them at
-        the stage end, so the steps of a stage write their intermediates
-        into the same memory instead of fresh arrays, which above the C
-        library's mapping threshold would be mapped and faulted in again
-        at every step.  The lists are
-        mutable: a step hands its first complex and real buffer to the
-        state as the new atoms and takes the old atoms in their place.
+        the stage end, so the steps of a stage write into the same memory
+        instead of fresh arrays, which above the C library's mapping
+        threshold would be mapped and faulted in again at every step.  A
+        step hands the first complex and real buffer to the state as the
+        new atoms and takes the old atoms in their place.
         """
         if self._work is None:
             shape = self.r12.shape
@@ -245,20 +224,15 @@ class SimulationState(stages.StageState):
         The lossless equations keep each node's Bloch vector
         (Re r12, Im r12, s) on the sphere of radius 1/2 exactly, so an
         outward excursion is integrator truncation.  The drift is
-        systematic, not confined to population turning points: on the
-        saturating storage stage (721 x 641 grid, 33 nodes) about 62% of
-        all cells end each step outside the sphere, by up to 1.0e-6, and
-        the projection acts on 11.3 million cells per round trip.  Every
-        excursion is projected radially back onto the sphere and s is
-        clipped to [-1/2, 1/2], so after every step 0 <= r11 <= 1 and
-        |r12|^2 <= r11 (1 - r11) hold to rounding.  An excursion beyond
-        BLOCH_EMERGENCY is not truncation-sized and raises instead of
-        being hidden.
-
-        The projection runs on every cell, in the workspace's buffers:
-        with norm the vector's length, r12 and s are scaled by
-        0.5 / max(norm, 0.5), which is exactly 1 inside the sphere, so
-        those cells keep their bits."""
+        systematic: on the saturating storage stage (721 x 641 grid, 33
+        nodes) about 62% of all cells end each step outside the sphere,
+        by up to 1.0e-6.  So the projection runs on every cell, in the
+        workspace's buffers: with norm the vector's length, r12 and s are
+        scaled by 0.5 / max(norm, 0.5), exactly 1 inside the sphere, so
+        those cells keep their bits, and s is clipped to [-1/2, 1/2].
+        After every step 0 <= r11 <= 1 and |r12|^2 <= r11 (1 - r11) hold
+        to rounding.  An excursion beyond BLOCH_EMERGENCY is not
+        truncation-sized and raises instead of being hidden."""
         _, (norm, square), _ = self.workspace()
         s = self.bloch_z
         np.abs(self.r12, out=norm)
@@ -336,16 +310,10 @@ def _field_solve(state: SimulationState) -> Callable:
 
 def field_row(state: SimulationState, s: float, r12: np.ndarray,
               bloch_z: np.ndarray, sampled: tuple) -> np.ndarray:
-    """Scaled field across the slab at time s, from the ensemble kernels
-    B11 and B12 of the coherences r12 and Bloch z-components bloch_z.
-
-    Storage integrates from the input face Z = 0; retrieval from a zero
-    boundary at the far face toward the exit at Z = 0.  The kernels are
-    node sums that take r12 and bloch_z as C-contiguous (node, Z) arrays,
-    as the state's own and its workspace's are, and the row is solved on
-    the operands the state made once (_field_solve).  sampled is the pair
-    (f(s), boundary value) of a stage table row.
-    """
+    """Scaled field across the slab at time s (_field_solve), from the
+    coherences r12 and Bloch z-components bloch_z, C-contiguous (node, Z)
+    arrays as the state's own and its workspace's are; sampled is the
+    pair (f(s), boundary value) of a stage table row."""
     f_s, incoming = sampled
     row = state._solve(r12, bloch_z, f_s, incoming)
     if not np.logical_and.reduce(np.isfinite(row)):
@@ -375,7 +343,9 @@ def _stark_factor(state: SimulationState, s: float, row: np.ndarray,
 def _lawson_step(state: SimulationState, step: tuple, row1: np.ndarray,
                  row_at: Callable) -> None:
     """One RK4-Lawson step for the bracket d21 - Delta c_j f, written in
-    the lab frame.
+    the lab frame.  The bracket acts through exact rotations, so its fast
+    common phase cancels between the field and the rotation, and the
+    Runge-Kutta truncation sees only the slow node-spread rates.
 
     R_h and R_f are the bracket rotations over the half and the full
     step, with the phase Simpson-integrated from the table's control row,
@@ -397,9 +367,8 @@ def _lawson_step(state: SimulationState, step: tuple, row1: np.ndarray,
     r12) at the previous stage, where conj(row) r12 is the product G
     reads.  step is the stage table's row of the step, row1 the field
     row at the step start, and row_at(k, r12, s) supplies the row the
-    slopes see at stage time t + k dt/2 (k = 1, 2).  dt is the stage
-    table's grid step.  The columns are _step_factors', reused while the
-    step integrals repeat.
+    slopes see at stage time t + k dt/2 (k = 1, 2), with dt the stage
+    table's grid step.  The columns are _step_factors' (step_factors).
 
     Every (node, Z) intermediate is written into the state's workspace,
     in the order and with the operands an expression per stage would

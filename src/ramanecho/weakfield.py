@@ -8,24 +8,10 @@ Z-phase beta/(2 Delta) * Z factored out.  What remains is
     dtau R~12_j = -i (d21_j + d31_j f(tau)) R~12_j  (+/-) zeta~
 
 with drive sign +1 during storage and -1 during retrieval.  The field
-equation is a pure quadrature in Z (input face Z=0 for storage; zero
-boundary at Z=L with backward emission toward Z=0 for retrieval).
-
-The atom equation is integrated with a 4th-order exponential scheme:
-each node's deterministic detuning phase is rotated out analytically, so
-only the smooth driven motion is stepped by Runge-Kutta.  The field is
-solved at the k2, k3 and k4 stages and recorded at the step end; k1
-reuses the row recorded from the same coherences at the same clock.  The
-equations are linear and every node is driven by the same field row, so
-each Runge-Kutta slope is rank one, a per-node factor times one row
-across Z, and a step's (node x Z) work is two products: its node sums
-and its update (advance_weak).  The state chooses their forms, and its
-quadrature's, once from its shapes, so no bit of a weak stage depends on
-the BLAS thread count.
-
-Storage and recall run through stages.StageState.store and retrieve:
-WeakState supplies its stages, its input record at Z = 0 and its step,
-and no echo phase, since the tilde variables factor the Stark phase out.
+equation is a pure quadrature in Z (field_row).  The atom equation is
+stepped by exponential RK4: each node's detuning phase is rotated out
+exactly, so Runge-Kutta steps only the smooth driven motion
+(advance_weak).  The tilde variables carry no echo phase.
 """
 
 from __future__ import annotations
@@ -61,26 +47,19 @@ DETUNING_VALIDITY_FACTOR = 0.1  # max |d31| <= this * |Delta|
 
 @dataclass(kw_only=True)
 class WeakState(stages.StageState):
-    """Evolving linear-regime state on one stage grid.
+    """Evolving linear-regime state on one stage grid, in tilde
+    variables: r12 is the coherence R~12.  bandwidth is the signal
+    bandwidth that the validity checks price the probe Stark shift
+    against.
 
-    The shared stage state in tilde variables: r12 is the coherence R~12.
-    bandwidth is the signal bandwidth that the linear-regime validity
-    checks price the probe Stark shift against.  table_sum is the product
-    of a step's (4, n_node) node-sum table against the coherences, chosen
-    once from the state's shapes (see stages.StageState); it writes the
-    sums into one (4, n_z) array held for the stage, which the step and
-    the next call overwrite.
-
-    The complex rows of a step are made with the state: kernel, the
-    node-summed kernel a step's field rows integrate, read through the
-    (n_z, 2) parts view held with it (_field_integral); scratch, one more
-    row; and the (6, n_z) block [R; i R] of the update, whose rows 0-2
-    are R = [row1; row2 + row3; row4] and rows 3-5 i R, read through its
-    float64 view.  rows holds the block's views a step writes and reads:
-    R's three rows, then R.  _update writes the update U R by the form
-    chosen from the state's shape (_update_product), and real_update says
-    which form it is.  No closure held here captures the state, so a
-    finished stage is freed by reference counting alone.
+    The rest is made with the state, for its shapes: table_sum, a step's
+    node sums (_table_sum); kernel, the node-summed row a field row
+    integrates, and scratch, one more row; and rows, the three rows of R
+    = [row1; row2 + row3; row4] and R itself, the top of the (6, n_z)
+    block [R; i R] that _update multiplies by the update table, in the
+    form real_update names (_update_product).  No closure held here
+    captures the state, so a finished stage is freed by reference
+    counting alone.
     """
 
     bandwidth: float
@@ -153,9 +132,8 @@ class WeakState(stages.StageState):
         """The buffers a step writes: two complex (n_node, n_z) arrays,
         for rf p and the update product.
 
-        Allocated at first use and held until stages.march drops them at
-        the stage end, as the strong step's are.  The list is mutable: a
-        step hands its first buffer to the state as the new coherences and
+        Held as the strong step's are (SimulationState.workspace): a step
+        hands the first buffer to the state as the new coherences and
         takes the old ones in its place.
         """
         if self._work is None:
@@ -183,17 +161,12 @@ def _table_sum(state: WeakState) -> Callable:
 
 
 def _field_integral(state: WeakState) -> Callable:
-    """The Z integral of the state's field solve, integrate(b12), on
-    operands made once for it.
-
-    Storage integrates from the input face, retrieval from the far face,
-    by the quadrature's integrator in the stage's direction
-    (CumulativeQuadrature.directed), so no row is flipped or copied.  The
-    state's own kernel row is read through the parts view held with it,
-    any other C-contiguous row through a view of its own.  It writes
-    into the float64 parts of one row held for the stage, which it
-    returns and the next call overwrites.
-    """
+    """The Z integral of the state's field solve, integrate(b12), by the
+    quadrature's integrator in the stage's direction, on operands made
+    once for it: the state's kernel row is read through the parts view
+    held with it, any other C-contiguous row through a view of its own.
+    It writes into one row held for the stage, which it returns and the
+    next call overwrites."""
     integral_dot = state.quadrature.directed(state.drive_sign)
     integral = np.empty(state.r12.shape[1], dtype=complex)
     parts = integral.view(_PARTS)
@@ -240,17 +213,11 @@ def _update_product(block: np.ndarray, real: bool) -> Callable:
 
 def field_row(state: WeakState, s: float, b12: np.ndarray,
               sampled: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """Tilde field across the slab at time s, given the kernel B~12.
-
-    b12 is the node-summed coherence sum_j w_j R~12_j at every Z, a
-    C-contiguous row: a step passes the state's kernel row, which is
-    integrated through the parts view held with it.  Storage integrates
-    the source from the input face; retrieval from the far face (zero
-    incoming echo), emitting toward Z = 0, both on the operands the state
-    made once (_field_integral).  sampled is the pair (f(s), boundary
-    value) of a stage table row.  The row is written into out, a
-    complex (n_z,) row, or into a fresh row when out is None; either has
-    the same bits.
+    """Tilde field across the slab at time s (_field_integral), given the
+    kernel B~12, the node-summed coherence sum_j w_j R~12_j at every Z as
+    a C-contiguous row.  sampled is the pair (f(s), boundary value) of a
+    stage table row.  The row is written into out, a complex (n_z,) row,
+    or into a fresh row when out is None, with the same bits.
     """
     f_s, incoming = sampled
     gain = 0.5 * state.medium.coupling_beta * f_s
@@ -277,33 +244,21 @@ def advance_weak(state: WeakState) -> WeakState:
         B(k3) = P_h + (dt/2) (sum w rh dh) row2
         B(k4) = P_f + dt (sum w rf dh) row3
 
-    The step does its (node x Z) work in two kernels.  The node sums are
-    the state's table_sum of the real (4, n_node) table [Re w
-    rh; Im w rh; Re w rf; Im w rf] against the coherences' interleaved
-    real and imaginary parts, which gives S_re and S_im of each sum, P =
-    S_re + i S_im: a gemm while OpenBLAS keeps one of that size on one
-    thread (every shipped scenario), einsum's own loop above it.  The new
-    coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 + k4)) are rf p + U R,
-    with U = rf [(dt/6) d, (dt/3) dh, (dt/6) df] the (n_node, 3) update
-    table and R = [row1; row2 + row3; row4], in the form the state chose
-    from its shape (_update_product): a real gemm of [Re U, Im U] on
-    [R; i R] within one_thread_product's bound (every shipped scenario),
-    the complex matmul U R above it.  The kernel of the row recorded at
-    the new clock follows from the same linearity, P_f plus one product
-    of its (3,) coefficients with R.  k1 reuses the recorded row, which
-    was solved from the current coherences.  Rows, rotations and the
-    step dt read the stage table.  The rotations, the tables and the
-    node-weight scalars depend on the control only through the step's
-    integrals df_half and df_full, so they are rebuilt only when the
-    pair differs from the previous step's and reused while it repeats,
-    as on a flat-top plateau.  rf p and U R are written into the state's
-    workspace.  The stage kernels and the field rows go into the rows the
-    state holds: each kernel into its kernel row, row2 into R[1], row3
-    into the scratch row and row4 into R[2], then row1 into R[0] and row3
-    added to R[1]; the recorded row is solved into the scratch row.  The
-    probe Stark shift is priced against the state's bandwidth.  The field
-    rows are checked once per step, on the recorded row: a non-finite
-    k2, k3 or k4 row reaches it through its kernel, since 0 x NaN is NaN.
+    So the step does its (node x Z) work in two products.  The node sums
+    are the state's table_sum of the real (4, n_node) table [Re w rh; Im
+    w rh; Re w rf; Im w rf] against the coherences' interleaved real and
+    imaginary parts, which gives S_re and S_im of each sum, P = S_re + i
+    S_im.  The new coherences rf (p + (dt/6) (k1 + 2 k2 + 2 k3 + k4)) are
+    rf p + U R, with U = rf [(dt/6) d, (dt/3) dh, (dt/6) df] the (n_node,
+    3) update table and R = [row1; row2 + row3; row4] (_update_product).
+    The kernel of the row recorded at the new clock follows from the same
+    linearity, P_f plus one product of its (3,) coefficients with R.  k1
+    reuses the recorded row, which was solved from the current
+    coherences.  rf p and U R go into the state's workspace, the stage
+    kernels and field rows into the rows it holds.  The probe Stark shift
+    is priced against the state's bandwidth.  The field rows are checked once
+    per step, on the recorded row: a non-finite k2, k3 or k4 row reaches it
+    through its kernel, since 0 x NaN is NaN.
     """
     table = state.table
     times, om2, sampled, df_half, df_full = table.row(state.step_index)
@@ -367,13 +322,10 @@ def _finite(row: np.ndarray, s: float) -> np.ndarray:
 def _step_factors(ensemble: EnsembleSpec, dt: float, drive: float,
                   real_update: bool, df_half: float, df_full: float) -> tuple:
     """The per-node factors of a step with control integrals df_half and
-    df_full: the rotation rf as an (n_node, 1) column, the real (4,
-    n_node) node-sum table [Re w rh; Im w rh; Re w rf; Im w rf], the
-    update table of U = rf [(dt/6) d, (dt/3) dh, (dt/6) df], then the
-    node-weight scalars of the stage kernels B(k2), B(k3), B(k4) and the
-    (3,) coefficients of the recorded row's kernel (see advance_weak).
-    The update table is the real (n_node, 6) [Re U, Im U] for
-    real_update, else the complex (n_node, 3) U (_update_product)."""
+    df_full (see advance_weak): rf as an (n_node, 1) column, the node-sum
+    table, the update table (_update_product's form for real_update),
+    the node-weight scalars of B(k2), B(k3), B(k4) and the (3,)
+    coefficients of the recorded row's kernel."""
     d21 = ensemble.delta21s
     d31 = ensemble.delta31s
     rot_half = np.exp(-1j * (d21 * (0.5 * dt) + d31 * df_half))
@@ -403,12 +355,8 @@ def _step_factors(ensemble: EnsembleSpec, dt: float, drive: float,
 
 @dataclass(frozen=True)
 class TildeInput:
-    """Scaled input field at the entry face in tilde variables.
-
-    The physical probe envelope is dressed by conj(rabi), the control
-    Omega(s) at the row's time; the Stark chirp exp(+i psi) that centers
-    it on the shifted line is exactly what the tilde variables factor
-    out, so psi goes unused and the tilde boundary is smooth.
+    """strongfield.ProbeBoundary in tilde variables, which factor out its
+    Stark chirp exp(+i psi): psi goes unused, and the boundary is smooth.
     """
 
     probe: ProbeSpec

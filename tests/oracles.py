@@ -36,6 +36,11 @@ Bloch z-component: the drive 2 r11 - 1 and the probe Stark rate as
 separate products, B11 summed over r11 itself, and the projection in
 masked passes.  The two forms differ only by rounding.
 
+forward_quadrature is the forward rule of a CumulativeQuadrature chosen
+on every call, for any kind and layout of samples: the reference the
+integrators a stage holds (CumulativeQuadrature.directed) are checked
+against.
+
 flipped_field_row is strongfield.field_row in the general form the
 package first solved every slab in, on the general helpers
 (_solve_field_ode): B11 summed over the Bloch z-component plus the stage
@@ -64,7 +69,7 @@ from ramanecho.core import EnsembleSpec, Grid, ProbeSpec, require_finite
 from ramanecho.efficiency import EfficiencyModel, _curve, _normalize_protocol
 from ramanecho.errors import ControlVanishes, NoInteriorMaximum, \
     NonFiniteField, PhysicalityViolation, ValidationError
-from ramanecho.numerics import fmt_float, golden_section_max, \
+from ramanecho.numerics import _PARTS, fmt_float, golden_section_max, \
     trapezoid_energy, weighted_node_sum, write_text_atomic
 from ramanecho.strongfield import (
     BLOCH_EMERGENCY,
@@ -240,6 +245,19 @@ def allocating_advance_strong(state: SimulationState) -> SimulationState:
     return state
 
 
+def forward_quadrature(quadrature, y: np.ndarray) -> np.ndarray:
+    """The cumulative integral of the samples y on the axis of quadrature
+    (a CumulativeQuadrature), by its forward integrator for y's kind, on
+    y made C-contiguous."""
+    y = np.ascontiguousarray(y, np.promote_types(y.dtype, np.float64))
+    out = np.empty_like(y)
+    if y.dtype.kind == "c":
+        quadrature.directed(+1)(y.view(_PARTS), out.view(_PARTS))
+    else:
+        quadrature.directed(+1, real=True)(y, out)
+    return out
+
+
 def _solve_field_ode(a: np.ndarray, source: np.ndarray,
                      quadrature: Callable,
                      boundary_value: complex) -> np.ndarray:
@@ -247,11 +265,11 @@ def _solve_field_ode(a: np.ndarray, source: np.ndarray,
 
     Integrating-factor quadrature: both cumulative integrals are 4th
     order, and a purely imaginary a (the population-dispersion term)
-    yields an exactly unimodular factor.  quadrature integrates a complex
-    row, as CumulativeQuadrature.__call__ does.
+    yields an exactly unimodular factor.  quadrature is the
+    CumulativeQuadrature of the axis (forward_quadrature).
     """
-    phi = np.exp(quadrature(a))
-    inner = quadrature(source / phi)
+    phi = np.exp(forward_quadrature(quadrature, a))
+    inner = forward_quadrature(quadrature, source / phi)
     return phi * (boundary_value + inner)
 
 

@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from ramanecho.numerics import (
     weighted_node_sum,
 )
 from ramanecho.strongfield import SimulationState
-from oracles import refined
+from oracles import forward_quadrature, refined
 
 WEIGHT_SUM_TOL = 1e-10
 MOMENT_TOL = 1e-6
@@ -279,8 +281,8 @@ def test_comb_builder_matches_node_by_node_reference(
     ens = build_comb_ensemble(**kw)
     assert _node_table(ens) == _node_by_node_comb(**kw)
     assert ens.comb_spacing == 1.0
-    kept21 = [(-b, a, w) for b, a, w in _node_table(ens)]
-    assert _node_table(ens.inverted(invert_21=False)) == kept21
+    flipped = [(-b, -a, w) for b, a, w in _node_table(ens)]
+    assert _node_table(ens.inverted()) == flipped
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +403,35 @@ def test_ensemble_builders_refuse_non_finite_widths(name, value):
     with pytest.raises((ValidationError, NonPositiveWidth),
                        match=f"^{name} must be "):
         NON_FINITE_WIDTHS[name](value)
+
+
+# a width whose square underflows to 0 or overflows is refused by name
+# before numpy divides by that square: the uniform rule printed a
+# RuntimeWarning and then failed as "weights must be finite", the
+# Gauss-Hermite rule built subnormal nodes, the comb envelope divided by
+# zero, and an overflowing square raised a bare OverflowError
+UNSQUARABLE_WIDTHS = {
+    ("width", "uniform"): lambda v: build_gaussian_ensemble(
+        width=v, n_nodes=3, rule="uniform"),
+    ("width", "gausshermite"): lambda v: build_gaussian_ensemble(
+        width=v, n_nodes=3, rule="gausshermite"),
+    ("envelope_width", "comb"): lambda v: build_comb_ensemble(
+        spacing=1, tooth_width=0.05, n_lines=3, envelope_width=v),
+}
+
+
+@pytest.mark.parametrize("value, fault", [
+    (1e-320, "underflows to 0"), (1e-170, "underflows to 0"),
+    (1e200, "overflows a float")])
+@pytest.mark.parametrize("name, rule", sorted(UNSQUARABLE_WIDTHS))
+def test_ensemble_builders_refuse_widths_whose_square_is_not_a_float(
+        name, rule, value, fault):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=(
+                f"^{name} = {re.escape(repr(value))} {fault} when "
+                "squared$")):
+            UNSQUARABLE_WIDTHS[name, rule](value)
 
 
 def _flat_top(**kw):
@@ -602,9 +633,10 @@ def test_dense_quadrature_matches_cumulative_integral(n, kind, orientation):
     quadrature = CumulativeQuadrature(n, 0.37)
     assert quadrature.weights is not None
     if orientation == "storage":
-        got, want = quadrature(y), cumulative_integral(y, 0.37)
+        got, want = forward_quadrature(quadrature, y), \
+            cumulative_integral(y, 0.37)
     else:
-        got = quadrature(y[::-1])[::-1]
+        got = forward_quadrature(quadrature, y[::-1])[::-1]
         want = cumulative_integral(y[::-1], 0.37)[::-1]
     assert got.dtype == want.dtype and got.shape == want.shape
     scale = np.max(np.abs(want))
@@ -802,7 +834,7 @@ def test_real_quadrature_is_a_blas_product_only_within_the_bound(
     dense = n * n <= GEMV_ONE_THREAD_MAX
     want = (np.dot(quadrature.weights, y[:, None]).ravel()
             if dense else cumulative_integral(y, 0.37))
-    assert np.array_equal(quadrature(y), want)
+    assert np.array_equal(forward_quadrature(quadrature, y), want)
 
     directed, real_rows = CumulativeQuadrature.directed, []
 

@@ -932,8 +932,10 @@ def test_zero_probe_stores_nothing():
     assert np.all(out.state.row == 0)
     assert np.all(out.state.r12 == 0)
     assert np.all(out.state.r11 == 1.0)
-    assert out.input_photons == 0.0
-    assert out.stored_excitation == 0.0
+    tau, photons_in, photons_out = out.state.photons()
+    assert np.array_equal(tau, out.tau)
+    assert photons_in == 0.0 and photons_out == 0.0
+    assert stages._held_excitation(out.state) == 0.0
     assert out.transmitted_fraction == 0.0
     assert out.audit_residual == 0.0
 
