@@ -81,9 +81,7 @@ def require_integer(obj, *names: str) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
-# ---------------------------------------------------------------------------
 # envelope factories
-# ---------------------------------------------------------------------------
 
 def gaussian_envelope(center: float, duration: float) -> Callable:
     """Unit-peak Gaussian ``exp(-(t-center)^2 / (2 duration^2))``."""
@@ -123,9 +121,7 @@ def raised_cosine_envelope(on: float, off: float, rise: float) -> Callable:
     return env
 
 
-# ---------------------------------------------------------------------------
 # medium
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MediumSpec:
@@ -154,9 +150,7 @@ class MediumSpec:
         return cls(coupling_beta=beta)
 
 
-# ---------------------------------------------------------------------------
 # detuning ensemble
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
@@ -333,9 +327,7 @@ def build_comb_ensemble(spacing: float, tooth_width: float, n_lines: int,
                         delta31s=delta31[order], comb_spacing=spacing)
 
 
-# ---------------------------------------------------------------------------
 # control and probe fields
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ControlProfile:
@@ -458,9 +450,7 @@ class ProbeSpec:
         return np.asarray(self.envelope(tau), dtype=complex)
 
 
-# ---------------------------------------------------------------------------
 # grids
-# ---------------------------------------------------------------------------
 
 def _count_hint(count: str, need: float) -> str:
     """The smallest point count that meets a step guard, if any does."""

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoInteriorMaximum, ValidationError
-from .numerics import fmt_float, golden_section_max, write_text_atomic
+from .numerics import fmt_float, golden_section_max, table_chunks, \
+    write_text_atomic
 
 RECRIB = "recrib"
 REAFC = "reafc"
@@ -210,31 +211,35 @@ def optimal_gamma(protocol: str, alpha0L: float,
 
 def write_sweep_csv(path: str, traces: dict, total_time: float | None = None
                     ) -> dict:
-    """Write (protocol, alpha0L) -> (n, 2) sweep tables to one CSV.
+    """Write (protocol, alpha0L) -> (n, 2) sweep tables to one CSV, each
+    trace's rows streamed to the file as they are formatted.
 
     Appends a comment row per trace with its optimal point, and returns
     those optima, (gamma*, epsilon*) by trace key.
     """
-    lines = ["protocol,alpha0L,gamma,epsilon"]
-    comments = []
     optima = {}
-    gamma_bits = gamma_cells = None
-    for (protocol, alpha0L), table in traces.items():
-        p, alpha_cell = _normalize_protocol(protocol), fmt_float(alpha0L)
-        gamma, eps = np.asarray(table, dtype=float).T
-        # a trace on the previous trace's grid reuses its cells; bits, not
-        # values, are compared, since -0.0 == 0.0 formats differently
-        if gamma.tobytes() != gamma_bits:
-            gamma_bits = gamma.tobytes()
-            gamma_cells = [fmt_float(g) for g in gamma.tolist()]
-        prefix = f"{p},{alpha_cell},"
-        # the cell fmt_float writes, formatted inline
-        lines.extend(f"{prefix}{g},{e:.17g}"
-                     for g, e in zip(gamma_cells, eps.tolist()))
-        g_star, eps_star = optimal_gamma(p, alpha0L, total_time)
-        optima[(protocol, alpha0L)] = (g_star, eps_star)
-        comments.append(
-            f"# optimal {p} alpha0L={alpha_cell} "
-            f"gamma={fmt_float(g_star)} epsilon={fmt_float(eps_star)}")
-    write_text_atomic(path, "\n".join(lines + comments) + "\n")
+
+    def chunks():
+        yield "protocol,alpha0L,gamma,epsilon\n"
+        comments = []
+        gamma_bits = gamma_cells = None
+        for (protocol, alpha0L), table in traces.items():
+            p, alpha_cell = _normalize_protocol(protocol), fmt_float(alpha0L)
+            gamma, eps = np.asarray(table, dtype=float).T
+            # a trace on the previous trace's grid reuses its cells; bits,
+            # not values, are compared: -0.0 == 0.0 formats differently
+            if gamma.tobytes() != gamma_bits:
+                gamma_bits = gamma.tobytes()
+                gamma_cells = [fmt_float(g) for g in gamma.tolist()]
+            # %.17g writes the cell fmt_float writes
+            yield from table_chunks(f"{p},{alpha_cell},%s,%.17g\n",
+                                    [gamma_cells, eps.tolist()])
+            g_star, eps_star = optimal_gamma(p, alpha0L, total_time)
+            optima[(protocol, alpha0L)] = (g_star, eps_star)
+            comments.append(
+                f"# optimal {p} alpha0L={alpha_cell} "
+                f"gamma={fmt_float(g_star)} epsilon={fmt_float(eps_star)}\n")
+        yield from comments
+
+    write_text_atomic(path, chunks())
     return optima

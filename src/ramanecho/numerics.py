@@ -11,7 +11,7 @@ import math
 import os
 import tempfile
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -44,6 +44,9 @@ DENSE_QUADRATURE_MAX = math.isqrt(GEMM_ONE_THREAD_MAX // 2)
 _FLOAT = np.dtype(np.float64)
 _COMPLEX = np.dtype(np.complex128)
 _PARTS = np.dtype((np.float64, (2,)))
+
+# the rows table_chunks formats with one % of its template
+ROW_BLOCK = 4096
 
 # golden section stops at this argument interval, or after this many steps
 GOLDEN_TOL = 1e-10
@@ -215,14 +218,32 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Whole-file atomic write: temp file in the same directory, then rename."""
+def table_chunks(template: str, columns: list) -> Iterator[str]:
+    """The rows of equal-length list columns, each template % its cells,
+    as chunks of ROW_BLOCK rows: one % of the template repeated, on the
+    block's cells interleaved row by row."""
+    for start in range(0, len(columns[0]), ROW_BLOCK):
+        block = [column[start:start + ROW_BLOCK] for column in columns]
+        cells = [None] * (len(block) * len(block[0]))
+        for j, column in enumerate(block):
+            cells[j::len(block)] = column
+        yield (template * len(block[0])) % tuple(cells)
+
+
+def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
+    """Whole-file atomic write of a str, or of str chunks written as they
+    come: temp file in the same directory, then rename, and no temp file
+    left when a chunk raises.  The file gets 0o666 less the umask, as
+    open(path, "w") gives a new file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

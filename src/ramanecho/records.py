@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .core import CONTROL_FLOOR
 from .errors import PhysicalityViolation, ZeroInputEnergy
-from .numerics import fmt_float, trapezoid_energy, write_text_atomic
+from .numerics import fmt_float, table_chunks, trapezoid_energy, \
+    write_text_atomic
 
 
 def envelope_from_scaled(zeta_face, control, tau):
@@ -155,17 +157,12 @@ def measure_efficiency(record: EchoRecord) -> tuple[float, float]:
     return eps, fid
 
 
-# ---------------------------------------------------------------------------
-# CSV snapshots
-# ---------------------------------------------------------------------------
-
 def write_envelope_csv(path: str, tau, envelope) -> None:
     """Field snapshot at the face Z = 0, columns (tau, z, re_zeta,
     im_zeta)."""
     tau = np.asarray(tau, dtype=float)
     env = np.asarray(envelope, dtype=complex)
-    # one format per row on Python floats; 0 is fmt_float(0.0)
-    lines = ["tau,z,re_zeta,im_zeta"] + [
-        f"{t:.17g},0,{re:.17g},{im:.17g}" for t, re, im in
-        zip(tau.tolist(), env.real.tolist(), env.imag.tolist())]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    # %.17g writes the cell fmt_float writes; 0 is fmt_float(0.0)
+    write_text_atomic(path, chain(["tau,z,re_zeta,im_zeta\n"], table_chunks(
+        "%.17g,0,%.17g,%.17g\n",
+        [tau.tolist(), env.real.tolist(), env.imag.tolist()])))

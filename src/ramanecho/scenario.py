@@ -169,9 +169,7 @@ def default_scenario() -> Scenario:
     return Scenario()
 
 
-# ---------------------------------------------------------------------------
 # parsing
-# ---------------------------------------------------------------------------
 
 # a section per Scenario field, a key per section field, typed by its
 # annotation; the string keys listed here take one of the given values
@@ -286,9 +284,7 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(text, origin=path)
 
 
-# ---------------------------------------------------------------------------
 # serialization
-# ---------------------------------------------------------------------------
 
 def _cell(value) -> str:
     if value is None:
@@ -314,9 +310,7 @@ def dump_scenario(scenario: Scenario) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
 # builders: scenario sections to core objects
-# ---------------------------------------------------------------------------
 
 def _squarable(section: str, key: str, value: float) -> float:
     """value, refused by key as require_squarable refuses it."""

@@ -14,7 +14,10 @@ scan_optimal_gamma and scan_write_sweep_csv are efficiency.optimal_gamma
 and efficiency.write_sweep_csv as they were before the bracket scan was
 screened with one array evaluation and the shared gamma cells were
 formatted once: a full 4001-point scalar scan, and every cell formatted
-where it is written.  The package must reproduce them bit for bit.
+where it is written, one row at a time.  row_write_envelope_csv is
+records.write_envelope_csv with one f-string per row.  The package must
+reproduce them bit for bit; its writers format blocks of rows through
+one template (numerics.table_chunks) and stream them to the file.
 
 SusceptibilityKernel, analytic_transmission and fid_kernel are the
 linear regime solved in the frequency domain: the discrete ensemble's
@@ -405,19 +408,32 @@ def scan_optimal_gamma(protocol: str, alpha0L: float,
 
 
 def scan_write_sweep_csv(path: str, traces: dict,
-                         total_time: float | None = None) -> None:
-    """The sweep CSV with every cell formatted where it is written."""
+                         total_time: float | None = None,
+                         optimum: Callable = scan_optimal_gamma) -> None:
+    """The sweep CSV with every cell formatted where it is written, and
+    each trace's optimum found by optimum(protocol, alpha0L, total_time).
+    """
     lines = ["protocol,alpha0L,gamma,epsilon"]
     comments = []
     for (protocol, alpha0L), table in traces.items():
         p, alpha_cell = _normalize_protocol(protocol), fmt_float(alpha0L)
         lines.extend(f"{p},{alpha_cell},{fmt_float(g)},{fmt_float(e)}"
                      for g, e in np.asarray(table, dtype=float).tolist())
-        g_star, eps_star = scan_optimal_gamma(p, alpha0L, total_time)
+        g_star, eps_star = optimum(p, alpha0L, total_time)
         comments.append(
             f"# optimal {p} alpha0L={alpha_cell} "
             f"gamma={fmt_float(g_star)} epsilon={fmt_float(eps_star)}")
     write_text_atomic(path, "\n".join(lines + comments) + "\n")
+
+
+def row_write_envelope_csv(path: str, tau, envelope) -> None:
+    """The envelope CSV with one f-string per row."""
+    tau = np.asarray(tau, dtype=float)
+    env = np.asarray(envelope, dtype=complex)
+    lines = ["tau,z,re_zeta,im_zeta"] + [
+        f"{t:.17g},0,{re:.17g},{im:.17g}" for t, re, im in
+        zip(tau.tolist(), env.real.tolist(), env.imag.tolist())]
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 @dataclasses.dataclass(frozen=True)

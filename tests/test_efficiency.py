@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy._core._multiarray_umath import __cpu_features__
 
+from ramanecho.cli import build_parser, main, parse_alpha0l_list, \
+    parse_gamma_range
 from ramanecho.efficiency import (
     COMB_PEAK_FACTOR,
     DEFAULT_TOTAL_TIME,
@@ -21,6 +23,7 @@ from ramanecho.efficiency import (
     write_sweep_csv,
 )
 from ramanecho.errors import NoInteriorMaximum, ValidationError
+from ramanecho.numerics import ROW_BLOCK
 
 from oracles import scan_optimal_gamma, scan_write_sweep_csv
 
@@ -425,6 +428,51 @@ def test_sweep_csv_equals_the_cell_by_cell_writer_on_a_shared_grid(tmp_path):
     path = tmp_path / "sweep.csv"
     assert (_sweep_bytes(write_sweep_csv, path, traces)
             == _sweep_bytes(scan_write_sweep_csv, path, traces))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--alpha0L", "1e-3,35,7e4", "--gamma", "0:1:0.00037",
+         "--total-time", "3"],
+    ["--total-time", "0"]], ids=["default", "three depths", "no dephasing"])
+def test_sweep_command_equals_the_cell_by_cell_writer(tmp_path, capsys,
+                                                      argv):
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_bytes()
+    # the traces as cmd_sweep builds them from the same arguments
+    args = build_parser().parse_args(["sweep", *argv, "--out", str(path)])
+    protocols = (["recrib", "reafc"] if args.protocol == "both"
+                 else [args.protocol])
+    grid = parse_gamma_range(args.gamma)
+    traces = {(protocol, alpha0L): sweep_gamma(protocol, alpha0L, grid,
+                                               args.total_time)
+              for protocol in protocols
+              for alpha0L in parse_alpha0l_list(args.alpha0L)}
+    # the package's optimum: with no dephasing the scan finds an interior
+    # peak where the rounded curve reaches 1, which optimal_gamma does not
+    # look for
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoInteriorMaximum)
+        scan_write_sweep_csv(str(path), traces, args.total_time,
+                             optimum=optimal_gamma)
+    assert text == path.read_bytes()
+
+
+def test_sweep_csv_equals_the_cell_by_cell_writer_across_blocks(tmp_path):
+    # grids one row short of a block, a block, one row past one, and two
+    # blocks and a row, then the first grid again, formatted anew
+    sizes = [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1,
+             ROW_BLOCK - 1]
+    traces = {(protocol, alpha0L): sweep_gamma(protocol, alpha0L,
+                                               np.linspace(0.0, 1.0, n))
+              for (protocol, alpha0L), n in zip(
+                  [("recrib", 50.0), ("reafc", 50.0), ("recrib", 200.0),
+                   ("reafc", 200.0), ("recrib", 1000.0)], sizes)}
+    path = tmp_path / "sweep.csv"
+    text = _sweep_bytes(write_sweep_csv, path, traces)
+    assert text == _sweep_bytes(scan_write_sweep_csv, path, traces)
+    assert text.count(b"\n") == 1 + sum(sizes) + len(sizes)
 
 
 def test_sweep_csv_equals_the_cell_by_cell_writer_on_different_grids(

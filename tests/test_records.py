@@ -7,6 +7,7 @@ import pytest
 
 from ramanecho.core import ControlProfile
 from ramanecho.errors import PhysicalityViolation, ZeroInputEnergy
+from ramanecho.numerics import ROW_BLOCK
 from ramanecho.records import (
     EchoRecord,
     centroid,
@@ -15,6 +16,8 @@ from ramanecho.records import (
     overlap_fidelity,
     write_envelope_csv,
 )
+
+from oracles import row_write_envelope_csv
 
 CENTROID_TOL = 1e-12
 OVERLAP_TOL = 5e-4
@@ -159,3 +162,20 @@ def test_envelope_csv_deterministic(tmp_path):
     write_envelope_csv(str(p1), tau, env)
     write_envelope_csv(str(p2), tau, env)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("tau,env", [
+    ([], []),
+    ([0.5], [1.0 - 2.0j]),
+    ([-0.0, 5e-324, 1e308, -1e308],
+     [complex(-0.0, 5e-324), complex(1e308, -1e308), -0.0, -5e-324]),
+    *[(np.linspace(0.0, 2.0, n), np.exp(1j * np.linspace(0.0, 9.0, n)))
+      for n in (ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1)]],
+    ids=["0 rows", "1 row", "extremes", "block - 1", "block", "block + 1"])
+def test_envelope_csv_equals_the_row_by_row_writer(tmp_path, tau, env):
+    paths = [tmp_path / "streamed.csv", tmp_path / "rows.csv"]
+    write_envelope_csv(str(paths[0]), tau, env)
+    row_write_envelope_csv(str(paths[1]), tau, env)
+    text = paths[0].read_bytes()
+    assert text == paths[1].read_bytes()
+    assert text.count(b"\n") == len(tau) + 1

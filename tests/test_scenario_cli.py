@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -975,6 +976,46 @@ def test_sweep_refuses_an_optimum_that_rounds_to_zero(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_a_sweep_failing_after_rows_streamed_leaves_the_target(tmp_path,
+                                                              capsys):
+    # the first trace's rows are written to the temp file before the
+    # second trace's optimum, at alpha0L 1e-16, raises
+    out = tmp_path / "sweep.csv"
+    before = b"protocol,alpha0L,gamma,epsilon\nkept\n"
+    out.write_bytes(before)
+    code = main(["sweep", "--alpha0L", "50,1e-16", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: recrib efficiency rounds to 0")
+    assert captured.err.count("\n") == 1
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_artifacts_get_the_mode_the_umask_leaves(tmp_path, capsys):
+    # a simulate run's four artifacts (written as `simulate` writes them,
+    # from one run), dump-defaults and sweep, as open(path, "w") would
+    # create them
+    result = run_scenario(load_scenario(bundled("recrib_ideal")))
+    previous = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            out = tmp_path / f"umask-{umask:03o}"
+            write_outputs(result, str(out / "run"))
+            assert main(["dump-defaults",
+                         "--out", str(out / "defaults.ini")]) == 0
+            assert main(["sweep", "--gamma", "0:1:0.5",
+                         "--out", str(out / "sweep.csv")]) == 0
+            written = [p for p in out.rglob("*") if p.is_file()]
+            assert len(written) == 6
+            assert {stat.S_IMODE(p.stat().st_mode)
+                    for p in written} == {mode}, oct(umask)
+    finally:
+        os.umask(previous)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("step", ["1e-300", "1e-320"])
