@@ -29,7 +29,7 @@ def main() -> int:
 
     traces = {(protocol, depth): sweep_gamma(protocol, depth, GAMMA_GRID)
               for protocol in (RECRIB, REAFC) for depth in DEPTHS}
-    optima = write_sweep_csv(args.out, traces)
+    optima = write_sweep_csv(args.out, traces.items())
     print(f"{'protocol':>8} {'alpha0L':>8} {'gamma*':>10} {'epsilon*':>10}")
     for (protocol, depth), (gamma_star, eps_star) in optima.items():
         print(f"{protocol:>8} {depth:>8.0f} {gamma_star:>10.6f} "

@@ -113,13 +113,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     protocols = [RECRIB, REAFC] if args.protocol == "both" else [args.protocol]
-    depths = parse_alpha0l_list(args.alpha0L)
+    depths = dict.fromkeys(parse_alpha0l_list(args.alpha0L))
     gamma_grid = parse_gamma_range(args.gamma)
-    traces = {(protocol, alpha0l): sweep_gamma(protocol, alpha0l, gamma_grid,
-                                               total_time=args.total_time)
-              for protocol in protocols for alpha0l in depths}
+    # one trace per distinct depth, each built as the writer reaches it
+    keys = [(protocol, alpha0l) for protocol in protocols
+            for alpha0l in depths]
+    traces = ((key, sweep_gamma(*key, gamma_grid, args.total_time))
+              for key in keys)
     write_sweep_csv(args.out, traces, total_time=args.total_time)
-    print(f"wrote {args.out} ({len(traces)} traces, "
+    print(f"wrote {args.out} ({len(keys)} traces, "
           f"{gamma_grid.size} points each)")
     return 0
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -209,21 +210,19 @@ def optimal_gamma(protocol: str, alpha0L: float,
     return float(g_star), float(eps_star)
 
 
-def write_sweep_csv(path: str, traces: dict, total_time: float | None = None
-                    ) -> dict:
-    """Write (protocol, alpha0L) -> (n, 2) sweep tables to one CSV, each
-    trace's rows streamed to the file as they are formatted.
-
-    Appends a comment row per trace with its optimal point, and returns
-    those optima, (gamma*, epsilon*) by trace key.
-    """
+def write_sweep_csv(path: str, traces: Iterable,
+                    total_time: float | None = None) -> dict:
+    """Write ((protocol, alpha0L), (n, 2) sweep table) pairs, read one at
+    a time, to one CSV, each trace's rows streamed as they are formatted,
+    then a comment row per trace with its optimum; returns the optima,
+    (gamma*, epsilon*) by trace key."""
     optima = {}
 
     def chunks():
         yield "protocol,alpha0L,gamma,epsilon\n"
         comments = []
         gamma_bits = gamma_cells = None
-        for (protocol, alpha0L), table in traces.items():
+        for (protocol, alpha0L), table in traces:
             p, alpha_cell = _normalize_protocol(protocol), fmt_float(alpha0L)
             gamma, eps = np.asarray(table, dtype=float).T
             # a trace on the previous trace's grid reuses its cells; bits,
@@ -234,6 +233,7 @@ def write_sweep_csv(path: str, traces: dict, total_time: float | None = None
             # %.17g writes the cell fmt_float writes
             yield from table_chunks(f"{p},{alpha_cell},%s,%.17g\n",
                                     [gamma_cells, eps.tolist()])
+            del table, gamma, eps       # freed before the next is built
             g_star, eps_star = optimal_gamma(p, alpha0L, total_time)
             optima[(protocol, alpha0L)] = (g_star, eps_star)
             comments.append(

@@ -49,7 +49,6 @@ def scenario_report(scenario: Scenario) -> ConditionReport:
 
 @dataclass
 class RunResult:
-    scenario: Scenario
     report: ConditionReport
     record: EchoRecord
     efficiency: float
@@ -89,9 +88,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
         input_envelope=out.input_envelope,
         transmitted_fraction=out.transmitted_fraction)
     efficiency, fidelity = measure_efficiency(record)
-    return RunResult(scenario=scenario, report=report, record=record,
-                     efficiency=efficiency, fidelity=fidelity,
-                     storage_audit=out.audit_residual)
+    return RunResult(report=report, record=record, efficiency=efficiency,
+                     fidelity=fidelity, storage_audit=out.audit_residual)
 
 
 def write_outputs(result: RunResult, out_dir: str) -> dict[str, str]:

@@ -21,6 +21,7 @@ from .core import CONTROL_FLOOR, ControlProfile, EnsembleSpec, Grid, MediumSpec
 from .errors import (
     DetuningTooSmall,
     IncompleteAbsorptionWarning,
+    NonFiniteField,
     ValidationError,
 )
 from .numerics import CumulativeQuadrature, cumulative_integral
@@ -79,10 +80,11 @@ class StageState:
     """Evolving state of one stage on its grid, in either regime.
 
     row is the field row solved from the current atoms, which the next
-    step reuses as its k1 row; faces traces the field at Z = 0 and Z = L,
-    one (n_tau, 2) entry per clock recorded, which is all the audits and
-    the echo read of the field.  r12 is the coherence per (node, Z), and
-    grid, ensemble, control and medium are the inputs fresh was given.
+    step reuses as its k1 row, and row_peak its max |row| (record); faces
+    traces the field at Z = 0 and Z = L, one (n_tau, 2) entry per clock
+    recorded, which is all the audits and the echo read of the field.
+    r12 is the coherence per (node, Z); grid, ensemble, control and
+    medium are the inputs fresh was given.
     drive_sign is +1 for storage, which integrates the field from the
     input face Z = 0, and -1 for retrieval, which emits backward from a
     zero boundary at Z = L.
@@ -107,6 +109,7 @@ class StageState:
     quadrature: CumulativeQuadrature
     table: StageTable
     step_index: int = 0
+    row_peak: float = 0.0
     # the step factors built last (step_factors), the buffers a regime's
     # step writes (march drops them) and whether the slab is short
     # (march): none is an __init__ field, so a dataclasses.replace copy
@@ -121,9 +124,14 @@ class StageState:
     def __post_init__(self):
         self._short = self.r12.shape[1] < _LONG_ROW
 
-    def record(self, row: np.ndarray) -> None:
-        """Hold row as the field row of the current clock, and trace its
-        faces there."""
+    def record(self, row: np.ndarray, tau: float) -> None:
+        """Hold row as the field row of clock tau, with its peak max |row|,
+        and trace its faces there: the one field check of both regimes,
+        which refuses a NaN or inf row (one a step does not record reaches
+        the atoms, and so this check, in the same step)."""
+        self.row_peak = float(np.maximum.reduce(np.abs(row)))
+        if not math.isfinite(self.row_peak):
+            raise NonFiniteField(f"field row non-finite at tau={tau}")
         self.row[:] = row
         self.faces[self.step_index] = row[0], row[-1]
 
@@ -170,7 +178,7 @@ class StageState:
                     medium=medium, drive_sign=drive_sign,
                     quadrature=quadrature,
                     table=StageTable.build(control, grid, boundary), **own)
-        state.record(state.first_row())
+        state.record(state.first_row(), 0.0)
         return state
 
     @classmethod

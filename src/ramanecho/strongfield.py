@@ -91,8 +91,8 @@ class SimulationState(stages.StageState):
     its step sizes and RK weights: the bracket's rates -i d21 and i Delta c_j
     per unit f, the drive i s_nu c_j and the population coupling -2 s_nu c_j.
     stark is -s_nu Delta / 2, which over |Omega|^2 is the kappa/2 of the
-    coherence slope.  zeta_scale is the largest field magnitude seen so far
-    (the reference for control-off field checks).
+    coherence slope.  zeta_scale is the largest row_peak seen so far (the
+    reference for control-off field checks).
     """
 
     bloch_z: np.ndarray         # (n_node, n_z) real, r11 - 1/2
@@ -232,7 +232,8 @@ class SimulationState(stages.StageState):
         those cells keep their bits, and s is clipped to [-1/2, 1/2].
         After every step 0 <= r11 <= 1 and |r12|^2 <= r11 (1 - r11) hold
         to rounding.  An excursion beyond BLOCH_EMERGENCY is not
-        truncation-sized and raises instead of being hidden."""
+        truncation-sized and raises, a non-finite one as the field row
+        that made it (stages.StageState.record)."""
         _, (norm, square), _ = self.workspace()
         s = self.bloch_z
         np.abs(self.r12, out=norm)
@@ -241,7 +242,10 @@ class SimulationState(stages.StageState):
         norm += square
         np.sqrt(norm, out=norm)
         worst = float(np.maximum.reduce(norm, None)) - 0.5
-        if not math.isfinite(worst) or worst > BLOCH_EMERGENCY:
+        if not math.isfinite(worst):
+            raise NonFiniteField("field row non-finite in the step to "
+                                 f"clock {self.step_index}")
+        if worst > BLOCH_EMERGENCY:
             raise PhysicalityViolation(
                 f"Bloch vector left the unit ball by {worst:.3g}")
         shrink = np.maximum(norm, 0.5, out=norm)
@@ -313,12 +317,10 @@ def field_row(state: SimulationState, s: float, r12: np.ndarray,
     """Scaled field across the slab at time s (_field_solve), from the
     coherences r12 and Bloch z-components bloch_z, C-contiguous (node, Z)
     arrays as the state's own and its workspace's are; sampled is the
-    pair (f(s), boundary value) of a stage table row."""
+    pair (f(s), boundary value) of a stage table row.  Unchecked: see
+    stages.StageState.record."""
     f_s, incoming = sampled
-    row = state._solve(r12, bloch_z, f_s, incoming)
-    if not np.logical_and.reduce(np.isfinite(row)):
-        raise NonFiniteField(f"field row non-finite at tau={s}")
-    return row
+    return state._solve(r12, bloch_z, f_s, incoming)
 
 
 def _stark_factor(state: SimulationState, s: float, row: np.ndarray,
@@ -472,10 +474,8 @@ def advance_strong(state: SimulationState) -> SimulationState:
         return field_row(state, times[k], r12, bloch_z, sampled[k])
 
     _lawson_step(state, step, state.row, row_at)
-    row = row_at(2, state.r12, state.bloch_z)
-    state.record(row)
-    state.zeta_scale = max(state.zeta_scale,
-                           float(np.maximum.reduce(np.abs(row))))
+    state.record(row_at(2, state.r12, state.bloch_z), times[2])
+    state.zeta_scale = max(state.zeta_scale, state.row_peak)
     return state
 
 

@@ -29,7 +29,7 @@ from .core import (
     ProbeSpec,
     WEAK_AMPLITUDE_RATIO,
 )
-from .errors import NonFiniteField, WeakFieldViolation
+from .errors import WeakFieldViolation
 from .numerics import (
     _FLOAT,
     _PARTS,
@@ -88,10 +88,9 @@ class WeakState(stages.StageState):
         """Row 0 from the current coherences at the table's first stage
         time."""
         times, _, sampled, _, _ = self.table.row(0)
-        return _finite(field_row(
-            self, times[0], weighted_node_sum(self.ensemble.weights,
-                                              self.r12), sampled[0]),
-            times[0])
+        return field_row(self, times[0],
+                         weighted_node_sum(self.ensemble.weights, self.r12),
+                         sampled[0])
 
     def excitation(self) -> np.ndarray:
         """Ensemble excitation sum_j w_j |R~12_j|^2 at every Z."""
@@ -256,9 +255,9 @@ def advance_weak(state: WeakState) -> WeakState:
     reuses the recorded row, which was solved from the current
     coherences.  rf p and U R go into the state's workspace, the stage
     kernels and field rows into the rows it holds.  The probe Stark shift
-    is priced against the state's bandwidth.  The field rows are checked once
-    per step, on the recorded row: a non-finite k2, k3 or k4 row reaches it
-    through its kernel, since 0 x NaN is NaN.
+    is priced from the recorded row's peak against the state's bandwidth,
+    and a non-finite k2, k3 or k4 row reaches the recorded row through
+    its kernel (0 x NaN is NaN), which StageState.record refuses.
     """
     table = state.table
     times, om2, sampled, df_half, df_full = table.row(state.step_index)
@@ -280,9 +279,8 @@ def advance_weak(state: WeakState) -> WeakState:
     if om2[0] > 1e-9 * table.peak2:
         # the probe Stark shift, priced while the control is on
         # max |row|^2, as the square of max |row|: squaring keeps the order
-        row_max = float(np.maximum.reduce(np.abs(row1)))
         stark = abs(state.control.one_photon_detuning) \
-            * (row_max * row_max) / om2[0]
+            * (state.row_peak * state.row_peak) / om2[0]
         if stark > STARK_VALIDITY_FACTOR * state.bandwidth:
             raise WeakFieldViolation(
                 f"probe-induced Stark shift {stark:.3g} exceeds "
@@ -307,16 +305,9 @@ def advance_weak(state: WeakState) -> WeakState:
     state.step_index += 1
     np.matmul(record_coefs, rows, out=kernel)
     kernel += p_full
-    state.record(_finite(field_row(state, times[2], kernel, sampled[2],
-                                   out=row3), times[2]))
+    state.record(field_row(state, times[2], kernel, sampled[2], out=row3),
+                 times[2])
     return state
-
-
-def _finite(row: np.ndarray, s: float) -> np.ndarray:
-    """row, refused when any of its values is not finite."""
-    if not np.logical_and.reduce(np.isfinite(row)):
-        raise NonFiniteField(f"field row non-finite at tau={s}")
-    return row
 
 
 def _step_factors(ensemble: EnsembleSpec, dt: float, drive: float,

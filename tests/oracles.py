@@ -63,7 +63,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -243,7 +243,7 @@ def allocating_advance_strong(state: SimulationState) -> SimulationState:
 
     allocating_lawson_step(state, state.row, row_at)
     row = row_at(2, state.r12, state.bloch_z)
-    state.record(row)
+    state.record(row, times[2])
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return state
 
@@ -375,7 +375,7 @@ def r11_form_advance_strong(state: SimulationState,
 
     r11 = _r11_form_lawson_step(state, r11, state.row, row_at)
     row = row_at(2, state.r12, r11)
-    state.record(row)
+    state.record(row, times[2])
     state.zeta_scale = max(state.zeta_scale, float(np.abs(row).max()))
     return r11
 
@@ -407,7 +407,7 @@ def scan_optimal_gamma(protocol: str, alpha0L: float,
     return float(g_star), float(eps_star)
 
 
-def scan_write_sweep_csv(path: str, traces: dict,
+def scan_write_sweep_csv(path: str, traces: Iterable,
                          total_time: float | None = None,
                          optimum: Callable = scan_optimal_gamma) -> None:
     """The sweep CSV with every cell formatted where it is written, and
@@ -415,7 +415,7 @@ def scan_write_sweep_csv(path: str, traces: dict,
     """
     lines = ["protocol,alpha0L,gamma,epsilon"]
     comments = []
-    for (protocol, alpha0L), table in traces.items():
+    for (protocol, alpha0L), table in traces:
         p, alpha_cell = _normalize_protocol(protocol), fmt_float(alpha0L)
         lines.extend(f"{p},{alpha_cell},{fmt_float(g)},{fmt_float(e)}"
                      for g, e in np.asarray(table, dtype=float).tolist())

@@ -398,7 +398,7 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
         ("reafc", 50.0): sweep_gamma("reafc", 50.0, grid),
     }
     path = tmp_path / "sweep.csv"
-    optima = write_sweep_csv(str(path), traces)
+    optima = write_sweep_csv(str(path), traces.items())
     assert optima == {key: optimal_gamma(*key) for key in traces}
     text = path.read_text()
     lines = text.splitlines()
@@ -411,12 +411,12 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
     # 17 significant digits survive a round trip
     g_back = float(data[3].split(",")[2])
     assert g_back == grid[3]
-    write_sweep_csv(str(path), traces)
+    write_sweep_csv(str(path), iter(traces.items()))
     assert path.read_text() == text
 
 
 def _sweep_bytes(writer, path, traces):
-    writer(str(path), traces)
+    writer(str(path), traces.items())
     return path.read_bytes()
 
 
@@ -454,7 +454,7 @@ def test_sweep_command_equals_the_cell_by_cell_writer(tmp_path, capsys,
     # look for
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NoInteriorMaximum)
-        scan_write_sweep_csv(str(path), traces, args.total_time,
+        scan_write_sweep_csv(str(path), traces.items(), args.total_time,
                              optimum=optimal_gamma)
     assert text == path.read_bytes()
 

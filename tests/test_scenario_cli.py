@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramanecho
-from ramanecho import core, stages
+from ramanecho import cli, core, stages
 from ramanecho.cli import (
     MAX_GAMMA_POINTS,
     main,
@@ -1050,6 +1051,27 @@ def test_default_sweep_builds_two_models_per_trace(tmp_path, capsys,
     assert main(["sweep", "--out", str(tmp_path / "sweep.csv")]) == 0
     assert "6 traces" in capsys.readouterr().out
     assert len(built) <= 2 * 6
+
+
+def test_sweep_holds_one_trace_at_a_time(tmp_path, capsys, monkeypatch):
+    # cmd_sweep builds each trace as the writer reaches it: when a trace
+    # is built, every trace built before it has been freed.  A depth
+    # given twice is still one trace per protocol
+    tables, live_at_build = [], []
+    sweep_gamma = cli.sweep_gamma
+
+    def tracked(*args, **kwargs):
+        live_at_build.append(sum(ref() is not None for ref in tables))
+        table = sweep_gamma(*args, **kwargs)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(cli, "sweep_gamma", tracked)
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha0L", "50,200,50", "--out", str(path)]) == 0
+    assert "4 traces, 1001 points each" in capsys.readouterr().out
+    assert live_at_build == [0, 0, 0, 0]
+    assert path.read_text().count("# optimal") == 4
 
 
 def test_bad_arguments_exit_1(capsys):

@@ -622,7 +622,7 @@ def test_z_component_step_stays_within_rounding_of_the_r11_step(sign, size):
     r11 = ref.r11
     times, _, sampled, _, _ = ref.table.row(0)
     ref.record(oracles._r11_form_field_row(ref, times[0], ref.r12, r11,
-                                           sampled[0]))
+                                           sampled[0]), times[0])
     worst = 0.0
     for _ in range(state.grid.n_tau - 1):
         advance_strong(state)

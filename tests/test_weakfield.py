@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -254,7 +255,7 @@ def _dense_advance_weak(state, boundary, s, dt):
     state.r12 = rot_full * (p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3
                                                  + k4))
     state.step_index += 1
-    state.record(row_at(2, state.r12))
+    state.record(row_at(2, state.r12), times[2])
 
 
 def _mid_ramp_state(drive_sign):
@@ -277,10 +278,9 @@ def _mid_ramp_state(drive_sign):
     state = WeakState.fresh(grid, ens, ctl, med, drive_sign=drive_sign,
                             boundary=boundary, r12_initial=r12,
                             bandwidth=2.0)
-    state.step_index = 3
-    state.row[:] = field_row(state, 3 * grid.dt,
-                             weighted_node_sum(ens.weights, r12),
-                             _sampled(ctl, boundary, 3 * grid.dt))
+    state.step_index, s = 3, 3 * grid.dt
+    state.record(field_row(state, s, weighted_node_sum(ens.weights, r12),
+                           _sampled(ctl, boundary, s)), s)
     return state, ens, ctl, boundary, grid
 
 
@@ -306,16 +306,48 @@ def test_rank_one_step_matches_dense_step(drive_sign):
         assert np.max(np.abs(got - want)) <= STEP_ORACLE_TOL * scale
 
 
-# the step checks the field once, on the row it records: a NaN in one
-# cell of r12 reaches the k2 row through P_h, and the recorded row
-# through that row's kernel, so the step that meets it still refuses it
-@pytest.mark.parametrize("drive_sign", [+1, -1], ids=["storage", "recall"])
-def test_non_finite_coherence_is_refused_in_the_same_step(drive_sign):
-    state = _mid_ramp_state(drive_sign)[0]
+# a stage checks the field once per step, on the row it records
+# (StageState.record).  A NaN in one cell of r12 reaches the weak step's
+# k2 row through P_h, and its recorded row through that row's kernel; it
+# reaches the strong step's new atoms, which its Bloch-ball check reads
+# before the row is recorded.  So the step that meets it refuses it as
+# a non-finite field, and no numpy warning comes first
+@pytest.mark.parametrize("regime, drive_sign", [
+    pytest.param("weak", +1, id="storage"),
+    pytest.param("weak", -1, id="recall"),
+    pytest.param("strong", +1, id="strong-storage"),
+    pytest.param("strong", -1, id="strong-recall")])
+def test_non_finite_coherence_is_refused_in_the_same_step(regime,
+                                                          drive_sign):
+    if regime == "weak":
+        state, advance = _mid_ramp_state(drive_sign)[0], advance_weak
+        message = f"at tau={float(state.table.times[3, 2])!r}$"
+    else:
+        state, advance = _products_stage(regime, drive_sign)
+        for _ in range(40):             # onto the plateau, the probe in
+            advance(state)
+        message = "in the step to clock 41$"
+    assert state.row_peak > 0.0
     state.r12[4, 7] = np.nan
-    with pytest.raises(NonFiniteField, match=r"^field row non-finite at "
-                       f"tau={float(state.table.times[3, 2])!r}$"):
-        advance_weak(state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteField,
+                           match=r"^field row non-finite " + message):
+            advance(state)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)],
+                         ids=["nan", "inf", "imaginary-inf"])
+def test_record_holds_the_row_peak_and_refuses_a_non_finite_row(bad):
+    # the one field check of both regimes: record reduces the row once to
+    # its peak, which the strong zeta_scale and the weak Stark check read
+    state = _mid_ramp_state(+1)[0]
+    row = state.row.copy()
+    assert state.row_peak == float(np.max(np.abs(row))) > 0.0
+    row[5] = bad
+    with pytest.raises(NonFiniteField,
+                       match=r"^field row non-finite at tau=2\.5$"):
+        state.record(row, 2.5)
 
 
 # the weak step in a fresh interpreter: digests of r12, row and faces
@@ -626,7 +658,7 @@ def test_chosen_products_step_a_stage_as_the_general_helpers(
     assert ref.quadrature.weights is not None
     if regime == "weak":
         ref.table_sum = weighted_node_sum
-    ref.record(ref.first_row())
+    ref.record(ref.first_row(), 0.0)
     _run(state, advance)
     _run(ref, advance)
     assert _same_atoms(state, ref)
@@ -776,10 +808,10 @@ def test_stage_binds_the_dense_quadrature_only_within_the_bound(n_z):
 # calls one plateau step may make, as sys.setprofile reports them:
 # Python frames, and C-level calls of builtin functions and methods
 # (ufuncs and operators are not reported).  Python 3.11 with numpy 2.4.6
-# counts (28, 28) on recrib_strong's 17 x 17 storage stage and (16, 11)
+# counts (28, 25) on recrib_strong's 17 x 17 storage stage and (15, 11)
 # on recrib_ideal's 65 x 65.  The bounds leave 3-6 calls for numpy
 # versions whose dispatch wrappers add a frame or two
-STEP_CALL_BUDGET = {"recrib_strong": (33, 34), "recrib_ideal": (19, 15)}
+STEP_CALL_BUDGET = {"recrib_strong": (33, 31), "recrib_ideal": (18, 15)}
 # ndarray.view calls a strong plateau step may make: one per field row,
 # the coherences' float64 parts for their node sum; every other operand
 # and result of its products is viewed once per stage
